@@ -24,7 +24,13 @@ from .cpp_types import (
     StringLayout,
     string_layout_for,
 )
-from .layout import FieldSlot, LayoutCache, MessageLayout, member_primitive
+from .layout import (
+    MEMBER_PRIMITIVE,
+    FieldSlot,
+    LayoutCache,
+    MessageLayout,
+    member_primitive,
+)
 
 __all__ = [
     "CompatReport",
@@ -47,5 +53,6 @@ __all__ = [
     "FieldSlot",
     "LayoutCache",
     "MessageLayout",
+    "MEMBER_PRIMITIVE",
     "member_primitive",
 ]

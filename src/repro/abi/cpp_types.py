@@ -95,13 +95,18 @@ class PrimitiveType:
     name: str
     size: int
     align: int
-    fmt: str  # struct format (little-endian applied by callers)
+    fmt: str  # struct code; ``codec`` is its little-endian compiled form
+    codec: struct.Struct = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "codec", struct.Struct("<" + self.fmt))
 
     def pack(self, value) -> bytes:
-        return struct.pack("<" + self.fmt, value)
+        return self.codec.pack(value)
 
     def unpack(self, data) -> object:
-        return struct.unpack("<" + self.fmt, bytes(data))[0]
+        """Decode one value from exactly ``size`` bytes (any buffer)."""
+        return self.codec.unpack(data)[0]
 
 
 PRIMITIVES: dict[str, PrimitiveType] = {
@@ -129,9 +134,10 @@ class StringLayout:
 
     Subclasses implement the two real-world layouts.  ``write`` crafts a
     string object at ``addr`` whose character data (when not inlined by
-    SSO) lives at ``data_addr``; ``read`` does the inverse, resolving the
-    data pointer through the provided address space — exactly what host
-    code dereferencing the string does.
+    SSO) lives at ``data_addr``; ``locate`` does the inverse from the
+    object's own bytes alone, and ``read`` then dereferences the data
+    pointer through the provided address space — exactly what host code
+    dereferencing the string does.
     """
 
     size: int
@@ -141,11 +147,29 @@ class StringLayout:
     def write(self, space, addr: int, data: bytes, data_addr: int | None) -> None:
         raise NotImplementedError
 
-    def read(self, space, addr: int) -> bytes:
+    def locate(self, space, addr: int) -> tuple[int, int]:
+        """``(data address, length)`` of the character data, read from the
+        string object ``[addr, addr + size)`` alone.  An SSO string's data
+        address lies inside the object; nothing is dereferenced here."""
         raise NotImplementedError
+
+    def read(self, space, addr: int) -> bytes:
+        data_addr, n = self.locate(space, addr)
+        # Zero-length reads never dereference the data pointer.  This
+        # matters across sides: an unset field's pointer references the
+        # *remote* default instance's SSO buffer, valid there but not
+        # mapped here.
+        return space.read(data_addr, n) if n else b""
 
     def is_sso(self, space, addr: int) -> bool:
         raise NotImplementedError
+
+    def _write_long(self, space, data_addr: int | None, data) -> None:
+        """Out-of-line character data plus the NUL real std::string keeps."""
+        if data_addr is None:
+            raise AbiError("long string requires out-of-line data address")
+        space.write(data_addr, data)
+        space.write(data_addr + len(data), b"\x00")
 
     def heap_bytes_needed(self, length: int) -> int:
         """Out-of-line bytes the deserializer must arena-allocate for a
@@ -175,38 +199,21 @@ class LibstdcxxString(StringLayout):
     def write(self, space, addr: int, data: bytes, data_addr: int | None) -> None:
         n = len(data)
         if n <= self.sso_capacity:
-            sso_addr = addr + self._SSO_OFF
-            space.write_u64(addr, sso_addr)
-            space.write_u64(addr + 8, n)
-            space.write(sso_addr, data + b"\x00" * (16 - n))
+            # data -> own inline buffer, size, NUL-padded characters
+            space.write(addr, struct.pack("<QQ16s", addr + self._SSO_OFF, n, bytes(data)))
         else:
-            if data_addr is None:
-                raise AbiError("long string requires out-of-line data address")
-            space.write(data_addr, data + b"\x00")
-            space.write_u64(addr, data_addr)
-            space.write_u64(addr + 8, n)
-            space.write_u64(addr + self._SSO_OFF, n)  # capacity == size
-            space.write_u64(addr + self._SSO_OFF + 8, 0)
+            self._write_long(space, data_addr, data)
+            # data, size, capacity == size, unused union tail
+            space.write(addr, struct.pack("<4Q", data_addr, n, n, 0))
 
     def is_sso(self, space, addr: int) -> bool:
         return space.read_u64(addr) == addr + self._SSO_OFF
 
-    def read(self, space, addr: int) -> bytes:
-        data_ptr = space.read_u64(addr)
-        n = space.read_u64(addr + 8)
-        if n == 0:
-            # Zero-length reads never dereference the data pointer.  This
-            # matters across sides: an unset field's pointer references the
-            # *remote* default instance's SSO buffer, valid there but not
-            # mapped here.
-            return b""
-        if self.is_sso(space, addr):
-            if n > self.sso_capacity:
-                raise AbiError(f"SSO string claims size {n} > {self.sso_capacity}")
-            return space.read(addr + self._SSO_OFF, n)
-        # Out-of-line: dereference through the (shared) address space —
-        # this is the read a host-side field access performs.
-        return space.read(data_ptr, n)
+    def locate(self, space, addr: int) -> tuple[int, int]:
+        data_ptr, n = space.read_array(addr, "Q", 2)
+        if n > self.sso_capacity and data_ptr == addr + self._SSO_OFF:
+            raise AbiError(f"SSO string claims size {n} > {self.sso_capacity}")
+        return data_ptr, n
 
 
 class LibcxxString(StringLayout):
@@ -225,30 +232,23 @@ class LibcxxString(StringLayout):
     def write(self, space, addr: int, data: bytes, data_addr: int | None) -> None:
         n = len(data)
         if n <= self.sso_capacity:
-            space.write(addr, bytes([n << 1]) + data + b"\x00" * (23 - n))
+            space.write(addr, struct.pack("<B23s", n << 1, bytes(data)))
         else:
-            if data_addr is None:
-                raise AbiError("long string requires out-of-line data address")
-            space.write(data_addr, data + b"\x00")
+            self._write_long(space, data_addr, data)
             cap = (n + 1) | 1  # stored capacity with long-form flag
-            space.write_u64(addr, cap)
-            space.write_u64(addr + 8, n)
-            space.write_u64(addr + 16, data_addr)
+            space.write(addr, struct.pack("<3Q", cap, n, data_addr))
 
     def is_sso(self, space, addr: int) -> bool:
         return (space.read(addr, 1)[0] & 1) == 0
 
-    def read(self, space, addr: int) -> bytes:
-        if self.is_sso(space, addr):
-            n = space.read(addr, 1)[0] >> 1
-            if n > self.sso_capacity:
-                raise AbiError(f"SSO string claims size {n} > {self.sso_capacity}")
-            return space.read(addr + 1, n)
-        n = space.read_u64(addr + 8)
-        if n == 0:
-            return b""
-        data_ptr = space.read_u64(addr + 16)
-        return space.read(data_ptr, n)
+    def locate(self, space, addr: int) -> tuple[int, int]:
+        cap, n, data_ptr = space.read_array(addr, "Q", 3)
+        if cap & 1:
+            return data_ptr, n
+        n = (cap & 0xFF) >> 1
+        if n > self.sso_capacity:
+            raise AbiError(f"SSO string claims size {n} > {self.sso_capacity}")
+        return addr + 1, n
 
 
 _STRING_LAYOUTS = {
@@ -267,6 +267,9 @@ def string_layout_for(abi: AbiConfig) -> StringLayout:
     return _STRING_LAYOUTS[abi.stdlib]
 
 
+_REPEATED_HEADER = struct.Struct("<QII")
+
+
 @dataclass(frozen=True)
 class RepeatedHeader:
     """In-object header of a repeated field::
@@ -283,17 +286,11 @@ class RepeatedHeader:
     align: int = 8
 
     def write(self, space, addr: int, elements_addr: int, count: int) -> None:
-        space.write_u64(addr, elements_addr)
-        space.write_u32(addr + 8, count)
-        space.write_u32(addr + 12, count)
+        space.write(addr, _REPEATED_HEADER.pack(elements_addr, count, count))
 
     def read(self, space, addr: int) -> tuple[int, int, int]:
         """Returns (elements_addr, size, capacity)."""
-        return (
-            space.read_u64(addr),
-            space.read_u32(addr + 8),
-            space.read_u32(addr + 12),
-        )
+        return _REPEATED_HEADER.unpack(space.view(addr, self.size))
 
 
 REPEATED_HEADER = RepeatedHeader()

@@ -54,36 +54,37 @@ from .cpp_types import (
     string_layout_for,
 )
 
-__all__ = ["FieldSlot", "MessageLayout", "LayoutCache", "member_primitive"]
+__all__ = ["FieldSlot", "MessageLayout", "LayoutCache", "MEMBER_PRIMITIVE", "member_primitive"]
 
 
 def _align_up(value: int, alignment: int) -> int:
     return (value + alignment - 1) & ~(alignment - 1)
 
 
-# proto scalar type -> in-object primitive representation
-_MEMBER_PRIMITIVE: dict[FieldType, str] = {
-    FieldType.BOOL: "bool",
-    FieldType.INT32: "int32",
-    FieldType.SINT32: "int32",
-    FieldType.SFIXED32: "int32",
-    FieldType.ENUM: "int32",
-    FieldType.UINT32: "uint32",
-    FieldType.FIXED32: "uint32",
-    FieldType.INT64: "int64",
-    FieldType.SINT64: "int64",
-    FieldType.SFIXED64: "int64",
-    FieldType.UINT64: "uint64",
-    FieldType.FIXED64: "uint64",
-    FieldType.FLOAT: "float",
-    FieldType.DOUBLE: "double",
+#: The one scalar codec table: proto scalar type -> in-object primitive
+#: (size, alignment, little-endian ``struct`` codec).
+MEMBER_PRIMITIVE: dict[FieldType, PrimitiveType] = {
+    FieldType.BOOL: PRIMITIVES["bool"],
+    FieldType.INT32: PRIMITIVES["int32"],
+    FieldType.SINT32: PRIMITIVES["int32"],
+    FieldType.SFIXED32: PRIMITIVES["int32"],
+    FieldType.ENUM: PRIMITIVES["int32"],
+    FieldType.UINT32: PRIMITIVES["uint32"],
+    FieldType.FIXED32: PRIMITIVES["uint32"],
+    FieldType.INT64: PRIMITIVES["int64"],
+    FieldType.SINT64: PRIMITIVES["int64"],
+    FieldType.SFIXED64: PRIMITIVES["int64"],
+    FieldType.UINT64: PRIMITIVES["uint64"],
+    FieldType.FIXED64: PRIMITIVES["uint64"],
+    FieldType.FLOAT: PRIMITIVES["float"],
+    FieldType.DOUBLE: PRIMITIVES["double"],
 }
 
 
 def member_primitive(fd: FieldDescriptor) -> PrimitiveType:
     """The primitive representation of one element of field ``fd``."""
     try:
-        return PRIMITIVES[_MEMBER_PRIMITIVE[fd.type]]
+        return MEMBER_PRIMITIVE[fd.type]
     except KeyError:
         raise AbiError(f"field {fd.name}: {fd.type.value} has no primitive member") from None
 

@@ -66,7 +66,7 @@ class MemoryRegion:
         return self.base + self.size
 
     def contains(self, addr: int, length: int = 1) -> bool:
-        return self.base <= addr and addr + length <= self.end
+        return self.base <= addr and addr + length <= self.base + self.size
 
     def _check(self, addr: int, length: int) -> int:
         if not self.contains(addr, length):
@@ -80,7 +80,7 @@ class MemoryRegion:
 
     def read(self, addr: int, length: int) -> bytes:
         off = self._check(addr, length)
-        return bytes(self.buf[off : off + length])
+        return bytes(memoryview(self.buf)[off : off + length])
 
     def view(self, addr: int, length: int) -> memoryview:
         """Zero-copy view of the backing bytes (host-side reads use this)."""
@@ -96,6 +96,13 @@ class MemoryRegion:
         self.buf[off : off + length] = bytes([value]) * length
 
     # -- typed access (little-endian, matching the wire assumption) ----------
+
+    def read_array(self, addr: int, fmt: str, count: int) -> tuple:
+        """``count`` consecutive elements of struct code ``fmt`` starting at
+        ``addr``: one bounds check for the whole span, one unpack."""
+        span = f"<{count}{fmt}"
+        off = self._check(addr, struct.calcsize(span))
+        return struct.unpack_from(span, self.buf, off)
 
     def read_u64(self, addr: int) -> int:
         off = self._check(addr, 8)
@@ -171,6 +178,10 @@ class AddressSpace:
 
     def write(self, addr: int, data) -> None:
         self.region_of(addr, len(data)).write(addr, data)
+
+    def read_array(self, addr: int, fmt: str, count: int) -> tuple:
+        length = count * struct.calcsize("<" + fmt)
+        return self.region_of(addr, length).read_array(addr, fmt, count)
 
     def read_u64(self, addr: int) -> int:
         return self.region_of(addr, 8).read_u64(addr)

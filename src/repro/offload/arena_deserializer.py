@@ -22,6 +22,7 @@ figures.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,6 +118,34 @@ _FIXED_WIDTH = {
     FieldType.SFIXED64: 8,
     FieldType.DOUBLE: 8,
 }
+
+_ONE = np.uint64(1)
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _unzigzag(raw: np.ndarray) -> np.ndarray:
+    """Vectorized ZigZag decode, in 64-bit two's complement."""
+    return (raw >> _ONE) ^ (np.uint64(0) - (raw & _ONE))
+
+
+#: Decoded packed varint run (``uint64`` values) -> element array, per
+#: varint-carried kind.  A packed run stays an array from here to the
+#: arena: its ``tobytes()`` *is* the element storage.  Integer casts
+#: truncate to the member width, as the C++ parser's do.
+_VARINT_ELEMS = {
+    FieldType.BOOL: lambda raw: raw != 0,
+    FieldType.INT32: lambda raw: raw.astype("<i4"),
+    FieldType.ENUM: lambda raw: raw.astype("<i4"),
+    FieldType.UINT32: lambda raw: raw.astype("<u4"),
+    FieldType.INT64: lambda raw: raw.astype("<i8"),
+    FieldType.UINT64: lambda raw: raw,
+    FieldType.SINT32: lambda raw: _unzigzag(raw & _LOW32).astype("<i4"),
+    FieldType.SINT64: lambda raw: _unzigzag(raw).astype("<i8"),
+}
+
+#: every byte with the continuation bit set; deleting them from a packed
+#: varint run leaves one byte per varint
+_CONTINUATION_BYTES = bytes(range(0x80, 0x100))
 
 
 class ArenaDeserializer:
@@ -293,16 +322,15 @@ class ArenaDeserializer:
                     self._set_has_bit(space, obj, f.has_bit)
                 pos = npos
             else:  # array
-                width = _ELEM_DTYPE[f.kind].itemsize
+                width = f.elem_size
                 npos = pos + v * width
                 if npos > end:
                     raise DeserializeError(
                         f"{entry.full_name}.{f.name}: array overruns fixed payload"
                     )
                 if v:
-                    arr = np.frombuffer(buf[pos:npos], dtype=_ELEM_DTYPE[f.kind])
                     stats.fixed_fields += v
-                    self._materialize_repeated(f, obj, list(arr), arena)
+                    self._materialize_repeated(f, obj, [bytes(buf[pos:npos])], arena)
                 pos = npos
         if pos != end:
             raise DeserializeError(
@@ -358,7 +386,7 @@ class ArenaDeserializer:
                     if width is not None:
                         count = n // width
                     else:
-                        count = sum(1 for b in buf[pos : pos + n] if b < 0x80)
+                        count = len(buf[pos : pos + n].translate(None, _CONTINUATION_BYTES))
                     total += count * f.elem_size + 16
                 pos += n
         return total
@@ -489,7 +517,9 @@ class ArenaDeserializer:
         self.stats.varint_bytes += pos - start
         if kind is FieldType.BOOL:
             return 1 if raw else 0, pos
-        if kind in (FieldType.SINT32, FieldType.SINT64):
+        if kind is FieldType.SINT32:
+            return _zigzag_decode(raw & 0xFFFFFFFF), pos
+        if kind is FieldType.SINT64:
             return _zigzag_decode(raw), pos
         if kind in (FieldType.INT32, FieldType.ENUM):
             return _u32_to_i32(raw), pos
@@ -499,9 +529,12 @@ class ArenaDeserializer:
             return raw & 0xFFFFFFFF, pos
         return raw, pos  # uint64
 
+    def _scalar_bytes(self, f: AdtField, value) -> bytes:
+        """One element's in-object bytes."""
+        return np.asarray(value, dtype=_ELEM_DTYPE[f.kind]).tobytes()
+
     def _store_scalar(self, space, f: AdtField, addr: int, value) -> None:
-        dtype = _ELEM_DTYPE[f.kind]
-        space.write(addr, np.asarray(value, dtype=dtype).tobytes())
+        space.write(addr, self._scalar_bytes(f, value))
 
     def _expected_wire_type(self, kind: FieldType) -> int:
         if kind in (FieldType.FIXED32, FieldType.SFIXED32, FieldType.FLOAT):
@@ -575,14 +608,14 @@ class ArenaDeserializer:
             n, pos = read_varint(buf, pos)
             if pos + n > end:
                 raise TruncatedMessageError("packed run overruns buffer")
-            values = self._decode_packed(f, buf, pos, pos + n)
-            pending_repeated.setdefault(f.number, []).extend(values)
+            run = self._decode_packed(f, buf, pos, pos + n)
+            pending_repeated.setdefault(f.number, []).append(run)
             return pos + n
         if wt != self._expected_wire_type(kind):
             raise DeserializeError(f"wire type {wt} for {kind.value} field")
         value, pos = self._read_scalar(f, buf, pos, wt)
         if f.repeated:
-            pending_repeated.setdefault(f.number, []).append(value)
+            pending_repeated.setdefault(f.number, []).append(self._scalar_bytes(f, value))
         else:
             self._clear_oneof_siblings(entry, f, obj, space)
             self._store_scalar(space, f, obj + f.offset, value)
@@ -598,69 +631,69 @@ class ArenaDeserializer:
             data_addr = arena.allocate(len(raw) + 1, alignment=8)
         layout.write(arena.space, addr, raw, data_addr)
 
-    def _decode_packed(self, f: AdtField, buf: bytes, pos: int, end: int) -> list:
-        """Decode a packed run.  Varint kinds take the vectorized wide
-        path (the DPU analog of decoding many elements per iteration);
-        fixed-width kinds are a single reinterpreting view."""
+    def _decode_packed(self, f: AdtField, buf: bytes, pos: int, end: int) -> bytes:
+        """Decode a packed run into its element storage bytes.  Varint
+        kinds take the vectorized wide path (the DPU analog of decoding
+        many elements per iteration) and stay one array until its
+        ``tobytes()``; a fixed-width run's wire bytes *are* its element
+        bytes."""
         kind = f.kind
         width = _FIXED_WIDTH.get(kind)
         if width is not None:
             if (end - pos) % width:
                 raise DeserializeError("packed fixed run not a multiple of element width")
-            arr = np.frombuffer(buf[pos:end], dtype=_ELEM_DTYPE[kind])
-            self.stats.fixed_fields += len(arr)
-            return list(arr)
+            self.stats.fixed_fields += (end - pos) // width
+            return bytes(buf[pos:end])
         raw = decode_packed_varints(buf[pos:end])
         self.stats.varints_decoded += len(raw)
         self.stats.varint_bytes += end - pos
-        if kind is FieldType.BOOL:
-            return list((raw != 0).astype("u1"))
-        if kind in (FieldType.SINT32, FieldType.SINT64):
-            dec = (raw >> np.uint64(1)).astype(np.int64) ^ -(raw & np.uint64(1)).astype(np.int64)
-            return list(dec)
-        if kind in (FieldType.INT32, FieldType.ENUM):
-            return list(raw.astype(np.uint32).astype(np.int32))
-        if kind is FieldType.INT64:
-            return list(raw.astype(np.int64))
-        if kind is FieldType.UINT32:
-            return list(raw.astype(np.uint32))
-        return list(raw)  # uint64
+        return _VARINT_ELEMS[kind](raw).tobytes()
 
     def _materialize_repeated(self, f: AdtField, obj: int, values: list, arena: Arena) -> None:
+        """Build the element storage of repeated field ``f`` from what the
+        parse accumulated, in wire order: child addresses (messages), raw
+        payloads (strings/bytes), or — for scalars — chunks of element
+        bytes, one per packed run and one per unpacked occurrence."""
         space = arena.space
         # proto3 merge: if the object already carries elements (a singular
         # parent message field occurred twice and was merged), the new
         # occurrences append after them.
         old_elems, old_count, _ = REPEATED_HEADER.read(space, obj + f.offset)
-        count = old_count + len(values)
-        self.stats.array_elements += len(values)
+        scalar = f.kind not in (FieldType.MESSAGE, FieldType.STRING, FieldType.BYTES)
+        if scalar:
+            data = b"".join(values)
+            added = len(data) // f.elem_size
+        else:
+            added = len(values)
+        count = old_count + added
+        self.stats.array_elements += added
         if f.kind is FieldType.MESSAGE:
             # Array of pointers; children are already constructed.
             elems = arena.allocate(8 * count, alignment=8)
             old = space.read(old_elems, 8 * old_count) if old_count else b""
-            space.write(
-                elems, old + b"".join(int(v).to_bytes(8, "little") for v in values)
-            )
+            space.write(elems, old + struct.pack(f"<{added}Q", *values))
             self.stats.bytes_memcpy += 8 * count
-        elif f.kind in (FieldType.STRING, FieldType.BYTES):
+        elif not scalar:
             # Dense array of std::string objects; data follows in the
             # arena.  Existing SSO strings self-point, so moving them
             # requires re-crafting, not memcpy.
             str_size = self.string_layout.size
             elems = arena.allocate(str_size * count, alignment=8)
             old_values = [
-                bytes(self.string_layout.read(space, old_elems + str_size * i))
+                self.string_layout.read(space, old_elems + str_size * i)
                 for i in range(old_count)
             ]
             for i, raw in enumerate(old_values + values):
                 self._write_string(arena, elems + str_size * i, raw)
         else:
-            dtype = _ELEM_DTYPE[f.kind]
-            data = np.asarray(values, dtype=dtype).tobytes()
-            old = space.read(old_elems, old_count * dtype.itemsize) if old_count else b""
-            elems = arena.allocate(old_count * dtype.itemsize + len(data), alignment=8)
-            if old or data:
-                space.write(elems, old + data)
+            # The chunks are already element bytes: one arena write for
+            # the run(s), after any elements carried over.
+            old_size = old_count * f.elem_size
+            elems = arena.allocate(old_size + len(data), alignment=8)
+            if old_size:
+                space.write(elems, space.read(old_elems, old_size))
+            if data:
+                space.write(elems + old_size, data)
             self.stats.bytes_memcpy += len(data)
         REPEATED_HEADER.write(space, obj + f.offset, elems, count)
         self._set_has_bit(space, obj, f.has_bit)

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import struct
 
-import numpy as np
-
+from repro.abi import MEMBER_PRIMITIVE
 from repro.proto.decode_plan import PLAN_METRICS
 from repro.proto.descriptor import FieldType
 from repro.proto.utf8 import validate_utf8
@@ -49,8 +48,8 @@ from repro.proto.wire_format import (
 
 from .adt import AdtEntry, AdtField
 from .arena_deserializer import (
-    _ELEM_DTYPE,
     _FIXED_WIDTH,
+    _VARINT_ELEMS,
     HASBITS_OFFSET,
     DeserializeError,
 )
@@ -59,19 +58,6 @@ __all__ = ["ArenaPlanCache", "ArenaEntryPlan", "ArenaGenCache"]
 
 _U32 = 0xFFFFFFFF
 _U64 = (1 << 64) - 1
-
-# In-object packers for varint-carried kinds (fixed-width kinds memcpy
-# their wire bytes instead).
-_VARINT_PACK = {
-    FieldType.BOOL: struct.Struct("<B").pack,
-    FieldType.INT32: struct.Struct("<i").pack,
-    FieldType.SINT32: struct.Struct("<i").pack,
-    FieldType.ENUM: struct.Struct("<i").pack,
-    FieldType.UINT32: struct.Struct("<I").pack,
-    FieldType.INT64: struct.Struct("<q").pack,
-    FieldType.SINT64: struct.Struct("<q").pack,
-    FieldType.UINT64: struct.Struct("<Q").pack,
-}
 
 
 def _u32_to_i32(v: int) -> int:
@@ -90,7 +76,7 @@ def _zigzag(v: int) -> int:
 
 _VARINT_CONVERT = {
     FieldType.BOOL: lambda raw: 1 if raw else 0,
-    FieldType.SINT32: _zigzag,
+    FieldType.SINT32: lambda raw: _zigzag(raw & _U32),
     FieldType.SINT64: _zigzag,
     FieldType.INT32: _u32_to_i32,
     FieldType.ENUM: _u32_to_i32,
@@ -321,9 +307,7 @@ class ArenaPlanCache:
 
                 def handler(obj, buf, pos, end, arena, depth, pending):
                     raw, pos = read_one(buf, pos, end)
-                    pending.setdefault(number, []).append(
-                        np.frombuffer(raw, dtype=_ELEM_DTYPE[kind])[0]
-                    )
+                    pending.setdefault(number, []).append(raw)
                     return pos
 
             else:
@@ -341,7 +325,7 @@ class ArenaPlanCache:
             register(natural_wt, handler)
         else:
             convert = _VARINT_CONVERT[kind]
-            pack = _VARINT_PACK[kind]
+            pack = MEMBER_PRIMITIVE[kind].codec.pack
 
             if f.repeated:
 
@@ -359,7 +343,7 @@ class ArenaPlanCache:
                         raw, pos = read_varint(buf, pos)
                     stats.varints_decoded += 1
                     stats.varint_bytes += pos - start
-                    pending.setdefault(number, []).append(convert(raw))
+                    pending.setdefault(number, []).append(pack(convert(raw)))
                     return pos
 
             else:
@@ -440,23 +424,8 @@ _ARENA_CONVERT_EXPR = {
     FieldType.INT32: "((raw & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000",
     FieldType.ENUM: "((raw & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000",
     FieldType.INT64: "((raw & 0x%X) ^ 0x8000000000000000) - 0x8000000000000000" % _U64,
-    FieldType.SINT32: "(raw >> 1) ^ -(raw & 1)",
+    FieldType.SINT32: "((raw & 0xFFFFFFFF) >> 1) ^ -(raw & 1)",
     FieldType.SINT64: "(raw >> 1) ^ -(raw & 1)",
-}
-
-_ARENA_BULK_EXPR = {
-    FieldType.BOOL: "list((raw != 0).astype('u1'))",
-    FieldType.UINT32: "list(raw.astype(_np.uint32))",
-    FieldType.UINT64: "list(raw)",
-    FieldType.INT32: "list(raw.astype(_np.uint32).astype(_np.int32))",
-    FieldType.ENUM: "list(raw.astype(_np.uint32).astype(_np.int32))",
-    FieldType.INT64: "list(raw.astype(_np.int64))",
-    FieldType.SINT32: (
-        "list((raw >> _one).astype(_np.int64) ^ -(raw & _one).astype(_np.int64))"
-    ),
-    FieldType.SINT64: (
-        "list((raw >> _one).astype(_np.int64) ^ -(raw & _one).astype(_np.int64))"
-    ),
 }
 
 
@@ -469,8 +438,8 @@ class ArenaGenCache:
     straight-line function with member offsets, has-bit masks and oneof
     restore recipes burned in as source literals.  Charges the exact
     :class:`~repro.offload.arena_deserializer.DeserializeStats` census the
-    plan and interpretive paths charge; packed varint runs route through
-    :func:`~repro.proto.wire_format.decode_packed_varints_fast`.
+    plan and interpretive paths charge, and stores packed runs through the
+    same array-to-element-bytes converters.
     """
 
     def __init__(self, deser) -> None:
@@ -631,7 +600,6 @@ class ArenaGenCache:
                 natural_tag = make_tag(
                     number, WireType.FIXED32 if width == 4 else WireType.FIXED64
                 )
-                ns[f"_dt{i}"] = _ELEM_DTYPE[kind]
                 read = [
                     f"npos = pos + {width}",
                     "if npos > end:",
@@ -640,8 +608,7 @@ class ArenaGenCache:
                 ]
                 if f.repeated:
                     body = read + [
-                        f"pending.setdefault({number}, []).append("
-                        f"_np.frombuffer(bytes(buf[pos:npos]), dtype=_dt{i})[0])",
+                        f"pending.setdefault({number}, []).append(bytes(buf[pos:npos]))",
                         "pos = npos",
                     ]
                 else:
@@ -660,16 +627,16 @@ class ArenaGenCache:
                         "    raise _Trunc('packed run overruns buffer')",
                         f"if n % {width}:",
                         "    raise _DE('packed fixed run not a multiple of element width')",
-                        f"arr = _np.frombuffer(buf[pos:run_end], dtype=_dt{i})",
-                        "stats.fixed_fields += len(arr)",
-                        f"pending.setdefault({number}, []).extend(list(arr))",
+                        f"stats.fixed_fields += n // {width}",
+                        f"pending.setdefault({number}, []).append(bytes(buf[pos:run_end]))",
                         "pos = run_end",
                     ]))
                 continue
 
             # varint-carried kind
             natural_tag = make_tag(number, WireType.VARINT)
-            ns[f"_pk{i}"] = _VARINT_PACK[kind]
+            ns[f"_pk{i}"] = MEMBER_PRIMITIVE[kind].codec.pack
+            ns[f"_el{i}"] = _VARINT_ELEMS[kind]
             read = [
                 "if pos >= end:",
                 "    raise _Trunc('varint extends past end of buffer')",
@@ -685,7 +652,8 @@ class ArenaGenCache:
             ]
             if f.repeated:
                 body = read + [
-                    f"pending.setdefault({number}, []).append({_ARENA_CONVERT_EXPR[kind]})",
+                    f"pending.setdefault({number}, []).append("
+                    f"_pk{i}({_ARENA_CONVERT_EXPR[kind]}))",
                 ]
             else:
                 body = read + [
@@ -700,24 +668,20 @@ class ArenaGenCache:
                     "run_end = pos + n",
                     "if run_end > end:",
                     "    raise _Trunc('packed run overruns buffer')",
-                    "raw = _dpf(buf[pos:run_end])",
+                    "raw = _dpv(buf[pos:run_end])",
                     "stats.varints_decoded += len(raw)",
                     "stats.varint_bytes += n",
-                    f"pending.setdefault({number}, []).extend({_ARENA_BULK_EXPR[kind]})",
+                    f"pending.setdefault({number}, []).append(_el{i}(raw).tobytes())",
                     "pos = run_end",
                 ]))
         return branches
 
     def entry_source(self, index: int) -> tuple[str, dict]:
         """Build one entry's decode-function source and exec namespace."""
-        from repro.proto.wire_format import decode_packed_varints_fast
-
         entry = self.deser.adt.entry(index)
         ns: dict = {
             "_rv": read_varint,
-            "_dpf": decode_packed_varints_fast,
-            "_np": np,
-            "_one": np.uint64(1),
+            "_dpv": decode_packed_varints,
             "_cache": self,
             "_entry": entry,
             "_FULL": entry.full_name,
@@ -790,12 +754,10 @@ class ArenaGenCache:
 
 
 def _make_packed_handler(f: AdtField, number: int, stats):
-    """Bulk decode of a packed run, charging the same census as the
-    interpretive ``_decode_packed``."""
-    kind = f.kind
-    width = _FIXED_WIDTH.get(kind)
+    """Bulk decode of a packed run into one chunk of element bytes,
+    charging the same census as the interpretive ``_decode_packed``."""
+    width = _FIXED_WIDTH.get(f.kind)
     if width is not None:
-        dtype = _ELEM_DTYPE[kind]
 
         def handler(obj, buf, pos, end, arena, depth, pending):
             n, pos = read_varint(buf, pos)
@@ -804,12 +766,14 @@ def _make_packed_handler(f: AdtField, number: int, stats):
                 raise TruncatedMessageError("packed run overruns buffer")
             if n % width:
                 raise DeserializeError("packed fixed run not a multiple of element width")
-            arr = np.frombuffer(buf[pos:run_end], dtype=dtype)
-            stats.fixed_fields += len(arr)
-            pending.setdefault(number, []).extend(list(arr))
+            stats.fixed_fields += n // width
+            # The wire encoding is the in-object encoding: memcpy.
+            pending.setdefault(number, []).append(bytes(buf[pos:run_end]))
             return run_end
 
         return handler
+
+    to_elems = _VARINT_ELEMS[f.kind]
 
     def handler(obj, buf, pos, end, arena, depth, pending):
         n, pos = read_varint(buf, pos)
@@ -819,21 +783,7 @@ def _make_packed_handler(f: AdtField, number: int, stats):
         raw = decode_packed_varints(buf[pos:run_end])
         stats.varints_decoded += len(raw)
         stats.varint_bytes += n
-        if kind is FieldType.BOOL:
-            values = list((raw != 0).astype("u1"))
-        elif kind in (FieldType.SINT32, FieldType.SINT64):
-            dec = (raw >> np.uint64(1)).astype(np.int64) ^ -(raw & np.uint64(1)).astype(np.int64)
-            values = list(dec)
-        elif kind in (FieldType.INT32, FieldType.ENUM):
-            values = list(raw.astype(np.uint32).astype(np.int32))
-        elif kind is FieldType.INT64:
-            values = list(raw.astype(np.int64))
-        elif kind is FieldType.UINT32:
-            values = list(raw.astype(np.uint32))
-        else:  # uint64
-            values = list(raw)
-        pending.setdefault(number, []).extend(values)
+        pending.setdefault(number, []).append(to_elems(raw).tobytes())
         return run_end
 
     return handler
-

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro.abi import AbiError, MessageLayout
-from repro.memory import AddressSpace
+from repro.abi import REPEATED_HEADER, AbiError, MessageLayout, member_primitive
 from repro.proto.descriptor import FieldType
 from repro.proto.message import Message, MessageFactory
 
@@ -25,11 +24,15 @@ from .adt import TypeUniverse
 __all__ = ["CppMessageView", "read_message", "verify_object"]
 
 
-def verify_object(universe: TypeUniverse, layout: MessageLayout, addr: int) -> None:
+def verify_object(
+    universe: TypeUniverse, layout: MessageLayout, addr: int, space=None
+) -> None:
     """Check the object's vptr references the expected vtable — the crash
     the paper's default-instance memcpy avoids (§V-B) becomes an explicit
-    assertion here."""
-    vptr = layout.read_vptr(universe.space, addr)
+    assertion here.  ``space`` is where the vptr is read from (the
+    universe's address space unless the caller already resolved the
+    object's region)."""
+    vptr = layout.read_vptr(universe.space if space is None else space, addr)
     expected = universe.vtable_address(layout.descriptor)
     if vptr != expected:
         raise AbiError(
@@ -45,16 +48,26 @@ class CppMessageView:
     loads at member offsets, ``std::string`` data-pointer dereferences
     (with the SSO fast path), repeated-header + element-array reads, and
     child-pointer chases returning nested views.
+
+    The object is *loaded, not parsed*: its region is resolved once, at
+    construction, with one bounds check for ``[addr, addr + sizeof)``, and
+    every in-object read (vptr, has-bits, scalars, string and repeated
+    headers) is served from that region.  Only a pointer that leaves the
+    object — an element array, out-of-line string data, a child — pays a
+    further check, and each pays exactly one for its whole span.
     """
 
-    __slots__ = ("_universe", "_layout", "_addr", "_space")
+    __slots__ = ("_universe", "_layout", "_addr", "_space", "_region")
 
     def __init__(self, universe: TypeUniverse, layout: MessageLayout, addr: int) -> None:
-        verify_object(universe, layout, addr)
+        space = universe.space
+        region = space.region_of(addr, layout.sizeof)
+        verify_object(universe, layout, addr, region)
         object.__setattr__(self, "_universe", universe)
         object.__setattr__(self, "_layout", layout)
         object.__setattr__(self, "_addr", addr)
-        object.__setattr__(self, "_space", universe.space)
+        object.__setattr__(self, "_space", space)
+        object.__setattr__(self, "_region", region)
 
     @property
     def address(self) -> int:
@@ -66,22 +79,19 @@ class CppMessageView:
 
     def has_field(self, name: str) -> bool:
         slot = self._layout.slot(name)
-        return self._layout.get_has_bit(self._space, self._addr, slot.has_bit)
+        return self._layout.get_has_bit(self._region, self._addr, slot.has_bit)
 
     def __getattr__(self, name: str) -> Any:
-        layout: MessageLayout = self._layout
-        slot = layout.slot(name)
-        space: AddressSpace = self._space
+        slot = self._layout.slot(name)
         fd = slot.field
         addr = self._addr + slot.offset
 
         if fd.is_repeated:
             return self._read_repeated(fd, addr)
         if fd.type in (FieldType.STRING, FieldType.BYTES):
-            raw = bytes(layout.string_layout.read(space, addr))
-            return raw.decode("utf-8") if fd.type is FieldType.STRING else raw
+            return self._read_string(self._region, addr, fd.type is FieldType.STRING)
         if fd.type is FieldType.MESSAGE:
-            ptr = space.read_u64(addr)
+            ptr = self._region.read_u64(addr)
             child_layout = self._universe.layouts.layout(fd.message_type)
             if ptr == 0:
                 # C++ semantics: accessing an unset submessage returns the
@@ -89,41 +99,43 @@ class CppMessageView:
                 # same view a parsed Message gives via auto-vivification.
                 ptr = self._universe.default_instance(fd.message_type)
             return CppMessageView(self._universe, child_layout, ptr)
-        return self._read_scalar(fd, addr)
-
-    def _read_scalar(self, fd, addr: int):
-        from repro.abi import member_primitive
-
         prim = member_primitive(fd)
-        value = prim.unpack(self._space.read(addr, prim.size))
-        return value
+        return prim.unpack(self._region.view(addr, prim.size))
+
+    def _read_string(self, holder, addr: int, text: bool):
+        """The ``std::string`` at ``addr`` inside ``holder``, the already
+        checked region holding the string object itself.  SSO data lies
+        inside that object; out-of-line data is one further dereference,
+        decoded straight from the span."""
+        sl = self._layout.string_layout
+        data_addr, n = sl.locate(holder, addr)
+        if n == 0:
+            return "" if text else b""
+        inline = addr <= data_addr < addr + sl.size
+        span = (holder if inline else self._space).view(data_addr, n)
+        return str(span, "utf-8") if text else bytes(span)
 
     def _read_repeated(self, fd, addr: int) -> list:
-        from repro.abi import REPEATED_HEADER, member_primitive
-
-        space = self._space
-        elems, count, _cap = REPEATED_HEADER.read(space, addr)
+        elems, count, _cap = REPEATED_HEADER.read(self._region, addr)
         if count == 0:
             return []
+        space = self._space
         if fd.type is FieldType.MESSAGE:
             child_layout = self._universe.layouts.layout(fd.message_type)
-            out = []
-            for i in range(count):
-                ptr = space.read_u64(elems + 8 * i)
-                out.append(CppMessageView(self._universe, child_layout, ptr))
-            return out
+            return [
+                CppMessageView(self._universe, child_layout, ptr)
+                for ptr in space.read_array(elems, "Q", count)
+            ]
         if fd.type in (FieldType.STRING, FieldType.BYTES):
-            sl = self._layout.string_layout
-            out = []
-            for i in range(count):
-                raw = bytes(sl.read(space, elems + sl.size * i))
-                out.append(raw.decode("utf-8") if fd.type is FieldType.STRING else raw)
-            return out
-        prim = member_primitive(fd)
-        return [
-            prim.unpack(space.read(elems + prim.size * i, prim.size))
-            for i in range(count)
-        ]
+            size = self._layout.string_layout.size
+            holder = space.region_of(elems, size * count)
+            text = fd.type is FieldType.STRING
+            return [
+                self._read_string(holder, elems + size * i, text) for i in range(count)
+            ]
+        # Scalars: the element array is one span — one bounds check for
+        # [elems, elems + count * size), one reinterpretation.
+        return list(space.read_array(elems, member_primitive(fd).fmt, count))
 
     def fields(self) -> Iterator[str]:
         for slot in self._layout.slots:

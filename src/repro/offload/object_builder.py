@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.abi import MessageLayout
+from repro.abi import MessageLayout, member_primitive
 from repro.abi.cpp_types import REPEATED_HEADER
 from repro.memory import Arena
 from repro.proto.descriptor import FieldType
@@ -27,24 +27,6 @@ from repro.proto.message import Message
 from .adt import TypeUniverse
 
 __all__ = ["build_object", "object_size_upper_bound"]
-
-
-_SCALAR_STRUCT = {
-    FieldType.BOOL: struct.Struct("<?"),
-    FieldType.INT32: struct.Struct("<i"),
-    FieldType.SINT32: struct.Struct("<i"),
-    FieldType.SFIXED32: struct.Struct("<i"),
-    FieldType.ENUM: struct.Struct("<i"),
-    FieldType.UINT32: struct.Struct("<I"),
-    FieldType.FIXED32: struct.Struct("<I"),
-    FieldType.INT64: struct.Struct("<q"),
-    FieldType.SINT64: struct.Struct("<q"),
-    FieldType.SFIXED64: struct.Struct("<q"),
-    FieldType.UINT64: struct.Struct("<Q"),
-    FieldType.FIXED64: struct.Struct("<Q"),
-    FieldType.FLOAT: struct.Struct("<f"),
-    FieldType.DOUBLE: struct.Struct("<d"),
-}
 
 
 def _align8(n: int) -> int:
@@ -75,8 +57,6 @@ def object_size_upper_bound(universe: TypeUniverse, msg: Message) -> int:
             if fd.is_repeated:
                 total += str_size * len(values) + 8
         elif fd.is_repeated:
-            from repro.abi import member_primitive
-
             total += member_primitive(fd).size * len(values) + 8
     return total
 
@@ -106,8 +86,7 @@ def build_object(universe: TypeUniverse, msg: Message, arena: Arena) -> int:
             data = value.encode("utf-8") if isinstance(value, str) else value
             _write_string(layout, data, addr, arena)
         else:
-            codec = _SCALAR_STRUCT[fd.type]
-            arena.space.write(addr, codec.pack(value))
+            arena.space.write(addr, member_primitive(fd).pack(value))
         layout.set_has_bit(arena.space, obj, slot.has_bit)
     return obj
 
@@ -136,8 +115,7 @@ def _write_repeated(
             data = v.encode("utf-8") if isinstance(v, str) else v
             _write_string(layout, data, elems + sl.size * i, arena)
     else:
-        codec = _SCALAR_STRUCT[fd.type]
-        data = b"".join(codec.pack(v) for v in values)
+        data = struct.pack(f"<{count}{member_primitive(fd).fmt}", *values)
         elems = arena.allocate(len(data), alignment=8)
         if data:
             space.write(elems, data)

@@ -20,10 +20,9 @@ bytes for the same logical value.
 
 from __future__ import annotations
 
-import struct
 from typing import Any, Iterator
 
-from repro.abi import AbiError, StdLib
+from repro.abi import MEMBER_PRIMITIVE, AbiError, StdLib
 from repro.abi.cpp_types import REPEATED_HEADER, LibcxxString, LibstdcxxString
 from repro.proto.descriptor import FieldType
 from repro.proto.wire_format import WireType, append_varint, make_tag
@@ -32,24 +31,6 @@ from .adt import Adt, AdtField
 from .arena_deserializer import HASBITS_OFFSET
 
 __all__ = ["AdtMessageView", "serialize_object"]
-
-
-_SCALAR_STRUCT = {
-    FieldType.BOOL: struct.Struct("<?"),
-    FieldType.INT32: struct.Struct("<i"),
-    FieldType.SINT32: struct.Struct("<i"),
-    FieldType.SFIXED32: struct.Struct("<i"),
-    FieldType.ENUM: struct.Struct("<i"),
-    FieldType.UINT32: struct.Struct("<I"),
-    FieldType.FIXED32: struct.Struct("<I"),
-    FieldType.INT64: struct.Struct("<q"),
-    FieldType.SINT64: struct.Struct("<q"),
-    FieldType.SFIXED64: struct.Struct("<q"),
-    FieldType.UINT64: struct.Struct("<Q"),
-    FieldType.FIXED64: struct.Struct("<Q"),
-    FieldType.FLOAT: struct.Struct("<f"),
-    FieldType.DOUBLE: struct.Struct("<d"),
-}
 
 
 class AdtMessageView:
@@ -108,36 +89,35 @@ class AdtMessageView:
         if f.repeated:
             return self._read_repeated(f, addr)
         if f.kind in (FieldType.STRING, FieldType.BYTES):
-            raw = bytes(self._string_layout.read(self._space, addr))
+            raw = self._string_layout.read(self._space, addr)
             return raw.decode("utf-8") if f.kind is FieldType.STRING else raw
         if f.kind is FieldType.MESSAGE:
             ptr = self._space.read_u64(addr)
             if ptr == 0:
                 return None
             return AdtMessageView(self._adt, f.child, self._space, ptr)
-        codec = _SCALAR_STRUCT[f.kind]
-        return codec.unpack(bytes(self._space.read(addr, codec.size)))[0]
+        prim = MEMBER_PRIMITIVE[f.kind]
+        return prim.unpack(self._space.view(addr, prim.size))
 
     def _read_repeated(self, f: AdtField, addr: int) -> list:
-        elems, count, _ = REPEATED_HEADER.read(self._space, addr)
+        space = self._space
+        elems, count, _ = REPEATED_HEADER.read(space, addr)
         if count == 0:
             return []
         if f.kind is FieldType.MESSAGE:
             return [
-                AdtMessageView(self._adt, f.child, self._space,
-                               self._space.read_u64(elems + 8 * i))
-                for i in range(count)
+                AdtMessageView(self._adt, f.child, space, ptr)
+                for ptr in space.read_array(elems, "Q", count)
             ]
         if f.kind in (FieldType.STRING, FieldType.BYTES):
             sl = self._string_layout
             out = []
             for i in range(count):
-                raw = bytes(sl.read(self._space, elems + sl.size * i))
+                raw = sl.read(space, elems + sl.size * i)
                 out.append(raw.decode("utf-8") if f.kind is FieldType.STRING else raw)
             return out
-        codec = _SCALAR_STRUCT[f.kind]
-        data = bytes(self._space.read(elems, codec.size * count))
-        return [codec.unpack_from(data, i * codec.size)[0] for i in range(count)]
+        # Scalars: one bounds check for the whole element span, one unpack.
+        return list(space.read_array(elems, MEMBER_PRIMITIVE[f.kind].fmt, count))
 
     def __repr__(self) -> str:
         return f"<AdtMessageView {self.type_name} @ {self._addr:#x}>"
@@ -172,15 +152,6 @@ _WIRE_TYPE = {
     FieldType.STRING: WireType.LENGTH_DELIMITED,
     FieldType.BYTES: WireType.LENGTH_DELIMITED,
     FieldType.MESSAGE: WireType.LENGTH_DELIMITED,
-}
-
-_FIXED_PACK = {
-    FieldType.DOUBLE: struct.Struct("<d"),
-    FieldType.FLOAT: struct.Struct("<f"),
-    FieldType.FIXED64: struct.Struct("<Q"),
-    FieldType.SFIXED64: struct.Struct("<q"),
-    FieldType.FIXED32: struct.Struct("<I"),
-    FieldType.SFIXED32: struct.Struct("<i"),
 }
 
 
@@ -267,8 +238,8 @@ def _emit_field(adt: Adt, view: AdtMessageView, f: AdtField, out: bytearray) -> 
 
 
 def _emit_scalar_payload(kind: FieldType, value, out: bytearray) -> None:
-    codec = _FIXED_PACK.get(kind)
-    if codec is not None:
-        out += codec.pack(value)
+    if _WIRE_TYPE.get(kind) in (WireType.FIXED32, WireType.FIXED64):
+        # fixed-width: the wire encoding is the in-object encoding
+        out += MEMBER_PRIMITIVE[kind].pack(value)
     else:
         append_varint(out, _scalar_to_varint(kind, value))

@@ -14,10 +14,9 @@ them with :func:`compile`/``exec`` and caches the result on the owning
 
 Decoding a message is then a single ``while`` loop whose tag dispatch is
 an ``if/elif`` chain over integer literals; there is no per-field closure
-call and no dict probe.  Packed varint runs additionally route through
-:func:`~repro.proto.wire_format.decode_packed_varints_fast` (the
-``np.add.reduceat`` kernel), which the closure-table plans deliberately
-do not use so the two tiers stay independently measurable.
+call and no dict probe.  Packed varint runs route through
+:func:`~repro.proto.wire_format.decode_packed_varints`, the one
+``np.add.reduceat`` kernel every tier shares.
 
 Both generated paths are behaviorally identical to the plans and the
 interpretive reference — same values, same preserved unknown bytes, same
@@ -58,7 +57,7 @@ from .wire_format import (
     TruncatedMessageError,
     WireFormatError,
     WireType,
-    decode_packed_varints_fast,
+    decode_packed_varints,
     make_tag,
     read_varint,
     varint_size,
@@ -374,7 +373,7 @@ def decode_source(descriptor: MessageDescriptor, factory: MessageFactory) -> tup
     """Build the decode function source plus its exec namespace."""
     ns: dict = {
         "_rv": read_varint,
-        "_dpf": decode_packed_varints_fast,
+        "_dpf": decode_packed_varints,
         "_np": np,
         "_one": np.uint64(1),
         "_RF": _RepeatedField,

@@ -116,5 +116,8 @@ def validate_utf8_simd(data) -> None:
 
 
 def validate_utf8(data) -> None:
-    """Default validator: vectorized with an ASCII fast path."""
-    validate_utf8_simd(data)
+    """Default validator: a C-level ASCII check, then the vectorized
+    validator for anything that is not pure ASCII."""
+    data = bytes(data)
+    if not data.isascii():
+        validate_utf8_simd(data)

@@ -13,8 +13,8 @@ Two decoding paths are provided for varints:
 * a scalar path (`read_varint`) decoding one value at a time, mirroring the
   per-element loop a CPU or DPU core runs in the paper's custom
   deserializer; and
-* a vectorized batch path (`decode_packed_varints`) built on NumPy, used by
-  benchmarks as the "wide" decoding analog.
+* a vectorized batch path (`decode_packed_varints`) built on NumPy — the
+  one packed-run kernel every codec tier and the arena deserializer share.
 
 All multi-byte fixed-width values are little-endian, matching the paper's
 assumption (§IV-A) that both endpoints are little-endian.
@@ -42,7 +42,6 @@ __all__ = [
     "encode_packed_varints",
     "encode_packed_varints_bulk",
     "decode_packed_varints",
-    "decode_packed_varints_fast",
     "write_varint",
     "WireFormatError",
     "TruncatedMessageError",
@@ -322,38 +321,26 @@ def encode_packed_varints_bulk(values: np.ndarray) -> bytes:
 def decode_packed_varints(data, count_hint: int | None = None) -> np.ndarray:
     """Decode a packed varint run into a ``uint64`` NumPy array.
 
-    This is the vectorized analog of the per-element decode loop: byte
-    continuation bits are examined with NumPy array operations and values
-    are assembled group-wise.  Used by benchmarks to contrast scalar vs
-    wide decoding; results are identical to repeated :func:`read_varint`.
+    The vectorized analog of the per-element decode loop, in one pass
+    regardless of the longest varint in the run: varint boundaries come
+    from the continuation bits, every payload byte is shifted into place
+    by 7x its distance from its varint's first byte, and each varint's
+    bytes are summed with one segmented reduction (``np.add.reduceat``).
+    Results — and malformed-input rejections — are identical to repeated
+    :func:`read_varint`.
     """
     raw = np.frombuffer(bytes(data), dtype=np.uint8)
     if raw.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    cont = (raw & 0x80).astype(bool)
-    if cont[-1]:
+        values = np.empty(0, dtype=np.uint64)
+    elif raw[-1] & 0x80:
         raise TruncatedMessageError("packed varint run ends mid-varint")
-    # Positions where a varint ends (continuation bit clear).
-    ends = np.flatnonzero(~cont)
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    if np.any(lengths > MAX_VARINT_LEN):
-        raise WireFormatError("varint longer than 10 bytes")
-    # 10-byte varints may only contribute one bit from their final byte,
-    # exactly as the scalar read_varint enforces.
-    boundary = ends[lengths == MAX_VARINT_LEN]
-    if boundary.size and np.any(raw[boundary] > 1):
-        raise WireFormatError("varint exceeds 64 bits")
-    payload = (raw & 0x7F).astype(np.uint64)
-    values = np.zeros(len(ends), dtype=np.uint64)
-    # Accumulate byte k of every varint that has at least k+1 bytes.
-    max_len = int(lengths.max())
-    for k in range(max_len):
-        sel = lengths > k
-        idx = starts[sel] + k
-        values[sel] |= payload[idx] << np.uint64(7 * k)
+    else:
+        # Positions where a varint ends (continuation bit clear).
+        ends = np.flatnonzero(raw < 0x80)
+        if ends.size == raw.size:
+            values = raw.astype(np.uint64)  # all single-byte
+        else:
+            values = _assemble_varints(raw, ends)
     if count_hint is not None and len(values) != count_hint:
         raise WireFormatError(
             f"expected {count_hint} packed elements, decoded {len(values)}"
@@ -361,35 +348,23 @@ def decode_packed_varints(data, count_hint: int | None = None) -> np.ndarray:
     return values
 
 
-def decode_packed_varints_fast(data) -> np.ndarray:
-    """Decode a packed varint run with a single segmented reduction.
-
-    Byte-identical results to :func:`decode_packed_varints` (same malformed
-    -input rejections), but instead of one masked pass per byte position
-    this shifts every payload byte into place at once and sums each
-    varint's bytes with ``np.add.reduceat`` — one fused pass regardless of
-    the longest varint in the run.  The generated codecs use this kernel;
-    the closure-table plans keep the per-position loop so the two tiers
-    stay independently measurable.
-    """
-    raw = np.frombuffer(bytes(data), dtype=np.uint8)
-    if raw.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    cont = (raw & 0x80).astype(bool)
-    if cont[-1]:
-        raise TruncatedMessageError("packed varint run ends mid-varint")
-    ends = np.flatnonzero(~cont)
+def _assemble_varints(raw: np.ndarray, ends: np.ndarray) -> np.ndarray:
     starts = np.empty_like(ends)
     starts[0] = 0
-    starts[1:] = ends[:-1] + 1
+    np.add(ends[:-1], 1, out=starts[1:])
     lengths = ends - starts + 1
-    if np.any(lengths > MAX_VARINT_LEN):
+    longest = int(lengths.max())
+    if longest > MAX_VARINT_LEN:
         raise WireFormatError("varint longer than 10 bytes")
-    boundary = ends[lengths == MAX_VARINT_LEN]
-    if boundary.size and np.any(raw[boundary] > 1):
+    # 10-byte varints may only contribute one bit from their final byte,
+    # exactly as the scalar read_varint enforces.
+    if longest == MAX_VARINT_LEN and np.any(raw[ends[lengths == MAX_VARINT_LEN]] > 1):
         raise WireFormatError("varint exceeds 64 bits")
     # Byte k of each varint shifts by 7k; k for every byte is its distance
     # from the owning varint's start.
-    k = np.arange(raw.size, dtype=np.int64) - np.repeat(starts, lengths)
-    shifted = (raw & 0x7F).astype(np.uint64) << (np.uint64(7) * k.astype(np.uint64))
-    return np.add.reduceat(shifted, starts)
+    shift = np.arange(raw.size, dtype=np.uint64)
+    shift -= np.repeat(starts, lengths).astype(np.uint64)
+    shift *= np.uint64(7)
+    payload = (raw & 0x7F).astype(np.uint64)
+    payload <<= shift
+    return np.add.reduceat(payload, starts)

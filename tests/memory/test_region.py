@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 from repro.memory import AddressSpace, MemoryError_, MemoryRegion
@@ -103,3 +105,65 @@ class TestAddressSpace:
         assert host.read(0x8000, 4) == b"\x00\x00\x00\x00"
         host.write(0x8000, dpu.read(0x8000, 4))  # simulated DMA
         assert host.read(0x8000, 4) == b"ping"
+
+
+def _private(base, size, name):
+    return MemoryRegion(base, size, name)
+
+
+def _shared(base, size, name):
+    from repro.memory.shm import SharedRegion
+
+    return SharedRegion(base, size, name)
+
+
+@pytest.mark.parametrize("make_region", [_private, _shared], ids=["bytearray", "shm"])
+class TestReadArray:
+    """The typed-span primitive: one bounds check, one reinterpretation,
+    the same on a private ``bytearray`` and on a shared-memory segment."""
+
+    @pytest.fixture
+    def space(self, make_region):
+        space = AddressSpace()
+        regions = [make_region(0x1000, 0x100, "a"), make_region(0x1100, 0x100, "b")]
+        for region in regions:
+            space.map(region)
+        yield space
+        for region in regions:
+            if hasattr(region, "cleanup"):
+                region.cleanup()
+
+    def test_reads_every_element_kind(self, space):
+        space.write(0x1008, struct.pack("<3q", -1, 2, -(2**63)))
+        assert space.read_array(0x1008, "q", 3) == (-1, 2, -(2**63))
+        space.write(0x1040, struct.pack("<2f4?", 1.5, -0.25, True, False, True, True))
+        assert space.read_array(0x1040, "f", 2) == (1.5, -0.25)
+        assert space.read_array(0x1048, "?", 4) == (True, False, True, True)
+        assert space.read_array(0x1008, "q", 0) == ()
+        region = space.region_of(0x1008)
+        assert region.read_array(0x1008, "I", 2) == (0xFFFFFFFF, 0xFFFFFFFF)
+
+    def test_resolves_the_span_exactly_once(self, space):
+        calls = []
+        region_of = space.region_of
+        space.region_of = lambda addr, length=1: calls.append((addr, length)) or region_of(
+            addr, length
+        )
+        space.read_array(0x1010, "Q", 16)
+        assert calls == [(0x1010, 128)]
+
+    @pytest.mark.parametrize(
+        "addr,count",
+        [
+            (0x10F8, 2),  # straddles the two adjacent regions
+            (0x11F8, 2),  # runs past the last mapped byte
+            (0x1000, 2**32 - 1),
+            (0, 1),
+            (0x0FF8, 1),
+        ],
+    )
+    def test_span_must_lie_in_one_region(self, space, addr, count):
+        with pytest.raises(MemoryError_):
+            space.read_array(addr, "Q", count)
+        with pytest.raises(MemoryError_):
+            space.region_of(0x1000).read_array(addr, "Q", count)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.abi import AbiError
-from repro.memory import AddressSpace, Arena, MemoryRegion
+from repro.abi import REPEATED_HEADER, AbiError
+from repro.memory import AddressSpace, Arena, MemoryError_, MemoryRegion
 from repro.offload import (
     ArenaDeserializer,
     CppMessageView,
@@ -13,6 +13,7 @@ from repro.offload import (
     read_message,
     verify_object,
 )
+from repro.offload.view import AdtMessageView
 from repro.proto import compile_schema, serialize
 
 ARENA_BASE = 0x0800_0000
@@ -152,3 +153,83 @@ class TestReadMessage:
         addr = deser.deserialize_by_name("mv.M", b"", arena)
         out = read_message(universe, schema.factory, "mv.M", addr)
         assert out == schema["mv.M"]()
+
+
+class TestHostileRepeatedHeader:
+    """The host dereferences DPU-written memory: whatever a repeated
+    header claims, the bulk element read answers with the address space's
+    declared error (or an ABI error) and touches nothing out of bounds."""
+
+    VIEWS = ("cpp", "adt")
+
+    @staticmethod
+    def _read(kind, built, field="xs"):
+        schema, space, universe, layout, addr, _ = built
+        if kind == "cpp":
+            return getattr(CppMessageView(universe, layout, addr), field)
+        adt = universe.build_adt([schema.pool.message("mv.M")])
+        return AdtMessageView(adt, adt.index_of("mv.M"), space, addr).field(field)
+
+    @staticmethod
+    def _corrupt(built, elems, count, field="xs"):
+        _, space, _, layout, addr, _ = built
+        REPEATED_HEADER.write(space, addr + layout.offsetof(field), elems, count)
+
+    def _assert_rejected(self, kind, built, field="xs"):
+        try:
+            self._read(kind, built, field)
+        except (MemoryError_, AbiError):
+            return
+        except Exception as exc:  # noqa: BLE001 - the point of the test
+            pytest.fail(f"undeclared {type(exc).__name__}: {exc}")
+        pytest.fail("hostile header was read without an error")
+
+    @pytest.mark.parametrize("kind", VIEWS)
+    def test_intact_header_reads(self, kind, built):
+        assert self._read(kind, built) == [-1, 5]
+
+    @pytest.mark.parametrize("kind", VIEWS)
+    def test_span_past_region_end(self, kind, built):
+        # 3 int64 elements starting 16 bytes before the end of the region.
+        self._corrupt(built, ARENA_BASE + ARENA_SIZE - 16, 3)
+        self._assert_rejected(kind, built)
+
+    @pytest.mark.parametrize("kind", VIEWS)
+    def test_count_all_ones(self, kind, built):
+        _, space, _, layout, addr, _ = built
+        elems, _, _ = REPEATED_HEADER.read(space, addr + layout.offsetof("xs"))
+        self._corrupt(built, elems, 2**32 - 1)
+        self._assert_rejected(kind, built)
+
+    @pytest.mark.parametrize("kind", VIEWS)
+    @pytest.mark.parametrize("elems", [0, 0x10, ARENA_BASE - 8, 0x7000_0000_0000_0000])
+    def test_null_or_unmapped_elements(self, kind, elems, built):
+        self._corrupt(built, elems, 2)
+        self._assert_rejected(kind, built)
+
+    @pytest.mark.parametrize("kind", VIEWS)
+    def test_span_straddling_adjacent_regions(self, kind, built):
+        # Both halves of the span are mapped — in two different regions.
+        # One bounds check covers the whole span, so it must fail rather
+        # than read half of it from each backing store.
+        _, space, _, _, _, _ = built
+        space.map(MemoryRegion(ARENA_BASE + ARENA_SIZE, 4096, "neighbour"))
+        self._corrupt(built, ARENA_BASE + ARENA_SIZE - 8, 2)
+        self._assert_rejected(kind, built)
+        # ... while the same span wholly inside the neighbour is fine.
+        self._corrupt(built, ARENA_BASE + ARENA_SIZE, 2)
+        assert self._read(kind, built) == [0, 0]
+
+    @pytest.mark.parametrize("kind", VIEWS)
+    def test_pointer_array_header(self, kind, built):
+        # The repeated-message pointer array is read as one span too.
+        self._corrupt(built, ARENA_BASE + ARENA_SIZE - 8, 2**32 - 1, field="leaves")
+        self._assert_rejected(kind, built, field="leaves")
+        self._corrupt(built, 0, 1, field="leaves")
+        self._assert_rejected(kind, built, field="leaves")
+
+    def test_object_itself_out_of_bounds(self, built):
+        # The view's one construction-time check covers the whole object.
+        _, _, universe, layout, _, _ = built
+        with pytest.raises(MemoryError_):
+            CppMessageView(universe, layout, ARENA_BASE + ARENA_SIZE - 8)

@@ -173,3 +173,56 @@ class TestPackedVarints:
     def test_dtype(self):
         out = decode_packed_varints(encode_packed_varints([5]))
         assert out.dtype == np.uint64
+
+    # -- the one kernel against the scalar reader, good input and bad ---------
+
+    @staticmethod
+    def _scalar(data: bytes):
+        """The per-element loop the kernel replaces: values, or the error."""
+        pos, out = 0, []
+        try:
+            while pos < len(data):
+                value, pos = read_varint(data, pos)
+                out.append(value)
+        except WireFormatError as exc:
+            return exc
+        return out
+
+    @given(st.lists(st.one_of(U64, st.integers(0, 127),
+                              st.sampled_from([(1 << (7 * k)) - 1 for k in range(1, 10)]
+                                              + [1 << (7 * k) for k in range(1, 10)]
+                                              + [(1 << 64) - 1, 1 << 63])),
+                    max_size=300))
+    def test_boundary_values_match_scalar(self, values):
+        data = encode_packed_varints(values)
+        assert decode_packed_varints(data).tolist() == self._scalar(data) == values
+
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes_match_scalar(self, data):
+        # Not every byte string is a run of canonical varints: over-long
+        # encodings decode, truncated / 11-byte / 65-bit ones are rejected
+        # — by both readers alike, with the wire-format error and nothing
+        # else.
+        expected = self._scalar(data)
+        if isinstance(expected, WireFormatError):
+            with pytest.raises(WireFormatError):
+                decode_packed_varints(data)
+        else:
+            assert decode_packed_varints(data).tolist() == expected
+
+    @pytest.mark.parametrize("prefix", [b"", b"\x05", b"\xac\x02", b"\x05" * 40])
+    def test_malformed_runs_rejected(self, prefix):
+        ten = b"\xff" * 9
+        # truncated: the run ends inside a varint
+        with pytest.raises(TruncatedMessageError):
+            decode_packed_varints(prefix + b"\x96")
+        # eleven bytes
+        with pytest.raises(WireFormatError, match="longer than 10"):
+            decode_packed_varints(prefix + b"\x80" * 10 + b"\x01" + prefix)
+        # ten bytes whose last carries more than bit 63
+        with pytest.raises(WireFormatError, match="exceeds 64 bits"):
+            decode_packed_varints(prefix + ten + b"\x02" + prefix)
+        # ... while exactly 64 bits is fine
+        assert decode_packed_varints(prefix + ten + b"\x01")[-1] == (1 << 64) - 1
+        for bad in (b"\x96", b"\x80" * 10 + b"\x01", ten + b"\x02"):
+            assert isinstance(self._scalar(prefix + bad), WireFormatError)
