@@ -56,21 +56,6 @@ class ProtocolConfig:
         ``nagle``/``bytes`` policies.
     flush_byte_threshold:
         Byte threshold of the ``bytes`` policy; 0 means half a block.
-    decode_mode:
-        Deserialization path used by endpoints honoring this config:
-        ``plan`` (default) dispatches through compiled per-message decode
-        plans (see docs/DECODER.md); ``generated`` through per-type
-        straight-line source-generated decoders (the protoc idiom, faster
-        still); ``interpretive`` keeps the original descriptor-walking
-        loop, retained for differential testing.
-    encode_mode:
-        Serialization path used by endpoints honoring this config:
-        ``plan`` (default) dispatches through compiled per-message encode
-        plans that emit directly into the registered send region (see
-        docs/DECODER.md); ``generated`` through per-type source-generated
-        encoders (same zero-copy emit surface); ``interpretive`` keeps
-        the descriptor-walking serializer, retained for differential
-        testing.
     """
 
     block_size: int = 8 * KIB
@@ -89,8 +74,6 @@ class ProtocolConfig:
     flush_policy: str = "eager"
     flush_deadline_ticks: int = 4
     flush_byte_threshold: int = 0
-    decode_mode: str = "plan"
-    encode_mode: str = "plan"
     #: progress passes a transmitted request may stay unanswered before
     #: the client fails it locally with Flags.ERROR | Flags.ABORTED
     #: (docs/FAULTS.md).  0 (the default) disables deadlines — correct
@@ -126,10 +109,6 @@ class ProtocolConfig:
             raise ValueError("flush_deadline_ticks must be >= 1")
         if self.flush_byte_threshold < 0:
             raise ValueError("flush_byte_threshold must be >= 0")
-        if self.decode_mode not in ("plan", "generated", "interpretive"):
-            raise ValueError(f"unknown decode mode {self.decode_mode!r}")
-        if self.encode_mode not in ("plan", "generated", "interpretive"):
-            raise ValueError(f"unknown encode mode {self.encode_mode!r}")
         if self.request_deadline_ticks < 0:
             raise ValueError("request_deadline_ticks must be >= 0")
         if self.transport not in ("inproc", "shm"):

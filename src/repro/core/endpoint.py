@@ -566,7 +566,7 @@ class ClientEndpoint(_EndpointBase):
         """Queue one request whose payload is written in place: ``size``
         bytes are reserved inside the outgoing block and ``emit(view)``
         fills the writable memoryview — the zero-copy request path used by
-        compiled encode plans (``repro.proto.prepare_emit``)."""
+        the generated encoders (``repro.proto.prepare_emit``)."""
 
         def writer(space: AddressSpace, addr: int) -> int:
             emit(space.view(addr, size))

@@ -291,7 +291,7 @@ class BlockWriter:
 
     def payload_view(self, payload_addr: int, size: int) -> memoryview:
         """Writable view of reserved payload space, for serializers that
-        emit wire bytes in place (``EncodePlan.serialize_into`` /
+        emit wire bytes in place (``GeneratedEncoder.serialize_into`` /
         ``SizedMessage.emit_into``) instead of handing over a ``bytes``
         object to copy."""
         return self.space.view(payload_addr, size)

@@ -266,9 +266,9 @@ def run_traced_workload(
     # this bind, a plain `repro metrics` run silently omitted them.
     OverloadExporter(registry, "overload", **overload).update()
 
-    # Codec-layer counters: plan-cache traffic plus the generated-codec
-    # tier (compiles, cache hits, source bytes, compile ns) land in the
-    # same scrape, so ``repro metrics`` shows what the codec layer did.
+    # Codec-layer counters: the generated-codec tier (compiles, cache
+    # hits, source bytes, compile ns) and its decode/encode volume land in
+    # the same scrape, so ``repro metrics`` shows what the codec layer did.
     from repro.proto import ENCODE_PLAN_METRICS, PLAN_METRICS
 
     PLAN_METRICS.bind_registry(registry).export()

@@ -6,8 +6,8 @@
 * :mod:`repro.offload.arena_deserializer` — the DPU's custom deserializer
   that decodes protobuf wire bytes straight into host-ABI C++ objects in
   an arena.
-* :mod:`repro.offload.arena_plan` — compiled per-ADT-entry decode plans,
-  the deserializer's fast path (see docs/DECODER.md).
+* :mod:`repro.offload.arena_gen` — generated per-ADT-entry decoders, the
+  deserializer's default tier (see docs/DECODER.md).
 * :mod:`repro.offload.materialize` — host-side zero-copy views and the
   eager converter used for verification.
 * :mod:`repro.offload.engine` — the DPU offload engine and host engine
@@ -25,7 +25,7 @@ from .adt import (
     encode_adt,
 )
 from .arena_deserializer import ArenaDeserializer, DeserializeError, DeserializeStats
-from .arena_plan import ArenaEntryPlan, ArenaPlanCache
+from .arena_gen import ArenaGenCache
 from .engine import (
     DpuEngine,
     EngineCrashedError,
@@ -45,8 +45,7 @@ __all__ = [
     "decode_adt",
     "encode_adt",
     "ArenaDeserializer",
-    "ArenaEntryPlan",
-    "ArenaPlanCache",
+    "ArenaGenCache",
     "DeserializeError",
     "DeserializeStats",
     "CppMessageView",

@@ -11,8 +11,12 @@ the host, every internal pointer the deserializer writes is valid on the
 host without adjustment (§III-B).
 
 It is driven entirely by the :class:`~repro.offload.adt.Adt` — no message
-descriptors, no generated code — which is what lets one DPU binary serve
-any protobuf schema (§V-B).
+descriptors, no protoc output — which is what lets one DPU binary serve
+any protobuf schema (§V-B).  Two tiers decode the tag wire: ``generated``
+(the default) compiles one straight-line decoder per ADT entry on first
+use (:mod:`repro.offload.arena_gen`); ``interpretive`` is the
+field-by-field loop in this module, the oracle the generated tier is
+tested against.
 
 The deserializer also keeps an operation census (:class:`DeserializeStats`)
 — varints decoded, bytes copied, UTF-8 bytes validated, messages recursed —
@@ -31,6 +35,7 @@ from repro.abi import StringLayout, StdLib
 from repro.abi.cpp_types import REPEATED_HEADER, LibcxxString, LibstdcxxString
 from repro.memory import Arena
 from repro.proto.descriptor import FieldType
+from repro.proto.deserializer import DECODE_MODES
 from repro.proto.utf8 import validate_utf8
 from repro.proto.wire_format import (
     TruncatedMessageError,
@@ -155,29 +160,21 @@ class ArenaDeserializer:
         self,
         adt: Adt,
         stats: DeserializeStats | None = None,
-        use_plans: bool = True,
-        mode: str | None = None,
+        mode: str = "generated",
     ) -> None:
         self.adt = adt
         self.stats = stats or DeserializeStats()
         self.string_layout: StringLayout = (
             LibstdcxxString() if adt.stdlib is StdLib.LIBSTDCXX else LibcxxString()
         )
-        # ``mode`` supersedes the legacy ``use_plans`` bool: "plan"
-        # (closure-table plans), "generated" (straight-line source-generated
-        # decoders) or "interpretive".  ``use_plans=False`` maps to
-        # "interpretive" for backward compatibility.
-        if mode is None:
-            mode = "plan" if use_plans else "interpretive"
-        if mode not in ("plan", "generated", "interpretive"):
+        if mode not in DECODE_MODES:
             raise ValueError(f"unknown arena decode mode {mode!r}")
+        #: "generated" or "interpretive"; may be reassigned on a live
+        #: deserializer (the autotuner's ``decode_mode`` knob does) —
+        #: :meth:`deserialize` dispatches on it per call.
         self.mode = mode
-        self.use_plans = mode != "interpretive"
-        # Lazily built caches (the compiled fast paths, the offload twins
-        # of repro.proto.decode_plan / repro.proto.gen_codec).  Imported on
-        # first use: the plan module imports this one for the shared
-        # constants.
-        self._plan_cache = None
+        # The generated-decoder cache, built on first use (arena_gen
+        # imports this module for the shared constants).
         self._gen_cache = None
         # index -> (FixedLayout, fields aligned with its slots); built on
         # first WIRE_FIXED request for that entry.
@@ -186,20 +183,11 @@ class ArenaDeserializer:
     # ------------------------------------------------------------------ API
 
     @property
-    def plans(self):
-        """The deserializer's compiled-plan cache (built on first access)."""
-        if self._plan_cache is None:
-            from .arena_plan import ArenaPlanCache
-
-            self._plan_cache = ArenaPlanCache(self)
-        return self._plan_cache
-
-    @property
     def gen_plans(self):
         """The deserializer's generated-decoder cache (built on first
-        access) — the :class:`~repro.offload.arena_plan.ArenaGenCache`."""
+        access) — the :class:`~repro.offload.arena_gen.ArenaGenCache`."""
         if self._gen_cache is None:
-            from .arena_plan import ArenaGenCache
+            from .arena_gen import ArenaGenCache
 
             self._gen_cache = ArenaGenCache(self)
         return self._gen_cache
@@ -208,17 +196,15 @@ class ArenaDeserializer:
         """Parse ``wire`` as the message class at ``root_index``; build the
         object in ``arena``; returns the object's virtual address.
 
-        Dispatches on the deserializer's ``mode``: compiled decode plans
-        (the default), source-generated straight-line decoders, or the
-        interpretive fallback kept for differential testing and
-        ``ProtocolConfig.decode_mode``.
+        Dispatches on the deserializer's current ``mode``: the generated
+        straight-line decoders (the default) or the interpretive oracle.
         """
-        if self.mode == "generated":
+        mode = self.mode
+        if mode == "generated":
             buf = wire if isinstance(wire, (bytes, memoryview)) else bytes(wire)
             return self.gen_plans.parse_message(root_index, buf, 0, len(buf), arena, depth=1)
-        if self.use_plans:
-            buf = wire if isinstance(wire, (bytes, memoryview)) else bytes(wire)
-            return self.plans.parse_message(root_index, buf, 0, len(buf), arena, depth=1)
+        if mode != "interpretive":
+            raise ValueError(f"unknown arena decode mode {mode!r}")
         buf = bytes(wire)
         return self._parse_message(root_index, buf, 0, len(buf), arena, depth=1)
 

@@ -44,7 +44,14 @@ from repro.core import (
 )
 from repro.core.config import CLIENT_DEFAULTS, SERVER_DEFAULTS
 from repro.memory import Arena
-from repro.proto import CompiledSchema, Message, emit_writer, parse, serialize
+from repro.proto import (
+    DECODE_MODES,
+    CompiledSchema,
+    Message,
+    emit_writer,
+    parse,
+    serialize,
+)
 from repro.proto.descriptor import MessageDescriptor
 from repro.rdma import Opcode, WorkRequest
 
@@ -158,9 +165,8 @@ class HostEngine:
         self.universe = TypeUniverse(channel.server_space, abi)
         self.methods: list[MethodSpec] = []
         self._input_descriptors: dict[int, MessageDescriptor] = {}
-        #: Response-serialization path (``ProtocolConfig.encode_mode``):
-        #: ``"plan"``/``"interpretive"`` force that path; ``None`` follows
-        #: the process-wide default (see repro.proto.set_encode_mode).
+        #: Response-serialization path: ``"generated"`` (also what ``None``
+        #: means) or ``"interpretive"`` (see repro.proto.serializer).
         self.encode_mode = encode_mode
         #: requests that arrived as wire bytes (Flags.WIRE_PAYLOAD) and
         #: were deserialized *here* — the degraded mode that keeps the
@@ -235,7 +241,7 @@ class HostEngine:
                         )
                     return self._object_response(result)
                 # Host-side response serialization, but zero-copy: the
-                # encode plan sizes the message, the endpoint reserves
+                # encoder sizes the message, the endpoint reserves
                 # that space in the response block, and the wire bytes
                 # are emitted there directly (no intermediate bytes).
                 size, writer = emit_writer(result, self.encode_mode)
@@ -304,13 +310,15 @@ class DpuEngine:
         self,
         channel: Channel,
         abi: AbiConfig | None = None,
-        decode_mode: str = "plan",
+        decode_mode: str = "generated",
     ) -> None:
+        if decode_mode not in DECODE_MODES:
+            raise ValueError(f"unknown decode mode {decode_mode!r}")
         self.channel = channel
         self.abi = abi or AbiConfig()
-        #: ProtocolConfig.decode_mode: "plan" compiles per-ADT-entry decode
-        #: plans, "generated" per-entry straight-line source-generated
-        #: decoders, "interpretive" keeps the field-by-field fallback.
+        #: Arena decode tier the deserializer is built with: "generated"
+        #: compiles one straight-line decoder per ADT entry,
+        #: "interpretive" keeps the field-by-field oracle.
         self.decode_mode = decode_mode
         self.adt: Adt | None = None
         self.method_table: dict[int, int] = {}

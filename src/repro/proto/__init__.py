@@ -32,21 +32,7 @@ from .descriptor import (
     MethodDescriptor,
     ServiceDescriptor,
 )
-from .deserializer import (
-    DecodeError,
-    get_decode_mode,
-    parse,
-    parse_into,
-    set_decode_mode,
-)
-from .decode_plan import PLAN_METRICS, DecodePlan, PlanMetrics, get_plan
-from .encode_plan import (
-    ENCODE_PLAN_METRICS,
-    EncodePlan,
-    EncodePlanMetrics,
-    SizedMessage,
-)
-from .encode_plan import get_plan as get_encode_plan
+from .deserializer import DECODE_MODES, DecodeError, parse, parse_into
 from .fixed_wire import (
     WIRE_FIXED,
     WIRE_STANDARD,
@@ -58,8 +44,13 @@ from .fixed_wire import (
     specs_of_descriptor,
 )
 from .gen_codec import (
+    ENCODE_PLAN_METRICS,
+    PLAN_METRICS,
+    DecodeMetrics,
+    EncodeMetrics,
     GeneratedDecoder,
     GeneratedEncoder,
+    SizedMessage,
     generate_codec_module,
     get_gen_decoder,
     get_gen_encoder,
@@ -70,12 +61,10 @@ from .serializer import (
     ENCODE_MODES,
     EncodeError,
     emit_writer,
-    get_encode_mode,
     prepare_emit,
     serialize,
     serialize_into,
     serialized_size,
-    set_encode_mode,
 )
 from .json_format import (
     JsonFormatError,
@@ -112,17 +101,12 @@ __all__ = [
     "DecodeError",
     "parse",
     "parse_into",
-    "set_decode_mode",
-    "get_decode_mode",
-    "DecodePlan",
-    "PlanMetrics",
+    "DECODE_MODES",
+    "DecodeMetrics",
     "PLAN_METRICS",
-    "get_plan",
-    "EncodePlan",
-    "EncodePlanMetrics",
+    "EncodeMetrics",
     "ENCODE_PLAN_METRICS",
     "SizedMessage",
-    "get_encode_plan",
     "GeneratedDecoder",
     "GeneratedEncoder",
     "get_gen_decoder",
@@ -147,8 +131,6 @@ __all__ = [
     "serialized_size",
     "prepare_emit",
     "emit_writer",
-    "set_encode_mode",
-    "get_encode_mode",
     "ENCODE_MODES",
     "EncodeError",
     "Utf8Error",

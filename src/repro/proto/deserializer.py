@@ -12,6 +12,12 @@ scenario: it parses proto3 wire bytes into the dynamic
   scalars, and
 * skips unknown fields by wire type.
 
+The descriptor-walking loop in this module is the ``"interpretive"``
+decode path — the oracle.  :func:`parse` / :func:`parse_into` default to
+``"generated"``, the per-type straight-line decoders of
+:mod:`repro.proto.gen_codec`; both must agree field-for-field, including
+preserved unknown bytes, on every input.
+
 The offloaded equivalent, which decodes straight into C++ object layout in
 a shared-address-space arena, lives in
 :mod:`repro.offload.arena_deserializer`; the two must agree on every valid
@@ -43,38 +49,16 @@ __all__ = [
     "skip_field",
     "DecodeError",
     "DECODE_MODES",
-    "set_decode_mode",
-    "get_decode_mode",
 ]
 
-#: Selectable decode paths: "plan" is the compiled closure-table fast path
-#: (see :mod:`repro.proto.decode_plan`), "generated" the straight-line
-#: source-generated tier above it (:mod:`repro.proto.gen_codec`),
-#: "interpretive" the original descriptor-walking baseline kept for
-#: differential testing.
-DECODE_MODES = ("plan", "generated", "interpretive")
+#: Selectable decode paths: "generated" (the default) is the compiled
+#: straight-line per-type decoder (:mod:`repro.proto.gen_codec`),
+#: "interpretive" the descriptor-walking oracle in this module.
+DECODE_MODES = ("generated", "interpretive")
 
-_decode_mode = "plan"
-
-# Lazily bound on first use (the plan/gen_codec modules import this one,
-# so the imports cannot be at module level).
-_get_plan = None
+# Bound on first use (gen_codec imports this module, so the import cannot
+# be at module level).
 _get_gen_decoder = None
-
-
-def set_decode_mode(mode: str) -> str:
-    """Select the process-wide default decode path; returns the previous
-    mode (so tests can restore it)."""
-    global _decode_mode
-    if mode not in DECODE_MODES:
-        raise ValueError(f"unknown decode mode {mode!r}; expected one of {DECODE_MODES}")
-    previous = _decode_mode
-    _decode_mode = mode
-    return previous
-
-
-def get_decode_mode() -> str:
-    return _decode_mode
 
 
 class DecodeError(WireFormatError):
@@ -251,27 +235,12 @@ def _parse_field(
 def parse_into(msg: Message, data, mode: str | None = None) -> Message:
     """Parse wire bytes into an existing message (merging).
 
-    ``mode`` overrides the process-wide decode mode for this call:
-    ``"plan"`` dispatches to the message type's cached
-    :class:`~repro.proto.decode_plan.DecodePlan`; ``"generated"`` to its
-    compiled straight-line decoder
-    (:mod:`repro.proto.gen_codec`); ``"interpretive"`` runs the original
+    ``mode`` selects the decode path: ``"generated"`` (also what ``None``
+    means) dispatches to the message type's compiled straight-line
+    decoder (:mod:`repro.proto.gen_codec`); ``"interpretive"`` runs the
     descriptor-walking loop.
     """
-    m = mode or _decode_mode
-    if m == "plan":
-        global _get_plan
-        if _get_plan is None:
-            from .decode_plan import get_plan
-
-            _get_plan = get_plan
-        plan = _get_plan(type(msg).DESCRIPTOR, msg._FACTORY)
-        buf = data if isinstance(data, memoryview) else memoryview(
-            data if isinstance(data, (bytes, bytearray)) else bytes(data)
-        )
-        plan.parse(msg, buf, 0, len(buf))
-        return msg
-    if m == "generated":
+    if mode is None or mode == "generated":
         global _get_gen_decoder
         if _get_gen_decoder is None:
             from .gen_codec import get_gen_decoder
@@ -283,8 +252,8 @@ def parse_into(msg: Message, data, mode: str | None = None) -> Message:
         )
         codec.parse(msg, buf, 0, len(buf))
         return msg
-    if m != "interpretive":
-        raise ValueError(f"unknown decode mode {m!r}; expected one of {DECODE_MODES}")
+    if mode != "interpretive":
+        raise ValueError(f"unknown decode mode {mode!r}; expected one of {DECODE_MODES}")
     buf = bytes(data)
     _parse_range(msg, buf, 0, len(buf))
     return msg

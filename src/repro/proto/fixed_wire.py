@@ -165,7 +165,7 @@ class SizedFixed:
     """A measured fixed-wire message: knows its size, emits in place.
 
     The fixed-wire analog of
-    :class:`~repro.proto.encode_plan.SizedMessage` — same
+    :class:`~repro.proto.gen_codec.SizedMessage` — same
     ``size``/``emit_into`` surface, so the zero-copy framed send path
     (reserve, write header, emit payload in place) works unchanged.
     """
@@ -414,7 +414,7 @@ def get_fixed_layout(
     descriptor: MessageDescriptor, factory: MessageFactory | None = None
 ) -> FixedLayout | None:
     """The type's :class:`FixedLayout`, or ``None`` if ineligible.
-    Cached on ``factory`` beside the decode/encode plans."""
+    Cached on ``factory`` beside the generated codecs."""
     cache = None
     if factory is not None:
         cache = getattr(factory, "_fixed_layouts", None)

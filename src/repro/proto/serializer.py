@@ -6,13 +6,13 @@ code emits for the same logical value with fields written in ascending
 field-number order, so the offloaded deserializer operates on authentic
 wire bytes.
 
-Two encode paths are available, selected by :func:`set_encode_mode` /
-``ProtocolConfig.encode_mode`` or per call:
+Two encode paths are available, selected per call (``mode=``) or by the
+``encode_mode=`` argument of the component that encodes:
 
-* ``"plan"`` (default) — compiled per-message encode plans
-  (:mod:`repro.proto.encode_plan`) that size once and emit straight into
+* ``"generated"`` (default) — per-type straight-line encoders
+  (:mod:`repro.proto.gen_codec`) that size once and emit straight into
   caller-provided buffers; and
-* ``"interpretive"`` — the descriptor-walking baseline in this module,
+* ``"interpretive"`` — the descriptor-walking oracle in this module,
   kept selectable for differential testing.
 
 Both must produce byte-identical output for every message.
@@ -41,18 +41,14 @@ __all__ = [
     "serialized_size",
     "prepare_emit",
     "emit_writer",
-    "set_encode_mode",
-    "get_encode_mode",
     "ENCODE_MODES",
     "EncodeError",
 ]
 
-#: Selectable encode paths; "plan" is the compiled closure-table fast
-#: path, "generated" the straight-line source-generated tier
-#: (:mod:`repro.proto.gen_codec`), "interpretive" the walking baseline.
-ENCODE_MODES = ("plan", "generated", "interpretive")
-
-_encode_mode = "plan"
+#: Selectable encode paths: "generated" (the default) is the compiled
+#: straight-line per-type encoder (:mod:`repro.proto.gen_codec`),
+#: "interpretive" the walking oracle.
+ENCODE_MODES = ("generated", "interpretive")
 
 
 class EncodeError(ValueError):
@@ -60,44 +56,26 @@ class EncodeError(ValueError):
     buffer (typically: the reserved space is too small)."""
 
 
-def set_encode_mode(mode: str) -> str:
-    """Set the process-wide default encode mode; returns the previous one."""
-    global _encode_mode
-    if mode not in ENCODE_MODES:
+# Bound on first use (gen_codec imports this module for the tag cache, so
+# the import cannot be at module level).
+_get_gen_encoder = None
+
+
+def _encoder_for(msg: Message, mode: str | None):
+    """The message type's :class:`~repro.proto.gen_codec.GeneratedEncoder`
+    when ``mode`` is ``"generated"`` (or ``None``, the default); ``None``
+    when it is ``"interpretive"``."""
+    if mode is None or mode == "generated":
+        global _get_gen_encoder
+        if _get_gen_encoder is None:
+            from .gen_codec import get_gen_encoder
+
+            _get_gen_encoder = get_gen_encoder
+        return _get_gen_encoder(type(msg).DESCRIPTOR, msg._FACTORY)
+    if mode != "interpretive":
         raise ValueError(f"unknown encode mode {mode!r} (expected one of {ENCODE_MODES})")
-    previous = _encode_mode
-    _encode_mode = mode
-    return previous
+    return None
 
-
-def get_encode_mode() -> str:
-    """The process-wide default encode mode."""
-    return _encode_mode
-
-
-def _resolve_mode(mode: str | None) -> str:
-    if mode is None:
-        return _encode_mode
-    if mode not in ENCODE_MODES:
-        raise ValueError(f"unknown encode mode {mode!r} (expected one of {ENCODE_MODES})")
-    return mode
-
-
-def _plan_for(msg: Message):
-    # Imported lazily: encode_plan imports this module for the tag cache.
-    from .encode_plan import get_plan
-
-    return get_plan(type(msg).DESCRIPTOR, msg._FACTORY)
-
-
-def _encoder_for(msg: Message, mode: str):
-    """The compiled encoder serving ``mode``: an EncodePlan ("plan") or a
-    GeneratedEncoder ("generated") — identical public surface."""
-    if mode == "plan":
-        return _plan_for(msg)
-    from .gen_codec import get_gen_encoder
-
-    return get_gen_encoder(type(msg).DESCRIPTOR, msg._FACTORY)
 
 # Wire type used when a field of this type is emitted individually.
 _WIRE_TYPE_FOR = {
@@ -218,12 +196,12 @@ def _serialize_bytes(msg: Message) -> bytes:
 def serialize(msg: Message, mode: str | None = None) -> bytes:
     """Serialize ``msg`` to proto3 wire format.
 
-    ``mode`` overrides the process default ("plan", "generated" or
-    "interpretive"); all paths emit byte-identical output.
+    ``mode`` is "generated" (the default) or "interpretive"; both paths
+    emit byte-identical output.
     """
-    m = _resolve_mode(mode)
-    if m != "interpretive":
-        return _encoder_for(msg, m).serialize(msg)
+    encoder = _encoder_for(msg, mode)
+    if encoder is not None:
+        return encoder.serialize(msg)
     return _serialize_bytes(msg)
 
 
@@ -231,16 +209,16 @@ def serialize_into(msg: Message, buf, offset: int = 0, mode: str | None = None) 
     """Serialize ``msg`` directly into writable buffer ``buf`` at
     ``offset``; returns the end position.
 
-    In plan mode the wire bytes are emitted in place with no intermediate
-    ``bytes`` materialization — this is the zero-copy entry point the
-    datapath uses to serialize into reserved block/frame space.  The
-    interpretive fallback materializes and copies (the baseline being
+    In generated mode the wire bytes are emitted in place with no
+    intermediate ``bytes`` materialization — this is the zero-copy entry
+    point the datapath uses to serialize into reserved block/frame space.
+    The interpretive path materializes and copies (the baseline being
     measured against).  Raises :class:`EncodeError` if the message does
     not fit.
     """
-    m = _resolve_mode(mode)
-    if m != "interpretive":
-        return _encoder_for(msg, m).serialize_into(msg, buf, offset)
+    encoder = _encoder_for(msg, mode)
+    if encoder is not None:
+        return encoder.serialize_into(msg, buf, offset)
     data = _serialize_bytes(msg)
     end = offset + len(data)
     if end > len(buf):
@@ -254,7 +232,7 @@ def serialize_into(msg: Message, buf, offset: int = 0, mode: str | None = None) 
 
 class _PreparedBytes:
     """Interpretive counterpart of
-    :class:`~repro.proto.encode_plan.SizedMessage`: the payload is already
+    :class:`~repro.proto.gen_codec.SizedMessage`: the payload is already
     materialized; ``emit_into`` copies it."""
 
     __slots__ = ("data", "size")
@@ -283,12 +261,12 @@ def prepare_emit(msg: Message, mode: str | None = None):
 
     This is the reserve-then-fill API of the send path: callers reserve
     exactly ``size`` bytes at the destination (block payload slot, frame
-    buffer) before any wire byte is produced, then have the plan emit in
-    place.  The message must not be mutated in between.
+    buffer) before any wire byte is produced, then have the encoder emit
+    in place.  The message must not be mutated in between.
     """
-    m = _resolve_mode(mode)
-    if m != "interpretive":
-        return _encoder_for(msg, m).measure(msg)
+    encoder = _encoder_for(msg, mode)
+    if encoder is not None:
+        return encoder.measure(msg)
     return _PreparedBytes(_serialize_bytes(msg))
 
 
@@ -314,9 +292,9 @@ def serialized_size(msg: Message, mode: str | None = None) -> int:
     simulator can size blocks cheaply; nested messages still require a
     recursive walk, matching protobuf's ``ByteSizeLong`` structure.
     """
-    m = _resolve_mode(mode)
-    if m != "interpretive":
-        return _encoder_for(msg, m).serialized_size(msg)
+    encoder = _encoder_for(msg, mode)
+    if encoder is not None:
+        return encoder.serialized_size(msg)
     size = len(msg._unknown)
     for fd, value in msg.ListFields():
         # The wire type occupies the tag's low 3 bits, so the natural and

@@ -120,7 +120,7 @@ def write_varint(buf, pos: int, value: int) -> int:
     Returns the position past the last byte written.  ``buf`` must be a
     writable buffer (``bytearray`` or a ``memoryview`` of one); unlike
     :func:`append_varint` this targets preallocated destinations, which is
-    what lets encode plans emit straight into registered send buffers.
+    what lets generated encoders emit straight into registered send buffers.
     """
     value &= _U64_MASK
     while value >= 128:

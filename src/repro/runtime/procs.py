@@ -450,7 +450,7 @@ def _dpu_child(spec: _SideSpec, schema, service,
                                   max_faults=spec.max_faults)
 
     channel = Channel(fabric, client, None, space, None, engine)
-    dpu = DpuEngine(channel, decode_mode=spec.client_config.decode_mode)
+    dpu = DpuEngine(channel)
     front = OffloadedXrpcServer(None, f"{spec.name}:xrpc", dpu, service)
     front.adopt(StreamSocket(xrpc_sock, "dpu-front"))
     injector = _attach_injector(spec, channel)

@@ -577,8 +577,8 @@ def default_knobs(stack: _Stack, cells: dict, initial: dict | None = None):
         "host_passes": ([1, 2, 3, 4],
                         lambda v: cells.__setitem__("host_passes", v), 0),
         "credits": ([2, 4, 8, 16, 32], apply_credits, 2),
-        "decode_mode": (["interpretive", "plan"], apply_decode, 1),
-        "encode_mode": (["interpretive", "plan"], apply_encode, 1),
+        "decode_mode": (["interpretive", "generated"], apply_decode, 1),
+        "encode_mode": (["interpretive", "generated"], apply_encode, 1),
     }
     knobs = []
     for name, (values, apply, default_index) in table.items():

@@ -158,13 +158,11 @@ class XrpcChannel:
             if network is None:
                 raise ValueError("XrpcChannel needs a network or an explicit socket")
             self.socket = network.connect(address, name)
-        #: Request-serialization path (``ProtocolConfig.encode_mode``):
-        #: ``"plan"``/``"generated"``/``"interpretive"`` force that path;
-        #: ``None`` follows the process-wide default
-        #: (see repro.proto.set_encode_mode).
+        #: Request-serialization path: ``"generated"`` (also what ``None``
+        #: means) or ``"interpretive"`` (see repro.proto.serializer).
         self.encode_mode = encode_mode
-        #: Response-deserialization path (``ProtocolConfig.decode_mode``),
-        #: same convention (see repro.proto.set_decode_mode).
+        #: Response-deserialization path, same convention
+        #: (see repro.proto.deserializer).
         self.decode_mode = decode_mode
         #: True once :meth:`negotiate_fixed` succeeded: eligible requests
         #: ride the branchless fixed-layout wire (docs/PROTOCOL.md).

@@ -68,10 +68,9 @@ class XrpcServer:
         self.address = address
         self.listener: Listener = network.listen(address)
         self.factory = factory
-        #: Request-deserialization path (``ProtocolConfig.decode_mode``):
-        #: ``"plan"``/``"generated"``/``"interpretive"`` force that path;
-        #: ``None`` follows the process-wide default
-        #: (see repro.proto.set_decode_mode).
+        #: Request-deserialization path: ``"generated"`` (also what
+        #: ``None`` means) or ``"interpretive"``
+        #: (see repro.proto.deserializer).
         self.decode_mode = decode_mode
         #: Perturbs this server's fixed-layout negotiation hash; any
         #: non-empty value makes every SETUP offer mismatch (the fault
@@ -80,8 +79,8 @@ class XrpcServer:
         #: WIRE_FIXED negotiations answered (match, mismatch) — observability
         self.setup_matches = 0
         self.setup_mismatches = 0
-        #: Response-serialization path (``ProtocolConfig.encode_mode``),
-        #: same convention (see repro.proto.set_encode_mode).
+        #: Response-serialization path, same convention
+        #: (see repro.proto.serializer).
         self.encode_mode = encode_mode
         self._methods: dict[str, MethodBinding] = {}
         self._connections: list[_Connection] = []

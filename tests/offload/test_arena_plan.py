@@ -1,9 +1,12 @@
-"""Arena decode plans: the offloaded fast path must be indistinguishable
-from the interpretive arena deserializer — same objects (read back through
-``read_message``), same arena consumption, and the same
+"""Generated arena decoders: the offloaded fast path must be
+indistinguishable from the interpretive arena deserializer — same objects
+(read back through ``read_message``), same arena consumption, and the same
 :class:`DeserializeStats` census (the calibrated cost model charges time
-per census operation, so a plan that decoded differently would silently
-skew every modeled figure)."""
+per census operation, so a decoder that decoded differently would silently
+skew every modeled figure).
+
+(The file and ``TestPlanCache`` still say "plan": the closure-table plan
+tier these tests were written against is gone, the test ids stay.)"""
 
 from __future__ import annotations
 
@@ -16,14 +19,13 @@ from hypothesis import strategies as st
 from repro.memory import AddressSpace, Arena, MemoryRegion
 from repro.offload import (
     ArenaDeserializer,
-    ArenaPlanCache,
+    ArenaGenCache,
     TypeUniverse,
     decode_adt,
     encode_adt,
     read_message,
 )
-from repro.proto import compile_schema, serialize
-from repro.proto.decode_plan import PLAN_METRICS
+from repro.proto import PLAN_METRICS, compile_schema, serialize
 from repro.proto.wire_format import WireFormatError, WireType, encode_varint, make_tag
 from tests.conftest import KITCHEN_SINK_PROTO, build_everything
 from tests.proto.test_codec_roundtrip import everything_strategy
@@ -44,14 +46,13 @@ def kitchen_env():
     return schema, space, universe, adt
 
 
-#: Every arena decode tier; all three must be observationally identical.
-MODES = ("plan", "generated", "interpretive")
+#: Both arena decode tiers; they must be observationally identical.
+MODES = ("generated", "interpretive")
 
 
 def both_modes(env, wire, root="test.Everything"):
-    """Deserialize ``wire`` with every tier (plan, generated,
-    interpretive); assert object and census identity; return the
-    plan-mode message."""
+    """Deserialize ``wire`` with both tiers; assert object and census
+    identity; return the generated-mode message."""
     schema, space, universe, adt = env
     results = {}
     for mode in MODES:
@@ -66,7 +67,7 @@ def both_modes(env, wire, root="test.Everything"):
         assert out == i_out, f"{mode} decoded a different object"
         assert stats == i_stats, f"{mode}: DeserializeStats census must be identical"
         assert used == i_used, f"{mode}: arena consumption must be identical"
-    return results["plan"][0]
+    return results["generated"][0]
 
 
 def raises_both(env, wire, root="test.Everything"):
@@ -77,12 +78,10 @@ def raises_both(env, wire, root="test.Everything"):
         arena = Arena(space, ARENA_BASE, ARENA_SIZE)
         with pytest.raises(WireFormatError) as exc_info:
             deser.deserialize_by_name(root, wire, arena)
-        errors[mode] = (type(exc_info.value).__name__, str(exc_info.value))
-    # The generated tier mirrors the plan tier byte-for-byte, message
-    # text included; the interpretive tier predates both and words some
-    # diagnostics differently, so it is held to type parity only.
-    assert errors["plan"] == errors["generated"], errors
-    assert errors["plan"][0] == errors["interpretive"][0], errors
+        errors[mode] = type(exc_info.value).__name__
+    # The interpretive tier words some diagnostics differently, so the
+    # tiers are held to error-type parity, not message text.
+    assert errors["generated"] == errors["interpretive"], errors
 
 
 class TestAgainstInterpretive:
@@ -164,40 +163,65 @@ class TestAgainstInterpretive:
         assert both_modes(kitchen_env, serialize(msg)) == msg
 
 
+def _decode_once(env, deser):
+    schema, space, universe, adt = env
+    wire = serialize(build_everything(schema["test.Everything"]))
+    deser.deserialize_by_name(
+        "test.Everything", wire, Arena(space, ARENA_BASE, ARENA_SIZE)
+    )
+
+
 class TestPlanCache:
     def test_plans_compiled_once_per_entry(self, kitchen_env):
-        schema, space, universe, adt = kitchen_env
-        deser = ArenaDeserializer(adt)
-        wire = serialize(build_everything(schema["test.Everything"]))
+        # No ``mode=``: the default tier is the generated one.
+        deser = ArenaDeserializer(kitchen_env[3])
+        assert deser.mode == "generated"
         PLAN_METRICS.reset()
         for _ in range(3):
-            deser.deserialize_by_name(
-                "test.Everything", wire, Arena(space, ARENA_BASE, ARENA_SIZE)
-            )
+            _decode_once(kitchen_env, deser)
         # Everything + Leaf compile once; every later (sub)message parse
         # is a cache hit.
-        assert PLAN_METRICS.plans_compiled == 2
-        assert PLAN_METRICS.cache_misses == 2
-        assert PLAN_METRICS.cache_hits > 0
+        assert PLAN_METRICS.gen_compiles == 2
+        assert PLAN_METRICS.gen_cache_hits > 0
 
     def test_plan_cache_lazy_and_shared(self, kitchen_env):
         adt = kitchen_env[3]
         deser = ArenaDeserializer(adt)
-        assert deser._plan_cache is None
-        cache = deser.plans
-        assert isinstance(cache, ArenaPlanCache)
-        assert deser.plans is cache
+        assert deser._gen_cache is None
+        cache = deser.gen_plans
+        assert isinstance(cache, ArenaGenCache)
+        assert deser.gen_plans is cache
 
     def test_interpretive_mode_never_compiles(self, kitchen_env):
-        schema, space, universe, adt = kitchen_env
-        deser = ArenaDeserializer(adt, use_plans=False)
-        wire = serialize(build_everything(schema["test.Everything"]))
+        deser = ArenaDeserializer(kitchen_env[3], mode="interpretive")
         PLAN_METRICS.reset()
-        deser.deserialize_by_name(
-            "test.Everything", wire, Arena(space, ARENA_BASE, ARENA_SIZE)
-        )
-        assert PLAN_METRICS.plans_compiled == 0
-        assert deser._plan_cache is None
+        _decode_once(kitchen_env, deser)
+        assert PLAN_METRICS.gen_compiles == 0
+        assert deser._gen_cache is None
+
+    def test_mode_set_after_construction_is_honoured(self, kitchen_env):
+        """Regression: ``deserialize`` used to consult a flag cached in
+        ``__init__``, so flipping ``mode`` on a live deserializer (what the
+        autotuner's ``decode_mode`` knob does) kept decoding through the
+        compiled tier."""
+        deser = ArenaDeserializer(kitchen_env[3])
+        PLAN_METRICS.reset()
+        _decode_once(kitchen_env, deser)
+        compiled, hits = PLAN_METRICS.gen_compiles, PLAN_METRICS.gen_cache_hits
+        assert compiled == 2
+
+        deser.mode = "interpretive"
+        _decode_once(kitchen_env, deser)
+        assert (PLAN_METRICS.gen_compiles, PLAN_METRICS.gen_cache_hits) == (compiled, hits)
+
+        deser.mode = "generated"
+        _decode_once(kitchen_env, deser)
+        assert PLAN_METRICS.gen_compiles == compiled
+        assert PLAN_METRICS.gen_cache_hits > hits
+
+        deser.mode = "plan"
+        with pytest.raises(ValueError, match="unknown arena decode mode"):
+            _decode_once(kitchen_env, deser)
 
 
 class TestGeneratedCache:

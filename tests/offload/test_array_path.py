@@ -3,7 +3,7 @@
 scalar kind the object read back through the views must equal the
 reference parse — for a single packed run, for packed and unpacked
 occurrences of the same field interleaved, and for a merge-append onto an
-array the object already carries — identically in all three arena tiers,
+array the object already carries — identically in both arena tiers,
 with an identical :class:`DeserializeStats` census."""
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.proto.wire_format import WireType, encode_varint, make_tag
 
 ARENA_BASE = 0x6000_0000
 ARENA_SIZE = 1 << 20
-MODES = ("interpretive", "plan", "generated")
+MODES = ("interpretive", "generated")
 
 _FIELDS = """
   repeated bool f_bool = 1;

@@ -1,4 +1,4 @@
-"""Differential fuzzing across the three codec tiers and both wire modes.
+"""Differential fuzzing across the codec tiers and both wire modes.
 
 The generated codecs (repro.proto.gen_codec) and the branchless
 WIRE_FIXED layout (repro.proto.fixed_wire) are only safe to select per
@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.proto import (
+    DECODE_MODES,
+    ENCODE_MODES,
     DecodeError,
     compile_schema,
     fixed_eligibility,
@@ -28,8 +30,8 @@ from repro.proto import (
 from tests.conftest import build_everything
 from tests.proto.test_codec_roundtrip import everything_strategy
 
-ENCODE_TIERS = ("interpretive", "plan", "generated")
-DECODE_TIERS = ("interpretive", "plan", "generated")
+ENCODE_TIERS = ("interpretive", "generated")
+DECODE_TIERS = ("interpretive", "generated")
 
 # A fixed-layout-eligible message: singular numeric scalars, packed
 # repeated numerics, and singular string/bytes — no submessages, no
@@ -93,7 +95,34 @@ def assert_tiers_agree(cls, msg):
     return reference, parsed["interpretive"]
 
 
+def test_tiers_are_the_whole_vocabulary():
+    assert set(ENCODE_TIERS) == set(ENCODE_MODES)
+    assert set(DECODE_TIERS) == set(DECODE_MODES)
+
+
+def test_plan_mode_is_gone_not_aliased(everything_cls):
+    """``"plan"`` named the deleted closure-table tier: every component
+    that takes a codec mode rejects it like any other unknown string."""
+    from repro.core import create_channel
+    from repro.memory import AddressSpace
+    from repro.offload import ArenaDeserializer, DpuEngine, TypeUniverse
+
+    with pytest.raises(ValueError, match="unknown decode mode"):
+        parse(everything_cls, b"", mode="plan")
+    with pytest.raises(ValueError, match="unknown encode mode"):
+        serialize(everything_cls(), mode="plan")
+    adt = TypeUniverse(AddressSpace("host")).build_adt([everything_cls.DESCRIPTOR])
+    with pytest.raises(ValueError, match="unknown arena decode mode"):
+        ArenaDeserializer(adt, mode="plan")
+    with pytest.raises(ValueError, match="unknown decode mode"):
+        DpuEngine(create_channel(), decode_mode="plan")
+
+
 class TestThreeTierDifferential:
+    """Interpretive oracle vs generated codecs (a third tier, closure-table
+    plans, sat between them until it was deleted; the class keeps its test
+    ids)."""
+
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_random_everything(self, data, everything_cls):

@@ -1,10 +1,16 @@
-"""Compiled decode plans: differential tests against the interpretive
-path, wire-format edge cases, plan-cache behavior, and metrics export.
+"""The generated decoders (``repro.proto.gen_codec``): differential tests
+against the interpretive oracle, wire-format edge cases, codec-cache
+behavior, and metrics export.
 
-The contract under test: for every input, ``parse(cls, wire, mode="plan")``
-and ``parse(cls, wire, mode="interpretive")`` either produce equal
-messages (field-for-field, including preserved ``_unknown`` bytes and the
+The contract under test: for every input,
+``parse(cls, wire, mode="generated")`` and
+``parse(cls, wire, mode="interpretive")`` either produce equal messages
+(field-for-field, including preserved ``_unknown`` bytes and the
 reserialization) or both raise a wire-format error.
+
+(The file, and a few class and test names in it, still say "plan": the
+closure-table plan tier these tests were written against is gone, the
+test ids stay.)
 """
 
 from __future__ import annotations
@@ -15,15 +21,14 @@ from hypothesis import strategies as st
 
 from repro.metrics import MetricsRegistry
 from repro.proto import (
+    DECODE_MODES,
     PLAN_METRICS,
     DecodeError,
     WireFormatError,
     compile_schema,
-    get_decode_mode,
-    get_plan,
+    get_gen_decoder,
     parse,
     serialize,
-    set_decode_mode,
 )
 from repro.proto.deserializer import skip_field
 from repro.proto.wire_format import (
@@ -35,18 +40,18 @@ from repro.proto.wire_format import (
 from tests.conftest import KITCHEN_SINK_PROTO, build_everything
 from tests.proto.test_codec_roundtrip import everything_strategy
 
-MODES = ("plan", "interpretive")
+MODES = ("generated", "interpretive")
 
 
 def parse_both(cls, wire):
-    """Parse in both modes and assert full agreement; returns the plan
-    result."""
+    """Parse in both modes and assert full agreement; returns the
+    generated-tier result."""
     by_mode = {mode: parse(cls, wire, mode=mode) for mode in MODES}
-    plan, interp = by_mode["plan"], by_mode["interpretive"]
-    assert plan == interp
-    assert plan._unknown == interp._unknown
-    assert serialize(plan) == serialize(interp)
-    return plan
+    gen, interp = by_mode["generated"], by_mode["interpretive"]
+    assert gen == interp
+    assert gen._unknown == interp._unknown
+    assert serialize(gen) == serialize(interp)
+    return gen
 
 
 def raises_both(cls, wire, exc=WireFormatError):
@@ -61,29 +66,21 @@ def raises_both(cls, wire, exc=WireFormatError):
 
 
 class TestModeSelection:
-    def test_default_mode_is_plan(self):
-        assert get_decode_mode() == "plan"
-
-    def test_set_mode_returns_previous_and_round_trips(self):
-        prev = set_decode_mode("interpretive")
-        try:
-            assert prev == "plan"
-            assert get_decode_mode() == "interpretive"
-        finally:
-            set_decode_mode(prev)
-        assert get_decode_mode() == "plan"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            set_decode_mode("jit")
-
-    def test_global_mode_honored(self, everything_cls):
+    def test_default_mode_is_generated(self, everything_cls):
+        assert DECODE_MODES == MODES
         wire = serialize(build_everything(everything_cls))
-        prev = set_decode_mode("interpretive")
-        try:
-            assert parse(everything_cls, wire) == build_everything(everything_cls)
-        finally:
-            set_decode_mode(prev)
+        name = everything_cls.DESCRIPTOR.full_name
+        PLAN_METRICS.reset()
+        parse(everything_cls, wire)
+        assert PLAN_METRICS.decodes[name] == 1
+        parse(everything_cls, wire, mode="interpretive")
+        assert PLAN_METRICS.decodes[name] == 1  # the oracle counts nothing
+
+    def test_unknown_mode_rejected(self, everything_cls):
+        # "plan" named the deleted closure-table tier; it is not an alias.
+        for mode in ("jit", "plan"):
+            with pytest.raises(ValueError, match="unknown decode mode"):
+                parse(everything_cls, b"", mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -311,29 +308,31 @@ class TestUnknownFieldBoundaries:
 
 
 # ---------------------------------------------------------------------------
-# Plan cache + metrics
+# Generated-decoder cache + metrics
 # ---------------------------------------------------------------------------
 
 
 class TestPlanCache:
     def test_plan_cached_per_factory(self, kitchen_schema):
         desc = kitchen_schema.pool.message("test.Everything")
-        p1 = get_plan(desc, kitchen_schema.factory)
-        p2 = get_plan(desc, kitchen_schema.factory)
-        assert p1 is p2
+        d1 = get_gen_decoder(desc, kitchen_schema.factory)
+        d2 = get_gen_decoder(desc, kitchen_schema.factory)
+        assert d1 is d2
 
     def test_recursive_type_compiles(self, kitchen_schema, node_cls):
         desc = kitchen_schema.pool.message("test.Node")
-        plan = get_plan(desc, kitchen_schema.factory)
-        # children (field 3) resolves back to the same plan object.
-        tag = make_tag(3, WireType.LENGTH_DELIMITED)
-        assert tag in plan.handlers
+        decoder = get_gen_decoder(desc, kitchen_schema.factory)
+        # children (field 3) resolves back to the same decoder object.
+        assert f"tag == {make_tag(3, WireType.LENGTH_DELIMITED)}:" in decoder.source
+        root = node_cls(key=1)
+        root.children.add().children.add().key = 3
+        assert parse(node_cls, serialize(root), mode="generated") == root
 
     def test_repeated_numeric_registers_both_encodings(self, kitchen_schema):
         desc = kitchen_schema.pool.message("test.Everything")
-        plan = get_plan(desc, kitchen_schema.factory)
-        assert make_tag(18, WireType.VARINT) in plan.handlers
-        assert make_tag(18, WireType.LENGTH_DELIMITED) in plan.handlers
+        source = get_gen_decoder(desc, kitchen_schema.factory).source
+        assert f"tag == {make_tag(18, WireType.VARINT)}:" in source
+        assert f"tag == {make_tag(18, WireType.LENGTH_DELIMITED)}:" in source
 
     def test_cache_miss_then_hits(self):
         schema = compile_schema(
@@ -342,13 +341,13 @@ class TestPlanCache:
         cls = schema["pc.M"]
         wire = serialize(cls(a=1))
         PLAN_METRICS.reset()
-        parse(cls, wire, mode="plan")
-        assert PLAN_METRICS.cache_misses == 1
-        assert PLAN_METRICS.plans_compiled == 1
+        parse(cls, wire, mode="generated")
+        assert PLAN_METRICS.gen_compiles == 1
+        assert PLAN_METRICS.gen_cache_hits == 0
         for _ in range(3):
-            parse(cls, wire, mode="plan")
-        assert PLAN_METRICS.cache_hits == 3
-        assert PLAN_METRICS.plans_compiled == 1
+            parse(cls, wire, mode="generated")
+        assert PLAN_METRICS.gen_cache_hits == 3
+        assert PLAN_METRICS.gen_compiles == 1
         assert PLAN_METRICS.decodes["pc.M"] == 4
 
     def test_metrics_export_to_registry(self):
@@ -359,12 +358,15 @@ class TestPlanCache:
         PLAN_METRICS.reset()
         registry = MetricsRegistry()
         PLAN_METRICS.bind_registry(registry)
-        parse(cls, serialize(cls(a=2)), mode="plan")
-        parse(cls, serialize(cls(a=3)), mode="plan")
-        PLAN_METRICS.export()
-        assert registry.get("decode_plan_cache_misses").samples()[0].value == 1
-        assert registry.get("decode_plan_cache_hits").samples()[0].value == 1
-        assert registry.get("decode_plan_plans_compiled").samples()[0].value == 1
+        try:
+            parse(cls, serialize(cls(a=2)), mode="generated")
+            parse(cls, serialize(cls(a=3)), mode="generated")
+            PLAN_METRICS.export()
+        finally:
+            PLAN_METRICS._gauges = None  # unbind for other tests
+        assert registry.get("decode_plan_gen_compiles").samples()[0].value == 1
+        assert registry.get("decode_plan_gen_cache_hits").samples()[0].value == 1
+        assert registry.get("decode_plan_gen_source_bytes").samples()[0].value > 0
         decodes = {
             s.labels: s.value for s in registry.get("decode_plan_decodes").samples()
         }

@@ -1,10 +1,15 @@
-"""Compiled encode plans: differential parity against the interpretive
-serializer, direct-buffer emission, plan cache and metrics.
+"""The generated encoders (``repro.proto.gen_codec``): differential
+parity against the interpretive serializer, direct-buffer emission, codec
+cache and metrics.
 
-The contract mirrors the decode-plan one: **for every message, the plan
+The contract mirrors the decode one: **for every message, the generated
 and interpretive encoders either produce byte-identical output or both
 raise the same error class.**  Round-trips additionally go through
 ``serialize_into`` and both decode modes.
+
+(The file, and a few class and test names in it, still say "plan": the
+closure-table plan tier these tests were written against is gone, the
+test ids stay.)
 """
 
 from __future__ import annotations
@@ -19,31 +24,29 @@ from repro.proto import (
     ENCODE_PLAN_METRICS,
     EncodeError,
     compile_schema,
-    get_encode_mode,
-    get_encode_plan,
+    get_gen_encoder,
     parse,
     prepare_emit,
     serialize,
     serialize_into,
     serialized_size,
-    set_encode_mode,
 )
-from repro.proto.encode_plan import _BULK_MIN, compile_plan
+from repro.proto.gen_codec import _BULK_MIN
 
 from tests.conftest import build_everything
 from tests.proto.test_codec_roundtrip import everything_strategy
 
-MODES = ("plan", "interpretive")
+MODES = ("generated", "interpretive")
 
 
 def both(msg):
     """Serialize in both modes, assert parity, return the bytes."""
-    plan = serialize(msg, mode="plan")
+    gen = serialize(msg, mode="generated")
     interp = serialize(msg, mode="interpretive")
-    assert plan == interp
-    assert serialized_size(msg, mode="plan") == len(plan)
-    assert serialized_size(msg, mode="interpretive") == len(plan)
-    return plan
+    assert gen == interp
+    assert serialized_size(msg, mode="generated") == len(gen)
+    assert serialized_size(msg, mode="interpretive") == len(gen)
+    return gen
 
 
 # ---------------------------------------------------------------------------
@@ -52,41 +55,39 @@ def both(msg):
 
 
 class TestModeSelection:
-    def test_default_is_plan(self):
-        assert get_encode_mode() == "plan"
-        assert "plan" in ENCODE_MODES and "interpretive" in ENCODE_MODES
-
-    def test_set_mode_round_trip(self, everything_cls):
+    def test_default_is_generated(self, everything_cls):
+        assert ENCODE_MODES == MODES
         msg = build_everything(everything_cls)
-        baseline = serialize(msg, mode="plan")
-        previous = set_encode_mode("interpretive")
-        try:
-            assert previous == "plan"
-            assert get_encode_mode() == "interpretive"
-            assert serialize(msg) == baseline
-        finally:
-            set_encode_mode(previous)
-        assert get_encode_mode() == "plan"
+        name = everything_cls.DESCRIPTOR.full_name
+        ENCODE_PLAN_METRICS.reset()
+        serialize(msg)
+        assert ENCODE_PLAN_METRICS.encodes[name] == 1
+        serialize(msg, mode="interpretive")
+        assert ENCODE_PLAN_METRICS.encodes[name] == 1  # the oracle counts nothing
 
     def test_unknown_mode_rejected(self, everything_cls):
-        with pytest.raises(ValueError):
-            set_encode_mode("jit")
-        with pytest.raises(ValueError):
-            serialize(everything_cls(), mode="jit")
-        with pytest.raises(ValueError):
-            serialize_into(everything_cls(), bytearray(8), mode="jit")
+        # "plan" named the deleted closure-table tier; it is not an alias.
+        for mode in ("jit", "plan"):
+            with pytest.raises(ValueError, match="unknown encode mode"):
+                serialize(everything_cls(), mode=mode)
+            with pytest.raises(ValueError, match="unknown encode mode"):
+                serialize_into(everything_cls(), bytearray(8), mode=mode)
+            with pytest.raises(ValueError, match="unknown encode mode"):
+                prepare_emit(everything_cls(), mode=mode)
 
     def test_protocol_config_knob(self):
+        # The knob is gone: the tier is chosen by the mode argument of the
+        # component that codes, not by a ProtocolConfig field nothing read.
         from repro.core import ProtocolConfig
 
-        assert ProtocolConfig().encode_mode == "plan"
-        assert ProtocolConfig(encode_mode="interpretive").encode_mode == "interpretive"
-        with pytest.raises(ValueError):
-            ProtocolConfig(encode_mode="jit")
+        for knob in ("encode_mode", "decode_mode"):
+            assert not hasattr(ProtocolConfig(), knob)
+            with pytest.raises(TypeError):
+                ProtocolConfig(**{knob: "interpretive"})
 
 
 # ---------------------------------------------------------------------------
-# Differential parity (plan vs interpretive)
+# Differential parity (generated vs interpretive)
 # ---------------------------------------------------------------------------
 
 
@@ -311,7 +312,7 @@ class TestSerializeInto:
 
 
 # ---------------------------------------------------------------------------
-# Plan cache & metrics
+# Generated-encoder cache & metrics
 # ---------------------------------------------------------------------------
 
 
@@ -322,12 +323,13 @@ class TestPlanCache:
         )
         A = schema["c1.A"]
         ENCODE_PLAN_METRICS.reset()
-        p1 = get_encode_plan(A.DESCRIPTOR, schema.factory)
-        assert ENCODE_PLAN_METRICS.cache_misses == 1
-        assert ENCODE_PLAN_METRICS.plans_compiled == 1
-        p2 = get_encode_plan(A.DESCRIPTOR, schema.factory)
-        assert p1 is p2
-        assert ENCODE_PLAN_METRICS.cache_hits == 1
+        e1 = get_gen_encoder(A.DESCRIPTOR, schema.factory)
+        assert ENCODE_PLAN_METRICS.gen_compiles == 1
+        assert ENCODE_PLAN_METRICS.gen_cache_hits == 0
+        e2 = get_gen_encoder(A.DESCRIPTOR, schema.factory)
+        assert e1 is e2
+        assert ENCODE_PLAN_METRICS.gen_compiles == 1
+        assert ENCODE_PLAN_METRICS.gen_cache_hits == 1
 
     def test_children_compiled_once(self):
         schema = compile_schema(
@@ -340,41 +342,32 @@ class TestPlanCache:
         )
         Root = schema["c2.Root"]
         ENCODE_PLAN_METRICS.reset()
-        get_encode_plan(Root.DESCRIPTOR, schema.factory)
+        get_gen_encoder(Root.DESCRIPTOR, schema.factory)
         # Root + Leaf, with Leaf compiled once despite three references.
-        assert ENCODE_PLAN_METRICS.plans_compiled == 2
+        assert ENCODE_PLAN_METRICS.gen_compiles == 2
 
     def test_recursive_type_compiles(self):
         schema = compile_schema(
             'syntax = "proto3"; package c3; message N { N next = 1; uint32 v = 2; }'
         )
         N = schema["c3.N"]
-        plan = get_encode_plan(N.DESCRIPTOR, schema.factory)
+        encoder = get_gen_encoder(N.DESCRIPTOR, schema.factory)
         m = N(v=1)
         m.next.v = 2
         m.next.next.v = 3
-        assert plan.serialize(m) == serialize(m, mode="interpretive")
-
-    def test_compile_plan_standalone_cache(self, everything_cls):
-        cache: dict = {}
-        plan = compile_plan(
-            everything_cls.DESCRIPTOR, everything_cls._FACTORY, cache
-        )
-        assert cache[everything_cls.DESCRIPTOR.full_name] is plan
-        msg = build_everything(everything_cls)
-        assert plan.serialize(msg) == serialize(msg, mode="interpretive")
+        assert encoder.serialize(m) == serialize(m, mode="interpretive")
 
     def test_encode_counters(self, everything_cls):
         msg = build_everything(everything_cls)
         wire = serialize(msg, mode="interpretive")
         ENCODE_PLAN_METRICS.reset()
-        serialize(msg, mode="plan")
+        serialize(msg, mode="generated")
         name = everything_cls.DESCRIPTOR.full_name
         assert ENCODE_PLAN_METRICS.encodes[name] == 1
         assert ENCODE_PLAN_METRICS.bytes_emitted == len(wire)
         assert ENCODE_PLAN_METRICS.copies_avoided == 0  # fresh bytes, no copy avoided
         buf = bytearray(len(wire))
-        serialize_into(msg, buf, mode="plan")
+        serialize_into(msg, buf, mode="generated")
         assert ENCODE_PLAN_METRICS.copies_avoided == 1
         assert ENCODE_PLAN_METRICS.bytes_emitted == 2 * len(wire)
 
@@ -382,10 +375,10 @@ class TestPlanCache:
         registry = MetricsRegistry()
         ENCODE_PLAN_METRICS.reset()
         ENCODE_PLAN_METRICS.bind_registry(registry)
-        serialize(build_everything(everything_cls), mode="plan")
+        serialize(build_everything(everything_cls), mode="generated")
         ENCODE_PLAN_METRICS.export()
         exposed = registry.expose()
-        assert "encode_plan_cache_hits" in exposed
+        assert "encode_plan_gen_cache_hits" in exposed
         assert "encode_plan_bytes_emitted" in exposed
         assert "encode_plan_copies_avoided" in exposed
         assert "encode_plan_encodes" in exposed

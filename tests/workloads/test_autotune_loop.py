@@ -118,3 +118,35 @@ class TestDisabledTwin:
             TuneConfig(window_ticks=50, enabled=False, initial=BAD_START),
         )
         assert good.steady_goodput() > bad.steady_goodput()
+
+
+class TestCodecKnobs:
+    def test_decode_mode_knob_reaches_the_deserializer(self):
+        """Regression: the knob's ``apply`` assigns ``deserializer.mode``
+        on a live stack; the arena deserializer used to dispatch on a flag
+        cached at construction, so the knob never left the compiled
+        tier."""
+        from repro.proto import PLAN_METRICS, serialize
+        from repro.workloads.openloop import _build_stack, default_knobs
+
+        stack = _build_stack(short_config())
+        knobs = {k.name: k for k in default_knobs(stack, {})}
+        knob = knobs["decode_mode"]
+        assert knob.values == ["interpretive", "generated"]
+        assert knobs["encode_mode"].values == knob.values
+        assert knob.value == stack.dpu.deserializer.mode == "generated"
+
+        method_id = next(iter(stack.dpu.method_table))
+        wire = serialize(stack.Work(x=7))
+
+        def gen_traffic_of_one_call():
+            before = PLAN_METRICS.gen_compiles + PLAN_METRICS.gen_cache_hits
+            stack.dpu.call(method_id, wire, lambda view, flags: None)
+            return PLAN_METRICS.gen_compiles + PLAN_METRICS.gen_cache_hits - before
+
+        assert gen_traffic_of_one_call() > 0
+        knob.set_index(knob.values.index("interpretive"))
+        assert stack.dpu.deserializer.mode == "interpretive"
+        assert gen_traffic_of_one_call() == 0
+        knob.set_index(knob.values.index("generated"))
+        assert gen_traffic_of_one_call() > 0

@@ -1,7 +1,8 @@
 """The zero-copy send path (PR 3 acceptance criterion).
 
-In plan mode, the xRPC request and response payloads are emitted by the
-compiled encode plan *directly into the outgoing frame buffer* — there is
+In generated mode (the default), the xRPC request and response payloads
+are emitted by the generated encoder *directly into the outgoing frame
+buffer* — there is
 no intermediate full-payload ``bytes`` object between ``serialize()`` and
 ``socket.send()``.  ``ENCODE_PLAN_METRICS.copies_avoided`` counts exactly
 those direct emissions, so a unary round trip must score 2 (request into
@@ -57,8 +58,8 @@ def test_offloaded_path_emits_into_frames(schema):
     ENCODE_PLAN_METRICS.reset()
     reply = channel.call_sync("/calc.Calc/Add", BinOp(a=8, b=9), Value)
     assert reply.v == 17
-    # The client request is plan-emitted into its frame; the host response
-    # is plan-emitted straight into the registered RDMA block via
+    # The client request is emitted into its frame; the host response is
+    # emitted straight into the registered RDMA block via
     # emit_writer (the DPU then reframes the block view with one copy).
     assert ENCODE_PLAN_METRICS.copies_avoided == 2
 

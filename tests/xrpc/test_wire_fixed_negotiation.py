@@ -164,7 +164,7 @@ class TestOffloadedNegotiation:
         finally:
             rdma.close()
 
-    @pytest.mark.parametrize("decode_mode", ["interpretive", "plan", "generated"])
+    @pytest.mark.parametrize("decode_mode", ["interpretive", "generated"])
     def test_every_decode_mode_serves_fixed(self, schema, decode_mode):
         channel, front, host, dpu, rdma = offloaded_deployment(
             schema, decode_mode=decode_mode
