@@ -341,7 +341,7 @@ class FixedLayout:
                     values = struct.unpack_from(f"<{v}{slot.fmt}", buf, pos)
                     if spec.kind is FieldType.BOOL:
                         values = [b != 0 for b in values]
-                    getattr(msg, spec.name).extend(values)
+                    list.extend(getattr(msg, spec.name), values)  # types exact
                 pos = npos
         if pos != end:
             raise FixedWireError(

@@ -54,6 +54,7 @@ lives in :mod:`repro.offload.arena_gen`.  See ``docs/DECODER.md``.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +104,9 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 #: Packed runs shorter than this encode through the scalar loop — below it
 #: the NumPy array round-trip costs more than it saves.  Both paths are
 #: byte-identical; the threshold is purely a performance crossover.
+#: Re-measured with the four-step kernel: bulk costs ~13 us flat to n = 32,
+#: the loop ~0.3 us per 1-5 byte value and ~1 us per ten-byte (negative)
+#: one: they cross at n = 14 and n = 45; 16 errs by < 10 us either way.
 _BULK_MIN = 16
 
 # Fixed-width kinds: the struct that packs/unpacks one element, and the
@@ -748,7 +752,10 @@ def _bulk_raw(t: FieldType, vals) -> np.ndarray:
     field values → ``uint64`` raw varint values, bit-for-bit equal to the
     scalar conversion."""
     if t in (FieldType.UINT32, FieldType.UINT64, FieldType.BOOL):
-        return np.asarray(vals, dtype=np.uint64)
+        # Half the cost of ``np.asarray`` (6.6 vs 14.2 us at n = 512) given
+        # an exact ``list``; the signed and float typecodes are no faster
+        # than NumPy (12-13 us), so those kinds stay on ``np.asarray``.
+        return np.frombuffer(array("Q", list(vals)), np.uint64)
     a = np.asarray(vals, dtype=np.int64)
     if t is FieldType.SINT32:
         # zigzag32: results fit in 32 bits, so int64 arithmetic is exact.

@@ -11,12 +11,28 @@ offloaded path in :mod:`repro.offload` produces byte-accurate C++-layout
 objects instead; :func:`repro.offload.materialize.read_message` converts
 those back to this representation so tests can compare the two paths for
 equality.
+
+Repeated fields are plain lists that validate what enters them.  The bulk
+entry points — ``extend``, ``+=``, slice assignment, and through them
+``Message(field=[...])`` and ``msg.field = [...]`` — are **atomic** (the
+span is validated before any of it is stored; a rejected call leaves the
+field as it was) and check a scalar span as a whole: **exact types**
+(``int`` alone for integer kinds and enums, which keeps ``bool`` out) in
+one C-level pass, **integer range** by building one ``array`` of the
+kind's width.  Any other input (an ``IntEnum``, a ``bytearray``, a mixed
+or out-of-range list) is walked element by element through
+:func:`_coerce_scalar`, which accepts what it always accepted and raises
+:class:`FieldValueError` naming the first offender (``docs/DECODER.md``
+§7, "Arrays stay arrays: the encode side").
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Any, Iterator
+
+import numpy as np
 
 from .descriptor import (
     DescriptorPool,
@@ -32,18 +48,38 @@ class FieldValueError(TypeError):
     """Raised when a value does not fit the declared field type."""
 
 
-_INT_RANGES = {
-    FieldType.INT32: (-(1 << 31), (1 << 31) - 1),
-    FieldType.SINT32: (-(1 << 31), (1 << 31) - 1),
-    FieldType.SFIXED32: (-(1 << 31), (1 << 31) - 1),
-    FieldType.UINT32: (0, (1 << 32) - 1),
-    FieldType.FIXED32: (0, (1 << 32) - 1),
-    FieldType.INT64: (-(1 << 63), (1 << 63) - 1),
-    FieldType.SINT64: (-(1 << 63), (1 << 63) - 1),
-    FieldType.SFIXED64: (-(1 << 63), (1 << 63) - 1),
-    FieldType.UINT64: (0, (1 << 64) - 1),
-    FieldType.FIXED64: (0, (1 << 64) - 1),
-    FieldType.ENUM: (-(1 << 31), (1 << 31) - 1),
+#: integer kind → the ``array`` typecode with exactly the kind's range (C
+#: ``int`` is 32 bits, ``long long`` 64, wherever CPython runs).
+_INT_TYPECODES = {
+    FieldType.INT32: "i",
+    FieldType.SINT32: "i",
+    FieldType.SFIXED32: "i",
+    FieldType.ENUM: "i",
+    FieldType.UINT32: "I",
+    FieldType.FIXED32: "I",
+    FieldType.INT64: "q",
+    FieldType.SINT64: "q",
+    FieldType.SFIXED64: "q",
+    FieldType.UINT64: "Q",
+    FieldType.FIXED64: "Q",
+}
+_TYPECODE_RANGES = {
+    "i": (-(1 << 31), (1 << 31) - 1),
+    "I": (0, (1 << 32) - 1),
+    "q": (-(1 << 63), (1 << 63) - 1),
+    "Q": (0, (1 << 64) - 1),
+}
+_INT_RANGES = {t: _TYPECODE_RANGES[code] for t, code in _INT_TYPECODES.items()}
+
+#: scalar kind → (element types a span may consist of to be taken whole,
+#: typecode that range-checks / coerces it — None where the type decides).
+_SPAN_CHECKS: dict[FieldType, tuple[frozenset, str | None]] = {
+    **{t: (frozenset({int}), code) for t, code in _INT_TYPECODES.items()},
+    FieldType.FLOAT: (frozenset({int, float}), "d"),
+    FieldType.DOUBLE: (frozenset({int, float}), "d"),
+    FieldType.BOOL: (frozenset({bool}), None),
+    FieldType.STRING: (frozenset({str}), None),
+    FieldType.BYTES: (frozenset({bytes}), None),
 }
 
 
@@ -104,15 +140,39 @@ class _RepeatedField(list):
     def append(self, value: Any) -> None:  # noqa: D102
         super().append(self._check(value))
 
+    def _check_span(self, values) -> list:
+        """``values`` validated and coerced as a whole — nothing is stored
+        here, so a raise leaves the field untouched."""
+        if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+            values = values.tolist()
+        elif type(values) is not list:
+            # walked once; ``array()`` is C-fast on an exact list only
+            values = list(values)
+        types, typecode = _SPAN_CHECKS.get(self._fd.type, (None, None))
+        if types is not None and set(map(type, values)) <= types:
+            if typecode is None:
+                return values
+            try:
+                typed = array(typecode, values)
+            except OverflowError:
+                pass  # the per-element walk names the offender
+            else:
+                return typed.tolist() if typecode == "d" else values
+        return [self._check(v) for v in values]
+
     def extend(self, values) -> None:  # noqa: D102
-        super().extend(self._check(v) for v in values)
+        super().extend(self._check_span(values))
+
+    def __iadd__(self, values):  # noqa: D105
+        self.extend(values)
+        return self
 
     def insert(self, index: int, value: Any) -> None:  # noqa: D102
         super().insert(index, self._check(value))
 
     def __setitem__(self, index, value):  # noqa: D105
         if isinstance(index, slice):
-            value = [self._check(v) for v in value]
+            value = self._check_span(value)
         else:
             value = self._check(value)
         super().__setitem__(index, value)

@@ -283,39 +283,47 @@ def encode_packed_varints(values: Iterable[int]) -> bytes:
     return bytes(out)
 
 
+#: ``_VARINT_THRESHOLDS[k-1] = 2**(7k)``: a value needs one more byte for
+#: every threshold it reaches.  ``_VARINT_SHIFTS[k] = 7k``.
+_VARINT_THRESHOLDS = np.array(
+    [1 << (7 * k) for k in range(1, MAX_VARINT_LEN)], dtype=np.uint64
+)
+_VARINT_SHIFTS = np.arange(MAX_VARINT_LEN, dtype=np.uint64) * np.uint64(7)
+_VARINT_COLUMNS = np.arange(MAX_VARINT_LEN)
+
+
 def encode_packed_varints_bulk(values: np.ndarray) -> bytes:
     """Encode a ``uint64`` NumPy array as a packed varint run.
 
-    The vectorized mirror of :func:`decode_packed_varints`: per-value
-    encoded lengths come from threshold comparisons against the base-128
-    digit boundaries, then every value's base-128 digits are laid out as
-    one ``(n, max_len)`` matrix (digit ``k`` is ``(v >> 7k) & 0x7F``, with
-    the continuation bit on every digit but the value's last) and the
-    ragged varints are compacted with a single row-major boolean index —
-    no per-byte-position Python loop.  Output is byte-identical to
-    repeated :func:`append_varint` — varints are always emitted in
-    canonical (minimal-length) form.
+    The vectorized mirror of :func:`decode_packed_varints`, in four steps:
+
+    1. *lengths* — one ``searchsorted`` against the nine base-128 digit
+       boundaries gives each value's index of its last digit;
+    2. *digits* — one broadcast shift lays every value's digits out as an
+       ``(n, max_len)`` matrix, cast straight to ``uint8`` (the cast keeps
+       the low 8 bits; bit 7 is overwritten next, so no ``& 0x7F``);
+    3. *continuation bits* — set on the whole matrix, then cleared on each
+       row's last digit (one cell per row);
+    4. *compaction* — a single row-major boolean index drops the cells past
+       each value's last digit, which concatenates the ragged varints.
+
+    Output is byte-identical to repeated :func:`append_varint` — varints
+    are always emitted in canonical (minimal-length) form.
     """
     values = np.ascontiguousarray(values, dtype=np.uint64)
     n = values.size
     if n == 0:
         return b""
-    lengths = np.ones(n, dtype=np.int64)
-    for k in range(1, MAX_VARINT_LEN):
-        lengths += values >= np.uint64(1 << (7 * k))
-    max_len = int(lengths.max())
-    if max_len == 1:
+    last = np.searchsorted(_VARINT_THRESHOLDS, values, side="right")
+    width = int(last.max()) + 1
+    if width == 1:
         return values.astype(np.uint8).tobytes()
-    k = np.arange(max_len, dtype=np.uint64)
-    digits = ((values[:, None] >> (np.uint64(7) * k)) & np.uint64(0x7F)).astype(
-        np.uint8
-    )
-    keep = k[None, :].astype(np.int64) < lengths[:, None]
-    continued = k[None, :].astype(np.int64) < (lengths[:, None] - 1)
-    digits[continued] |= 0x80
+    digits = (values[:, None] >> _VARINT_SHIFTS[:width]).astype(np.uint8)
+    digits |= 0x80
+    digits.ravel()[np.arange(0, n * width, width) + last] &= 0x7F
     # Row-major boolean selection preserves per-value digit order, so the
     # kept digits concatenate into the packed run directly.
-    return digits[keep].tobytes()
+    return digits[_VARINT_COLUMNS[:width] <= last[:, None]].tobytes()
 
 
 def decode_packed_varints(data, count_hint: int | None = None) -> np.ndarray:

@@ -146,6 +146,21 @@ class TestReadMessage:
         out = read_message(universe, schema.factory, "mv.M", addr)
         assert out == msg
 
+    def test_scalar_span_is_not_rechecked_per_element(self, built, monkeypatch):
+        """The view's span enters the Message through ``extend``'s span
+        rule; ``_coerce_scalar`` sees singular fields only."""
+        from repro.proto import message as message_mod
+
+        seen = []
+        real = message_mod._coerce_scalar
+        monkeypatch.setattr(
+            message_mod, "_coerce_scalar", lambda fd, v: seen.append(fd.name) or real(fd, v)
+        )
+        schema, _, universe, _, addr, msg = built
+        out = read_message(universe, schema.factory, "mv.M", addr)
+        assert out == msg and out.xs == [-1, 5]
+        assert "xs" not in seen
+
     def test_empty_object(self, built):
         schema, space, universe, layout, _, _ = built
         deser = ArenaDeserializer(universe.build_adt([schema.pool.message("mv.M")]))

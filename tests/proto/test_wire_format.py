@@ -15,6 +15,7 @@ from repro.proto.wire_format import (
     decode_packed_varints,
     decode_zigzag,
     encode_packed_varints,
+    encode_packed_varints_bulk,
     encode_varint,
     encode_zigzag,
     make_tag,
@@ -226,3 +227,51 @@ class TestPackedVarints:
         assert decode_packed_varints(prefix + ten + b"\x01")[-1] == (1 << 64) - 1
         for bad in (b"\x96", b"\x80" * 10 + b"\x01", ten + b"\x02"):
             assert isinstance(self._scalar(prefix + bad), WireFormatError)
+
+
+_LENGTH_CLASS_EDGES = (
+    [0, 1]
+    + [(1 << (7 * k)) - 1 for k in range(1, 10)]
+    + [1 << (7 * k) for k in range(1, 10)]
+    + [1 << 63, (1 << 64) - 1]
+)
+
+
+class TestPackedVarintEncodeKernel:
+    """``encode_packed_varints_bulk`` against repeated ``append_varint``
+    (``encode_packed_varints`` is that loop)."""
+
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 4097])
+    def test_every_length_class_at_every_size(self, n):
+        values = [_LENGTH_CLASS_EDGES[i % len(_LENGTH_CLASS_EDGES)] for i in range(n)]
+        out = encode_packed_varints_bulk(np.array(values, dtype=np.uint64))
+        assert out == encode_packed_varints(values)
+
+    @pytest.mark.parametrize("edge", _LENGTH_CLASS_EDGES)
+    def test_run_of_one_length_class(self, edge):
+        for values in ([edge], [edge] * 3, [0, edge], [edge, 0]):
+            out = encode_packed_varints_bulk(np.array(values, dtype=np.uint64))
+            assert out == encode_packed_varints(values)
+
+    @given(st.lists(st.one_of(U64, st.sampled_from(_LENGTH_CLASS_EDGES)), max_size=300))
+    def test_matches_scalar_loop(self, values):
+        out = encode_packed_varints_bulk(np.array(values, dtype=np.uint64))
+        assert out == encode_packed_varints(values)
+        assert decode_packed_varints(out).tolist() == values
+
+    @given(st.lists(st.integers(0, 127), min_size=1, max_size=64))
+    def test_all_single_byte_run_is_the_values(self, values):
+        assert encode_packed_varints_bulk(np.array(values, dtype=np.uint64)) == bytes(values)
+
+    def test_non_contiguous_and_non_uint64_inputs(self):
+        base = np.array([0, 300, 1 << 40, 127, 128, (1 << 64) - 1], dtype=np.uint64)
+        assert encode_packed_varints_bulk(base[::2]) == encode_packed_varints(
+            base[::2].tolist()
+        )
+        small = np.array([1, 200, 65535], dtype=np.uint16)
+        assert encode_packed_varints_bulk(small) == encode_packed_varints(small.tolist())
+        # Negative int64 is its 64-bit two's complement: ten bytes each.
+        neg = np.array([-1, -(1 << 63), 5], dtype=np.int64)
+        assert encode_packed_varints_bulk(neg) == encode_packed_varints(
+            [v & ((1 << 64) - 1) for v in neg.tolist()]
+        )
