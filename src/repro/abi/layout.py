@@ -144,6 +144,14 @@ class MessageLayout:
         self._slots = slots
         self._by_name = {s.field.name: s for s in slots}
         self._by_number = {s.field.number: s for s in slots}
+        #: singular scalar members, name -> (offset, unpack_from): a host
+        #: read of one is a load at a fixed offset of an object whose
+        #: bounds were checked when the view was built
+        self.scalar_loads = {
+            s.field.name: (s.offset, member_primitive(s.field).codec.unpack_from)
+            for s in slots
+            if s.kind == "scalar"
+        }
 
     def _member_size_align(self, fd: FieldDescriptor) -> tuple[int, int]:
         if fd.is_repeated:

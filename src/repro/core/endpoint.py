@@ -69,9 +69,10 @@ from .wire import (
     BlockReader,
     BlockWriter,
     Flags,
-    Preamble,
     bucket_to_offset,
     offset_to_bucket,
+    patch_ack_blocks,
+    patch_sequence,
 )
 
 __all__ = [
@@ -407,10 +408,7 @@ class _EndpointBase:
         # funnels through here.  Like the ack counter, the sequence lives
         # outside the body checksum, so the sealed CRC stays valid.
         self._tx_seq += 1
-        p = Preamble.read(self.space, out.sbuf_addr)
-        Preamble(
-            p.message_count, p.ack_blocks, p.block_length, p.checksum, self._tx_seq
-        ).pack_into(self.space, out.sbuf_addr)
+        patch_sequence(self.sbuf.buf, offset, self._tx_seq)
         wr_id = next(self._wr_ids)
         self.qp.post_send(
             WorkRequest(
@@ -468,26 +466,45 @@ class _EndpointBase:
     def _on_send_complete(self, wc) -> None:
         """Hook for send completions (no-op by default)."""
 
-    def _accept_block_sequence(self, base: int) -> bool:
-        """Sequence-check a just-delivered block.  Returns False for a
-        duplicate delivery (drop it — the first delivery already did all
-        the accounting); raises :class:`TransportError` on a gap, because
-        a missing block means the mirrored ID pools can never re-align
+    def _open_received(self, bucket: int) -> BlockReader | None:
+        """Open the block just delivered at ``bucket`` of our RBuf — the
+        region is ours, so the reader works on it directly and the
+        preamble is read once.  Returns None for a duplicate delivery
+        (drop it — the first delivery already did all the accounting);
+        raises :class:`TransportError` on a sequence gap, because a
+        missing block means the mirrored ID pools can never re-align
         without a connection reset.  Sequence 0 (hand-built test blocks)
         bypasses the check."""
-        seq = Preamble.read(self.space, base).sequence
-        if seq == 0:
-            return True
-        if seq <= self._rx_seq:
-            self.duplicate_blocks += 1
-            return False
-        if seq != self._rx_seq + 1:
-            raise TransportError(
-                self.name,
-                f"block sequence gap: expected {self._rx_seq + 1}, got {seq}",
-            )
-        self._rx_seq = seq
-        return True
+        rbuf = self.rbuf
+        base = rbuf.base + bucket_to_offset(bucket, self.config.block_alignment)
+        reader = BlockReader(rbuf, base, rbuf.base + rbuf.size - base)
+        seq = reader.preamble.sequence
+        if seq:
+            if seq <= self._rx_seq:
+                self.duplicate_blocks += 1
+                return None
+            if seq != self._rx_seq + 1:
+                raise TransportError(
+                    self.name,
+                    f"block sequence gap: expected {self._rx_seq + 1}, got {seq}",
+                )
+            self._rx_seq = seq
+        if self.config.verify_checksums:
+            reader.verify_checksum()
+        self.stats.blocks_received += 1
+        self.stats.bytes_received += reader.preamble.block_length
+        return reader
+
+    def _abort_message(self) -> None:
+        """The open block's in-progress message will not be committed
+        (its payload writer failed).  A block holding nothing else is
+        given back rather than sealed empty later: an empty block would
+        take a credit no response can ever return."""
+        writer = self._writer
+        writer.abort_message()
+        if not writer.message_count:
+            self._free_block(self._writer_addr)
+            self._writer = None
 
 
 class ClientEndpoint(_EndpointBase):
@@ -499,7 +516,6 @@ class ClientEndpoint(_EndpointBase):
         super().__init__(*args, **kwargs)
         self._writer: BlockWriter | None = None
         self._writer_addr = 0
-        self._writer_capacity = 0
         self._writer_continuations: list[Continuation] = []
         # Trace contexts of the open block's messages, parallel to
         # _writer_continuations; only populated while tracing is attached.
@@ -666,10 +682,16 @@ class ClientEndpoint(_EndpointBase):
         if self._writer is None:
             self._open_block(max_payload)
         _, payload_addr = self._writer.begin_message(max_payload)
-        actual = writer(self.space, payload_addr)
-        if actual > max_payload:
-            self._writer.abort_message()
-            raise ProtocolError(f"writer produced {actual} > reserved {max_payload}")
+        try:
+            actual = writer(self.space, payload_addr)
+            if actual > max_payload:
+                raise ProtocolError(f"writer produced {actual} > reserved {max_payload}")
+        except BaseException:
+            # Whatever the writer raised (a malformed payload fails in the
+            # arena decoder), the block must stay usable for the next
+            # request on this connection.
+            self._abort_message()
+            raise
         self._writer.commit_message(actual, method_id, flags)
         self._writer_continuations.append(continuation)
         if self.trace is not None:
@@ -684,9 +706,8 @@ class ClientEndpoint(_EndpointBase):
     def _open_block(self, first_payload: int) -> None:
         capacity = self._block_capacity(first_payload)
         addr = self._alloc_block(capacity)
-        self._writer = BlockWriter(self.space, addr, capacity)
+        self._writer = BlockWriter(self.sbuf, addr, capacity)
         self._writer_addr = addr
-        self._writer_capacity = capacity
 
     def _seal_current(self) -> None:
         """Seal the open block and queue it for transmission.  The ack
@@ -733,11 +754,8 @@ class ClientEndpoint(_EndpointBase):
         # Patch the preamble with the real ack count (the block still
         # lives in our SBuf; the fabric snapshots it at post time).  The
         # body checksum computed at seal time stays valid — it excludes
-        # the preamble — so carry it over.
-        crc = Preamble.read(self.space, out.sbuf_addr).checksum
-        Preamble(out.message_count, ack_blocks, out.length, crc).pack_into(
-            self.space, out.sbuf_addr
-        )
+        # the preamble.
+        patch_ack_blocks(self.sbuf.buf, out.sbuf_addr - self.sbuf.base, ack_blocks)
         seq = next(self._block_seq)
         self._blocks[seq] = [out.sbuf_addr, len(ids), list(ids)]
         deadline = self.config.request_deadline_ticks
@@ -775,11 +793,8 @@ class ClientEndpoint(_EndpointBase):
             addr = self._alloc_block(self.config.block_alignment)
         except AllocationError:
             return  # SBuf exhausted; retry next pass
-        writer = BlockWriter(self.space, addr, self.config.block_alignment)
-        length = writer.seal(ack_blocks=0)
-        ack_blocks = self._flush_pending_acks()
-        crc = Preamble.read(self.space, addr).checksum
-        Preamble(0, ack_blocks, length, crc).pack_into(self.space, addr)
+        writer = BlockWriter(self.sbuf, addr, self.config.block_alignment)
+        length = writer.seal(ack_blocks=self._flush_pending_acks())
         wr_id = self._transmit(_OutBlock(addr, length, bucket=0))
         self._ackonly_in_flight[wr_id] = addr
 
@@ -867,19 +882,12 @@ class ClientEndpoint(_EndpointBase):
                 self._seal_current()
 
     def _process_response_block(self, bucket: int, byte_len: int) -> int:
-        base = self.rbuf.base + bucket_to_offset(bucket, self.config.block_alignment)
-        if not self._accept_block_sequence(base):
+        reader = self._open_received(bucket)
+        if reader is None:
             return 0
-        reader = BlockReader(
-            self.space, base, self.rbuf.base + self.rbuf.size - base,
-            verify_checksum=self.config.verify_checksums,
-        )
-        self.stats.blocks_received += 1
-        self.stats.bytes_received += reader.preamble.block_length
         answered: list[int] = []
         count = 0
-        for msg in reader.messages():
-            rid = msg.header.method_or_id
+        for rid, flags, payload_addr, payload_size in reader.records():
             try:
                 cont, seq = self._pending.pop(rid)
             except KeyError:
@@ -889,7 +897,7 @@ class ClientEndpoint(_EndpointBase):
                 if ctx is not None:
                     self.trace.event(
                         ctx, "response_deliver", rid=rid,
-                        flags=msg.header.flags, bytes=msg.payload_size,
+                        flags=flags, bytes=payload_size,
                         late=rid in self._tombstones,
                     )
             if rid in self._tombstones:
@@ -899,10 +907,9 @@ class ClientEndpoint(_EndpointBase):
                 self._tombstones.discard(rid)
                 self.late_responses += 1
             elif isinstance(cont, AddressContinuation):
-                cont.fn(msg.payload_addr, msg.payload_size, msg.header.flags)
+                cont.fn(payload_addr, payload_size, flags)
             else:
-                view = self.space.view(msg.payload_addr, msg.payload_size)
-                cont(view, msg.header.flags)
+                cont(self.rbuf.view(payload_addr, payload_size), flags)
             answered.append(rid)
             self.stats.responses_received += 1
             count += 1
@@ -1090,15 +1097,9 @@ class ServerEndpoint(_EndpointBase):
         return handled
 
     def _process_request_block(self, bucket: int) -> int:
-        base = self.rbuf.base + bucket_to_offset(bucket, self.config.block_alignment)
-        if not self._accept_block_sequence(base):
+        reader = self._open_received(bucket)
+        if reader is None:
             return 0
-        reader = BlockReader(
-            self.space, base, self.rbuf.base + self.rbuf.size - base,
-            verify_checksum=self.config.verify_checksums,
-        )
-        self.stats.blocks_received += 1
-        self.stats.bytes_received += reader.preamble.block_length
 
         # Replay the client's two-step ID bookkeeping (§IV-D).
         acked = reader.preamble.ack_blocks
@@ -1114,20 +1115,17 @@ class ServerEndpoint(_EndpointBase):
             self._free_block(sbuf_addr)
             self.credits.replenish(1)
 
-        messages = reader.messages()
+        messages = reader.records()
         ids = self.id_pool.allocate_many(len(messages))
 
         count = 0
-        for rid, msg in zip(ids, messages):
-            payload_addr = msg.payload_addr
-            payload_size = msg.payload_size
-            flags = msg.header.flags
+        for rid, (method_id, flags, payload_addr, payload_size) in zip(ids, messages):
             word = 0
             if flags & Flags.TRACE_CTX:
                 # Strip the explicit trace-context word unconditionally —
                 # the client opted into it, and the handler must see the
                 # undecorated payload even when this side isn't tracing.
-                word = self.space.read_u64(payload_addr)
+                word = self.rbuf.read_u64(payload_addr)
                 payload_addr += 8
                 payload_size -= 8
                 flags &= ~Flags.TRACE_CTX
@@ -1135,7 +1133,7 @@ class ServerEndpoint(_EndpointBase):
             if flags & Flags.DEADLINE:
                 # Same contract for the deadline word (docs/OVERLOAD.md):
                 # stripped unconditionally, decoded into the request.
-                deadline_us, lane = unpack_deadline(self.space.read_u64(payload_addr))
+                deadline_us, lane = unpack_deadline(self.rbuf.read_u64(payload_addr))
                 payload_addr += 8
                 payload_size -= 8
                 flags &= ~Flags.DEADLINE
@@ -1151,12 +1149,12 @@ class ServerEndpoint(_EndpointBase):
                 ctx = self.trace.context()
                 ctx.tid = tid
                 self.trace.event(ctx, "deliver", rid=rid,
-                                 method=msg.header.method_or_id,
+                                 method=method_id,
                                  bytes=payload_size)
                 self._trace_by_rid[rid] = ctx
             request = IncomingRequest(
                 space=self.space,
-                method_id=msg.header.method_or_id,
+                method_id=method_id,
                 request_id=rid,
                 payload_addr=payload_addr,
                 payload_size=payload_size,
@@ -1264,9 +1262,21 @@ class ServerEndpoint(_EndpointBase):
         if self._writer is None:
             capacity = self._block_capacity(response.size)
             self._writer_addr = self._alloc_block(capacity)
-            self._writer = BlockWriter(self.space, self._writer_addr, capacity)
+            self._writer = BlockWriter(self.sbuf, self._writer_addr, capacity)
         _, payload_addr = self._writer.begin_message(response.size)
-        actual = response.write_to(self.space, payload_addr)
+        try:
+            actual = response.write_to(self.space, payload_addr)
+            if actual > response.size:
+                raise ProtocolError(f"writer produced {actual} > reserved {response.size}")
+        except Exception as exc:  # noqa: BLE001 — _invoke's contract, for in-place writers
+            # The handler's fault ends with this request, not with the
+            # rest of the block being dispatched.
+            self._abort_message()
+            self.stats.handler_errors += 1
+            self._enqueue_response(
+                rid, Response.from_bytes(repr(exc).encode(), flags=Flags.ERROR)
+            )
+            return
         self._writer.commit_message(actual, rid, response.flags)
         if self.trace is not None:
             ctx = self._trace_by_rid.pop(rid, None)

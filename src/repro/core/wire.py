@@ -53,6 +53,8 @@ __all__ = [
     "BlockFormatError",
     "ChecksumError",
     "compute_block_checksum",
+    "patch_ack_blocks",
+    "patch_sequence",
     "bucket_to_offset",
     "offset_to_bucket",
 ]
@@ -65,6 +67,11 @@ SIZE_EXT_SIZE = 8
 
 _PREAMBLE = struct.Struct("<HHIII")
 _HEADER = struct.Struct("<HHHH")
+_SIZE_EXT = struct.Struct("<Q")
+# The two preamble words settled at transmit time, outside the body
+# checksum, patched in place at their fixed offsets.
+_ACK_BLOCKS = struct.Struct("<H")  # at preamble offset 2
+_SEQUENCE = struct.Struct("<I")  # at preamble offset 12
 
 
 class BlockFormatError(RuntimeError):
@@ -83,9 +90,23 @@ def compute_block_checksum(space, addr: int, block_length: int) -> int:
     transmit time (§IV-D) without resealing; its fields are structurally
     validated by :class:`BlockReader` instead.  Never returns 0 (0 marks
     an unchecksummed block, e.g. one hand-built by tests)."""
-    body = space.view(addr + PREAMBLE_SIZE, block_length - PREAMBLE_SIZE)
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    return crc or 1
+    region = space.region_of(addr, block_length)
+    return _body_crc(region.buf, addr - region.base, block_length)
+
+
+def _body_crc(mem, offset: int, block_length: int) -> int:
+    body = memoryview(mem)[offset + PREAMBLE_SIZE : offset + block_length]
+    return zlib.crc32(body) & 0xFFFFFFFF or 1
+
+
+def patch_ack_blocks(mem, offset: int, ack_blocks: int) -> None:
+    """Set the ack counter of the sealed block at ``mem[offset:]``."""
+    _ACK_BLOCKS.pack_into(mem, offset + 2, ack_blocks)
+
+
+def patch_sequence(mem, offset: int, sequence: int) -> None:
+    """Stamp the sequence number of the sealed block at ``mem[offset:]``."""
+    _SEQUENCE.pack_into(mem, offset + 12, sequence)
 
 
 class Flags:
@@ -151,7 +172,7 @@ def offset_to_bucket(offset: int, block_alignment: int) -> int:
     return offset // block_alignment
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Preamble:
     message_count: int
     ack_blocks: int
@@ -182,7 +203,7 @@ class Preamble:
         return cls(*_PREAMBLE.unpack_from(space.view(addr, PREAMBLE_SIZE), 0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MessageHeader:
     payload_size: int
     method_or_id: int
@@ -211,20 +232,27 @@ class BlockWriter:
     writes the payload directly at the returned address — this is what
     lets the arena deserializer construct the C++ object *inside* the
     outgoing block with no further copies.
+
+    ``[base_addr, base_addr + capacity)`` is bounds-checked once, here;
+    every header and the preamble are then packed straight into the
+    region's buffer at offsets inside that span (``space`` may be the
+    region itself — an endpoint hands in the send buffer it owns).
     """
 
     def __init__(self, space, base_addr: int, capacity: int) -> None:
-        self.space = space
+        region = space.region_of(base_addr, capacity)
         self.base = base_addr
         self.capacity = capacity
+        self._mem = region.buf
+        self._origin = region.base  # address of _mem[0]
         self._cursor = base_addr + PREAMBLE_SIZE
-        self._messages: list[tuple[int, MessageHeader]] = []  # (header_addr, header)
+        self._count = 0
         self._open: int | None = None  # header addr of the in-progress message
         self._open_large = False
 
     @property
     def message_count(self) -> int:
-        return len(self._messages)
+        return self._count
 
     @property
     def bytes_used(self) -> int:
@@ -264,37 +292,35 @@ class BlockWriter:
         if self._open is None:
             raise BlockFormatError("no message in progress")
         header_addr = self._open
+        payload_addr = header_addr + HEADER_SIZE
+        if self._open_large:
+            payload_addr += SIZE_EXT_SIZE
+        elif payload_size >= (1 << 16):
+            raise BlockFormatError(
+                f"payload of {payload_size} bytes exceeds the 2^16 limit "
+                "(reserve it as large via begin_message)"
+            )
+        if payload_addr + payload_size > self.base + self.capacity:
+            # The reservation was checked in begin_message; the size the
+            # writer reports back is checked here, before the cursor moves.
+            raise BlockFormatError(
+                f"payload of {payload_size} bytes runs past the block end"
+            )
+        offset = header_addr - self._origin
         if self._open_large:
             # Large form: marker in the 16-bit field, true size in the
             # extension word.
-            flags |= Flags.LARGE
-            header = MessageHeader(0xFFFF, method_or_id, flags)
-            header.pack_into(self.space, header_addr)
-            self.space.write_u64(header_addr + HEADER_SIZE, payload_size)
-            payload_addr = header_addr + HEADER_SIZE + SIZE_EXT_SIZE
+            _HEADER.pack_into(self._mem, offset, 0xFFFF, method_or_id, flags | Flags.LARGE, 0)
+            _SIZE_EXT.pack_into(self._mem, offset + HEADER_SIZE, payload_size)
         else:
-            if payload_size >= (1 << 16):
-                raise BlockFormatError(
-                    f"payload of {payload_size} bytes exceeds the 2^16 limit "
-                    "(reserve it as large via begin_message)"
-                )
-            header = MessageHeader(payload_size, method_or_id, flags)
-            header.pack_into(self.space, header_addr)
-            payload_addr = header_addr + HEADER_SIZE
-        self._messages.append((header_addr, header))
+            _HEADER.pack_into(self._mem, offset, payload_size, method_or_id, flags, 0)
+        self._count += 1
         self._cursor = payload_addr + payload_size
         self._open = None
         self._open_large = False
 
     def abort_message(self) -> None:
         self._open = None
-
-    def payload_view(self, payload_addr: int, size: int) -> memoryview:
-        """Writable view of reserved payload space, for serializers that
-        emit wire bytes in place (``GeneratedEncoder.serialize_into`` /
-        ``SizedMessage.emit_into``) instead of handing over a ``bytes``
-        object to copy."""
-        return self.space.view(payload_addr, size)
 
     def seal(self, ack_blocks: int = 0, sequence: int = 0) -> int:
         """Write the preamble (body checksum included); returns the total
@@ -304,14 +330,13 @@ class BlockWriter:
         if self._open is not None:
             raise BlockFormatError("cannot seal with a message in progress")
         length = self.bytes_used
-        crc = compute_block_checksum(self.space, self.base, length)
-        Preamble(len(self._messages), ack_blocks, length, crc, sequence).pack_into(
-            self.space, self.base
-        )
+        offset = self.base - self._origin
+        crc = _body_crc(self._mem, offset, length)
+        _PREAMBLE.pack_into(self._mem, offset, self._count, ack_blocks, length, crc, sequence)
         return length
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReceivedMessage:
     """One message as seen by the receiving side — payload referenced in
     place (zero copy), not extracted."""
@@ -323,60 +348,80 @@ class ReceivedMessage:
 
     def __post_init__(self) -> None:
         if self.payload_size < 0:
-            object.__setattr__(self, "payload_size", self.header.payload_size)
+            self.payload_size = self.header.payload_size
 
 
 class BlockReader:
     """Parses a received block in place.
 
+    The preamble is read once, here; after the length check
+    ``[base_addr, base_addr + block_length)`` is bounds-checked once and
+    every header is unpacked straight from the region's buffer (``space``
+    may be the region itself — an endpoint hands in the receive buffer
+    it owns).
+
     With ``verify_checksum=True`` the body CRC is recomputed and compared
     against the preamble's (skipped for checksum 0, the unchecksummed
-    marker): the endpoints enable it so in-flight payload corruption
-    surfaces as a :class:`ChecksumError` instead of a downstream parse
-    failure or — worse — a silently wrong object.
+    marker): the endpoints verify (after their sequence check, via
+    :meth:`verify_checksum`) so in-flight payload corruption surfaces as
+    a :class:`ChecksumError` instead of a downstream parse failure or —
+    worse — a silently wrong object.
     """
 
     def __init__(
         self, space, base_addr: int, max_length: int, verify_checksum: bool = False
     ) -> None:
-        self.space = space
+        region = space.region_of(base_addr, PREAMBLE_SIZE)
         self.base = base_addr
-        self.preamble = Preamble.read(space, base_addr)
-        if self.preamble.block_length < PREAMBLE_SIZE:
+        self._mem = region.buf
+        self._origin = region.base  # address of _mem[0]
+        self.preamble = Preamble(*_PREAMBLE.unpack_from(self._mem, base_addr - region.base))
+        length = self.preamble.block_length
+        if length < PREAMBLE_SIZE:
             raise BlockFormatError("block length smaller than preamble")
-        if self.preamble.block_length > max_length:
+        if length > max_length:
             raise BlockFormatError(
-                f"block claims {self.preamble.block_length} bytes, "
-                f"only {max_length} are addressable"
+                f"block claims {length} bytes, only {max_length} are addressable"
             )
-        if verify_checksum and self.preamble.checksum:
-            actual = compute_block_checksum(space, base_addr, self.preamble.block_length)
-            if actual != self.preamble.checksum:
-                raise ChecksumError(
-                    f"block checksum mismatch: preamble says "
-                    f"{self.preamble.checksum:#010x}, body is {actual:#010x}"
-                )
+        region.region_of(base_addr, length)
+        if verify_checksum:
+            self.verify_checksum()
 
-    def messages(self) -> list[ReceivedMessage]:
-        out: list[ReceivedMessage] = []
+    def verify_checksum(self) -> None:
+        expected = self.preamble.checksum
+        if not expected:
+            return
+        actual = _body_crc(self._mem, self.base - self._origin, self.preamble.block_length)
+        if actual != expected:
+            raise ChecksumError(
+                f"block checksum mismatch: preamble says "
+                f"{expected:#010x}, body is {actual:#010x}"
+            )
+
+    def records(self) -> list[tuple[int, int, int, int]]:
+        """``(method_or_id, flags, payload_addr, payload_size)`` of every
+        message, in block order; the whole block is validated before the
+        first record is handed out."""
+        out = []
+        mem, origin = self._mem, self._origin
         cursor = self.base + PREAMBLE_SIZE
         end = self.base + self.preamble.block_length
         for _ in range(self.preamble.message_count):
             header_addr = _align_up(cursor, PAYLOAD_ALIGN)
-            if header_addr + HEADER_SIZE > end:
+            payload_addr = header_addr + HEADER_SIZE
+            if payload_addr > end:
                 raise BlockFormatError("header extends past block end")
-            header = MessageHeader.read(self.space, header_addr)
-            if header.flags & Flags.LARGE:
-                if header_addr + HEADER_SIZE + SIZE_EXT_SIZE > end:
+            payload_size, method_or_id, flags, _ = _HEADER.unpack_from(
+                mem, header_addr - origin
+            )
+            if flags & Flags.LARGE:
+                if payload_addr + SIZE_EXT_SIZE > end:
                     raise BlockFormatError("size extension extends past block end")
-                payload_size = self.space.read_u64(header_addr + HEADER_SIZE)
-                payload_addr = header_addr + HEADER_SIZE + SIZE_EXT_SIZE
-            else:
-                payload_size = header.payload_size
-                payload_addr = header_addr + HEADER_SIZE
+                (payload_size,) = _SIZE_EXT.unpack_from(mem, payload_addr - origin)
+                payload_addr += SIZE_EXT_SIZE
             if payload_addr + payload_size > end:
                 raise BlockFormatError("payload extends past block end")
-            out.append(ReceivedMessage(header, payload_addr, payload_size))
+            out.append((method_or_id, flags, payload_addr, payload_size))
             cursor = payload_addr + payload_size
         if _align_up(cursor, PAYLOAD_ALIGN) not in (end, _align_up(end, PAYLOAD_ALIGN)):
             # All messages consumed must land exactly at the declared end
@@ -386,3 +431,14 @@ class BlockReader:
                     f"block length mismatch: cursor {cursor:#x}, end {end:#x}"
                 )
         return out
+
+    def messages(self) -> list[ReceivedMessage]:
+        """:meth:`records` as objects (tests, dissector, reset harvest)."""
+        return [
+            ReceivedMessage(
+                MessageHeader(0xFFFF if flags & Flags.LARGE else size, method_or_id, flags),
+                payload_addr,
+                size,
+            )
+            for method_or_id, flags, payload_addr, size in self.records()
+        ]

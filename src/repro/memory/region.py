@@ -76,6 +76,13 @@ class MemoryRegion:
             )
         return addr - self.base
 
+    def region_of(self, addr: int, length: int = 1) -> "MemoryRegion":
+        """A region stands where a space is expected: the span must lie
+        inside it.  The caller then reads and writes ``buf`` at offsets
+        from ``base`` it has proven in bounds — checked once, then loaded."""
+        self._check(addr, length)
+        return self
+
     # -- byte access ---------------------------------------------------------
 
     def read(self, addr: int, length: int) -> bytes:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.abi import StringLayout, StdLib
+from repro.abi import MEMBER_PRIMITIVE, StringLayout, StdLib
 from repro.abi.cpp_types import REPEATED_HEADER, LibcxxString, LibstdcxxString
 from repro.memory import Arena
 from repro.proto.descriptor import FieldType
@@ -48,7 +48,7 @@ from repro.proto.wire_format import (
     read_varint,
 )
 
-from .adt import Adt, AdtEntry, AdtField
+from .adt import Adt, AdtEntry, AdtError, AdtField
 
 __all__ = ["DeserializeError", "DeserializeStats", "ArenaDeserializer"]
 
@@ -179,6 +179,14 @@ class ArenaDeserializer:
         # index -> (FixedLayout, fields aligned with its slots); built on
         # first WIRE_FIXED request for that entry.
         self._fixed_layouts: dict[int, tuple] = {}
+        # Arena bound of every entry nothing on the wire can grow (only
+        # singular numeric scalars): a constant of the type, None otherwise.
+        self._flat_bounds = [
+            _align8(e.sizeof) + 8 + 64
+            if all(not f.repeated and f.kind in MEMBER_PRIMITIVE for f in e.fields)
+            else None
+            for e in adt.entries
+        ]
 
     # ------------------------------------------------------------------ API
 
@@ -215,7 +223,8 @@ class ArenaDeserializer:
 
     def fixed_layout_for(self, index: int):
         """The entry's :class:`~repro.proto.fixed_wire.FixedLayout` plus
-        its fields aligned with the layout's slots; raises
+        one ``(category, field, pack_into, has-bit byte, has-bit mask)``
+        row per slot — what the decoder applies, resolved once; raises
         :class:`DeserializeError` when the type is ineligible.  The layout
         is derived from the ADT alone, but byte-identical to the one the
         client derived from its descriptors — that is what the
@@ -241,25 +250,30 @@ class ArenaDeserializer:
             raise DeserializeError(
                 f"{entry.full_name} cannot ride fixed wire: {'; '.join(reasons)}"
             )
+        self.check_entry_layout(entry)
         layout = FixedLayout(entry.full_name, specs)
         fields = sorted(entry.fields, key=lambda f: f.number)
-        self._fixed_layouts[index] = (layout, fields)
-        return layout, fields
+        rows = []
+        for slot, f in zip(layout.slots, fields):
+            prim = MEMBER_PRIMITIVE.get(f.kind)  # None for a string / bytes blob
+            rows.append((slot.category, f, prim and prim.codec.pack_into,
+                         HASBITS_OFFSET + f.has_bit // 8, 1 << (f.has_bit % 8)))
+        self._fixed_layouts[index] = (layout, rows)
+        return layout, rows
 
     def estimate_size_fixed(self, root_index: int, wire) -> int:
         """Fixed-wire analog of :meth:`estimate_size`: the arena bound is
         read straight out of the fixed section's count slots — no wire
         scan at all."""
         buf = wire if isinstance(wire, (bytes, memoryview)) else bytes(wire)
-        layout, fields = self.fixed_layout_for(root_index)
+        layout, rows = self.fixed_layout_for(root_index)
         entry = self.adt.entry(root_index)
         total = _align8(entry.sizeof) + 8
         sso = self.string_layout.sso_capacity
-        values = layout.unpack_fixed(buf)
-        for slot, f, v in zip(layout.slots, fields, values):
-            if slot.category == "array":
+        for (category, f, _, _, _), v in zip(rows, layout.unpack_fixed(buf)):
+            if category == "array":
                 total += v * max(f.elem_size, 1) + 16
-            elif slot.category == "blob" and v > sso:
+            elif category == "blob" and v > sso:
                 total += _align8(v + 1) + 8
         return total + 64
 
@@ -268,25 +282,18 @@ class ArenaDeserializer:
         unpack, then straight-line slot application — no tags, no
         varints, no per-byte branches."""
         buf = wire if isinstance(wire, (bytes, memoryview)) else bytes(wire)
-        layout, fields = self.fixed_layout_for(root_index)
+        layout, rows = self.fixed_layout_for(root_index)
         entry = self.adt.entry(root_index)
-        space = arena.space
-        obj = arena.allocate(entry.sizeof, entry.alignof)
-        space.write(obj, entry.default_bytes)
+        obj, mem, o = self.place_object(entry, arena, 1)
         stats = self.stats
-        stats.bytes_memcpy += entry.sizeof
-        stats.messages += 1
-        stats.max_depth = max(stats.max_depth, 1)
         end = len(buf)
-        values = layout.unpack_fixed(buf)
         pos = layout.fixed_size
-        for slot, f, v in zip(layout.slots, fields, values):
-            category = slot.category
+        for (category, f, pack_into, has_at, has_mask), v in zip(rows, layout.unpack_fixed(buf)):
             if category == "scalar":
                 if v:
                     stats.fixed_fields += 1
-                    self._store_scalar(space, f, obj + f.offset, v)
-                    self._set_has_bit(space, obj, f.has_bit)
+                    pack_into(mem, o + f.offset, v)
+                    mem[o + has_at] |= has_mask
             elif category == "blob":
                 npos = pos + v
                 if npos > end:
@@ -305,7 +312,7 @@ class ArenaDeserializer:
                         stats.utf8_bytes_validated += v
                     stats.string_bytes_copied += v
                     self._write_string(arena, obj + f.offset, raw)
-                    self._set_has_bit(space, obj, f.has_bit)
+                    mem[o + has_at] |= has_mask
                 pos = npos
             else:  # array
                 width = f.elem_size
@@ -329,7 +336,13 @@ class ArenaDeserializer:
     def estimate_size(self, root_index: int, wire) -> int:
         """Cheap upper bound on the arena bytes :meth:`deserialize` will
         consume — used to reserve payload space in the outgoing block
-        before constructing the object in place."""
+        before constructing the object in place.  A type nothing on the
+        wire can grow is sized without looking at the wire: the bound is
+        what the scan returns for every well-formed payload, and a
+        malformed one is rejected by :meth:`deserialize`."""
+        flat = self._flat_bounds[root_index]
+        if flat is not None:
+            return flat
         buf = bytes(wire)
         return self._estimate(root_index, buf, 0, len(buf)) + 64
 
@@ -449,6 +462,36 @@ class ArenaDeserializer:
             word_addr, space.read_u32(word_addr) & ~(1 << (has_bit % 32)) & 0xFFFFFFFF
         )
 
+    def place_object(self, entry: AdtEntry, arena: Arena, depth: int) -> tuple:
+        """Allocate ``entry``'s object in ``arena``, bounds-check it once
+        and lay the default image; returns ``(obj, mem, o)`` — address,
+        the region's buffer and the object's offset in it.  The caller
+        then stores at ``mem[o + offset]`` for the ADT offsets
+        :meth:`check_entry_layout` proved inside the object."""
+        sizeof = entry.sizeof
+        obj = arena.allocate(sizeof, entry.alignof)
+        region = arena.space.region_of(obj, sizeof)
+        mem = region.buf
+        o = obj - region.base
+        mem[o : o + sizeof] = entry.default_bytes
+        stats = self.stats
+        stats.bytes_memcpy += sizeof
+        stats.messages += 1
+        if depth > stats.max_depth:
+            stats.max_depth = depth
+        return obj, mem, o
+
+    def check_entry_layout(self, entry: AdtEntry) -> None:
+        """The decoders that resolve an object's memory once store at ADT
+        offsets without a further check; prove here, once per entry, that
+        every such store lies inside ``[0, sizeof)``."""
+        if len(entry.default_bytes) != entry.sizeof:
+            raise AdtError(f"{entry.full_name}: default image is not sizeof bytes")
+        for f in entry.fields:
+            if (f.offset + self._slot_size(f) > entry.sizeof
+                    or HASBITS_OFFSET + f.has_bit // 8 >= entry.sizeof):
+                raise AdtError(f"{entry.full_name}.{f.name}: member outside the object")
+
     def _slot_size(self, f: AdtField) -> int:
         if f.repeated:
             return REPEATED_HEADER.size
@@ -456,7 +499,7 @@ class ArenaDeserializer:
             return self.string_layout.size
         if f.kind is FieldType.MESSAGE:
             return 8
-        return f.elem_size
+        return MEMBER_PRIMITIVE[f.kind].size
 
     def _clear_oneof_siblings(
         self, entry: AdtEntry, f: AdtField, obj: int, space

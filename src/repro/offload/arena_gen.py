@@ -11,10 +11,19 @@ ADT entry at compile time and burned into the source as literals:
 * member offsets and precompiled ``struct.Struct`` packers for varint
   scalars (fixed-width scalars memcpy their wire bytes verbatim — the
   in-object representation *is* the little-endian wire representation);
-* the has-bit word offset and mask as plain ints;
+* the has-bit byte offset and mask as plain ints;
 * oneof sibling restore recipes (default-instance slot slices + has-bit
   clear masks) as straight-line stores;
 * the child entry index for message fields.
+
+An object's memory is checked once, then stored to: ``parse_message`` /
+``parse_into`` bounds-check ``[obj, obj + sizeof)`` and hand the decoder
+the region's buffer ``mem`` and the object's offset ``o`` in it; every
+in-object store is ``mem[o + LITERAL ...]`` with the literal proven
+``< sizeof`` at compile time (``check_entry_layout``) and every slice
+store the exact width of its slot — a wrong-length slice store would
+resize a ``bytearray`` or fail on a shared-memory view, so it must be
+impossible by construction.
 
 Decoders are compiled lazily per entry and cached on the
 :class:`ArenaGenCache` owned by the deserializer, keyed by ADT index;
@@ -34,7 +43,7 @@ from __future__ import annotations
 import struct
 import time
 
-from repro.abi import MEMBER_PRIMITIVE
+from repro.abi import MEMBER_PRIMITIVE, PRIMITIVES
 from repro.proto.descriptor import FieldType
 from repro.proto.gen_codec import PLAN_METRICS
 from repro.proto.utf8 import validate_utf8
@@ -57,7 +66,6 @@ from .arena_deserializer import (
 
 __all__ = ["ArenaGenCache"]
 
-_U32 = 0xFFFFFFFF
 _U64 = (1 << 64) - 1
 
 # raw varint -> member value, as a source expression over ``raw``
@@ -109,19 +117,14 @@ class ArenaGenCache:
 
     def parse_message(self, index: int, buf, pos: int, end: int, arena, depth: int) -> int:
         deser = self.deser
-        entry = deser.adt.entry(index)
-        obj = arena.allocate(entry.sizeof, entry.alignof)
-        arena.space.write(obj, entry.default_bytes)
-        stats = self.stats
-        stats.bytes_memcpy += entry.sizeof
-        stats.messages += 1
-        if depth > stats.max_depth:
-            stats.max_depth = depth
-        self.decoder(index)(obj, buf, pos, end, arena, depth)
+        decode = self.decoder(index)  # compiled (and its layout proven) first
+        obj, mem, o = deser.place_object(deser.adt.entry(index), arena, depth)
+        decode(mem, o, obj, buf, pos, end, arena, depth)
         return obj
 
     def parse_into(self, index: int, obj: int, buf, pos: int, end: int, arena, depth: int) -> None:
-        self.decoder(index)(obj, buf, pos, end, arena, depth)
+        region = arena.space.region_of(obj, self.deser.adt.entry(index).sizeof)
+        self.decoder(index)(region.buf, obj - region.base, obj, buf, pos, end, arena, depth)
 
     def _parse_unknown(self, entry: AdtEntry, buf, tag: int, pos: int, end: int) -> int:
         number = tag >> 3
@@ -147,12 +150,8 @@ class ArenaGenCache:
             kind = f.kind
             number = f.number
             offset = f.offset
-            word_off = HASBITS_OFFSET + 4 * (f.has_bit // 32)
-            mask = 1 << (f.has_bit % 32)
-            set_has = [
-                f"addr = obj + {word_off}",
-                f"space.write_u32(addr, space.read_u32(addr) | {mask})",
-            ]
+            # _has_bits_ words are little-endian: bit b lives in byte b // 8
+            set_has = [f"mem[o + {HASBITS_OFFSET + f.has_bit // 8}] |= {1 << (f.has_bit % 8)}"]
             clear = []
             if f.oneof_group >= 0:
                 for k, other in enumerate(entry.fields):
@@ -162,12 +161,10 @@ class ArenaGenCache:
                     ns[f"_def{i}_{k}"] = entry.default_bytes[
                         other.offset : other.offset + size
                     ]
-                    o_word = HASBITS_OFFSET + 4 * (other.has_bit // 32)
-                    o_inv = ~(1 << (other.has_bit % 32)) & _U32
+                    o_byte = HASBITS_OFFSET + other.has_bit // 8
                     clear += [
-                        f"space.write(obj + {other.offset}, _def{i}_{k})",
-                        f"addr = obj + {o_word}",
-                        f"space.write_u32(addr, space.read_u32(addr) & {o_inv})",
+                        f"mem[o + {other.offset}:o + {other.offset + size}] = _def{i}_{k}",
+                        f"mem[o + {o_byte}] &= {~(1 << (other.has_bit % 8)) & 0xFF}",
                     ]
 
             if kind is FieldType.MESSAGE:
@@ -190,10 +187,10 @@ class ArenaGenCache:
                         "if npos > end:",
                         "    raise _Trunc('submessage overruns parent')",
                         *clear,
-                        f"existing = space.read_u64(obj + {offset})",
+                        f"existing = _ru64(mem, o + {offset})[0]",
                         "if existing == 0:",
                         f"    addr = _cache.parse_message({child}, buf, pos, npos, arena, depth + 1)",
-                        f"    space.write_u64(obj + {offset}, addr)",
+                        f"    _wu64(mem, o + {offset}, addr)",
                         "else:",
                         f"    _cache.parse_into({child}, existing, buf, pos, npos, arena, depth + 1)",
                         *set_has,
@@ -257,7 +254,8 @@ class ArenaGenCache:
                 else:
                     body = read + [
                         *clear,
-                        f"space.write(obj + {offset}, bytes(buf[pos:npos]))",
+                        # npos - pos == width: checked against end just above
+                        f"mem[o + {offset}:o + {offset + width}] = buf[pos:npos]",
                         *set_has,
                         "pos = npos",
                     ]
@@ -278,7 +276,8 @@ class ArenaGenCache:
 
             # varint-carried kind
             natural_tag = make_tag(number, WireType.VARINT)
-            ns[f"_pk{i}"] = MEMBER_PRIMITIVE[kind].codec.pack
+            codec = MEMBER_PRIMITIVE[kind].codec
+            ns[f"_pk{i}"] = codec.pack if f.repeated else codec.pack_into
             ns[f"_el{i}"] = _VARINT_ELEMS[kind]
             read = [
                 "if pos >= end:",
@@ -301,7 +300,7 @@ class ArenaGenCache:
             else:
                 body = read + [
                     *clear,
-                    f"space.write(obj + {offset}, _pk{i}({_ARENA_CONVERT_EXPR[kind]}))",
+                    f"_pk{i}(mem, o + {offset}, {_ARENA_CONVERT_EXPR[kind]})",
                     *set_has,
                 ]
             branches.append((natural_tag, f.name, body))
@@ -337,13 +336,14 @@ class ArenaGenCache:
             "_Wfe": WireFormatError,
             "_DE": DeserializeError,
             "_serr": struct.error,
+            "_ru64": PRIMITIVES["pointer"].codec.unpack_from,
+            "_wu64": PRIMITIVES["pointer"].codec.pack_into,
             "stats": self.stats,
         }
         branches = self._field_branches(entry, ns)
         lines = [
             f"# generated arena decoder for {entry.full_name} (ADT entry {index})",
-            "def _decode(obj, buf, pos, end, arena, depth):",
-            "    space = arena.space",
+            "def _decode(mem, o, obj, buf, pos, end, arena, depth):",
             "    pending = {}",
             "    fname = None",
             "    try:",
@@ -383,6 +383,7 @@ class ArenaGenCache:
     def _compile(self, index: int):
         t0 = time.perf_counter_ns()
         entry = self.deser.adt.entry(index)
+        self.deser.check_entry_layout(entry)
         source, ns = self.entry_source(index)
         exec(compile(source, f"<gen_arena {entry.full_name}>", "exec"), ns)
         fn = ns["_decode"]

@@ -469,7 +469,9 @@ class DpuEngine:
             trace_ctx = trace.context()
 
         def writer(space, addr: int) -> int:
-            arena = Arena(space, addr, estimate)
+            # One resolution per request: everything the decoder writes
+            # lies in [addr, addr + estimate), inside this one region.
+            arena = Arena(space.region_of(addr, estimate), addr, estimate)
             if trace is not None:
                 # The offloaded stage itself: wire bytes -> in-block C++
                 # object, timed from inside the block writer so the span

@@ -51,13 +51,14 @@ class CppMessageView:
 
     The object is *loaded, not parsed*: its region is resolved once, at
     construction, with one bounds check for ``[addr, addr + sizeof)``, and
-    every in-object read (vptr, has-bits, scalars, string and repeated
-    headers) is served from that region.  Only a pointer that leaves the
+    every in-object read (vptr, has-bits, string and repeated headers) is
+    served from that region — a singular scalar straight from its buffer
+    at the member's fixed offset.  Only a pointer that leaves the
     object — an element array, out-of-line string data, a child — pays a
     further check, and each pays exactly one for its whole span.
     """
 
-    __slots__ = ("_universe", "_layout", "_addr", "_space", "_region")
+    __slots__ = ("_universe", "_layout", "_addr", "_space", "_region", "_offset")
 
     def __init__(self, universe: TypeUniverse, layout: MessageLayout, addr: int) -> None:
         space = universe.space
@@ -68,6 +69,7 @@ class CppMessageView:
         object.__setattr__(self, "_addr", addr)
         object.__setattr__(self, "_space", space)
         object.__setattr__(self, "_region", region)
+        object.__setattr__(self, "_offset", addr - region.base)
 
     @property
     def address(self) -> int:
@@ -82,6 +84,9 @@ class CppMessageView:
         return self._layout.get_has_bit(self._region, self._addr, slot.has_bit)
 
     def __getattr__(self, name: str) -> Any:
+        load = self._layout.scalar_loads.get(name)
+        if load is not None:
+            return load[1](self._region.buf, self._offset + load[0])[0]
         slot = self._layout.slot(name)
         fd = slot.field
         addr = self._addr + slot.offset
@@ -90,17 +95,15 @@ class CppMessageView:
             return self._read_repeated(fd, addr)
         if fd.type in (FieldType.STRING, FieldType.BYTES):
             return self._read_string(self._region, addr, fd.type is FieldType.STRING)
-        if fd.type is FieldType.MESSAGE:
-            ptr = self._region.read_u64(addr)
-            child_layout = self._universe.layouts.layout(fd.message_type)
-            if ptr == 0:
-                # C++ semantics: accessing an unset submessage returns the
-                # (immutable) global default instance, never null — the
-                # same view a parsed Message gives via auto-vivification.
-                ptr = self._universe.default_instance(fd.message_type)
-            return CppMessageView(self._universe, child_layout, ptr)
-        prim = member_primitive(fd)
-        return prim.unpack(self._region.view(addr, prim.size))
+        # Singular scalars were served above: this is a child pointer.
+        ptr = self._region.read_u64(addr)
+        child_layout = self._universe.layouts.layout(fd.message_type)
+        if ptr == 0:
+            # C++ semantics: accessing an unset submessage returns the
+            # (immutable) global default instance, never null — the
+            # same view a parsed Message gives via auto-vivification.
+            ptr = self._universe.default_instance(fd.message_type)
+        return CppMessageView(self._universe, child_layout, ptr)
 
     def _read_string(self, holder, addr: int, text: bool):
         """The ``std::string`` at ``addr`` inside ``holder``, the already

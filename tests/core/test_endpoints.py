@@ -120,6 +120,54 @@ class TestRequestResponse:
         with pytest.raises(ProtocolError, match="writer produced"):
             ch.client.enqueue(1, 4, lambda s, a: 8, lambda v, f: None)
 
+    def test_raising_request_writer_leaves_the_block_usable(self):
+        """Regression: a writer that *raised* left its message open in the
+        block, and every later enqueue on the connection failed with
+        ``previous message not committed``."""
+        ch = small_channel()
+        ch.server.register(1, lambda req: Response.from_bytes(req.payload_bytes()))
+
+        def bad(space, addr):
+            raise ValueError("malformed payload")
+
+        out = []
+        ch.client.enqueue_bytes(1, b"first", lambda v, f: out.append(bytes(v)))
+        with pytest.raises(ValueError, match="malformed"):
+            ch.client.enqueue(1, 16, bad, lambda v, f: out.append(None))
+        ch.client.enqueue_bytes(1, b"third", lambda v, f: out.append(bytes(v)))
+        run(ch)
+        assert out == [b"first", b"third"]
+        # A block the failed message had opened is given back, not sealed
+        # empty: nothing is left allocated once everything is answered.
+        with pytest.raises(ValueError):
+            ch.client.enqueue(1, 16, bad, lambda v, f: None)
+        run(ch)
+        assert ch.client.allocator.is_empty()
+        assert ch.client.credits.available == SMALL_CFG.credits
+
+    def test_raising_response_writer_fails_only_its_request(self):
+        """Regression: a response writer that raised unwound ``progress()``
+        mid-block — the rest of the block was never dispatched and none of
+        its requests was ever answered."""
+        ch = small_channel()
+
+        def handler(req):
+            if req.payload_bytes() == b"bad":
+                def writer(space, addr):
+                    raise ValueError("cannot build response")
+                return Response(size=8, writer=writer)
+            return Response.from_bytes(req.payload_bytes())
+
+        ch.server.register(1, handler)
+        out = []
+        for payload in (b"bad", b"ok-1", b"ok-2"):
+            ch.client.enqueue_bytes(1, payload, lambda v, f: out.append((bytes(v), f)))
+        run(ch)  # must not raise
+        assert ch.client.stats.blocks_sent == 1  # the three shared a block
+        assert out[0][1] & Flags.ERROR and b"cannot build response" in out[0][0]
+        assert out[1:] == [(b"ok-1", 0), (b"ok-2", 0)]
+        assert ch.server.stats.handler_errors == 1
+
     def test_oversize_payload_rejected(self):
         ch = small_channel()
         with pytest.raises(ProtocolError, match="exceeds max_message_size"):

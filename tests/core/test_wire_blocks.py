@@ -116,6 +116,32 @@ class TestWriterReader:
         with pytest.raises(BlockFormatError, match="block full"):
             w.begin_message(100)
 
+    def test_commit_past_block_end_rejected(self, space):
+        """The size a payload writer reports back is re-checked against
+        the block, not trusted: headers are stored unchecked after it."""
+        w = BlockWriter(space, BASE, 64)
+        w.begin_message(8)
+        with pytest.raises(BlockFormatError, match="past the block end"):
+            w.commit_message(100, 1)
+        assert w.message_count == 0
+
+    def test_region_stands_in_for_the_space(self, space):
+        """An endpoint hands the buffer it owns straight to the writer
+        and the reader; the block bytes are the same either way."""
+        region = space.region_of(BASE)
+        images = []
+        for where in (space, region):
+            region.fill(BASE, 256)
+            w = BlockWriter(where, BASE, 256)
+            _, payload = w.begin_message(5)
+            where.write(payload, b"hello")
+            w.commit_message(5, method_or_id=3, flags=Flags.ERROR)
+            length = w.seal(ack_blocks=2, sequence=7)
+            r = BlockReader(where, BASE, 256, verify_checksum=True)
+            assert r.records() == [(3, Flags.ERROR, payload, 5)]
+            images.append(space.read(BASE, length))
+        assert images[0] == images[1]
+
     def test_commit_without_begin(self, space):
         w = BlockWriter(space, BASE, 128)
         with pytest.raises(BlockFormatError):
