@@ -16,18 +16,9 @@ changes (§III-A).
 Run:  python examples/offloaded_grpc_echo.py
 """
 
-from repro.core import create_channel
-from repro.offload.engine import DpuEngine, HostEngine
+from repro.deploy import build
 from repro.proto import compile_schema
-from repro.runtime import ProgressEngine
-from repro.xrpc import (
-    Network,
-    OffloadedXrpcServer,
-    XrpcChannel,
-    XrpcServer,
-    make_stub_class,
-    register_offloaded_servicer,
-)
+from repro.xrpc import make_stub_class
 
 schema = compile_schema(
     """
@@ -66,49 +57,40 @@ def run_client(channel, label: str) -> None:
 
 
 def main() -> None:
+    # Both deployments come from the one builder (repro.deploy): same
+    # schema, same service, same servicer class — only the kind differs.
+
     # ---- Deployment A: traditional host-side gRPC server -------------------
     print("baseline deployment (host terminates xRPC, deserializes itself):")
-    net_a = Network()
-    host_server = XrpcServer(net_a, "10.0.0.1:50051", schema.factory)
-    host_server.add_service(echo_service, EchoServicer())
-    client_a = XrpcChannel(net_a, "10.0.0.1:50051")
-    client_a.drive = host_server.poll
-    run_client(client_a, "baseline")
-    print(f"  host parsed {host_server.stats.requests} requests itself\n")
+    with build("baseline", schema, echo_service, EchoServicer()) as baseline:
+        run_client(baseline.channel(), "baseline")
+        print(f"  host parsed {baseline.front.stats.requests} requests itself\n")
 
     # ---- Deployment B: the server moves to the DPU ---------------------------
     print("offloaded deployment (DPU terminates xRPC and deserializes):")
-    rdma_channel = create_channel()
-    host_engine = HostEngine(rdma_channel, schema)
-    register_offloaded_servicer(host_engine, echo_service, EchoServicer())
-    dpu_engine = DpuEngine(rdma_channel)
-    host_engine.send_bootstrap()  # ADT crosses once, at startup (§V-B)
-    dpu_engine.receive_bootstrap()
+    # build() registers the servicer on the host engine, ships the ADT to
+    # the DPU once (§V-B) and only then lets the front end listen.  The
+    # client code is the same call: channel() — its drive hook runs one
+    # pass of the DPU front end, then one of the host engine.
+    with build("offloaded", schema, echo_service, EchoServicer()) as offloaded:
+        run_client(offloaded.channel(), "offloaded")
 
-    net_b = Network()
-    front = OffloadedXrpcServer(net_b, "10.0.0.2:50051", dpu_engine, echo_service)
-    # The only client-side change: the server address (§III-A).
-    client_b = XrpcChannel(net_b, "10.0.0.2:50051")
-    # One ProgressEngine drives the whole offloaded datapath — DPU front
-    # end and host engine are just pollables on the unified event loop.
-    engine = ProgressEngine(name="offload.engine")
-    engine.register(front, name="dpu.frontend")
-    engine.register(host_engine, name="host.engine")
-    client_b.drive = engine.step
-    run_client(client_b, "offloaded")
-
-    census = dpu_engine.stats
-    print(
-        f"  DPU deserialized {census.messages} messages "
-        f"({census.utf8_bytes_validated} UTF-8 bytes validated); "
-        f"host ran business logic only"
-    )
-    print(
-        f"  PCIe bytes (simulated fabric): "
-        f"{rdma_channel.fabric.total_bytes} across "
-        f"{rdma_channel.fabric.total_operations} RDMA writes"
-    )
-    print(f"  event loop: {engine.summary()}")
+        census = offloaded.dpu.stats
+        print(
+            f"  DPU deserialized {census.messages} messages "
+            f"({census.utf8_bytes_validated} UTF-8 bytes validated); "
+            f"host ran business logic only"
+        )
+        fabric = offloaded.rdma.fabric
+        print(
+            f"  PCIe bytes (simulated fabric): "
+            f"{fabric.total_bytes} across "
+            f"{fabric.total_operations} RDMA writes"
+        )
+        print(
+            f"  front end forwarded {offloaded.front.requests_forwarded} requests, "
+            f"{offloaded.front.fallback_requests} through the host-parse fallback"
+        )
 
 
 if __name__ == "__main__":

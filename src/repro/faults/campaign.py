@@ -269,16 +269,8 @@ def run_offloaded_scenario(seed: int, calls: int | None = None) -> ScenarioResul
     """The full xRPC-over-DPU stack with the DPU engine crashing (and
     sometimes reviving) mid-workload: graceful degradation means every
     call still answers correctly, host-side parsing covering the gap."""
-    from repro.core import create_channel
-    from repro.offload.engine import DpuEngine, HostEngine
-    from repro.xrpc import (
-        Network,
-        OffloadedXrpcServer,
-        RpcError,
-        XrpcChannel,
-        make_stub_class,
-        register_offloaded_servicer,
-    )
+    from repro.deploy import build
+    from repro.xrpc import RpcError, make_stub_class
 
     rng = random.Random(seed)
     n_calls = calls if calls is not None else rng.randrange(6, 16)
@@ -300,18 +292,10 @@ def run_offloaded_scenario(seed: int, calls: int | None = None) -> ScenarioResul
             return Value(v=request.a + request.b)
 
     service = schema.service("faults.Calc")
-    rdma = create_channel()
-    host = HostEngine(rdma, schema)
-    register_offloaded_servicer(host, service, Servicer())
-    dpu = DpuEngine(rdma)
-    host.send_bootstrap()
-    dpu.receive_bootstrap()
-    net = Network()
-    front = OffloadedXrpcServer(
-        net, f"dpu:{seed & 0xFFFF}", dpu, service, layout_salt=layout_salt
-    )
-    channel = XrpcChannel(net, f"dpu:{seed & 0xFFFF}")
-    channel.drive = lambda: (front.poll(), host.progress())
+    deployment = build("offloaded", schema, service, Servicer(),
+                       layout_salt=layout_salt)
+    front, dpu, host = deployment.front, deployment.dpu, deployment.host
+    channel = deployment.channel()
     stub = make_stub_class(service, schema.factory)(channel)
 
     negotiated = False
@@ -337,6 +321,8 @@ def run_offloaded_scenario(seed: int, calls: int | None = None) -> ScenarioResul
                 outcomes.append((exc.status, False))
     except Exception as exc:  # noqa: BLE001 — untyped escape is the finding
         error = f"{type(exc).__name__}: {exc}"
+    finally:
+        deployment.close()
 
     completed = sum(1 for status, good in outcomes if status == 0 and good)
     mismatches = sum(1 for status, good in outcomes if status == 0 and not good)

@@ -25,14 +25,6 @@ __all__ = ["TraceRunResult", "run_traced_workload", "DEPLOYMENTS"]
 #: DPU and host children); it implies ``transport="shm"``.
 DEPLOYMENTS = ("offloaded", "core", "procs")
 
-_SERVICE_PROTO_SUFFIX = """
-service Bench {
-  rpc PingSmall (Small) returns (Empty);
-  rpc SumInts (IntArray) returns (IntArray);
-  rpc Upper (CharArray) returns (CharArray);
-}
-"""
-
 
 @dataclass
 class TraceRunResult:
@@ -56,125 +48,46 @@ class TraceRunResult:
         return max(self.timelines, key=lambda tl: tl.total, default=None)
 
 
-def _bench_fixture():
-    """The shared workload schema + servicer every deployment serves."""
-    from repro.proto import compile_schema
-    from repro.workloads import WORKLOAD_PROTO
-
-    schema = compile_schema(WORKLOAD_PROTO + _SERVICE_PROTO_SUFFIX)
-    Empty = schema["bench.Empty"]
-    IntArray = schema["bench.IntArray"]
-    CharArray = schema["bench.CharArray"]
-
-    class BenchServicer:
-        def PingSmall(self, request, context):
-            return Empty()
-
-        def SumInts(self, request, context):
-            values = list(request.values)
-            values.append(sum(values) % (1 << 32))
-            return IntArray(values=values)
-
-        def Upper(self, request, context):
-            return CharArray(data=request.data.upper())
-
-    return schema, schema.service("bench.Bench"), BenchServicer()
-
-
-def _bench_calls(schema, service, channel):
-    from repro.workloads import WorkloadFactory
+def _build_deployment(kind: str, collector: TraceCollector,
+                      explicit_context: bool, transport: str):
+    """The ``offloaded`` and ``procs`` deployments of the shared Bench
+    service (:func:`repro.workloads.bench_service`), every layer attached
+    to ``collector``.  ``procs``: every request really crosses two OS
+    process boundaries (client -> DPU via socketpair, DPU -> host via
+    shared-memory RDMA), and the child trace rings merge into
+    ``collector`` at teardown (``ProcSupervisor.stop`` imports each
+    child's final snapshot), re-based onto the parent's clock."""
+    from repro.deploy import build
+    from repro.workloads import WorkloadFactory, bench_service
     from repro.xrpc import make_stub_class
 
+    if kind == "procs" and transport != "shm":
+        raise ValueError("the procs deployment only runs on the shm transport")
+    schema, service, servicer = bench_service()
+    deployment = build(kind, schema, service, servicer, transport=transport,
+                       collector=collector, explicit_context=explicit_context,
+                       name="traceprocs")
+    channel = deployment.channel("trace-client")
     stub = make_stub_class(service, schema.factory)(channel)
     factory = WorkloadFactory(schema=schema)
-    return (
+    calls = (
         lambda: stub.PingSmall(factory.small()),
         lambda: stub.SumInts(factory.int_array(128)),
         lambda: stub.Upper(factory.char_array(256)),
     )
 
-
-def _build_offloaded(collector: TraceCollector, explicit_context: bool,
-                     transport: str = "inproc"):
-    from repro.core import create_channel
-    from repro.offload.engine import DpuEngine, HostEngine
-    from repro.xrpc import (
-        Network,
-        OffloadedXrpcServer,
-        XrpcChannel,
-        register_offloaded_servicer,
-    )
-
-    schema, service, servicer = _bench_fixture()
-    rdma = create_channel(transport=transport)
-    host = HostEngine(rdma, schema)
-    register_offloaded_servicer(host, service, servicer)
-    dpu = DpuEngine(rdma)
-    host.send_bootstrap()
-    dpu.receive_bootstrap()
-    net = Network()
-    front = OffloadedXrpcServer(net, "dpu:50051", dpu, service)
-
-    # Attach every layer AFTER bootstrap (control traffic is not request
-    # scoped) and BEFORE the first request, so derived serials align.
-    attach_channel(collector, rdma, stream="rdma",
-                   client_component="dpu.rpc", server_component="host.rpc",
-                   explicit_context=explicit_context)
-    dpu.trace = collector.recorder("dpu.engine")
-    host.trace = collector.recorder("host.engine")
-    front.trace = collector.recorder("dpu.frontend")
-
-    channel = XrpcChannel(net, "dpu:50051", "trace-client")
-    channel.trace = collector.recorder("xrpc.client")
-    channel.drive = lambda: (front.progress(), host.progress())
-    calls = _bench_calls(schema, service, channel)
-
     def issue(i: int) -> bool:
         calls[i % len(calls)]()
         return True
 
-    endpoints = {"client": rdma.client, "server": rdma.server}
+    endpoints = {}
+    if deployment.rdma is not None:
+        endpoints = {"client": deployment.rdma.client, "server": deployment.rdma.server}
     # Overload-control sources for the merged scrape (`repro metrics`):
-    # absent subsystems (no admission controller armed, no breaker) are
-    # simply None/empty — OverloadExporter handles every shape.
-    overload = {
-        "stages": [front, rdma.server],
-        "admissions": [front.admission] if front.admission is not None else [],
-        "breaker": front.breaker,
-        "budget": channel.retry_budget,
-    }
-    return issue, endpoints, rdma.close, overload
-
-
-def _build_procs(collector: TraceCollector, explicit_context: bool,
-                 transport: str = "shm"):
-    """The 3-process deployment: every request really crosses two OS
-    process boundaries (client -> DPU via socketpair, DPU -> host via
-    shared-memory RDMA).  Child trace rings merge into ``collector`` at
-    teardown, re-based onto the parent's clock."""
-    from repro.runtime.procs import ProcSupervisor
-
-    if transport != "shm":
-        raise ValueError("the procs deployment only runs on the shm transport")
-    schema, service, servicer = _bench_fixture()
-    sup = ProcSupervisor(schema, service, servicer, name="traceprocs", trace=True)
-    sup.collector = collector
-    sup.start()
-    channel = sup.xrpc_channel()
-    calls = _bench_calls(schema, service, channel)
-
-    def issue(i: int) -> bool:
-        calls[i % len(calls)]()
-        return True
-
-    def finalize() -> None:
-        sup.collect_traces()
-        sup.stop()
-
-    # The DPU/host overload sources live in the child processes; only
-    # the client-side retry budget is scrapeable from here.
-    overload = {"budget": channel.retry_budget}
-    return issue, {}, finalize, overload
+    # whatever this deployment can be scraped for from here, plus the
+    # client-side retry budget — OverloadExporter handles every shape.
+    overload = dict(deployment.overload_sources(), budget=channel.retry_budget)
+    return issue, endpoints, deployment.close, overload
 
 
 def _build_core(collector: TraceCollector, explicit_context: bool,
@@ -209,13 +122,6 @@ def _build_core(collector: TraceCollector, explicit_context: bool,
     return issue, endpoints, channel.close, overload
 
 
-_BUILDERS = {
-    "offloaded": _build_offloaded,
-    "core": _build_core,
-    "procs": _build_procs,
-}
-
-
 def run_traced_workload(
     deployment: str = "offloaded",
     requests: int = 60,
@@ -238,9 +144,12 @@ def run_traced_workload(
         transport = "shm" if deployment == "procs" else "inproc"
     collector = collector or TraceCollector(ring=ring)
     registry = registry or MetricsRegistry()
-    issue, endpoints, finalize, overload = _BUILDERS[deployment](
-        collector, explicit_context, transport
-    )
+    if deployment == "core":
+        issue, endpoints, finalize, overload = _build_core(
+            collector, explicit_context, transport)
+    else:
+        issue, endpoints, finalize, overload = _build_deployment(
+            deployment, collector, explicit_context, transport)
 
     errors = 0
     try:
@@ -252,8 +161,7 @@ def run_traced_workload(
             if not ok:
                 errors += 1
     finally:
-        if finalize is not None:
-            finalize()
+        finalize()
 
     from repro.metrics import EndpointExporter, OverloadExporter
 

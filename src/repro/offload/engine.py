@@ -65,6 +65,7 @@ __all__ = [
     "HostEngine",
     "DpuEngine",
     "OffloadPair",
+    "bootstrap",
     "create_offload_pair",
     "encode_bootstrap",
     "decode_bootstrap",
@@ -538,6 +539,16 @@ class DpuEngine:
 # ---------------------------------------------------------------------------
 
 
+def bootstrap(host: HostEngine, dpu: DpuEngine) -> None:
+    """The startup handshake with both halves at hand (§V-B): the host
+    SENDs the blob — every method must be registered by now, the blob
+    carries the method table — and the DPU polls it in and builds its
+    deserializer.  The multiprocess deployment runs the same two steps
+    as control commands (``ProcSupervisor.bootstrap``)."""
+    host.send_bootstrap()
+    dpu.receive_bootstrap()
+
+
 @dataclass
 class OffloadPair:
     """A fully bootstrapped DPU+host deployment over one channel."""
@@ -590,6 +601,5 @@ def create_offload_pair(
             )
             report.raise_if_incompatible()
     dpu = DpuEngine(channel, dpu_abi)
-    host.send_bootstrap()
-    dpu.receive_bootstrap()
+    bootstrap(host, dpu)
     return OffloadPair(channel, dpu, host)

@@ -256,29 +256,6 @@ def _child_preamble(close_socks) -> None:
     _close_all(close_socks)
 
 
-def _make_collector(spec: _SideSpec):
-    if not spec.trace:
-        return None
-    from repro.obs import TraceCollector
-
-    return TraceCollector()
-
-
-def _attach_side_tracing(collector, spec, endpoint, fabric, component):
-    from repro.obs import attach_endpoint
-
-    attach_endpoint(collector, endpoint, component, stream=spec.name)
-    fabric.trace = collector.recorder(f"{spec.role}.fabric")
-
-
-def _attach_injector(spec: _SideSpec, channel):
-    if spec.fault_plan is None:
-        return None
-    from repro.faults.injector import FaultInjector
-
-    return FaultInjector(spec.fault_plan).attach(channel)
-
-
 def _export_and_clear(collector):
     if collector is None:
         return None
@@ -325,51 +302,103 @@ def _child_loop(ctl: _CtlConn, engine: ProgressEngine, handlers, on_exit) -> Non
                 time.sleep(0.0002)
 
 
+class _ChildSide:
+    """What both child mains share: this process's one side of the
+    channel (the endpoint over its attached RBuf, the shm fabric on the
+    doorbell, a supervised engine polling fabric then endpoint), the
+    optional fault injector and trace collector, and the control loop.
+    A child main adds its half of the stack (:mod:`repro.deploy`) and the
+    commands only it answers."""
+
+    def __init__(self, spec: _SideSpec, ctl_sock, db_sock, close_socks) -> None:
+        _child_preamble(close_socks)
+        self.spec = spec
+        self.ctl = _CtlConn(ctl_sock)
+        if spec.role == "host":
+            side, mine, peer = "server", spec.server_config, spec.client_config
+            my_base, peer_base = spec.s2c_base, spec.c2s_base
+        else:
+            side, mine, peer = "client", spec.client_config, spec.server_config
+            my_base, peer_base = spec.c2s_base, spec.s2c_base
+        rbuf = SharedRegion.attach(peer_base, peer.send_buffer_size,
+                                   spec.rbuf_segment, f"{spec.name}.{side}.rbuf")
+        self.endpoint, space = build_endpoint_side(
+            side, spec.name, mine, peer, my_base, peer_base, rbuf_region=rbuf,
+        )
+        self.fabric = fabric = ShmFabric(auto_flush=False)
+        fabric.bind(self.endpoint.qp, db_sock)
+
+        self.engine = ProgressEngine(scheduler=mine.scheduling,
+                                     name=f"{spec.name}.{spec.role}-engine")
+        self.supervisor = EngineSupervisor(self.engine, stall_ticks=spec.stall_ticks,
+                                           max_faults=spec.max_faults)
+        self.engine.register(fabric, name="fabric")
+        self.engine.register(self.endpoint, name=side)
+        if side == "server":
+            self.channel = Channel(fabric, None, self.endpoint, None, space, self.engine)
+        else:
+            self.channel = Channel(fabric, self.endpoint, None, space, None, self.engine)
+
+        self.injector = None
+        if spec.fault_plan is not None:
+            from repro.faults.injector import FaultInjector
+
+            self.injector = FaultInjector(spec.fault_plan).attach(self.channel)
+        self.collector = None
+        if spec.trace:
+            from repro.obs import TraceCollector, attach_endpoint
+
+            self.collector = collector = TraceCollector()
+            attach_endpoint(collector, self.endpoint, f"{spec.role}.rpc", stream=spec.name)
+            fabric.trace = collector.recorder(f"{spec.role}.fabric")
+            if self.injector is not None:
+                self.injector.trace = collector.recorder(f"{spec.role}.faults")
+
+    def stats(self) -> dict:
+        fabric, injector = self.fabric, self.injector
+        return {
+            "fabric_ops": fabric.total_operations,
+            "fabric_bytes": fabric.total_bytes,
+            "faults_contained": self.supervisor.faults_contained,
+            "injector_events": injector.faults_fired if injector else 0,
+            "injector_fingerprint": injector.fingerprint() if injector else None,
+        }
+
+    def serve(self, handlers: dict, stats) -> None:
+        """Handshake with the peer, report ready, then run the engine and
+        answer the parent until it says exit (or is gone)."""
+        collector = self.collector
+        handlers = dict(handlers, stats=lambda _p: stats(),
+                        trace=lambda _p: _export_and_clear(collector))
+
+        def on_exit(_payload):
+            return {"stats": stats(), "trace": _export_and_clear(collector)}
+
+        self.fabric.handshake(self.endpoint.qp, timeout=self.spec.handshake_timeout)
+        try:
+            self.ctl.send(("ready", {"pid": os.getpid()}))
+            _child_loop(self.ctl, self.engine, handlers, on_exit)
+        finally:
+            self.channel.close()
+            self.ctl.close()
+
+
 def _host_child(spec: _SideSpec, schema, service, servicer,
                 ctl_sock, db_sock, close_socks) -> None:
-    """Host process: server endpoint + HostEngine + servicer."""
-    _child_preamble(close_socks)
-    from repro.offload.engine import HostEngine
-    from repro.xrpc.dpu_frontend import register_offloaded_servicer
+    """Host process: server endpoint + the host half + servicer."""
+    side = _ChildSide(spec, ctl_sock, db_sock, close_socks)
+    from repro.deploy import host_half
 
-    ctl = _CtlConn(ctl_sock)
-    rbuf = SharedRegion.attach(
-        spec.c2s_base, spec.client_config.send_buffer_size,
-        spec.rbuf_segment, f"{spec.name}.server.rbuf",
-    )
-    server, space = build_endpoint_side(
-        "server", spec.name, spec.server_config, spec.client_config,
-        spec.s2c_base, spec.c2s_base, rbuf_region=rbuf,
-    )
-    fabric = ShmFabric(auto_flush=False)
-    fabric.bind(server.qp, db_sock)
-
-    engine = ProgressEngine(scheduler=spec.server_config.scheduling,
-                            name=f"{spec.name}.host-engine")
-    supervisor = EngineSupervisor(engine, stall_ticks=spec.stall_ticks,
-                                  max_faults=spec.max_faults)
-    engine.register(fabric, name="fabric")
-    engine.register(server, name="server")
-
-    channel = Channel(fabric, None, server, None, space, engine)
-    host = HostEngine(channel, schema)
-    register_offloaded_servicer(host, service, servicer)
-    injector = _attach_injector(spec, channel)
-
-    collector = _make_collector(spec)
-    if collector is not None:
-        _attach_side_tracing(collector, spec, server, fabric, "host.rpc")
-        host.trace = collector.recorder("host.engine")
-        if injector is not None:
-            injector.trace = collector.recorder("host.faults")
-
-    fabric.handshake(server.qp, timeout=spec.handshake_timeout)
+    server, fabric, supervisor = side.endpoint, side.fabric, side.supervisor
+    host = host_half(side.channel, schema, service, servicer)
+    if side.collector is not None:
+        host.trace = side.collector.recorder("host.engine")
 
     def _reconnect(_payload):
         """Adopt a fresh doorbell (fd via SCM_RIGHTS) after the DPU
         process was replaced: same teardown the in-process recovery runs,
         then rebind + handshake against the new peer."""
-        fds = ctl.take_fds()
+        fds = side.ctl.take_fds()
         if not fds:
             raise ProcError("reconnect carried no doorbell fd")
         new_db = socketlib.socket(fileno=fds[0])
@@ -393,81 +422,36 @@ def _host_child(spec: _SideSpec, schema, service, servicer,
         supervisor.reset_faults(fabric)
         return None
 
-    def _stats(_payload):
-        return {
-            "host_deserialized": host.host_deserialized,
-            "fabric_ops": fabric.total_operations,
-            "fabric_bytes": fabric.total_bytes,
-            "rnr_retransmissions": fabric.rnr_retransmissions,
-            "faults_contained": supervisor.faults_contained,
-            "quarantines": supervisor.quarantines,
-            "injector_events": injector.faults_fired if injector else 0,
-            "injector_fingerprint": injector.fingerprint() if injector else None,
-        }
+    def _stats():
+        return dict(
+            side.stats(),
+            host_deserialized=host.host_deserialized,
+            rnr_retransmissions=fabric.rnr_retransmissions,
+            quarantines=supervisor.quarantines,
+        )
 
-    handlers = {
+    side.serve({
         "send_bootstrap": lambda _p: host.send_bootstrap(),
         "reconnect": _reconnect,
-        "stats": _stats,
-        "trace": lambda _p: _export_and_clear(collector),
-    }
-
-    def on_exit(_payload):
-        return {"stats": _stats(None), "trace": _export_and_clear(collector)}
-
-    try:
-        ctl.send(("ready", {"pid": os.getpid()}))
-        _child_loop(ctl, engine, handlers, on_exit)
-    finally:
-        channel.close()
-        ctl.close()
+    }, _stats)
 
 
 def _dpu_child(spec: _SideSpec, schema, service,
                ctl_sock, db_sock, xrpc_sock, close_socks) -> None:
-    """DPU process: client endpoint + DpuEngine + xRPC front end."""
-    _child_preamble(close_socks)
+    """DPU process: client endpoint + the DPU half (engine + xRPC front
+    end)."""
+    side = _ChildSide(spec, ctl_sock, db_sock, close_socks)
+    from repro.deploy import dpu_half
     from repro.offload.adt import AdtError
-    from repro.offload.engine import DpuEngine
-    from repro.xrpc.dpu_frontend import OffloadedXrpcServer
     from repro.xrpc.transport import StreamSocket
 
-    ctl = _CtlConn(ctl_sock)
-    rbuf = SharedRegion.attach(
-        spec.s2c_base, spec.server_config.send_buffer_size,
-        spec.rbuf_segment, f"{spec.name}.client.rbuf",
-    )
-    client, space = build_endpoint_side(
-        "client", spec.name, spec.client_config, spec.server_config,
-        spec.c2s_base, spec.s2c_base, rbuf_region=rbuf,
-    )
-    fabric = ShmFabric(auto_flush=False)
-    fabric.bind(client.qp, db_sock)
-
-    engine = ProgressEngine(scheduler=spec.client_config.scheduling,
-                            name=f"{spec.name}.dpu-engine")
-    supervisor = EngineSupervisor(engine, stall_ticks=spec.stall_ticks,
-                                  max_faults=spec.max_faults)
-
-    channel = Channel(fabric, client, None, space, None, engine)
-    dpu = DpuEngine(channel)
-    front = OffloadedXrpcServer(None, f"{spec.name}:xrpc", dpu, service)
+    front = dpu_half(side.channel, service)  # bootstrapped later, on command
+    dpu = front.dpu
     front.adopt(StreamSocket(xrpc_sock, "dpu-front"))
-    injector = _attach_injector(spec, channel)
-
-    engine.register(fabric, name="fabric")
-    engine.register(client, name="client")
-    engine.register(front, name="front")
-
-    collector = _make_collector(spec)
-    if collector is not None:
-        _attach_side_tracing(collector, spec, client, fabric, "dpu.rpc")
-        front.trace = collector.recorder("dpu.front")
-        dpu.trace = collector.recorder("dpu.engine")
-        if injector is not None:
-            injector.trace = collector.recorder("dpu.faults")
-
-    fabric.handshake(client.qp, timeout=spec.handshake_timeout)
+    side.engine.register(front, name="front")
+    if side.collector is not None:
+        front.trace = side.collector.recorder("dpu.front")
+        dpu.trace = side.collector.recorder("dpu.engine")
 
     def _recv_bootstrap(payload):
         """Poll for the host's bootstrap SEND, tolerating cross-process
@@ -484,38 +468,22 @@ def _dpu_child(spec: _SideSpec, schema, service,
                     raise
                 time.sleep(0.005)
 
-    def _stats(_payload):
-        return {
-            "ready": dpu.ready,
-            "requests_forwarded": front.requests_forwarded,
-            "responses_returned": front.responses_returned,
-            "fallback_requests": front.fallback_requests,
-            "fallback_calls": dpu.fallback_calls,
-            "deserialized": dpu.stats.messages,
-            "fabric_ops": fabric.total_operations,
-            "fabric_bytes": fabric.total_bytes,
-            "faults_contained": supervisor.faults_contained,
-            "injector_events": injector.faults_fired if injector else 0,
-            "injector_fingerprint": injector.fingerprint() if injector else None,
-        }
+    def _stats():
+        return dict(
+            side.stats(),
+            ready=dpu.ready,
+            requests_forwarded=front.requests_forwarded,
+            responses_returned=front.responses_returned,
+            fallback_requests=front.fallback_requests,
+            fallback_calls=dpu.fallback_calls,
+            deserialized=dpu.stats.messages,
+        )
 
-    handlers = {
+    side.serve({
         "recv_bootstrap": _recv_bootstrap,
         "crash_engine": lambda reason: dpu.crash(reason or "injected"),
         "revive_engine": lambda _p: dpu.revive(),
-        "stats": _stats,
-        "trace": lambda _p: _export_and_clear(collector),
-    }
-
-    def on_exit(_payload):
-        return {"stats": _stats(None), "trace": _export_and_clear(collector)}
-
-    try:
-        ctl.send(("ready", {"pid": os.getpid()}))
-        _child_loop(ctl, engine, handlers, on_exit)
-    finally:
-        channel.close()
-        ctl.close()
+    }, _stats)
 
 
 # ---------------------------------------------------------------------------
@@ -609,25 +577,40 @@ class ProcSupervisor:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self, bootstrap: bool = True) -> "ProcSupervisor":
+        """Spawn and connect both children.  All or nothing: a caller
+        whose ``start()`` raised holds nothing it would think to
+        ``stop()`` (``with`` never reaches ``__exit__`` when
+        ``__enter__`` raises), so whatever was spawned, mapped or opened
+        by then is torn down here before the error propagates."""
         if self._host.proc is not None:
             raise ProcError("already started")
+        round_socks: list = []
+        try:
+            self._spawn(round_socks)
+            self._await_ready(self._host)
+            self._await_ready(self._dpu)
+            if bootstrap:
+                self.bootstrap()
+        except BaseException:
+            self.stop()
+            _close_all(round_socks)  # those stop() was never told about
+            raise
+        return self
+
+    def _spawn(self, round_socks: list) -> None:
         from repro.memory import segment_name
 
-        c2s_seg = SharedRegion(
-            self._c2s_base, self.client_config.send_buffer_size,
-            f"{self.name}.c2s", segment=segment_name(f"{self.name}-c2s"),
-        )
-        s2c_seg = SharedRegion(
-            self._s2c_base, self.server_config.send_buffer_size,
-            f"{self.name}.s2c", segment=segment_name(f"{self.name}-s2c"),
-        )
-        self._segments = [c2s_seg, s2c_seg]
+        for tag, base, config in (("c2s", self._c2s_base, self.client_config),
+                                  ("s2c", self._s2c_base, self.server_config)):
+            self._segments.append(SharedRegion(
+                base, config.send_buffer_size, f"{self.name}.{tag}",
+                segment=segment_name(f"{self.name}-{tag}"),
+            ))
+        c2s_seg, s2c_seg = self._segments
 
-        ctl_h_p, ctl_h_c = socketlib.socketpair()
-        ctl_d_p, ctl_d_c = socketlib.socketpair()
-        db_h, db_d = socketlib.socketpair()
-        xr_p, xr_d = socketlib.socketpair()
-        round_socks = [ctl_h_p, ctl_h_c, ctl_d_p, ctl_d_c, db_h, db_d, xr_p, xr_d]
+        for _ in range(4):
+            round_socks.extend(socketlib.socketpair())
+        ctl_h_p, ctl_h_c, ctl_d_p, ctl_d_c, db_h, db_d, xr_p, xr_d = round_socks
 
         host_spec = self._spec("host", c2s_seg.segment, self.host_fault_plan)
         dpu_spec = self._spec("dpu", s2c_seg.segment, self.dpu_fault_plan)
@@ -653,12 +636,6 @@ class ProcSupervisor:
         self._host.ctl = _CtlConn(ctl_h_p)
         self._dpu.ctl = _CtlConn(ctl_d_p)
         self._client_raw_sock = xr_p
-
-        self._await_ready(self._host)
-        self._await_ready(self._dpu)
-        if bootstrap:
-            self.bootstrap()
-        return self
 
     def _spec(self, role: str, rbuf_segment: str, fault_plan) -> _SideSpec:
         return _SideSpec(
@@ -687,7 +664,9 @@ class ProcSupervisor:
 
     # -- client plumbing ---------------------------------------------------------
 
-    def _drive(self) -> None:
+    def drive(self) -> None:
+        """One client-side pass while waiting on the children: check
+        that they are alive, then yield the CPU to them."""
         self.engine.step()
         time.sleep(0.0001)
 
@@ -705,11 +684,20 @@ class ProcSupervisor:
         self._client_socket = StreamSocket(self._client_raw_sock, f"{self.name}-client")
         channel = XrpcChannel(None, f"{self.name}:xrpc", socket=self._client_socket,
                               encode_mode=encode_mode)
-        channel.drive = self._drive
+        channel.drive = self.drive
         if self.collector is not None:
             channel.trace = self.collector.recorder("client.xrpc")
         self._cached_channel = channel
         return channel
+
+    def _disconnect_client(self) -> None:
+        if self._client_socket is not None:
+            self._client_socket.close()
+            self._client_socket = None
+        elif self._client_raw_sock is not None:
+            self._client_raw_sock.close()
+        self._client_raw_sock = None
+        self._cached_channel = None
 
     # -- fault handling ----------------------------------------------------------
 
@@ -741,13 +729,7 @@ class ProcSupervisor:
             old.proc.join(5)
         if old.ctl is not None:
             old.ctl.close()
-        if self._client_socket is not None:
-            self._client_socket.close()
-            self._client_socket = None
-        elif self._client_raw_sock is not None:
-            self._client_raw_sock.close()
-        self._client_raw_sock = None
-        self._cached_channel = None
+        self._disconnect_client()
 
         ctl_d_p, ctl_d_c = socketlib.socketpair()
         db_h, db_d = socketlib.socketpair()
@@ -874,13 +856,7 @@ class ProcSupervisor:
                 from repro.obs import import_events
 
                 import_events(self.collector, snapshot)
-        if self._client_socket is not None:
-            self._client_socket.close()
-            self._client_socket = None
-        elif self._client_raw_sock is not None:
-            self._client_raw_sock.close()
-        self._client_raw_sock = None
-        self._cached_channel = None
+        self._disconnect_client()
         for segment in self._segments:
             segment.cleanup()
         self._segments = []

@@ -23,6 +23,7 @@ from .messages import (
     X8000_CHARS,
     WorkloadFactory,
     WorkloadSpec,
+    bench_service,
     workload_schema,
 )
 
@@ -41,6 +42,7 @@ __all__ = [
     "X8000_CHARS",
     "WorkloadFactory",
     "WorkloadSpec",
+    "bench_service",
     "workload_schema",
     "OpenLoopConfig",
     "OpenLoopResult",

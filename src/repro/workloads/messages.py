@@ -30,6 +30,7 @@ __all__ = [
     "WorkloadSpec",
     "workload_schema",
     "WorkloadFactory",
+    "bench_service",
     "SMALL",
     "X512_INTS",
     "X128_INTS",
@@ -62,6 +63,14 @@ message CharArray {
 // Response used by datapath benchmarks (the business logic is empty and
 // answers with an empty message, §VI-C).
 message Empty {}
+"""
+
+_BENCH_SERVICE_PROTO = """
+service Bench {
+  rpc PingSmall (Small) returns (Empty);
+  rpc SumInts (IntArray) returns (IntArray);
+  rpc Upper (CharArray) returns (CharArray);
+}
 """
 
 _SEED = 0x5EED  # constant, like the paper's reproducible MT seed
@@ -157,3 +166,27 @@ class WorkloadFactory:
     def build_wire(self, spec: WorkloadSpec) -> tuple[Message, bytes]:
         msg = self.build(spec)
         return msg, serialize(msg)
+
+
+def bench_service():
+    """The three messages behind one service, and a servicer for it:
+    ``(schema, service, servicer)``, ready for :func:`repro.deploy.build`
+    (the traced runner and the cross-deployment test serve this one)."""
+    schema = compile_schema(WORKLOAD_PROTO + _BENCH_SERVICE_PROTO)
+    Empty = schema["bench.Empty"]
+    IntArray = schema["bench.IntArray"]
+    CharArray = schema["bench.CharArray"]
+
+    class BenchServicer:
+        def PingSmall(self, request, context):
+            return Empty()
+
+        def SumInts(self, request, context):
+            values = list(request.values)
+            values.append(sum(values) % (1 << 32))
+            return IntArray(values=values)
+
+        def Upper(self, request, context):
+            return CharArray(data=request.data.upper())
+
+    return schema, schema.service("bench.Bench"), BenchServicer()

@@ -203,49 +203,115 @@ class OpenLoopResult:
             yield f"breaker:{tick}:{state}:{reason}"
 
 
-class _Stack:
-    """The built offloaded deployment one open-loop run drives."""
+class _OpenLoop:
+    """What :func:`run_open_loop` and :func:`run_autotuned` share, so the
+    two harnesses measure the identical datapath under the identical
+    traffic: the built offloaded deployment (xRPC client → DPU front end
+    → RPC over RDMA → host engine), the seeded arrival stream offered to
+    one client channel, and the accounting of every outcome into an
+    :class:`OpenLoopResult`.  Each harness brings its own ``step`` — what
+    one tick does to the server side is where they differ."""
 
-    __slots__ = ("schema", "Work", "Done", "service", "rdma", "host",
-                 "dpu", "net", "front", "channel", "method")
+    def __init__(self, config: OpenLoopConfig, admission=None) -> None:
+        from repro.deploy import build
 
+        schema = _openloop_schema()
+        self.Work, self.Done = schema["openloop.Work"], schema["openloop.Done"]
+        Done = self.Done
 
-def _build_stack(config: OpenLoopConfig, admission=None) -> _Stack:
-    """Construct the full offloaded stack (xRPC client → DPU front end →
-    RPC over RDMA → host engine), bootstrap it, and return the pieces.
-    Shared by :func:`run_open_loop` and :func:`run_autotuned` so the two
-    harnesses measure the identical datapath."""
-    from repro.core import create_channel
-    from repro.offload.engine import DpuEngine, HostEngine
-    from repro.xrpc import (
-        Network,
-        OffloadedXrpcServer,
-        XrpcChannel,
-        register_offloaded_servicer,
-    )
+        class Servicer:
+            def Run(self, request, context):
+                return Done(x=request.x)
 
-    stack = _Stack()
-    stack.schema = schema = _openloop_schema()
-    stack.Work, stack.Done = schema["openloop.Work"], schema["openloop.Done"]
-    Done = stack.Done
+        service = schema.service("openloop.Pump")
+        self.config = config
+        self.deployment = build("offloaded", schema, service, Servicer())
+        self.deployment.front.admission = admission
+        self.channel = self.deployment.channel(f"openloop-{config.seed}")
+        self.method = f"/{service.full_name}/Run"
+        self.rng = random.Random(config.seed)
+        self.blob = bytes(self.rng.randrange(256) for _ in range(config.payload_bytes))
+        self.result = OpenLoopResult(config=config)
+        self.starts: dict[int, tuple[int, int]] = {}  # call_id -> (lane, start_us)
 
-    class Servicer:
-        def Run(self, request, context):
-            return Done(x=request.x)
+    def make_done(self, call_id: int):
+        result, starts = self.result, self.starts
 
-    stack.service = service = schema.service("openloop.Pump")
-    stack.rdma = rdma = create_channel()
-    stack.host = host = HostEngine(rdma, schema)
-    register_offloaded_servicer(host, service, Servicer())
-    stack.dpu = dpu = DpuEngine(rdma)
-    host.send_bootstrap()
-    dpu.receive_bootstrap()
-    stack.net = net = Network()
-    stack.front = front = OffloadedXrpcServer(net, "openloop:dpu", dpu, service)
-    front.admission = admission
-    stack.channel = XrpcChannel(net, "openloop:dpu", name=f"openloop-{config.seed}")
-    stack.method = f"/{service.full_name}/Run"
-    return stack
+        def done(response, status: int) -> None:
+            lane, started = starts.pop(call_id)
+            if status == StatusCode.OK:
+                result.completed[lane] += 1
+                result.latencies[lane].append(now_us() - started)
+            elif status == StatusCode.RESOURCE_EXHAUSTED:
+                result.shed[lane] += 1
+            elif status == StatusCode.DEADLINE_EXCEEDED:
+                stage, _ = parse_overload_detail(self.channel.last_error_detail)
+                stage = stage or "unknown"
+                result.expired[stage] = result.expired.get(stage, 0) + 1
+            else:
+                result.errors += 1
+
+        return done
+
+    def offer(self, n: int) -> None:
+        config, result = self.config, self.result
+        for _ in range(n):
+            lane = (
+                LANE_BULK
+                if self.rng.random() < config.bulk_fraction
+                else LANE_LATENCY
+            )
+            result.offered += 1
+            # The callback needs its own call_id, which call()
+            # assigns; close over a cell filled right after (safe:
+            # completions only fire from poll()).
+            cell: list[int] = []
+            call_id = self.channel.call(
+                self.method,
+                self.Work(x=result.offered, blob=self.blob),
+                self.Done,
+                lambda response, status, _c=cell: self.make_done(_c[0])(
+                    response, status
+                ),
+                timeout_us=config.timeout_us or None,
+                lane=lane if config.use_lanes else LANE_LATENCY,
+            )
+            cell.append(call_id)
+            self.starts[call_id] = (lane, now_us())
+
+    def run(self, step) -> None:
+        """Offer each tick's seeded arrivals and ``step(tick)``; once
+        arrivals stop (``tick >= config.ticks``) keep stepping until
+        every call is answered or the drain budget runs out."""
+        config = self.config
+        for tick in range(config.ticks):
+            rate = config.offered_per_tick
+            if config.burst_from <= tick < config.burst_until:
+                rate = config.burst_per_tick
+            self.offer(_poisson(self.rng, rate))
+            step(tick)
+        drained = 0
+        while self.starts and drained < config.drain_ticks:
+            step(config.ticks + drained)
+            drained += 1
+        self.result.unanswered = len(self.starts)
+
+    def finish(self) -> OpenLoopResult:
+        """Read the server side's counters into the result and release
+        the deployment."""
+        deployment, result = self.deployment, self.result
+        front = deployment.front
+        if front.admission is not None:
+            result.admission_stats = front.admission.stats()
+        if front.breaker is not None:
+            result.breaker_transitions = list(front.breaker.transitions)
+        result.server_expired = dict(front.deadline_expired)
+        for stage, count in deployment.rdma.server.deadline_expired.items():
+            result.server_expired[stage] = count
+        result.breaker_fallbacks = front.breaker_fallbacks
+        result.host_parsed = deployment.host.host_deserialized
+        deployment.close()
+        return result
 
 
 def run_open_loop(
@@ -265,9 +331,10 @@ def run_open_loop(
     bare on the front end.  All three default off — the uncontrolled
     baseline the benchmark compares against.
     """
-    stack = _build_stack(config, admission)
-    rdma, host, front, channel = stack.rdma, stack.host, stack.front, stack.channel
-    Work, Done = stack.Work, stack.Done
+    load = _OpenLoop(config, admission)
+    rdma, host, front = (load.deployment.rdma, load.deployment.host,
+                         load.deployment.front)
+    channel, result = load.channel, load.result
 
     manager = None
     if use_degradation:
@@ -291,62 +358,21 @@ def run_open_loop(
     if breaker is not None:
         front.breaker = breaker
 
-    rng = random.Random(config.seed)
-    method = stack.method
-    blob = bytes(rng.randrange(256) for _ in range(config.payload_bytes))
-    result = OpenLoopResult(config=config)
-
     clock = ManualClock(1)  # not 0: a 0 deadline word means "none"
     previous = installed_clock()
     install_clock(clock)
     try:
-        starts: dict[int, tuple[int, int]] = {}  # call_id -> (lane, start_us)
-
-        def make_done(call_id: int):
-            def done(response, status: int) -> None:
-                lane, started = starts.pop(call_id)
-                if status == StatusCode.OK:
-                    result.completed[lane] += 1
-                    result.latencies[lane].append(now_us() - started)
-                elif status == StatusCode.RESOURCE_EXHAUSTED:
-                    result.shed[lane] += 1
-                elif status == StatusCode.DEADLINE_EXCEEDED:
-                    stage, _ = parse_overload_detail(channel.last_error_detail)
-                    stage = stage or "unknown"
-                    result.expired[stage] = result.expired.get(stage, 0) + 1
-                else:
-                    result.errors += 1
-
-            return done
-
-        def offer(n: int) -> None:
-            for _ in range(n):
-                lane = (
-                    LANE_BULK
-                    if rng.random() < config.bulk_fraction
-                    else LANE_LATENCY
-                )
-                result.offered += 1
-                # The callback needs its own call_id, which call()
-                # assigns; close over a cell filled right after (safe:
-                # completions only fire from poll()).
-                cell: list[int] = []
-                call_id = channel.call(
-                    method,
-                    Work(x=result.offered, blob=blob),
-                    Done,
-                    lambda response, status, _c=cell: make_done(_c[0])(
-                        response, status
-                    ),
-                    timeout_us=config.timeout_us or None,
-                    lane=lane if config.use_lanes else LANE_LATENCY,
-                )
-                cell.append(call_id)
-                starts[call_id] = (lane, now_us())
-
-        def step(tick: int, slow_ok: bool) -> None:
+        def step(tick: int) -> None:
             front.progress(config.capacity_per_tick)
-            if slow_ok:
+            # The injected host-worker slowdown: inside its window the
+            # host pass only runs every ``slow_stride``-th tick (never
+            # while draining, whatever the window says).
+            slowed = (
+                tick < config.ticks
+                and config.slow_from <= tick < config.slow_until
+                and tick % config.slow_stride != 0
+            )
+            if not slowed:
                 host.progress()
             if manager is not None:
                 manager.on_tick(tick)
@@ -354,22 +380,7 @@ def run_open_loop(
             clock.advance(config.tick_us)
             result.ticks += 1
 
-        for tick in range(config.ticks):
-            rate = config.offered_per_tick
-            if config.burst_from <= tick < config.burst_until:
-                rate = config.burst_per_tick
-            offer(_poisson(rng, rate))
-            slowed = (
-                config.slow_from <= tick < config.slow_until
-                and tick % config.slow_stride != 0
-            )
-            step(tick, slow_ok=not slowed)
-
-        drained = 0
-        while starts and drained < config.drain_ticks:
-            step(config.ticks + drained, slow_ok=True)
-            drained += 1
-        result.unanswered = len(starts)
+        load.run(step)
 
         if manager is not None:
             manager.recover_all(result.ticks)
@@ -380,26 +391,16 @@ def run_open_loop(
                 while (
                     breaker.state != CircuitBreaker.CLOSED and probes < 64
                 ):
-                    offer(1)
+                    load.offer(1)
                     for _ in range(32):
-                        step(result.ticks, slow_ok=True)
-                        if not starts:
+                        step(result.ticks)
+                        if not load.starts:
                             break
                     probes += 1
             result.degradation_events = list(manager.events)
     finally:
         install_clock(previous)
-
-    if admission is not None:
-        result.admission_stats = admission.stats()
-    if breaker is not None:
-        result.breaker_transitions = list(breaker.transitions)
-    result.server_expired = dict(front.deadline_expired)
-    for stage, count in rdma.server.deadline_expired.items():
-        result.server_expired[stage] = count
-    result.breaker_fallbacks = front.breaker_fallbacks
-    result.host_parsed = host.host_deserialized
-    return result
+    return load.finish()
 
 # ---------------------------------------------------------------------------
 # The closed loop: the open-loop harness under the autotuner
@@ -535,8 +536,9 @@ class TuneRunResult:
             yield line
 
 
-def default_knobs(stack: _Stack, cells: dict, initial: dict | None = None):
-    """The knob table over a built stack (docs/AUTOTUNE.md#knobs).
+def default_knobs(deployment, cells: dict, initial: dict | None = None):
+    """The knob table over a built ``offloaded``
+    :class:`~repro.deploy.Deployment` (docs/AUTOTUNE.md#knobs).
 
     Every knob applies *live* — mid-traffic, no reconnect:
 
@@ -554,7 +556,7 @@ def default_knobs(stack: _Stack, cells: dict, initial: dict | None = None):
     from repro.runtime.flush import EagerFlush, NagleFlush
 
     initial = dict(initial or {})
-    rdma, dpu, host = stack.rdma, stack.dpu, stack.host
+    rdma, dpu, host = deployment.rdma, deployment.dpu, deployment.host
 
     def apply_flush(v):
         for ep in (rdma.client, rdma.server):
@@ -621,21 +623,19 @@ def run_autotuned(
     from repro.runtime.autotune import AutoTuner, KnobSet
 
     tune = tune or TuneConfig()
-    stack = _build_stack(config, admission)
-    rdma, host, front, channel = stack.rdma, stack.host, stack.front, stack.channel
-    Work, Done = stack.Work, stack.Done
-
-    rng = random.Random(config.seed)
-    method = stack.method
-    blob = bytes(rng.randrange(256) for _ in range(config.payload_bytes))
-    result = OpenLoopResult(config=config)
+    load = _OpenLoop(config, admission)
+    rdma, host, front = (load.deployment.rdma, load.deployment.host,
+                         load.deployment.front)
+    channel, result = load.channel, load.result
 
     clock = ManualClock(1)
     previous = installed_clock()
     install_clock(clock)
     try:
-        # -- observability wiring (attach after bootstrap, before the
-        #    first request, so derived serials align) --------------------
+        # -- observability wiring: this harness's own, narrower recorder
+        #    set (RDMA endpoints + front end feed the hub; attached where
+        #    build() would attach — after bootstrap, before the first
+        #    request) on a collector slaved to the simulated clock ---------
         collector = TraceCollector(clock=lambda: now_us() * 1e-6)
         attach_channel(collector, rdma, stream="rdma",
                        client_component="dpu.rpc", server_component="host.rpc")
@@ -664,7 +664,7 @@ def run_autotuned(
 
         cells = {"forward_budget": config.capacity_per_tick, "host_passes": 1}
         knobs = KnobSet([
-            k for k in default_knobs(stack, cells, dict(tune.initial))
+            k for k in default_knobs(load.deployment, cells, dict(tune.initial))
             if k.name in tune.knob_names
         ])
         for knob in knobs:
@@ -692,10 +692,11 @@ def run_autotuned(
             warmup_windows=tune.warmup_windows, burn_floor=tune.burn_floor,
         )
         tune_recorder = collector.recorder("tuner")
-        driving = {"on": tune.enabled}
 
         def on_window(snapshot) -> None:
-            if not driving["on"]:
+            # Once arrivals stop the controller is frozen: draining
+            # windows say nothing about the offered load it tunes for.
+            if not tune.enabled or result.ticks >= config.ticks:
                 return
             decision = tuner.observe(snapshot, burn=slo.burn())
             if decision is not None:
@@ -711,48 +712,6 @@ def run_autotuned(
             hub.add_listener(lambda snap: observer(hub, slo, tuner, snap))
         initial_config = knobs.config()
 
-        # -- the drive loop (same shape as run_open_loop) ----------------
-        starts: dict[int, tuple[int, int]] = {}
-
-        def make_done(call_id: int):
-            def done(response, status: int) -> None:
-                lane, started = starts.pop(call_id)
-                if status == StatusCode.OK:
-                    result.completed[lane] += 1
-                    result.latencies[lane].append(now_us() - started)
-                elif status == StatusCode.RESOURCE_EXHAUSTED:
-                    result.shed[lane] += 1
-                elif status == StatusCode.DEADLINE_EXCEEDED:
-                    stage, _ = parse_overload_detail(channel.last_error_detail)
-                    stage = stage or "unknown"
-                    result.expired[stage] = result.expired.get(stage, 0) + 1
-                else:
-                    result.errors += 1
-
-            return done
-
-        def offer(n: int) -> None:
-            for _ in range(n):
-                lane = (
-                    LANE_BULK
-                    if rng.random() < config.bulk_fraction
-                    else LANE_LATENCY
-                )
-                result.offered += 1
-                cell: list[int] = []
-                call_id = channel.call(
-                    method,
-                    Work(x=result.offered, blob=blob),
-                    Done,
-                    lambda response, status, _c=cell: make_done(_c[0])(
-                        response, status
-                    ),
-                    timeout_us=config.timeout_us or None,
-                    lane=lane if config.use_lanes else LANE_LATENCY,
-                )
-                cell.append(call_id)
-                starts[call_id] = (lane, now_us())
-
         def step(tick: int) -> None:
             front.progress(cells["forward_budget"])
             for _ in range(cells["host_passes"]):
@@ -762,29 +721,11 @@ def run_autotuned(
             clock.advance(config.tick_us)
             result.ticks += 1
 
-        for tick in range(config.ticks):
-            rate = config.offered_per_tick
-            if config.burst_from <= tick < config.burst_until:
-                rate = config.burst_per_tick
-            offer(_poisson(rng, rate))
-            step(tick)
-
-        driving["on"] = False  # arrivals stopped: freeze the controller
-        drained = 0
-        while starts and drained < config.drain_ticks:
-            step(config.ticks + drained)
-            drained += 1
-        result.unanswered = len(starts)
+        load.run(step)
     finally:
         install_clock(previous)
 
-    if admission is not None:
-        result.admission_stats = admission.stats()
-    result.server_expired = dict(front.deadline_expired)
-    for stage, count in rdma.server.deadline_expired.items():
-        result.server_expired[stage] = count
-    result.breaker_fallbacks = front.breaker_fallbacks
-    result.host_parsed = host.host_deserialized
+    load.finish()
     return TuneRunResult(
         config=config,
         tune=tune,

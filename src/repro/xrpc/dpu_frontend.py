@@ -20,39 +20,26 @@ null pointer for simplicity"), and return a response Message.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-
 from repro.core import Flags, IncomingRequest
 from repro.offload.engine import DpuEngine, EngineCrashedError, HostEngine
 from repro.proto.descriptor import ServiceDescriptor
-from repro.proto.fixed_wire import negotiation_hash, service_types
-from repro.runtime.overload import deadline_expired, now_us
+from repro.proto.fixed_wire import service_types
 
-from .framing import (
-    FrameDecoder,
-    FrameType,
-    StatusCode,
-    encode_overload_detail,
-    encode_response,
-    encode_setup_ack,
-    response_frame_size,
-    write_response_header,
-)
+from .framing import StatusCode, response_frame_size, write_response_header
+from .ingress import Ingress, _Connection
 from .service import assign_method_ids, build_dispatch_table, method_path
-from .transport import Listener, Network, SimSocket
+from .transport import Network
 
 __all__ = ["OffloadedXrpcServer", "register_offloaded_servicer"]
 
 
-@dataclass
-class _Connection:
-    socket: SimSocket
-    decoder: FrameDecoder = field(default_factory=FrameDecoder)
+class OffloadedXrpcServer(Ingress):
+    """xRPC termination on the DPU, bridged to RPC over RDMA: the shared
+    front door (:class:`~repro.xrpc.ingress.Ingress`) with a
+    :class:`~repro.offload.engine.DpuEngine` behind it."""
 
-
-class OffloadedXrpcServer:
-    """xRPC termination on the DPU, bridged to RPC over RDMA."""
+    EXPIRED_STAGE = "dpu_ingress"
+    SHED_STAGE = "dpu_admission"
 
     def __init__(
         self,
@@ -62,164 +49,32 @@ class OffloadedXrpcServer:
         service: ServiceDescriptor,
         layout_salt: str = "",
     ) -> None:
-        """With ``network=None`` the server starts without a listener;
-        connections arrive through :meth:`adopt` instead (the multiprocess
-        deployments hand it :class:`~repro.xrpc.transport.StreamSocket`
-        ends of pre-established OS socketpairs)."""
-        self.address = address
-        self.listener: Listener | None = network.listen(address) if network is not None else None
+        super().__init__(network, address, layout_salt)
         self.dpu = dpu
         self.service = service
         self._method_ids = assign_method_ids(service)
-        self._connections: list[_Connection] = []
         self.requests_forwarded = 0
         self.responses_returned = 0
         #: requests served through the degraded path (DPU engine down →
         #: wire bytes forwarded for host-side deserialization)
         self.fallback_requests = 0
-        #: AdmissionController (repro.runtime.overload) — None admits
-        #: everything with zero overhead (docs/OVERLOAD.md)
-        self.admission = None
         #: CircuitBreaker on the *offload* path — while open, requests
         #: take the host-parse fallback even though the DPU engine is up
         self.breaker = None
         #: requests routed to host-parse because the breaker denied the
         #: offload path (distinct from fallback_requests' crash failover)
         self.breaker_fallbacks = 0
-        #: requests dropped expired-on-arrival at the DPU, before the
-        #: arena deserializer touched them
-        self.deadline_expired = {"dpu_ingress": 0}
-        # Two priority lanes of decoded-but-unforwarded requests:
-        # (conn, frame, arrival_us).  Latency lane drains first; with
-        # budget=None both drain fully each pass.
-        self._lanes = (deque(), deque())
-        # Event-loop pass counter — the breaker's monotonic time unit.
-        self._ticks = 0
-        #: Perturbs this front end's fixed-layout negotiation hash; any
-        #: non-empty value forces SETUP mismatches (fault injection).
-        self.layout_salt = layout_salt
-        self.setup_matches = 0
-        self.setup_mismatches = 0
-        #: StageRecorder (repro.obs) — None keeps every hook free.
-        self.trace = None
 
-    def poll(self) -> int:
-        """Deprecation shim for the historical name; the front end is a
-        :class:`~repro.runtime.pollable.Pollable` driven via
-        :meth:`progress`."""
-        return self.progress()
+    def _registered_types(self) -> list:
+        # The front end hashes the same service schema the client did.
+        return service_types(self.service)
 
-    def progress(self, budget: int | None = None) -> int:
-        """One event-loop pass: accept, convert xRPC→RPC over RDMA,
-        advance the protocol (responses fire continuations that write
-        back to the right client socket).  ``budget`` caps the requests
-        *forwarded* in one pass — expired drops and admission sheds are
-        cheap and never charged against it; unforwarded requests wait in
-        their priority lane, where their sojourn feeds CoDel-style
-        admission (docs/OVERLOAD.md)."""
-        self._ticks += 1
-        while self.listener is not None:
-            sock = self.listener.accept()
-            if sock is None:
-                break
-            self._connections.append(_Connection(sock))
-        for conn in self._connections:
-            data = conn.socket.recv(1 << 20)
-            if data:
-                conn.decoder.feed(data)
-            for frame in conn.decoder.frames():
-                if frame.frame_type is FrameType.SETUP:
-                    self._answer_setup(conn, frame.method)
-                elif frame.frame_type is FrameType.REQUEST:
-                    lane = frame.deadline_word & 1
-                    stamp = (
-                        now_us()
-                        if self.admission is not None or frame.deadline_word
-                        else 0
-                    )
-                    self._lanes[lane].append((conn, frame, stamp))
-        forwarded = 0
-        for lane, queue in enumerate(self._lanes):
-            while queue and (budget is None or forwarded < budget):
-                conn, frame, arrival = queue.popleft()
-                if conn.socket.eof():
-                    continue  # client gone; a reply would be dropped anyway
-                if self._drop_or_shed(conn, frame, lane, arrival):
-                    continue
-                forwarded += 1
-                self._forward(
-                    conn, frame.call_id, frame.method, frame.message,
-                    frame.wire_mode, frame.deadline_word, lane,
-                )
-        self.dpu.progress(budget)
-        self._connections = [c for c in self._connections if not c.socket.eof()]
-        return forwarded
-
-    def _drop_or_shed(self, conn: _Connection, frame, lane: int,
-                      arrival: int) -> bool:
-        """DPU-ingress overload checks, ahead of the arena deserializer:
-        expired-on-arrival requests are dropped, then the admission
-        controller may shed.  The depth signal counts both lanes *and*
-        the requests already in flight to the host — queueing at the
-        PCIe handoff is where the tail lives (nanoPU, PAPERS.md).
-        Returns True when the request was answered without forwarding."""
-        word = frame.deadline_word
-        if word and deadline_expired(word):
-            self.deadline_expired["dpu_ingress"] += 1
-            if self.trace is not None:
-                self.trace.instant("deadline_expired", stage="dpu_ingress",
-                                   call_id=frame.call_id)
-            conn.socket.send(encode_response(
-                frame.call_id, StatusCode.DEADLINE_EXCEEDED,
-                encode_overload_detail("dpu_ingress"),
-            ))
-            return True
-        if self.admission is None:
-            return False
-        now = now_us()
-        self.admission.note_sojourn(now - arrival, now)
-        depth = (
-            1
-            + sum(len(q) for q in self._lanes)
-            + self.dpu.channel.client.outstanding
-        )
-        decision = self.admission.decide(lane, depth, now)
-        if decision.admit:
-            return False
-        if self.trace is not None:
-            self.trace.instant("shed", lane=lane, call_id=frame.call_id,
-                               reason=decision.reason)
-        conn.socket.send(encode_response(
-            frame.call_id, StatusCode.RESOURCE_EXHAUSTED,
-            encode_overload_detail("dpu_admission", decision.retry_after_ticks),
-        ))
-        return True
-
-    def adopt(self, socket: SimSocket) -> None:
-        """Serve a pre-established connection (no listener involved)."""
-        self._connections.append(_Connection(socket))
-
-    def _answer_setup(self, conn: _Connection, offered_hash: str) -> None:
-        """WIRE_FIXED negotiation on the DPU: the front end hashes the
-        same service schema the client did — the negotiation that makes
-        the branchless decoder safe to select per frame."""
-        mine = negotiation_hash(service_types(self.service), self.layout_salt)
-        if offered_hash == mine:
-            self.setup_matches += 1
-            conn.socket.send(encode_setup_ack(StatusCode.OK))
-        else:
-            self.setup_mismatches += 1
-            conn.socket.send(encode_setup_ack(StatusCode.INVALID_ARGUMENT))
-        if self.trace is not None:
-            self.trace.instant("wire_fixed_setup", match=offered_hash == mine)
-
-    def _forward(
-        self, conn: _Connection, call_id: int, method: str, payload: bytes,
-        wire_mode: int = 0, deadline_word: int = 0, lane: int = 0,
-    ) -> None:
+    def _forward(self, conn: _Connection, frame, lane: int) -> None:
+        call_id, method, payload = frame.call_id, frame.method, frame.message
+        wire_mode, deadline_word = frame.wire_mode, frame.deadline_word
         method_id = self._method_ids.get(method)
         if method_id is None:
-            conn.socket.send(encode_response(call_id, StatusCode.UNIMPLEMENTED, b""))
+            self._respond(conn, call_id, StatusCode.UNIMPLEMENTED, b"")
             return
         self.requests_forwarded += 1
         ctx = None
@@ -295,7 +150,11 @@ class OffloadedXrpcServer:
             self.dpu.call_raw(method_id, payload, on_response, trace_ctx=ctx,
                               wire_mode=wire_mode, deadline=deadline_word)
         except Exception:  # noqa: BLE001 — malformed request payloads
-            conn.socket.send(encode_response(call_id, StatusCode.INVALID_ARGUMENT, b""))
+            self._respond(conn, call_id, StatusCode.INVALID_ARGUMENT, b"")
+
+    #: what follows the lanes: an admitted request is served by
+    #: forwarding it (:meth:`Ingress._serve`)
+    _serve = _forward
 
 
 def register_offloaded_servicer(

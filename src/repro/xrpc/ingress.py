@@ -1,0 +1,211 @@
+"""The front door both xRPC servers share.
+
+The offloaded server *is* the host-parse server with a different back
+half (§III-A: clients only change the server address), so everything a
+client can observe before its request is served is written here once:
+accept, deframe, two priority lanes, the expired-on-arrival drop and
+the admission shed (docs/OVERLOAD.md), the WIRE_FIXED SETUP answer
+(docs/PROTOCOL.md).  A subclass states the four things that differ: its
+stage names, the engine behind the door (:attr:`Ingress.dpu`), the types
+it negotiates over, and what happens to an admitted request.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass, field
+
+from repro.proto.fixed_wire import negotiation_hash
+from repro.runtime.overload import deadline_expired, now_us
+
+from .framing import (
+    FrameDecoder,
+    FrameType,
+    StatusCode,
+    encode_overload_detail,
+    encode_response,
+    encode_setup_ack,
+)
+from .transport import Listener, Network, SimSocket
+
+__all__ = ["Ingress"]
+
+
+@dataclass
+class _Connection:
+    socket: SimSocket
+    decoder: FrameDecoder = field(default_factory=FrameDecoder)
+
+
+class Ingress:
+    """Single-threaded, poll-driven xRPC termination: one
+    :meth:`progress` pass accepts, deframes, and hands each admitted
+    request to the subclass."""
+
+    #: stages named by the answer to a request dropped expired-on-arrival
+    #: (also its counter's key) and to one shed by admission control
+    EXPIRED_STAGE = SHED_STAGE = "dispatch"
+    #: The :class:`~repro.offload.engine.DpuEngine` admitted requests are
+    #: forwarded to — its in-flight requests count into the admission
+    #: depth and it is progressed after the lanes; None serves in place.
+    dpu = None
+
+    def __init__(self, network: Network | None, address: str,
+                 layout_salt: str = "") -> None:
+        """With ``network=None`` the server starts without a listener;
+        connections arrive through :meth:`adopt` instead (the multiprocess
+        deployments hand it :class:`~repro.xrpc.transport.StreamSocket`
+        ends of pre-established OS socketpairs)."""
+        self.address = address
+        self.listener: Listener | None = (
+            network.listen(address) if network is not None else None
+        )
+        self._connections: list[_Connection] = []
+        #: AdmissionController (repro.runtime.overload) — None admits
+        #: everything with zero overhead (docs/OVERLOAD.md)
+        self.admission = None
+        #: requests dropped expired-on-arrival, before any decode work
+        self.deadline_expired = {self.EXPIRED_STAGE: 0}
+        # Two priority lanes of decoded-but-unserved requests:
+        # (conn, frame, arrival_us).  The latency lane always drains
+        # first; with budget=None both drain fully every pass, so the
+        # lanes only reorder under an explicit per-pass budget.
+        self._lanes = (deque(), deque())
+        # Event-loop pass counter — the circuit breaker's monotonic time
+        # unit.
+        self._ticks = 0
+        #: Perturbs this server's fixed-layout negotiation hash; any
+        #: non-empty value makes every SETUP offer mismatch (the fault
+        #: campaign's forced-fallback knob, docs/FAULTS.md).
+        self.layout_salt = layout_salt
+        #: WIRE_FIXED negotiations answered (match, mismatch) — observability
+        self.setup_matches = 0
+        self.setup_mismatches = 0
+        #: StageRecorder (repro.obs) — None keeps every hook free.
+        self.trace = None
+
+    def adopt(self, socket: SimSocket) -> None:
+        """Serve a pre-established connection (no listener involved)."""
+        self._connections.append(_Connection(socket))
+
+    # -- event loop -----------------------------------------------------------
+
+    def poll(self) -> int:
+        """Deprecation shim for the historical name; the server is a
+        :class:`~repro.runtime.pollable.Pollable` driven via
+        :meth:`progress`."""
+        return self.progress()
+
+    def progress(self, budget: int | None = None) -> int:
+        """One event-loop pass: accept, deframe, serve the lanes, then
+        advance the engine behind the door (responses fire continuations
+        that write back to the right client socket).  Returns the number
+        of requests served.  Registerable with a
+        :class:`~repro.runtime.engine.ProgressEngine`; ``budget`` caps
+        the requests *served* in one pass (overload drops and sheds are
+        cheap and never charged against it) — unserved requests wait in
+        their priority lane, where their sojourn feeds CoDel-style
+        admission (docs/OVERLOAD.md)."""
+        self._ticks += 1
+        while self.listener is not None:
+            sock = self.listener.accept()
+            if sock is None:
+                break
+            self._connections.append(_Connection(sock))
+        for conn in self._connections:
+            data = conn.socket.recv(1 << 20)
+            if data:
+                conn.decoder.feed(data)
+            for frame in conn.decoder.frames():
+                if frame.frame_type is FrameType.SETUP:
+                    self._answer_setup(conn, frame.method)
+                elif frame.frame_type is FrameType.REQUEST:
+                    lane = frame.deadline_word & 1
+                    stamp = (
+                        now_us()
+                        if self.admission is not None or frame.deadline_word
+                        else 0
+                    )
+                    self._lanes[lane].append((conn, frame, stamp))
+        served = 0
+        for lane, queue in enumerate(self._lanes):
+            while queue and (budget is None or served < budget):
+                conn, frame, arrival = queue.popleft()
+                if conn.socket.eof():
+                    continue  # client gone; a reply would be dropped anyway
+                if self._drop_or_shed(conn, frame, lane, arrival):
+                    continue
+                served += 1
+                self._serve(conn, frame, lane)
+        if self.dpu is not None:
+            self.dpu.progress(budget)
+        self._connections = [c for c in self._connections if not c.socket.eof()]
+        return served
+
+    def _drop_or_shed(self, conn: _Connection, frame, lane: int,
+                      arrival: int) -> bool:
+        """Overload checks ahead of any decode work: expired-on-arrival
+        requests are dropped, then the admission controller may shed.
+        With an engine behind the door the depth signal also counts the
+        requests already in flight to the host — queueing at the PCIe
+        handoff is where the tail lives (nanoPU, PAPERS.md).
+        Returns True when the request was answered without serving."""
+        word = frame.deadline_word
+        if word and deadline_expired(word):
+            self.deadline_expired[self.EXPIRED_STAGE] += 1
+            if self.trace is not None:
+                self.trace.instant("deadline_expired", stage=self.EXPIRED_STAGE,
+                                   call_id=frame.call_id)
+            self._respond(conn, frame.call_id, StatusCode.DEADLINE_EXCEEDED,
+                          encode_overload_detail(self.EXPIRED_STAGE))
+            return True
+        if self.admission is None:
+            return False
+        now = now_us()
+        self.admission.note_sojourn(now - arrival, now)
+        depth = 1 + sum(len(q) for q in self._lanes)
+        if self.dpu is not None:
+            depth += self.dpu.channel.client.outstanding
+        decision = self.admission.decide(lane, depth, now)
+        if decision.admit:
+            return False
+        if self.trace is not None:
+            self.trace.instant("shed", lane=lane, call_id=frame.call_id,
+                               reason=decision.reason)
+        self._respond(
+            conn, frame.call_id, StatusCode.RESOURCE_EXHAUSTED,
+            encode_overload_detail(self.SHED_STAGE, decision.retry_after_ticks),
+        )
+        return True
+
+    def _answer_setup(self, conn: _Connection, offered_hash: str) -> None:
+        """WIRE_FIXED negotiation: compare the client's layout hash with
+        our own over :meth:`_registered_types` — the negotiation that
+        makes the branchless decoder safe to select per frame.
+        Stateless — the answer only informs the *client*; each frame
+        carries its wire mode, so the server never needs per-connection
+        mode state."""
+        mine = negotiation_hash(self._registered_types(), self.layout_salt)
+        if offered_hash == mine:
+            self.setup_matches += 1
+            conn.socket.send(encode_setup_ack(StatusCode.OK))
+        else:
+            self.setup_mismatches += 1
+            conn.socket.send(encode_setup_ack(StatusCode.INVALID_ARGUMENT))
+        if self.trace is not None:
+            self.trace.instant("wire_fixed_setup", match=offered_hash == mine)
+
+    def _respond(self, conn: _Connection, call_id: int, status: int,
+                 message: bytes) -> None:
+        conn.socket.send(encode_response(call_id, status, message))
+
+    # -- what a subclass states -----------------------------------------------
+
+    def _registered_types(self) -> list:
+        """Every request/response type this server answers for."""
+        raise NotImplementedError
+
+    def _serve(self, conn: _Connection, frame, lane: int) -> None:
+        """What follows the lanes: answer one admitted request — in
+        place, or by forwarding it."""
+        raise NotImplementedError

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.proto import CompiledSchema, compile_schema
@@ -141,3 +143,23 @@ def build_everything(cls):
     l2.id = 2
     l2.label = "two"
     return m
+
+
+@pytest.fixture(scope="session")
+def own_descriptors():
+    """A function listing what this process holds open that a deployment
+    could leak: every socket (``socket:[inode]``) and every ``/dev/shm``
+    mapping.  Compare the set before a build with the set after close."""
+
+    def snapshot() -> set[str]:
+        links = set()
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                link = os.readlink(f"/proc/self/fd/{fd}")
+            except OSError:
+                continue  # the listing's own descriptor
+            if link.startswith(("socket:", "/dev/shm/")):
+                links.add(link)
+        return links
+
+    return snapshot

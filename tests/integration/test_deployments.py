@@ -1,0 +1,167 @@
+"""One request stream, four deployments, identical bytes (ROADMAP 5(d)).
+
+The compatibility layer's promise is that a client cannot tell where its
+request was parsed: the host-parse baseline, the offloaded stack over
+either fabric, and the three-process deployment must answer the same
+frames with the same bytes.  Every deployment here comes from
+``repro.deploy.build`` and is reached through ``Deployment.connect()``
+— a raw socket, so what is compared is what was on the wire.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import os
+import time
+
+import pytest
+
+from repro.deploy import build
+from repro.proto import serialize
+from repro.workloads import WorkloadFactory, bench_service
+from repro.xrpc import FrameDecoder, FrameType, StatusCode, encode_request
+
+DEPLOYMENTS = {
+    "baseline": ("baseline", "inproc"),
+    "offloaded-inproc": ("offloaded", "inproc"),
+    "offloaded-shm": ("offloaded", "shm"),
+    "procs": ("procs", "shm"),
+}
+PROCS_NAME = "difftest"
+#: a packed run that claims five bytes and brings one
+MALFORMED = b"\x0a\x05\x01"
+
+
+def _request_stream():
+    """(what, frame) — the paper's three shapes, one malformed payload in
+    the middle, framed exactly once for all four deployments."""
+    schema, _service, _servicer = bench_service()
+    factory = WorkloadFactory(schema=schema)
+    requests = [
+        ("small", "PingSmall", serialize(factory.small())),
+        ("ints512", "SumInts", serialize(factory.int_array(512))),
+        ("chars8000", "Upper", serialize(factory.char_array(8000))),
+        ("malformed", "SumInts", MALFORMED),
+        ("small-after", "PingSmall", serialize(factory.small())),
+        ("ints512-after", "SumInts", serialize(factory.int_array(512))),
+    ]
+    return [
+        (what, encode_request(2 * i + 1, f"/bench.Bench/{method}", payload))
+        for i, (what, method, payload) in enumerate(requests)
+    ]
+
+
+def _own_segments() -> list[str]:
+    return [n for n in os.listdir("/dev/shm")
+            if n.startswith("repro-") and f"-{os.getpid()}-" in n]
+
+
+def _round_trip(deployment, socket, frame: bytes):
+    """Send one request frame, return the raw bytes of its one response
+    frame and the decoded frame."""
+    decoder, raw = FrameDecoder(), bytearray()
+    socket.send(frame)
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        deployment.drive()
+        data = socket.recv(1 << 20)
+        if not data:
+            continue
+        raw += data
+        decoder.feed(data)
+        frames = list(decoder.frames())
+        if frames:
+            assert len(frames) == 1
+            return bytes(raw), frames[0]
+    raise AssertionError("no response within 30 s")
+
+
+def _run(kind: str, transport: str, stream, own_descriptors) -> dict:
+    schema, service, servicer = bench_service()
+    held_before = own_descriptors()
+    deployment = build(kind, schema, service, servicer, transport=transport,
+                       name=PROCS_NAME)
+    try:
+        socket = deployment.connect("difftest-client")
+        responses = {what: _round_trip(deployment, socket, frame)
+                     for what, frame in stream}
+        if kind == "procs":
+            stats = deployment.supervisor.stats()["dpu"]
+            forwarded, fallbacks = stats["requests_forwarded"], stats["fallback_requests"]
+        elif kind == "offloaded":
+            front = deployment.front
+            forwarded = front.requests_forwarded
+            fallbacks = front.fallback_requests + front.breaker_fallbacks
+        else:
+            forwarded = fallbacks = None
+    finally:
+        deployment.close()
+    return {
+        "responses": responses,
+        "forwarded": forwarded,
+        "fallbacks": fallbacks,
+        "segments": _own_segments(),
+        "children": [c.name for c in multiprocessing.active_children()
+                     if c.name.startswith(f"{PROCS_NAME}-")],
+        "fds": sorted(own_descriptors() - held_before),
+    }
+
+
+@pytest.fixture(scope="module")
+def stream():
+    return _request_stream()
+
+
+@pytest.fixture(scope="module")
+def runs(stream, own_descriptors):
+    return {label: _run(kind, transport, stream, own_descriptors)
+            for label, (kind, transport) in DEPLOYMENTS.items()}
+
+
+def test_every_deployment_answers_with_the_same_bytes(runs, stream):
+    reference = runs["baseline"]["responses"]
+    for label, run in runs.items():
+        for what, _frame in stream:
+            raw, _decoded = run["responses"][what]
+            assert raw == reference[what][0], f"{label}: {what} differs from baseline"
+
+
+def test_malformed_is_invalid_argument_and_the_connection_survives(runs):
+    for label, run in runs.items():
+        for what, (_raw, frame) in run["responses"].items():
+            assert frame.frame_type is FrameType.RESPONSE, (label, what)
+            expected = (StatusCode.INVALID_ARGUMENT if what == "malformed"
+                        else StatusCode.OK)
+            assert frame.status == expected, (label, what)
+        assert run["responses"]["malformed"][1].message == b""
+        # the same connection kept serving, non-trivially
+        assert len(run["responses"]["ints512-after"][1].message) > 512
+
+
+def test_offloaded_kinds_forward_everything_and_never_fall_back(runs, stream):
+    assert runs["baseline"]["forwarded"] is None
+    for label in ("offloaded-inproc", "offloaded-shm", "procs"):
+        assert runs[label]["forwarded"] == len(stream), label
+        assert runs[label]["fallbacks"] == 0, label
+
+
+def test_close_leaves_no_segment_child_or_descriptor(runs):
+    for label, run in runs.items():
+        assert run["segments"] == [], label
+        assert run["children"] == [], label
+        assert run["fds"] == [], label
+
+
+def test_a_build_that_fails_releases_what_it_made(monkeypatch, own_descriptors):
+    """All or nothing: an shm ``offloaded`` build that fails after its
+    channel exists closes it — both segments, both doorbell sockets."""
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr("repro.deploy.dpu_half", boom)
+    held_before = own_descriptors()
+    with pytest.raises(RuntimeError, match="injected"):
+        build("offloaded", *bench_service(), transport="shm")
+    assert _own_segments() == []
+    assert sorted(own_descriptors() - held_before) == []

@@ -5,6 +5,8 @@ failover, cross-process fault injection, and trace merging."""
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
 
 import pytest
@@ -140,3 +142,33 @@ def test_start_twice_rejected(supervisor):
     supervisor.start()
     with pytest.raises(ProcError):
         supervisor.start()
+
+
+@pytest.mark.parametrize("failing", ["bootstrap", "_await_ready"])
+def test_failed_start_leaves_nothing_behind(calc_schema, monkeypatch, own_descriptors,
+                                            failing):
+    """``start()`` is all or nothing.  A caller whose ``start()`` raised
+    holds nothing it would think to ``stop()`` — ``with`` never reaches
+    ``__exit__`` when ``__enter__`` raises — so two children and two shm
+    segments used to outlive the error."""
+
+    def boom(self, *args, **kwargs):
+        raise ProcError(f"injected {failing} failure")
+
+    monkeypatch.setattr(ProcSupervisor, failing, boom)
+    sup = ProcSupervisor(
+        calc_schema, calc_schema.service("calc.Calc"), make_servicer(calc_schema),
+        name="failstart",
+    )
+    held_before = own_descriptors()
+    try:
+        with pytest.raises(ProcError, match="injected"):
+            sup.start()
+        assert not [c.name for c in multiprocessing.active_children()
+                    if c.name.startswith("failstart-")]
+        assert not [n for n in os.listdir("/dev/shm")
+                    if n.startswith("repro-failstart-") and f"-{os.getpid()}-" in n]
+        assert not own_descriptors() - held_before  # control, doorbell, xRPC
+        assert sup.stop() == {}  # nothing was left for it
+    finally:
+        sup.stop()

@@ -1,0 +1,115 @@
+"""Structure guard: one way to build a stack, one front door, one
+open-loop traffic half (ROADMAP aim 2, item 4).
+
+Reads ``src/`` and ``examples/`` as syntax trees — what is pinned is
+where things are *written*, not how they behave.  Tests under ``tests/``
+and the benchmark harness may keep their hand-built stacks: they pin
+the public parts the builder itself composes.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+
+
+def _trees(*roots: Path):
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _enclosing_functions(tree: ast.AST):
+    """node -> name of the outermost function it sits in (None at module
+    or class level)."""
+    owner: dict[ast.AST, str | None] = {}
+
+    def walk(node: ast.AST, inside: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = inside
+            if inside is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+            owner[child] = name
+            walk(child, name)
+
+    walk(tree, None)
+    return owner
+
+
+def _definitions(root: Path, name: str) -> list[str]:
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in _trees(root)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
+    ]
+
+
+@pytest.mark.parametrize("constructor", ["HostEngine", "DpuEngine", "OffloadedXrpcServer"])
+def test_the_stack_is_assembled_in_the_builder_only(constructor):
+    """The offloaded stack's three parts are constructed in
+    ``repro/deploy.py`` (every deployment kind, and the two halves the
+    ``procs`` children call) and in ``create_offload_pair`` (the
+    method-level API) — nowhere else in ``src/`` or ``examples/``."""
+    allowed = {
+        ("src/repro/deploy.py", "host_half"),
+        ("src/repro/deploy.py", "dpu_half"),
+        ("src/repro/offload/engine.py", "create_offload_pair"),
+    }
+    elsewhere = []
+    for path, tree in _trees(SRC, ROOT / "examples"):
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called != constructor:
+                continue
+            site = (str(path.relative_to(ROOT)), owner[node])
+            if site not in allowed:
+                elsewhere.append(f"{site[0]}:{node.lineno} in {site[1]}")
+    assert elsewhere == []
+
+
+def test_no_hand_rolled_drive_lambda():
+    """``Deployment.drive`` is the one drive pass; nothing assigns a
+    lambda to a ``drive`` name or attribute."""
+    offenders = []
+    for path, tree in _trees(SRC, ROOT / "examples"):
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda)):
+                continue
+            for target in node.targets:
+                name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+                if name == "drive":
+                    offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert offenders == []
+
+
+@pytest.mark.parametrize("method", ["_drop_or_shed", "_answer_setup"])
+def test_the_front_door_is_written_once(method):
+    (where,) = _definitions(SRC / "xrpc", method)
+    assert where.startswith("src/repro/xrpc/ingress.py:")
+
+
+def test_the_lane_loop_is_written_once():
+    """``for lane, queue in enumerate(self._lanes)`` — the priority-lane
+    drain — appears once under ``src/repro/xrpc/``."""
+    loops = []
+    for path, tree in _trees(SRC / "xrpc"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.For) and "_lanes" in ast.unparse(node.iter):
+                loops.append(path.name)
+    assert loops == ["ingress.py"]
+
+
+@pytest.mark.parametrize("function", ["make_done", "offer"])
+def test_the_open_loop_traffic_half_is_written_once(function):
+    assert len(_definitions(SRC / "workloads", function)) == 1
+

@@ -126,10 +126,13 @@ class TestCodecKnobs:
         on a live stack; the arena deserializer used to dispatch on a flag
         cached at construction, so the knob never left the compiled
         tier."""
+        from repro.deploy import build
         from repro.proto import PLAN_METRICS, serialize
-        from repro.workloads.openloop import _build_stack, default_knobs
+        from repro.workloads import bench_service
+        from repro.workloads.openloop import default_knobs
 
-        stack = _build_stack(short_config())
+        schema, service, servicer = bench_service()
+        stack = build("offloaded", schema, service, servicer)
         knobs = {k.name: k for k in default_knobs(stack, {})}
         knob = knobs["decode_mode"]
         assert knob.values == ["interpretive", "generated"]
@@ -137,7 +140,7 @@ class TestCodecKnobs:
         assert knob.value == stack.dpu.deserializer.mode == "generated"
 
         method_id = next(iter(stack.dpu.method_table))
-        wire = serialize(stack.Work(x=7))
+        wire = serialize(schema["bench.Small"](id=7))
 
         def gen_traffic_of_one_call():
             before = PLAN_METRICS.gen_compiles + PLAN_METRICS.gen_cache_hits

@@ -128,9 +128,9 @@ class TestBaselineNegotiation:
         seen = []
         original = server._serve
 
-        def spy(conn, call_id, method, payload, wire_mode=0):
-            seen.append((wire_mode, bytes(payload)))
-            return original(conn, call_id, method, payload, wire_mode)
+        def spy(conn, frame, lane):
+            seen.append((frame.wire_mode, bytes(frame.message)))
+            return original(conn, frame, lane)
 
         server._serve = spy
         msg = BinOp(a=5, b=9)
