@@ -21,7 +21,7 @@ from .endpoint import (
 from .executor import DeferredExecutor, InlineExecutor, WorkerPool
 from .idpool import IdPoolError, RequestIdPool
 from .recovery import ChannelRecovery, RecoveryError, RecoveryReport, supervise_channel
-from .tracing import Span, Tracer, describe_flags, dissect_block, hexdump
+from .tracing import describe_flags, dissect_block, hexdump
 from .wire import (
     HEADER_SIZE,
     PAYLOAD_ALIGN,
@@ -64,8 +64,6 @@ __all__ = [
     "DeferredExecutor",
     "InlineExecutor",
     "WorkerPool",
-    "Span",
-    "Tracer",
     "describe_flags",
     "dissect_block",
     "hexdump",

@@ -46,6 +46,7 @@ __all__ = [
     "RpcServer",
     "create_channel",
     "build_endpoint_side",
+    "check_config_pair",
 ]
 
 
@@ -106,9 +107,19 @@ class Channel:
                     region.cleanup()
 
 
-def _check_config_pair(client_config: ProtocolConfig, server_config: ProtocolConfig) -> None:
+def check_config_pair(client_config: ProtocolConfig, server_config: ProtocolConfig) -> None:
+    """Reject a client/server config pair the protocol cannot run on:
+    what the two sides must agree on is checked here, once, for every
+    way a connection is built."""
     if client_config.block_alignment != server_config.block_alignment:
         raise ValueError("both sides must agree on block alignment")
+    if client_config.concurrency != server_config.concurrency:
+        # Each side sizes its mirrored §IV-D ID pool from its own value;
+        # unequal pools hand out different IDs as soon as one wraps.
+        raise ValueError(
+            f"both sides must agree on concurrency "
+            f"(client={client_config.concurrency}, server={server_config.concurrency})"
+        )
     if client_config.recv_buffer_size < server_config.send_buffer_size:
         raise ValueError("client RBuf must cover the server SBuf it mirrors")
     if server_config.recv_buffer_size < client_config.send_buffer_size:
@@ -205,7 +216,7 @@ def create_channel(
     doorbells run over a socketpair — the same mechanics as the
     multiprocess deployment, inside one process.
     """
-    _check_config_pair(client_config, server_config)
+    check_config_pair(client_config, server_config)
     transport = transport or client_config.transport
     if fabric is None:
         factory = TRANSPORTS.get(transport)

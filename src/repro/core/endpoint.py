@@ -34,14 +34,14 @@ called continuously").  Foreground RPCs run inside ``progress``;
 background execution is available through an optional executor, carrying
 the BACKGROUND header flag the protocol reserves for it.
 
-Endpoints no longer own their loop: they are *pollables* of the unified
-:class:`~repro.runtime.engine.ProgressEngine` (docs/RUNTIME.md).  The
-per-pass body lives in ``_progress_impl(budget)``; the public
-:meth:`progress` remains as a thin shim that routes through the engine
-(registering with a private one on first use when the endpoint was never
-registered), so existing call sites keep working while gaining engine
-metrics and tracing.  Partial-block flushing is delegated to the
-pluggable flush policy selected by ``ProtocolConfig.flush_policy``.
+Endpoints do not own their loop: :meth:`progress` *is* one event-loop
+pass, a plain method that a :class:`~repro.runtime.engine.ProgressEngine`
+(docs/RUNTIME.md) or an owner driving the endpoint by hand calls; only
+the engine's own polls are counted, scheduled and supervised.  Both
+roles send through one path — ``_append`` puts a message into the open
+block, ``_seal`` queues the block, ``flush`` / ``_flush_by_policy``
+decide when a partial one goes (``ProtocolConfig.flush_policy``) —
+whose rules docs/PROTOCOL.md §3 "Sender rules" states once.
 """
 
 from __future__ import annotations
@@ -90,6 +90,19 @@ __all__ = [
 PayloadWriter = Callable[[AddressSpace, int], int]
 #: Client continuation: (payload memoryview, flags) -> None
 Continuation = Callable[[memoryview, int], None]
+
+
+def _writer_from_emit(size: int, emit) -> PayloadWriter:
+    """Adapt ``emit(view)`` — fill a writable ``size``-byte memoryview of
+    the send region, the shape ``repro.proto.prepare_emit`` produces via
+    ``emit_into`` — to a payload writer: no intermediate ``bytes``
+    payload is ever materialized, in either direction."""
+
+    def writer(space: AddressSpace, addr: int) -> int:
+        emit(space.view(addr, size))
+        return size
+
+    return writer
 
 
 class AddressContinuation:
@@ -183,16 +196,8 @@ class Response:
     @classmethod
     def from_emitter(cls, size: int, emit, flags: int = Flags.NONE) -> "Response":
         """Response whose payload is emitted straight into the reserved
-        block space: ``emit(view)`` receives a writable ``size``-byte
-        memoryview of the send region (the shape
-        ``repro.proto.prepare_emit`` produces via ``emit_into``) — no
-        intermediate ``bytes`` payload is ever materialized."""
-
-        def writer(space: AddressSpace, addr: int) -> int:
-            emit(space.view(addr, size))
-            return size
-
-        return cls(size=size, writer=writer, flags=flags)
+        block space by ``emit(view)``."""
+        return cls(size=size, writer=_writer_from_emit(size, emit), flags=flags)
 
     def write_to(self, space: AddressSpace, addr: int) -> int:
         if self.writer is not None:
@@ -231,7 +236,6 @@ class _OutBlock:
 
     sbuf_addr: int
     length: int
-    bucket: int
     message_count: int = 0
     continuations: list = field(default_factory=list)
     #: per-message trace contexts, parallel to ``continuations``; empty
@@ -240,8 +244,9 @@ class _OutBlock:
 
 
 class _EndpointBase:
-    """State shared by both endpoint roles: one connection's buffers,
-    allocator, credits, ID pool, QP plumbing."""
+    """What both endpoint roles share: one connection's buffers,
+    allocator, credits, ID pool, QP plumbing, and the send path (§IV
+    defines one block format and one batching rule for both directions)."""
 
     def __init__(
         self,
@@ -263,30 +268,15 @@ class _EndpointBase:
         self.rbuf = rbuf
         self.config = config
         self.remote_block_alignment = remote_block_alignment
-        self.allocator = OffsetAllocator(sbuf.size)
-        self.credits = CreditManager(config.credits)
-        self.id_pool = RequestIdPool(min(config.concurrency, 1 << 16))
         self.stats = EndpointStats()
         self.flush_policy = make_flush_policy(config)
-        #: flush decisions by reason; shared with the engine's metrics.
+        #: flush decisions by reason — one count per block sealed; shared
+        #: with the engine's metrics.
         self.flush_reasons: dict[str, int] = {}
-        #: set by ProgressEngine.register; the shim routes through it.
-        self._runtime_engine = None
         self._polls = 0  # local pass counter: the flush policies' clock
-        self._open_since: int | None = None  # pass of the first pending message
         self._wr_ids = itertools.count(1)
-        self._send_queue: deque[_OutBlock] = deque()
-        #: out-of-band RDMA SEND payloads (bootstrap/control traffic)
-        self.inbound_sends: deque[bytes] = deque()
         #: connection resets survived (repro.core.recovery)
         self.resets = 0
-        # Per-direction block sequence numbers (docs/FAULTS.md): _tx_seq
-        # stamps outgoing preambles at transmit time; _rx_seq tracks the
-        # last in-order block accepted.  Without them a silently lost or
-        # duplicated block desynchronizes the mirrored §IV-D ID pools and
-        # responses pair with the *wrong* continuations — undetectably.
-        self._tx_seq = 0
-        self._rx_seq = 0
         #: duplicate block deliveries dropped by the sequence check
         self.duplicate_blocks = 0
         # Request-scoped tracing (repro.obs, docs/OBSERVABILITY.md).
@@ -300,53 +290,46 @@ class _EndpointBase:
         self._trace_stream = ""
         self._trace_explicit = False  # client only: on-wire context word
         self._trace_serial = 0  # tx-serial (client) / rx-serial (server)
-        self._trace_by_rid: dict[int, object] = {}
         # Pre-post one receive WQE per possible in-flight block from the
         # peer (the peer's credit limit bounds that; the factory passes it
         # in), plus slack for the repost that replenishes.
         self._recv_slots = recv_slots if recv_slots is not None else config.credits
-        self._posted_recvs = 0
+        self._init_connection()
+
+    def _init_connection(self) -> None:
+        """Build the connection-scoped protocol state, which a transport
+        reset must forget: a reset connection starts exactly like a new
+        one (deterministically on both sides, so the §IV-D synchronized
+        sequences restart aligned).  Each role extends it with its own."""
+        self.allocator = OffsetAllocator(self.sbuf.size)
+        self.credits = CreditManager(self.config.credits)
+        self.id_pool = RequestIdPool(min(self.config.concurrency, 1 << 16))
+        # The open block; open only while it holds a committed message.
+        self._writer: BlockWriter | None = None
+        self._writer_addr = 0
+        self._open_since: int | None = None  # pass of its first message
+        self._send_queue: deque[_OutBlock] = deque()
+        #: out-of-band RDMA SEND payloads (bootstrap/control traffic)
+        self.inbound_sends: deque[bytes] = deque()
+        # Per-direction block sequence numbers (docs/FAULTS.md): _tx_seq
+        # stamps outgoing preambles at transmit time; _rx_seq tracks the
+        # last in-order block accepted.  Without them a silently lost or
+        # duplicated block desynchronizes the mirrored §IV-D ID pools and
+        # responses pair with the *wrong* continuations — undetectably.
+        self._tx_seq = 0
+        self._rx_seq = 0
+        self._trace_by_rid: dict[int, object] = {}
+        self._posted_recvs = 0  # (a reset's error flush emptied the queue)
         for _ in range(self._recv_slots + 8):
             self._post_recv()
 
-    # -- progress-engine integration -------------------------------------------
-
-    def progress(self, budget: int | None = None) -> int:
-        """One event-loop pass.  Deprecation shim: delegates to the
-        progress engine this endpoint is registered with (a private
-        single-pollable engine is created on first use otherwise), so
-        direct callers keep their semantics and gain instrumentation."""
-        engine = self._runtime_engine
-        if engine is None:
-            from repro.runtime import ProgressEngine
-
-            engine = ProgressEngine(name=f"{self.name}.engine")
-            engine.register(self, name=self.name)
-        return engine.drive(self, budget)
-
-    def _progress_impl(self, budget: int | None = None) -> int:
-        raise NotImplementedError
-
-    def _record_flush(self, reason: str) -> None:
-        self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
-
-    def _note_open_message(self) -> None:
-        """Mark the open block non-empty (starts the flush-policy clock)."""
-        if self._open_since is None:
-            self._open_since = self._polls
-
-    def _policy_flush_reason(self, writer) -> str | None:
-        """Ask the flush policy about the current partial block."""
-        if writer is None or not writer.message_count:
-            return None
-        waited = self._polls - self._open_since if self._open_since is not None else 0
-        return self.flush_policy.should_flush(
-            FlushState(
-                pending_bytes=writer.bytes_used,
-                pending_messages=writer.message_count,
-                ticks_waiting=waited,
-            )
-        )
+    def reset_connection_state(self) -> None:
+        """Rebuild the connection-scoped protocol state from scratch after
+        a transport reset.  The QP must already be back in RTS.  Drives
+        nothing itself; :class:`repro.core.recovery.ChannelRecovery`
+        sequences the two sides."""
+        self._init_connection()
+        self.resets += 1
 
     # -- receive WQE management ------------------------------------------------
 
@@ -354,29 +337,97 @@ class _EndpointBase:
         self.qp.post_recv(next(self._wr_ids))
         self._posted_recvs += 1
 
-    # -- connection reset --------------------------------------------------------
+    # -- the send path (docs/PROTOCOL.md "Sender rules") -----------------------
 
-    def reset_connection_state(self) -> None:
-        """Rebuild the connection-scoped protocol state from scratch after
-        a transport reset: fresh allocator, credits, and request-ID pool
-        (both sides rebuild deterministically, so the §IV-D synchronized
-        sequences restart aligned), emptied send queue, reposted receive
-        WQEs.  The QP must already be back in RTS — the error flush tore
-        its receive queue down, so the WQEs are replenished here.  Drives
-        nothing itself; :class:`repro.core.recovery.ChannelRecovery`
-        sequences the two sides."""
-        self.allocator = OffsetAllocator(self.sbuf.size)
-        self.credits = CreditManager(self.config.credits)
-        self.id_pool = RequestIdPool(min(self.config.concurrency, 1 << 16))
-        self._send_queue.clear()
-        self.inbound_sends.clear()
+    def _append(
+        self, reserve: int, write: PayloadWriter, method_or_id: int, flags: int,
+        words: tuple = (),
+    ) -> int:
+        """Put one message into the open block; returns its payload size.
+
+        ``write`` builds the payload in place and reports its true size
+        (at most ``reserve``); each of ``words`` is a u64 written ahead
+        of it, in order.  A block that cannot take the message seals
+        first; one is opened when none is.  A writer that raises (a
+        malformed payload fails in the arena decoder) or over-reports
+        costs exactly this message: it is aborted, the error re-raised,
+        and the block stays usable.  A block left holding nothing is
+        given back: sealed empty later, it would take a credit no
+        response can ever return."""
+        reserve += 8 * len(words)
+        writer = self._writer
+        if writer is not None and writer.remaining() < reserve + 32:
+            self._seal("block_full")
+            writer = None
+        if writer is None:
+            capacity = self._block_capacity(reserve)
+            self._writer_addr = self._alloc_block(capacity)
+            self._writer = writer = BlockWriter(self.sbuf, self._writer_addr, capacity)
+        try:
+            _, payload_addr = writer.begin_message(reserve)
+            addr = payload_addr
+            for word in words:
+                self.space.write_u64(addr, word)
+                addr += 8
+            actual = addr - payload_addr + write(self.space, addr)
+            if actual > reserve:
+                raise ProtocolError(f"writer produced {actual} > reserved {reserve}")
+            writer.commit_message(actual, method_or_id, flags)
+        except BaseException:
+            writer.abort_message()
+            if not writer.message_count:
+                self._free_block(self._writer_addr)
+                self._writer = None
+            raise
+        if self._open_since is None:
+            self._open_since = self._polls  # starts the flush-policy clock
+        return actual
+
+    def _appended(self) -> None:
+        """Once the role noted what it keeps of the appended message: a
+        block that reached ``block_size`` goes, as far as credits allow."""
+        if self._writer.bytes_used >= self.config.block_size:
+            self._seal("block_full")
+        self._pump_send_queue()
+
+    def _seal(self, reason: str) -> None:
+        """Seal the open block and queue it, counting ``reason``.  Ack
+        counter, sequence number and (client) request IDs are settled at
+        transmit time, keeping that bookkeeping in wire order."""
+        writer = self._writer
+        self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
+        length = writer.seal(ack_blocks=0)  # placeholder; patched on send
+        out = _OutBlock(self._writer_addr, length, writer.message_count)
+        self._on_seal(out)
+        self._writer = None
         self._open_since = None
-        self._tx_seq = 0
-        self._rx_seq = 0
-        self._posted_recvs = 0
-        for _ in range(self._recv_slots + 8):
-            self._post_recv()
-        self.resets += 1
+        self._send_queue.append(out)
+
+    def _on_seal(self, out: _OutBlock) -> None:
+        """Role hook: what the role remembers about a sealed block."""
+        raise NotImplementedError
+
+    def flush(self, reason: str = "explicit") -> None:
+        """Force-seal a partial block, bypassing the policy (§IV deadlock
+        prevention; an engine's drain pushes out held batches with it)."""
+        if self._writer is not None:
+            self._seal(reason)
+        self._pump_send_queue()
+
+    def _flush_by_policy(self) -> None:
+        """Seal the partial block when the flush policy says so."""
+        writer = self._writer
+        if writer is not None:
+            reason = self.flush_policy.should_flush(
+                FlushState(
+                    pending_bytes=writer.bytes_used,
+                    pending_messages=writer.message_count,
+                    ticks_waiting=self._polls - self._open_since,
+                )
+            )
+            if reason is not None:
+                self._seal(reason)
+        self._pump_send_queue()
 
     # -- block plumbing ----------------------------------------------------------
 
@@ -396,23 +447,20 @@ class _EndpointBase:
         need = PREAMBLE_SIZE + 8 + 8 + 8 + first_payload + 16
         return max(self.config.block_size, -(-need // self.config.block_alignment) * self.config.block_alignment)
 
-    def _transmit(self, out: _OutBlock) -> int:
+    def _transmit(self, out: _OutBlock) -> None:
         """WRITE_WITH_IMM the sealed block into the peer's mirrored RBuf
-        at the same offset the block occupies in our SBuf.  Returns the
-        send work-request id."""
+        at the same offset the block occupies in our SBuf."""
         offset = out.sbuf_addr - self.sbuf.base
         bucket = offset_to_bucket(offset, self.remote_block_alignment)
-        out.bucket = bucket
         # Stamp the block sequence now — post order *is* wire order on a
         # reliable connection, and every block (data, response, pure ack)
         # funnels through here.  Like the ack counter, the sequence lives
         # outside the body checksum, so the sealed CRC stays valid.
         self._tx_seq += 1
         patch_sequence(self.sbuf.buf, offset, self._tx_seq)
-        wr_id = next(self._wr_ids)
         self.qp.post_send(
             WorkRequest(
-                wr_id=wr_id,
+                wr_id=next(self._wr_ids),
                 opcode=Opcode.RDMA_WRITE_WITH_IMM,
                 local_addr=out.sbuf_addr,
                 length=out.length,
@@ -422,7 +470,6 @@ class _EndpointBase:
         )
         self.stats.blocks_sent += 1
         self.stats.bytes_sent += out.length
-        return wr_id
 
     def _on_transmit(self, out: _OutBlock) -> None:
         """Hook run just before a queued block is posted (the client's
@@ -457,14 +504,10 @@ class _EndpointBase:
                 self._post_recv()
             elif not wc.ok:
                 raise TransportError(self.name, wc.status)
-            else:
-                # Send completion: normal blocks are recycled by acks, but
-                # pure-ack blocks (client only) recycle here.
-                self._on_send_complete(wc)
+            # else a send completion, which recycles nothing: it says the
+            # wire took the block, not that the peer read it.  Blocks are
+            # recycled by acknowledgment (§IV-B).
         return events
-
-    def _on_send_complete(self, wc) -> None:
-        """Hook for send completions (no-op by default)."""
 
     def _open_received(self, bucket: int) -> BlockReader | None:
         """Open the block just delivered at ``bucket`` of our RBuf — the
@@ -495,17 +538,6 @@ class _EndpointBase:
         self.stats.bytes_received += reader.preamble.block_length
         return reader
 
-    def _abort_message(self) -> None:
-        """The open block's in-progress message will not be committed
-        (its payload writer failed).  A block holding nothing else is
-        given back rather than sealed empty later: an empty block would
-        take a credit no response can ever return."""
-        writer = self._writer
-        writer.abort_message()
-        if not writer.message_count:
-            self._free_block(self._writer_addr)
-            self._writer = None
-
 
 class ClientEndpoint(_EndpointBase):
     """The RPC-over-RDMA *client* — runs on the DPU in the paper's
@@ -514,15 +546,21 @@ class ClientEndpoint(_EndpointBase):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._writer: BlockWriter | None = None
-        self._writer_addr = 0
+        self.timeouts = 0  # requests failed by deadline expiry
+        self.late_responses = 0  # responses that arrived after their deadline
+        self.replayed = 0  # requests re-sent by a connection reset
+        self.aborted = 0  # requests failed by a non-replaying reset
+        self.backlog_failures = 0  # backlogged requests whose writer raised
+
+    def _init_connection(self) -> None:
+        super()._init_connection()
+        # Parallel to the open block's messages; the trace contexts only
+        # while tracing is attached.
         self._writer_continuations: list[Continuation] = []
-        # Trace contexts of the open block's messages, parallel to
-        # _writer_continuations; only populated while tracing is attached.
         self._writer_traces: list = []
         # rid -> (continuation, block_seq)
         self._pending: dict[int, tuple[Continuation, int]] = {}
-        # block_seq -> [sbuf_addr, outstanding_count]
+        # block_seq -> [sbuf_addr, outstanding_count, rids, spent acks]
         self._blocks: dict[int, list] = {}
         self._block_seq = itertools.count()
         # Response blocks processed but not yet acknowledged: their
@@ -534,9 +572,13 @@ class ClientEndpoint(_EndpointBase):
         self._backlog: deque[tuple] = deque()
         # Messages sealed into queued blocks but not yet transmitted.
         self._queued_messages = 0
-        # SBuf addresses of in-flight pure-ack blocks, by send wr_id;
-        # recycled at send completion (they carry no requests to answer).
-        self._ackonly_in_flight: dict[int, int] = {}
+        # SBuf addresses of pure-ack blocks sent since the last request
+        # block.  Nothing answers a pure ack, and its send completion only
+        # says the wire took it, not that the server read it — reusing
+        # the space then could overwrite it unread in the mirrored RBuf.
+        # It is recycled with the next request block instead: blocks are
+        # consumed in order, so an answer to that one proves it was read.
+        self._spent_acks: list[int] = []
         # Deadline tracking (config.request_deadline_ticks): entries are
         # (expiry_poll, rid, block_seq) in transmit order, so expiry is
         # monotone and the scan is O(expired).  block_seq disambiguates a
@@ -548,10 +590,6 @@ class ClientEndpoint(_EndpointBase):
         # is absorbed for protocol accounting but its continuation — long
         # since fired with a typed error — is skipped.
         self._tombstones: set[int] = set()
-        self.timeouts = 0  # requests failed by deadline expiry
-        self.late_responses = 0  # responses that arrived after their deadline
-        self.replayed = 0  # requests re-sent by a connection reset
-        self.aborted = 0  # requests failed by a non-replaying reset
 
     # -- enqueue ------------------------------------------------------------------
 
@@ -583,13 +621,8 @@ class ClientEndpoint(_EndpointBase):
         bytes are reserved inside the outgoing block and ``emit(view)``
         fills the writable memoryview — the zero-copy request path used by
         the generated encoders (``repro.proto.prepare_emit``)."""
-
-        def writer(space: AddressSpace, addr: int) -> int:
-            emit(space.view(addr, size))
-            return size
-
-        self.enqueue(method_id, size, writer, continuation, flags,
-                     trace_ctx=trace_ctx, deadline=deadline)
+        self.enqueue(method_id, size, _writer_from_emit(size, emit), continuation,
+                     flags, trace_ctx=trace_ctx, deadline=deadline)
 
     def enqueue(
         self,
@@ -621,17 +654,14 @@ class ClientEndpoint(_EndpointBase):
                 trace_ctx = self.trace.context()
             self.trace.event(trace_ctx, "enqueue", method=method_id,
                              bytes=max_payload)
-        if self._backlog or self.outstanding >= min(
-            self.config.concurrency, self.id_pool.capacity
-        ):
-            # Concurrency window full: defer, preserving FIFO order.
-            self._backlog.append(
-                (method_id, max_payload, writer, continuation, flags, trace_ctx,
+        entry = (method_id, max_payload, writer, continuation, flags, trace_ctx,
                  deadline)
-            )
-            return
-        self._enqueue_now(method_id, max_payload, writer, continuation, flags,
-                          trace_ctx, deadline)
+        if self._backlog or self.outstanding >= self.id_pool.capacity:
+            # Concurrency window full (the ID pool *is* the window, §IV-D):
+            # defer, preserving FIFO order.
+            self._backlog.append(entry)
+        else:
+            self._enqueue_now(*entry)
 
     def _enqueue_now(
         self,
@@ -643,99 +673,47 @@ class ClientEndpoint(_EndpointBase):
         trace_ctx=None,
         deadline: int = 0,
     ) -> None:
-        if deadline and not flags & Flags.DEADLINE:
-            # Deadline propagation: one u64 ahead of the payload carries
-            # the absolute deadline + lane to every downstream stage.
-            # Wrapped before (inside) the trace wrap, so the wire layout
-            # is [trace word][deadline word][payload].
-            inner_w = writer
-
-            def writer(space, addr, _inner=inner_w, _w=deadline):
-                space.write_u64(addr, _w)
-                return _inner(space, addr + 8) + 8
-
-            max_payload += 8
-            flags |= Flags.DEADLINE
+        # Wire layout [trace word][deadline word][payload], each word
+        # announced by its flag (stripped by _strip_prefix_words).
+        words: tuple = ()
         if (
             self._trace_explicit
             and self.trace is not None
             and not flags & Flags.TRACE_CTX
         ):
             # Explicit-context mode: bind the trace id now and spend 8
-            # bytes ahead of the payload to carry it (the only mode that
-            # keeps replayed/retried requests correlated).  The server
-            # strips the word before the handler sees the payload.
+            # bytes to carry it (the only mode that keeps replayed/retried
+            # requests correlated).
             word = self.trace.collector.next_context_word()
             if trace_ctx is not None and trace_ctx.tid is None:
                 trace_ctx.tid = ("ctx", word)
-            inner = writer
-
-            def writer(space, addr, _inner=inner, _w=word):
-                space.write_u64(addr, _w)
-                return _inner(space, addr + 8) + 8
-
-            max_payload += 8
+            words = (word,)
             flags |= Flags.TRACE_CTX
-        if self._writer is not None and self._writer.remaining() < max_payload + 32:
-            self._record_flush("block_full")
-            self._seal_current()
-        if self._writer is None:
-            self._open_block(max_payload)
-        _, payload_addr = self._writer.begin_message(max_payload)
-        try:
-            actual = writer(self.space, payload_addr)
-            if actual > max_payload:
-                raise ProtocolError(f"writer produced {actual} > reserved {max_payload}")
-        except BaseException:
-            # Whatever the writer raised (a malformed payload fails in the
-            # arena decoder), the block must stay usable for the next
-            # request on this connection.
-            self._abort_message()
-            raise
-        self._writer.commit_message(actual, method_id, flags)
+        if deadline and not flags & Flags.DEADLINE:
+            # Deadline propagation: the absolute deadline + lane, for
+            # every downstream stage.
+            words += (deadline,)
+            flags |= Flags.DEADLINE
+        self._append(max_payload, writer, method_id, flags, words)
         self._writer_continuations.append(continuation)
         if self.trace is not None:
             self._writer_traces.append(trace_ctx)
-        self._note_open_message()
         self.stats.requests_sent += 1
-        if self._writer.bytes_used >= self.config.block_size:
-            self._record_flush("block_full")
-            self._seal_current()
-        self._pump_send_queue()
+        self._appended()
 
-    def _open_block(self, first_payload: int) -> None:
-        capacity = self._block_capacity(first_payload)
-        addr = self._alloc_block(capacity)
-        self._writer = BlockWriter(self.sbuf, addr, capacity)
-        self._writer_addr = addr
-
-    def _seal_current(self) -> None:
-        """Seal the open block and queue it for transmission.  The ack
-        counter and request IDs are settled at transmit time
-        (:meth:`_on_transmit`), keeping ID bookkeeping in wire order."""
-        writer = self._writer
-        if writer is None:
-            return
-        assert writer.message_count == len(self._writer_continuations)
-        length = writer.seal(ack_blocks=0)  # placeholder; patched on send
+    def _on_seal(self, out: _OutBlock) -> None:
+        """A request block carries its messages' continuations until
+        transmit time binds them to request IDs (:meth:`_on_transmit`)."""
+        assert out.message_count == len(self._writer_continuations)
         if self.trace is not None:
             for ctx in self._writer_traces:
-                self.trace.event(ctx, "block_seal", bytes=length,
-                                 messages=writer.message_count)
-        out = _OutBlock(
-            self._writer_addr,
-            length,
-            bucket=0,
-            message_count=writer.message_count,
-            continuations=self._writer_continuations,
-            traces=self._writer_traces,
-        )
-        self._queued_messages += writer.message_count
-        self._writer = None
+                self.trace.event(ctx, "block_seal", bytes=out.length,
+                                 messages=out.message_count)
+        out.continuations = self._writer_continuations
+        out.traces = self._writer_traces
+        self._queued_messages += out.message_count
         self._writer_continuations = []
         self._writer_traces = []
-        self._open_since = None
-        self._send_queue.append(out)
 
     def _flush_pending_acks(self) -> int:
         """§IV-D step 1: free the request IDs answered by every response
@@ -757,7 +735,8 @@ class ClientEndpoint(_EndpointBase):
         # the preamble.
         patch_ack_blocks(self.sbuf.buf, out.sbuf_addr - self.sbuf.base, ack_blocks)
         seq = next(self._block_seq)
-        self._blocks[seq] = [out.sbuf_addr, len(ids), list(ids)]
+        self._blocks[seq] = [out.sbuf_addr, len(ids), list(ids), self._spent_acks]
+        self._spent_acks = []
         deadline = self.config.request_deadline_ticks
         for rid, cont in zip(ids, out.continuations):
             self._pending[rid] = (cont, seq)
@@ -785,36 +764,18 @@ class ClientEndpoint(_EndpointBase):
         """Emit a zero-message block that only carries the preamble ack
         counter.  It consumes no credit (it cannot be answered, so it
         could never replenish one) — this is what breaks the mutual
-        credit-starvation cycle when both sides are at zero.  At most one
-        is in flight; its SBuf block recycles at send completion."""
-        if not self._unacked_response_ids or self._ackonly_in_flight:
-            return
+        credit-starvation cycle when both sides are at zero.  Its SBuf
+        block recycles with the next request block (``_spent_acks``)."""
         try:
             addr = self._alloc_block(self.config.block_alignment)
         except AllocationError:
             return  # SBuf exhausted; retry next pass
         writer = BlockWriter(self.sbuf, addr, self.config.block_alignment)
         length = writer.seal(ack_blocks=self._flush_pending_acks())
-        wr_id = self._transmit(_OutBlock(addr, length, bucket=0))
-        self._ackonly_in_flight[wr_id] = addr
+        self._transmit(_OutBlock(addr, length))
+        self._spent_acks.append(addr)
 
     # -- event loop -----------------------------------------------------------------
-
-    def flush(self, reason: str = "explicit") -> None:
-        """Force-seal a partial block so queued requests make progress
-        even under low load (§IV deadlock prevention)."""
-        if self._writer is not None and self._writer.message_count:
-            self._record_flush(reason)
-            self._seal_current()
-        self._pump_send_queue()
-
-    def _maybe_flush(self) -> None:
-        """Seal the partial block when the flush policy says so."""
-        reason = self._policy_flush_reason(self._writer)
-        if reason is not None:
-            self._record_flush(reason)
-            self._seal_current()
-        self._pump_send_queue()
 
     def pending(self) -> bool:
         """Whether this endpoint still holds undelivered work (used by
@@ -840,13 +801,14 @@ class ClientEndpoint(_EndpointBase):
                     self.trace.event(ctx, "timeout", rid=rid)
             _fail_continuation(cont, b"request deadline exceeded")
 
-    def _progress_impl(self, budget: int | None = None) -> int:
+    def progress(self, budget: int | None = None) -> int:
         """One event-loop pass: flush per policy, then process arrived
-        response blocks.  Returns the number of responses delivered."""
+        response blocks (at most ``budget`` completions).  Returns the
+        number of responses delivered."""
         self._polls += 1
         if self._deadlines:
             self._expire_deadlines()
-        self._maybe_flush()
+        self._flush_by_policy()
         delivered = 0
         for wc in self._drain_recv_cq(budget):
             delivered += self._process_response_block(wc.imm_data, wc.byte_len)
@@ -854,32 +816,42 @@ class ClientEndpoint(_EndpointBase):
         self._pump_send_queue()
         # Two reasons to push acknowledgments out of band: we are credit-
         # starved with blocks waiting (deadlock breaker), or acks piled up
-        # while we had nothing to send (lets the server recycle memory).
+        # while we had nothing to send (lets the server recycle memory —
+        # and send at all, once they hold every credit it has: each
+        # unacknowledged response block keeps one of the server's).
         if self._unacked_response_ids and (
             (self._send_queue and not self.credits.can_send())
-            or len(self._unacked_response_ids) >= max(4, self.config.credits // 2)
+            or len(self._unacked_response_ids)
+            >= min(max(4, self.config.credits // 2), self._recv_slots)
         ):
             self._send_pure_ack()
         return delivered
 
-    def _on_send_complete(self, wc) -> None:
-        addr = self._ackonly_in_flight.pop(wc.wr_id, None)
-        if addr is not None:
-            self._free_block(addr)
-
     def _drain_backlog(self) -> None:
-        """Admit deferred requests as the concurrency window reopens."""
-        window = min(self.config.concurrency, self.id_pool.capacity)
+        """Admit deferred requests as the concurrency window reopens.
+        A failing writer has no caller to raise to in here, so that one
+        request is failed through its continuation — like every locally
+        failed request — and the rest is admitted all the same."""
         admitted = False
-        while self._backlog and self.outstanding < window:
-            self._enqueue_now(*self._backlog.popleft())
+        while self._backlog and self.outstanding < self.id_pool.capacity:
+            entry = self._backlog.popleft()
+            try:
+                self._enqueue_now(*entry)
+            except Exception as exc:  # noqa: BLE001 — the event loop keeps running
+                self.backlog_failures += 1
+                self._fail_backlogged(entry, repr(exc).encode())
+                continue
             admitted = True
-        if admitted:
+        if admitted and self._writer is not None:
             # Ship what we admitted so the window keeps moving even while
             # a backlog remains (window progress, not a policy decision).
-            if self._writer is not None and self._writer.message_count:
-                self._record_flush("backlog")
-                self._seal_current()
+            self._seal("backlog")
+
+    def _fail_backlogged(self, entry: tuple, reason: bytes) -> None:
+        """Fail a request that never left the backlog (it holds no ID)."""
+        if self.trace is not None and entry[5] is not None:
+            self.trace.event(entry[5], "abort")
+        _fail_continuation(entry[3], reason)
 
     def _process_response_block(self, bucket: int, byte_len: int) -> int:
         reader = self._open_received(bucket)
@@ -917,10 +889,12 @@ class ClientEndpoint(_EndpointBase):
             block[1] -= 1
             if block[1] == 0:
                 # Every request in that block is answered: recycle the
-                # request block and its credit (§IV-B server-side implicit
-                # ack, observed client-side).
+                # request block (and the pure acks sent before it) and its
+                # credit (§IV-B server-side implicit ack, observed
+                # client-side).
                 del self._blocks[seq]
-                self._free_block(block[0])
+                for addr in (block[0], *block[3]):
+                    self._free_block(addr)
                 self.credits.replenish(1)
         # Remember the IDs to free at the next seal, and count the block
         # toward the preamble ack counter.
@@ -934,9 +908,8 @@ class ClientEndpoint(_EndpointBase):
         the open block — out of the SBuf before the allocator is rebuilt.
         Returned in original submission order as (method_id, payload,
         continuation, flags) tuples ready for re-enqueueing."""
-        if self._writer is not None and self._writer.message_count:
-            self._record_flush("reset")
-            self._seal_current()
+        if self._writer is not None:
+            self._seal("reset")
         survivors: list[tuple[int, bytes, Continuation, int]] = []
         # LARGE is recomputed by the writer on re-send; TRACE_CTX (and its
         # 8-byte word) is stripped so the replay gets a *fresh* context
@@ -963,7 +936,7 @@ class ClientEndpoint(_EndpointBase):
                 )
 
         for seq in sorted(self._blocks):
-            addr, _, rids = self._blocks[seq]
+            addr, _, rids, _ = self._blocks[seq]
             harvest(addr, None, rids)
         for out in self._send_queue:
             harvest(out.sbuf_addr, out.continuations)
@@ -976,24 +949,10 @@ class ClientEndpoint(_EndpointBase):
         sides are quiescent — the window where
         :meth:`repro.core.recovery.ChannelRecovery.verify_invariants`
         can prove the mirrored pools re-aligned."""
-        survivors = self._snapshot_unanswered()
-        backlog = list(self._backlog)
+        survivors, backlog = self._snapshot_unanswered(), self._backlog
         if self.trace is not None:
             for ctx in self._trace_by_rid.values():
                 self.trace.event(ctx, "reset")
-            self._trace_by_rid.clear()
-        self._backlog.clear()
-        self._pending.clear()
-        self._blocks.clear()
-        self._block_seq = itertools.count()
-        self._unacked_response_ids.clear()
-        self._ackonly_in_flight.clear()
-        self._deadlines.clear()
-        self._tombstones.clear()
-        self._queued_messages = 0
-        self._writer = None
-        self._writer_continuations = []
-        self._writer_traces = []
         super().reset_connection_state()
         return survivors, backlog
 
@@ -1016,9 +975,7 @@ class ClientEndpoint(_EndpointBase):
         for _, _, cont, _ in survivors:
             _fail_continuation(cont, b"connection reset")
         for entry in backlog:
-            if self.trace is not None and entry[5] is not None:
-                self.trace.event(entry[5], "abort")
-            _fail_continuation(entry[3], b"connection reset")
+            self._fail_backlogged(entry, b"connection reset")
         self.aborted += len(survivors) + len(backlog)
         return len(survivors) + len(backlog)
 
@@ -1030,14 +987,30 @@ class ClientEndpoint(_EndpointBase):
         """Drive the loop until no requests are outstanding."""
         for _ in range(max_iters):
             self.progress()
-            if (
-                not self._pending
-                and not self._backlog
-                and self._writer is None
-                and not self._send_queue
-            ):
+            if not self.pending():
                 return
         raise ProtocolError(f"{self.name}: requests still pending after {max_iters} iterations")
+
+
+#: flags announcing a u64 word ahead of a request's payload, in wire order
+_PREFIX_WORDS = (Flags.TRACE_CTX, Flags.DEADLINE)
+
+
+def _strip_prefix_words(rbuf, flags: int, addr: int, size: int):
+    """Undo :meth:`ClientEndpoint._enqueue_now`'s prefix words: returns
+    ``(words, flags, addr, size)`` — one word per ``_PREFIX_WORDS`` flag
+    (0 when absent), then the bare payload's.  Unconditionally: the
+    client opted in, whether or not this side traces or sheds."""
+    words = []
+    for flag in _PREFIX_WORDS:
+        if flags & flag:
+            words.append(rbuf.read_u64(addr))
+            addr += 8
+            size -= 8
+            flags &= ~flag
+        else:
+            words.append(0)
+    return words, flags, addr, size
 
 
 class ServerEndpoint(_EndpointBase):
@@ -1047,19 +1020,23 @@ class ServerEndpoint(_EndpointBase):
     def __init__(self, *args, background_executor=None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._handlers: dict[int, Handler] = {}
-        self._writer: BlockWriter | None = None
-        self._writer_addr = 0
+        self._background_executor = background_executor
+        #: requests dropped because their deadline had already passed,
+        #: by the stage that dropped them (docs/OVERLOAD.md)
+        self.deadline_expired = {"host_dispatch": 0, "response_emit": 0}
+
+    def _init_connection(self) -> None:
+        """A reset drops every half-built or outstanding response: the
+        client replays the requests, so the answers are regenerated."""
+        super()._init_connection()
+        # Request IDs answered in the open block, parallel to its messages.
+        self._current_block_ids: list[int] = []
         # Outstanding response blocks in send order: (sbuf_addr, answered ids)
         self._outstanding_responses: deque[tuple[int, list[int]]] = deque()
-        self._current_block_ids: list[int] = []
-        self._background_executor = background_executor
         self._background_results: deque[tuple[int, Response]] = deque()
         # rid -> absolute deadline (µs) for requests that carried a
         # deadline word, so the response-emit stage can drop late answers
         self._deadline_by_rid: dict[int, int] = {}
-        #: requests dropped because their deadline had already passed,
-        #: by the stage that dropped them (docs/OVERLOAD.md)
-        self.deadline_expired = {"host_dispatch": 0, "response_emit": 0}
 
     def register(self, method_id: int, handler: Handler) -> None:
         """Register the callback for a procedure ID (§III-D)."""
@@ -1073,15 +1050,14 @@ class ServerEndpoint(_EndpointBase):
         """Whether responses are still queued or being built (used by
         :meth:`ProgressEngine.drain`)."""
         return bool(
-            self._send_queue
-            or self._background_results
-            or (self._writer is not None and self._writer.message_count)
+            self._send_queue or self._background_results or self._writer is not None
         )
 
-    def _progress_impl(self, budget: int | None = None) -> int:
-        """One pass: process arrived request blocks (foreground execution
-        in the polling thread), collect finished background RPCs, flush
-        responses per policy.  Returns the number of requests handled."""
+    def progress(self, budget: int | None = None) -> int:
+        """One event-loop pass: process arrived request blocks (at most
+        ``budget`` completions; foreground execution in the polling
+        thread), collect finished background RPCs, flush responses per
+        policy.  Returns the number of requests handled."""
         self._polls += 1
         handled = 0
         for wc in self._drain_recv_cq(budget):
@@ -1089,11 +1065,7 @@ class ServerEndpoint(_EndpointBase):
         while self._background_results:
             rid, response = self._background_results.popleft()
             self._enqueue_response(rid, response)
-        reason = self._policy_flush_reason(self._writer)
-        if reason is not None:
-            self._record_flush(reason)
-            self._seal_responses()
-        self._pump_send_queue()
+        self._flush_by_policy()
         return handled
 
     def _process_request_block(self, bucket: int) -> int:
@@ -1120,23 +1092,12 @@ class ServerEndpoint(_EndpointBase):
 
         count = 0
         for rid, (method_id, flags, payload_addr, payload_size) in zip(ids, messages):
-            word = 0
-            if flags & Flags.TRACE_CTX:
-                # Strip the explicit trace-context word unconditionally —
-                # the client opted into it, and the handler must see the
-                # undecorated payload even when this side isn't tracing.
-                word = self.rbuf.read_u64(payload_addr)
-                payload_addr += 8
-                payload_size -= 8
-                flags &= ~Flags.TRACE_CTX
-            deadline_us = lane = 0
-            if flags & Flags.DEADLINE:
-                # Same contract for the deadline word (docs/OVERLOAD.md):
-                # stripped unconditionally, decoded into the request.
-                deadline_us, lane = unpack_deadline(self.rbuf.read_u64(payload_addr))
-                payload_addr += 8
-                payload_size -= 8
-                flags &= ~Flags.DEADLINE
+            word = deadline_us = lane = 0
+            if flags & (Flags.TRACE_CTX | Flags.DEADLINE):
+                (word, deadline_word), flags, payload_addr, payload_size = (
+                    _strip_prefix_words(self.rbuf, flags, payload_addr, payload_size)
+                )
+                deadline_us, lane = unpack_deadline(deadline_word)
             ctx = None
             if self.trace is not None:
                 # rx-serial mirrors the client's tx-serial (wire order on
@@ -1168,17 +1129,10 @@ class ServerEndpoint(_EndpointBase):
                 if now_us() >= deadline_us:
                     # Expired on arrival: answer without invoking the
                     # handler — no decode, no dispatch work.
-                    self.deadline_expired["host_dispatch"] += 1
                     if ctx is not None:
                         self.trace.event(ctx, "deadline_expired",
                                          stage="host_dispatch", rid=rid)
-                    self._enqueue_response(
-                        rid,
-                        Response.from_bytes(
-                            b"stage=host_dispatch",
-                            flags=Flags.ERROR | Flags.EXPIRED,
-                        ),
-                    )
+                    self._enqueue_response(rid, self._expired("host_dispatch"))
                     count += 1
                     continue
                 self._deadline_by_rid[rid] = deadline_us
@@ -1242,6 +1196,14 @@ class ServerEndpoint(_EndpointBase):
 
     # -- response path -------------------------------------------------------------------
 
+    def _expired(self, stage: str) -> Response:
+        """The small marker that answers a request whose deadline passed
+        at ``stage``, counted there (docs/OVERLOAD.md)."""
+        self.deadline_expired[stage] += 1
+        return Response.from_bytes(
+            f"stage={stage}".encode(), flags=Flags.ERROR | Flags.EXPIRED
+        )
+
     def _enqueue_response(self, rid: int, response: Response) -> None:
         deadline_us = self._deadline_by_rid.pop(rid, 0)
         if (
@@ -1250,85 +1212,34 @@ class ServerEndpoint(_EndpointBase):
             and now_us() >= deadline_us
         ):
             # The handler ran but the client's deadline passed meanwhile:
-            # emitting the full response would be wasted wire — send the
-            # small expiry marker instead (docs/OVERLOAD.md).
-            self.deadline_expired["response_emit"] += 1
-            response = Response.from_bytes(
-                b"stage=response_emit", flags=Flags.ERROR | Flags.EXPIRED
-            )
-        if self._writer is not None and self._writer.remaining() < response.size + 32:
-            self._record_flush("block_full")
-            self._seal_responses()
-        if self._writer is None:
-            capacity = self._block_capacity(response.size)
-            self._writer_addr = self._alloc_block(capacity)
-            self._writer = BlockWriter(self.sbuf, self._writer_addr, capacity)
-        _, payload_addr = self._writer.begin_message(response.size)
+            # emitting the full response would be wasted wire.
+            response = self._expired("response_emit")
         try:
-            actual = response.write_to(self.space, payload_addr)
-            if actual > response.size:
-                raise ProtocolError(f"writer produced {actual} > reserved {response.size}")
+            actual = self._append(response.size, response.write_to, rid, response.flags)
         except Exception as exc:  # noqa: BLE001 — _invoke's contract, for in-place writers
+            if response.writer is None:
+                raise  # plain bytes always write: no block was to be had
             # The handler's fault ends with this request, not with the
             # rest of the block being dispatched.
-            self._abort_message()
             self.stats.handler_errors += 1
             self._enqueue_response(
                 rid, Response.from_bytes(repr(exc).encode(), flags=Flags.ERROR)
             )
             return
-        self._writer.commit_message(actual, rid, response.flags)
         if self.trace is not None:
             ctx = self._trace_by_rid.pop(rid, None)
             if ctx is not None:
                 self.trace.event(ctx, "response_emit", rid=rid,
                                  bytes=actual, flags=response.flags)
         self._current_block_ids.append(rid)
-        self._note_open_message()
         self.stats.responses_sent += 1
-        if self._writer.bytes_used >= self.config.block_size:
-            self._record_flush("block_full")
-            self._seal_responses()
-        self._pump_send_queue()
+        self._appended()
 
-    def _seal_responses(self) -> None:
-        writer = self._writer
-        if writer is None:
-            return
-        length = writer.seal(ack_blocks=0)
-        out = _OutBlock(
-            self._writer_addr, length, bucket=0,
-            message_count=writer.message_count,
-        )
-        self._outstanding_responses.append((self._writer_addr, list(self._current_block_ids)))
-        self._writer = None
+    def _on_seal(self, out: _OutBlock) -> None:
+        """A response block is remembered with the request IDs it
+        answers until the client acknowledges it (§IV-B)."""
+        self._outstanding_responses.append((out.sbuf_addr, self._current_block_ids))
         self._current_block_ids = []
-        self._open_since = None
-        self._send_queue.append(out)
-
-    def reset_connection_state(self) -> None:
-        """Server-side reset: drop every half-built or outstanding
-        response (the client replays the requests, so the answers are
-        regenerated) and rebuild the shared connection state."""
-        self._writer = None
-        self._current_block_ids = []
-        self._outstanding_responses.clear()
-        self._background_results.clear()
-        self._trace_by_rid.clear()
-        self._deadline_by_rid.clear()
-        super().reset_connection_state()
-
-    def _flush_responses(self, reason: str = "explicit") -> None:
-        """Force-seal the partial response block, bypassing the policy."""
-        if self._writer is not None and self._writer.message_count:
-            self._record_flush(reason)
-            self._seal_responses()
-        self._pump_send_queue()
-
-    def flush(self, reason: str = "explicit") -> None:
-        """Public policy-bypass flush, symmetric with the client's (the
-        engine's drain uses it to push out held response batches)."""
-        self._flush_responses(reason)
 
 
 class _DetachedRequest:

@@ -21,9 +21,11 @@ invariants, mirroring what a production stack does on ``IBV_EVENT_QP_FATAL``:
 7. verify the recovered invariants: ID-pool fingerprints equal, credit
    windows full, no stranded state.
 
-Every recovery is counted in the optional :class:`MetricsRegistry` and
-recorded as a tracer span, matching the §VI "instrumented at the library
-level" stance.  See docs/FAULTS.md for the fault model this answers.
+Every recovery is counted in the optional :class:`MetricsRegistry` and,
+with a ``trace`` recorder (repro.obs), lands in the request trace as a
+timed ``recovery_reset`` span, matching the §VI "instrumented at the
+library level" stance.  See docs/FAULTS.md for the fault model this
+answers.
 """
 
 from __future__ import annotations
@@ -85,9 +87,8 @@ class ChannelRecovery:
     ``repro.runtime.supervisor``).
     """
 
-    def __init__(self, channel, metrics=None, tracer=None, trace=None) -> None:
+    def __init__(self, channel, metrics=None, trace=None) -> None:
         self.channel = channel
-        self.tracer = tracer
         #: StageRecorder (repro.obs): each reset lands in the request
         #: trace as a timed recovery_reset span, so a recovered timeline
         #: shows *when* the channel healed between its retries.
@@ -112,11 +113,7 @@ class ChannelRecovery:
         with the QPs in any state — healthy QPs are errored first so the
         teardown is always the same sequence."""
         t0 = self.trace.now() if self.trace is not None else 0.0
-        if self.tracer is not None:
-            with self.tracer.span("recovery.reset", reason=reason, replay=replay):
-                report = self._reset(reason, replay)
-        else:
-            report = self._reset(reason, replay)
+        report = self._reset(reason, replay)
         if self.trace is not None:
             self.trace.event(None, "recovery_reset", ts=t0,
                              dur=self.trace.now() - t0, reason=reason,
@@ -214,7 +211,6 @@ def supervise_channel(
     stall_ticks: int = 50,
     max_faults: int = 3,
     metrics=None,
-    tracer=None,
     fault_types: tuple[type, ...] | None = None,
     trace=None,
 ):
@@ -225,7 +221,7 @@ def supervise_channel(
     endpoints.  Returns ``(recovery, supervisor)``."""
     from repro.runtime.supervisor import EngineSupervisor
 
-    recovery = ChannelRecovery(channel, metrics=metrics, tracer=tracer, trace=trace)
+    recovery = ChannelRecovery(channel, metrics=metrics, trace=trace)
 
     def heal(reason: str) -> None:
         recovery.reset(reason=reason)

@@ -1,75 +1,18 @@
-"""Protocol debugging: tracing spans, block dissection, hexdumps.
+"""Protocol debugging: block dissection, flag names, hexdumps.
 
 Operational tooling for the wire protocol (docs/PROTOCOL.md): given a
 buffer address, render the block structure — preamble, per-message
 headers, payload previews — the way a packet dissector renders a
 capture.  Used interactively when a BlockFormatError fires, and by the
-``repro dissect`` style debugging flows in tests.
-
-The :class:`Tracer` half serves the progress-engine runtime
-(docs/RUNTIME.md): a :class:`~repro.runtime.engine.ProgressEngine`
-constructed with a tracer records one span per poll of every registered
-pollable, so a single trace dump shows how a request crossed every layer
-boundary (xRPC front end → DPU engine → endpoint → host engine).
+``repro dissect`` style debugging flows in tests.  (Timed spans are
+``repro.obs``'s job — docs/OBSERVABILITY.md.)
 """
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-
 from .wire import BlockFormatError, BlockReader, Flags, Preamble
 
-__all__ = ["Span", "Tracer", "hexdump", "describe_flags", "dissect_block"]
-
-
-@dataclass(frozen=True)
-class Span:
-    """One finished timed section."""
-
-    name: str
-    start: float
-    duration: float
-    attrs: dict = field(default_factory=dict)
-
-    def render(self) -> str:
-        attrs = " ".join(f"{k}={v}" for k, v in self.attrs.items())
-        return f"{self.name} +{self.start:.6f}s {self.duration * 1e6:.1f}µs {attrs}".rstrip()
-
-
-class Tracer:
-    """Bounded in-memory span recorder.
-
-    Spans land in a ring buffer (``max_spans`` deep) so a tracer can stay
-    attached to a hot loop indefinitely; ``clock`` is injectable for
-    deterministic tests and simulated time.
-    """
-
-    def __init__(self, max_spans: int = 4096, clock=None) -> None:
-        self.clock = clock or time.perf_counter
-        self.spans: deque[Span] = deque(maxlen=max_spans)
-        self._epoch = self.clock()
-
-    @contextmanager
-    def span(self, name: str, **attrs):
-        start = self.clock()
-        try:
-            yield
-        finally:
-            self.spans.append(
-                Span(name, start - self._epoch, self.clock() - start, attrs)
-            )
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self._epoch = self.clock()
-
-    def render(self, limit: int = 40) -> str:
-        """The most recent ``limit`` spans, oldest first."""
-        recent = list(self.spans)[-limit:]
-        return "\n".join(s.render() for s in recent)
+__all__ = ["hexdump", "describe_flags", "dissect_block"]
 
 
 def hexdump(data: bytes, base_addr: int = 0, width: int = 16) -> str:

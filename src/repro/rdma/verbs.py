@@ -280,8 +280,6 @@ class FabricTransport:
         self.injector = injector
         #: StageRecorder (repro.obs) — None keeps every hook free.
         self.trace = None
-        #: back-pointer set by ProgressEngine.register (pollable model).
-        self._runtime_engine = None
         # -- statistics shared by every backend -------------------------------
         self.total_bytes = 0
         self.total_operations = 0

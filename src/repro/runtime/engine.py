@@ -12,17 +12,16 @@ all register with instead:
   each pass (round-robin, weighted/priority, adaptive idle backoff);
 * per-pollable :mod:`metrics <repro.runtime.metrics>` (polls, work,
   idle ratio, flush reasons) accrue automatically and can be exported
-  into the Prometheus-style registry;
-* an optional :class:`~repro.core.tracing.Tracer` records one span per
-  poll, making every layer boundary observable for free.
+  into the Prometheus-style registry.
 
 Lifecycle: ``start()`` → ``drain()`` → ``stop()``.  The engine is also
 fully usable *without* starting it — :meth:`step` performs exactly one
 deterministic scheduling pass (what the simulator and the interleaving
-tests need), and :meth:`drive` polls exactly one registered pollable
-(the deprecation shims behind ``ClientEndpoint.progress()`` use this so
-legacy call sites keep their semantics *and* gain instrumentation).
-Threaded operation reuses :class:`~repro.core.executor.WorkerPool`.
+tests need).  A pollable's ``progress()`` stays an ordinary method:
+calling it directly runs one pass of that component and involves no
+engine — only the polls :meth:`step` makes are counted, scheduled and
+supervised.  Threaded operation reuses
+:class:`~repro.core.executor.WorkerPool`.
 """
 
 from __future__ import annotations
@@ -76,12 +75,10 @@ class ProgressEngine:
         scheduler: SchedulingPolicy | str | None = "round_robin",
         name: str = "engine",
         registry=None,
-        tracer=None,
         metrics_prefix: str = "engine",
     ) -> None:
         self.name = name
         self.scheduler = make_scheduler(scheduler)
-        self.tracer = tracer
         self.metrics = EngineMetrics()
         if registry is not None:
             self.metrics.bind_registry(registry, metrics_prefix)
@@ -106,20 +103,13 @@ class ProgressEngine:
         name: str | None = None,
         weight: int = 1,
         priority: int = 0,
-        poll: Callable[[int | None], int] | None = None,
     ) -> Registration:
-        """Add a pollable; returns its registration handle.
-
-        ``poll`` overrides the resolved poll function (rarely needed).
-        The pollable's ``_runtime_engine`` attribute — when the object
-        accepts one — is pointed at this engine so deprecation shims can
-        route their calls back through :meth:`drive`.
-        """
+        """Add a pollable; returns its registration handle."""
         if id(pollable) in self._by_pollable:
             raise EngineError(f"{self.name}: pollable already registered")
         if weight < 1:
             raise ValueError("weight must be >= 1")
-        poll_fn = poll or resolve_poll_fn(pollable)
+        poll_fn = resolve_poll_fn(pollable)
         name = name or getattr(pollable, "name", None) or (
             f"{type(pollable).__name__.lower()}#{self._index}"
         )
@@ -130,10 +120,6 @@ class ProgressEngine:
         self._index += 1
         self._handles.append(reg)
         self._by_pollable[id(pollable)] = reg
-        try:
-            pollable._runtime_engine = self
-        except AttributeError:
-            pass  # slotted/frozen objects simply don't get the back-pointer
         return reg
 
     def unregister(self, pollable) -> None:
@@ -141,8 +127,6 @@ class ProgressEngine:
         if reg is None:
             raise EngineError(f"{self.name}: pollable not registered")
         self._handles.remove(reg)
-        if getattr(pollable, "_runtime_engine", None) is self:
-            pollable._runtime_engine = None
 
     @property
     def registrations(self) -> list[Registration]:
@@ -152,11 +136,7 @@ class ProgressEngine:
 
     def _poll(self, reg: Registration, budget: int | None) -> int:
         try:
-            if self.tracer is not None:
-                with self.tracer.span(f"poll/{reg.name}", tick=self.tick):
-                    work = reg.poll_fn(budget)
-            else:
-                work = reg.poll_fn(budget)
+            work = reg.poll_fn(budget)
         except Exception as exc:
             # A supervisor may contain the fault (recovery/quarantine);
             # unsupervised engines keep the old fail-fast behavior.
@@ -182,20 +162,6 @@ class ProgressEngine:
             self.supervisor.after_tick(self.tick)
         self.metrics.sync()
         return total
-
-    def drive(self, pollable, budget: int | None = None) -> int:
-        """Poll exactly one pollable once (auto-registering strangers).
-
-        This is the deprecation-shim entry point: it keeps single-
-        component semantics identical to the pre-engine code while still
-        recording metrics and spans.
-        """
-        if self.state is EngineState.STOPPED:
-            raise EngineError(f"{self.name}: driven after stop()")
-        reg = self._by_pollable.get(id(pollable))
-        if reg is None:
-            reg = self.register(pollable)
-        return self._poll(reg, budget)
 
     def run(
         self,
@@ -243,14 +209,17 @@ class ProgressEngine:
 
     def _flush_all(self, reason: str) -> None:
         """Force-seal open batches on every pollable that can flush, so a
-        drain is not held hostage by a Nagle deadline."""
+        drain is not held hostage by a Nagle deadline.  A pollable that
+        records ``flush_reasons`` is told why; any other ``flush`` (a
+        fabric draining its wire) takes no reason."""
         for reg in list(self._handles):
             flush = getattr(reg.pollable, "flush", None)
-            if callable(flush):
-                try:
-                    flush(reason)
-                except TypeError:
-                    flush()  # legacy no-argument flush
+            if not callable(flush):
+                continue
+            if hasattr(reg.pollable, "flush_reasons"):
+                flush(reason)
+            else:
+                flush()
 
     def drain(self, max_iters: int = 100_000, quiet_passes: int = 2) -> bool:
         """Step until every pollable is quiet: no work done and nothing

@@ -17,13 +17,12 @@ Two optional extensions refine engine behavior without being required:
   work (used by :meth:`ProgressEngine.drain` to know when the world has
   gone quiet);
 * ``flush_reasons`` — a ``dict[str, int]`` of flush-policy decisions the
-  component records; the engine surfaces it through its metrics.
+  component records; the engine surfaces it through its metrics, and a
+  draining engine calls such a component's ``flush(reason)``.
 
-Legacy components whose real per-pass body lives in ``_progress_impl``
-(because their public ``progress()`` became a deprecation shim that
-routes back through the engine) are resolved by
-:func:`resolve_poll_fn`, which prefers the implementation over the shim
-to avoid mutual recursion.
+What the engine polls is the method itself: :func:`resolve_poll_fn`
+hands back the bound ``progress`` (or the historical ``poll``), adapted
+only when it takes no budget.
 """
 
 from __future__ import annotations
@@ -70,15 +69,12 @@ def _accepts_budget(fn: Callable) -> bool:
 def resolve_poll_fn(obj: object) -> Callable[[int | None], int]:
     """Return a ``(budget) -> work`` callable for ``obj``.
 
-    Preference order: an explicit ``_progress_impl`` (the real body
-    behind a deprecation shim), then ``progress``, then ``poll``.  The
-    result always tolerates a ``budget`` argument even when the
-    underlying method does not take one.
+    ``progress`` is preferred over ``poll``.  The bound method is
+    returned as it is; one that takes no ``budget`` is wrapped so the
+    result always tolerates the argument.
     """
-    for attr in ("_progress_impl", "progress", "poll"):
+    for attr in ("progress", "poll"):
         fn = getattr(obj, attr, None)
         if callable(fn):
-            if _accepts_budget(fn):
-                return lambda budget=None, _fn=fn: int(_fn(budget) or 0)
-            return lambda budget=None, _fn=fn: int(_fn() or 0)
+            return fn if _accepts_budget(fn) else (lambda budget=None: fn())
     raise TypeError(f"{type(obj).__name__} is not pollable: no progress()/poll() method")

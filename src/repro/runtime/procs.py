@@ -58,7 +58,7 @@ import struct
 import time
 from dataclasses import dataclass
 
-from repro.core.channel import AddressPlanner, Channel, build_endpoint_side
+from repro.core.channel import AddressPlanner, Channel, build_endpoint_side, check_config_pair
 from repro.core.config import CLIENT_DEFAULTS, SERVER_DEFAULTS, ProtocolConfig
 from repro.core.endpoint import TransportError
 from repro.memory import SharedRegion
@@ -535,6 +535,7 @@ class ProcSupervisor:
         # built for inproc runs work unchanged.
         self.client_config = dataclasses.replace(client_config, transport="shm")
         self.server_config = dataclasses.replace(server_config, transport="shm")
+        check_config_pair(self.client_config, self.server_config)
         self.name = name
         self.trace = trace
         self.handshake_timeout = handshake_timeout

@@ -67,6 +67,15 @@ class TestCreateChannelValidation:
         with pytest.raises(ValueError, match="RBuf must cover"):
             create_channel(big_sbuf, small_rbuf)
 
+    def test_concurrency_must_match(self):
+        """Each side sizes its mirrored §IV-D ID pool from its own value:
+        unequal ones desynchronized silently — here the third request
+        died with ``response for unknown request 2``."""
+        from dataclasses import replace
+
+        with pytest.raises(ValueError, match="agree on concurrency"):
+            create_channel(replace(CLIENT_DEFAULTS, concurrency=2), SERVER_DEFAULTS)
+
     def test_mirror_addresses_equal(self):
         ch = create_channel()
         assert ch.client.sbuf.base == ch.server.rbuf.base

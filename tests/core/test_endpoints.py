@@ -168,6 +168,47 @@ class TestRequestResponse:
         assert out[1:] == [(b"ok-1", 0), (b"ok-2", 0)]
         assert ch.server.stats.handler_errors == 1
 
+    def test_raising_writer_in_the_backlog_fails_only_its_request(self):
+        """Regression: a *backlogged* request is admitted inside
+        ``progress()``, where there is no caller to hand the writer's
+        exception to — it escaped the event loop and the request, already
+        popped, was never answered."""
+        cfg = ProtocolConfig(
+            block_size=2 * KIB, block_alignment=KIB, credits=8,
+            send_buffer_size=64 * KIB, recv_buffer_size=64 * KIB, concurrency=2,
+        )
+
+        def bad(space, addr):
+            raise ValueError("malformed payload")
+
+        def drive(with_bad: bool):
+            ch = create_channel(cfg, cfg)
+            ch.server.register(1, lambda req: Response.from_bytes(req.payload_bytes()))
+            out = []
+            for tag in (b"one", b"two"):
+                ch.client.enqueue_bytes(1, tag, lambda v, f: out.append((bytes(v), f)))
+            if with_bad:
+                ch.client.enqueue(1, 16, bad, lambda v, f: out.append((bytes(v), f)))
+            ch.client.enqueue_bytes(1, b"four", lambda v, f: out.append((bytes(v), f)))
+            assert len(ch.client._backlog) == 1 + with_bad
+            run(ch)  # must not raise
+            return ch, out
+
+        ch, out = drive(with_bad=True)
+        assert [o for o in out if not o[1]] == [(b"one", 0), (b"two", 0), (b"four", 0)]
+        (failed,) = [o for o in out if o[1]]  # fired exactly once
+        assert failed[1] & Flags.ERROR and b"malformed payload" in failed[0]
+        assert ch.client.backlog_failures == 1
+        assert not ch.client.pending()
+        # The failed request cost nothing but itself: the connection is
+        # where a run without it ends up.
+        ref, _ = drive(with_bad=False)
+        for side, ref_side in ((ch.client, ref.client), (ch.server, ref.server)):
+            assert side.allocator.live_count == ref_side.allocator.live_count
+            assert side.credits.available == ref_side.credits.available
+            assert side.id_pool.fingerprint() == ref_side.id_pool.fingerprint()
+        assert ch.client.stats.blocks_sent == ref.client.stats.blocks_sent
+
     def test_oversize_payload_rejected(self):
         ch = small_channel()
         with pytest.raises(ProtocolError, match="exceeds max_message_size"):
@@ -295,6 +336,50 @@ class TestCreditsAndRecycling:
         run(ch, 100)
         assert ch.client.stats.responses_received == 64
         assert ch.client.credits.available == cfg.credits
+
+    def test_an_idle_client_acknowledges_before_the_server_starves(self):
+        """Regression (found by the send-path model test): with fewer
+        than four credits the 'acks piled up' threshold could never be
+        reached — two unacknowledged response blocks held both of the
+        server's credits, the client had nothing to send that would carry
+        the ack, and the third response waited forever."""
+        cfg = ProtocolConfig(
+            block_size=2 * KIB, block_alignment=KIB, credits=2,
+            send_buffer_size=64 * KIB, recv_buffer_size=64 * KIB, concurrency=8,
+        )
+        ch = create_channel(cfg, cfg)
+        sizes = iter((0, 3000, 0))  # three responses, three blocks
+        ch.server.register(1, lambda req: Response.from_bytes(b"r" * next(sizes)))
+        out = []
+        for _ in range(3):
+            ch.client.enqueue_bytes(1, b"", lambda v, f: out.append(len(v)))
+        run(ch, 20)
+        assert out == [0, 3000, 0]
+
+    def test_a_pure_ack_block_is_not_reused_before_the_server_read_it(self):
+        """Regression (found by the send-path model test): a pure-ack
+        block was recycled at its *send completion* — which says the wire
+        took it, not that the server read it.  A client running ahead of
+        the server put its next request block at the same offset, over
+        the unread ack in the mirrored RBuf, and the server died on a
+        block sequence gap."""
+        ch = small_channel()
+        ch.server.register(1, lambda req: Response.from_bytes(b"r" * 2000))
+        out = []
+        for _ in range(4):  # four requests, four one-message response blocks
+            ch.client.enqueue_bytes(1, b"q" * 2000, lambda v, f: out.append(len(v)))
+        ch.client.flush()
+        ch.server.progress()
+        ch.client.progress()  # four blocks to acknowledge, nothing to send: pure ack
+        assert (len(out), ch.client.stats.blocks_sent) == (4, 5)
+        ch.client.progress()  # (its send completion)
+        ch.client.enqueue_bytes(1, b"q", lambda v, f: out.append(len(v)))
+        ch.client.flush()
+        run(ch)  # the server reads the ack, then the request
+        assert out == [2000] * 5
+        assert ch.server.duplicate_blocks == 0
+        # Answering that request block is what recycled the ack's block.
+        assert ch.client.allocator.is_empty()
 
     def test_sbuf_blocks_recycled(self):
         ch = small_channel()

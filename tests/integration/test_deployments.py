@@ -165,3 +165,33 @@ def test_a_build_that_fails_releases_what_it_made(monkeypatch, own_descriptors):
         build("offloaded", *bench_service(), transport="shm")
     assert _own_segments() == []
     assert sorted(own_descriptors() - held_before) == []
+
+
+def test_a_malformed_request_admitted_from_the_backlog_is_answered():
+    """Regression: past the DPU → host concurrency window (1 024) a
+    request waits in the client endpoint's backlog and is decoded inside
+    ``progress()``, where a decoder error has no caller to go to — it
+    escaped ``Deployment.drive()`` (on ``procs`` it killed the DPU child)
+    and the request was never answered."""
+    schema, service, servicer = bench_service()
+    small = serialize(WorkloadFactory(schema=schema).small())
+    malformed_id, total = 1101, 1102
+    with build("offloaded", schema, service, servicer) as deployment:
+        socket = deployment.connect("backlog-client")
+        for call_id in range(1, 1101):
+            socket.send(encode_request(call_id, "/bench.Bench/PingSmall", small))
+        deployment.front.progress()  # the host has not run: nothing answered yet
+        client = deployment.dpu.channel.client
+        assert (client.outstanding, len(client._backlog)) == (1024, 76)
+        socket.send(encode_request(malformed_id, "/bench.Bench/PingSmall", b"\x0a\x01\x00"))
+        socket.send(encode_request(total, "/bench.Bench/PingSmall", small))
+        decoder, statuses = FrameDecoder(), {}
+        for _ in range(200):
+            deployment.drive()  # must not raise
+            decoder.feed(socket.recv(1 << 22))
+            for frame in decoder.frames():
+                statuses.setdefault(frame.call_id, []).append(frame.status)
+    assert sorted(statuses) == list(range(1, total + 1))
+    assert all(len(answers) == 1 for answers in statuses.values())
+    assert statuses.pop(malformed_id) != [StatusCode.OK]
+    assert set(map(tuple, statuses.values())) == {(StatusCode.OK,)}

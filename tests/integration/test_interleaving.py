@@ -94,8 +94,9 @@ class ProtocolMachine(RuleBasedStateMachine):
         client, server = self.channel.client, self.channel.server
         # At quiescence the two ID pools agree (§IV-D).
         assert client.id_pool.fingerprint() == server.id_pool.fingerprint()
-        # All client request blocks recycled; credits fully restored.
-        assert client.allocator.live_count == len(client._ackonly_in_flight)
+        # All client request blocks recycled (pure acks sent since wait
+        # for the next one to be answered); credits fully restored.
+        assert client.allocator.live_count == len(client._spent_acks)
         assert client.credits.available == client.credits.initial
         super().teardown()
 

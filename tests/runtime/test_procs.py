@@ -55,6 +55,22 @@ def supervisor(calc_schema):
     sup.stop()
 
 
+def test_config_pair_is_validated_before_anything_is_spawned(calc_schema):
+    """The supervisor builds its two sides in two processes, so it runs
+    the channel factory's pair check itself (it used to check nothing)."""
+    from dataclasses import replace
+
+    from repro.core.config import CLIENT_DEFAULTS, SERVER_DEFAULTS
+
+    with pytest.raises(ValueError, match="agree on concurrency"):
+        ProcSupervisor(
+            calc_schema, calc_schema.service("calc.Calc"), make_servicer(calc_schema),
+            client_config=replace(CLIENT_DEFAULTS, concurrency=2),
+            server_config=SERVER_DEFAULTS,
+        )
+    assert multiprocessing.active_children() == []
+
+
 def test_offloaded_round_trip_and_traces(supervisor, calc_schema):
     BinOp, Value = calc_schema["calc.BinOp"], calc_schema["calc.Value"]
     supervisor.start()

@@ -1,5 +1,6 @@
 """Tests for the unified progress engine: registration, stepping,
-metrics, lifecycle, threading, and the endpoint deprecation shims."""
+metrics, lifecycle, threading, and what a direct ``progress()`` call on
+a registered endpoint is (the pass itself — no engine involved)."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import time
 
 import pytest
 
-from repro.core import ProtocolConfig, Response, Tracer, create_channel
+from repro.core import ProtocolConfig, Response, create_channel
 from repro.metrics import MetricsRegistry
 from repro.runtime import (
     EngineError,
@@ -69,22 +70,6 @@ class TestStepping:
         eng.register(FnPollable(lambda: calls.append(1) or 1, name="legacy"))
         assert eng.step(budget=3) == 1
         assert calls == [1]
-
-    def test_drive_polls_exactly_one(self):
-        eng = ProgressEngine()
-        a = ScriptedPollable([1, 1], name="a")
-        b = ScriptedPollable([1], name="b")
-        eng.register(a)
-        eng.register(b)
-        assert eng.drive(a) == 1
-        assert (a.polls, b.polls) == (1, 0)
-        assert eng.tick == 0  # drive is not a scheduling pass
-
-    def test_drive_auto_registers_strangers(self):
-        eng = ProgressEngine()
-        a = ScriptedPollable([2], name="a")
-        assert eng.drive(a) == 2
-        assert [r.name for r in eng.registrations] == ["a"]
 
     def test_double_registration_rejected(self):
         eng = ProgressEngine()
@@ -198,43 +183,106 @@ class TestLifecycle:
         assert eng.tick == ticks_at_stop  # the loop really stopped
 
 
-class TestTracing:
-    def test_spans_recorded_per_poll(self):
-        tracer = Tracer()
-        eng = ProgressEngine(tracer=tracer)
-        eng.register(ScriptedPollable([1], name="a"), name="a")
-        eng.step()
-        eng.step()
-        names = [s.name for s in tracer.spans]
-        assert names == ["poll/a", "poll/a"]
-        assert tracer.spans[0].attrs["tick"] == 1
-        assert "poll/a" in tracer.render()
+class TestDrainFlush:
+    def test_a_type_error_inside_flush_is_not_a_second_flush(self):
+        """``_flush_all`` used to pick the call form by catching
+        ``TypeError`` — so one raised *inside* ``flush(reason)`` ran the
+        flush again without the reason, and was swallowed."""
+
+        class Flusher(ScriptedPollable):
+            def __init__(self):
+                super().__init__(name="flusher")
+                self.flush_reasons = {}
+                self.flushes = []
+
+            def flush(self, reason="explicit"):
+                self.flushes.append(reason)
+                raise TypeError("bug inside flush")
+
+        eng = ProgressEngine()
+        flusher = Flusher()
+        eng.register(flusher)
+        with pytest.raises(TypeError, match="bug inside flush"):
+            eng.drain()
+        assert flusher.flushes == ["drain"]
+
+    def test_a_registered_fabric_is_drained(self):
+        """A fabric's ``flush()`` takes a step budget, not a reason (it
+        was only reached because ``0 < "drain"`` raised TypeError)."""
+        from repro.rdma import Fabric
+
+        fabric = Fabric(auto_flush=False)
+        ch = create_channel(CFG, CFG, fabric=fabric)
+        ch.server.register(1, lambda req: Response.from_bytes(b"ok"))
+        eng = ProgressEngine()
+        eng.register(fabric, name="fabric")
+        out = []
+        ch.client.enqueue_bytes(1, b"hi", lambda v, f: out.append(bytes(v)))
+        ch.client.flush()
+        assert fabric.in_flight == 1
+        eng._flush_all("drain")
+        assert fabric.in_flight == 0
+        # ...and a whole drain over fabric + endpoints goes quiet.
+        eng.register(ch.client)
+        eng.register(ch.server)
+        assert eng.drain(max_iters=50)
+        assert out == [b"ok"]
 
 
 class TestEndpointShims:
     def test_channel_registers_endpoints(self):
         ch = create_channel(CFG, CFG)
-        assert ch.client._runtime_engine is ch.engine
-        assert ch.server._runtime_engine is ch.engine
-        names = [r.name for r in ch.engine.registrations]
-        assert names == ["chan.client", "chan.server"]
+        regs = ch.engine.registrations
+        assert [r.name for r in regs] == ["chan.client", "chan.server"]
+        assert [r.pollable for r in regs] == [ch.client, ch.server]
 
     def test_progress_shim_routes_through_engine(self):
+        """There is no shim left to route: a direct ``progress()`` is the
+        pass and not an engine poll; ``engine.step()`` counts one each."""
         ch = create_channel(CFG, CFG)
+        polls = ch.engine.metrics.per_pollable
         ch.client.progress()
         ch.server.progress()
-        assert ch.engine.metrics.per_pollable["chan.client"].polls == 1
-        assert ch.engine.metrics.per_pollable["chan.server"].polls == 1
+        assert (ch.client._polls, ch.server._polls) == (1, 1)
+        assert polls["chan.client"].polls == polls["chan.server"].polls == 0
+        ch.engine.step()
+        assert (ch.client._polls, ch.server._polls) == (2, 2)
+        assert polls["chan.client"].polls == polls["chan.server"].polls == 1
 
-    def test_unregistered_endpoint_builds_private_engine(self):
+    def test_unregistered_endpoint_builds_private_engine(self, monkeypatch):
+        """It builds none.  An unregistered endpoint's ``progress()`` —
+        and a quarantined one's, which used to acquire a private,
+        unsupervised engine behind the supervisor's back — runs the pass
+        and constructs no ``ProgressEngine``."""
+        import repro.runtime.engine as engine_module
+        from repro.core import supervise_channel
+
         ch = create_channel(CFG, CFG)
+        _, supervisor = supervise_channel(ch)
+        built = []
+        init = engine_module.ProgressEngine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module.ProgressEngine, "__init__", counting_init)
         ch.engine.unregister(ch.client)
-        assert ch.client._runtime_engine is None
-        ch.client.progress()
-        assert ch.client._runtime_engine is not None
-        assert ch.client._runtime_engine is not ch.engine
+        supervisor.quarantine(ch.server, reason="test")
+        assert ch.engine.registrations == []
+        ch.server.register(1, lambda req: Response.from_bytes(b"ok"))
+        out = []
+        ch.client.enqueue_bytes(1, b"hi", lambda v, f: out.append(bytes(v)))
+        for _ in range(10):
+            ch.client.progress()
+            ch.server.progress()
+        assert out == [b"ok"]
+        assert built == []
+        assert ch.engine.metrics.total_polls == 0
+        assert [reg.pollable for reg in supervisor.quarantined] == [ch.server]
 
     def test_rpc_echo_still_works_through_shims(self):
+        # (id kept from when progress() was a shim: hand-driven endpoints)
         ch = create_channel(CFG, CFG)
         ch.server.register(1, lambda req: Response.from_bytes(req.payload_bytes()[::-1]))
         out = []
@@ -243,6 +291,28 @@ class TestEndpointShims:
             ch.client.progress()
             ch.server.progress()
         assert out == [b"cba"]
+
+
+    def test_a_nested_pass_is_charged_to_the_registered_outer_pollable(self):
+        """The ``procs`` DPU child registers its client endpoint *and* its
+        front end, whose pass runs the endpoint's again (front → dpu →
+        client).  The nested ``progress()`` is a plain call: a transport
+        fault inside it surfaces through the front end's poll and is
+        charged to the pollable the engine actually polled (the shim used
+        to re-enter the engine and charge the endpoint twice)."""
+        from repro.core import TransportError
+        from repro.runtime import EngineSupervisor
+
+        ch = create_channel(CFG, CFG)
+        supervisor = EngineSupervisor(ch.engine, fault_types=(TransportError,))
+        ch.engine.register(
+            FnPollable(lambda budget: ch.client.progress(budget), name="front")
+        )
+        ch.client.qp.to_error()
+        ch.engine.step()  # both faults contained: the tick finishes
+        assert [(e.kind, e.pollable) for e in supervisor.events] == [
+            ("fault", "chan.client"), ("fault", "front"),
+        ]
 
 
 class TestRequestIdReplay:

@@ -1,5 +1,6 @@
 """Structure guard: one way to build a stack, one front door, one
-open-loop traffic half (ROADMAP aim 2, item 4).
+open-loop traffic half (ROADMAP aim 2, item 4); one send path and no
+poll shims (item 2).
 
 Reads ``src/`` and ``examples/`` as syntax trees — what is pinned is
 where things are *written*, not how they behave.  Tests under ``tests/``
@@ -113,3 +114,51 @@ def test_the_lane_loop_is_written_once():
 def test_the_open_loop_traffic_half_is_written_once(function):
     assert len(_definitions(SRC / "workloads", function)) == 1
 
+
+# -- the send path and the poll (ROADMAP item 2, structural half) -------------
+
+
+def _callers(path: Path, called: str) -> set[str | None]:
+    """Names of the functions in ``path`` that call ``called`` (as a
+    name or as an attribute)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = _enclosing_functions(tree)
+    return {
+        owner[node]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and called == (node.func.id if isinstance(node.func, ast.Name)
+                       else getattr(node.func, "attr", None))
+    }
+
+
+@pytest.mark.parametrize("step", ["begin_message", "commit_message", "abort_message"])
+def test_a_message_is_put_into_a_block_in_one_place(step):
+    """Both endpoint roles append through ``_EndpointBase._append``: the
+    reserve / write / commit-or-abort sequence is written once."""
+    assert _callers(SRC / "core" / "endpoint.py", step) == {"_append"}
+
+
+def test_blocks_are_opened_by_the_appender_and_the_pure_ack_only():
+    assert _callers(SRC / "core" / "endpoint.py", "BlockWriter") <= {
+        "_append", "_send_pure_ack",
+    }
+
+
+@pytest.mark.parametrize("name", ["_progress_impl", "_runtime_engine", "Tracer"])
+def test_the_poll_shim_chain_is_gone(name):
+    """``progress()`` is the pass itself; nothing routes around it."""
+    mentions = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in _trees(SRC)
+        for node in ast.walk(tree)
+        if name in (getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None))
+    ]
+    assert mentions == []
+
+
+def test_the_engine_has_no_single_pollable_entry_point():
+    """``ProgressEngine.drive`` existed for the shims only."""
+    assert [where for where in _definitions(SRC / "runtime", "drive")
+            if where.startswith("src/repro/runtime/engine.py:")] == []
