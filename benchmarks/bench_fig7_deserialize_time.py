@@ -270,8 +270,10 @@ def test_fig7_decode_speedup(report, benchmark):
         f"WIRE_FIXED must beat the generated tag-wire decoder, got "
         f"{ref_fixed['mix']:.0f} vs {ref_gen['mix']:.0f} ns/op"
     )
-    # The arena interpretive path already bulk-decodes packed runs, so the
-    # bar there is parity, not 2x.
+    # The bar on the arena side is parity, not 2x: both arena tiers share
+    # the packed-varint kernel and the composite writers.  (The oracle
+    # converts a packed run element by element through the hand-written
+    # rule, so on x512 Ints it reads several times slower than that.)
     assert results["arena_mix_speedup"] >= 0.8
 
 

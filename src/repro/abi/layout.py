@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.proto.descriptor import FieldDescriptor, FieldType, MessageDescriptor
+from repro.proto.kinds import KINDS
 
 from .cpp_types import (
     POINTER_SIZE,
@@ -61,23 +62,12 @@ def _align_up(value: int, alignment: int) -> int:
     return (value + alignment - 1) & ~(alignment - 1)
 
 
-#: The one scalar codec table: proto scalar type -> in-object primitive
-#: (size, alignment, little-endian ``struct`` codec).
+#: Proto scalar type -> in-object primitive (size, alignment, little-endian
+#: ``struct`` codec): the :data:`repro.proto.kinds.KINDS` row's format
+#: character, looked up among the C++ primitives.
+_BY_FORMAT = {p.fmt: p for name, p in PRIMITIVES.items() if name != "pointer"}
 MEMBER_PRIMITIVE: dict[FieldType, PrimitiveType] = {
-    FieldType.BOOL: PRIMITIVES["bool"],
-    FieldType.INT32: PRIMITIVES["int32"],
-    FieldType.SINT32: PRIMITIVES["int32"],
-    FieldType.SFIXED32: PRIMITIVES["int32"],
-    FieldType.ENUM: PRIMITIVES["int32"],
-    FieldType.UINT32: PRIMITIVES["uint32"],
-    FieldType.FIXED32: PRIMITIVES["uint32"],
-    FieldType.INT64: PRIMITIVES["int64"],
-    FieldType.SINT64: PRIMITIVES["int64"],
-    FieldType.SFIXED64: PRIMITIVES["int64"],
-    FieldType.UINT64: PRIMITIVES["uint64"],
-    FieldType.FIXED64: PRIMITIVES["uint64"],
-    FieldType.FLOAT: PRIMITIVES["float"],
-    FieldType.DOUBLE: PRIMITIVES["double"],
+    kind: _BY_FORMAT[row.fmt] for kind, row in KINDS.items()
 }
 
 

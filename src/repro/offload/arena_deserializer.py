@@ -16,7 +16,11 @@ any protobuf schema (§V-B).  Two tiers decode the tag wire: ``generated``
 (the default) compiles one straight-line decoder per ADT entry on first
 use (:mod:`repro.offload.arena_gen`); ``interpretive`` is the
 field-by-field loop in this module, the oracle the generated tier is
-tested against.
+tested against.  The oracle reads a kind's facts (wire type, width,
+member codec) from :mod:`repro.proto.kinds` and turns raw varints into
+values with the hand-written
+:func:`~repro.proto.deserializer.decode_varint_value` — never with the
+table's expressions, which are what it checks.
 
 The deserializer also keeps an operation census (:class:`DeserializeStats`)
 — varints decoded, bytes copied, UTF-8 bytes validated, messages recursed —
@@ -29,21 +33,18 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.abi import MEMBER_PRIMITIVE, StringLayout, StdLib
+from repro.abi import StringLayout, StdLib
 from repro.abi.cpp_types import REPEATED_HEADER, LibcxxString, LibstdcxxString
 from repro.memory import Arena
 from repro.proto.descriptor import FieldType
-from repro.proto.deserializer import DECODE_MODES
+from repro.proto.deserializer import DECODE_MODES, decode_varint_value, skip_field
+from repro.proto.kinds import KINDS
 from repro.proto.utf8 import validate_utf8
 from repro.proto.wire_format import (
     TruncatedMessageError,
     WireFormatError,
     WireType,
     decode_packed_varints,
-    read_fixed32,
-    read_fixed64,
     read_tag,
     read_varint,
 )
@@ -52,7 +53,6 @@ from .adt import Adt, AdtEntry, AdtError, AdtField
 
 __all__ = ["DeserializeError", "DeserializeStats", "ArenaDeserializer"]
 
-_U64 = (1 << 64) - 1
 HASBITS_OFFSET = 8  # immediately after the vptr, see MessageLayout
 
 
@@ -82,71 +82,6 @@ class DeserializeStats:
 def _align8(n: int) -> int:
     return (n + 7) & ~7
 
-
-def _zigzag_decode(v: int) -> int:
-    return (v >> 1) ^ -(v & 1)
-
-
-def _u32_to_i32(v: int) -> int:
-    v &= 0xFFFFFFFF
-    return v - (1 << 32) if v >= (1 << 31) else v
-
-
-def _u64_to_i64(v: int) -> int:
-    v &= _U64
-    return v - (1 << 64) if v >= (1 << 63) else v
-
-
-# numpy dtypes for repeated-scalar element storage (little-endian).
-_ELEM_DTYPE = {
-    FieldType.BOOL: np.dtype("u1"),
-    FieldType.INT32: np.dtype("<i4"),
-    FieldType.SINT32: np.dtype("<i4"),
-    FieldType.SFIXED32: np.dtype("<i4"),
-    FieldType.ENUM: np.dtype("<i4"),
-    FieldType.UINT32: np.dtype("<u4"),
-    FieldType.FIXED32: np.dtype("<u4"),
-    FieldType.INT64: np.dtype("<i8"),
-    FieldType.SINT64: np.dtype("<i8"),
-    FieldType.SFIXED64: np.dtype("<i8"),
-    FieldType.UINT64: np.dtype("<u8"),
-    FieldType.FIXED64: np.dtype("<u8"),
-    FieldType.FLOAT: np.dtype("<f4"),
-    FieldType.DOUBLE: np.dtype("<f8"),
-}
-
-_FIXED_WIDTH = {
-    FieldType.FIXED32: 4,
-    FieldType.SFIXED32: 4,
-    FieldType.FLOAT: 4,
-    FieldType.FIXED64: 8,
-    FieldType.SFIXED64: 8,
-    FieldType.DOUBLE: 8,
-}
-
-_ONE = np.uint64(1)
-_LOW32 = np.uint64(0xFFFFFFFF)
-
-
-def _unzigzag(raw: np.ndarray) -> np.ndarray:
-    """Vectorized ZigZag decode, in 64-bit two's complement."""
-    return (raw >> _ONE) ^ (np.uint64(0) - (raw & _ONE))
-
-
-#: Decoded packed varint run (``uint64`` values) -> element array, per
-#: varint-carried kind.  A packed run stays an array from here to the
-#: arena: its ``tobytes()`` *is* the element storage.  Integer casts
-#: truncate to the member width, as the C++ parser's do.
-_VARINT_ELEMS = {
-    FieldType.BOOL: lambda raw: raw != 0,
-    FieldType.INT32: lambda raw: raw.astype("<i4"),
-    FieldType.ENUM: lambda raw: raw.astype("<i4"),
-    FieldType.UINT32: lambda raw: raw.astype("<u4"),
-    FieldType.INT64: lambda raw: raw.astype("<i8"),
-    FieldType.UINT64: lambda raw: raw,
-    FieldType.SINT32: lambda raw: _unzigzag(raw & _LOW32).astype("<i4"),
-    FieldType.SINT64: lambda raw: _unzigzag(raw).astype("<i8"),
-}
 
 #: every byte with the continuation bit set; deleting them from a packed
 #: varint run leaves one byte per varint
@@ -183,7 +118,7 @@ class ArenaDeserializer:
         # singular numeric scalars): a constant of the type, None otherwise.
         self._flat_bounds = [
             _align8(e.sizeof) + 8 + 64
-            if all(not f.repeated and f.kind in MEMBER_PRIMITIVE for f in e.fields)
+            if all(not f.repeated and f.kind in KINDS for f in e.fields)
             else None
             for e in adt.entries
         ]
@@ -255,8 +190,8 @@ class ArenaDeserializer:
         fields = sorted(entry.fields, key=lambda f: f.number)
         rows = []
         for slot, f in zip(layout.slots, fields):
-            prim = MEMBER_PRIMITIVE.get(f.kind)  # None for a string / bytes blob
-            rows.append((slot.category, f, prim and prim.codec.pack_into,
+            row = KINDS.get(f.kind)  # None for a string / bytes blob
+            rows.append((slot.category, f, row and row.codec.pack_into,
                          HASBITS_OFFSET + f.has_bit // 8, 1 << (f.has_bit % 8)))
         self._fixed_layouts[index] = (layout, rows)
         return layout, rows
@@ -381,8 +316,8 @@ class ArenaDeserializer:
                         total += _align8(n + 1) + 8
                 elif f.repeated:
                     # packed run
-                    width = _FIXED_WIDTH.get(f.kind)
-                    if width is not None:
+                    width = KINDS[f.kind].width
+                    if width:
                         count = n // width
                     else:
                         count = len(buf[pos : pos + n].translate(None, _CONTINUATION_BYTES))
@@ -424,7 +359,7 @@ class ArenaDeserializer:
             number, wt, pos = read_tag(buf, pos)
             f = entry.field_by_number(number)
             if f is None:
-                pos = self._skip(buf, pos, wt, end)
+                pos = skip_field(buf, pos, wt, end)
                 continue
             try:
                 pos = self._parse_field(
@@ -437,20 +372,6 @@ class ArenaDeserializer:
         if pending_repeated:
             for number, values in pending_repeated.items():
                 self._materialize_repeated(entry.field_by_number(number), obj, values, arena)
-
-    def _skip(self, buf: bytes, pos: int, wt: int, end: int) -> int:
-        if wt == WireType.VARINT:
-            _, pos = read_varint(buf, pos)
-        elif wt == WireType.FIXED64:
-            pos += 8
-        elif wt == WireType.FIXED32:
-            pos += 4
-        else:
-            n, pos = read_varint(buf, pos)
-            pos += n
-        if pos > end:
-            raise TruncatedMessageError("skipped field overruns buffer")
-        return pos
 
     def _set_has_bit(self, space, obj: int, has_bit: int) -> None:
         word_addr = obj + HASBITS_OFFSET + 4 * (has_bit // 32)
@@ -499,7 +420,7 @@ class ArenaDeserializer:
             return self.string_layout.size
         if f.kind is FieldType.MESSAGE:
             return 8
-        return MEMBER_PRIMITIVE[f.kind].size
+        return KINDS[f.kind].codec.size
 
     def _clear_oneof_siblings(
         self, entry: AdtEntry, f: AdtField, obj: int, space
@@ -521,58 +442,6 @@ class ArenaDeserializer:
                 entry.default_bytes[other.offset : other.offset + size],
             )
             self._clear_has_bit(space, obj, other.has_bit)
-
-    def _read_scalar(self, f: AdtField, buf: bytes, pos: int, wt: int):
-        """One element of a numeric field from its natural wire type."""
-        kind = f.kind
-        if kind in _FIXED_WIDTH:
-            self.stats.fixed_fields += 1
-            if _FIXED_WIDTH[kind] == 4:
-                raw, pos = read_fixed32(buf, pos)
-                if kind is FieldType.SFIXED32:
-                    return _u32_to_i32(raw), pos
-                if kind is FieldType.FLOAT:
-                    return np.frombuffer(raw.to_bytes(4, "little"), dtype="<f4")[0], pos
-                return raw, pos
-            raw, pos = read_fixed64(buf, pos)
-            if kind is FieldType.SFIXED64:
-                return _u64_to_i64(raw), pos
-            if kind is FieldType.DOUBLE:
-                return np.frombuffer(raw.to_bytes(8, "little"), dtype="<f8")[0], pos
-            return raw, pos
-        start = pos
-        raw, pos = read_varint(buf, pos)
-        self.stats.varints_decoded += 1
-        self.stats.varint_bytes += pos - start
-        if kind is FieldType.BOOL:
-            return 1 if raw else 0, pos
-        if kind is FieldType.SINT32:
-            return _zigzag_decode(raw & 0xFFFFFFFF), pos
-        if kind is FieldType.SINT64:
-            return _zigzag_decode(raw), pos
-        if kind in (FieldType.INT32, FieldType.ENUM):
-            return _u32_to_i32(raw), pos
-        if kind is FieldType.INT64:
-            return _u64_to_i64(raw), pos
-        if kind is FieldType.UINT32:
-            return raw & 0xFFFFFFFF, pos
-        return raw, pos  # uint64
-
-    def _scalar_bytes(self, f: AdtField, value) -> bytes:
-        """One element's in-object bytes."""
-        return np.asarray(value, dtype=_ELEM_DTYPE[f.kind]).tobytes()
-
-    def _store_scalar(self, space, f: AdtField, addr: int, value) -> None:
-        space.write(addr, self._scalar_bytes(f, value))
-
-    def _expected_wire_type(self, kind: FieldType) -> int:
-        if kind in (FieldType.FIXED32, FieldType.SFIXED32, FieldType.FLOAT):
-            return WireType.FIXED32
-        if kind in (FieldType.FIXED64, FieldType.SFIXED64, FieldType.DOUBLE):
-            return WireType.FIXED64
-        if kind in (FieldType.STRING, FieldType.BYTES, FieldType.MESSAGE):
-            return WireType.LENGTH_DELIMITED
-        return WireType.VARINT
 
     def _parse_field(
         self,
@@ -632,7 +501,7 @@ class ArenaDeserializer:
                 self._set_has_bit(space, obj, f.has_bit)
             return pos + n
 
-        # Numeric scalar.
+        # Numeric scalar: every occurrence becomes a chunk of element bytes.
         if f.repeated and wt == WireType.LENGTH_DELIMITED:
             n, pos = read_varint(buf, pos)
             if pos + n > end:
@@ -640,14 +509,27 @@ class ArenaDeserializer:
             run = self._decode_packed(f, buf, pos, pos + n)
             pending_repeated.setdefault(f.number, []).append(run)
             return pos + n
-        if wt != self._expected_wire_type(kind):
+        row = KINDS[kind]
+        if wt != row.wire_type:
             raise DeserializeError(f"wire type {wt} for {kind.value} field")
-        value, pos = self._read_scalar(f, buf, pos, wt)
+        if row.width:
+            # fixed-width: the in-object bytes are the wire bytes
+            chunk = buf[pos : pos + row.width]
+            if len(chunk) != row.width:
+                raise TruncatedMessageError(f"{kind.value} extends past end of buffer")
+            pos += row.width
+            self.stats.fixed_fields += 1
+        else:
+            start = pos
+            raw, pos = read_varint(buf, pos)
+            self.stats.varints_decoded += 1
+            self.stats.varint_bytes += pos - start
+            chunk = row.codec.pack(decode_varint_value(kind, raw))
         if f.repeated:
-            pending_repeated.setdefault(f.number, []).append(self._scalar_bytes(f, value))
+            pending_repeated.setdefault(f.number, []).append(chunk)
         else:
             self._clear_oneof_siblings(entry, f, obj, space)
-            self._store_scalar(space, f, obj + f.offset, value)
+            space.write(obj + f.offset, chunk)
             self._set_has_bit(space, obj, f.has_bit)
         return pos
 
@@ -661,22 +543,22 @@ class ArenaDeserializer:
         layout.write(arena.space, addr, raw, data_addr)
 
     def _decode_packed(self, f: AdtField, buf: bytes, pos: int, end: int) -> bytes:
-        """Decode a packed run into its element storage bytes.  Varint
-        kinds take the vectorized wide path (the DPU analog of decoding
-        many elements per iteration) and stay one array until its
-        ``tobytes()``; a fixed-width run's wire bytes *are* its element
-        bytes."""
+        """Decode a packed run into its element storage bytes.  A
+        fixed-width run's wire bytes *are* its element bytes; a varint run
+        goes through the one packed-varint kernel and then, being the
+        oracle, through the hand-written rule one element at a time."""
         kind = f.kind
-        width = _FIXED_WIDTH.get(kind)
-        if width is not None:
-            if (end - pos) % width:
+        row = KINDS[kind]
+        if row.width:
+            if (end - pos) % row.width:
                 raise DeserializeError("packed fixed run not a multiple of element width")
-            self.stats.fixed_fields += (end - pos) // width
+            self.stats.fixed_fields += (end - pos) // row.width
             return bytes(buf[pos:end])
         raw = decode_packed_varints(buf[pos:end])
         self.stats.varints_decoded += len(raw)
         self.stats.varint_bytes += end - pos
-        return _VARINT_ELEMS[kind](raw).tobytes()
+        values = [decode_varint_value(kind, r) for r in raw.tolist()]
+        return struct.pack(f"<{len(values)}{row.fmt}", *values)
 
     def _materialize_repeated(self, f: AdtField, obj: int, values: list, arena: Arena) -> None:
         """Build the element storage of repeated field ``f`` from what the

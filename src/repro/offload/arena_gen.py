@@ -1,12 +1,14 @@
 """Generated per-ADT-entry decoders for the offloaded arena deserializer.
 
-The offload twin of :mod:`repro.proto.gen_codec`: where the reference
-generator specializes a ``MessageDescriptor`` into straight-line source,
-this module specializes an :class:`~repro.offload.adt.AdtEntry`.
-Everything the interpretive :class:`ArenaDeserializer` resolves per field
-— the ``field_by_number`` probe, the ``FieldType`` comparison ladder, the
-has-bit word arithmetic, the NumPy dtype lookup — is resolved once per
-ADT entry at compile time and burned into the source as literals:
+The arena back end of the one tag-loop generator in
+:mod:`repro.proto.gen_codec`: the frame, the three wire reads, the cold
+path and the compile step are that module's; the raw → value expressions
+are the :mod:`repro.proto.kinds` table's.  What is written here is what an
+arena object does with a value.  Everything the interpretive
+:class:`ArenaDeserializer` resolves per field — the ``field_by_number``
+probe, the kind ladder, the has-bit word arithmetic — is resolved once
+per :class:`~repro.offload.adt.AdtEntry` at compile time and burned into
+the source as literals:
 
 * member offsets and precompiled ``struct.Struct`` packers for varint
   scalars (fixed-width scalars memcpy their wire bytes verbatim — the
@@ -41,44 +43,26 @@ to the deserializer's existing composite writers for the same reason.
 from __future__ import annotations
 
 import struct
-import time
 
-from repro.abi import MEMBER_PRIMITIVE, PRIMITIVES
+from repro.abi import PRIMITIVES
 from repro.proto.descriptor import FieldType
-from repro.proto.gen_codec import PLAN_METRICS
-from repro.proto.utf8 import validate_utf8
-from repro.proto.wire_format import (
-    TruncatedMessageError,
-    WireFormatError,
-    WireType,
-    decode_packed_varints,
-    make_tag,
-    read_varint,
+from repro.proto.gen_codec import (
+    PLAN_METRICS,
+    READ_VARINT,
+    compile_codec,
+    loop_namespace,
+    read_fixed,
+    read_length,
+    tag_loop,
 )
+from repro.proto.kinds import KINDS, wire_type_of
+from repro.proto.utf8 import validate_utf8
+from repro.proto.wire_format import WireType, make_tag
 
 from .adt import AdtEntry
-from .arena_deserializer import (
-    _FIXED_WIDTH,
-    _VARINT_ELEMS,
-    HASBITS_OFFSET,
-    DeserializeError,
-)
+from .arena_deserializer import HASBITS_OFFSET, DeserializeError
 
 __all__ = ["ArenaGenCache"]
-
-_U64 = (1 << 64) - 1
-
-# raw varint -> member value, as a source expression over ``raw``
-_ARENA_CONVERT_EXPR = {
-    FieldType.BOOL: "(1 if raw else 0)",
-    FieldType.UINT32: "raw & 0xFFFFFFFF",
-    FieldType.UINT64: "raw",
-    FieldType.INT32: "((raw & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000",
-    FieldType.ENUM: "((raw & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000",
-    FieldType.INT64: "((raw & 0x%X) ^ 0x8000000000000000) - 0x8000000000000000" % _U64,
-    FieldType.SINT32: "((raw & 0xFFFFFFFF) >> 1) ^ -(raw & 1)",
-    FieldType.SINT64: "(raw >> 1) ^ -(raw & 1)",
-}
 
 
 class ArenaGenCache:
@@ -89,8 +73,7 @@ class ArenaGenCache:
     ``_parse_message`` / ``_parse_into``; each entry's tag dispatch is one
     compiled straight-line function.  Charges the exact
     :class:`~repro.offload.arena_deserializer.DeserializeStats` census the
-    interpretive path charges, and stores packed runs through the same
-    array-to-element-bytes converters.
+    interpretive path charges.
     """
 
     def __init__(self, deser) -> None:
@@ -126,30 +109,21 @@ class ArenaGenCache:
         region = arena.space.region_of(obj, self.deser.adt.entry(index).sizeof)
         self.decoder(index)(region.buf, obj - region.base, obj, buf, pos, end, arena, depth)
 
-    def _parse_unknown(self, entry: AdtEntry, buf, tag: int, pos: int, end: int) -> int:
-        number = tag >> 3
-        wire_type = tag & 0x7
-        if number == 0:
-            raise WireFormatError("field number 0 is invalid")
-        if not WireType.is_valid(wire_type):
-            raise WireFormatError(f"unsupported wire type {wire_type}")
-        f = entry.field_by_number(number)
-        if f is not None:
-            raise DeserializeError(
-                f"{entry.full_name}.{f.name}: wire type {wire_type} "
-                f"for {f.kind.value} field"
-            )
-        return self.deser._skip(buf, pos, wire_type, end)
-
     # -- source generation ---------------------------------------------------
 
     def _field_branches(self, entry: AdtEntry, ns: dict) -> list[tuple[int, str, list[str]]]:
+        """Per-field branches — a shared read, then what an arena object
+        does with the value: a store at a literal offset plus the has-bit
+        byte (singular, after restoring any oneof siblings), or a chunk
+        kept in ``pending`` for ``_materialize_repeated`` (repeated), and
+        the ``DeserializeStats`` census either way."""
         deser = self.deser
         branches: list[tuple[int, str, list[str]]] = []
         for i, f in enumerate(entry.fields):
             kind = f.kind
             number = f.number
             offset = f.offset
+            keep = f"pending.setdefault({number}, []).append({{}})"
             # _has_bits_ words are little-endian: bit b lives in byte b // 8
             set_has = [f"mem[o + {HASBITS_OFFSET + f.has_bit // 8}] |= {1 << (f.has_bit % 8)}"]
             clear = []
@@ -169,23 +143,14 @@ class ArenaGenCache:
 
             if kind is FieldType.MESSAGE:
                 child = f.child
-                tag = make_tag(number, WireType.LENGTH_DELIMITED)
+                body = read_length("submessage")
                 if f.repeated:
-                    body = [
-                        "n, pos = _rv(buf, pos)",
-                        "npos = pos + n",
-                        "if npos > end:",
-                        "    raise _Trunc('submessage overruns parent')",
+                    body += [
                         f"addr = _cache.parse_message({child}, buf, pos, npos, arena, depth + 1)",
-                        f"pending.setdefault({number}, []).append(addr)",
-                        "pos = npos",
+                        keep.format("addr"),
                     ]
-                else:
-                    body = [
-                        "n, pos = _rv(buf, pos)",
-                        "npos = pos + n",
-                        "if npos > end:",
-                        "    raise _Trunc('submessage overruns parent')",
+                else:  # proto3 merge: a second occurrence parses into the first
+                    body += [
                         *clear,
                         f"existing = _ru64(mem, o + {offset})[0]",
                         "if existing == 0:",
@@ -194,202 +159,110 @@ class ArenaGenCache:
                         "else:",
                         f"    _cache.parse_into({child}, existing, buf, pos, npos, arena, depth + 1)",
                         *set_has,
-                        "pos = npos",
                     ]
-                branches.append((tag, f.name, body))
-                continue
-
-            if kind in (FieldType.STRING, FieldType.BYTES):
-                tag = make_tag(number, WireType.LENGTH_DELIMITED)
-                check = (
-                    ["_vu8(raw)", "stats.utf8_bytes_validated += n"]
-                    if kind is FieldType.STRING
-                    else []
-                )
+                body.append("pos = npos")
+            elif kind in (FieldType.STRING, FieldType.BYTES):
+                body = read_length("string") + ["raw = bytes(buf[pos:npos])"]
+                if kind is FieldType.STRING:
+                    body += ["_vu8(raw)", "stats.utf8_bytes_validated += n"]
+                body.append("stats.string_bytes_copied += n")
                 if f.repeated:
-                    body = [
-                        "n, pos = _rv(buf, pos)",
-                        "npos = pos + n",
-                        "if npos > end:",
-                        "    raise _Trunc('string overruns buffer')",
-                        "raw = bytes(buf[pos:npos])",
-                        *check,
-                        "stats.string_bytes_copied += n",
-                        f"pending.setdefault({number}, []).append(raw)",
-                        "pos = npos",
-                    ]
+                    body.append(keep.format("raw"))
                 else:
-                    body = [
-                        "n, pos = _rv(buf, pos)",
-                        "npos = pos + n",
-                        "if npos > end:",
-                        "    raise _Trunc('string overruns buffer')",
-                        "raw = bytes(buf[pos:npos])",
-                        *check,
-                        "stats.string_bytes_copied += n",
-                        *clear,
-                        f"_ws(arena, obj + {offset}, raw)",
-                        *set_has,
-                        "pos = npos",
-                    ]
-                branches.append((tag, f.name, body))
-                continue
-
-            width = _FIXED_WIDTH.get(kind)
-            if width is not None:
-                natural_tag = make_tag(
-                    number, WireType.FIXED32 if width == 4 else WireType.FIXED64
-                )
-                read = [
-                    f"npos = pos + {width}",
-                    "if npos > end:",
-                    f"    raise _Trunc('fixed{width * 8} extends past end of buffer')",
-                    "stats.fixed_fields += 1",
-                ]
-                if f.repeated:
-                    body = read + [
-                        f"pending.setdefault({number}, []).append(bytes(buf[pos:npos]))",
-                        "pos = npos",
-                    ]
-                else:
-                    body = read + [
-                        *clear,
+                    body += [*clear, f"_ws(arena, obj + {offset}, raw)", *set_has]
+                body.append("pos = npos")
+            else:
+                row = KINDS[kind]
+                width = row.width
+                if width:
+                    # The in-object representation *is* the little-endian
+                    # wire representation: wire bytes are stored verbatim.
+                    body = read_fixed(width) + ["stats.fixed_fields += 1"]
+                    if f.repeated:
+                        body.append(keep.format("bytes(buf[pos:npos])"))
+                    else:
                         # npos - pos == width: checked against end just above
-                        f"mem[o + {offset}:o + {offset + width}] = buf[pos:npos]",
-                        *set_has,
-                        "pos = npos",
-                    ]
-                branches.append((natural_tag, f.name, body))
-                if f.repeated:
-                    branches.append((make_tag(number, WireType.LENGTH_DELIMITED), f.name, [
-                        "n, pos = _rv(buf, pos)",
-                        "run_end = pos + n",
-                        "if run_end > end:",
-                        "    raise _Trunc('packed run overruns buffer')",
+                        body += [
+                            *clear,
+                            f"mem[o + {offset}:o + {offset + width}] = buf[pos:npos]",
+                            *set_has,
+                        ]
+                    body.append("pos = npos")
+                    run = [
                         f"if n % {width}:",
                         "    raise _DE('packed fixed run not a multiple of element width')",
                         f"stats.fixed_fields += n // {width}",
-                        f"pending.setdefault({number}, []).append(bytes(buf[pos:run_end]))",
-                        "pos = run_end",
-                    ]))
-                continue
-
-            # varint-carried kind
-            natural_tag = make_tag(number, WireType.VARINT)
-            codec = MEMBER_PRIMITIVE[kind].codec
-            ns[f"_pk{i}"] = codec.pack if f.repeated else codec.pack_into
-            ns[f"_el{i}"] = _VARINT_ELEMS[kind]
-            read = [
-                "if pos >= end:",
-                "    raise _Trunc('varint extends past end of buffer')",
-                "start = pos",
-                "b = buf[pos]",
-                "if b < 0x80:",
-                "    raw = b",
-                "    pos += 1",
-                "else:",
-                "    raw, pos = _rv(buf, pos)",
-                "stats.varints_decoded += 1",
-                "stats.varint_bytes += pos - start",
-            ]
-            if f.repeated:
-                body = read + [
-                    f"pending.setdefault({number}, []).append("
-                    f"_pk{i}({_ARENA_CONVERT_EXPR[kind]}))",
-                ]
-            else:
-                body = read + [
-                    *clear,
-                    f"_pk{i}(mem, o + {offset}, {_ARENA_CONVERT_EXPR[kind]})",
-                    *set_has,
-                ]
-            branches.append((natural_tag, f.name, body))
-            if f.repeated:
-                branches.append((make_tag(number, WireType.LENGTH_DELIMITED), f.name, [
-                    "n, pos = _rv(buf, pos)",
-                    "run_end = pos + n",
-                    "if run_end > end:",
-                    "    raise _Trunc('packed run overruns buffer')",
-                    "raw = _dpv(buf[pos:run_end])",
-                    "stats.varints_decoded += len(raw)",
-                    "stats.varint_bytes += n",
-                    f"pending.setdefault({number}, []).append(_el{i}(raw).tobytes())",
-                    "pos = run_end",
-                ]))
+                        keep.format("bytes(buf[pos:npos])"),
+                    ]
+                else:
+                    ns[f"_pk{i}"] = row.codec.pack if f.repeated else row.codec.pack_into
+                    body = [
+                        "start = pos",
+                        *READ_VARINT,
+                        "stats.varints_decoded += 1",
+                        "stats.varint_bytes += pos - start",
+                    ]
+                    if f.repeated:
+                        body.append(keep.format(f"_pk{i}({row.from_raw})"))
+                    else:
+                        body += [*clear, f"_pk{i}(mem, o + {offset}, {row.from_raw})", *set_has]
+                    # A packed run stays one array from the wire to the
+                    # arena: its ``tobytes()`` *is* the element storage.
+                    run = [
+                        "raw = _dpv(buf[pos:npos])",
+                        "stats.varints_decoded += len(raw)",
+                        "stats.varint_bytes += n",
+                        keep.format(f"({row.from_raw_array}).tobytes()"),
+                    ]
+                if f.repeated:
+                    branches.append((
+                        make_tag(number, WireType.LENGTH_DELIMITED), f.name,
+                        read_length("packed run") + run + ["pos = npos"],
+                    ))
+            branches.append((make_tag(number, wire_type_of(kind)), f.name, body))
         return branches
 
     def entry_source(self, index: int) -> tuple[str, dict]:
-        """Build one entry's decode-function source and exec namespace."""
+        """Build one entry's decode-function source and exec namespace:
+        the shared loop with the arena back end's branches.  Unknown
+        fields are dropped — a C++ object carries no unknown set."""
         entry = self.deser.adt.entry(index)
-        ns: dict = {
-            "_rv": read_varint,
-            "_dpv": decode_packed_varints,
-            "_cache": self,
-            "_entry": entry,
-            "_FULL": entry.full_name,
-            "_unk": self._parse_unknown,
-            "_mat": self.deser._materialize_repeated,
-            "_fbn": entry.field_by_number,
-            "_ws": self.deser._write_string,
-            "_vu8": validate_utf8,
-            "_Trunc": TruncatedMessageError,
-            "_Wfe": WireFormatError,
-            "_DE": DeserializeError,
-            "_serr": struct.error,
-            "_ru64": PRIMITIVES["pointer"].codec.unpack_from,
-            "_wu64": PRIMITIVES["pointer"].codec.pack_into,
-            "stats": self.stats,
-        }
-        branches = self._field_branches(entry, ns)
-        lines = [
-            f"# generated arena decoder for {entry.full_name} (ADT entry {index})",
-            "def _decode(mem, o, obj, buf, pos, end, arena, depth):",
-            "    pending = {}",
-            "    fname = None",
-            "    try:",
-            "        while pos < end:",
-            "            fname = None",
-            "            b = buf[pos]",
-            "            if b < 0x80:",
-            "                tag = b",
-            "                pos += 1",
-            "            else:",
-            "                tag, pos = _rv(buf, pos)",
-        ]
-        kw = "if"
-        for tag, fname, body in branches:
-            lines.append(f"            {kw} tag == {tag}:  # {fname}")
-            lines.append(f"                fname = {fname!r}")
-            lines += ["                " + ln for ln in body]
-            kw = "elif"
-        if branches:
-            lines.append("            else:")
-            lines.append("                pos = _unk(_entry, buf, tag, pos, end)")
-        else:
-            lines.append("            pos = _unk(_entry, buf, tag, pos, end)")
-        lines += [
-            "    except (_Wfe, ValueError, _serr) as exc:",
-            "        if fname is None:",
-            "            raise",
-            "        raise _DE(f'{_FULL}.{fname}: {exc}') from exc",
-            "    if pos != end:",
-            "        raise _DE(_FULL + ': overran submessage end')",
-            "    if pending:",
-            "        for number, values in pending.items():",
-            "            _mat(_fbn(number), obj, values, arena)",
-        ]
-        return "\n".join(lines) + "\n", ns
+        full_name = entry.full_name
+        ns = loop_namespace(full_name, DeserializeError, entry.fields)
+        ns.update(
+            _cache=self,
+            _mat=self.deser._materialize_repeated,
+            _fbn=entry.field_by_number,
+            _ws=self.deser._write_string,
+            _vu8=validate_utf8,
+            _serr=struct.error,
+            _ru64=PRIMITIVES["pointer"].codec.unpack_from,
+            _wu64=PRIMITIVES["pointer"].codec.pack_into,
+            stats=self.stats,
+        )
+        source = tag_loop(
+            [
+                f"# generated arena decoder for {full_name} (ADT entry {index})",
+                "def _decode(mem, o, obj, buf, pos, end, arena, depth):",
+            ],
+            setup=["pending = {}"],
+            each_tag=[],
+            branches=self._field_branches(entry, ns),
+            after_unknown=[],
+            caught="(_Wfe, ValueError, _serr)",
+            tail=[
+                "if pending:",
+                "    for number, values in pending.items():",
+                "        _mat(_fbn(number), obj, values, arena)",
+            ],
+        )
+        return source, ns
 
     def _compile(self, index: int):
-        t0 = time.perf_counter_ns()
         entry = self.deser.adt.entry(index)
         self.deser.check_entry_layout(entry)
-        source, ns = self.entry_source(index)
-        exec(compile(source, f"<gen_arena {entry.full_name}>", "exec"), ns)
-        fn = ns["_decode"]
-        self._decoders[index] = fn
-        self._sources[index] = source
-        PLAN_METRICS.gen_compiles += 1
-        PLAN_METRICS.gen_source_bytes += len(source)
-        PLAN_METRICS.gen_compile_ns += time.perf_counter_ns() - t0
+        self._sources[index], ns = compile_codec(
+            lambda: self.entry_source(index), f"<gen_arena {entry.full_name}>", PLAN_METRICS
+        )
+        fn = self._decoders[index] = ns["_decode"]
         return fn

@@ -25,6 +25,8 @@ from typing import Any, Iterator
 from repro.abi import MEMBER_PRIMITIVE, AbiError, StdLib
 from repro.abi.cpp_types import REPEATED_HEADER, LibcxxString, LibstdcxxString
 from repro.proto.descriptor import FieldType
+from repro.proto.kinds import KINDS
+from repro.proto.serializer import scalar_to_varint
 from repro.proto.wire_format import WireType, append_varint, make_tag
 
 from .adt import Adt, AdtField
@@ -128,41 +130,6 @@ class AdtMessageView:
 # ---------------------------------------------------------------------------
 
 
-def _zigzag(value: int, bits: int) -> int:
-    return ((value << 1) ^ (value >> (bits - 1))) & ((1 << bits) - 1)
-
-
-def _scalar_to_varint(kind: FieldType, value) -> int:
-    if kind is FieldType.BOOL:
-        return 1 if value else 0
-    if kind is FieldType.SINT32:
-        return _zigzag(value, 32)
-    if kind is FieldType.SINT64:
-        return _zigzag(value, 64)
-    return value & ((1 << 64) - 1)
-
-
-_WIRE_TYPE = {
-    FieldType.DOUBLE: WireType.FIXED64,
-    FieldType.FLOAT: WireType.FIXED32,
-    FieldType.FIXED64: WireType.FIXED64,
-    FieldType.SFIXED64: WireType.FIXED64,
-    FieldType.FIXED32: WireType.FIXED32,
-    FieldType.SFIXED32: WireType.FIXED32,
-    FieldType.STRING: WireType.LENGTH_DELIMITED,
-    FieldType.BYTES: WireType.LENGTH_DELIMITED,
-    FieldType.MESSAGE: WireType.LENGTH_DELIMITED,
-}
-
-
-def _default_scalar(kind: FieldType):
-    if kind in (FieldType.FLOAT, FieldType.DOUBLE):
-        return 0.0
-    if kind is FieldType.BOOL:
-        return False
-    return 0
-
-
 def serialize_object(adt: Adt, index: int, space, addr: int) -> bytes:
     """Serialize an in-memory object to proto3 wire bytes.
 
@@ -230,16 +197,16 @@ def _emit_field(adt: Adt, view: AdtMessageView, f: AdtField, out: bytearray) -> 
         out += data
         return
 
-    if value == _default_scalar(kind):
-        return  # proto3 zero-default elision
-    wire_type = _WIRE_TYPE.get(kind, WireType.VARINT)
-    append_varint(out, make_tag(f.number, wire_type))
+    if not value:
+        return  # proto3 zero-default elision (0, 0.0 and False alike)
+    append_varint(out, make_tag(f.number, KINDS[kind].wire_type))
     _emit_scalar_payload(kind, value, out)
 
 
 def _emit_scalar_payload(kind: FieldType, value, out: bytearray) -> None:
-    if _WIRE_TYPE.get(kind) in (WireType.FIXED32, WireType.FIXED64):
+    row = KINDS[kind]
+    if row.width:
         # fixed-width: the wire encoding is the in-object encoding
-        out += MEMBER_PRIMITIVE[kind].pack(value)
+        out += row.codec.pack(value)
     else:
-        append_varint(out, _scalar_to_varint(kind, value))
+        append_varint(out, scalar_to_varint(kind, value))

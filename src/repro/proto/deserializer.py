@@ -27,18 +27,14 @@ input (tested property-based).
 from __future__ import annotations
 
 from .descriptor import FieldDescriptor, FieldType, MessageDescriptor
+from .kinds import KINDS, wire_type_of
 from .message import Message
-from .serializer import wire_type_for
 from .utf8 import Utf8Error, validate_utf8
 from .wire_format import (
     TruncatedMessageError,
     WireFormatError,
     WireType,
     decode_zigzag,
-    read_double,
-    read_fixed32,
-    read_fixed64,
-    read_float,
     read_tag,
     read_varint,
 )
@@ -47,6 +43,7 @@ __all__ = [
     "parse",
     "parse_into",
     "skip_field",
+    "decode_varint_value",
     "DecodeError",
     "DECODE_MODES",
 ]
@@ -66,53 +63,41 @@ class DecodeError(WireFormatError):
     message type and field context)."""
 
 
-def _u32_to_i32(v: int) -> int:
-    return v - (1 << 32) if v >= (1 << 31) else v
+def decode_varint_value(kind: FieldType, raw: int):
+    """The 64 raw bits of a varint -> the value of a ``kind`` field.
 
-
-def _u64_to_i64(v: int) -> int:
-    return v - (1 << 64) if v >= (1 << 63) else v
-
-
-def _decode_varint_value(fd: FieldDescriptor, raw: int):
-    t = fd.type
-    if t is FieldType.BOOL:
+    The oracle's hand-written statement of the rule (the reference and
+    the arena interpretive decoders both use it); the generated decoders
+    paste :data:`repro.proto.kinds.KINDS` instead.  As in the C++ parser,
+    a 32-bit kind keeps the low 32 bits before anything else, so the
+    result always fits the field."""
+    if kind is FieldType.BOOL:
         return raw != 0
-    if t is FieldType.SINT32 or t is FieldType.SINT64:
+    if kind is FieldType.UINT64:
+        return raw
+    if kind is FieldType.INT64:
+        return raw - (1 << 64) if raw >= (1 << 63) else raw
+    if kind is FieldType.SINT64:
         return decode_zigzag(raw)
-    if t is FieldType.INT32:
-        # int32 is sign-extended to 64 bits on the wire.
-        return _u32_to_i32(raw & 0xFFFFFFFF)
-    if t is FieldType.ENUM:
-        return _u32_to_i32(raw & 0xFFFFFFFF)
-    if t is FieldType.INT64:
-        return _u64_to_i64(raw)
-    if t is FieldType.UINT32:
-        return raw & 0xFFFFFFFF
-    return raw  # uint64
+    raw &= 0xFFFFFFFF
+    if kind is FieldType.UINT32:
+        return raw
+    if kind is FieldType.SINT32:
+        return decode_zigzag(raw)
+    # int32 / enum: sign-extended to 64 bits on the wire
+    return raw - (1 << 32) if raw >= (1 << 31) else raw
 
 
 def _read_scalar(fd: FieldDescriptor, buf, pos: int):
     """Read one element of ``fd`` assuming its natural wire type."""
-    t = fd.type
-    if t.is_varint:
+    kind = KINDS[fd.type]
+    if not kind.width:
         raw, pos = read_varint(buf, pos)
-        return _decode_varint_value(fd, raw), pos
-    if t is FieldType.DOUBLE:
-        return read_double(buf, pos)
-    if t is FieldType.FLOAT:
-        return read_float(buf, pos)
-    if t is FieldType.FIXED64:
-        return read_fixed64(buf, pos)
-    if t is FieldType.SFIXED64:
-        raw, pos = read_fixed64(buf, pos)
-        return _u64_to_i64(raw), pos
-    if t is FieldType.FIXED32:
-        return read_fixed32(buf, pos)
-    if t is FieldType.SFIXED32:
-        raw, pos = read_fixed32(buf, pos)
-        return _u32_to_i32(raw), pos
-    raise AssertionError(f"not a packable scalar: {t}")
+        return decode_varint_value(fd.type, raw), pos
+    end = pos + kind.width
+    if end > len(buf):
+        raise TruncatedMessageError(f"{fd.type.value} extends past end of buffer")
+    return kind.codec.unpack_from(buf, pos)[0], end
 
 
 def skip_field(buf, pos: int, wire_type: int, end: int | None = None) -> int:
@@ -220,9 +205,9 @@ def _parse_field(
             raise WireFormatError("packed run length mismatch")
         return pos
 
-    if wire_type != wire_type_for(fd):
+    if wire_type != wire_type_of(t):
         raise WireFormatError(
-            f"field {fd.name}: wire type {wire_type}, expected {wire_type_for(fd)}"
+            f"field {fd.name}: wire type {wire_type}, expected {wire_type_of(t)}"
         )
     value, pos = _read_scalar(fd, buf, pos)
     if fd.is_repeated:

@@ -12,7 +12,8 @@ straight-line slot assignment — no per-byte branches.
 
 Eligibility is per message type, decided from the schema alone:
 
-* singular numeric scalars, bools and enums (one fixed-width slot each);
+* singular numeric scalars, bools and enums (one fixed-width slot each,
+  in the format :mod:`repro.proto.kinds` gives the kind in memory);
 * repeated packable numerics (a u32 count slot + fixed-width elements in
   the tail);
 * singular strings / bytes (a u32 byte-length slot + raw bytes in the
@@ -43,6 +44,7 @@ import struct
 from dataclasses import dataclass
 
 from .descriptor import FieldType, MessageDescriptor
+from .kinds import KINDS
 from .message import Message, MessageFactory, _RepeatedField
 from .utf8 import validate_utf8
 from .wire_format import WireFormatError
@@ -73,25 +75,10 @@ class FixedWireError(WireFormatError):
     length slot pointing past the end)."""
 
 
-#: struct format character per fixed-section slot / tail element.
-_SCALAR_FMT = {
-    FieldType.BOOL: "B",
-    FieldType.INT32: "i",
-    FieldType.SINT32: "i",
-    FieldType.SFIXED32: "i",
-    FieldType.ENUM: "i",
-    FieldType.UINT32: "I",
-    FieldType.FIXED32: "I",
-    FieldType.FLOAT: "f",
-    FieldType.INT64: "q",
-    FieldType.SINT64: "q",
-    FieldType.SFIXED64: "q",
-    FieldType.UINT64: "Q",
-    FieldType.FIXED64: "Q",
-    FieldType.DOUBLE: "d",
-}
-
-_FMT_WIDTH = {"B": 1, "i": 4, "I": 4, "f": 4, "q": 8, "Q": 8, "d": 8}
+#: struct format character per fixed-section slot / tail element: the
+#: kind table's, except that a bool travels as one unsigned byte.
+_SCALAR_FMT = {t: "B" if k.fmt == "?" else k.fmt for t, k in KINDS.items()}
+_FMT_WIDTH = {fmt: struct.calcsize("<" + fmt) for fmt in set(_SCALAR_FMT.values())}
 
 # Slot categories.
 _SCALAR = "scalar"
@@ -222,15 +209,14 @@ class FixedLayout:
         self.fixed_size = self._struct.size
         self._hash_base = "\n".join(self.layout_lines())
         # Message-side binding (descriptor + factory), set by
-        # get_fixed_layout: enables the fast decode path that writes
-        # ``msg._values`` directly instead of going through setattr
-        # validation.  ADT-side layouts leave it unset — the arena
-        # decoder applies the slots itself via unpack_fixed.
+        # get_fixed_layout: what decode_into needs to fill ``msg._values``.
+        # ADT-side layouts leave it unset — the arena decoder applies the
+        # slots itself via unpack_fixed.
         self._msg_fields = None
         self._factory = None
 
     def bind_message_side(
-        self, descriptor: MessageDescriptor, factory: MessageFactory
+        self, descriptor: MessageDescriptor, factory: MessageFactory | None
     ) -> "FixedLayout":
         by_name = {fd.name: fd for fd in descriptor.fields}
         self._msg_fields = [by_name[s.spec.name] for s in self.slots]
@@ -295,68 +281,17 @@ class FixedLayout:
         return self._struct.unpack_from(buf, 0)
 
     def decode_into(self, msg: Message, data) -> Message:
+        """Apply a fixed payload to ``msg``: one struct unpack, then the
+        slots go straight into ``msg._values`` (the types are already
+        exact — they came out of the layout's own struct formats),
+        mirroring how the generated tag-wire decoder stores fields.
+        Needs the message side bound (:func:`get_fixed_layout` does)."""
         buf = data if isinstance(data, (bytes, bytearray, memoryview)) else bytes(data)
         end = len(buf)
-        if end < self.fixed_size:
-            raise FixedWireError(
-                f"{self.full_name}: fixed section truncated "
-                f"({end} < {self.fixed_size} bytes)"
-            )
-        fixed_values = self._struct.unpack_from(buf, 0)
         pos = self.fixed_size
-        if self._msg_fields is not None:
-            return self._decode_bound(msg, buf, fixed_values, pos, end)
-        for slot, v in zip(self.slots, fixed_values):
-            spec = slot.spec
-            if slot.category == _SCALAR:
-                if v:
-                    setattr(msg, spec.name, bool(v) if spec.kind is FieldType.BOOL else v)
-            elif slot.category == _BLOB:
-                npos = pos + v
-                if npos > end:
-                    raise FixedWireError(
-                        f"{self.full_name}.{spec.name}: blob overruns payload"
-                    )
-                if v:
-                    raw = bytes(buf[pos:npos])
-                    if spec.kind is FieldType.STRING:
-                        try:
-                            validate_utf8(raw)
-                        except ValueError as exc:
-                            raise FixedWireError(
-                                f"{self.full_name}.{spec.name}: {exc}"
-                            ) from exc
-                        setattr(msg, spec.name, raw.decode("utf-8"))
-                    else:
-                        setattr(msg, spec.name, raw)
-                pos = npos
-            else:  # _ARRAY
-                width = _FMT_WIDTH[slot.fmt]
-                npos = pos + v * width
-                if npos > end:
-                    raise FixedWireError(
-                        f"{self.full_name}.{spec.name}: array overruns payload"
-                    )
-                if v:
-                    values = struct.unpack_from(f"<{v}{slot.fmt}", buf, pos)
-                    if spec.kind is FieldType.BOOL:
-                        values = [b != 0 for b in values]
-                    list.extend(getattr(msg, spec.name), values)  # types exact
-                pos = npos
-        if pos != end:
-            raise FixedWireError(
-                f"{self.full_name}: {end - pos} trailing bytes after fixed payload"
-            )
-        return msg
-
-    def _decode_bound(self, msg: Message, buf, fixed_values, pos: int, end: int) -> Message:
-        """Message-side fast path: slots apply straight into
-        ``msg._values`` (the types are already exact — they came out of
-        the layout's own struct formats), mirroring how the generated
-        tag-wire decoder stores fields."""
         values = msg._values
         factory = self._factory
-        for slot, fd, v in zip(self.slots, self._msg_fields, fixed_values):
+        for slot, fd, v in zip(self.slots, self._msg_fields, self.unpack_fixed(buf)):
             spec = slot.spec
             if slot.category == _SCALAR:
                 if v:
@@ -426,9 +361,7 @@ def get_fixed_layout(
     ok, _ = fixed_eligibility(specs)
     layout = None
     if ok:
-        layout = FixedLayout(descriptor.full_name, specs)
-        if factory is not None:
-            layout.bind_message_side(descriptor, factory)
+        layout = FixedLayout(descriptor.full_name, specs).bind_message_side(descriptor, factory)
     if cache is not None:
         cache[descriptor.full_name] = layout
     return layout

@@ -47,37 +47,35 @@ Cache traffic, compile cost and codec volume are observable through
 :data:`PLAN_METRICS` and :data:`ENCODE_PLAN_METRICS`, which export into a
 :class:`~repro.metrics.registry.MetricsRegistry`.
 
-The offloaded twin — the same source generation applied to ADT entries —
-lives in :mod:`repro.offload.arena_gen`.  See ``docs/DECODER.md``.
+The tag-wire decoder is said once, in the "tag loop" section below: the
+frame, the three wire reads a branch is built from, the cold path for a
+tag no branch matched and the compile step.  This module's
+:func:`decode_source` is its ``Message`` back end;
+:mod:`repro.offload.arena_gen` is its arena back end.  Everything that
+depends on a scalar's kind comes from the :mod:`repro.proto.kinds` table.
+See ``docs/DECODER.md``.
 """
 
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .descriptor import FieldDescriptor, FieldType, MessageDescriptor
 from .deserializer import DecodeError, skip_field
+from .kinds import EXPR_NAMESPACE, KINDS, bulk_raw, wire_type_of
 from .message import Message, MessageFactory, _RepeatedField
-from .serializer import EncodeError, _tag_cache, wire_type_for
+from .serializer import EncodeError, _tag_cache
 from .utf8 import Utf8Error
 from .wire_format import (
-    _DOUBLE,
-    _FIXED32,
-    _FIXED64,
-    _FLOAT,
-    _SFIXED32,
-    _SFIXED64,
     TruncatedMessageError,
     WireFormatError,
     WireType,
     append_varint,
     decode_packed_varints,
     encode_packed_varints_bulk,
-    encode_zigzag,
     make_tag,
     read_varint,
     varint_size,
@@ -94,12 +92,17 @@ __all__ = [
     "GeneratedEncoder",
     "get_gen_decoder",
     "get_gen_encoder",
+    "READ_VARINT",
+    "read_length",
+    "read_fixed",
+    "tag_loop",
+    "loop_namespace",
+    "unknown_field",
+    "compile_codec",
     "decode_source",
     "encode_source",
     "generate_codec_module",
 ]
-
-_U64 = 0xFFFFFFFFFFFFFFFF
 
 #: Packed runs shorter than this encode through the scalar loop — below it
 #: the NumPy array round-trip costs more than it saves.  Both paths are
@@ -108,20 +111,6 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 #: the loop ~0.3 us per 1-5 byte value and ~1 us per ten-byte (negative)
 #: one: they cross at n = 14 and n = 45; 16 errs by < 10 us either way.
 _BULK_MIN = 16
-
-# Fixed-width kinds: the struct that packs/unpacks one element, and the
-# NumPy dtype that bulk-converts a packed run.
-_FIXED_PACKERS = {
-    FieldType.DOUBLE: _DOUBLE,
-    FieldType.FLOAT: _FLOAT,
-    FieldType.FIXED32: _FIXED32,
-    FieldType.FIXED64: _FIXED64,
-    FieldType.SFIXED32: _SFIXED32,
-    FieldType.SFIXED64: _SFIXED64,
-}
-_FIXED_DTYPES = {
-    t: np.dtype(packer.format) for t, packer in _FIXED_PACKERS.items()
-}
 
 
 # ---------------------------------------------------------------------------
@@ -243,95 +232,11 @@ PLAN_METRICS = DecodeMetrics()
 ENCODE_PLAN_METRICS = EncodeMetrics()
 
 
-# ---------------------------------------------------------------------------
-# Shared cold-path helper
-# ---------------------------------------------------------------------------
-
-
-def _handle_unknown(descriptor, full_name, msg, buf, tag, tag_start, pos, end):
-    """Tag matched no branch: either a genuinely unknown field (skip and
-    preserve) or a known field carried with the wrong wire type (an
-    error, matching the interpretive path)."""
-    number = tag >> 3
-    wire_type = tag & 0x7
-    if number == 0:
-        raise WireFormatError("field number 0 is invalid")
-    if not WireType.is_valid(wire_type):
-        raise WireFormatError(f"unsupported wire type {wire_type}")
-    fd = descriptor.field_by_number(number)
-    if fd is not None:
-        raise DecodeError(
-            f"{full_name}.{fd.name}: field {fd.name}: wire type "
-            f"{wire_type}, expected {wire_type_for(fd)}"
-        )
-    pos = skip_field(buf, pos, wire_type, end)
-    msg._unknown += bytes(buf[tag_start:pos])
-    return pos
-
-
-# ---------------------------------------------------------------------------
-# Source fragments
-# ---------------------------------------------------------------------------
-
-# raw varint -> python value, as a source expression over ``raw`` (results
-# identical to the interpretive ``_decode_varint_value``).
-_CONVERT_EXPR = {
-    FieldType.BOOL: "raw != 0",
-    FieldType.UINT32: "raw & 0xFFFFFFFF",
-    FieldType.UINT64: "raw",
-    FieldType.INT32: "((raw & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000",
-    FieldType.ENUM: "((raw & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000",
-    FieldType.INT64: "(raw ^ 0x8000000000000000) - 0x8000000000000000",
-    FieldType.SINT32: "(raw >> 1) ^ -(raw & 1)",
-    FieldType.SINT64: "(raw >> 1) ^ -(raw & 1)",
-}
-
-# decoded uint64 run -> python list, as a source expression over ``raw``
-# (element-for-element identical to ``_CONVERT_EXPR``).
-_BULK_EXPR = {
-    FieldType.BOOL: "(raw != 0).tolist()",
-    FieldType.UINT32: "raw.astype(_np.uint32).tolist()",
-    FieldType.UINT64: "raw.tolist()",
-    FieldType.INT32: "raw.astype(_np.uint32).astype(_np.int32).tolist()",
-    FieldType.ENUM: "raw.astype(_np.uint32).astype(_np.int32).tolist()",
-    FieldType.INT64: "raw.astype(_np.int64).tolist()",
-    FieldType.SINT32: (
-        "((raw >> _one).astype(_np.int64) ^ -(raw & _one).astype(_np.int64)).tolist()"
-    ),
-    FieldType.SINT64: (
-        "((raw >> _one).astype(_np.int64) ^ -(raw & _one).astype(_np.int64)).tolist()"
-    ),
-}
-
-
-def _to_raw_expr(t: FieldType, var: str) -> str:
-    """Python value -> unsigned raw varint, as a source expression
-    (results identical to :func:`_varint_converter`)."""
-    if t is FieldType.BOOL:
-        return f"(1 if {var} else 0)"
-    if t is FieldType.SINT32:
-        return f"((({var} << 1) ^ ({var} >> 31)) & 0xFFFFFFFF)"
-    if t is FieldType.SINT64:
-        return f"((({var} << 1) ^ ({var} >> 63)) & 0x{_U64:X})"
-    return f"({var} & 0x{_U64:X})"
-
-
-def _siblings_of(descriptor: MessageDescriptor, fd: FieldDescriptor) -> tuple[str, ...]:
-    if fd.containing_oneof is None:
-        return ()
-    return tuple(
-        other.name
-        for other in descriptor.fields
-        if other.containing_oneof == fd.containing_oneof and other.name != fd.name
-    )
-
-
 class _SourceBuilder:
-    """Accumulates indented source lines plus the exec namespace."""
+    """Accumulates indented source lines."""
 
-    def __init__(self, ns: dict) -> None:
+    def __init__(self) -> None:
         self.lines: list[str] = []
-        self.ns = ns
 
     def add(self, indent: int, *lines: str) -> None:
         pad = "    " * indent
@@ -340,6 +245,167 @@ class _SourceBuilder:
 
     def source(self) -> str:
         return "\n".join(self.lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The tag loop, said once for both decode back ends
+# ---------------------------------------------------------------------------
+#
+# A generated tag-wire decoder is :func:`tag_loop`'s frame around per-field
+# branches built from three wire reads.  :func:`decode_source` below (values
+# into a ``Message``) and :mod:`repro.offload.arena_gen` (stores into an arena
+# object) supply the branches — what to *do* with a value; neither writes the
+# loop, a read, the cold path or the compile step again.  These are plain
+# functions returning source lines: nothing here asks which back end called.
+
+#: One varint into ``raw``, single-byte fast path.
+READ_VARINT = (
+    "if pos >= end:",
+    "    raise _Trunc('varint extends past end of buffer')",
+    "b = buf[pos]",
+    "if b < 0x80:",
+    "    raw = b",
+    "    pos += 1",
+    "else:",
+    "    raw, pos = _rv(buf, pos)",
+)
+
+
+def read_length(what: str) -> list[str]:
+    """A length prefix: leaves the ``n`` payload bytes at ``buf[pos:npos]``,
+    proven inside the enclosing message."""
+    return [
+        "n, pos = _rv(buf, pos)",
+        "npos = pos + n",
+        "if npos > end:",
+        f"    raise _Trunc('{what} extends past end')",
+    ]
+
+
+def read_fixed(width: int) -> list[str]:
+    """A fixed-width value: leaves its bytes at ``buf[pos:npos]``."""
+    return [
+        f"npos = pos + {width}",
+        "if npos > end:",
+        "    raise _Trunc('fixed-width value extends past end')",
+    ]
+
+
+def unknown_field(known: dict[int, str], error, buf, tag: int, pos: int, end: int) -> int:
+    """The cold path — ``tag`` matched no branch.  A genuinely unknown
+    field is skipped (bounded by the enclosing message) and the position
+    after it returned; a ``known`` field (number -> qualified name) on a
+    wire type it has no branch for is the back end's ``error``."""
+    number = tag >> 3
+    wire_type = tag & 0x7
+    if number == 0:
+        raise WireFormatError("field number 0 is invalid")
+    if not WireType.is_valid(wire_type):
+        raise WireFormatError(f"unsupported wire type {wire_type}")
+    if number in known:
+        raise error(f"{known[number]}: wire type {wire_type} cannot carry this field")
+    return skip_field(buf, pos, wire_type, end)
+
+
+def loop_namespace(full_name: str, error, fields) -> dict:
+    """The names the frame, the reads and the kind table's expressions
+    refer to; a back end adds what its own branches need.  ``fields``
+    (anything with ``.number`` and ``.name``) are the message's known
+    fields, for the cold path."""
+    return {
+        **EXPR_NAMESPACE,
+        "_rv": read_varint,
+        "_dpv": decode_packed_varints,
+        "_unk": unknown_field,
+        "_known": {f.number: f"{full_name}.{f.name}" for f in fields},
+        "_FULL": full_name,
+        "_DE": error,
+        "_Trunc": TruncatedMessageError,
+        "_Wfe": WireFormatError,
+    }
+
+
+def tag_loop(
+    header: list[str],
+    setup: list[str],
+    each_tag: list[str],
+    branches: list[tuple[int, str, list[str]]],
+    after_unknown: list[str],
+    caught: str,
+    tail: list[str],
+) -> str:
+    """The decoder's source.  ``header`` is the comment and ``def`` line,
+    ``setup`` runs once, ``each_tag`` before every tag; ``branches`` are
+    ``(tag, field_name, body)`` and become an ``if/elif`` chain over
+    integer literals with the cold path in the ``else`` (followed by
+    ``after_unknown``); an exception of the ``caught`` classes raised
+    inside a branch is re-raised as ``_DE`` naming the field; ``tail``
+    runs once the loop ended exactly at ``end``."""
+    b = _SourceBuilder()
+    b.add(0, *header)
+    b.add(1, *setup, "fname = None", "try:")
+    b.add(2, "while pos < end:")
+    b.add(3,
+          "fname = None",
+          *each_tag,
+          "b = buf[pos]",
+          "if b < 0x80:",
+          "    tag = b",
+          "    pos += 1",
+          "else:",
+          "    tag, pos = _rv(buf, pos)")
+    kw = "if"
+    for tag, fname, body in branches:
+        b.add(3, f"{kw} tag == {tag}:  # {fname}")
+        b.add(4, f"fname = {fname!r}", *body)
+        kw = "elif"
+    if branches:
+        b.add(3, "else:")
+    b.add(4 if branches else 3, "pos = _unk(_known, _DE, buf, tag, pos, end)", *after_unknown)
+    b.add(1,
+          f"except {caught} as exc:",
+          "    if fname is None:",
+          "        raise",
+          "    raise _DE(f'{_FULL}.{fname}: {exc}') from exc",
+          "if pos != end:",
+          "    raise _DE(_FULL + ': field payload overran message end')",
+          *tail)
+    return b.source()
+
+
+_compile_depth = 0
+
+
+def compile_codec(generate, filename: str, metrics, cache: dict | None = None):
+    """The one place generated codec source becomes code: ``generate()``
+    gives ``(source, namespace)``, the source is compiled and executed in
+    the namespace, and the compile is accounted in ``metrics``
+    (``gen_compile_ns`` for the outermost compile only — a nested child's
+    is inside its parent's span).  Returns ``(source, namespace)``.
+
+    ``cache`` is the dict the caller put the in-flight codec into *before*
+    calling, so that a recursive message type resolves to the codec being
+    built.  Whatever goes wrong — an interrupt included — empties it, or
+    later lookups would return a codec with no code: the in-flight one,
+    or one compiled inside this call that refers to it (mutual
+    recursion).  The cache refills on demand."""
+    global _compile_depth
+    t0 = time.perf_counter_ns()
+    _compile_depth += 1
+    try:
+        source, ns = generate()
+        exec(compile(source, filename, "exec"), ns)
+    except BaseException:
+        if cache is not None:
+            cache.clear()
+        raise
+    finally:
+        _compile_depth -= 1
+    metrics.gen_compiles += 1
+    metrics.gen_source_bytes += len(source)
+    if _compile_depth == 0:
+        metrics.gen_compile_ns += time.perf_counter_ns() - t0
+    return source, ns
 
 
 # ---------------------------------------------------------------------------
@@ -370,238 +436,119 @@ class GeneratedDecoder:
         self.decode_into(msg, buf, pos, end)
 
 
+def _siblings_of(descriptor: MessageDescriptor, fd: FieldDescriptor) -> tuple[str, ...]:
+    if fd.containing_oneof is None:
+        return ()
+    return tuple(
+        other.name
+        for other in descriptor.fields
+        if other.containing_oneof == fd.containing_oneof and other.name != fd.name
+    )
+
+
 def _decode_branches(
     descriptor: MessageDescriptor, factory: MessageFactory, ns: dict
 ) -> list[tuple[int, str, list[str]]]:
-    """Per-field decode branches: ``(tag, field_name, body_lines)``."""
+    """Per-field decode branches: ``(tag, field_name, body_lines)`` — a
+    shared read, then what a ``Message`` does with the value."""
     branches: list[tuple[int, str, list[str]]] = []
     for i, fd in enumerate(descriptor.fields):
         t = fd.type
         name = fd.name
-        natural_tag = make_tag(fd.number, wire_type_for(fd))
-        siblings = _siblings_of(descriptor, fd)
-        pops = [f"values.pop({s!r}, None)" for s in siblings]
-
         if fd.is_repeated:
-            prologue = [
+            ns[f"_fd{i}"] = fd
+            head = [
                 f"lst = values.get({name!r})",
                 "if lst is None:",
                 f"    lst = _RF(_fd{i}, _F)",
                 f"    values[{name!r}] = lst",
             ]
-            ns[f"_fd{i}"] = fd
-            if t is FieldType.MESSAGE:
-                child = get_gen_decoder(fd.message_type, factory)
-                ns[f"_c{i}"] = child
-                ns[f"_cls{i}"] = factory.get_class(fd.message_type)
-                branches.append((natural_tag, name, prologue + [
-                    "n, pos = _rv(buf, pos)",
-                    "npos = pos + n",
-                    "if npos > end:",
-                    "    raise _Trunc('submessage extends past parent')",
+            store, after = "_la(lst, {})", []
+        else:
+            head = []
+            store = f"values[{name!r}] = {{}}"
+            after = [f"values.pop({s!r}, None)" for s in _siblings_of(descriptor, fd)]
+
+        if t is FieldType.MESSAGE:
+            ns[f"_c{i}"] = get_gen_decoder(fd.message_type, factory)
+            ns[f"_cls{i}"] = factory.get_class(fd.message_type)
+            if fd.is_repeated:
+                body = head + read_length("submessage") + [
                     f"sub = _cls{i}()",
                     f"_c{i}.decode_into(sub, buf, pos, npos)",
                     "_la(lst, sub)",
-                    "pos = npos",
-                ]))
-            elif t is FieldType.STRING:
-                branches.append((natural_tag, name, prologue + [
-                    "n, pos = _rv(buf, pos)",
-                    "npos = pos + n",
-                    "if npos > end:",
-                    "    raise _Trunc('string extends past end')",
-                    "try:",
-                    "    _la(lst, str(buf[pos:npos], 'utf-8'))",
-                    "except UnicodeDecodeError as exc:",
-                    "    raise _U8(str(exc)) from None",
-                    "pos = npos",
-                ]))
-            elif t is FieldType.BYTES:
-                branches.append((natural_tag, name, prologue + [
-                    "n, pos = _rv(buf, pos)",
-                    "npos = pos + n",
-                    "if npos > end:",
-                    "    raise _Trunc('bytes extends past end')",
-                    "_la(lst, bytes(buf[pos:npos]))",
-                    "pos = npos",
-                ]))
-            elif t.is_varint:
-                packed_tag = make_tag(fd.number, WireType.LENGTH_DELIMITED)
-                branches.append((packed_tag, name, prologue + [
-                    "n, pos = _rv(buf, pos)",
-                    "run_end = pos + n",
-                    "if run_end > end:",
-                    "    raise _Trunc('packed run extends past end')",
-                    "raw = _dpf(buf[pos:run_end])",
-                    f"_le(lst, {_BULK_EXPR[t]})",
-                    "pos = run_end",
-                ]))
-                branches.append((natural_tag, name, prologue + [
-                    "if pos >= end:",
-                    "    raise _Trunc('varint extends past end of buffer')",
-                    "b = buf[pos]",
-                    "if b < 0x80:",
-                    "    raw = b",
-                    "    pos += 1",
-                    "else:",
-                    "    raw, pos = _rv(buf, pos)",
-                    f"_la(lst, {_CONVERT_EXPR[t]})",
-                ]))
-            else:  # fixed-width numeric
-                width = _FIXED_PACKERS[t].size
-                ns[f"_u{i}"] = _FIXED_PACKERS[t].unpack_from
-                ns[f"_dt{i}"] = _FIXED_DTYPES[t]
-                packed_tag = make_tag(fd.number, WireType.LENGTH_DELIMITED)
-                branches.append((packed_tag, name, prologue + [
-                    "n, pos = _rv(buf, pos)",
-                    "run_end = pos + n",
-                    "if run_end > end:",
-                    "    raise _Trunc('packed run extends past end')",
-                    f"if n % {width}:",
-                    "    raise _Wfe('packed run length mismatch')",
-                    f"_le(lst, _np.frombuffer(buf[pos:run_end], _dt{i}).tolist())",
-                    "pos = run_end",
-                ]))
-                branches.append((natural_tag, name, prologue + [
-                    f"npos = pos + {width}",
-                    "if npos > end:",
-                    "    raise _Trunc('fixed-width value extends past end')",
-                    f"_la(lst, _u{i}(buf, pos)[0])",
-                    "pos = npos",
-                ]))
-            continue
-
-        # -- singular --------------------------------------------------------
-        if t is FieldType.MESSAGE:
-            child = get_gen_decoder(fd.message_type, factory)
-            ns[f"_c{i}"] = child
-            ns[f"_cls{i}"] = factory.get_class(fd.message_type)
-            branches.append((natural_tag, name, [
-                "n, pos = _rv(buf, pos)",
-                "npos = pos + n",
-                "if npos > end:",
-                "    raise _Trunc('submessage extends past parent')",
-                f"sub = values.get({name!r})",
-                "if sub is None:",
-                f"    sub = _cls{i}()",
-                f"    values[{name!r}] = sub",
-                f"_c{i}.decode_into(sub, buf, pos, npos)",
-                "pos = npos",
-            ]))
+                ]
+            else:  # proto3 merge: a second occurrence decodes into the first
+                body = read_length("submessage") + [
+                    f"sub = values.get({name!r})",
+                    "if sub is None:",
+                    f"    sub = _cls{i}()",
+                    f"    values[{name!r}] = sub",
+                    f"_c{i}.decode_into(sub, buf, pos, npos)",
+                ]
+            body.append("pos = npos")
         elif t is FieldType.STRING:
-            branches.append((natural_tag, name, [
-                "n, pos = _rv(buf, pos)",
-                "npos = pos + n",
-                "if npos > end:",
-                "    raise _Trunc('string extends past end')",
+            body = head + read_length("string") + [
                 "try:",
-                f"    values[{name!r}] = str(buf[pos:npos], 'utf-8')",
+                "    " + store.format("str(buf[pos:npos], 'utf-8')"),
                 "except UnicodeDecodeError as exc:",
                 "    raise _U8(str(exc)) from None",
-                *pops,
-                "pos = npos",
-            ]))
+            ] + after + ["pos = npos"]
         elif t is FieldType.BYTES:
-            branches.append((natural_tag, name, [
-                "n, pos = _rv(buf, pos)",
-                "npos = pos + n",
-                "if npos > end:",
-                "    raise _Trunc('bytes extends past end')",
-                f"values[{name!r}] = bytes(buf[pos:npos])",
-                *pops,
-                "pos = npos",
-            ]))
-        elif t.is_varint:
-            branches.append((natural_tag, name, [
-                "if pos >= end:",
-                "    raise _Trunc('varint extends past end of buffer')",
-                "b = buf[pos]",
-                "if b < 0x80:",
-                "    raw = b",
-                "    pos += 1",
-                "else:",
-                "    raw, pos = _rv(buf, pos)",
-                f"values[{name!r}] = {_CONVERT_EXPR[t]}",
-                *pops,
-            ]))
-        else:  # fixed-width numeric
-            width = _FIXED_PACKERS[t].size
-            ns[f"_u{i}"] = _FIXED_PACKERS[t].unpack_from
-            branches.append((natural_tag, name, [
-                f"npos = pos + {width}",
-                "if npos > end:",
-                "    raise _Trunc('fixed-width value extends past end')",
-                f"values[{name!r}] = _u{i}(buf, pos)[0]",
-                *pops,
-                "pos = npos",
-            ]))
+            body = head + read_length("bytes") + [
+                store.format("bytes(buf[pos:npos])"), *after, "pos = npos",
+            ]
+        else:
+            kind = KINDS[t]
+            if kind.width:
+                ns[f"_u{i}"] = kind.codec.unpack_from
+                ns[f"_dt{i}"] = kind.dtype
+                body = head + read_fixed(kind.width) + [
+                    store.format(f"_u{i}(buf, pos)[0]"), *after, "pos = npos",
+                ]
+                run = [
+                    f"if n % {kind.width}:",
+                    "    raise _Wfe('packed run length mismatch')",
+                    f"_le(lst, _np.frombuffer(buf[pos:npos], _dt{i}).tolist())",
+                ]
+            else:
+                body = [*head, *READ_VARINT, store.format(kind.from_raw), *after]
+                run = [
+                    "raw = _dpv(buf[pos:npos])",
+                    f"_le(lst, ({kind.from_raw_array}).tolist())",
+                ]
+            if fd.is_repeated:  # packed and unpacked are interchangeable on decode
+                branches.append((
+                    make_tag(fd.number, WireType.LENGTH_DELIMITED), name,
+                    head + read_length("packed run") + run + ["pos = npos"],
+                ))
+        branches.append((make_tag(fd.number, wire_type_of(t)), name, body))
     return branches
 
 
 def decode_source(descriptor: MessageDescriptor, factory: MessageFactory) -> tuple[str, dict]:
-    """Build the decode function source plus its exec namespace."""
-    ns: dict = {
-        "_rv": read_varint,
-        "_dpf": decode_packed_varints,
-        "_np": np,
-        "_one": np.uint64(1),
-        "_RF": _RepeatedField,
-        "_F": factory,
-        "_D": descriptor,
-        "_FULL": descriptor.full_name,
-        "_la": list.append,
-        "_le": list.extend,
-        "_unk": _handle_unknown,
-        "_Trunc": TruncatedMessageError,
-        "_Wfe": WireFormatError,
-        "_U8": Utf8Error,
-        "_DE": DecodeError,
-    }
-    branches = _decode_branches(descriptor, factory, ns)
-    b = _SourceBuilder(ns)
-    b.add(0, f"# generated decoder for {descriptor.full_name}")
-    b.add(0, "def _decode(msg, buf, pos, end):")
-    b.add(1, "values = msg._values", "fname = None", "try:")
-    b.add(2, "while pos < end:")
-    b.add(3,
-          "fname = None",
-          "tag_start = pos",
-          "b = buf[pos]",
-          "if b < 0x80:",
-          "    tag = b",
-          "    pos += 1",
-          "else:",
-          "    tag, pos = _rv(buf, pos)")
-    kw = "if"
-    for tag, fname, body in branches:
-        fd = descriptor.field_by_name(fname)
-        b.add(3, f"{kw} tag == {tag}:  # {fname}: {fd.type.name.lower()}")
-        b.add(4, f"fname = {fname!r}")
-        b.add(4, *body)
-        kw = "elif"
-    if branches:
-        b.add(3, "else:")
-        b.add(4, "pos = _unk(_D, _FULL, msg, buf, tag, tag_start, pos, end)")
-    else:
-        b.add(3, "pos = _unk(_D, _FULL, msg, buf, tag, tag_start, pos, end)")
-    b.add(1,
-          "except (_Wfe, _U8) as exc:",
-          "    if fname is None:",
-          "        raise",
-          "    raise _DE(f'{_FULL}.{fname}: {exc}') from exc",
-          "if pos != end:",
-          "    raise _DE(_FULL + ': field payload overran submessage end')",
-          "return pos")
-    return b.source(), ns
-
-
-_compile_depth = 0
+    """Build the decode function source plus its exec namespace: the
+    shared loop with the ``Message`` back end's branches.  Unknown fields
+    are preserved (proto3 >= 3.5), so this back end remembers where each
+    tag started."""
+    full_name = descriptor.full_name
+    ns = loop_namespace(full_name, DecodeError, descriptor.fields)
+    ns.update(_RF=_RepeatedField, _F=factory, _la=list.append, _le=list.extend, _U8=Utf8Error)
+    source = tag_loop(
+        [f"# generated decoder for {full_name}", "def _decode(msg, buf, pos, end):"],
+        setup=["values = msg._values"],
+        each_tag=["tag_start = pos"],
+        branches=_decode_branches(descriptor, factory, ns),
+        after_unknown=["msg._unknown += bytes(buf[tag_start:pos])"],
+        caught="(_Wfe, _U8)",
+        tail=["return pos"],
+    )
+    return source, ns
 
 
 def get_gen_decoder(descriptor: MessageDescriptor, factory: MessageFactory) -> GeneratedDecoder:
     """The cached generated decoder for ``descriptor`` under ``factory``
     (generating + compiling on first use)."""
-    global _compile_depth
     cache = factory.__dict__.get("_gen_decoders")
     if cache is None:
         cache = {}
@@ -610,23 +557,16 @@ def get_gen_decoder(descriptor: MessageDescriptor, factory: MessageFactory) -> G
     if codec is not None:
         PLAN_METRICS.gen_cache_hits += 1
         return codec
-    codec = GeneratedDecoder(descriptor)
-    # Insert before generating so recursive message types resolve to the
-    # in-flight codec (decode_into binds by attribute at call time).
-    cache[descriptor.full_name] = codec
-    t0 = time.perf_counter_ns()
-    _compile_depth += 1
-    try:
-        source, ns = decode_source(descriptor, factory)
-        exec(compile(source, f"<gen_decode {descriptor.full_name}>", "exec"), ns)
-    finally:
-        _compile_depth -= 1
+    # In the cache before generating: a recursive message type resolves
+    # to this in-flight codec (decode_into binds by attribute at call time).
+    codec = cache[descriptor.full_name] = GeneratedDecoder(descriptor)
+    codec.source, ns = compile_codec(
+        lambda: decode_source(descriptor, factory),
+        f"<gen_decode {descriptor.full_name}>",
+        PLAN_METRICS,
+        cache,
+    )
     codec.decode_into = ns["_decode"]
-    codec.source = source
-    PLAN_METRICS.gen_compiles += 1
-    PLAN_METRICS.gen_source_bytes += len(source)
-    if _compile_depth == 0:
-        PLAN_METRICS.gen_compile_ns += time.perf_counter_ns() - t0
     return codec
 
 
@@ -736,47 +676,15 @@ class GeneratedEncoder:
         return SizedMessage(self, msg, size, memo)
 
 
-def _varint_converter(t: FieldType):
-    """Python-value → unsigned-64-bit-raw converter for varint kinds."""
-    if t is FieldType.BOOL:
-        return lambda v: 1 if v else 0
-    if t is FieldType.SINT32:
-        return lambda v: encode_zigzag(v, 32)
-    if t is FieldType.SINT64:
-        return lambda v: encode_zigzag(v, 64)
-    return lambda v: v & _U64
-
-
-def _bulk_raw(t: FieldType, vals) -> np.ndarray:
-    """Vectorized counterpart of :func:`_varint_converter`: a list of
-    field values → ``uint64`` raw varint values, bit-for-bit equal to the
-    scalar conversion."""
-    if t in (FieldType.UINT32, FieldType.UINT64, FieldType.BOOL):
-        # Half the cost of ``np.asarray`` (6.6 vs 14.2 us at n = 512) given
-        # an exact ``list``; the signed and float typecodes are no faster
-        # than NumPy (12-13 us), so those kinds stay on ``np.asarray``.
-        return np.frombuffer(array("Q", list(vals)), np.uint64)
-    a = np.asarray(vals, dtype=np.int64)
-    if t is FieldType.SINT32:
-        # zigzag32: results fit in 32 bits, so int64 arithmetic is exact.
-        return ((a << 1) ^ (a >> 31)).astype(np.uint64)
-    if t is FieldType.SINT64:
-        # zigzag64 in uint64 arithmetic: (2v mod 2^64) ^ (all-ones if v<0),
-        # identical to ((v<<1) ^ (v>>63)) & MASK64 without int64 overflow.
-        u = a.view(np.uint64)
-        return (u << np.uint64(1)) ^ np.where(a < 0, np.uint64(_U64), np.uint64(0))
-    # int32/int64/enum: negatives are 64-bit two's complement.
-    return a.view(np.uint64)
-
-
 def _packed_run_encoder(fd: FieldDescriptor):
     """Returns ``encode(values) -> bytes`` producing the packed payload of
     one repeated numeric field, byte-identical to the interpretive
     per-element loop."""
     t = fd.type
-    if t in _FIXED_DTYPES:
-        dtype = _FIXED_DTYPES[t]
-        packer = _FIXED_PACKERS[t]
+    kind = KINDS[t]
+    if kind.width:
+        dtype = kind.dtype
+        packer = kind.codec
         if t is FieldType.FLOAT:
 
             def encode(vals) -> bytes:
@@ -801,7 +709,7 @@ def _packed_run_encoder(fd: FieldDescriptor):
 
         return encode
 
-    to_raw = _varint_converter(t)
+    to_raw = kind.to_raw_fn
     if t is FieldType.BOOL:
         # Booleans are single-byte varints; the uint8 buffer IS the run.
         return lambda vals: bytes(vals)
@@ -812,7 +720,7 @@ def _packed_run_encoder(fd: FieldDescriptor):
             for v in vals:
                 append_varint(out, to_raw(v))
             return bytes(out)
-        return encode_packed_varints_bulk(_bulk_raw(t, vals))
+        return encode_packed_varints_bulk(bulk_raw(t, vals))
 
     return encode
 
@@ -898,15 +806,15 @@ def _encode_field_fragments(
                 size_lines = [
                     f"total += len(v) * {tag_len}",
                     "for e in v:",
-                    f"    total += _vs({_to_raw_expr(t, 'e')})",
+                    f"    total += _vs({KINDS[t].to_raw.format(v='e')})",
                 ]
                 emit_lines = [
                     "for e in v:",
                     f"    buf[pos:pos + {tag_len}] = _t{i}",
-                    f"    pos = _wv(buf, pos + {tag_len}, {_to_raw_expr(t, 'e')})",
+                    f"    pos = _wv(buf, pos + {tag_len}, {KINDS[t].to_raw.format(v='e')})",
                 ]
             else:  # unpacked fixed-width ([packed = false])
-                packer = _FIXED_PACKERS[t]
+                packer = KINDS[t].codec
                 ns[f"_p{i}"] = packer.pack_into
                 width = packer.size
                 size_lines = [f"total += len(v) * {tag_len + width}"]
@@ -947,10 +855,10 @@ def _encode_field_fragments(
                 f"pos += {tag_len + 1}",
             ]
         elif t.is_varint:
-            size_lines = [f"total += {tag_len} + _vs({_to_raw_expr(t, 'v')})"]
+            size_lines = [f"total += {tag_len} + _vs({KINDS[t].to_raw.format(v='v')})"]
             emit_lines = [
                 f"buf[pos:pos + {tag_len}] = _t{i}",
-                f"pos = _wv(buf, pos + {tag_len}, {_to_raw_expr(t, 'v')})",
+                f"pos = _wv(buf, pos + {tag_len}, {KINDS[t].to_raw.format(v='v')})",
             ]
         elif t is FieldType.STRING:
             size_lines = [
@@ -980,7 +888,7 @@ def _encode_field_fragments(
                 "pos = end",
             ]
         else:  # fixed-width scalar
-            packer = _FIXED_PACKERS[t]
+            packer = KINDS[t].codec
             ns[f"_p{i}"] = packer.pack_into
             width = packer.size
             size_lines = [f"total += {tag_len + width}"]
@@ -997,7 +905,7 @@ def encode_source(descriptor: MessageDescriptor, factory: MessageFactory) -> tup
     """Build the ``_size``/``_emit`` source pair plus its namespace."""
     ns: dict = {"_vs": varint_size, "_wv": write_varint}
     fields = _encode_field_fragments(descriptor, factory, ns)
-    b = _SourceBuilder(ns)
+    b = _SourceBuilder()
     b.add(0, f"# generated encoder for {descriptor.full_name}")
     b.add(0, "def _size(msg, memo):")
     b.add(1, "values = msg._values", "total = len(msg._unknown)")
@@ -1028,7 +936,6 @@ def encode_source(descriptor: MessageDescriptor, factory: MessageFactory) -> tup
 def get_gen_encoder(descriptor: MessageDescriptor, factory: MessageFactory) -> GeneratedEncoder:
     """The cached generated encoder for ``descriptor`` under ``factory``
     (generating + compiling on first use)."""
-    global _compile_depth
     cache = factory.__dict__.get("_gen_encoders")
     if cache is None:
         cache = {}
@@ -1037,22 +944,15 @@ def get_gen_encoder(descriptor: MessageDescriptor, factory: MessageFactory) -> G
     if codec is not None:
         ENCODE_PLAN_METRICS.gen_cache_hits += 1
         return codec
-    codec = GeneratedEncoder(descriptor)
-    cache[descriptor.full_name] = codec
-    t0 = time.perf_counter_ns()
-    _compile_depth += 1
-    try:
-        source, ns = encode_source(descriptor, factory)
-        exec(compile(source, f"<gen_encode {descriptor.full_name}>", "exec"), ns)
-    finally:
-        _compile_depth -= 1
+    codec = cache[descriptor.full_name] = GeneratedEncoder(descriptor)
+    codec.source, ns = compile_codec(
+        lambda: encode_source(descriptor, factory),
+        f"<gen_encode {descriptor.full_name}>",
+        ENCODE_PLAN_METRICS,
+        cache,
+    )
     codec._size = ns["_size"]
     codec._emit = ns["_emit"]
-    codec.source = source
-    ENCODE_PLAN_METRICS.gen_compiles += 1
-    ENCODE_PLAN_METRICS.gen_source_bytes += len(source)
-    if _compile_depth == 0:
-        ENCODE_PLAN_METRICS.gen_compile_ns += time.perf_counter_ns() - t0
     return codec
 
 

@@ -40,6 +40,7 @@ from .descriptor import (
     FieldType,
     MessageDescriptor,
 )
+from .kinds import KINDS
 
 __all__ = ["Message", "MessageFactory", "FieldValueError"]
 
@@ -48,27 +49,16 @@ class FieldValueError(TypeError):
     """Raised when a value does not fit the declared field type."""
 
 
-#: integer kind → the ``array`` typecode with exactly the kind's range (C
-#: ``int`` is 32 bits, ``long long`` 64, wherever CPython runs).
-_INT_TYPECODES = {
-    FieldType.INT32: "i",
-    FieldType.SINT32: "i",
-    FieldType.SFIXED32: "i",
-    FieldType.ENUM: "i",
-    FieldType.UINT32: "I",
-    FieldType.FIXED32: "I",
-    FieldType.INT64: "q",
-    FieldType.SINT64: "q",
-    FieldType.SFIXED64: "q",
-    FieldType.UINT64: "Q",
-    FieldType.FIXED64: "Q",
-}
+#: ``array`` typecode → its range (C ``int`` is 32 bits, ``long long`` 64,
+#: wherever CPython runs); an integer kind's typecode is its format
+#: character in the kind table, so its width is stated once.
 _TYPECODE_RANGES = {
     "i": (-(1 << 31), (1 << 31) - 1),
     "I": (0, (1 << 32) - 1),
     "q": (-(1 << 63), (1 << 63) - 1),
     "Q": (0, (1 << 64) - 1),
 }
+_INT_TYPECODES = {t: k.fmt for t, k in KINDS.items() if k.fmt in _TYPECODE_RANGES}
 _INT_RANGES = {t: _TYPECODE_RANGES[code] for t, code in _INT_TYPECODES.items()}
 
 #: scalar kind → (element types a span may consist of to be taken whole,

@@ -21,16 +21,13 @@ Both must produce byte-identical output for every message.
 from __future__ import annotations
 
 from .descriptor import FieldDescriptor, FieldType
+from .kinds import KINDS, wire_type_of
 from .message import Message
 from .wire_format import (
     WireType,
     append_varint,
     encode_varint,
     encode_zigzag,
-    encode_double,
-    encode_fixed32,
-    encode_fixed64,
-    encode_float,
     make_tag,
     varint_size,
 )
@@ -77,33 +74,6 @@ def _encoder_for(msg: Message, mode: str | None):
     return None
 
 
-# Wire type used when a field of this type is emitted individually.
-_WIRE_TYPE_FOR = {
-    FieldType.DOUBLE: WireType.FIXED64,
-    FieldType.FLOAT: WireType.FIXED32,
-    FieldType.INT32: WireType.VARINT,
-    FieldType.INT64: WireType.VARINT,
-    FieldType.UINT32: WireType.VARINT,
-    FieldType.UINT64: WireType.VARINT,
-    FieldType.SINT32: WireType.VARINT,
-    FieldType.SINT64: WireType.VARINT,
-    FieldType.FIXED32: WireType.FIXED32,
-    FieldType.FIXED64: WireType.FIXED64,
-    FieldType.SFIXED32: WireType.FIXED32,
-    FieldType.SFIXED64: WireType.FIXED64,
-    FieldType.BOOL: WireType.VARINT,
-    FieldType.STRING: WireType.LENGTH_DELIMITED,
-    FieldType.BYTES: WireType.LENGTH_DELIMITED,
-    FieldType.MESSAGE: WireType.LENGTH_DELIMITED,
-    FieldType.ENUM: WireType.VARINT,
-}
-
-
-def wire_type_for(fd: FieldDescriptor) -> int:
-    """Wire type of one element of field ``fd`` (unpacked)."""
-    return _WIRE_TYPE_FOR[fd.type]
-
-
 def _tag_cache(fd: FieldDescriptor) -> tuple[bytes, bytes, int]:
     """``(natural_tag_bytes, packed_tag_bytes, natural_tag_size)`` for
     ``fd``, encoded once and memoized on the descriptor.
@@ -114,19 +84,23 @@ def _tag_cache(fd: FieldDescriptor) -> tuple[bytes, bytes, int]:
     literals into generated code the same way."""
     cache = getattr(fd, "_tag_cache", None)
     if cache is None:
-        natural = encode_varint(make_tag(fd.number, _WIRE_TYPE_FOR[fd.type]))
+        natural = encode_varint(make_tag(fd.number, wire_type_of(fd.type)))
         packed = encode_varint(make_tag(fd.number, WireType.LENGTH_DELIMITED))
         cache = fd._tag_cache = (natural, packed, len(natural))
     return cache
 
 
-def _scalar_to_varint(fd: FieldDescriptor, value) -> int:
-    t = fd.type
-    if t is FieldType.BOOL:
+def scalar_to_varint(kind: FieldType, value) -> int:
+    """A varint-carried field value -> the unsigned 64-bit raw varint.
+
+    The oracle's hand-written statement of the rule (reference encode and
+    :func:`repro.offload.view.serialize_object` both use it); the
+    generated encoders paste :data:`repro.proto.kinds.KINDS` instead."""
+    if kind is FieldType.BOOL:
         return 1 if value else 0
-    if t is FieldType.SINT32:
+    if kind is FieldType.SINT32:
         return encode_zigzag(value, 32)
-    if t is FieldType.SINT64:
+    if kind is FieldType.SINT64:
         return encode_zigzag(value, 64)
     # int32/int64/enum: negatives use 64-bit two's complement.
     return value & ((1 << 64) - 1)
@@ -135,25 +109,15 @@ def _scalar_to_varint(fd: FieldDescriptor, value) -> int:
 def _append_scalar(out: bytearray, fd: FieldDescriptor, value) -> None:
     """Append one element's payload bytes (no tag)."""
     t = fd.type
-    if t.is_varint:
-        append_varint(out, _scalar_to_varint(fd, value))
-    elif t is FieldType.DOUBLE:
-        out += encode_double(value)
-    elif t is FieldType.FLOAT:
-        out += encode_float(value)
-    elif t in (FieldType.FIXED64, FieldType.SFIXED64):
-        out += encode_fixed64(value)
-    elif t in (FieldType.FIXED32, FieldType.SFIXED32):
-        out += encode_fixed32(value)
-    elif t is FieldType.STRING:
-        data = value.encode("utf-8")
+    kind = KINDS.get(t)
+    if kind is None:  # string / bytes; a message is handled by the caller
+        data = value.encode("utf-8") if t is FieldType.STRING else value
         append_varint(out, len(data))
         out += data
-    elif t is FieldType.BYTES:
-        append_varint(out, len(value))
-        out += value
-    else:  # pragma: no cover - message handled by caller
-        raise AssertionError(f"unexpected scalar type {t}")
+    elif kind.width:
+        out += kind.codec.pack(value)
+    else:
+        append_varint(out, scalar_to_varint(t, value))
 
 
 def _append_field(out: bytearray, fd: FieldDescriptor, value) -> None:
@@ -313,14 +277,7 @@ def serialized_size(msg: Message, mode: str | None = None) -> int:
 
 
 def _scalar_size(fd: FieldDescriptor, value) -> int:
-    t = fd.type
-    if t.is_varint:
-        return varint_size(_scalar_to_varint(fd, value))
-    if t in (FieldType.DOUBLE, FieldType.FIXED64, FieldType.SFIXED64):
-        return 8
-    if t in (FieldType.FLOAT, FieldType.FIXED32, FieldType.SFIXED32):
-        return 4
-    raise AssertionError(f"not a fixed/varint scalar: {t}")
+    return KINDS[fd.type].width or varint_size(scalar_to_varint(fd.type, value))
 
 
 def _element_size(fd: FieldDescriptor, value) -> int:

@@ -2,8 +2,9 @@
 
 This module implements the low-level encoding rules of the protobuf wire
 format (proto3): base-128 varints, ZigZag encoding for signed integers,
-field tags (field number + wire type), and the fixed-width little-endian
-scalar encodings.  It is the foundation both for the reference
+and field tags (field number + wire type); the fixed-width little-endian
+scalar encodings are one ``struct`` codec per row of
+:mod:`repro.proto.kinds`.  It is the foundation both for the reference
 serializer/deserializer in :mod:`repro.proto.serializer` /
 :mod:`repro.proto.deserializer` and for the offloaded arena deserializer in
 :mod:`repro.offload.arena_deserializer`.
@@ -22,7 +23,6 @@ assumption (§IV-A) that both endpoints are little-endian.
 
 from __future__ import annotations
 
-import struct
 from typing import Iterable
 
 import numpy as np
@@ -215,58 +215,6 @@ def read_tag(buf, pos: int) -> tuple[int, int, int]:
     if not WireType.is_valid(wire_type):
         raise WireFormatError(f"unsupported wire type {wire_type}")
     return field_number, wire_type, pos
-
-
-# ---------------------------------------------------------------------------
-# Fixed-width scalars
-# ---------------------------------------------------------------------------
-
-_FIXED32 = struct.Struct("<I")
-_FIXED64 = struct.Struct("<Q")
-_SFIXED32 = struct.Struct("<i")
-_SFIXED64 = struct.Struct("<q")
-_FLOAT = struct.Struct("<f")
-_DOUBLE = struct.Struct("<d")
-
-
-def read_fixed32(buf, pos: int) -> tuple[int, int]:
-    if pos + 4 > len(buf):
-        raise TruncatedMessageError("fixed32 extends past end of buffer")
-    return _FIXED32.unpack_from(buf, pos)[0], pos + 4
-
-
-def read_fixed64(buf, pos: int) -> tuple[int, int]:
-    if pos + 8 > len(buf):
-        raise TruncatedMessageError("fixed64 extends past end of buffer")
-    return _FIXED64.unpack_from(buf, pos)[0], pos + 8
-
-
-def read_float(buf, pos: int) -> tuple[float, int]:
-    if pos + 4 > len(buf):
-        raise TruncatedMessageError("float extends past end of buffer")
-    return _FLOAT.unpack_from(buf, pos)[0], pos + 4
-
-
-def read_double(buf, pos: int) -> tuple[float, int]:
-    if pos + 8 > len(buf):
-        raise TruncatedMessageError("double extends past end of buffer")
-    return _DOUBLE.unpack_from(buf, pos)[0], pos + 8
-
-
-def encode_fixed32(value: int) -> bytes:
-    return _FIXED32.pack(value & 0xFFFFFFFF)
-
-
-def encode_fixed64(value: int) -> bytes:
-    return _FIXED64.pack(value & _U64_MASK)
-
-
-def encode_float(value: float) -> bytes:
-    return _FLOAT.pack(value)
-
-
-def encode_double(value: float) -> bytes:
-    return _DOUBLE.pack(value)
 
 
 # ---------------------------------------------------------------------------

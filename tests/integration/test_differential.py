@@ -16,13 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import create_channel
+from repro.deploy import build
 from repro.offload.engine import DpuEngine, HostEngine
-from repro.proto import compile_schema, serialize
+from repro.proto import DECODE_MODES, compile_schema, parse, serialize
 from repro.xrpc import (
+    FrameDecoder,
     Network,
     OffloadedXrpcServer,
+    StatusCode,
     XrpcChannel,
     XrpcServer,
+    encode_request,
     make_stub_class,
     register_offloaded_servicer,
 )
@@ -134,3 +138,68 @@ class TestDifferential:
         assert a.echo_string == "différential"
         assert list(a.echoed) == [1, 2, 3]
         assert a == offloaded.Inspect(request) == bidirectional.Inspect(request)
+
+
+# -- one raw frame, both deployments, both decode tiers -----------------------
+
+OVERWIDE_SRC = """
+syntax = "proto3";
+package t;
+message Z { sint32 a = 1; repeated sint32 r = 2; }
+message Seen { sint64 a = 1; repeated sint64 r = 2; }
+service S { rpc Put (Z) returns (Seen); }
+"""
+#: raw = 2**33 + 3 on a sint32 — singular, unpacked repeated, packed
+OVERWIDE_PAYLOADS = {
+    "singular": bytes.fromhex("088380808020"),
+    "unpacked": bytes.fromhex("108380808020"),
+    "packed": bytes.fromhex("12058380808020"),
+}
+
+
+def _answer_overwide(kind: str, decode_mode: str, payload: bytes) -> bytes:
+    """The raw response bytes one deployment gives the over-wide frame;
+    ``drive()`` raising fails the test that called this."""
+    schema = compile_schema(OVERWIDE_SRC)
+    Seen = schema["t.Seen"]
+
+    class Servicer:
+        def Put(self, request, context):
+            return Seen(a=request.a, r=list(request.r))
+
+    with build(kind, schema, schema.service("t.S"), Servicer()) as deployment:
+        if kind == "baseline":
+            deployment.front.decode_mode = decode_mode
+        else:
+            deployment.dpu.deserializer.mode = decode_mode
+        socket = deployment.connect("overwide-client")
+        socket.send(encode_request(1, "/t.S/Put", payload))
+        raw = bytearray()
+        for _ in range(200):
+            deployment.drive()
+            raw += socket.recv(1 << 16)
+            if raw:
+                return bytes(raw)
+    raise AssertionError("no response")
+
+
+@pytest.mark.parametrize("form", OVERWIDE_PAYLOADS)
+def test_overwide_sint32_has_one_answer(form):
+    """An over-wide ``sint32`` varint used to have three answers: -2 on
+    the offloaded path, -4294967298 on the baseline's generated tier, and
+    an escaped ``FieldValueError`` (a ``TypeError``) that took the
+    baseline's event loop down on its interpretive tier.  Now both
+    deployments, on both tiers, send the same bytes, and they say -2."""
+    payload = OVERWIDE_PAYLOADS[form]
+    answers = {
+        (kind, mode): _answer_overwide(kind, mode, payload)
+        for kind in ("baseline", "offloaded")
+        for mode in DECODE_MODES
+    }
+    assert len(set(answers.values())) == 1, answers
+    decoder = FrameDecoder()
+    decoder.feed(answers["baseline", "generated"])
+    (frame,) = decoder.frames()
+    assert frame.status == StatusCode.OK
+    seen = parse(compile_schema(OVERWIDE_SRC)["t.Seen"], frame.message)
+    assert (seen.a, list(seen.r)) == ((-2, []) if form == "singular" else (0, [-2]))

@@ -25,10 +25,17 @@ from repro.offload import (
     encode_adt,
     read_message,
 )
-from repro.proto import PLAN_METRICS, compile_schema, serialize
+from repro.proto import PLAN_METRICS, compile_schema, parse, serialize
 from repro.proto.wire_format import WireFormatError, WireType, encode_varint, make_tag
 from tests.conftest import KITCHEN_SINK_PROTO, build_everything
 from tests.proto.test_codec_roundtrip import everything_strategy
+from tests.proto.test_decode_plan import (
+    KIND_MATRIX_PROTO,
+    KIND_MATRIX_RAWS,
+    VARINT_KINDS,
+    kind_matrix_value,
+    kind_matrix_wires,
+)
 
 ARENA_BASE = 0x5000_0000
 ARENA_SIZE = 1 << 20
@@ -42,6 +49,18 @@ def kitchen_env():
     universe = TypeUniverse(space)
     adt = decode_adt(
         encode_adt(universe.build_adt([schema.pool.message("test.Everything")]))
+    )
+    return schema, space, universe, adt
+
+
+@pytest.fixture(scope="module")
+def kind_matrix_env():
+    schema = compile_schema(KIND_MATRIX_PROTO)
+    space = AddressSpace("host")
+    space.map(MemoryRegion(ARENA_BASE, ARENA_SIZE, "arena"))
+    universe = TypeUniverse(space)
+    adt = decode_adt(
+        encode_adt(universe.build_adt([schema.pool.message("km.KindMatrix")]))
     )
     return schema, space, universe, adt
 
@@ -112,6 +131,21 @@ class TestAgainstInterpretive:
         msg = both_modes(kitchen_env, serialize(a) + serialize(b))
         assert msg.f_leaf.id == 3
         assert msg.f_leaf.label == "merged"
+
+    @pytest.mark.parametrize("kind", VARINT_KINDS)
+    def test_varint_kind_matrix(self, kind_matrix_env, kind):
+        """The arena half of ``tests/proto/test_decode_plan.py``'s matrix:
+        both arena tiers, read back through the host view, hold the value
+        the reference oracle decodes from the same bytes — for every raw
+        varint, over-wide ones included, in every form."""
+        cls = kind_matrix_env[0]["km.KindMatrix"]
+        for raw in KIND_MATRIX_RAWS:
+            seen = set()
+            for name, wire, count in kind_matrix_wires(kind, raw).values():
+                msg = both_modes(kind_matrix_env, wire, root="km.KindMatrix")
+                assert msg == parse(cls, wire, mode="interpretive")
+                seen.add(kind_matrix_value(msg, name, count))
+            assert len(seen) == 1, (kind, raw, seen)
 
     def test_unknown_fields_skipped(self, kitchen_env):
         # The arena path drops unknown fields (the DPU builds C++ objects,

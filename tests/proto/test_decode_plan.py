@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.metrics import MetricsRegistry
 from repro.proto import (
     DECODE_MODES,
+    ENCODE_PLAN_METRICS,
     PLAN_METRICS,
     DecodeError,
     WireFormatError,
@@ -30,7 +31,9 @@ from repro.proto import (
     parse,
     serialize,
 )
+from repro.proto.descriptor import FieldType
 from repro.proto.deserializer import skip_field
+from repro.proto.message import _INT_RANGES
 from repro.proto.wire_format import (
     TruncatedMessageError,
     WireType,
@@ -41,6 +44,55 @@ from tests.conftest import KITCHEN_SINK_PROTO, build_everything
 from tests.proto.test_codec_roundtrip import everything_strategy
 
 MODES = ("generated", "interpretive")
+
+#: The kind matrix (shared with ``tests/offload/test_arena_plan.py``): one
+#: singular and one repeated field of each of the eight varint-carried
+#: kinds, field numbers ``1 + i`` and ``11 + i``.
+VARINT_KINDS = ("int32", "int64", "uint32", "uint64", "sint32", "sint64", "bool", "enum")
+KIND_MATRIX_PROTO = (
+    'syntax = "proto3"; package km; enum E { ZERO = 0; } message KindMatrix {\n'
+    + "".join(
+        f"  {'E' if kind == 'enum' else kind} s_{kind} = {1 + i};\n"
+        f"  repeated {'E' if kind == 'enum' else kind} r_{kind} = {11 + i};\n"
+        for i, kind in enumerate(VARINT_KINDS)
+    )
+    + "}"
+)
+#: raw varint values around every truncation boundary, over-wide ones included
+KIND_MATRIX_RAWS = (
+    0, 1, (1 << 31) - 1, 1 << 31, (1 << 32) - 1, (1 << 32) + 3, (1 << 33) + 3,
+    1 << 63, (1 << 64) - 1,
+)
+
+
+def kind_matrix_wires(kind: str, raw: int) -> dict[str, tuple[str, bytes, int]]:
+    """``form -> (field name, wire bytes, element count)``: the one raw
+    varint as a singular field, an unpacked repeated occurrence, a packed
+    run of 1 and a packed run of 20."""
+    i = VARINT_KINDS.index(kind)
+    value = encode_varint(raw)
+    packed = encode_varint(make_tag(11 + i, WireType.LENGTH_DELIMITED))
+    return {
+        "singular": (f"s_{kind}", encode_varint(make_tag(1 + i, WireType.VARINT)) + value, 1),
+        "unpacked": (f"r_{kind}", encode_varint(make_tag(11 + i, WireType.VARINT)) + value, 1),
+        "packed-1": (f"r_{kind}", packed + encode_varint(len(value)) + value, 1),
+        "packed-20": (f"r_{kind}", packed + encode_varint(20 * len(value)) + 20 * value, 20),
+    }
+
+
+def kind_matrix_value(msg, name: str, count: int):
+    """The one value ``msg`` holds in field ``name`` (``count`` times over
+    when repeated), checked to lie inside the kind's range."""
+    values = [getattr(msg, name)] if name.startswith("s_") else list(getattr(msg, name))
+    assert len(values) == count and len(set(values)) == 1, (name, values)
+    value = values[0]
+    kind = name[2:]
+    if kind == "bool":
+        assert type(value) is bool
+    else:
+        lo, hi = _INT_RANGES[FieldType(kind)]
+        assert type(value) is int and lo <= value <= hi, (name, value)
+    return value
 
 
 def parse_both(cls, wire):
@@ -199,6 +251,30 @@ class TestWireEdgeCases:
         # uint32 truncates the 64-bit wire value in both modes.
         assert list(parse_both(everything_cls, wire).r_uint32) == [0xFFFFFFFF]
 
+    @pytest.mark.parametrize("kind", VARINT_KINDS)
+    def test_varint_kind_matrix(self, kind):
+        """Whatever 64 bits arrive, in whichever form, both tiers decode
+        one value, it fits the field (a 32-bit kind truncates first —
+        ``sint32`` too), and both encode tiers send it back as bytes that
+        decode to itself.  Nothing here may raise: a numeric field has no
+        wire value the interpretive path answers with ``FieldValueError``."""
+        cls = compile_schema(KIND_MATRIX_PROTO)["km.KindMatrix"]
+        for raw in KIND_MATRIX_RAWS:
+            seen = set()
+            for form, (name, wire, count) in kind_matrix_wires(kind, raw).items():
+                msg = parse_both(cls, wire)
+                seen.add(kind_matrix_value(msg, name, count))
+                encoded = {serialize(msg, mode=mode) for mode in MODES}
+                assert len(encoded) == 1, (kind, raw, form)
+                assert parse_both(cls, encoded.pop()) == msg
+            assert len(seen) == 1, (kind, raw, seen)
+
+    def test_sint32_truncates_before_zigzag(self, everything_cls):
+        # 08 83 80 80 80 20 on a sint32: raw = 2**33 + 3.  The C++ parser
+        # decodes ZigZagDecode32(uint32(raw)) = -2, not the 64-bit -4294967298.
+        wire = encode_varint(make_tag(7, WireType.VARINT)) + bytes.fromhex("8380808020")
+        assert parse_both(everything_cls, wire).f_sint32 == -2
+
     def test_packed_ten_byte_overflow_rejected(self, everything_cls):
         payload = b"\xff" * 9 + b"\x02"
         wire = (
@@ -349,6 +425,63 @@ class TestPlanCache:
         assert PLAN_METRICS.gen_cache_hits == 3
         assert PLAN_METRICS.gen_compiles == 1
         assert PLAN_METRICS.decodes["pc.M"] == 4
+
+    @pytest.mark.parametrize("side", ["decode", "encode"])
+    def test_interrupted_first_compile_does_not_poison_the_factory(self, monkeypatch, side):
+        """The codec goes into the cache before its source is generated;
+        a Ctrl-C (or any other exception) during generation must take it
+        out again, or every later use of the type dies on a codec with
+        no code in it."""
+        from repro.proto import gen_codec
+
+        cls = compile_schema('syntax = "proto3"; package pi; message M { uint32 a = 1; }')["pi.M"]
+        real = getattr(gen_codec, f"{side}_source")
+        calls = []
+
+        def interrupted_once(descriptor, factory):
+            calls.append(descriptor.full_name)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return real(descriptor, factory)
+
+        monkeypatch.setattr(gen_codec, f"{side}_source", interrupted_once)
+        if side == "decode":
+            metrics, use, expected = PLAN_METRICS, lambda: parse(cls, b"\x08\x01").a, 1
+        else:
+            metrics, use, expected = ENCODE_PLAN_METRICS, lambda: serialize(cls(a=1)), b"\x08\x01"
+        metrics.reset()
+        with pytest.raises(KeyboardInterrupt):
+            use()
+        assert use() == expected
+        assert metrics.gen_compiles == 1
+
+    def test_failed_compile_takes_the_codecs_that_refer_to_it_along(self, monkeypatch):
+        """Mutual recursion: ``B`` is compiled inside ``A``'s compile and
+        binds the in-flight ``A`` codec.  When ``A`` then fails, a cached
+        ``B`` would keep calling an ``A`` that never got its code."""
+        from repro.proto import gen_codec
+
+        schema = compile_schema(
+            'syntax = "proto3"; package mr; '
+            "message A { B b = 1; uint32 x = 2; } message B { A a = 1; }"
+        )
+        cls = schema["mr.A"]
+        real = gen_codec.decode_source
+        failed = []
+
+        def fail_a_after_b(descriptor, factory):
+            result = real(descriptor, factory)  # compiles B inside
+            if descriptor.full_name == "mr.A" and not failed:
+                failed.append(True)
+                raise MemoryError
+            return result
+
+        monkeypatch.setattr(gen_codec, "decode_source", fail_a_after_b)
+        msg = cls(x=1)
+        msg.b.a.x = 7
+        with pytest.raises(MemoryError):
+            parse(cls, serialize(msg))
+        assert parse(cls, serialize(msg)).b.a.x == 7
 
     def test_metrics_export_to_registry(self):
         schema = compile_schema(

@@ -162,3 +162,69 @@ def test_the_engine_has_no_single_pollable_entry_point():
     """``ProgressEngine.drive`` existed for the shims only."""
     assert [where for where in _definitions(SRC / "runtime", "drive")
             if where.startswith("src/repro/runtime/engine.py:")] == []
+
+
+# -- one kind table, one tag loop (ROADMAP item 3) ----------------------------
+
+
+def _is_field_type(node: ast.AST, member: str | None = None) -> bool:
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "FieldType" and member in (None, node.attr))
+
+
+def test_a_scalar_kind_is_tabulated_once():
+    """A dict display keyed by six or more ``FieldType`` members is a
+    per-kind table; ``proto/kinds.py`` holds the only one, everything
+    else derives from it."""
+    tables = [
+        str(path.relative_to(SRC))
+        for path, tree in _trees(SRC)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict) and sum(map(_is_field_type, node.keys)) >= 6
+    ]
+    assert tables == ["proto/kinds.py"]
+
+
+def test_the_zigzag32_rule_is_stated_in_the_table_and_the_oracles_only():
+    """``FieldType.SINT32`` is the kind whose copies drifted.  It is named
+    where kinds are declared and tabulated, in the two hand-written
+    oracles the table is tested against, and in the JSON mapping."""
+    named_in = {
+        str(path.relative_to(SRC))
+        for path, tree in _trees(SRC)
+        if any(_is_field_type(node, "SINT32") for node in ast.walk(tree))
+    }
+    assert named_in == {
+        "proto/descriptor.py", "proto/kinds.py", "proto/serializer.py",
+        "proto/deserializer.py", "proto/json_format.py",
+    }
+
+
+def test_the_tag_loop_is_generated_in_one_function():
+    sites = set()
+    for path, tree in _trees(SRC):
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "while pos < end:" in node.value and owner[node] is not None):
+                sites.add((str(path.relative_to(SRC)), owner[node]))
+    assert sites == {("proto/gen_codec.py", "tag_loop")}
+
+
+def test_generated_codec_source_is_compiled_in_one_function():
+    """Decoder, encoder and arena decoder all go through
+    ``gen_codec.compile_codec`` (``proto/codegen.py`` and
+    ``offload/plugin.py`` load whole modules — not this)."""
+    assert _callers(SRC / "proto" / "gen_codec.py", "exec") == {"compile_codec"}
+    assert _callers(SRC / "offload" / "arena_gen.py", "exec") == set()
+
+
+@pytest.mark.parametrize("where, name", [
+    ("offload", "_skip"),               # == proto.deserializer.skip_field
+    ("proto/fixed_wire.py", "_decode_bound"),  # folded into decode_into
+])
+def test_the_duplicate_walks_are_gone(where, name):
+    root = SRC / where
+    trees = _trees(root) if root.is_dir() else [(root, ast.parse(root.read_text()))]
+    assert [path.name for path, tree in trees for node in ast.walk(tree)
+            if name in (getattr(node, "name", None), getattr(node, "attr", None))] == []
