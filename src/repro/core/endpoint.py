@@ -48,8 +48,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from repro.memory import (
     AddressSpace,
@@ -69,6 +69,7 @@ from .wire import (
     BlockReader,
     BlockWriter,
     Flags,
+    ProtocolError,
     bucket_to_offset,
     offset_to_bucket,
     patch_ack_blocks,
@@ -117,10 +118,6 @@ class AddressContinuation:
         self.fn = fn
 
 
-class ProtocolError(RuntimeError):
-    """Protocol invariant violated."""
-
-
 class TransportError(ProtocolError):
     """The reliable connection itself failed: an error completion (QP
     flush, RNR exhaustion, protection fault) surfaced in the CQ.  The
@@ -148,7 +145,7 @@ class EndpointStats:
     handler_errors: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IncomingRequest:
     """A request as the server sees it: payload referenced in place inside
     the receive buffer (zero copy).  The view is valid only until the
@@ -175,7 +172,7 @@ class IncomingRequest:
         return bytes(self.payload_view())
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Response:
     """What a handler returns: either raw bytes or a (size, writer) pair
     for in-place construction."""
@@ -224,23 +221,21 @@ def _fail_continuation(cont, reason: bytes) -> None:
         cont(memoryview(reason), flags)
 
 
-@dataclass
-class _OutBlock:
-    """A sealed block waiting for (or in) flight.
-
-    Client request blocks carry their messages' continuations; the
-    request IDs are allocated only at transmit time (§IV-D: "the client
-    *sends* a block and flushes all the pending acknowledgments"), so
-    queued blocks never hold IDs hostage while waiting for credits.
-    """
+class _OutBlock(NamedTuple):
+    """A sealed block waiting for (or in) flight, with what its role
+    noted per message (``notes``): a client request block carries its
+    messages' continuations — the request IDs are allocated only at
+    transmit time (§IV-D: "the client *sends* a block and flushes all
+    the pending acknowledgments"), so queued blocks never hold IDs
+    hostage while waiting for credits — a server response block the
+    request IDs it answers."""
 
     sbuf_addr: int
     length: int
     message_count: int = 0
-    continuations: list = field(default_factory=list)
-    #: per-message trace contexts, parallel to ``continuations``; empty
-    #: unless tracing is attached (repro.obs)
-    traces: list = field(default_factory=list)
+    notes: Sequence = ()
+    #: trace contexts parallel to ``notes`` while tracing is attached
+    traces: Sequence = ()
 
 
 class _EndpointBase:
@@ -306,8 +301,12 @@ class _EndpointBase:
         self.id_pool = RequestIdPool(min(self.config.concurrency, 1 << 16))
         # The open block; open only while it holds a committed message.
         self._writer: BlockWriter | None = None
-        self._writer_addr = 0
         self._open_since: int | None = None  # pass of its first message
+        # What the role noted per message of the open block (client: the
+        # continuation, server: the request ID answered), and the trace
+        # contexts parallel to it while tracing is attached.
+        self._open_notes: list = []
+        self._writer_traces: list = []
         self._send_queue: deque[_OutBlock] = deque()
         #: out-of-band RDMA SEND payloads (bootstrap/control traffic)
         self.inbound_sends: deque[bytes] = deque()
@@ -341,54 +340,49 @@ class _EndpointBase:
 
     def _append(
         self, reserve: int, write: PayloadWriter, method_or_id: int, flags: int,
-        words: tuple = (),
+        note, words: tuple = (), trace_ctx=None,
     ) -> int:
         """Put one message into the open block; returns its payload size.
 
         ``write`` builds the payload in place and reports its true size
         (at most ``reserve``); each of ``words`` is a u64 written ahead
-        of it, in order.  A block that cannot take the message seals
-        first; one is opened when none is.  A writer that raises (a
-        malformed payload fails in the arena decoder) or over-reports
-        costs exactly this message: it is aborted, the error re-raised,
-        and the block stays usable.  A block left holding nothing is
-        given back: sealed empty later, it would take a credit no
+        of it, in order; ``note`` is what the role keeps of the message
+        until its block is sealed.  A block that cannot take the message
+        seals first; one is opened when none is; one that reached
+        ``block_size`` seals and goes, as far as credits allow.  A
+        writer that raises (a malformed payload fails in the arena
+        decoder) or over-reports costs exactly this message: the block
+        is as it was, the error re-raised.  A block left holding nothing
+        is given back: sealed empty later, it would take a credit no
         response can ever return."""
-        reserve += 8 * len(words)
+        if words:
+            reserve += 8 * len(words)
         writer = self._writer
-        if writer is not None and writer.remaining() < reserve + 32:
+        if writer is not None and writer.end - writer.cursor < reserve + 32:
             self._seal("block_full")
             writer = None
         if writer is None:
             capacity = self._block_capacity(reserve)
-            self._writer_addr = self._alloc_block(capacity)
-            self._writer = writer = BlockWriter(self.sbuf, self._writer_addr, capacity)
+            writer = self._writer = BlockWriter(
+                self.sbuf, self._alloc_block(capacity), capacity)
         try:
-            _, payload_addr = writer.begin_message(reserve)
-            addr = payload_addr
-            for word in words:
-                self.space.write_u64(addr, word)
-                addr += 8
-            actual = addr - payload_addr + write(self.space, addr)
-            if actual > reserve:
-                raise ProtocolError(f"writer produced {actual} > reserved {reserve}")
-            writer.commit_message(actual, method_or_id, flags)
+            actual = writer.put_message(self.sbuf, reserve, write, method_or_id, flags, words)
         except BaseException:
-            writer.abort_message()
             if not writer.message_count:
-                self._free_block(self._writer_addr)
+                self._free_block(writer.base)
                 self._writer = None
             raise
+        self._open_notes.append(note)
+        if self.trace is not None:
+            self._writer_traces.append(trace_ctx)
         if self._open_since is None:
             self._open_since = self._polls  # starts the flush-policy clock
-        return actual
-
-    def _appended(self) -> None:
-        """Once the role noted what it keeps of the appended message: a
-        block that reached ``block_size`` goes, as far as credits allow."""
-        if self._writer.bytes_used >= self.config.block_size:
+        if writer.cursor - writer.base >= self.config.block_size:
             self._seal("block_full")
-        self._pump_send_queue()
+            self._pump_send_queue()
+        elif self._send_queue:
+            self._pump_send_queue()
+        return actual
 
     def _seal(self, reason: str) -> None:
         """Seal the open block and queue it, counting ``reason``.  Ack
@@ -396,11 +390,18 @@ class _EndpointBase:
         transmit time, keeping that bookkeeping in wire order."""
         writer = self._writer
         self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
-        length = writer.seal(ack_blocks=0)  # placeholder; patched on send
-        out = _OutBlock(self._writer_addr, length, writer.message_count)
-        self._on_seal(out)
+        traces = self._writer_traces
+        if traces:
+            self._writer_traces = []
+        out = _OutBlock(
+            writer.base,
+            writer.seal(ack_blocks=0),  # placeholder; patched on send
+            writer.message_count, self._open_notes, traces or (),
+        )
+        self._open_notes = []
         self._writer = None
         self._open_since = None
+        self._on_seal(out)
         self._send_queue.append(out)
 
     def _on_seal(self, out: _OutBlock) -> None:
@@ -417,17 +418,13 @@ class _EndpointBase:
     def _flush_by_policy(self) -> None:
         """Seal the partial block when the flush policy says so."""
         writer = self._writer
-        if writer is not None:
-            reason = self.flush_policy.should_flush(
-                FlushState(
-                    pending_bytes=writer.bytes_used,
-                    pending_messages=writer.message_count,
-                    ticks_waiting=self._polls - self._open_since,
-                )
-            )
-            if reason is not None:
-                self._seal(reason)
-        self._pump_send_queue()
+        reason = self.flush_policy.should_flush(FlushState(
+            pending_bytes=writer.cursor - writer.base,
+            pending_messages=writer.message_count,
+            ticks_waiting=self._polls - self._open_since,
+        ))
+        if reason is not None:
+            self._seal(reason)
 
     # -- block plumbing ----------------------------------------------------------
 
@@ -554,10 +551,6 @@ class ClientEndpoint(_EndpointBase):
 
     def _init_connection(self) -> None:
         super()._init_connection()
-        # Parallel to the open block's messages; the trace contexts only
-        # while tracing is attached.
-        self._writer_continuations: list[Continuation] = []
-        self._writer_traces: list = []
         # rid -> (continuation, block_seq)
         self._pending: dict[int, tuple[Continuation, int]] = {}
         # block_seq -> [sbuf_addr, outstanding_count, rids, spent acks]
@@ -596,22 +589,19 @@ class ClientEndpoint(_EndpointBase):
     @property
     def outstanding(self) -> int:
         """Requests awaiting a response (sent or not yet transmitted)."""
-        return len(self._pending) + len(self._writer_continuations) + self._queued_messages
+        return len(self._pending) + len(self._open_notes) + self._queued_messages
 
     def enqueue_bytes(
         self, method_id: int, payload: bytes, continuation: Continuation,
         flags: int = Flags.NONE, trace_ctx=None, deadline: int = 0,
     ) -> None:
-        self.enqueue(
-            method_id,
-            len(payload),
-            lambda space, addr: (space.write(addr, payload) if payload else None,
-                                 len(payload))[1],
-            continuation,
-            flags,
-            trace_ctx=trace_ctx,
-            deadline=deadline,
-        )
+        def writer(space, addr: int) -> int:
+            if payload:
+                space.write(addr, payload)
+            return len(payload)
+
+        self.enqueue(method_id, len(payload), writer, continuation, flags,
+                     trace_ctx=trace_ctx, deadline=deadline)
 
     def enqueue_emit(
         self, method_id: int, size: int, emit, continuation: Continuation,
@@ -654,14 +644,17 @@ class ClientEndpoint(_EndpointBase):
                 trace_ctx = self.trace.context()
             self.trace.event(trace_ctx, "enqueue", method=method_id,
                              bytes=max_payload)
-        entry = (method_id, max_payload, writer, continuation, flags, trace_ctx,
-                 deadline)
-        if self._backlog or self.outstanding >= self.id_pool.capacity:
+        if self._backlog or (
+            len(self._pending) + len(self._open_notes) + self._queued_messages
+            >= self.id_pool.capacity
+        ):
             # Concurrency window full (the ID pool *is* the window, §IV-D):
             # defer, preserving FIFO order.
-            self._backlog.append(entry)
+            self._backlog.append((method_id, max_payload, writer, continuation,
+                                  flags, trace_ctx, deadline))
         else:
-            self._enqueue_now(*entry)
+            self._enqueue_now(method_id, max_payload, writer, continuation,
+                              flags, trace_ctx, deadline)
 
     def _enqueue_now(
         self,
@@ -674,7 +667,7 @@ class ClientEndpoint(_EndpointBase):
         deadline: int = 0,
     ) -> None:
         # Wire layout [trace word][deadline word][payload], each word
-        # announced by its flag (stripped by _strip_prefix_words).
+        # announced by its flag (stripped in _process_request_block).
         words: tuple = ()
         if (
             self._trace_explicit
@@ -694,34 +687,25 @@ class ClientEndpoint(_EndpointBase):
             # every downstream stage.
             words += (deadline,)
             flags |= Flags.DEADLINE
-        self._append(max_payload, writer, method_id, flags, words)
-        self._writer_continuations.append(continuation)
-        if self.trace is not None:
-            self._writer_traces.append(trace_ctx)
+        self._append(max_payload, writer, method_id, flags, continuation, words,
+                     trace_ctx)
         self.stats.requests_sent += 1
-        self._appended()
 
     def _on_seal(self, out: _OutBlock) -> None:
         """A request block carries its messages' continuations until
         transmit time binds them to request IDs (:meth:`_on_transmit`)."""
-        assert out.message_count == len(self._writer_continuations)
         if self.trace is not None:
-            for ctx in self._writer_traces:
+            for ctx in out.traces:
                 self.trace.event(ctx, "block_seal", bytes=out.length,
                                  messages=out.message_count)
-        out.continuations = self._writer_continuations
-        out.traces = self._writer_traces
         self._queued_messages += out.message_count
-        self._writer_continuations = []
-        self._writer_traces = []
 
     def _flush_pending_acks(self) -> int:
         """§IV-D step 1: free the request IDs answered by every response
         block we are about to acknowledge; returns the ack count."""
         ack_blocks = len(self._unacked_response_ids)
         while self._unacked_response_ids:
-            for rid in self._unacked_response_ids.popleft():
-                self.id_pool.free(rid)
+            self.id_pool.free_many(self._unacked_response_ids.popleft())
         return ack_blocks
 
     def _on_transmit(self, out: _OutBlock) -> None:
@@ -735,13 +719,15 @@ class ClientEndpoint(_EndpointBase):
         # the preamble.
         patch_ack_blocks(self.sbuf.buf, out.sbuf_addr - self.sbuf.base, ack_blocks)
         seq = next(self._block_seq)
-        self._blocks[seq] = [out.sbuf_addr, len(ids), list(ids), self._spent_acks]
+        self._blocks[seq] = [out.sbuf_addr, len(ids), ids, self._spent_acks]
         self._spent_acks = []
+        pending = self._pending
+        for rid, cont in zip(ids, out.notes):
+            pending[rid] = (cont, seq)
         deadline = self.config.request_deadline_ticks
-        for rid, cont in zip(ids, out.continuations):
-            self._pending[rid] = (cont, seq)
-            if deadline:
-                self._deadlines.append((self._polls + deadline, rid, seq))
+        if deadline:
+            expiry = self._polls + deadline
+            self._deadlines.extend((expiry, rid, seq) for rid in ids)
         if self.trace is not None:
             # Transmit time is where the derived trace id binds: both
             # sides count wire-order messages, so the client's n-th
@@ -808,12 +794,17 @@ class ClientEndpoint(_EndpointBase):
         self._polls += 1
         if self._deadlines:
             self._expire_deadlines()
-        self._flush_by_policy()
+        if self._writer is not None:
+            self._flush_by_policy()
+        if self._send_queue:
+            self._pump_send_queue()
         delivered = 0
         for wc in self._drain_recv_cq(budget):
             delivered += self._process_response_block(wc.imm_data, wc.byte_len)
-        self._drain_backlog()
-        self._pump_send_queue()
+        if self._backlog:
+            self._drain_backlog()
+        if self._send_queue:
+            self._pump_send_queue()
         # Two reasons to push acknowledgments out of band: we are credit-
         # starved with blocks waiting (deadlock breaker), or acks piled up
         # while we had nothing to send (lets the server recycle memory —
@@ -857,49 +848,49 @@ class ClientEndpoint(_EndpointBase):
         reader = self._open_received(bucket)
         if reader is None:
             return 0
+        pending, blocks, tombstones = self._pending, self._blocks, self._tombstones
+        rbuf, trace = self.rbuf, self.trace
         answered: list[int] = []
-        count = 0
         for rid, flags, payload_addr, payload_size in reader.records():
             try:
-                cont, seq = self._pending.pop(rid)
+                cont, seq = pending.pop(rid)
             except KeyError:
                 raise ProtocolError(f"{self.name}: response for unknown request {rid}")
-            if self.trace is not None:
+            if trace is not None:
                 ctx = self._trace_by_rid.pop(rid, None)
                 if ctx is not None:
-                    self.trace.event(
+                    trace.event(
                         ctx, "response_deliver", rid=rid,
                         flags=flags, bytes=payload_size,
-                        late=rid in self._tombstones,
+                        late=rid in tombstones,
                     )
-            if rid in self._tombstones:
+            if tombstones and rid in tombstones:
                 # Late answer to a request already failed by its deadline:
                 # the continuation fired long ago; keep only the protocol
                 # accounting so IDs, acks, and credits stay synchronized.
-                self._tombstones.discard(rid)
+                tombstones.discard(rid)
                 self.late_responses += 1
             elif isinstance(cont, AddressContinuation):
                 cont.fn(payload_addr, payload_size, flags)
             else:
-                cont(self.rbuf.view(payload_addr, payload_size), flags)
+                cont(rbuf.view(payload_addr, payload_size), flags)
             answered.append(rid)
-            self.stats.responses_received += 1
-            count += 1
-            block = self._blocks[seq]
+            block = blocks[seq]
             block[1] -= 1
             if block[1] == 0:
                 # Every request in that block is answered: recycle the
                 # request block (and the pure acks sent before it) and its
                 # credit (§IV-B server-side implicit ack, observed
                 # client-side).
-                del self._blocks[seq]
+                del blocks[seq]
                 for addr in (block[0], *block[3]):
                     self._free_block(addr)
                 self.credits.replenish(1)
         # Remember the IDs to free at the next seal, and count the block
         # toward the preamble ack counter.
         self._unacked_response_ids.append(answered)
-        return count
+        self.stats.responses_received += len(answered)
+        return len(answered)
 
     # -- connection reset --------------------------------------------------------
 
@@ -939,7 +930,7 @@ class ClientEndpoint(_EndpointBase):
             addr, _, rids, _ = self._blocks[seq]
             harvest(addr, None, rids)
         for out in self._send_queue:
-            harvest(out.sbuf_addr, out.continuations)
+            harvest(out.sbuf_addr, out.notes)
         return survivors
 
     def begin_reset(self) -> tuple[list, list]:
@@ -992,27 +983,6 @@ class ClientEndpoint(_EndpointBase):
         raise ProtocolError(f"{self.name}: requests still pending after {max_iters} iterations")
 
 
-#: flags announcing a u64 word ahead of a request's payload, in wire order
-_PREFIX_WORDS = (Flags.TRACE_CTX, Flags.DEADLINE)
-
-
-def _strip_prefix_words(rbuf, flags: int, addr: int, size: int):
-    """Undo :meth:`ClientEndpoint._enqueue_now`'s prefix words: returns
-    ``(words, flags, addr, size)`` — one word per ``_PREFIX_WORDS`` flag
-    (0 when absent), then the bare payload's.  Unconditionally: the
-    client opted in, whether or not this side traces or sheds."""
-    words = []
-    for flag in _PREFIX_WORDS:
-        if flags & flag:
-            words.append(rbuf.read_u64(addr))
-            addr += 8
-            size -= 8
-            flags &= ~flag
-        else:
-            words.append(0)
-    return words, flags, addr, size
-
-
 class ServerEndpoint(_EndpointBase):
     """The RPC-over-RDMA *server* — the host.  Register callbacks with
     :meth:`register`; drive with :meth:`progress` (§III-D)."""
@@ -1029,8 +999,6 @@ class ServerEndpoint(_EndpointBase):
         """A reset drops every half-built or outstanding response: the
         client replays the requests, so the answers are regenerated."""
         super()._init_connection()
-        # Request IDs answered in the open block, parallel to its messages.
-        self._current_block_ids: list[int] = []
         # Outstanding response blocks in send order: (sbuf_addr, answered ids)
         self._outstanding_responses: deque[tuple[int, list[int]]] = deque()
         self._background_results: deque[tuple[int, Response]] = deque()
@@ -1065,7 +1033,10 @@ class ServerEndpoint(_EndpointBase):
         while self._background_results:
             rid, response = self._background_results.popleft()
             self._enqueue_response(rid, response)
-        self._flush_by_policy()
+        if self._writer is not None:
+            self._flush_by_policy()
+        if self._send_queue:
+            self._pump_send_queue()
         return handled
 
     def _process_request_block(self, bucket: int) -> int:
@@ -1082,24 +1053,31 @@ class ServerEndpoint(_EndpointBase):
             )
         for _ in range(acked):
             sbuf_addr, ids = self._outstanding_responses.popleft()
-            for rid in ids:
-                self.id_pool.free(rid)
+            self.id_pool.free_many(ids)
             self._free_block(sbuf_addr)
             self.credits.replenish(1)
 
         messages = reader.records()
         ids = self.id_pool.allocate_many(len(messages))
-
-        count = 0
+        self.stats.requests_received += len(messages)
+        space, rbuf, trace = self.space, self.rbuf, self.trace
+        handlers, executor = self._handlers, self._background_executor
         for rid, (method_id, flags, payload_addr, payload_size) in zip(ids, messages):
             word = deadline_us = lane = 0
             if flags & (Flags.TRACE_CTX | Flags.DEADLINE):
-                (word, deadline_word), flags, payload_addr, payload_size = (
-                    _strip_prefix_words(self.rbuf, flags, payload_addr, payload_size)
-                )
-                deadline_us, lane = unpack_deadline(deadline_word)
+                # Undo _enqueue_now's prefix words, in wire order: the
+                # client opted in, whether or not this side traces or sheds.
+                if flags & Flags.TRACE_CTX:
+                    word = rbuf.read_u64(payload_addr)
+                    payload_addr += 8
+                    payload_size -= 8
+                if flags & Flags.DEADLINE:
+                    deadline_us, lane = unpack_deadline(rbuf.read_u64(payload_addr))
+                    payload_addr += 8
+                    payload_size -= 8
+                flags &= ~(Flags.TRACE_CTX | Flags.DEADLINE)
             ctx = None
-            if self.trace is not None:
+            if trace is not None:
                 # rx-serial mirrors the client's tx-serial (wire order on
                 # a reliable connection); the explicit word, when present,
                 # wins so replayed requests still correlate.
@@ -1107,90 +1085,67 @@ class ServerEndpoint(_EndpointBase):
                 tid = ("ctx", word) if word else (
                     self._trace_stream, self._trace_serial
                 )
-                ctx = self.trace.context()
+                ctx = trace.context()
                 ctx.tid = tid
-                self.trace.event(ctx, "deliver", rid=rid,
-                                 method=method_id,
-                                 bytes=payload_size)
+                trace.event(ctx, "deliver", rid=rid, method=method_id,
+                            bytes=payload_size)
                 self._trace_by_rid[rid] = ctx
-            request = IncomingRequest(
-                space=self.space,
-                method_id=method_id,
-                request_id=rid,
-                payload_addr=payload_addr,
-                payload_size=payload_size,
-                flags=flags,
-                trace=ctx,
-                deadline_us=deadline_us,
-                lane=lane,
-            )
-            self.stats.requests_received += 1
+            request = IncomingRequest(space, method_id, rid, payload_addr,
+                                      payload_size, flags, ctx, deadline_us, lane)
             if deadline_us:
                 if now_us() >= deadline_us:
                     # Expired on arrival: answer without invoking the
                     # handler — no decode, no dispatch work.
                     if ctx is not None:
-                        self.trace.event(ctx, "deadline_expired",
-                                         stage="host_dispatch", rid=rid)
+                        trace.event(ctx, "deadline_expired",
+                                    stage="host_dispatch", rid=rid)
                     self._enqueue_response(rid, self._expired("host_dispatch"))
-                    count += 1
                     continue
                 self._deadline_by_rid[rid] = deadline_us
-            if (
-                flags & Flags.BACKGROUND
-                and self._background_executor is not None
-            ):
+            if flags & Flags.BACKGROUND and executor is not None:
                 self._spawn_background(request)
+                continue
+            if ctx is not None:
+                t0 = trace.now()
+            handler = handlers.get(method_id)
+            if handler is None:
+                self.stats.handler_errors += 1
+                response = Response.from_bytes(
+                    f"unknown method {method_id}".encode(), flags=Flags.ERROR
+                )
             else:
-                if self.trace is not None and ctx is not None:
-                    t0 = self.trace.now()
-                    response = self._invoke(request)
-                    self.trace.event(ctx, "dispatch", ts=t0,
-                                     dur=self.trace.now() - t0,
-                                     method=request.method_id,
-                                     flags=response.flags)
-                else:
-                    response = self._invoke(request)
-                self._enqueue_response(rid, response)
-            count += 1
-        return count
-
-    def _invoke(self, request: IncomingRequest) -> Response:
-        handler = self._handlers.get(request.method_id)
-        if handler is None:
-            self.stats.handler_errors += 1
-            return Response.from_bytes(
-                f"unknown method {request.method_id}".encode(), flags=Flags.ERROR
-            )
-        try:
-            return handler(request)
-        except Exception as exc:  # noqa: BLE001 — handler faults become RPC errors
-            self.stats.handler_errors += 1
-            return Response.from_bytes(repr(exc).encode(), flags=Flags.ERROR)
+                try:
+                    response = handler(request)
+                except Exception as exc:  # noqa: BLE001 — handler faults become RPC errors
+                    self.stats.handler_errors += 1
+                    response = Response.from_bytes(repr(exc).encode(), flags=Flags.ERROR)
+            if ctx is not None:
+                trace.event(ctx, "dispatch", ts=t0, dur=trace.now() - t0,
+                            method=method_id, flags=response.flags)
+            self._enqueue_response(rid, response)
+        return len(messages)
 
     def _spawn_background(self, request: IncomingRequest) -> None:
         """Background RPCs (§III-D): the payload view dies with the block,
-        so the executor gets a private copy of the payload.  This is the
-        one deliberate request-payload copy in the endpoint — foreground
+        so the request is re-pointed at a private copy of its payload — a
+        region of its own at the same virtual address.  This is the one
+        deliberate request-payload copy in the endpoint — foreground
         handlers always see the in-place ``payload_view()``."""
-        payload = bytes(request.payload_view())
-        rid = request.request_id
-        detached = IncomingRequest(
-            space=None, method_id=request.method_id, request_id=rid,
-            payload_addr=0, payload_size=len(payload), flags=request.flags,
-            trace=request.trace,
-        )
+        size = request.payload_size
+        private = MemoryRegion(request.payload_addr, max(size, 1), "background")
+        private.buf[:size] = request.payload_view()
+        request.space = private
 
         def run() -> None:
-            handler = self._handlers.get(detached.method_id)
+            handler = self._handlers.get(request.method_id)
             try:
                 if handler is None:
-                    raise LookupError(f"unknown method {detached.method_id}")
-                resp = handler(_DetachedRequest(detached, payload))
+                    raise LookupError(f"unknown method {request.method_id}")
+                resp = handler(request)
             except Exception as exc:  # noqa: BLE001
                 self.stats.handler_errors += 1
                 resp = Response.from_bytes(repr(exc).encode(), flags=Flags.ERROR)
-            self._background_results.append((rid, resp))
+            self._background_results.append((request.request_id, resp))
 
         self._background_executor(run)
 
@@ -1205,17 +1160,19 @@ class ServerEndpoint(_EndpointBase):
         )
 
     def _enqueue_response(self, rid: int, response: Response) -> None:
-        deadline_us = self._deadline_by_rid.pop(rid, 0)
-        if (
-            deadline_us
-            and not response.flags & Flags.EXPIRED
-            and now_us() >= deadline_us
-        ):
-            # The handler ran but the client's deadline passed meanwhile:
-            # emitting the full response would be wasted wire.
-            response = self._expired("response_emit")
+        if self._deadline_by_rid:
+            deadline_us = self._deadline_by_rid.pop(rid, 0)
+            if (
+                deadline_us
+                and not response.flags & Flags.EXPIRED
+                and now_us() >= deadline_us
+            ):
+                # The handler ran but the client's deadline passed
+                # meanwhile: emitting the full response would be wasted wire.
+                response = self._expired("response_emit")
         try:
-            actual = self._append(response.size, response.write_to, rid, response.flags)
+            actual = self._append(response.size, response.writer or response.write_to,
+                                  rid, response.flags, rid)
         except Exception as exc:  # noqa: BLE001 — _invoke's contract, for in-place writers
             if response.writer is None:
                 raise  # plain bytes always write: no block was to be had
@@ -1231,30 +1188,9 @@ class ServerEndpoint(_EndpointBase):
             if ctx is not None:
                 self.trace.event(ctx, "response_emit", rid=rid,
                                  bytes=actual, flags=response.flags)
-        self._current_block_ids.append(rid)
         self.stats.responses_sent += 1
-        self._appended()
 
     def _on_seal(self, out: _OutBlock) -> None:
         """A response block is remembered with the request IDs it
         answers until the client acknowledges it (§IV-B)."""
-        self._outstanding_responses.append((out.sbuf_addr, self._current_block_ids))
-        self._current_block_ids = []
-
-
-class _DetachedRequest:
-    """Request facade handed to background handlers: payload copied out of
-    the (already recycled) block."""
-
-    def __init__(self, meta: IncomingRequest, payload: bytes) -> None:
-        self.method_id = meta.method_id
-        self.request_id = meta.request_id
-        self.payload_size = len(payload)
-        self.flags = meta.flags
-        self._payload = payload
-
-    def payload_bytes(self) -> bytes:
-        return self._payload
-
-    def payload_view(self) -> memoryview:
-        return memoryview(self._payload)
+        self._outstanding_responses.append((out.sbuf_addr, out.notes))

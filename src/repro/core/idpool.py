@@ -57,21 +57,27 @@ class RequestIdPool:
 
     def allocate_many(self, count: int) -> list[int]:
         """Allocate ``count`` IDs in order (one block's worth)."""
-        if count > len(self._free):
+        free = self._free
+        if count > len(free):
             raise IdPoolError(
-                f"need {count} IDs, only {len(self._free)} free"
+                f"need {count} IDs, only {len(free)} free"
             )
-        return [self.allocate() for _ in range(count)]
+        ids = [free.popleft() for _ in range(count)]
+        self._live.update(ids)
+        return ids
 
     def free(self, rid: int) -> None:
-        try:
-            self._live.remove(rid)
-        except KeyError:
-            raise IdPoolError(f"request ID {rid} is not live") from None
-        self._free.append(rid)
+        self.free_many((rid,))
 
-    def is_live(self, rid: int) -> bool:
-        return rid in self._live
+    def free_many(self, ids) -> None:
+        """Free ``ids`` in order (one acknowledged block's worth)."""
+        remove, append = self._live.remove, self._free.append
+        for rid in ids:
+            try:
+                remove(rid)
+            except KeyError:
+                raise IdPoolError(f"request ID {rid} is not live") from None
+            append(rid)
 
     def fingerprint(self) -> tuple[int, int, int]:
         """A cheap synchronization probe: (live, free, next-ID).  Two

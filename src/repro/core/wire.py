@@ -50,6 +50,7 @@ __all__ = [
     "MessageHeader",
     "BlockWriter",
     "BlockReader",
+    "ProtocolError",
     "BlockFormatError",
     "ChecksumError",
     "compute_block_checksum",
@@ -72,6 +73,10 @@ _SIZE_EXT = struct.Struct("<Q")
 # checksum, patched in place at their fixed offsets.
 _ACK_BLOCKS = struct.Struct("<H")  # at preamble offset 2
 _SEQUENCE = struct.Struct("<I")  # at preamble offset 12
+
+
+class ProtocolError(RuntimeError):
+    """Protocol invariant violated."""
 
 
 class BlockFormatError(RuntimeError):
@@ -158,6 +163,14 @@ def _align_up(value: int, alignment: int) -> int:
     return (value + alignment - 1) & ~(alignment - 1)
 
 
+def _pack_large_header(mem, offset: int, payload_size: int, method_or_id: int,
+                       flags: int) -> None:
+    """The large form (§IV-E): overflow marker in the 16-bit size field,
+    true size in the extension word behind the header."""
+    _HEADER.pack_into(mem, offset, 0xFFFF, method_or_id, flags | Flags.LARGE, 0)
+    _SIZE_EXT.pack_into(mem, offset + HEADER_SIZE, payload_size)
+
+
 def bucket_to_offset(bucket: int, block_alignment: int) -> int:
     """offset = bucket * block_alignment (§IV-E: the immediate carries a
     bucket, the receiver adds its RBuf base)."""
@@ -228,10 +241,12 @@ class MessageHeader:
 class BlockWriter:
     """Builds one block in place inside a send buffer.
 
-    The caller reserves payload space with :meth:`begin_message` and
-    writes the payload directly at the returned address — this is what
+    :meth:`put_message` reserves payload space, has the caller's writer
+    build the payload directly at the reserved address — this is what
     lets the arena deserializer construct the C++ object *inside* the
-    outgoing block with no further copies.
+    outgoing block with no further copies — and packs the header, in one
+    step that happens or leaves the block untouched.  Hand-built blocks
+    take it in three: :meth:`begin_message`, write, :meth:`commit_message`.
 
     ``[base_addr, base_addr + capacity)`` is bounds-checked once, here;
     every header and the preamble are then packed straight into the
@@ -243,44 +258,75 @@ class BlockWriter:
         region = space.region_of(base_addr, capacity)
         self.base = base_addr
         self.capacity = capacity
+        self.end = base_addr + capacity
+        self.cursor = base_addr + PREAMBLE_SIZE  # first unused byte
+        self.message_count = 0
         self._mem = region.buf
         self._origin = region.base  # address of _mem[0]
-        self._cursor = base_addr + PREAMBLE_SIZE
-        self._count = 0
         self._open: int | None = None  # header addr of the in-progress message
         self._open_large = False
 
     @property
-    def message_count(self) -> int:
-        return self._count
-
-    @property
     def bytes_used(self) -> int:
-        return self._cursor - self.base
+        return self.cursor - self.base
 
-    def remaining(self) -> int:
-        return self.base + self.capacity - self._cursor
+    def put_message(self, space, reserve: int, write, method_or_id: int,
+                    flags: int = Flags.NONE, words=()) -> int:
+        """Put one message into the block; returns its payload size.
 
-    def begin_message(self, max_payload: int) -> tuple[int, int]:
-        """Reserve a header + up to ``max_payload`` bytes of payload.
-
-        Returns ``(header_addr, payload_addr)``.  The payload address is
-        8-byte aligned.  Call :meth:`commit_message` with the actual size
-        (or :meth:`abort_message`) before beginning the next one.
-
-        Payloads that may exceed the header's 16-bit size field get a
-        64-bit size-extension word between header and payload (§IV-E's
-        escape hatch); the returned payload address accounts for it.
-        """
+        ``reserve`` bytes are set aside behind an 8-aligned header (and
+        the §IV-E size-extension word from 2^16 on); each of ``words``
+        is a u64 written at their start, then ``write(space, addr)``
+        builds the payload behind them and reports its true size — at
+        most what it reserved (:class:`ProtocolError`), so the one
+        reservation check covers the message.  The cursor moves last: a
+        writer that raises or over-reports costs the block nothing."""
         if self._open is not None:
             raise BlockFormatError("previous message not committed")
-        header_addr = _align_up(self._cursor, PAYLOAD_ALIGN)
+        header_addr = (self.cursor + PAYLOAD_ALIGN - 1) & -PAYLOAD_ALIGN
+        large = reserve >= 1 << 16
+        payload_addr = header_addr + (HEADER_SIZE + SIZE_EXT_SIZE if large else HEADER_SIZE)
+        if payload_addr + reserve > self.end:
+            raise BlockFormatError(
+                f"block full: need {reserve} payload bytes, "
+                f"{self.end - payload_addr} remain"
+            )
+        mem, origin = self._mem, self._origin
+        self._open = header_addr  # a writer that re-enters finds the block busy
+        try:
+            addr = payload_addr
+            for word in words:
+                _SIZE_EXT.pack_into(mem, addr - origin, word & 0xFFFFFFFFFFFFFFFF)
+                addr += 8
+            actual = addr - payload_addr + write(space, addr)
+        finally:
+            self._open = None
+        if actual > reserve:
+            raise ProtocolError(f"writer produced {actual} > reserved {reserve}")
+        if large:
+            _pack_large_header(mem, header_addr - origin, actual, method_or_id, flags)
+        else:
+            _HEADER.pack_into(mem, header_addr - origin, actual, method_or_id, flags, 0)
+        self.message_count += 1
+        self.cursor = payload_addr + actual
+        return actual
+
+    def begin_message(self, max_payload: int) -> tuple[int, int]:
+        """Reserve a header + up to ``max_payload`` bytes of payload —
+        behind a 64-bit size-extension word when they may exceed the
+        header's 16-bit size field (§IV-E's escape hatch).  Returns
+        ``(header_addr, payload_addr)``, the payload 8-byte aligned;
+        :meth:`commit_message` with the actual size (or
+        :meth:`abort_message`) must follow before the next one begins."""
+        if self._open is not None:
+            raise BlockFormatError("previous message not committed")
+        header_addr = _align_up(self.cursor, PAYLOAD_ALIGN)
         large = max_payload >= (1 << 16)
         payload_addr = header_addr + HEADER_SIZE + (SIZE_EXT_SIZE if large else 0)
-        if payload_addr + max_payload > self.base + self.capacity:
+        if payload_addr + max_payload > self.end:
             raise BlockFormatError(
                 f"block full: need {max_payload} payload bytes, "
-                f"{self.base + self.capacity - payload_addr} remain"
+                f"{self.end - payload_addr} remain"
             )
         self._open = header_addr
         self._open_large = large
@@ -300,7 +346,7 @@ class BlockWriter:
                 f"payload of {payload_size} bytes exceeds the 2^16 limit "
                 "(reserve it as large via begin_message)"
             )
-        if payload_addr + payload_size > self.base + self.capacity:
+        if payload_addr + payload_size > self.end:
             # The reservation was checked in begin_message; the size the
             # writer reports back is checked here, before the cursor moves.
             raise BlockFormatError(
@@ -308,14 +354,11 @@ class BlockWriter:
             )
         offset = header_addr - self._origin
         if self._open_large:
-            # Large form: marker in the 16-bit field, true size in the
-            # extension word.
-            _HEADER.pack_into(self._mem, offset, 0xFFFF, method_or_id, flags | Flags.LARGE, 0)
-            _SIZE_EXT.pack_into(self._mem, offset + HEADER_SIZE, payload_size)
+            _pack_large_header(self._mem, offset, payload_size, method_or_id, flags)
         else:
             _HEADER.pack_into(self._mem, offset, payload_size, method_or_id, flags, 0)
-        self._count += 1
-        self._cursor = payload_addr + payload_size
+        self.message_count += 1
+        self.cursor = payload_addr + payload_size
         self._open = None
         self._open_large = False
 
@@ -329,10 +372,11 @@ class BlockWriter:
         is actually decided."""
         if self._open is not None:
             raise BlockFormatError("cannot seal with a message in progress")
-        length = self.bytes_used
+        length = self.cursor - self.base
         offset = self.base - self._origin
         crc = _body_crc(self._mem, offset, length)
-        _PREAMBLE.pack_into(self._mem, offset, self._count, ack_blocks, length, crc, sequence)
+        _PREAMBLE.pack_into(
+            self._mem, offset, self.message_count, ack_blocks, length, crc, sequence)
         return length
 
 
@@ -343,12 +387,8 @@ class ReceivedMessage:
 
     header: MessageHeader
     payload_addr: int
-    #: true payload size (reads the extension word for LARGE messages)
-    payload_size: int = -1
-
-    def __post_init__(self) -> None:
-        if self.payload_size < 0:
-            self.payload_size = self.header.payload_size
+    #: true payload size (the extension word's, for LARGE messages)
+    payload_size: int
 
 
 class BlockReader:
@@ -407,7 +447,7 @@ class BlockReader:
         cursor = self.base + PREAMBLE_SIZE
         end = self.base + self.preamble.block_length
         for _ in range(self.preamble.message_count):
-            header_addr = _align_up(cursor, PAYLOAD_ALIGN)
+            header_addr = (cursor + PAYLOAD_ALIGN - 1) & -PAYLOAD_ALIGN
             payload_addr = header_addr + HEADER_SIZE
             if payload_addr > end:
                 raise BlockFormatError("header extends past block end")

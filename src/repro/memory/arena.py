@@ -15,10 +15,6 @@ from .region import AddressSpace, MemoryRegion
 __all__ = ["ArenaExhausted", "Arena"]
 
 
-def _align_up(value: int, alignment: int) -> int:
-    return (value + alignment - 1) & ~(alignment - 1)
-
-
 class ArenaExhausted(RuntimeError):
     """The arena cannot satisfy an allocation; the caller must start a new
     block (larger messages get a block of their own, §IV)."""
@@ -43,16 +39,12 @@ class Arena:
         self._top = base
 
     @property
-    def end(self) -> int:
-        return self.base + self.size
-
-    @property
     def used(self) -> int:
         return self._top - self.base
 
     @property
     def remaining(self) -> int:
-        return self.end - self._top
+        return self.base + self.size - self._top
 
     def allocate(self, size: int, alignment: int = 8) -> int:
         """Reserve ``size`` bytes; returns the virtual address.
@@ -62,8 +54,8 @@ class Arena:
         """
         if size < 0:
             raise ValueError("size must be non-negative")
-        addr = _align_up(self._top, alignment)
-        if addr + size > self.end:
+        addr = (self._top + alignment - 1) & ~(alignment - 1)
+        if addr + size > self.base + self.size:
             raise ArenaExhausted(
                 f"arena needs {size} bytes @ {alignment}, "
                 f"only {self.remaining} remain"

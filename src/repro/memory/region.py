@@ -69,7 +69,7 @@ class MemoryRegion:
         return self.base <= addr and addr + length <= self.base + self.size
 
     def _check(self, addr: int, length: int) -> int:
-        if not self.contains(addr, length):
+        if addr < self.base or addr + length > self.base + self.size:
             raise MemoryError_(
                 f"{self.name}: access [{addr:#x}, {addr + length:#x}) outside "
                 f"[{self.base:#x}, {self.end:#x})"
@@ -80,7 +80,8 @@ class MemoryRegion:
         """A region stands where a space is expected: the span must lie
         inside it.  The caller then reads and writes ``buf`` at offsets
         from ``base`` it has proven in bounds — checked once, then loaded."""
-        self._check(addr, length)
+        if addr < self.base or addr + length > self.base + self.size:
+            self._check(addr, length)  # raises, naming the span
         return self
 
     # -- byte access ---------------------------------------------------------
@@ -91,7 +92,9 @@ class MemoryRegion:
 
     def view(self, addr: int, length: int) -> memoryview:
         """Zero-copy view of the backing bytes (host-side reads use this)."""
-        off = self._check(addr, length)
+        off = addr - self.base
+        if off < 0 or off + length > self.size:
+            self._check(addr, length)  # raises, naming the span
         return memoryview(self.buf)[off : off + length]
 
     def write(self, addr: int, data) -> None:
@@ -166,7 +169,7 @@ class AddressSpace:
         idx = bisect.bisect_right(self._bases, addr) - 1
         if idx >= 0:
             region = self._regions[idx]
-            if region.contains(addr, length):
+            if addr + length <= region.base + region.size:  # base <= addr by the bisect
                 return region
         raise MemoryError_(
             f"{self.name}: address [{addr:#x}, {addr + length:#x}) is unmapped"

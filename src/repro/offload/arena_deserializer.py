@@ -145,7 +145,8 @@ class ArenaDeserializer:
         mode = self.mode
         if mode == "generated":
             buf = wire if isinstance(wire, (bytes, memoryview)) else bytes(wire)
-            return self.gen_plans.parse_message(root_index, buf, 0, len(buf), arena, depth=1)
+            cache = self._gen_cache or self.gen_plans
+            return cache.parse_message(root_index, buf, 0, len(buf), arena, 1)
         if mode != "interpretive":
             raise ValueError(f"unknown arena decode mode {mode!r}")
         buf = bytes(wire)

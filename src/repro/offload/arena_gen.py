@@ -101,7 +101,7 @@ class ArenaGenCache:
     def parse_message(self, index: int, buf, pos: int, end: int, arena, depth: int) -> int:
         deser = self.deser
         decode = self.decoder(index)  # compiled (and its layout proven) first
-        obj, mem, o = deser.place_object(deser.adt.entry(index), arena, depth)
+        obj, mem, o = deser.place_object(deser.adt.entries[index], arena, depth)
         decode(mem, o, obj, buf, pos, end, arena, depth)
         return obj
 

@@ -43,6 +43,7 @@ from repro.core import (
     create_channel,
 )
 from repro.core.config import CLIENT_DEFAULTS, SERVER_DEFAULTS
+from repro.core.endpoint import AddressContinuation
 from repro.memory import Arena
 from repro.proto import (
     DECODE_MODES,
@@ -53,11 +54,14 @@ from repro.proto import (
     serialize,
 )
 from repro.proto.descriptor import MessageDescriptor
+from repro.proto.fixed_wire import WIRE_FIXED, get_fixed_layout
 from repro.rdma import Opcode, WorkRequest
 
 from .adt import Adt, AdtError, TypeUniverse, decode_adt, encode_adt
 from .arena_deserializer import ArenaDeserializer, DeserializeStats
 from .materialize import CppMessageView
+from .object_builder import build_object, object_size_upper_bound
+from .view import serialize_object
 
 __all__ = [
     "MethodSpec",
@@ -197,8 +201,10 @@ class HostEngine:
 
         input_cls = self.schema.factory.get_class(desc)
 
+        universe = self.universe
+
         def handler(request: IncomingRequest) -> Response:
-            degraded = bool(request.flags & Flags.WIRE_PAYLOAD)
+            degraded = request.flags & Flags.WIRE_PAYLOAD
             if degraded:
                 # Failover path: the DPU engine is down, the payload is
                 # raw protobuf (or, with FIXED_PAYLOAD, the negotiated
@@ -207,8 +213,6 @@ class HostEngine:
                 # so the business callback runs unchanged.
                 self.host_deserialized += 1
                 if request.flags & Flags.FIXED_PAYLOAD:
-                    from repro.proto.fixed_wire import get_fixed_layout
-
                     fixed_layout = get_fixed_layout(desc, self.schema.factory)
                     if fixed_layout is None:
                         raise TypeError(
@@ -218,18 +222,15 @@ class HostEngine:
                 else:
                     view = parse(input_cls, request.payload_bytes())
             else:
-                view = CppMessageView(self.universe, layout, request.payload_addr)
+                view = CppMessageView(universe, layout, request.payload_addr)
             trace = self.trace
-            ctx = getattr(request, "trace", None)
-            if trace is not None and ctx is not None:
+            if trace is not None and request.trace is not None:
                 t0 = trace.now()
                 result = callback(view, request)
-                trace.event(ctx, "callback", ts=t0, dur=trace.now() - t0,
-                            method=method_id, degraded=degraded)
+                trace.event(request.trace, "callback", ts=t0, dur=trace.now() - t0,
+                            method=method_id, degraded=bool(degraded))
             else:
                 result = callback(view, request)
-            if isinstance(result, Response):
-                return result
             if isinstance(result, Message):
                 if output_desc is not None and not degraded:
                     # (Degraded requests always get wire-byte responses:
@@ -246,7 +247,9 @@ class HostEngine:
                 # that space in the response block, and the wire bytes
                 # are emitted there directly (no intermediate bytes).
                 size, writer = emit_writer(result, self.encode_mode)
-                return Response(size=size, writer=writer)
+                return Response(size, writer)
+            if isinstance(result, Response):
+                return result
             return Response.from_bytes(result)
 
         self.channel.server.register(method_id, handler)
@@ -254,10 +257,6 @@ class HostEngine:
     def _object_response(self, result: Message) -> Response:
         """Ship a response as an in-block C++ object (zero host-side
         serialization): build it in place via the object builder."""
-        from repro.memory import Arena
-
-        from .object_builder import build_object, object_size_upper_bound
-
         bound = object_size_upper_bound(self.universe, result)
 
         def writer(space, addr: int) -> int:
@@ -336,15 +335,11 @@ class DpuEngine:
         self.crash_reason = ""
         self.crashes = 0
         self.fallback_calls = 0
+        #: Can :meth:`call` succeed right now?  Not while crashed or before
+        #: the bootstrap blob arrives: :meth:`call_raw` serves until then.
+        self.ready = False
         #: StageRecorder (repro.obs) — None keeps every hook free.
         self.trace = None
-
-    @property
-    def ready(self) -> bool:
-        """Can :meth:`call` succeed right now?  False while crashed *or*
-        before the bootstrap blob arrives — a freshly (re)spawned DPU
-        process serves through :meth:`call_raw` until both hold."""
-        return not self.crashed and self.deserializer is not None
 
     # -- bootstrap -------------------------------------------------------------
 
@@ -369,16 +364,12 @@ class DpuEngine:
 
     def _install_bootstrap(self, data: bytes) -> None:
         adt, table, names, outputs = decode_bootstrap(data)
-        if adt.stdlib is not (self.abi.stdlib):
-            # The DPU must craft strings for the *host's* stdlib; it adapts
-            # rather than rejecting (§V-C: the layout to use is chosen from
-            # the transmitted information).
-            pass
         self.adt = adt
         self.method_table = table
         self.method_names = names
         self.method_outputs = outputs
         self.deserializer = ArenaDeserializer(adt, self.stats, mode=self.decode_mode)
+        self.ready = not self.crashed
 
     # -- crash simulation --------------------------------------------------------
 
@@ -387,6 +378,7 @@ class DpuEngine:
         fault).  Idempotent; the channel underneath is untouched."""
         if not self.crashed:
             self.crashed = True
+            self.ready = False
             self.crashes += 1
             if self.trace is not None:
                 self.trace.instant("engine_crash", reason=reason)
@@ -398,6 +390,7 @@ class DpuEngine:
         if self.crashed and self.trace is not None:
             self.trace.instant("engine_revive")
         self.crashed = False
+        self.ready = self.deserializer is not None
         self.crash_reason = ""
 
     # -- datapath ----------------------------------------------------------------
@@ -420,8 +413,6 @@ class DpuEngine:
         ``wire_mode`` tags WIRE_FIXED payloads with
         ``Flags.FIXED_PAYLOAD`` so the host's degraded parser decodes the
         fixed layout instead of standard wire."""
-        from repro.proto.fixed_wire import WIRE_FIXED
-
         self.fallback_calls += 1
         if self.trace is not None and trace_ctx is not None:
             trace_ctx.mark(degraded=True)
@@ -447,17 +438,15 @@ class DpuEngine:
         the outgoing block and enqueue it.  ``wire_mode`` = WIRE_FIXED
         routes the payload through the branchless fixed-layout arena
         decoder instead of the tag-dispatch one."""
-        from repro.proto.fixed_wire import WIRE_FIXED
-
         if self.crashed:
             raise EngineCrashedError(f"dpu engine crashed: {self.crash_reason}")
-        if self.deserializer is None:
+        deserializer = self.deserializer
+        if deserializer is None:
             raise AdtError("bootstrap not received yet")
         try:
             root = self.method_table[method_id]
         except KeyError:
             raise AdtError(f"method {method_id} not in the offload table") from None
-        deserializer = self.deserializer
         fixed = wire_mode == WIRE_FIXED
         if fixed:
             estimate = deserializer.estimate_size_fixed(root, wire_bytes)
@@ -485,45 +474,40 @@ class DpuEngine:
                             mode="fixed" if fixed else deserializer.mode)
             else:
                 obj = decode(root, wire_bytes, arena)
-            assert obj == addr, "root object must sit at the payload start"
+            if obj != addr:
+                raise AdtError("root object must sit at the payload start")
             return arena.used
 
-        output_idx = self.method_outputs.get(method_id)
         continuation = on_response
-        if output_idx is not None:
-            # Response-serialization offload: the host ships an object; we
-            # serialize it here (on the DPU) before handing wire bytes to
-            # the caller.  Pointers inside the object resolve through the
-            # mirrored buffers, so we need the payload's address.
-            from repro.core.endpoint import AddressContinuation
-
-            from .view import serialize_object
-
-            space = self.channel.client.space
-
-            def on_object(payload_addr: int, payload_size: int, flags: int) -> None:
-                if flags & Flags.ABORTED:
-                    # Locally synthesized failure (deadline, reset): there
-                    # is no payload at all — address 0 must not be read.
-                    on_response(memoryview(b"request aborted"), flags)
-                elif flags & Flags.OBJECT_PAYLOAD:
-                    wire = serialize_object(self.adt, output_idx, space, payload_addr)
-                    on_response(memoryview(wire), flags & ~Flags.OBJECT_PAYLOAD)
-                else:
-                    # e.g. an ERROR response: plain bytes as usual.
-                    on_response(space.view(payload_addr, payload_size), flags)
-
-            continuation = AddressContinuation(on_object)
-
+        if self.method_outputs:
+            output_idx = self.method_outputs.get(method_id)
+            if output_idx is not None:
+                continuation = self._object_continuation(output_idx, on_response)
         self.channel.client.enqueue(
-            method_id,
-            estimate,
-            writer,
-            continuation,
-            flags=Flags.BACKGROUND if background else Flags.NONE,
-            trace_ctx=trace_ctx,
-            deadline=deadline,
+            method_id, estimate, writer, continuation,
+            Flags.BACKGROUND if background else Flags.NONE, trace_ctx, deadline,
         )
+
+    def _object_continuation(self, output_idx: int, on_response) -> AddressContinuation:
+        """Response-serialization offload: the host ships an object; it
+        is serialized here (on the DPU) before the caller gets wire
+        bytes.  Pointers inside the object resolve through the mirrored
+        buffers, so the continuation needs the payload's address."""
+        space = self.channel.client.space
+
+        def on_object(payload_addr: int, payload_size: int, flags: int) -> None:
+            if flags & Flags.ABORTED:
+                # Locally synthesized failure (deadline, reset): there
+                # is no payload at all — address 0 must not be read.
+                on_response(memoryview(b"request aborted"), flags)
+            elif flags & Flags.OBJECT_PAYLOAD:
+                wire = serialize_object(self.adt, output_idx, space, payload_addr)
+                on_response(memoryview(wire), flags & ~Flags.OBJECT_PAYLOAD)
+            else:
+                # e.g. an ERROR response: plain bytes as usual.
+                on_response(space.view(payload_addr, payload_size), flags)
+
+        return AddressContinuation(on_object)
 
     def call_message(self, method_id: int, message: Message, on_response) -> None:
         """Convenience: serialize a message (the xRPC client's job) and

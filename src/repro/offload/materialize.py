@@ -15,13 +15,15 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro.abi import REPEATED_HEADER, AbiError, MessageLayout, member_primitive
+from repro.abi import PRIMITIVES, REPEATED_HEADER, AbiError, MessageLayout, member_primitive
 from repro.proto.descriptor import FieldType
 from repro.proto.message import Message, MessageFactory
 
 from .adt import TypeUniverse
 
 __all__ = ["CppMessageView", "read_message", "verify_object"]
+
+_POINTER = PRIMITIVES["pointer"].codec
 
 
 def verify_object(
@@ -63,13 +65,17 @@ class CppMessageView:
     def __init__(self, universe: TypeUniverse, layout: MessageLayout, addr: int) -> None:
         space = universe.space
         region = space.region_of(addr, layout.sizeof)
-        verify_object(universe, layout, addr, region)
-        object.__setattr__(self, "_universe", universe)
-        object.__setattr__(self, "_layout", layout)
-        object.__setattr__(self, "_addr", addr)
-        object.__setattr__(self, "_space", space)
-        object.__setattr__(self, "_region", region)
-        object.__setattr__(self, "_offset", addr - region.base)
+        offset = addr - region.base
+        # The vptr check of :func:`verify_object`, on the span just proven.
+        vptr = _POINTER.unpack_from(region.buf, offset + layout.VPTR_OFFSET)[0]
+        if vptr != universe.vtable_address(layout.descriptor):
+            verify_object(universe, layout, addr, region)  # raises, naming both
+        self._universe = universe
+        self._layout = layout
+        self._addr = addr
+        self._space = space
+        self._region = region
+        self._offset = offset
 
     @property
     def address(self) -> int:

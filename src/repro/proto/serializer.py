@@ -241,9 +241,10 @@ def emit_writer(msg: Message, mode: str | None = None):
     ``core.endpoint`` expects from ``Response.writer`` / ``enqueue``."""
     sized = prepare_emit(msg, mode)
     size = sized.size
+    emit_into = sized.emit_into
 
     def writer(space, addr: int) -> int:
-        sized.emit_into(space.view(addr, size), 0)
+        emit_into(space.view(addr, size), 0)
         return size
 
     return size, writer

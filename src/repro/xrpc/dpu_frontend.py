@@ -20,12 +20,12 @@ null pointer for simplicity"), and return a response Message.
 
 from __future__ import annotations
 
-from repro.core import Flags, IncomingRequest
+from repro.core import Flags
 from repro.offload.engine import DpuEngine, EngineCrashedError, HostEngine
 from repro.proto.descriptor import ServiceDescriptor
 from repro.proto.fixed_wire import service_types
 
-from .framing import StatusCode, response_frame_size, write_response_header
+from .framing import StatusCode, append_response
 from .ingress import Ingress, _Connection
 from .service import assign_method_ids, build_dispatch_table, method_path
 from .transport import Network
@@ -69,7 +69,9 @@ class OffloadedXrpcServer(Ingress):
         # The front end hashes the same service schema the client did.
         return service_types(self.service)
 
-    def _forward(self, conn: _Connection, frame, lane: int) -> None:
+    def _serve(self, conn: _Connection, frame, lane: int) -> None:
+        """What follows the lanes here: an admitted request is served by
+        forwarding it."""
         call_id, method, payload = frame.call_id, frame.method, frame.message
         wire_mode, deadline_word = frame.wire_mode, frame.deadline_word
         method_id = self._method_ids.get(method)
@@ -84,7 +86,8 @@ class OffloadedXrpcServer(Ingress):
         # Offload-path circuit breaker (repro.runtime.overload): while
         # open, route through host-parse fallback even though the DPU is
         # healthy; while half-open, responses below grade the probes.
-        offloaded = self.dpu.ready
+        dpu = self.dpu
+        offloaded = dpu.ready
         if (
             offloaded
             and self.breaker is not None
@@ -124,10 +127,10 @@ class OffloadedXrpcServer(Ingress):
             if self.trace is not None and ctx is not None:
                 self.trace.event(ctx, "respond", status=int(status),
                                  flags=flags, bytes=len(view))
-            frame = bytearray(response_frame_size(len(view)))
-            payload_at = write_response_header(frame, call_id, status, len(view))
-            frame[payload_at:] = view
-            conn.socket.send(frame)
+            if conn.alive:
+                append_response(conn.out, call_id, status, view)
+            else:
+                self.replies_dropped += 1
 
         try:
             if not offloaded:
@@ -137,24 +140,20 @@ class OffloadedXrpcServer(Ingress):
                 # bytes for host-side deserialization: slower, never
                 # unavailable.  Breaker denials land here too (with the
                 # engine healthy); those were counted above instead.
-                if not self.dpu.ready:
+                if not dpu.ready:
                     self.fallback_requests += 1
-                self.dpu.call_raw(method_id, payload, on_response, trace_ctx=ctx,
-                                  wire_mode=wire_mode, deadline=deadline_word)
+                dpu.call_raw(method_id, payload, on_response, trace_ctx=ctx,
+                             wire_mode=wire_mode, deadline=deadline_word)
             else:
-                self.dpu.call(method_id, payload, on_response, trace_ctx=ctx,
-                              wire_mode=wire_mode, deadline=deadline_word)
+                dpu.call(method_id, payload, on_response, trace_ctx=ctx,
+                         wire_mode=wire_mode, deadline=deadline_word)
         except EngineCrashedError:
             # Crash raced the check: same degradation, same request.
             self.fallback_requests += 1
-            self.dpu.call_raw(method_id, payload, on_response, trace_ctx=ctx,
-                              wire_mode=wire_mode, deadline=deadline_word)
+            dpu.call_raw(method_id, payload, on_response, trace_ctx=ctx,
+                         wire_mode=wire_mode, deadline=deadline_word)
         except Exception:  # noqa: BLE001 — malformed request payloads
             self._respond(conn, call_id, StatusCode.INVALID_ARGUMENT, b"")
-
-    #: what follows the lanes: an admitted request is served by
-    #: forwarding it (:meth:`Ingress._serve`)
-    _serve = _forward
 
 
 def register_offloaded_servicer(
@@ -176,18 +175,11 @@ def register_offloaded_servicer(
     ids = assign_method_ids(service)
     for m in service.methods:
         path = method_path(service, m)
-        binding = table[path]
-
-        def make_callback(binding=binding):
-            def callback(view, request: IncomingRequest):
-                return binding.handler(view, None)
-
-            return callback
-
         host.register_method(
             ids[path],
             m.input_type.full_name,
-            make_callback(),
+            # "we use a null pointer for simplicity": no context object
+            lambda view, request, handler=table[path].handler: handler(view, None),
             name=path,
             output_type=m.output_type.full_name if offload_responses else None,
         )

@@ -50,14 +50,13 @@ __all__ = [
     "REQ_FLAG_DEADLINE",
     "encode_request",
     "encode_response",
+    "append_response",
     "encode_setup",
     "encode_setup_ack",
     "encode_overload_detail",
     "parse_overload_detail",
     "request_frame_size",
-    "response_frame_size",
     "write_request_header",
-    "write_response_header",
     "FrameDecoder",
 ]
 
@@ -97,7 +96,7 @@ class StatusCode:
 REQ_FLAG_DEADLINE = 0x01
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Frame:
     frame_type: int
     call_id: int
@@ -126,12 +125,6 @@ def request_frame_size(
     return size + _DEADLINE.size if deadline else size
 
 
-def response_frame_size(message_size: int) -> int:
-    """Total bytes of a response frame carrying ``message_size`` payload
-    bytes."""
-    return _HEADER.size + _PREFIX.size + message_size
-
-
 def write_request_header(
     buf, call_id: int, method: bytes, message_size: int,
     wire_mode: int = WIRE_STANDARD, deadline_word: int = 0,
@@ -158,17 +151,6 @@ def write_request_header(
     return end + _PREFIX.size
 
 
-def write_response_header(
-    buf, call_id: int, status: int, message_size: int,
-    wire_mode: int = WIRE_STANDARD,
-) -> int:
-    """Response analog of :func:`write_request_header`; returns the offset
-    where the message payload belongs."""
-    _HEADER.pack_into(buf, 0, FrameType.RESPONSE, call_id, status, 0)
-    _PREFIX.pack_into(buf, _HEADER.size, wire_mode, message_size)
-    return _HEADER.size + _PREFIX.size
-
-
 def encode_request(
     call_id: int, method: str, message: bytes, deadline_word: int = 0
 ) -> bytes:
@@ -182,10 +164,20 @@ def encode_request(
     return bytes(buf)
 
 
+def append_response(out: bytearray, call_id: int, status: int, message,
+                    wire_mode: int = WIRE_STANDARD) -> None:
+    """Append one response frame carrying ``message`` (any bytes-like,
+    copied exactly once) to ``out``, a connection's pending output.  The
+    message is the frame's tail: a caller that emits in place appends
+    zeros and fills them."""
+    out += _HEADER.pack(FrameType.RESPONSE, call_id, status, 0)
+    out += _PREFIX.pack(wire_mode, len(message))
+    out += message
+
+
 def encode_response(call_id: int, status: int, message: bytes) -> bytes:
-    buf = bytearray(response_frame_size(len(message)))
-    pos = write_response_header(buf, call_id, status, len(message))
-    buf[pos:] = message
+    buf = bytearray()
+    append_response(buf, call_id, status, message)
     return bytes(buf)
 
 
@@ -232,57 +224,59 @@ def encode_setup_ack(status: int) -> bytes:
 
 
 class FrameDecoder:
-    """Incremental decoder over a byte stream (handles short reads)."""
+    """Incremental decoder over a byte stream (handles short reads).
+    A cursor moves over the buffered bytes; what was consumed is dropped
+    once per drain — per frame it would move everything still buffered."""
 
     def __init__(self) -> None:
         self._buf = bytearray()
+        self._pos = 0  # start of the first frame not yet handed out
 
     def feed(self, data: bytes) -> None:
         self._buf += data
 
     def frames(self):
-        """Yield every complete frame currently buffered."""
-        while True:
-            frame = self._try_decode()
-            if frame is None:
-                return
-            yield frame
-
-    def _try_decode(self) -> Frame | None:
+        """Yield every complete frame currently buffered.  A stream that
+        fails framing raises :class:`FramingError` at the offending
+        frame, after the frames before it; it stays failed (the bytes
+        are kept), so the owner closes the connection."""
         buf = self._buf
-        if len(buf) < _HEADER.size:
-            return None
-        frame_type, call_id, status, method_len = _HEADER.unpack_from(buf, 0)
-        if frame_type not in (
-            FrameType.REQUEST,
-            FrameType.RESPONSE,
-            FrameType.SETUP,
-            FrameType.SETUP_ACK,
-        ):
-            raise FramingError(f"unknown frame type {frame_type}")
-        pos = _HEADER.size
-        deadline_len = (
-            _DEADLINE.size
-            if frame_type == FrameType.REQUEST and status & REQ_FLAG_DEADLINE
-            else 0
-        )
-        if len(buf) < pos + method_len + deadline_len + _PREFIX.size:
-            return None
-        method = bytes(buf[pos : pos + method_len]).decode("utf-8")
-        pos += method_len
-        deadline_word = 0
-        if deadline_len:
-            (deadline_word,) = _DEADLINE.unpack_from(buf, pos)
-            pos += deadline_len
-        wire_mode, msg_len = _PREFIX.unpack_from(buf, pos)
-        if wire_mode not in (WIRE_STANDARD, 1, WIRE_FIXED):
-            raise FramingError(f"bad compressed flag {wire_mode}")
-        if wire_mode == 1:
-            raise FramingError("compressed messages are not supported")
-        pos += _PREFIX.size
-        if len(buf) < pos + msg_len:
-            return None
-        message = bytes(buf[pos : pos + msg_len])
-        del buf[: pos + msg_len]
-        return Frame(frame_type, call_id, status, method, message, wire_mode,
-                     deadline_word)
+        header_size, prefix_size = _HEADER.size, _PREFIX.size
+        while True:
+            start = self._pos
+            if len(buf) - start < header_size:
+                break
+            frame_type, call_id, status, method_len = _HEADER.unpack_from(buf, start)
+            if not FrameType.REQUEST <= frame_type <= FrameType.SETUP_ACK:
+                raise FramingError(f"unknown frame type {frame_type}")
+            pos = start + header_size
+            end = pos + method_len
+            has_deadline = frame_type == FrameType.REQUEST and status & REQ_FLAG_DEADLINE
+            if len(buf) < end + (_DEADLINE.size if has_deadline else 0) + prefix_size:
+                break
+            try:
+                method = str(buf[pos:end], "utf-8")
+            except UnicodeDecodeError as exc:
+                raise FramingError(f"method name is not UTF-8: {exc}") from None
+            deadline_word = 0
+            if has_deadline:
+                (deadline_word,) = _DEADLINE.unpack_from(buf, end)
+                end += _DEADLINE.size
+            wire_mode, msg_len = _PREFIX.unpack_from(buf, end)
+            if wire_mode not in (WIRE_STANDARD, 1, WIRE_FIXED):
+                raise FramingError(f"bad compressed flag {wire_mode}")
+            if wire_mode == 1:
+                raise FramingError("compressed messages are not supported")
+            pos = end + prefix_size
+            end = pos + msg_len
+            if len(buf) < end:
+                break
+            # One copy, and no view outlives the expression: ``feed``
+            # may resize the buffer between two frames.
+            message = bytes(memoryview(buf)[pos:end])
+            self._pos = end
+            yield Frame(frame_type, call_id, status, method, message, wire_mode,
+                        deadline_word)
+        if self._pos:
+            del buf[: self._pos]
+            self._pos = 0

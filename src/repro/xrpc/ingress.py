@@ -21,20 +21,25 @@ from repro.runtime.overload import deadline_expired, now_us
 from .framing import (
     FrameDecoder,
     FrameType,
+    FramingError,
     StatusCode,
+    append_response,
     encode_overload_detail,
-    encode_response,
     encode_setup_ack,
 )
-from .transport import Listener, Network, SimSocket
+from .transport import ConnectionClosed, Listener, Network, SimSocket
 
 __all__ = ["Ingress"]
 
 
-@dataclass
+@dataclass(eq=False)
 class _Connection:
     socket: SimSocket
     decoder: FrameDecoder = field(default_factory=FrameDecoder)
+    #: response frames of this pass, sent in one ``send`` at its end
+    out: bytearray = field(default_factory=bytearray)
+    #: False once the front door let go of it (a late reply is dropped)
+    alive: bool = True
 
 
 class Ingress:
@@ -81,6 +86,10 @@ class Ingress:
         #: WIRE_FIXED negotiations answered (match, mismatch) — observability
         self.setup_matches = 0
         self.setup_mismatches = 0
+        #: connections closed because their stream failed framing
+        self.framing_errors = 0
+        #: replies dropped because their client had hung up meanwhile
+        self.replies_dropped = 0
         #: StageRecorder (repro.obs) — None keeps every hook free.
         self.trace = None
 
@@ -107,31 +116,47 @@ class Ingress:
         their priority lane, where their sojourn feeds CoDel-style
         admission (docs/OVERLOAD.md)."""
         self._ticks += 1
-        while self.listener is not None:
-            sock = self.listener.accept()
-            if sock is None:
-                break
-            self._connections.append(_Connection(sock))
+        while self.listener is not None and (sock := self.listener.accept()) is not None:
+            self.adopt(sock)
+        lanes = self._lanes
+        served = 0
+        gone = []
         for conn in self._connections:
             data = conn.socket.recv(1 << 20)
-            if data:
-                conn.decoder.feed(data)
-            for frame in conn.decoder.frames():
-                if frame.frame_type is FrameType.SETUP:
-                    self._answer_setup(conn, frame.method)
-                elif frame.frame_type is FrameType.REQUEST:
-                    lane = frame.deadline_word & 1
-                    stamp = (
-                        now_us()
-                        if self.admission is not None or frame.deadline_word
-                        else 0
-                    )
-                    self._lanes[lane].append((conn, frame, stamp))
-        served = 0
+            if not data:  # (the last drain left no complete frame)
+                if conn.socket.eof():
+                    gone.append(conn)
+                continue
+            conn.decoder.feed(data)
+            try:
+                for frame in conn.decoder.frames():
+                    if frame.frame_type is FrameType.SETUP:
+                        self._answer_setup(conn, frame.method)
+                    elif frame.frame_type is not FrameType.REQUEST:
+                        continue
+                    elif (
+                        (judged := frame.deadline_word or self.admission is not None)
+                        or lanes[0]
+                        or (budget is not None and served >= budget)
+                    ):
+                        # It has to wait — to be judged by the overload
+                        # checks, for its lane's turn or for the budget.
+                        lanes[frame.deadline_word & 1].append(
+                            (conn, frame, now_us() if judged else 0))
+                    else:
+                        # Nothing is ahead of it and no one to ask: it is
+                        # served where it was decoded.
+                        served += 1
+                        self._serve(conn, frame, 0)
+            except FramingError:
+                # It can not be resynchronized: the connection ends with
+                # this pass, every other one is served (docs/FAULTS.md).
+                self.framing_errors += 1
+                gone.append(conn)
         for lane, queue in enumerate(self._lanes):
             while queue and (budget is None or served < budget):
                 conn, frame, arrival = queue.popleft()
-                if conn.socket.eof():
+                if not conn.alive or conn.socket.eof():
                     continue  # client gone; a reply would be dropped anyway
                 if self._drop_or_shed(conn, frame, lane, arrival):
                     continue
@@ -139,7 +164,23 @@ class Ingress:
                 self._serve(conn, frame, lane)
         if self.dpu is not None:
             self.dpu.progress(budget)
-        self._connections = [c for c in self._connections if not c.socket.eof()]
+        for conn in self._connections:
+            if conn.out:
+                # The pass's response frames for it leave in one send.  A
+                # client that hung up loses its replies (counted), nobody
+                # else's: nothing raises into the datapath behind them.
+                out, conn.out = conn.out, bytearray()
+                try:
+                    conn.socket.send(out)
+                except ConnectionClosed:
+                    decoder = FrameDecoder()
+                    decoder.feed(out)
+                    self.replies_dropped += sum(1 for _ in decoder.frames())
+        if gone:
+            for conn in gone:
+                conn.alive = False
+                conn.socket.close()
+            self._connections = [c for c in self._connections if c.alive]
         return served
 
     def _drop_or_shed(self, conn: _Connection, frame, lane: int,
@@ -188,16 +229,16 @@ class Ingress:
         mine = negotiation_hash(self._registered_types(), self.layout_salt)
         if offered_hash == mine:
             self.setup_matches += 1
-            conn.socket.send(encode_setup_ack(StatusCode.OK))
+            conn.out += encode_setup_ack(StatusCode.OK)
         else:
             self.setup_mismatches += 1
-            conn.socket.send(encode_setup_ack(StatusCode.INVALID_ARGUMENT))
+            conn.out += encode_setup_ack(StatusCode.INVALID_ARGUMENT)
         if self.trace is not None:
             self.trace.instant("wire_fixed_setup", match=offered_hash == mine)
 
     def _respond(self, conn: _Connection, call_id: int, status: int,
                  message: bytes) -> None:
-        conn.socket.send(encode_response(call_id, status, message))
+        append_response(conn.out, call_id, status, message)
 
     # -- what a subclass states -----------------------------------------------
 

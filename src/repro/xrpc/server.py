@@ -16,7 +16,7 @@ from repro.proto import Message, MessageFactory, WireFormatError, parse, prepare
 from repro.proto.descriptor import ServiceDescriptor
 from repro.proto.fixed_wire import WIRE_FIXED, get_fixed_layout
 
-from .framing import StatusCode, response_frame_size, write_response_header
+from .framing import StatusCode, append_response
 from .ingress import Ingress, _Connection
 from .service import MethodBinding, build_dispatch_table
 from .transport import Network
@@ -139,9 +139,9 @@ class XrpcServer(Ingress):
         self, conn: _Connection, call_id: int, response: Message,
         request_was_fixed: bool = False,
     ) -> None:
-        """OK response: size the message, build the frame in one buffer,
-        emit the payload in place after the header (zero intermediate
-        full-payload ``bytes``).
+        """OK response: size the message, reserve its frame at the tail
+        of the connection's pending output, emit the payload in place
+        after the header (zero intermediate full-payload ``bytes``).
 
         A request that arrived on fixed wire gets a fixed-wire response
         when the response type (and this instance) supports it — the
@@ -159,12 +159,14 @@ class XrpcServer(Ingress):
             sized = prepare_emit(response, mode=self.encode_mode)
         self.stats.responses += 1
         self.stats.response_bytes += sized.size
-        frame = bytearray(response_frame_size(sized.size))
-        payload_at = write_response_header(
-            frame, call_id, StatusCode.OK, sized.size, wire_mode
-        )
-        sized.emit_into(frame, payload_at)
-        conn.socket.send(frame)
+        out = conn.out
+        start = len(out)
+        append_response(out, call_id, StatusCode.OK, bytes(sized.size), wire_mode)
+        try:
+            sized.emit_into(out, len(out) - sized.size)
+        except BaseException:
+            del out[start:]  # no half-built frame reaches the client
+            raise
 
     def _respond(self, conn: _Connection, call_id: int, status: int, message: bytes) -> None:
         if status == StatusCode.OK:

@@ -30,6 +30,14 @@ class ConnectionClosed(TransportError):
     """The peer closed the stream."""
 
 
+def _take(rx: bytearray, max_bytes: int) -> bytes:
+    """Remove and return up to ``max_bytes`` from the head of ``rx``,
+    copying them once."""
+    out = bytes(memoryview(rx)[:max_bytes])
+    del rx[: len(out)]
+    return out
+
+
 class SimSocket:
     """One direction-pair of byte streams between two endpoints."""
 
@@ -67,10 +75,7 @@ class SimSocket:
         :meth:`eof`)."""
         if max_bytes <= 0:
             return b""
-        n = min(max_bytes, len(self._rx))
-        out = bytes(self._rx[:n])
-        del self._rx[:n]
-        return out
+        return _take(self._rx, max_bytes)
 
     def pending(self) -> int:
         return len(self._rx)
@@ -156,10 +161,7 @@ class StreamSocket:
         if max_bytes <= 0:
             return b""
         self._pump()
-        n = min(max_bytes, len(self._rx))
-        out = bytes(self._rx[:n])
-        del self._rx[:n]
-        return out
+        return _take(self._rx, max_bytes)
 
     def pending(self) -> int:
         self._pump()

@@ -1,13 +1,18 @@
 """Model test of the one send path both endpoint roles share
-(``_EndpointBase._append`` / ``_seal`` / ``flush`` / ``_flush_by_policy``).
+(``_EndpointBase._append`` / ``_seal`` / ``flush`` / ``_flush_by_policy``)
+and of the receive path behind it (records → dispatch → response append
+→ seal).
 
 A random interleaving of client enqueues, server responses, progress
 passes on either side and explicit flushes — with message sizes drawn at
-the boundaries where a block seals, and payload writers that raise or
-over-report — must keep, after every step and on both sides: every SBuf
-block accounted for, credits conserved, one flush reason per sealed
-block, no block sealed empty, and no continuation fired twice; after a
-drain every request is resolved exactly once.
+the boundaries where a block seals, payload writers that raise or
+over-report, and handlers that raise — must keep, after every step and
+on both sides: every SBuf block accounted for, credits conserved, one
+flush reason per sealed block, no block sealed empty, no continuation
+fired twice, every request of a received block answered in the pass
+that received it, and every response block remembered with exactly the
+request IDs its records carry; after a drain every request is resolved
+exactly once.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Flags, ProtocolConfig, ProtocolError, Response, create_channel
+from repro.core.wire import BlockReader
 from repro.runtime.overload import pack_deadline
 
 KIB = 1024
@@ -44,9 +50,11 @@ sizes = st.one_of(
     st.integers(BLOCK // 2 - 48, BLOCK // 2),
 )
 writer_modes = st.sampled_from(["ok", "ok", "ok", "ok", "raise", "over"])
+#: what answers a request: a response writer, or a handler that raises
+response_modes = st.sampled_from(["ok", "ok", "ok", "ok", "raise", "over", "handler"])
 steps = st.lists(
     st.one_of(
-        st.tuples(st.just("enqueue"), sizes, writer_modes, sizes, writer_modes,
+        st.tuples(st.just("enqueue"), sizes, writer_modes, sizes, response_modes,
                   st.booleans()),
         st.tuples(st.sampled_from(
             ["client_progress", "server_progress", "client_flush", "server_flush"])),
@@ -80,6 +88,8 @@ class Model:
         self.fired: dict[int, int] = {}
         self.rejected: set[int] = set()
         self.requests = 0
+        self.sendable = 0  # requests whose own writer works
+        self.failed_answers = 0  # requests the server answered with ERROR
         #: blocks with messages handed to the wire, per side — counted
         #: where every block leaves, independently of ``flush_reasons``
         self.data_blocks = {self.client: 0, self.server: 0}
@@ -104,6 +114,9 @@ class Model:
         assert req.payload_bytes()[:16] == bytes([tag % 251]) * min(size, 16)
         assert req.deadline_us == (DEADLINE_US if with_deadline else 0)
         assert not req.flags & (Flags.DEADLINE | Flags.TRACE_CTX)
+        self.failed_answers += resp_mode != "ok"
+        if resp_mode == "handler":
+            raise Boom(tag)
         if resp_mode == "ok" and tag % 2:
             return Response.from_bytes(bytes([tag % 251]) * resp_size)
         return Response(size=resp_size, writer=make_writer(tag, resp_size, resp_mode))
@@ -126,6 +139,7 @@ class Model:
                 assert bytes(view[:16]) == bytes([tag % 251]) * min(resp_size, 16)
 
         if mode == "ok":
+            self.sendable += 1
             self.expected.append((tag, size, with_deadline, resp_size, resp_mode))
         try:
             self.client.enqueue(
@@ -165,6 +179,20 @@ class Model:
         assert all(
             count + (tag in self.rejected) <= 1 for tag, count in self.fired.items()
         )
+        # the receive path: a request block is dispatched to its end in
+        # the pass that received it, whatever its handlers and writers do
+        stats = server.stats
+        assert stats.requests_received == stats.responses_sent == (
+            self.sendable - len(self.expected))
+        assert stats.handler_errors == self.failed_answers
+        assert not server._deadline_by_rid
+        # ...and a response block is remembered with the IDs it answers
+        assert len(server._open_notes) == (
+            server._writer.message_count if server._writer is not None else 0)
+        for sbuf_addr, ids in server._outstanding_responses:
+            reader = BlockReader(server.sbuf, sbuf_addr, server.sbuf.base
+                                 + server.sbuf.size - sbuf_addr)
+            assert [rid for rid, _, _, _ in reader.records()] == ids
 
     def _check_side(self, ep, in_flight: int, uncredited: int = 0) -> None:
         queued = len(ep._send_queue)
@@ -191,3 +219,39 @@ def test_the_send_path_keeps_its_books(flush_policy, credits, script):
     assert all(
         count + (tag in model.rejected) == 1 for tag, count in model.fired.items()
     )
+
+
+@pytest.mark.parametrize("per_block", [1, 5])
+def test_a_request_block_is_dispatched_to_its_end(per_block):
+    """Five requests, the second answered by a handler that raises and
+    the fourth by a response writer that raises: at one message per
+    block and at five, each is answered exactly once, in order, in the
+    pass that received it — a failure mid-block costs its own request."""
+    model = Model(credits=8, flush_policy="eager")
+    modes = ["ok", "handler", "ok", "raise", "ok"]
+    answers: list[tuple[int, int]] = []
+    for tag, resp_mode in enumerate(modes):
+        model.requests += 1
+        model.sendable += 1
+        model.expected.append((tag, 8, False, 8, resp_mode))
+        model.client.enqueue(
+            1, 8, make_writer(tag, 8, "ok"),
+            lambda view, flags, tag=tag: answers.append((tag, flags)),
+        )
+        if (tag + 1) % per_block == 0:
+            model.client.flush()
+            assert model.server.progress() == per_block
+            model.check()
+    blocks = [
+        [(rid, flags) for rid, flags, _, _ in BlockReader(
+            model.server.sbuf, addr, model.server.sbuf.size).records()]
+        for addr, _ in model.server._outstanding_responses
+    ]
+    assert [len(block) for block in blocks] == [per_block] * (5 // per_block)
+    assert [flags for block in blocks for _, flags in block] == [
+        Flags.NONE if mode == "ok" else Flags.ERROR for mode in modes]
+    assert model.server.stats.handler_errors == 2
+    assert model.ch.engine.drain(max_iters=100)
+    model.check()
+    assert answers == [
+        (tag, Flags.NONE if mode == "ok" else Flags.ERROR) for tag, mode in enumerate(modes)]

@@ -10,6 +10,7 @@ frames with the same bytes.  Every deployment here comes from
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import time
@@ -195,3 +196,35 @@ def test_a_malformed_request_admitted_from_the_backlog_is_answered():
     assert all(len(answers) == 1 for answers in statuses.values())
     assert statuses.pop(malformed_id) != [StatusCode.OK]
     assert set(map(tuple, statuses.values())) == {(StatusCode.OK,)}
+
+
+def test_a_sealed_block_is_the_same_bytes_as_ever():
+    """Golden bytes: sixteen Small requests cross the offloaded stack as
+    one sealed request block and come back as one response block; both
+    blocks, and the sixteen response frames the client reads, are what
+    commit 1988374 (before the one-function appender and the coalesced
+    send) put on the wire — §IV layout, vptr, sequence, checksum and all."""
+    schema, service, servicer = bench_service()
+    factory = WorkloadFactory(seed=7, schema=schema)
+    with build("offloaded", schema, service, servicer) as deployment:
+        blocks = []
+        fabric = deployment.rdma.fabric
+        transmit = fabric.transmit
+
+        def capture(sender, wr):
+            blocks.append(bytes(sender.pd.space.read(wr.local_addr, wr.length)))
+            return transmit(sender, wr)
+
+        fabric.transmit = capture
+        socket = deployment.connect()
+        for i in range(16):
+            socket.send(encode_request(
+                2 * i + 1, "/bench.Bench/PingSmall", serialize(factory.small())))
+        deployment.drive()
+        deployment.drive()
+        frames = socket.recv(1 << 20)
+    assert [(len(b), hashlib.sha256(b).hexdigest()) for b in (*blocks, frames)] == [
+        (784, "3be49932d469ecff221d9b892aa94be9a9b7ea208750538172b5ffac931b0fe2"),
+        (144, "8fa88299e702f7f2367f175a729a1fdfdb8463cca00e4004129d66305324121b"),
+        (208, "996207e865731c2a1609e5da014e2bff9e2d33ccc6af9fa6c7127345794f24fc"),
+    ]

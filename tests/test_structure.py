@@ -134,9 +134,12 @@ def _callers(path: Path, called: str) -> set[str | None]:
 
 @pytest.mark.parametrize("step", ["begin_message", "commit_message", "abort_message"])
 def test_a_message_is_put_into_a_block_in_one_place(step):
-    """Both endpoint roles append through ``_EndpointBase._append``: the
-    reserve / write / commit-or-abort sequence is written once."""
-    assert _callers(SRC / "core" / "endpoint.py", step) == {"_append"}
+    """Both endpoint roles append through ``_EndpointBase._append``, and
+    that puts a message in with the one step ``BlockWriter.put_message``
+    (reserve, write, header — or nothing): the three-step form is for
+    hand-built blocks and has no caller under ``src/``."""
+    assert _callers(SRC / "core" / "endpoint.py", "put_message") == {"_append"}
+    assert [path.name for path, _ in _trees(SRC) if _callers(path, step)] == []
 
 
 def test_blocks_are_opened_by_the_appender_and_the_pure_ack_only():
@@ -228,3 +231,26 @@ def test_the_duplicate_walks_are_gone(where, name):
     trees = _trees(root) if root.is_dir() else [(root, ast.parse(root.read_text()))]
     assert [path.name for path, tree in trees for node in ast.walk(tree)
             if name in (getattr(node, "name", None), getattr(node, "attr", None))] == []
+
+
+@pytest.mark.parametrize("path, function", [
+    ("offload/engine.py", "call"),
+    ("offload/engine.py", "call_raw"),
+    ("offload/engine.py", "register_method"),  # the per-method handler is built in it
+    ("offload/arena_deserializer.py", "deserialize"),
+])
+def test_the_request_path_imports_nothing(path, function):
+    """What a request needs is bound when the module loads (or when the
+    method is registered), not looked up again per request: no function
+    on the offloaded request path contains an ``import`` statement."""
+    tree = ast.parse((SRC / path).read_text())
+    found = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == function]
+    assert found, f"{path} no longer defines {function}"
+    imports = [
+        f"{path}:{inner.lineno}"
+        for node in found
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert imports == []

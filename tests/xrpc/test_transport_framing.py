@@ -17,6 +17,7 @@ from repro.xrpc import (
     encode_request,
     encode_response,
 )
+from repro.xrpc.framing import encode_setup, encode_setup_ack
 
 
 class TestTransport:
@@ -149,3 +150,121 @@ class TestFraming:
             dec.feed(raw[i : i + chunk])
             got.extend(dec.frames())
         assert [(f.call_id, f.method, f.message) for f in got] == calls
+
+
+# -- the cursor decoder against the decoder it replaced -----------------------
+
+
+class _ReferenceDecoder:
+    """``FrameDecoder`` as it was before it decoded with a cursor: one
+    ``del buf[:n]`` per frame, two copies per message.  Kept as the
+    reference the cursor decoder must agree with, frame for frame."""
+
+    def __init__(self) -> None:
+        self._buf = bytearray()
+
+    def feed(self, data: bytes) -> None:
+        self._buf += data
+
+    def frames(self):
+        while True:
+            frame = self._try_decode()
+            if frame is None:
+                return
+            yield frame
+
+    def _try_decode(self):
+        from repro.xrpc.framing import _DEADLINE, _HEADER, _PREFIX, REQ_FLAG_DEADLINE
+
+        buf = self._buf
+        if len(buf) < _HEADER.size:
+            return None
+        frame_type, call_id, status, method_len = _HEADER.unpack_from(buf, 0)
+        if frame_type not in (FrameType.REQUEST, FrameType.RESPONSE,
+                              FrameType.SETUP, FrameType.SETUP_ACK):
+            raise FramingError(f"unknown frame type {frame_type}")
+        pos = _HEADER.size
+        deadline_len = (
+            _DEADLINE.size
+            if frame_type == FrameType.REQUEST and status & REQ_FLAG_DEADLINE else 0
+        )
+        if len(buf) < pos + method_len + deadline_len + _PREFIX.size:
+            return None
+        try:
+            method = bytes(buf[pos : pos + method_len]).decode("utf-8")
+        except UnicodeDecodeError as exc:  # the bug the cursor decoder fixes
+            raise FramingError(str(exc)) from None
+        pos += method_len
+        deadline_word = 0
+        if deadline_len:
+            (deadline_word,) = _DEADLINE.unpack_from(buf, pos)
+            pos += deadline_len
+        wire_mode, msg_len = _PREFIX.unpack_from(buf, pos)
+        if wire_mode not in (0, 1, 2):
+            raise FramingError(f"bad compressed flag {wire_mode}")
+        if wire_mode == 1:
+            raise FramingError("compressed messages are not supported")
+        pos += _PREFIX.size
+        if len(buf) < pos + msg_len:
+            return None
+        message = bytes(buf[pos : pos + msg_len])
+        del buf[: pos + msg_len]
+        return (frame_type, call_id, status, method, message, wire_mode, deadline_word)
+
+
+def _drain(decoder) -> tuple[list, bool]:
+    """(frames handed out, whether the drain ended in FramingError)."""
+    out = []
+    try:
+        for f in decoder.frames():
+            out.append(f if isinstance(f, tuple) else (
+                f.frame_type, f.call_id, f.status, f.method, f.message,
+                f.wire_mode, f.deadline_word))
+    except FramingError:
+        return out, True
+    return out, False
+
+
+_valid_frames = st.one_of(
+    st.builds(encode_request, st.integers(0, (1 << 32) - 1), st.text(max_size=40),
+              st.binary(max_size=300), st.sampled_from([0, 0, 1, (1 << 64) - 1])),
+    st.builds(encode_response, st.integers(0, (1 << 32) - 1), st.integers(0, 255),
+              st.binary(max_size=300)),
+    st.builds(encode_setup, st.text("0123456789abcdef", max_size=64)),
+    st.builds(encode_setup_ack, st.integers(0, 255)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    frames=st.lists(_valid_frames, min_size=1, max_size=12),
+    flips=st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 24), st.integers(0, 255)), max_size=2),
+    cuts=st.lists(st.integers(1, 400), min_size=1, max_size=30),
+)
+def test_cursor_decoder_agrees_with_the_decoder_it_replaced(frames, flips, cuts):
+    """Arbitrary valid streams (no ``flips``) and corrupted ones (a byte
+    in some frame's first 25 — type, lengths, method, wire mode), under
+    arbitrary chunking: the same frames after every feed, and a framing
+    failure at the same frame — which both then keep reporting."""
+    frames = [bytearray(f) for f in frames]
+    for which, where, value in flips:
+        frame = frames[which % len(frames)]
+        frame[where % len(frame)] = value
+    raw = b"".join(frames)
+    cursor, reference = FrameDecoder(), _ReferenceDecoder()
+    pos = step = 0
+    while pos < len(raw):
+        cut = cuts[step % len(cuts)]
+        chunk = bytes(raw[pos : pos + cut])
+        pos += cut
+        step += 1
+        cursor.feed(chunk)
+        reference.feed(chunk)
+        got, expected = _drain(cursor), _drain(reference)
+        assert got == expected
+        if expected[1]:
+            assert _drain(cursor) == ([], True)  # it stays failed
+            return
+    if not flips:
+        assert not cursor._buf and cursor._pos == 0  # everything consumed
