@@ -23,27 +23,6 @@ from repro.workloads import SMALL, X512_INTS, X8000_CHARS
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def pytest_addoption(parser):
-    group = parser.getgroup("repro-bench")
-    group.addoption(
-        "--requests", type=int, default=None, dest="bench_requests",
-        help="measured (warm-phase) requests per transport backend in "
-        "bench_transport (default 150)",
-    )
-    group.addoption(
-        "--warmup", type=int, default=None, dest="bench_warmup",
-        help="warmup (cold-phase) requests per transport backend in "
-        "bench_transport (default 30)",
-    )
-
-
-@pytest.fixture(scope="session")
-def transport_knobs(request):
-    """(warmup, requests) for bench_transport, from --warmup/--requests."""
-    return (request.config.getoption("bench_warmup"),
-            request.config.getoption("bench_requests"))
-
-
 @pytest.fixture(scope="session")
 def report():
     """report(experiment_id, text): print + persist one experiment's

@@ -198,15 +198,17 @@ class ArenaDeserializer:
         return layout, rows
 
     def estimate_size_fixed(self, root_index: int, wire) -> int:
-        """Fixed-wire analog of :meth:`estimate_size`: the arena bound is
-        read straight out of the fixed section's count slots — no wire
-        scan at all."""
+        """Fixed-wire analog of :meth:`estimate_size`: the arena bound
+        comes from the count slots — no wire scan — once
+        :meth:`FixedLayout.spans` has proven they lie inside ``wire``, so
+        a payload whose counts lie is rejected here, before the caller
+        reserves a block for it."""
         buf = wire if isinstance(wire, (bytes, memoryview)) else bytes(wire)
         layout, rows = self.fixed_layout_for(root_index)
         entry = self.adt.entry(root_index)
         total = _align8(entry.sizeof) + 8
         sso = self.string_layout.sso_capacity
-        for (category, f, _, _, _), v in zip(rows, layout.unpack_fixed(buf)):
+        for (category, f, _, _, _), v in zip(rows, layout.spans(buf, DeserializeError)[0]):
             if category == "array":
                 total += v * max(f.elem_size, 1) + 16
             elif category == "blob" and v > sso:
@@ -215,56 +217,42 @@ class ArenaDeserializer:
 
     def deserialize_fixed(self, root_index: int, wire, arena: Arena) -> int:
         """Decode a WIRE_FIXED payload into an arena object: one struct
-        unpack, then straight-line slot application — no tags, no
+        unpack and bounds walk (:meth:`FixedLayout.spans`), then
+        straight-line application of the proven spans — no tags, no
         varints, no per-byte branches."""
         buf = wire if isinstance(wire, (bytes, memoryview)) else bytes(wire)
         layout, rows = self.fixed_layout_for(root_index)
+        values, cuts = layout.spans(buf, DeserializeError)
+        k = 0  # tail slots seen
         entry = self.adt.entry(root_index)
         obj, mem, o = self.place_object(entry, arena, 1)
         stats = self.stats
-        end = len(buf)
-        pos = layout.fixed_size
-        for (category, f, pack_into, has_at, has_mask), v in zip(rows, layout.unpack_fixed(buf)):
+        for (category, f, pack_into, has_at, has_mask), v in zip(rows, values):
             if category == "scalar":
                 if v:
                     stats.fixed_fields += 1
                     pack_into(mem, o + f.offset, v)
                     mem[o + has_at] |= has_mask
-            elif category == "blob":
-                npos = pos + v
-                if npos > end:
-                    raise DeserializeError(
-                        f"{entry.full_name}.{f.name}: blob overruns fixed payload"
-                    )
-                if v:
-                    raw = bytes(buf[pos:npos])
-                    if f.kind is FieldType.STRING:
-                        try:
-                            validate_utf8(raw)
-                        except ValueError as exc:
-                            raise DeserializeError(
-                                f"{entry.full_name}.{f.name}: {exc}"
-                            ) from exc
-                        stats.utf8_bytes_validated += v
-                    stats.string_bytes_copied += v
-                    self._write_string(arena, obj + f.offset, raw)
-                    mem[o + has_at] |= has_mask
-                pos = npos
+                continue
+            k += 1
+            if not v:  # fixed wire has no presence bits: unset == default
+                continue
+            tail = bytes(buf[cuts[k - 1]:cuts[k]])
+            if category == "blob":
+                if f.kind is FieldType.STRING:
+                    try:
+                        validate_utf8(tail)
+                    except ValueError as exc:
+                        raise DeserializeError(
+                            f"{entry.full_name}.{f.name}: {exc}"
+                        ) from exc
+                    stats.utf8_bytes_validated += v
+                stats.string_bytes_copied += v
+                self._write_string(arena, obj + f.offset, tail)
+                mem[o + has_at] |= has_mask
             else:  # array
-                width = f.elem_size
-                npos = pos + v * width
-                if npos > end:
-                    raise DeserializeError(
-                        f"{entry.full_name}.{f.name}: array overruns fixed payload"
-                    )
-                if v:
-                    stats.fixed_fields += v
-                    self._materialize_repeated(f, obj, [bytes(buf[pos:npos])], arena)
-                pos = npos
-        if pos != end:
-            raise DeserializeError(
-                f"{entry.full_name}: {end - pos} trailing bytes after fixed payload"
-            )
+                stats.fixed_fields += v
+                self._materialize_repeated(f, obj, [tail], arena)
         return obj
 
     # ------------------------------------------------------- size estimation

@@ -46,8 +46,7 @@ from .fixed_wire import (
 from .gen_codec import (
     ENCODE_PLAN_METRICS,
     PLAN_METRICS,
-    DecodeMetrics,
-    EncodeMetrics,
+    CodecMetrics,
     GeneratedDecoder,
     GeneratedEncoder,
     SizedMessage,
@@ -102,9 +101,8 @@ __all__ = [
     "parse",
     "parse_into",
     "DECODE_MODES",
-    "DecodeMetrics",
+    "CodecMetrics",
     "PLAN_METRICS",
-    "EncodeMetrics",
     "ENCODE_PLAN_METRICS",
     "SizedMessage",
     "GeneratedDecoder",

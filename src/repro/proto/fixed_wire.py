@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from .descriptor import FieldType, MessageDescriptor
 from .kinds import KINDS
 from .message import Message, MessageFactory, _RepeatedField
-from .utf8 import validate_utf8
+from .serializer import check_room
 from .wire_format import WireFormatError
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
     "SizedFixed",
     "fixed_eligibility",
     "get_fixed_layout",
+    "measure_fixed",
     "specs_of_descriptor",
     "negotiation_hash",
     "service_types",
@@ -166,6 +167,7 @@ class SizedFixed:
         self._tails = tails
 
     def emit_into(self, buf, pos: int) -> int:
+        check_room(buf, pos, self.size)
         layout = self.layout
         layout._struct.pack_into(buf, pos, *self._fixed_values)
         pos += layout.fixed_size
@@ -186,7 +188,7 @@ class FixedLayout:
 
     __slots__ = (
         "full_name", "slots", "fixed_size", "_struct", "_hash_base",
-        "_msg_fields", "_factory",
+        "_tail_slots", "_msg_rows", "_factory",
     )
 
     def __init__(self, full_name: str, specs: list[FieldSpec]) -> None:
@@ -208,18 +210,28 @@ class FixedLayout:
         )
         self.fixed_size = self._struct.size
         self._hash_base = "\n".join(self.layout_lines())
+        # (slot index, bytes per counted unit) of every slot with a tail span.
+        self._tail_slots = [
+            (i, 1 if s.category == _BLOB else _FMT_WIDTH[s.fmt])
+            for i, s in enumerate(slots) if s.category != _SCALAR
+        ]
         # Message-side binding (descriptor + factory), set by
         # get_fixed_layout: what decode_into needs to fill ``msg._values``.
         # ADT-side layouts leave it unset — the arena decoder applies the
-        # slots itself via unpack_fixed.
-        self._msg_fields = None
+        # proven spans itself.
+        self._msg_rows = None
         self._factory = None
 
     def bind_message_side(
         self, descriptor: MessageDescriptor, factory: MessageFactory | None
     ) -> "FixedLayout":
         by_name = {fd.name: fd for fd in descriptor.fields}
-        self._msg_fields = [by_name[s.spec.name] for s in self.slots]
+        # One (category, name, kind, element format, descriptor) row per
+        # slot — what decode_into applies, resolved once.
+        self._msg_rows = [
+            (s.category, s.spec.name, s.spec.kind, s.fmt, by_name[s.spec.name])
+            for s in self.slots
+        ]
         self._factory = factory
         return self
 
@@ -269,16 +281,31 @@ class FixedLayout:
 
     # -- decode -------------------------------------------------------------
 
-    def unpack_fixed(self, buf) -> tuple:
-        """The fixed-section values, one per slot in field-number order —
-        for decoders (the arena path) that apply them to a different
-        object representation."""
-        if len(buf) < self.fixed_size:
-            raise FixedWireError(
-                f"{self.full_name}: fixed section truncated "
-                f"({len(buf)} < {self.fixed_size} bytes)"
-            )
-        return self._struct.unpack_from(buf, 0)
+    def spans(self, buf, error=FixedWireError) -> tuple[tuple, list[int]]:
+        """The one walk over a fixed payload, run before anything is built
+        or reserved from it: the fixed section is all there, every blob /
+        array span its count slot announces lies inside the payload, and
+        the spans end exactly where the payload does — or ``error``.
+        Returns the slot values (field-number order) and the tail's cut
+        points: the k-th blob / array slot's bytes are ``buf[cuts[k]:
+        cuts[k + 1]]``.  Both decoders (``decode_into`` here, the arena
+        one in :mod:`repro.offload.arena_deserializer`) only *apply* them."""
+        end = len(buf)
+        pos = self.fixed_size
+        if end < pos:
+            raise error(f"{self.full_name}: fixed section truncated ({end} < {pos} bytes)")
+        values = self._struct.unpack_from(buf, 0)
+        cuts = [pos]
+        for i, width in self._tail_slots:
+            pos += values[i] * width  # a count is unsigned: the cuts only grow
+            cuts.append(pos)
+        if pos != end:  # so one comparison proves them all; which one lied is the cold path
+            for (i, _), cut in zip(self._tail_slots, cuts[1:]):
+                if cut > end:
+                    spec, what = self.slots[i].spec, self.slots[i].category
+                    raise error(f"{self.full_name}.{spec.name}: {what} overruns fixed payload")
+            raise error(f"{self.full_name}: {end - pos} trailing bytes after fixed payload")
+        return values, cuts
 
     def decode_into(self, msg: Message, data) -> Message:
         """Apply a fixed payload to ``msg``: one struct unpack, then the
@@ -287,53 +314,33 @@ class FixedLayout:
         mirroring how the generated tag-wire decoder stores fields.
         Needs the message side bound (:func:`get_fixed_layout` does)."""
         buf = data if isinstance(data, (bytes, bytearray, memoryview)) else bytes(data)
-        end = len(buf)
-        pos = self.fixed_size
+        slot_values, cuts = self.spans(buf)
+        k = 0  # tail slots seen
         values = msg._values
         factory = self._factory
-        for slot, fd, v in zip(self.slots, self._msg_fields, self.unpack_fixed(buf)):
-            spec = slot.spec
-            if slot.category == _SCALAR:
+        for (category, name, kind, fmt, fd), v in zip(self._msg_rows, slot_values):
+            if category == _SCALAR:
                 if v:
-                    values[spec.name] = bool(v) if spec.kind is FieldType.BOOL else v
-            elif slot.category == _BLOB:
-                npos = pos + v
-                if npos > end:
-                    raise FixedWireError(
-                        f"{self.full_name}.{spec.name}: blob overruns payload"
-                    )
-                if v:
-                    raw = bytes(buf[pos:npos])
-                    if spec.kind is FieldType.STRING:
-                        try:
-                            validate_utf8(raw)
-                        except ValueError as exc:
-                            raise FixedWireError(
-                                f"{self.full_name}.{spec.name}: {exc}"
-                            ) from exc
-                        values[spec.name] = raw.decode("utf-8")
-                    else:
-                        values[spec.name] = raw
-                pos = npos
+                    values[name] = bool(v) if kind is FieldType.BOOL else v
+                continue
+            k += 1
+            if not v:  # fixed wire has no presence bits: unset == default
+                continue
+            start, end = cuts[k - 1], cuts[k]
+            if kind is FieldType.STRING:  # validated by the strict decode, as on tag wire
+                try:
+                    values[name] = str(buf[start:end], "utf-8")
+                except UnicodeDecodeError as exc:
+                    raise FixedWireError(f"{self.full_name}.{name}: {exc}") from exc
+            elif category == _BLOB:
+                values[name] = bytes(buf[start:end])
             else:  # _ARRAY
-                width = _FMT_WIDTH[slot.fmt]
-                npos = pos + v * width
-                if npos > end:
-                    raise FixedWireError(
-                        f"{self.full_name}.{spec.name}: array overruns payload"
-                    )
-                if v:
-                    decoded = struct.unpack_from(f"<{v}{slot.fmt}", buf, pos)
-                    if spec.kind is FieldType.BOOL:
-                        decoded = [b != 0 for b in decoded]
-                    lst = _RepeatedField(fd, factory)
-                    list.extend(lst, decoded)
-                    values[spec.name] = lst
-                pos = npos
-        if pos != end:
-            raise FixedWireError(
-                f"{self.full_name}: {end - pos} trailing bytes after fixed payload"
-            )
+                decoded = struct.unpack_from(f"<{v}{fmt}", buf, start)
+                if kind is FieldType.BOOL:
+                    decoded = [b != 0 for b in decoded]
+                lst = _RepeatedField(fd, factory)
+                list.extend(lst, decoded)
+                values[name] = lst
         return msg
 
     def parse(self, cls: type[Message], data) -> Message:
@@ -365,6 +372,14 @@ def get_fixed_layout(
     if cache is not None:
         cache[descriptor.full_name] = layout
     return layout
+
+
+def measure_fixed(msg: Message) -> SizedFixed | None:
+    """``msg`` measured for fixed wire, or ``None`` when its type or this
+    instance cannot ride it — the caller then measures it for standard
+    wire itself (``prepare_emit``)."""
+    layout = get_fixed_layout(type(msg).DESCRIPTOR, msg._FACTORY)
+    return None if layout is None else layout.measure(msg)
 
 
 def service_types(service) -> list[MessageDescriptor]:

@@ -53,13 +53,14 @@ tag no branch matched and the compile step.  This module's
 :func:`decode_source` is its ``Message`` back end;
 :mod:`repro.offload.arena_gen` is its arena back end.  Everything that
 depends on a scalar's kind comes from the :mod:`repro.proto.kinds` table.
-See ``docs/DECODER.md``.
+The encoder is composed the same way, from two fragments (a
+length-delimited element, a tagged scalar) that repeated fields loop
+around.  See ``docs/DECODER.md``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,7 +68,7 @@ from .descriptor import FieldDescriptor, FieldType, MessageDescriptor
 from .deserializer import DecodeError, skip_field
 from .kinds import EXPR_NAMESPACE, KINDS, bulk_raw, wire_type_of
 from .message import Message, MessageFactory, _RepeatedField
-from .serializer import EncodeError, _tag_cache
+from .serializer import _tag_cache, check_room
 from .utf8 import Utf8Error
 from .wire_format import (
     TruncatedMessageError,
@@ -83,9 +84,8 @@ from .wire_format import (
 )
 
 __all__ = [
-    "DecodeMetrics",
+    "CodecMetrics",
     "PLAN_METRICS",
-    "EncodeMetrics",
     "ENCODE_PLAN_METRICS",
     "SizedMessage",
     "GeneratedDecoder",
@@ -124,32 +124,44 @@ _BULK_MIN = 16
 # span.
 
 
-class _CodecMetrics:
-    """Registry binding shared by :class:`DecodeMetrics` and
-    :class:`EncodeMetrics`: every counter in ``_HELP`` becomes a
-    ``<prefix>_<counter>`` gauge, and the per-message-type count dict
-    named ``_PER_MESSAGE`` a ``<prefix>_<name>{message=...}`` family."""
+class CodecMetrics:
+    """One direction's generated-codec counters: cache traffic, compile
+    cost, and volume per message type.  Every key of ``counters`` becomes
+    a plain-int attribute and a ``<prefix>_<counter>`` gauge (the value is
+    the gauge's help text); the per-type count dict is the attribute
+    ``per_message`` names (``decodes`` / ``encodes``) and the
+    ``<prefix>_<per_message>{message=...}`` family."""
 
-    _PREFIX = ""
-    _PER_MESSAGE = ""
-    _HELP: dict[str, str] = {}
-    _gauges = None  # bound registry families, once bind_registry ran
+    def __init__(self, prefix: str, per_message: str, noun: str, counters: dict[str, str]) -> None:
+        self._prefix = prefix
+        self._per_message = per_message
+        self._help = {
+            **counters,
+            "gen_compiles": f"generated {noun}s compiled",
+            "gen_cache_hits": f"generated-{noun} cache hits",
+            "gen_source_bytes": f"generated {noun} source bytes",
+            "gen_compile_ns": f"ns spent generating + compiling {noun}s",
+        }
+        self._gauges = None  # bound registry families, once bind_registry ran
+        #: codec runs per message type, aggregated across factories
+        setattr(self, per_message, {})
+        self.reset()
 
     def reset(self) -> None:
-        for name in self._HELP:
+        for name in self._help:
             setattr(self, name, 0)
-        getattr(self, self._PER_MESSAGE).clear()
+        getattr(self, self._per_message).clear()
 
     def bind_registry(self, registry, prefix: str | None = None):
         """Create the exported metric families in ``registry``."""
-        prefix = prefix or self._PREFIX
+        prefix = prefix or self._prefix
         self._gauges = {
             name: registry.gauge(f"{prefix}_{name}", text)
-            for name, text in self._HELP.items()
+            for name, text in self._help.items()
         }
-        self._gauges[self._PER_MESSAGE] = registry.gauge(
-            f"{prefix}_{self._PER_MESSAGE}",
-            f"generated-codec message {self._PER_MESSAGE}",
+        self._gauges[self._per_message] = registry.gauge(
+            f"{prefix}_{self._per_message}",
+            f"generated-codec message {self._per_message}",
             ("message",),
         )
         return self
@@ -158,78 +170,27 @@ class _CodecMetrics:
         """Push current counter values into the bound registry."""
         if self._gauges is None:
             return
-        for name in self._HELP:
+        for name in self._help:
             self._gauges[name].set(getattr(self, name))
-        family = self._gauges[self._PER_MESSAGE]
-        for full_name, count in getattr(self, self._PER_MESSAGE).items():
+        family = self._gauges[self._per_message]
+        for full_name, count in getattr(self, self._per_message).items():
             family.labels(full_name).set(count)
-
-
-@dataclass
-class DecodeMetrics(_CodecMetrics):
-    """Generated-decoder cache traffic and decode volume (the reference
-    decoders of :func:`get_gen_decoder` and the arena decoders of
-    :class:`~repro.offload.arena_gen.ArenaGenCache` both feed it)."""
-
-    gen_compiles: int = 0
-    gen_cache_hits: int = 0
-    gen_source_bytes: int = 0
-    gen_compile_ns: int = 0
-    #: decodes per message type, aggregated across factories
-    decodes: dict[str, int] = field(default_factory=dict)
-
-    _PREFIX = "decode_plan"
-    _PER_MESSAGE = "decodes"
-    _HELP = {
-        "gen_compiles": "generated decoders compiled",
-        "gen_cache_hits": "generated-decoder cache hits",
-        "gen_source_bytes": "generated decoder source bytes",
-        "gen_compile_ns": "ns spent generating + compiling decoders",
-    }
-
-    def count_decode(self, full_name: str) -> None:
-        self.decodes[full_name] = self.decodes.get(full_name, 0) + 1
-
-
-@dataclass
-class EncodeMetrics(_CodecMetrics):
-    """Generated-encoder cache traffic, encode volume and the zero-copy
-    send path.
-
-    ``copies_avoided`` counts direct emissions into caller-provided
-    buffers (``serialize_into`` / ``SizedMessage.emit_into``) — each one
-    is a full-payload ``bytes`` materialization the interpretive pipeline
-    would have performed."""
-
-    bytes_emitted: int = 0
-    copies_avoided: int = 0
-    gen_compiles: int = 0
-    gen_cache_hits: int = 0
-    gen_source_bytes: int = 0
-    gen_compile_ns: int = 0
-    #: encodes per message type, aggregated across factories
-    encodes: dict[str, int] = field(default_factory=dict)
-
-    _PREFIX = "encode_plan"
-    _PER_MESSAGE = "encodes"
-    _HELP = {
-        "bytes_emitted": "wire bytes emitted by generated encoders",
-        "copies_avoided": "full-payload copies avoided by direct buffer emission",
-        "gen_compiles": "generated encoders compiled",
-        "gen_cache_hits": "generated-encoder cache hits",
-        "gen_source_bytes": "generated encoder source bytes",
-        "gen_compile_ns": "ns spent generating + compiling encoders",
-    }
-
-    def count_encode(self, full_name: str) -> None:
-        self.encodes[full_name] = self.encodes.get(full_name, 0) + 1
 
 
 #: Process-wide codec metrics.  The names (and the ``decode_plan_*`` /
 #: ``encode_plan_*`` gauge prefixes) predate the removal of the
-#: closure-table plan tier and are kept so scrapes stay comparable.
-PLAN_METRICS = DecodeMetrics()
-ENCODE_PLAN_METRICS = EncodeMetrics()
+#: closure-table plan tier and are kept so scrapes stay comparable.  The
+#: reference decoders of :func:`get_gen_decoder` and the arena decoders of
+#: :class:`~repro.offload.arena_gen.ArenaGenCache` both feed the first.
+PLAN_METRICS = CodecMetrics("decode_plan", "decodes", "decoder", {})
+#: ``copies_avoided`` counts direct emissions into caller-provided buffers
+#: (``serialize_into`` / ``SizedMessage.emit_into``) — each one is a
+#: full-payload ``bytes`` materialization the interpretive pipeline would
+#: have performed.
+ENCODE_PLAN_METRICS = CodecMetrics("encode_plan", "encodes", "encoder", {
+    "bytes_emitted": "wire bytes emitted by generated encoders",
+    "copies_avoided": "full-payload copies avoided by direct buffer emission",
+})
 
 
 class _SourceBuilder:
@@ -416,7 +377,7 @@ def compile_codec(generate, filename: str, metrics, cache: dict | None = None):
 class GeneratedDecoder:
     """One message type's generated straight-line decode function."""
 
-    __slots__ = ("full_name", "descriptor", "source", "decode_into", "decode_count")
+    __slots__ = ("full_name", "descriptor", "source", "decode_into")
 
     def __init__(self, descriptor: MessageDescriptor) -> None:
         self.full_name = descriptor.full_name
@@ -424,15 +385,11 @@ class GeneratedDecoder:
         self.source = ""
         #: ``decode_into(msg, buf, pos, end)`` — the compiled function.
         self.decode_into = None
-        self.decode_count = 0
 
     def parse(self, msg, buf, pos: int, end: int) -> None:
         """Top-level entry: one wire message (counts toward metrics)."""
-        PLAN_METRICS.count_decode(self.full_name)
-        self.decode_count += 1
-        self.decode_into(msg, buf, pos, end)
-
-    def parse_range(self, msg, buf, pos: int, end: int) -> None:
+        decodes = PLAN_METRICS.decodes
+        decodes[self.full_name] = decodes.get(self.full_name, 0) + 1
         self.decode_into(msg, buf, pos, end)
 
 
@@ -595,26 +552,18 @@ class SizedMessage:
 
     def emit_into(self, buf, offset: int = 0) -> int:
         """Write the wire bytes into ``buf`` at ``offset``; returns the end
-        position.  Counts as one avoided full-payload copy."""
-        if offset + self.size > len(buf):
-            raise EncodeError(
-                f"buffer too small: need {self.size} bytes at offset {offset}, "
-                f"have {len(buf) - offset}"
-            )
-        end = self.encoder._emit(self.msg, buf, offset, self._memo)
-        metrics = ENCODE_PLAN_METRICS
-        metrics.count_encode(self.encoder.full_name)
-        metrics.bytes_emitted += self.size
-        metrics.copies_avoided += 1
+        position.  Counts as one avoided full-payload copy.  Raises
+        :class:`~repro.proto.serializer.EncodeError`, ``buf`` untouched,
+        if the message does not fit there."""
+        check_room(buf, offset, self.size)
+        end = self.encoder._emit_counted(self.msg, buf, offset, self._memo)
+        ENCODE_PLAN_METRICS.copies_avoided += 1
         return end
 
     def to_bytes(self) -> bytes:
         """Materialize the wire bytes (no copy avoided)."""
         out = bytearray(self.size)
-        self.encoder._emit(self.msg, out, 0, self._memo)
-        metrics = ENCODE_PLAN_METRICS
-        metrics.count_encode(self.encoder.full_name)
-        metrics.bytes_emitted += self.size
+        self.encoder._emit_counted(self.msg, out, 0, self._memo)
         return bytes(out)
 
 
@@ -632,48 +581,34 @@ class GeneratedEncoder:
         self._size = None  # (msg, memo) -> int
         self._emit = None  # (msg, buf, pos, memo) -> int
 
+    def _emit_counted(self, msg: Message, buf, pos: int, memo: dict) -> int:
+        """``_emit`` plus the volume counters — the one counted emit every
+        entry point here and on :class:`SizedMessage` leaves through, room
+        at ``pos`` already established."""
+        end = self._emit(msg, buf, pos, memo)
+        metrics = ENCODE_PLAN_METRICS
+        encodes, full_name = metrics.encodes, self.full_name
+        encodes[full_name] = encodes.get(full_name, 0) + 1
+        metrics.bytes_emitted += end - pos
+        return end
+
     def serialized_size(self, msg: Message) -> int:
         """Exact serialized size (one size pass, memo discarded)."""
         return self._size(msg, {})
 
-    def serialize(self, msg: Message) -> bytes:
-        """Serialize ``msg`` to a fresh ``bytes`` object."""
-        memo: dict = {}
-        size = self._size(msg, memo)
-        out = bytearray(size)
-        self._emit(msg, out, 0, memo)
-        metrics = ENCODE_PLAN_METRICS
-        metrics.count_encode(self.full_name)
-        metrics.bytes_emitted += size
-        return bytes(out)
-
-    def serialize_into(self, msg: Message, buf, offset: int = 0) -> int:
-        """Serialize ``msg`` directly into ``buf`` at ``offset``.
-
-        ``buf`` is any writable buffer (``bytearray`` or a ``memoryview``
-        of one — e.g. a slice of the registered send region).  Returns the
-        end position; raises :class:`~repro.proto.serializer.EncodeError`
-        if the message does not fit.
-        """
-        memo: dict = {}
-        size = self._size(msg, memo)
-        if offset + size > len(buf):
-            raise EncodeError(
-                f"buffer too small: need {size} bytes at offset {offset}, "
-                f"have {len(buf) - offset}"
-            )
-        end = self._emit(msg, buf, offset, memo)
-        metrics = ENCODE_PLAN_METRICS
-        metrics.count_encode(self.full_name)
-        metrics.bytes_emitted += size
-        metrics.copies_avoided += 1
-        return end
-
     def measure(self, msg: Message) -> SizedMessage:
         """Run the size pass now, emit later (see :class:`SizedMessage`)."""
         memo: dict = {}
+        return SizedMessage(self, msg, self._size(msg, memo), memo)
+
+    def serialize(self, msg: Message) -> bytes:
+        """Serialize ``msg`` to a fresh ``bytes`` object (the fused form of
+        ``measure(msg).to_bytes()``: no :class:`SizedMessage` is built)."""
+        memo: dict = {}
         size = self._size(msg, memo)
-        return SizedMessage(self, msg, size, memo)
+        out = bytearray(size)
+        self._emit_counted(msg, out, 0, memo)
+        return bytes(out)
 
 
 def _packed_run_encoder(fd: FieldDescriptor):
@@ -725,179 +660,136 @@ def _packed_run_encoder(fd: FieldDescriptor):
     return encode
 
 
+# An encoder is two passes over the set fields in field-number order, and a
+# field's share of them is a ``(size lines, emit lines)`` pair.  Two fragments
+# make every pair — a length-delimited element and a tagged scalar — and a
+# repeated field is a loop around its element's fragment.  Plain functions
+# returning source lines, as on the decode side.
+
+
+def _indented(lines) -> list[str]:
+    return ["    " + ln for ln in lines]
+
+
+def _store_run(x: str) -> list[str]:
+    """Emit lines copying the byte run ``x`` to ``buf[pos:]``."""
+    return [f"end = pos + len({x})", f"buf[pos:end] = {x}", "pos = end"]
+
+
+def _delimited(tag: str, tag_len: int, x: str, child: tuple[str, str, str] | None = None):
+    """One length-delimited element ``x``: tag, varint length, payload.
+    The payload is the byte run ``x`` itself or, with ``child = (size
+    callable, emit callable, length expression)``, a submessage: the size
+    pass parks its measured length in the memo, where the emit pass's
+    ``length expression`` finds it."""
+    if child is None:
+        measure, length, payload = [f"n = len({x})"], f"len({x})", _store_run(x)
+    else:
+        size_fn, emit_fn, length = child
+        measure = [f"n = {size_fn}({x}, memo)", f"memo[id({x})] = n"]
+        payload = [f"pos = {emit_fn}({x}, buf, pos, memo)"]
+    size = [*measure, f"total += {tag_len} + _vs(n) + n"]
+    emit = [
+        f"buf[pos:pos + {tag_len}] = {tag}",
+        f"pos = _wv(buf, pos + {tag_len}, {length})",
+        *payload,
+    ]
+    return size, emit
+
+
+def _tagged_scalar(tag: str, tag_len: int, kind, x: str, pack: str, known_true: bool):
+    """One tagged scalar ``x``.  Its size is a constant plus, for a varint,
+    an expression in ``x``, so the pair comes as ``((constant, expression
+    or None), emit lines)`` and a repeated field can count the constant
+    part once.  ``pack`` names the fixed-width store; ``known_true`` says
+    ``x`` is a bool the guard already found set, i.e. the byte 1."""
+    store = f"buf[pos:pos + {tag_len}] = {tag}"
+    if known_true:
+        return (tag_len + 1, None), [store, f"buf[pos + {tag_len}] = 1", f"pos += {tag_len + 1}"]
+    if kind.width:
+        step = tag_len + kind.width
+        return (step, None), [store, f"{pack}(buf, pos + {tag_len}, {x})", f"pos += {step}"]
+    raw = kind.to_raw.format(v=x)
+    return (tag_len, f"_vs({raw})"), [store, f"pos = _wv(buf, pos + {tag_len}, {raw})"]
+
+
+def _memoized(var: str, expr: str, pair):
+    """``pair`` with ``var`` computed once: the size pass evaluates
+    ``expr`` and parks it in the memo, the emit pass picks it up."""
+    size, emit = pair
+    return [f"{var} = {expr}", f"memo[id(v)] = {var}", *size], [f"{var} = memo[id(v)]", *emit]
+
+
+def _repeated(x: str, pair, size_over: str = "v", emit_over: str = "v"):
+    """``pair`` once per element ``x`` of what each pass iterates."""
+    size, emit = pair
+    return (
+        [f"for {x} in {size_over}:", *_indented(size)],
+        [f"for {x} in {emit_over}:", *_indented(emit)],
+    )
+
+
 def _encode_field_fragments(
     descriptor: MessageDescriptor, factory: MessageFactory, ns: dict
-) -> list[tuple[str, str, list[str], list[str]]]:
-    """Per-field ``(name, present_expr, size_lines, emit_lines)`` in
-    field-number order — ``ListFields`` semantics, as source."""
+) -> list[tuple[list[str], list[str], list[str]]]:
+    """Per-field ``(guard_lines, size_lines, emit_lines)`` in field-number
+    order — ``ListFields`` semantics, as source: the guard binds ``v`` and
+    tests that the field is set, the other two are its share of the passes."""
     out = []
     for i, fd in enumerate(descriptor.fields_sorted()):
         t = fd.type
-        tag, packed_tag, tag_len = _tag_cache(fd)
-        ns[f"_t{i}"] = bytes(tag)
+        rep = fd.is_repeated
+        tag_bytes, packed_tag_bytes, tag_len = _tag_cache(fd)
+        tag = f"_t{i}"
+        ns[tag] = bytes(tag_bytes)
+        if rep:
+            present = " and len(v)"
+        elif t is FieldType.MESSAGE:
+            present = ""
+        else:
+            present = f" and v != {fd.default_value()!r}"
 
-        if fd.is_repeated:
-            present = "len(v)"
-            if t is FieldType.MESSAGE:
-                child = get_gen_encoder(fd.message_type, factory)
-                ns[f"_e{i}"] = child
-                size_lines = [
-                    f"child = _e{i}._size",
-                    "for e in v:",
-                    "    n = child(e, memo)",
-                    "    memo[id(e)] = n",
-                    f"    total += {tag_len} + _vs(n) + n",
-                ]
-                emit_lines = [
-                    f"child = _e{i}._emit",
-                    "for e in v:",
-                    f"    buf[pos:pos + {tag_len}] = _t{i}",
-                    f"    pos = _wv(buf, pos + {tag_len}, memo[id(e)])",
-                    "    pos = child(e, buf, pos, memo)",
-                ]
-            elif t is FieldType.STRING:
-                size_lines = [
-                    "datas = [e.encode('utf-8') for e in v]",
-                    "memo[id(v)] = datas",
-                    "for d in datas:",
-                    "    n = len(d)",
-                    f"    total += {tag_len} + _vs(n) + n",
-                ]
-                emit_lines = [
-                    "for d in memo[id(v)]:",
-                    f"    buf[pos:pos + {tag_len}] = _t{i}",
-                    f"    pos = _wv(buf, pos + {tag_len}, len(d))",
-                    "    end = pos + len(d)",
-                    "    buf[pos:end] = d",
-                    "    pos = end",
-                ]
-            elif t is FieldType.BYTES:
-                size_lines = [
-                    "for d in v:",
-                    "    n = len(d)",
-                    f"    total += {tag_len} + _vs(n) + n",
-                ]
-                emit_lines = [
-                    "for d in v:",
-                    f"    buf[pos:pos + {tag_len}] = _t{i}",
-                    f"    pos = _wv(buf, pos + {tag_len}, len(d))",
-                    "    end = pos + len(d)",
-                    "    buf[pos:end] = d",
-                    "    pos = end",
-                ]
-            elif fd.is_packed and not getattr(fd, "force_unpacked", False):
-                ns[f"_run{i}"] = _packed_run_encoder(fd)
-                ns[f"_pt{i}"] = bytes(packed_tag)
-                size_lines = [
-                    f"run = _run{i}(v)",
-                    "memo[id(v)] = run",
-                    "n = len(run)",
-                    f"total += {tag_len} + _vs(n) + n",
-                ]
-                emit_lines = [
-                    "run = memo[id(v)]",
-                    f"buf[pos:pos + {tag_len}] = _pt{i}",
-                    f"pos = _wv(buf, pos + {tag_len}, len(run))",
-                    "end = pos + len(run)",
-                    "buf[pos:end] = run",
-                    "pos = end",
-                ]
-            elif t.is_varint:
-                size_lines = [
-                    f"total += len(v) * {tag_len}",
-                    "for e in v:",
-                    f"    total += _vs({KINDS[t].to_raw.format(v='e')})",
-                ]
-                emit_lines = [
-                    "for e in v:",
-                    f"    buf[pos:pos + {tag_len}] = _t{i}",
-                    f"    pos = _wv(buf, pos + {tag_len}, {KINDS[t].to_raw.format(v='e')})",
-                ]
-            else:  # unpacked fixed-width ([packed = false])
-                packer = KINDS[t].codec
-                ns[f"_p{i}"] = packer.pack_into
-                width = packer.size
-                size_lines = [f"total += len(v) * {tag_len + width}"]
-                emit_lines = [
-                    f"pack_into = _p{i}",
-                    "for e in v:",
-                    f"    buf[pos:pos + {tag_len}] = _t{i}",
-                    f"    pos += {tag_len}",
-                    "    pack_into(buf, pos, e)",
-                    f"    pos += {width}",
-                ]
-            out.append((fd.name, present, size_lines, emit_lines))
-            continue
-
-        # -- singular --------------------------------------------------------
         if t is FieldType.MESSAGE:
-            child = get_gen_encoder(fd.message_type, factory)
-            ns[f"_e{i}"] = child
-            out.append((fd.name, "True", [
-                f"n = _e{i}._size(v, memo)",
-                "memo[id(v)] = n",
-                f"total += {tag_len} + _vs(n) + n",
-            ], [
-                "n = memo[id(v)]",
-                f"buf[pos:pos + {tag_len}] = _t{i}",
-                f"pos = _wv(buf, pos + {tag_len}, n)",
-                f"pos = _e{i}._emit(v, buf, pos, memo)",
-            ]))
-            continue
-
-        default = fd.default_value()
-        present = f"v != {default!r}"
-        if t is FieldType.BOOL:
-            size_lines = [f"total += {tag_len + 1}"]
-            emit_lines = [
-                f"buf[pos:pos + {tag_len}] = _t{i}",
-                f"buf[pos + {tag_len}] = 1",
-                f"pos += {tag_len + 1}",
-            ]
-        elif t.is_varint:
-            size_lines = [f"total += {tag_len} + _vs({KINDS[t].to_raw.format(v='v')})"]
-            emit_lines = [
-                f"buf[pos:pos + {tag_len}] = _t{i}",
-                f"pos = _wv(buf, pos + {tag_len}, {KINDS[t].to_raw.format(v='v')})",
-            ]
+            ns[f"_e{i}"] = get_gen_encoder(fd.message_type, factory)
+            if rep:
+                size, emit = _repeated(
+                    "e", _delimited(tag, tag_len, "e", ("child", "child", "memo[id(e)]"))
+                )
+                size.insert(0, f"child = _e{i}._size")
+                emit.insert(0, f"child = _e{i}._emit")
+            else:
+                size, emit = _delimited(tag, tag_len, "v", (f"_e{i}._size", f"_e{i}._emit", "n"))
+                emit.insert(0, "n = memo[id(v)]")
         elif t is FieldType.STRING:
-            size_lines = [
-                "data = v.encode('utf-8')",
-                "memo[id(v)] = data",
-                "n = len(data)",
-                f"total += {tag_len} + _vs(n) + n",
-            ]
-            emit_lines = [
-                "data = memo[id(v)]",
-                f"buf[pos:pos + {tag_len}] = _t{i}",
-                f"pos = _wv(buf, pos + {tag_len}, len(data))",
-                "end = pos + len(data)",
-                "buf[pos:end] = data",
-                "pos = end",
-            ]
+            if rep:  # every element is encoded once, in the size pass
+                size, emit = _repeated("d", _delimited(tag, tag_len, "d"), "datas", "memo[id(v)]")
+                size = ["datas = [e.encode('utf-8') for e in v]", "memo[id(v)] = datas", *size]
+            else:
+                size, emit = _memoized("data", "v.encode('utf-8')", _delimited(tag, tag_len, "data"))
         elif t is FieldType.BYTES:
-            size_lines = [
-                "n = len(v)",
-                f"total += {tag_len} + _vs(n) + n",
-            ]
-            emit_lines = [
-                f"buf[pos:pos + {tag_len}] = _t{i}",
-                f"pos = _wv(buf, pos + {tag_len}, len(v))",
-                "end = pos + len(v)",
-                "buf[pos:end] = v",
-                "pos = end",
-            ]
-        else:  # fixed-width scalar
-            packer = KINDS[t].codec
-            ns[f"_p{i}"] = packer.pack_into
-            width = packer.size
-            size_lines = [f"total += {tag_len + width}"]
-            emit_lines = [
-                f"buf[pos:pos + {tag_len}] = _t{i}",
-                f"_p{i}(buf, pos + {tag_len}, v)",
-                f"pos += {tag_len + width}",
-            ]
-        out.append((fd.name, present, size_lines, emit_lines))
+            if rep:
+                size, emit = _repeated("d", _delimited(tag, tag_len, "d"))
+            else:
+                size, emit = _delimited(tag, tag_len, "v")
+        elif rep and fd.is_packed and not getattr(fd, "force_unpacked", False):
+            ns[f"_run{i}"] = _packed_run_encoder(fd)
+            ns[f"_pt{i}"] = bytes(packed_tag_bytes)
+            size, emit = _memoized("run", f"_run{i}(v)", _delimited(f"_pt{i}", tag_len, "run"))
+        else:
+            kind = KINDS[t]
+            if kind.width:
+                ns[f"_p{i}"] = kind.codec.pack_into
+            (const, varying), emit = _tagged_scalar(
+                tag, tag_len, kind, "e" if rep else "v", f"_p{i}",
+                known_true=t is FieldType.BOOL and not rep,
+            )
+            if not rep:
+                size = [f"total += {const} + {varying}" if varying else f"total += {const}"]
+            else:  # unpacked ([packed = false]): the constant part is counted once
+                size, emit = _repeated("e", ([f"total += {varying}"], emit))
+                size = [f"total += len(v) * {const}", *(size if varying else ())]
+        guard = [f"v = values.get({fd.name!r})", f"if v is not None{present}:"]
+        out.append((guard, size, emit))
     return out
 
 
@@ -906,30 +798,30 @@ def encode_source(descriptor: MessageDescriptor, factory: MessageFactory) -> tup
     ns: dict = {"_vs": varint_size, "_wv": write_varint}
     fields = _encode_field_fragments(descriptor, factory, ns)
     b = _SourceBuilder()
+
+    def one_pass(header: str, first: list[str], shares, last: list[str]) -> None:
+        """One pass's frame: every field that is set contributes its share."""
+        b.add(0, header)
+        b.add(1, *first)
+        for guard, share in shares:
+            b.add(1, *guard)
+            b.add(2, *share)
+        b.add(1, *last)
+
     b.add(0, f"# generated encoder for {descriptor.full_name}")
-    b.add(0, "def _size(msg, memo):")
-    b.add(1, "values = msg._values", "total = len(msg._unknown)")
-    for name, present, size_lines, _ in fields:
-        b.add(1, f"v = values.get({name!r})")
-        cond = "v is not None" if present == "True" else f"v is not None and {present}"
-        b.add(1, f"if {cond}:")
-        b.add(2, *size_lines)
-    b.add(1, "return total")
+    one_pass(
+        "def _size(msg, memo):",
+        ["values = msg._values", "total = len(msg._unknown)"],
+        [(guard, size) for guard, size, _ in fields],
+        ["return total"],
+    )
     b.add(0, "")
-    b.add(0, "def _emit(msg, buf, pos, memo):")
-    b.add(1, "values = msg._values")
-    for name, present, _, emit_lines in fields:
-        b.add(1, f"v = values.get({name!r})")
-        cond = "v is not None" if present == "True" else f"v is not None and {present}"
-        b.add(1, f"if {cond}:")
-        b.add(2, *emit_lines)
-    b.add(1,
-          "unknown = msg._unknown",
-          "if unknown:",
-          "    end = pos + len(unknown)",
-          "    buf[pos:end] = unknown",
-          "    pos = end",
-          "return pos")
+    one_pass(
+        "def _emit(msg, buf, pos, memo):",
+        ["values = msg._values"],
+        [(guard, emit) for guard, _, emit in fields],
+        ["unknown = msg._unknown", "if unknown:", *_indented(_store_run("unknown")), "return pos"],
+    )
     return b.source(), ns
 
 

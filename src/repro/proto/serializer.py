@@ -38,6 +38,7 @@ __all__ = [
     "serialized_size",
     "prepare_emit",
     "emit_writer",
+    "check_room",
     "ENCODE_MODES",
     "EncodeError",
 ]
@@ -51,6 +52,20 @@ ENCODE_MODES = ("generated", "interpretive")
 class EncodeError(ValueError):
     """Raised when a message cannot be emitted into the destination
     buffer (typically: the reserved space is too small)."""
+
+
+def check_room(buf, offset: int, size: int) -> None:
+    """The one bound on an in-place emit: ``size`` bytes at ``offset`` lie
+    inside ``buf``, or :class:`EncodeError` and ``buf`` is untouched.
+    Every measured message (``SizedMessage``, ``SizedFixed``,
+    ``_PreparedBytes``) checks here before its first store, because the
+    stores themselves do not: a slice store past the end *grows* a
+    ``bytearray``, and a negative index wraps to the tail."""
+    if offset < 0 or offset + size > len(buf):
+        raise EncodeError(
+            f"buffer too small: need {size} bytes at offset {offset}, "
+            f"have {len(buf) - offset}"
+        )
 
 
 # Bound on first use (gen_codec imports this module for the tag cache, so
@@ -180,18 +195,7 @@ def serialize_into(msg: Message, buf, offset: int = 0, mode: str | None = None) 
     measured against).  Raises :class:`EncodeError` if the message does
     not fit.
     """
-    encoder = _encoder_for(msg, mode)
-    if encoder is not None:
-        return encoder.serialize_into(msg, buf, offset)
-    data = _serialize_bytes(msg)
-    end = offset + len(data)
-    if end > len(buf):
-        raise EncodeError(
-            f"buffer too small: need {len(data)} bytes at offset {offset}, "
-            f"have {len(buf) - offset}"
-        )
-    buf[offset:end] = data
-    return end
+    return prepare_emit(msg, mode).emit_into(buf, offset)
 
 
 class _PreparedBytes:
@@ -206,12 +210,8 @@ class _PreparedBytes:
         self.size = len(data)
 
     def emit_into(self, buf, offset: int = 0) -> int:
+        check_room(buf, offset, self.size)
         end = offset + self.size
-        if end > len(buf):
-            raise EncodeError(
-                f"buffer too small: need {self.size} bytes at offset {offset}, "
-                f"have {len(buf) - offset}"
-            )
         buf[offset:end] = self.data
         return end
 

@@ -18,8 +18,10 @@ from typing import Callable
 from repro.proto import Message, parse, prepare_emit
 from repro.proto.fixed_wire import (
     WIRE_FIXED,
+    WIRE_STANDARD,
     FixedWireError,
     get_fixed_layout,
+    measure_fixed,
     negotiation_hash,
     service_types,
 )
@@ -284,14 +286,8 @@ class XrpcChannel:
         # Zero-copy framing: size the message first, build the frame in
         # one buffer, and have the encoder emit the wire bytes in place
         # after the header — no intermediate serialized `bytes`.
-        wire_mode = 0
-        sized = None
-        if self.wire_fixed:
-            layout = get_fixed_layout(type(request).DESCRIPTOR, request._FACTORY)
-            if layout is not None:
-                sized = layout.measure(request)
-                if sized is not None:
-                    wire_mode = WIRE_FIXED
+        sized = measure_fixed(request) if self.wire_fixed else None
+        wire_mode = WIRE_STANDARD if sized is None else WIRE_FIXED
         if sized is None:
             sized = prepare_emit(request, mode=self.encode_mode)
         m = method.encode("utf-8")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.proto import Message, MessageFactory, WireFormatError, parse, prepare_emit
 from repro.proto.descriptor import ServiceDescriptor
-from repro.proto.fixed_wire import WIRE_FIXED, get_fixed_layout
+from repro.proto.fixed_wire import WIRE_FIXED, WIRE_STANDARD, get_fixed_layout, measure_fixed
 
 from .framing import StatusCode, append_response
 from .ingress import Ingress, _Connection
@@ -147,15 +147,11 @@ class XrpcServer(Ingress):
         when the response type (and this instance) supports it — the
         client negotiated the layout, so no per-connection state is
         needed to answer in kind."""
-        sized = None
-        wire_mode = 0
-        if request_was_fixed:
-            layout = get_fixed_layout(response.DESCRIPTOR, self.factory)
-            if layout is not None:
-                sized = layout.measure(response)
-                if sized is not None:
-                    wire_mode = WIRE_FIXED
+        sized = measure_fixed(response) if request_was_fixed else None
+        wire_mode = WIRE_STANDARD if sized is None else WIRE_FIXED
         if sized is None:
+            # The module global, looked up per call: the benchmark's traced
+            # pass patches it (docs/TRANSPORT.md, "what the benchmark patches").
             sized = prepare_emit(response, mode=self.encode_mode)
         self.stats.responses += 1
         self.stats.response_bytes += sized.size

@@ -1,5 +1,6 @@
-"""A connection can fail only itself (ROADMAP item 4(a), the "frame
-header" injection point and the client that hangs up).
+"""A connection can fail only itself (ROADMAP item 4(a): the "frame
+header" injection point, the client that hangs up, and the first payload
+injection point — a well-framed request whose payload lies).
 
 The front door terminates untrusted connections.  Three things a client
 can do to it — bytes that are no frame, a method name that is not UTF-8,
@@ -7,19 +8,23 @@ hanging up with a request in flight — must cost that connection and
 nothing else: ``Deployment.drive()`` never raises, the well-behaved
 client on a second connection is answered OK on the same and on the next
 round trip, and the protocol's books (credits, both §IV-D ID pools) end
-where an undisturbed exchange leaves them.  Every in-process kind
-``repro.deploy.build`` makes runs the same script.
+where an undisturbed exchange leaves them.  A fourth — a WIRE_FIXED
+payload whose count slots overrun it — must cost that request only.
+Every in-process kind ``repro.deploy.build`` makes runs the same script.
 """
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 from repro.deploy import build
-from repro.proto import serialize
+from repro.proto import WIRE_FIXED, serialize
+from repro.proto.fixed_wire import negotiation_hash, service_types
 from repro.workloads import WorkloadFactory, bench_service
 from repro.xrpc import FrameDecoder, FrameType, StatusCode, encode_request
-from repro.xrpc.framing import request_frame_size, write_request_header
+from repro.xrpc.framing import encode_setup, request_frame_size, write_request_header
 from repro.xrpc.transport import ConnectionClosed
 
 KINDS = {
@@ -151,3 +156,37 @@ def test_a_client_that_hangs_up_loses_only_its_own_reply(stack, hang_up):
         )
     # ...and the door let go of the dead connection.
     assert len(deployment.front._connections) == (1 if hang_up else 2)
+
+
+def test_a_fixed_payload_whose_counts_lie_costs_only_its_request(stack):
+    """A negotiated connection, a well-framed request, a hostile payload:
+    ``bench.IntArray``'s one count slot announces 200 000 ints and no
+    element follows.  The request is answered INVALID_ARGUMENT — offloaded,
+    by the size estimate, before a block is opened for the 800 kB the
+    count asks for — and the same connection is served on."""
+    deployment, wire = stack
+    client = _Client(deployment, "negotiated")
+    client.socket.send(encode_setup(negotiation_hash(service_types(bench_service()[1]))))
+    deployment.drive()
+    (ack,) = client.received()
+    assert (ack.frame_type, ack.status) == (FrameType.SETUP_ACK, StatusCode.OK)
+
+    blocks_opened = []
+    if deployment.rdma is not None:
+        sender = deployment.rdma.client
+        alloc = sender._alloc_block
+        sender._alloc_block = lambda capacity: blocks_opened.append(capacity) or alloc(capacity)
+
+    method, payload = b"/bench.Bench/SumInts", struct.pack("<I", 200_000)
+    frame = bytearray(request_frame_size(len(method), len(payload)))
+    frame[write_request_header(frame, 1, method, len(payload), WIRE_FIXED):] = payload
+    client.socket.send(bytes(frame))
+    for _ in range(3):
+        deployment.drive()
+    (answer,) = client.received()
+    assert (answer.call_id, answer.status) == (1, StatusCode.INVALID_ARGUMENT)
+    assert blocks_opened == []
+
+    for call_id in (3, 5):
+        _assert_ok(client.round_trip(call_id, wire), call_id)
+    assert deployment.front.framing_errors == 0

@@ -388,3 +388,22 @@ class TestFixedArenaDecode:
         for bad in (wire[: layout.fixed_size - 1], wire[:-1], wire + b"\x00"):
             with pytest.raises(WireFormatError):
                 deser.deserialize_fixed(root, bad, Arena(space, ARENA_BASE, ARENA_SIZE))
+
+    def test_a_lying_count_is_rejected_by_the_estimate(self):
+        """The arena bound is read out of the count slots, so they are
+        proven first: 12 bytes announcing 200 000 ints must not size an
+        800 160-byte reservation."""
+        import struct
+
+        from repro.offload.arena_deserializer import DeserializeError
+
+        schema = compile_schema(
+            'syntax = "proto3"; package lie; '
+            "message M { int32 a = 1; string s = 2; repeated int32 r = 3; }"
+        )
+        space = AddressSpace("host")
+        adt = TypeUniverse(space).build_adt([schema.pool.message("lie.M")])
+        deser = ArenaDeserializer(adt)
+        assert deser.estimate_size_fixed(0, struct.pack("<iII", 0, 0, 0)) < 256
+        with pytest.raises(DeserializeError, match="array overruns fixed payload"):
+            deser.estimate_size_fixed(0, struct.pack("<iII", 0, 0, 200_000))

@@ -262,6 +262,84 @@ class TestFixedWireDifferential:
         with pytest.raises(FixedWireError):
             layout.parse(telemetry_cls, wire + b"\x00")
 
+    @pytest.mark.parametrize("mutation", [
+        "truncated-fixed-section", "blob-overrun", "array-overrun",
+        "count-far-past-the-end", "trailing-bytes", "one-byte-short",
+    ])
+    def test_both_sides_reject_the_same_mutations(self, telemetry_cls, mutation):
+        """The message side and the arena side apply one walk
+        (``FixedLayout.spans``): a mutated payload is rejected by both —
+        ``FixedWireError`` here, ``DeserializeError`` there, and there
+        already by the size estimate, before an arena exists — and the
+        payload it was mutated from is accepted by both."""
+        import struct
+
+        from repro.memory import AddressSpace, Arena, MemoryRegion
+        from repro.offload import ArenaDeserializer, DeserializeError, TypeUniverse
+        from repro.proto import FixedWireError
+
+        layout = self._layout(telemetry_cls)
+        good = layout.encode(telemetry_cls(seq=9, samples=[1, 2, 3], origin="ab", blob=b"xyz"))
+        slot_at = {
+            s.spec.name: struct.calcsize(layout._struct.format[: 1 + i])
+            for i, s in enumerate(layout.slots)
+        }
+
+        def with_count(name: str, count: int) -> bytes:
+            return good[: slot_at[name]] + struct.pack("<I", count) + good[slot_at[name] + 4 :]
+
+        bad = {
+            "truncated-fixed-section": good[: layout.fixed_size - 1],
+            "blob-overrun": with_count("blob", 4),
+            "array-overrun": with_count("samples", 4),
+            "count-far-past-the-end": with_count("series", 200_000),
+            "trailing-bytes": good + b"\x00",
+            "one-byte-short": good[:-1],
+        }[mutation]
+
+        space = AddressSpace("dpu")
+        space.map(MemoryRegion(0x5000_0000, 1 << 16, "arena"))
+        deser = ArenaDeserializer(TypeUniverse(space).build_adt([telemetry_cls.DESCRIPTOR]))
+        arena = lambda: Arena(space, 0x5000_0000, 1 << 16)  # noqa: E731
+
+        assert layout.parse(telemetry_cls, good).seq == 9
+        assert deser.estimate_size_fixed(0, good) <= 1 << 16
+        deser.deserialize_fixed(0, good, arena())
+        with pytest.raises(FixedWireError):
+            layout.parse(telemetry_cls, bad)
+        with pytest.raises(DeserializeError):
+            deser.estimate_size_fixed(0, bad)
+        with pytest.raises(DeserializeError):
+            deser.deserialize_fixed(0, bad, arena())
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_emit_into_is_bounded(self, data, telemetry_cls):
+        """For any message and any ``(len(buf), offset)``, each measured
+        class (``SizedMessage``, ``_PreparedBytes``, ``SizedFixed``)
+        either writes exactly ``to_bytes()`` at ``offset`` and nothing
+        else, or raises ``EncodeError`` and leaves ``buf`` as it was."""
+        from repro.proto import EncodeError, prepare_emit
+
+        msg = data.draw(telemetry_strategy(telemetry_cls))
+        sized = data.draw(st.sampled_from([
+            prepare_emit(msg, mode="generated"),
+            prepare_emit(msg, mode="interpretive"),
+            self._layout(telemetry_cls).measure(msg),
+        ]))
+        wire = sized.to_bytes()
+        assert sized.size == len(wire)
+        length = data.draw(st.integers(0, len(wire) + 12))
+        offset = data.draw(st.integers(-len(wire) - 4, length + 4))
+        buf = bytearray(b"\xa5" * length)
+        if 0 <= offset and offset + len(wire) <= length:
+            assert sized.emit_into(buf, offset) == offset + len(wire)
+            assert buf == b"\xa5" * offset + wire + b"\xa5" * (length - offset - len(wire))
+        else:
+            with pytest.raises(EncodeError):
+                sized.emit_into(buf, offset)
+            assert buf == b"\xa5" * length
+
     @pytest.mark.parametrize("value", [-0.0, float("nan")])
     def test_fixed_float_presence_parity(self, telemetry_cls, value):
         """-0.0 is falsy → dropped on both wires; NaN is truthy → kept

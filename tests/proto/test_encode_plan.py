@@ -24,6 +24,7 @@ from repro.proto import (
     ENCODE_PLAN_METRICS,
     EncodeError,
     compile_schema,
+    get_fixed_layout,
     get_gen_encoder,
     parse,
     prepare_emit,
@@ -252,6 +253,29 @@ class TestParity:
 # ---------------------------------------------------------------------------
 
 
+_FIXABLE = compile_schema(
+    'syntax = "proto3"; package be; '
+    "message M { int32 a = 1; string s = 2; repeated int32 r = 3; }"
+)["be.M"]
+
+
+def _fixable():
+    """A message every measured class can carry (fixed-layout eligible)."""
+    return _FIXABLE(a=7, s="fixed wire", r=[1, -2, 3])
+
+
+def _measured() -> dict:
+    """The three measured-message classes over one message: ``SizedMessage``,
+    ``_PreparedBytes`` and ``SizedFixed``."""
+    msg = _fixable()
+    layout = get_fixed_layout(type(msg).DESCRIPTOR, msg._FACTORY)
+    return {
+        "generated": prepare_emit(msg, mode="generated"),
+        "interpretive": prepare_emit(msg, mode="interpretive"),
+        "fixed": layout.measure(msg),
+    }
+
+
 class TestSerializeInto:
     @pytest.mark.parametrize("mode", MODES)
     def test_offset_and_end(self, everything_cls, mode):
@@ -296,6 +320,30 @@ class TestSerializeInto:
         assert bytes(out[3:]) == wire
         with pytest.raises(EncodeError):
             sized.emit_into(bytearray(sized.size - 1))
+
+    def test_short_buffer_is_rejected_not_grown(self):
+        """A slice store past the end *grows* a ``bytearray`` and
+        ``pack_into`` raises ``struct.error``: the fixed-wire emit must
+        answer like its tag-wire twin, before its first store."""
+        sized = _measured()["fixed"]
+        for short in (bytearray(sized.size - 1), bytearray(4)):
+            before = bytes(short)
+            with pytest.raises(EncodeError):
+                sized.emit_into(short, 0)
+            assert bytes(short) == before
+
+    @pytest.mark.parametrize("how", ["generated", "interpretive", "fixed"])
+    def test_negative_offset_is_rejected_not_wrapped(self, how):
+        """``offset + size <= len(buf)`` holds for a negative offset, and
+        a negative index wraps to the tail of the buffer."""
+        sized = _measured()[how]
+        buf = bytearray(b"\xee" * (sized.size + 8))
+        with pytest.raises(EncodeError):
+            sized.emit_into(buf, -3)
+        if how != "fixed":
+            with pytest.raises(EncodeError):
+                serialize_into(_fixable(), buf, -3, mode=how)
+        assert buf == b"\xee" * (sized.size + 8)
 
     def test_emit_writer_into_address_space(self, everything_cls):
         from repro.memory import AddressSpace, MemoryRegion

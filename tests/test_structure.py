@@ -254,3 +254,89 @@ def test_the_request_path_imports_nothing(path, function):
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert imports == []
+
+
+# -- the encode half: one room check, one emit pair, one fixed walk (item 6) --
+
+
+def _functions_writing(needle: str, root: Path) -> set[tuple[str, str | None]]:
+    """``(file, outermost function)`` of every string constant under
+    ``root`` — the literal parts of an f-string included, docstrings not —
+    that contains ``needle``."""
+    trees = _trees(root) if root.is_dir() else [(root, ast.parse(root.read_text()))]
+    sites = set()
+    for path, tree in trees:
+        owner = _enclosing_functions(tree)
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Module)) and node.body
+            and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)
+        }
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and needle in node.value and id(node) not in docstrings):
+                sites.add((str(path.relative_to(SRC)), owner[node]))
+    return sites
+
+
+def test_room_for_an_emit_is_checked_in_one_function():
+    """``SizedMessage``, ``SizedFixed`` and ``_PreparedBytes`` all emit
+    through ``serializer.check_room``; nobody else words the refusal."""
+    assert _functions_writing("buffer too small", SRC) == {("proto/serializer.py", "check_room")}
+    for module in ("gen_codec.py", "fixed_wire.py", "serializer.py"):
+        assert _callers(SRC / "proto" / module, "check_room") == {"emit_into"}, module
+
+
+@pytest.mark.parametrize("line, functions", [
+    ("buf[pos:end] = ", {"_store_run"}),                 # the slice store of a byte run
+    (" + _vs(n) + n", {"_delimited"}),                   # tag + length prefix + payload
+    ("buf[pos:pos + ", {"_delimited", "_tagged_scalar"}),  # the tag store: once per fragment
+])
+def test_an_encoder_line_is_generated_by_its_fragment_only(line, functions):
+    """The generated encoder is composed from two fragments (a
+    length-delimited element, a tagged scalar); a repeated field loops
+    around them and the pass frame calls them — none restates a line."""
+    sites = _functions_writing(line, SRC / "proto" / "gen_codec.py")
+    assert sites == {("proto/gen_codec.py", fn) for fn in functions}
+
+
+@pytest.mark.parametrize("needle", ["overruns fixed payload", "trailing bytes after fixed payload",
+                                    "fixed section truncated"])
+def test_a_fixed_payload_is_bounds_proved_in_one_function(needle):
+    """``FixedLayout.spans`` is the one walk; ``decode_into`` and the arena
+    decoder apply what it proved, and ``offload/`` words no such check."""
+    assert _functions_writing(needle, SRC / "proto" / "fixed_wire.py") == {("proto/fixed_wire.py", "spans")}
+    assert _functions_writing(needle, SRC / "offload") == set()
+
+
+# -- the benchmark's patch points (docs/TRANSPORT.md, "what the benchmark patches") --
+
+
+@pytest.mark.parametrize("module, name, arguments", [
+    ("xrpc/server.py", "prepare_emit", ("msg", "mode")),
+    ("xrpc/server.py", "parse", None),
+    ("offload/engine.py", "emit_writer", ("msg", "mode")),
+])
+def test_a_patched_module_global_is_called_by_its_bare_name(module, name, arguments):
+    """``benchmarks/e2e/layers.py`` replaces these module attributes when
+    its traced window opens, so the module reaches them by a global
+    lookup at call time — imported at module level, never aliased, bound
+    into a default or passed on — and, where the replacement is a
+    ``lambda msg, mode=None``, with at most those arguments.
+    ``tests/integration/test_bench_contract.py`` runs the traced pass;
+    this says where to look when it fails."""
+    tree = ast.parse((SRC / module).read_text())
+    assert any(
+        isinstance(node, ast.ImportFrom) and any((a.asname or a.name) == name for a in node.names)
+        for node in tree.body
+    )
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name]
+    assert calls
+    mentions = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == name]
+    assert len(mentions) == len(calls)  # every mention is a call's callee
+    for call in calls:
+        if arguments is not None:
+            assert len(call.args) + len(call.keywords) <= len(arguments)
+            assert {kw.arg for kw in call.keywords} <= set(arguments)

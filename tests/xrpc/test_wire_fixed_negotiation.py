@@ -164,6 +164,28 @@ class TestOffloadedNegotiation:
         finally:
             rdma.close()
 
+    def test_lying_count_fails_the_call_before_a_block_is_opened(self, schema):
+        """``fxc.Blob``'s length slot announces 200 000 bytes and none
+        follow: ``DpuEngine.call`` raises out of the size estimate —
+        nothing was reserved for what the slot asked for."""
+        import struct
+
+        from repro.offload import DeserializeError
+        from repro.xrpc import assign_method_ids
+
+        channel, front, host, dpu, rdma = offloaded_deployment(schema)
+        try:
+            opened = []
+            alloc = rdma.client._alloc_block
+            rdma.client._alloc_block = lambda capacity: opened.append(capacity) or alloc(capacity)
+            echo = assign_method_ids(schema.service("fxc.Calc"))["/fxc.Calc/Echo"]
+            with pytest.raises(DeserializeError, match="blob overruns fixed payload"):
+                dpu.call(echo, struct.pack("<I", 200_000), lambda view, flags: None,
+                         wire_mode=WIRE_FIXED)
+            assert opened == []
+        finally:
+            rdma.close()
+
     @pytest.mark.parametrize("decode_mode", ["interpretive", "generated"])
     def test_every_decode_mode_serves_fixed(self, schema, decode_mode):
         channel, front, host, dpu, rdma = offloaded_deployment(
