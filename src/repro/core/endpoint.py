@@ -57,6 +57,7 @@ from repro.memory import (
     MemoryRegion,
     OffsetAllocator,
 )
+from repro.proto.wire_format import WireFormatError
 from repro.rdma import CompletionQueue, Opcode, QpState, QueuePair, WorkRequest
 from repro.runtime.flush import FlushState, make_flush_policy
 from repro.runtime.overload import now_us, unpack_deadline
@@ -69,6 +70,7 @@ from .wire import (
     BlockReader,
     BlockWriter,
     Flags,
+    MessageTooLarge,
     ProtocolError,
     bucket_to_offset,
     offset_to_bucket,
@@ -209,12 +211,22 @@ class Response:
 Handler = Callable[[IncomingRequest], Response]
 
 
-def _fail_continuation(cont, reason: bytes) -> None:
-    """Deliver a locally synthesized failure (deadline expiry, connection
-    reset) to a request continuation.  ABORTED distinguishes 'the library
-    gave up' from a server-side ERROR response; AddressContinuations get a
-    null address — their object payload never materialized."""
-    flags = Flags.ERROR | Flags.ABORTED
+def _fault(exc: Exception) -> Response:
+    """The one way an exception becomes an answer on an endpoint's event
+    loop (docs/FAULTS.md §3): an ERROR response saying what was raised
+    (the xRPC front end keeps that from its clients), marked MALFORMED
+    when the class says the request's payload was at fault."""
+    flags = Flags.ERROR
+    if isinstance(exc, WireFormatError):
+        flags |= Flags.MALFORMED
+    return Response.from_bytes(repr(exc).encode(), flags)
+
+
+def _fail_continuation(cont, reason: bytes, flags: int = Flags.ERROR | Flags.ABORTED) -> None:
+    """Deliver a locally synthesized failure to a request continuation.
+    The default, ABORTED (deadline expiry, connection reset), tells 'the
+    library gave up' from a server-side ERROR response; AddressContinuations
+    get a null address — their object payload never materialized."""
     if isinstance(cont, AddressContinuation):
         cont.fn(0, 0, flags)
     else:
@@ -635,7 +647,7 @@ class ClientEndpoint(_EndpointBase):
         bytes ahead of the payload so every downstream stage can drop the
         request once its absolute deadline passes (docs/OVERLOAD.md)."""
         if max_payload > self.config.max_message_size:
-            raise ProtocolError(
+            raise MessageTooLarge(
                 f"payload of {max_payload} exceeds max_message_size "
                 f"{self.config.max_message_size}"
             )
@@ -821,8 +833,8 @@ class ClientEndpoint(_EndpointBase):
     def _drain_backlog(self) -> None:
         """Admit deferred requests as the concurrency window reopens.
         A failing writer has no caller to raise to in here, so that one
-        request is failed through its continuation — like every locally
-        failed request — and the rest is admitted all the same."""
+        request is failed through its continuation — with the answer a
+        handler's fault gets — and the rest is admitted all the same."""
         admitted = False
         while self._backlog and self.outstanding < self.id_pool.capacity:
             entry = self._backlog.popleft()
@@ -830,7 +842,8 @@ class ClientEndpoint(_EndpointBase):
                 self._enqueue_now(*entry)
             except Exception as exc:  # noqa: BLE001 — the event loop keeps running
                 self.backlog_failures += 1
-                self._fail_backlogged(entry, repr(exc).encode())
+                fault = _fault(exc)
+                self._fail_backlogged(entry, fault.data, fault.flags)
                 continue
             admitted = True
         if admitted and self._writer is not None:
@@ -838,11 +851,12 @@ class ClientEndpoint(_EndpointBase):
             # a backlog remains (window progress, not a policy decision).
             self._seal("backlog")
 
-    def _fail_backlogged(self, entry: tuple, reason: bytes) -> None:
+    def _fail_backlogged(self, entry: tuple, reason: bytes,
+                         flags: int = Flags.ERROR | Flags.ABORTED) -> None:
         """Fail a request that never left the backlog (it holds no ID)."""
         if self.trace is not None and entry[5] is not None:
             self.trace.event(entry[5], "abort")
-        _fail_continuation(entry[3], reason)
+        _fail_continuation(entry[3], reason, flags)
 
     def _process_response_block(self, bucket: int, byte_len: int) -> int:
         reader = self._open_received(bucket)
@@ -1061,7 +1075,7 @@ class ServerEndpoint(_EndpointBase):
         ids = self.id_pool.allocate_many(len(messages))
         self.stats.requests_received += len(messages)
         space, rbuf, trace = self.space, self.rbuf, self.trace
-        handlers, executor = self._handlers, self._background_executor
+        executor = self._background_executor
         for rid, (method_id, flags, payload_addr, payload_size) in zip(ids, messages):
             word = deadline_us = lane = 0
             if flags & (Flags.TRACE_CTX | Flags.DEADLINE):
@@ -1107,23 +1121,26 @@ class ServerEndpoint(_EndpointBase):
                 continue
             if ctx is not None:
                 t0 = trace.now()
-            handler = handlers.get(method_id)
-            if handler is None:
-                self.stats.handler_errors += 1
-                response = Response.from_bytes(
-                    f"unknown method {method_id}".encode(), flags=Flags.ERROR
-                )
-            else:
-                try:
-                    response = handler(request)
-                except Exception as exc:  # noqa: BLE001 — handler faults become RPC errors
-                    self.stats.handler_errors += 1
-                    response = Response.from_bytes(repr(exc).encode(), flags=Flags.ERROR)
+            response = self._invoke(request)
             if ctx is not None:
                 trace.event(ctx, "dispatch", ts=t0, dur=trace.now() - t0,
                             method=method_id, flags=response.flags)
             self._enqueue_response(rid, response)
         return len(messages)
+
+    def _invoke(self, request: IncomingRequest) -> Response:
+        """The host loop's boundary (docs/FAULTS.md §3): resolve the
+        handler and run it, in the polling thread or a background one.
+        A fault — an unknown method is one — ends with its request: the
+        one ERROR response, counted; the block's rest is dispatched."""
+        try:
+            handler = self._handlers.get(request.method_id)
+            if handler is None:
+                raise LookupError(f"unknown method {request.method_id}")
+            return handler(request)
+        except Exception as exc:  # noqa: BLE001 — handler faults become RPC errors
+            self.stats.handler_errors += 1
+            return _fault(exc)
 
     def _spawn_background(self, request: IncomingRequest) -> None:
         """Background RPCs (§III-D): the payload view dies with the block,
@@ -1135,19 +1152,8 @@ class ServerEndpoint(_EndpointBase):
         private = MemoryRegion(request.payload_addr, max(size, 1), "background")
         private.buf[:size] = request.payload_view()
         request.space = private
-
-        def run() -> None:
-            handler = self._handlers.get(request.method_id)
-            try:
-                if handler is None:
-                    raise LookupError(f"unknown method {request.method_id}")
-                resp = handler(request)
-            except Exception as exc:  # noqa: BLE001
-                self.stats.handler_errors += 1
-                resp = Response.from_bytes(repr(exc).encode(), flags=Flags.ERROR)
-            self._background_results.append((request.request_id, resp))
-
-        self._background_executor(run)
+        self._background_executor(lambda: self._background_results.append(
+            (request.request_id, self._invoke(request))))
 
     # -- response path -------------------------------------------------------------------
 
@@ -1179,9 +1185,7 @@ class ServerEndpoint(_EndpointBase):
             # The handler's fault ends with this request, not with the
             # rest of the block being dispatched.
             self.stats.handler_errors += 1
-            self._enqueue_response(
-                rid, Response.from_bytes(repr(exc).encode(), flags=Flags.ERROR)
-            )
+            self._enqueue_response(rid, _fault(exc))
             return
         if self.trace is not None:
             ctx = self._trace_by_rid.pop(rid, None)

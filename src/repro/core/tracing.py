@@ -37,6 +37,7 @@ _FLAG_NAMES = [
     (Flags.FIXED_PAYLOAD, "FIXED"),
     (Flags.DEADLINE, "DEADLINE"),
     (Flags.EXPIRED, "EXPIRED"),
+    (Flags.MALFORMED, "MALFORMED"),
 ]
 
 

@@ -51,6 +51,7 @@ __all__ = [
     "BlockWriter",
     "BlockReader",
     "ProtocolError",
+    "MessageTooLarge",
     "BlockFormatError",
     "ChecksumError",
     "compute_block_checksum",
@@ -77,6 +78,10 @@ _SEQUENCE = struct.Struct("<I")  # at preamble offset 12
 
 class ProtocolError(RuntimeError):
     """Protocol invariant violated."""
+
+
+class MessageTooLarge(ProtocolError):
+    """A payload larger than ``ProtocolConfig.max_message_size``."""
 
 
 class BlockFormatError(RuntimeError):
@@ -157,6 +162,10 @@ class Flags:
     #: (or during) processing; always paired with ERROR, payload names
     #: the dropping stage (``stage=host_dispatch`` etc.)
     EXPIRED = 1 << 9
+    #: the request's *payload* was rejected (by the host's parser on the
+    #: WIRE_PAYLOAD path, by its writer in the backlog); always paired
+    #: with ERROR, so the front end can say whose fault it was
+    MALFORMED = 1 << 10
 
 
 def _align_up(value: int, alignment: int) -> int:

@@ -99,7 +99,8 @@ class OverloadExporter:
 
     ``stages`` is any iterable of objects carrying a ``deadline_expired``
     mapping of stage name -> drop count (the server endpoint, the xRPC
-    server, the DPU front end); ``admissions`` any iterable of
+    server, the DPU front end; the front door among them also carries
+    ``request_faults``, status -> count); ``admissions`` any iterable of
     :class:`~repro.runtime.overload.AdmissionController`.  Absent sources
     export nothing, so the same class serves every deployment shape.
     """
@@ -127,6 +128,11 @@ class OverloadExporter:
             f"{prefix}_deadline_expired_total",
             "requests dropped with an expired deadline, by datapath stage",
             label_names=("stage",),
+        )
+        self._faults = registry.counter(
+            f"{prefix}_request_faults_total",
+            "failed requests answered through the outcome table, by status code",
+            label_names=("status",),
         )
         self._admitted = registry.counter(
             f"{prefix}_admitted_total",
@@ -179,6 +185,8 @@ class OverloadExporter:
         for source in self.stages:
             for stage, count in source.deadline_expired.items():
                 totals[stage] = totals.get(stage, 0.0) + count
+            for status, count in getattr(source, "request_faults", {}).items():
+                self._bump(("faults", str(status)), count, self._faults.labels(str(status)))
         for stage, value in totals.items():
             self._bump(("deadline", stage), value,
                        self._deadline.labels(stage))

@@ -41,6 +41,7 @@ from repro.proto.deserializer import DECODE_MODES, decode_varint_value, skip_fie
 from repro.proto.kinds import KINDS
 from repro.proto.utf8 import validate_utf8
 from repro.proto.wire_format import (
+    MAX_NESTING_DEPTH,
     TruncatedMessageError,
     WireFormatError,
     WireType,
@@ -270,7 +271,7 @@ class ArenaDeserializer:
         buf = bytes(wire)
         return self._estimate(root_index, buf, 0, len(buf)) + 64
 
-    def _estimate(self, index: int, buf: bytes, pos: int, end: int) -> int:
+    def _estimate(self, index: int, buf: bytes, pos: int, end: int, depth: int = 1) -> int:
         entry = self.adt.entry(index)
         total = _align8(entry.sizeof) + 8
         sso = self.string_layout.sso_capacity
@@ -297,7 +298,9 @@ class ArenaDeserializer:
                 if f is None:
                     pass
                 elif f.kind is FieldType.MESSAGE:
-                    total += self._estimate(f.child, buf, pos, pos + n) + 16
+                    if depth >= MAX_NESTING_DEPTH:  # before a block is reserved for it
+                        raise DeserializeError(f"messages nest deeper than {MAX_NESTING_DEPTH}")
+                    total += self._estimate(f.child, buf, pos, pos + n, depth + 1) + 16
                 elif f.kind in (FieldType.STRING, FieldType.BYTES):
                     if f.repeated:
                         total += _align8(str_size) + 8
@@ -320,13 +323,7 @@ class ArenaDeserializer:
         self, index: int, buf: bytes, pos: int, end: int, arena: Arena, depth: int
     ) -> int:
         entry = self.adt.entry(index)
-        obj = arena.allocate(entry.sizeof, entry.alignof)
-        # memcpy the default instance: vptr, zeroed scalars, SSO-empty
-        # strings pointing at the host's global default instance (§V-B).
-        arena.space.write(obj, entry.default_bytes)
-        self.stats.bytes_memcpy += entry.sizeof
-        self.stats.messages += 1
-        self.stats.max_depth = max(self.stats.max_depth, depth)
+        obj = self.place_object(entry, arena, depth)[0]
         self._parse_into(entry, obj, buf, pos, end, arena, depth)
         return obj
 
@@ -374,10 +371,14 @@ class ArenaDeserializer:
 
     def place_object(self, entry: AdtEntry, arena: Arena, depth: int) -> tuple:
         """Allocate ``entry``'s object in ``arena``, bounds-check it once
-        and lay the default image; returns ``(obj, mem, o)`` — address,
-        the region's buffer and the object's offset in it.  The caller
-        then stores at ``mem[o + offset]`` for the ADT offsets
-        :meth:`check_entry_layout` proved inside the object."""
+        and lay the default image (vptr, zeroed scalars, SSO-empty strings
+        pointing at the host's global default instance, §V-B); returns
+        ``(obj, mem, o)`` — address, the region's buffer and the object's
+        offset in it.  The caller then stores at ``mem[o + offset]`` for
+        the ADT offsets :meth:`check_entry_layout` proved inside the
+        object.  Both tiers place every object here: one nesting check."""
+        if depth > MAX_NESTING_DEPTH:
+            raise DeserializeError(f"messages nest deeper than {MAX_NESTING_DEPTH}")
         sizeof = entry.sizeof
         obj = arena.allocate(sizeof, entry.alignof)
         region = arena.space.region_of(obj, sizeof)

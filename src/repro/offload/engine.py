@@ -54,7 +54,7 @@ from repro.proto import (
     serialize,
 )
 from repro.proto.descriptor import MessageDescriptor
-from repro.proto.fixed_wire import WIRE_FIXED, get_fixed_layout
+from repro.proto.fixed_wire import WIRE_FIXED, parse_fixed
 from repro.rdma import Opcode, WorkRequest
 
 from .adt import Adt, AdtError, TypeUniverse, decode_adt, encode_adt
@@ -210,38 +210,33 @@ class HostEngine:
                 # raw protobuf (or, with FIXED_PAYLOAD, the negotiated
                 # fixed layout).  Deserialize here — the parsed Message
                 # duck-types field access exactly like the CppMessageView,
-                # so the business callback runs unchanged.
+                # so the business callback runs unchanged.  (What the parser
+                # rejects, the endpoint's boundary answers ERROR | MALFORMED.)
                 self.host_deserialized += 1
                 if request.flags & Flags.FIXED_PAYLOAD:
-                    fixed_layout = get_fixed_layout(desc, self.schema.factory)
-                    if fixed_layout is None:
-                        raise TypeError(
-                            f"{desc.full_name} cannot ride fixed wire"
-                        )
-                    view = fixed_layout.parse(input_cls, request.payload_bytes())
+                    view = parse_fixed(input_cls, request.payload_bytes())
                 else:
                     view = parse(input_cls, request.payload_bytes())
             else:
                 view = CppMessageView(universe, layout, request.payload_addr)
-            trace = self.trace
-            if trace is not None and request.trace is not None:
-                t0 = trace.now()
-                result = callback(view, request)
+            trace = self.trace if request.trace is not None else None
+            t0 = trace.now() if trace is not None else 0
+            result = callback(view, request)
+            if trace is not None:
                 trace.event(request.trace, "callback", ts=t0, dur=trace.now() - t0,
                             method=method_id, degraded=bool(degraded))
-            else:
-                result = callback(view, request)
             if isinstance(result, Message):
-                if output_desc is not None and not degraded:
-                    # (Degraded requests always get wire-byte responses:
-                    # with the DPU engine down there is nothing on the
-                    # other side to serialize an object payload.)
+                if output_desc is not None:
                     if result.DESCRIPTOR.full_name != output_desc.full_name:
                         raise TypeError(
                             f"method {method_id}: expected {output_desc.full_name} "
                             f"response, got {result.DESCRIPTOR.full_name}"
                         )
-                    return self._object_response(result)
+                    # (Degraded requests always get wire-byte responses:
+                    # with the DPU engine down there is nothing on the
+                    # other side to serialize an object payload.)
+                    if not degraded:
+                        return self._object_response(result)
                 # Host-side response serialization, but zero-copy: the
                 # encoder sizes the message, the endpoint reserves
                 # that space in the response block, and the wire bytes
@@ -462,18 +457,16 @@ class DpuEngine:
             # One resolution per request: everything the decoder writes
             # lies in [addr, addr + estimate), inside this one region.
             arena = Arena(space.region_of(addr, estimate), addr, estimate)
+            # The offloaded stage itself: wire bytes -> in-block C++ object,
+            # timed from inside the block writer so the span covers exactly
+            # the arena deserialization.
+            t0 = trace.now() if trace is not None else 0
+            obj = decode(root, wire_bytes, arena)
             if trace is not None:
-                # The offloaded stage itself: wire bytes -> in-block C++
-                # object, timed from inside the block writer so the span
-                # covers exactly the arena deserialization.
-                t0 = trace.now()
-                obj = decode(root, wire_bytes, arena)
                 trace.event(trace_ctx, "deserialize", ts=t0,
                             dur=trace.now() - t0, bytes=len(wire_bytes),
                             object=arena.used,
                             mode="fixed" if fixed else deserializer.mode)
-            else:
-                obj = decode(root, wire_bytes, arena)
             if obj != addr:
                 raise AdtError("root object must sit at the payload start")
             return arena.used
@@ -496,9 +489,9 @@ class DpuEngine:
         space = self.channel.client.space
 
         def on_object(payload_addr: int, payload_size: int, flags: int) -> None:
-            if flags & Flags.ABORTED:
-                # Locally synthesized failure (deadline, reset): there
-                # is no payload at all — address 0 must not be read.
+            if not payload_addr:
+                # Locally synthesized failure (deadline, reset, backlog):
+                # there is no payload at all — address 0 must not be read.
                 on_response(memoryview(b"request aborted"), flags)
             elif flags & Flags.OBJECT_PAYLOAD:
                 wire = serialize_object(self.adt, output_idx, space, payload_addr)

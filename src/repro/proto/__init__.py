@@ -168,9 +168,6 @@ class CompiledSchema:
     def __getitem__(self, full_name: str) -> type[Message]:
         return self.factory.get_class_by_name(full_name)
 
-    def message_class(self, full_name: str) -> type[Message]:
-        return self.factory.get_class_by_name(full_name)
-
     def service(self, full_name: str) -> ServiceDescriptor:
         return self.pool.service(full_name)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator
 
 __all__ = [
     "FieldType",
@@ -57,46 +56,10 @@ class FieldType(enum.Enum):
     ENUM = "enum"
 
     @property
-    def is_scalar(self) -> bool:
-        return self not in (FieldType.MESSAGE,)
-
-    @property
-    def is_varint(self) -> bool:
-        return self in _VARINT_TYPES
-
-    @property
     def is_packable(self) -> bool:
         """Numeric types may be packed when repeated (proto3 default)."""
         return self not in (FieldType.STRING, FieldType.BYTES, FieldType.MESSAGE)
 
-    @property
-    def is_zigzag(self) -> bool:
-        return self in (FieldType.SINT32, FieldType.SINT64)
-
-    @property
-    def is_signed(self) -> bool:
-        return self in (
-            FieldType.INT32,
-            FieldType.INT64,
-            FieldType.SINT32,
-            FieldType.SINT64,
-            FieldType.SFIXED32,
-            FieldType.SFIXED64,
-        )
-
-
-_VARINT_TYPES = frozenset(
-    {
-        FieldType.INT32,
-        FieldType.INT64,
-        FieldType.UINT32,
-        FieldType.UINT64,
-        FieldType.SINT32,
-        FieldType.SINT64,
-        FieldType.BOOL,
-        FieldType.ENUM,
-    }
-)
 
 #: Map of type keyword in .proto source to FieldType.
 SCALAR_TYPE_NAMES = {t.value: t for t in FieldType if t not in (FieldType.MESSAGE, FieldType.ENUM)}
@@ -237,11 +200,6 @@ class MessageDescriptor:
     def fields_sorted(self) -> list[FieldDescriptor]:
         """Fields in ascending field-number order (serialization order)."""
         return sorted(self.fields, key=lambda f: f.number)
-
-    def iter_message_fields(self) -> Iterator[FieldDescriptor]:
-        for f in self.fields:
-            if f.type is FieldType.MESSAGE:
-                yield f
 
     def transitive_messages(self) -> list["MessageDescriptor"]:
         """This message plus every message type reachable through its

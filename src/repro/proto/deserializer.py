@@ -31,6 +31,7 @@ from .kinds import KINDS, wire_type_of
 from .message import Message
 from .utf8 import Utf8Error, validate_utf8
 from .wire_format import (
+    MAX_NESTING_DEPTH,
     TruncatedMessageError,
     WireFormatError,
     WireType,
@@ -130,7 +131,7 @@ def skip_field(buf, pos: int, wire_type: int, end: int | None = None) -> int:
     raise WireFormatError(f"cannot skip wire type {wire_type}")
 
 
-def _parse_range(msg: Message, buf, pos: int, end: int) -> None:
+def _parse_range(msg: Message, buf, pos: int, end: int, depth: int = 1) -> None:
     desc: MessageDescriptor = msg.DESCRIPTOR
     while pos < end:
         tag_start = pos
@@ -143,7 +144,7 @@ def _parse_range(msg: Message, buf, pos: int, end: int) -> None:
             msg._unknown += bytes(buf[tag_start:pos])
             continue
         try:
-            pos = _parse_field(msg, fd, wire_type, buf, pos, end)
+            pos = _parse_field(msg, fd, wire_type, buf, pos, end, depth)
         except (WireFormatError, Utf8Error) as exc:
             raise DecodeError(
                 f"{desc.full_name}.{fd.name}: {exc}"
@@ -153,7 +154,7 @@ def _parse_range(msg: Message, buf, pos: int, end: int) -> None:
 
 
 def _parse_field(
-    msg: Message, fd: FieldDescriptor, wire_type: int, buf, pos: int, end: int
+    msg: Message, fd: FieldDescriptor, wire_type: int, buf, pos: int, end: int, depth: int
 ) -> int:
     t = fd.type
     if t is FieldType.MESSAGE:
@@ -162,6 +163,8 @@ def _parse_field(
         n, pos = read_varint(buf, pos)
         if pos + n > end:
             raise TruncatedMessageError("submessage extends past parent")
+        if depth >= MAX_NESTING_DEPTH:
+            raise WireFormatError(f"messages nest deeper than {MAX_NESTING_DEPTH}")
         if fd.is_repeated:
             sub = getattr(msg, fd.name).add()
         else:
@@ -169,7 +172,7 @@ def _parse_field(
             # existing submessage.
             sub = getattr(msg, fd.name)
             msg._values[fd.name] = sub
-        _parse_range(sub, buf, pos, pos + n)
+        _parse_range(sub, buf, pos, pos + n, depth + 1)
         return pos + n
 
     if t in (FieldType.STRING, FieldType.BYTES):

@@ -59,6 +59,7 @@ __all__ = [
     "fixed_eligibility",
     "get_fixed_layout",
     "measure_fixed",
+    "parse_fixed",
     "specs_of_descriptor",
     "negotiation_hash",
     "service_types",
@@ -380,6 +381,15 @@ def measure_fixed(msg: Message) -> SizedFixed | None:
     wire itself (``prepare_emit``)."""
     layout = get_fixed_layout(type(msg).DESCRIPTOR, msg._FACTORY)
     return None if layout is None else layout.measure(msg)
+
+
+def parse_fixed(cls: type[Message], payload) -> Message:
+    """A WIRE_FIXED payload parsed into a fresh ``cls``.  A frame for a
+    type that cannot ride fixed wire is malformed, like lying count slots."""
+    layout = get_fixed_layout(cls.DESCRIPTOR, cls._FACTORY)
+    if layout is None:
+        raise FixedWireError(f"{cls.DESCRIPTOR.full_name} cannot ride fixed wire")
+    return layout.parse(cls, payload)
 
 
 def service_types(service) -> list[MessageDescriptor]:

@@ -71,6 +71,7 @@ from .message import Message, MessageFactory, _RepeatedField
 from .serializer import _tag_cache, check_room
 from .utf8 import Utf8Error
 from .wire_format import (
+    MAX_NESTING_DEPTH,
     TruncatedMessageError,
     WireFormatError,
     WireType,
@@ -383,7 +384,7 @@ class GeneratedDecoder:
         self.full_name = descriptor.full_name
         self.descriptor = descriptor
         self.source = ""
-        #: ``decode_into(msg, buf, pos, end)`` — the compiled function.
+        #: ``decode_into(msg, buf, pos, end, depth=1)`` — the compiled function.
         self.decode_into = None
 
     def parse(self, msg, buf, pos: int, end: int) -> None:
@@ -429,11 +430,15 @@ def _decode_branches(
         if t is FieldType.MESSAGE:
             ns[f"_c{i}"] = get_gen_decoder(fd.message_type, factory)
             ns[f"_cls{i}"] = factory.get_class(fd.message_type)
+            # (a message without a sub-message never looks at the depth)
+            descend = [
+                f"if depth >= {MAX_NESTING_DEPTH}:",
+                f"    raise _Wfe('messages nest deeper than {MAX_NESTING_DEPTH}')",
+                f"_c{i}.decode_into(sub, buf, pos, npos, depth + 1)",
+            ]
             if fd.is_repeated:
                 body = head + read_length("submessage") + [
-                    f"sub = _cls{i}()",
-                    f"_c{i}.decode_into(sub, buf, pos, npos)",
-                    "_la(lst, sub)",
+                    f"sub = _cls{i}()", *descend, "_la(lst, sub)",
                 ]
             else:  # proto3 merge: a second occurrence decodes into the first
                 body = read_length("submessage") + [
@@ -441,7 +446,7 @@ def _decode_branches(
                     "if sub is None:",
                     f"    sub = _cls{i}()",
                     f"    values[{name!r}] = sub",
-                    f"_c{i}.decode_into(sub, buf, pos, npos)",
+                    *descend,
                 ]
             body.append("pos = npos")
         elif t is FieldType.STRING:
@@ -492,7 +497,7 @@ def decode_source(descriptor: MessageDescriptor, factory: MessageFactory) -> tup
     ns = loop_namespace(full_name, DecodeError, descriptor.fields)
     ns.update(_RF=_RepeatedField, _F=factory, _la=list.append, _le=list.extend, _U8=Utf8Error)
     source = tag_loop(
-        [f"# generated decoder for {full_name}", "def _decode(msg, buf, pos, end):"],
+        [f"# generated decoder for {full_name}", "def _decode(msg, buf, pos, end, depth=1):"],
         setup=["values = msg._values"],
         each_tag=["tag_start = pos"],
         branches=_decode_branches(descriptor, factory, ns),

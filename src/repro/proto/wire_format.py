@@ -30,6 +30,7 @@ import numpy as np
 __all__ = [
     "WireType",
     "MAX_VARINT_LEN",
+    "MAX_NESTING_DEPTH",
     "encode_varint",
     "append_varint",
     "read_varint",
@@ -59,6 +60,12 @@ class WireFormatError(ValueError):
 
 class TruncatedMessageError(WireFormatError):
     """Raised when a value extends past the end of the buffer."""
+
+
+#: How deep messages may nest, the outermost counting as 1 (protobuf's
+#: default).  Every decoder rejects deeper with its wire-format error —
+#: not with whatever the interpreter stack at the call allows.
+MAX_NESTING_DEPTH = 100
 
 
 class WireType:

@@ -26,7 +26,7 @@ from repro.proto.descriptor import ServiceDescriptor
 from repro.proto.fixed_wire import service_types
 
 from .framing import StatusCode, append_response
-from .ingress import Ingress, _Connection
+from .ingress import Ingress, _Connection, outcome
 from .service import assign_method_ids, build_dispatch_table, method_path
 from .transport import Network
 
@@ -71,7 +71,8 @@ class OffloadedXrpcServer(Ingress):
 
     def _serve(self, conn: _Connection, frame, lane: int) -> None:
         """What follows the lanes here: an admitted request is served by
-        forwarding it."""
+        forwarding it.  A payload the DPU's decoder rejects raises out of
+        ``dpu.call``; the front door answers it (docs/FAULTS.md §3)."""
         call_id, method, payload = frame.call_id, frame.method, frame.message
         wire_mode, deadline_word = frame.wire_mode, frame.deadline_word
         method_id = self._method_ids.get(method)
@@ -106,19 +107,15 @@ class OffloadedXrpcServer(Ingress):
             # is copied exactly once — from the protocol block straight
             # into the outgoing frame, with no intermediate bytes object.
             self.responses_returned += 1
-            if flags & Flags.EXPIRED:
-                # The propagated deadline expired in the datapath; the
-                # payload names the dropping stage (docs/OVERLOAD.md).
-                status = StatusCode.DEADLINE_EXCEEDED
-            elif flags & Flags.ABORTED:
-                # The datapath gave up on this request (deadline expiry,
-                # connection reset without replay): ABORTED is retryable,
-                # INTERNAL would not be.
-                status = StatusCode.ABORTED
-            elif flags & Flags.ERROR:
-                status = StatusCode.INTERNAL
-            else:
-                status = StatusCode.OK
+            status = StatusCode.OK
+            if flags & Flags.ERROR:
+                # The datapath answered with a failure: the outcome
+                # table's other half says which, and whether the record's
+                # payload is the client's to read.
+                status, crosses = outcome(flags)
+                self.request_faults[status] += 1
+                if not crosses:
+                    view = b""
             if probe:
                 if flags & Flags.ERROR and not flags & Flags.EXPIRED:
                     self.breaker.record_failure(self._ticks)
@@ -132,28 +129,22 @@ class OffloadedXrpcServer(Ingress):
             else:
                 self.replies_dropped += 1
 
+        # Graceful degradation (docs/FAULTS.md): with the DPU engine down —
+        # or freshly respawned and still awaiting its bootstrap blob —
+        # keep serving by shipping wire bytes for host-side
+        # deserialization: slower, never unavailable.  Breaker denials go
+        # the same way (with the engine healthy); those were counted above.
+        if not dpu.ready:
+            self.fallback_requests += 1
+        forward = dpu.call if offloaded else dpu.call_raw
         try:
-            if not offloaded:
-                # Graceful degradation (docs/FAULTS.md): with the DPU
-                # engine down — or freshly respawned and still awaiting
-                # its bootstrap blob — keep serving by shipping wire
-                # bytes for host-side deserialization: slower, never
-                # unavailable.  Breaker denials land here too (with the
-                # engine healthy); those were counted above instead.
-                if not dpu.ready:
-                    self.fallback_requests += 1
-                dpu.call_raw(method_id, payload, on_response, trace_ctx=ctx,
-                             wire_mode=wire_mode, deadline=deadline_word)
-            else:
-                dpu.call(method_id, payload, on_response, trace_ctx=ctx,
-                         wire_mode=wire_mode, deadline=deadline_word)
+            forward(method_id, payload, on_response, trace_ctx=ctx,
+                    wire_mode=wire_mode, deadline=deadline_word)
         except EngineCrashedError:
             # Crash raced the check: same degradation, same request.
             self.fallback_requests += 1
             dpu.call_raw(method_id, payload, on_response, trace_ctx=ctx,
                          wire_mode=wire_mode, deadline=deadline_word)
-        except Exception:  # noqa: BLE001 — malformed request payloads
-            self._respond(conn, call_id, StatusCode.INVALID_ARGUMENT, b"")
 
 
 def register_offloaded_servicer(
@@ -178,8 +169,7 @@ def register_offloaded_servicer(
         host.register_method(
             ids[path],
             m.input_type.full_name,
-            # "we use a null pointer for simplicity": no context object
-            lambda view, request, handler=table[path].handler: handler(view, None),
+            table[path].handler,  # (it passes the servicer no context)
             name=path,
             output_type=m.output_type.full_name if offload_responses else None,
         )

@@ -5,17 +5,20 @@ half (§III-A: clients only change the server address), so everything a
 client can observe before its request is served is written here once:
 accept, deframe, two priority lanes, the expired-on-arrival drop and
 the admission shed (docs/OVERLOAD.md), the WIRE_FIXED SETUP answer
-(docs/PROTOCOL.md).  A subclass states the four things that differ: its
+(docs/PROTOCOL.md) — and the one place a served request can fail
+(docs/FAULTS.md §3).  A subclass states the four things that differ: its
 stage names, the engine behind the door (:attr:`Ingress.dpu`), the types
 it negotiates over, and what happens to an admitted request.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
+from repro.core.wire import Flags, MessageTooLarge
 from repro.proto.fixed_wire import negotiation_hash
+from repro.proto.wire_format import WireFormatError
 from repro.runtime.overload import deadline_expired, now_us
 
 from .framing import (
@@ -29,7 +32,27 @@ from .framing import (
 )
 from .transport import ConnectionClosed, Listener, Network, SimSocket
 
-__all__ = ["Ingress"]
+__all__ = ["Ingress", "outcome"]
+
+
+def outcome(fault) -> tuple[int, bool]:
+    """The outcome table of docs/FAULTS.md §3 in code: the status that
+    answers a failed request, and whether what the failure said crosses
+    to the client as detail — only where it is protocol
+    (docs/OVERLOAD.md), never what host-side code said of itself.
+    ``fault`` is the exception serving the request raised at this door,
+    or the flags of the ERROR record the datapath behind it answered."""
+    if isinstance(fault, int):
+        if fault & Flags.EXPIRED:
+            return StatusCode.DEADLINE_EXCEEDED, True
+        if fault & Flags.ABORTED:  # the library gave up: retryable, INTERNAL is not
+            return StatusCode.ABORTED, True
+        malformed = fault & Flags.MALFORMED
+    else:
+        # The payload's fault: the wire-format family, and a request too
+        # large for the DPU -> host protocol (the baseline has no limit).
+        malformed = isinstance(fault, (WireFormatError, MessageTooLarge))
+    return (StatusCode.INVALID_ARGUMENT if malformed else StatusCode.INTERNAL), False
 
 
 @dataclass(eq=False)
@@ -90,6 +113,8 @@ class Ingress:
         self.framing_errors = 0
         #: replies dropped because their client had hung up meanwhile
         self.replies_dropped = 0
+        #: failed requests answered through :func:`outcome`, by status
+        self.request_faults: Counter = Counter()
         #: StageRecorder (repro.obs) — None keeps every hook free.
         self.trace = None
 
@@ -98,12 +123,6 @@ class Ingress:
         self._connections.append(_Connection(socket))
 
     # -- event loop -----------------------------------------------------------
-
-    def poll(self) -> int:
-        """Deprecation shim for the historical name; the server is a
-        :class:`~repro.runtime.pollable.Pollable` driven via
-        :meth:`progress`."""
-        return self.progress()
 
     def progress(self, budget: int | None = None) -> int:
         """One event-loop pass: accept, deframe, serve the lanes, then
@@ -147,7 +166,7 @@ class Ingress:
                         # Nothing is ahead of it and no one to ask: it is
                         # served where it was decoded.
                         served += 1
-                        self._serve(conn, frame, 0)
+                        self._serve_contained(conn, frame, 0)
             except FramingError:
                 # It can not be resynchronized: the connection ends with
                 # this pass, every other one is served (docs/FAULTS.md).
@@ -161,7 +180,7 @@ class Ingress:
                 if self._drop_or_shed(conn, frame, lane, arrival):
                     continue
                 served += 1
-                self._serve(conn, frame, lane)
+                self._serve_contained(conn, frame, lane)
         if self.dpu is not None:
             self.dpu.progress(budget)
         for conn in self._connections:
@@ -219,6 +238,22 @@ class Ingress:
         )
         return True
 
+    def _serve_contained(self, conn: _Connection, frame, lane: int) -> None:
+        """A request that fails costs itself (docs/FAULTS.md §3): the one
+        place between "frame admitted" and "response appended" that
+        catches.  No half-built frame leaves, *that* call gets the
+        outcome table's answer, and the pass goes on."""
+        mark = len(conn.out)
+        try:
+            self._serve(conn, frame, lane)
+        except BaseException as exc:
+            del conn.out[mark:]
+            if not isinstance(exc, Exception):
+                raise
+            status, _ = outcome(exc)
+            self.request_faults[status] += 1
+            self._respond(conn, frame.call_id, status, b"")
+
     def _answer_setup(self, conn: _Connection, offered_hash: str) -> None:
         """WIRE_FIXED negotiation: compare the client's layout hash with
         our own over :meth:`_registered_types` — the negotiation that
@@ -248,5 +283,5 @@ class Ingress:
 
     def _serve(self, conn: _Connection, frame, lane: int) -> None:
         """What follows the lanes: answer one admitted request — in
-        place, or by forwarding it."""
+        place, or by forwarding it (what goes wrong in it is raised)."""
         raise NotImplementedError

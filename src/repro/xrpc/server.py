@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.proto import Message, MessageFactory, WireFormatError, parse, prepare_emit
+from repro.proto import Message, MessageFactory, parse, prepare_emit
 from repro.proto.descriptor import ServiceDescriptor
-from repro.proto.fixed_wire import WIRE_FIXED, WIRE_STANDARD, get_fixed_layout, measure_fixed
+from repro.proto.fixed_wire import WIRE_FIXED, WIRE_STANDARD, measure_fixed, parse_fixed
 
 from .framing import StatusCode, append_response
 from .ingress import Ingress, _Connection
@@ -29,8 +29,6 @@ class ServerStats:
     requests: int = 0
     responses: int = 0
     errors: int = 0
-    request_bytes: int = 0
-    response_bytes: int = 0
 
 
 class XrpcServer(Ingress):
@@ -75,10 +73,11 @@ class XrpcServer(Ingress):
         return [seen[k] for k in sorted(seen)]
 
     def _serve(self, conn: _Connection, frame, lane: int) -> None:
-        """Serve in place; the lane has done its work by now."""
+        """Serve in place; the lane has done its work by now.  Parse,
+        dispatch, serialize — whichever raises, the front door answers
+        (docs/FAULTS.md §3)."""
         call_id, method, payload = frame.call_id, frame.method, frame.message
         self.stats.requests += 1
-        self.stats.request_bytes += len(payload)
         trace = self.trace
         ctx = None
         if trace is not None:
@@ -91,46 +90,19 @@ class XrpcServer(Ingress):
             return
         request_cls = self.factory.get_class(binding.method.input_type)
         fixed = frame.wire_mode == WIRE_FIXED
-        mode = "fixed" if fixed else (self.decode_mode or "default")
-
-        def _parse_request():
-            if fixed:
-                layout = get_fixed_layout(binding.method.input_type, self.factory)
-                if layout is None:
-                    raise WireFormatError(
-                        f"{binding.method.input_type.full_name} cannot ride fixed wire"
-                    )
-                return layout.parse(request_cls, payload)
-            return parse(request_cls, payload, mode=self.decode_mode)
-
-        try:
-            # The host-CPU deserialization the offload eliminates:
-            if trace is not None:
-                t0 = trace.now()
-                request = _parse_request()
-                trace.event(ctx, "deserialize", ts=t0, dur=trace.now() - t0,
-                            bytes=len(payload), mode=mode)
-            else:
-                request = _parse_request()
-        except WireFormatError:
-            self._respond(conn, call_id, StatusCode.INVALID_ARGUMENT, b"")
-            return
-        try:
-            if trace is not None:
-                t0 = trace.now()
-                response = binding.handler(request, None)
-                trace.event(ctx, "dispatch", ts=t0, dur=trace.now() - t0,
-                            method=method)
-            else:
-                response = binding.handler(request, None)
-        except Exception:  # noqa: BLE001 — servicer faults become INTERNAL
-            self._respond(conn, call_id, StatusCode.INTERNAL, b"")
-            return
-        if not isinstance(response, Message) or (
-            response.DESCRIPTOR.full_name != binding.method.output_type.full_name
-        ):
-            self._respond(conn, call_id, StatusCode.INTERNAL, b"")
-            return
+        t0 = trace.now() if trace is not None else 0
+        # The host-CPU deserialization the offload eliminates:
+        if fixed:
+            request = parse_fixed(request_cls, payload)
+        else:
+            request = parse(request_cls, payload, mode=self.decode_mode)
+        if trace is not None:
+            trace.event(ctx, "deserialize", ts=t0, dur=trace.now() - t0, bytes=len(payload),
+                        mode="fixed" if fixed else (self.decode_mode or "default"))
+            t0 = trace.now()
+        response = binding.handler(request)
+        if trace is not None:
+            trace.event(ctx, "dispatch", ts=t0, dur=trace.now() - t0, method=method)
         self._respond_message(conn, call_id, response, fixed)
         if trace is not None:
             trace.event(ctx, "respond", status=int(StatusCode.OK))
@@ -141,7 +113,9 @@ class XrpcServer(Ingress):
     ) -> None:
         """OK response: size the message, reserve its frame at the tail
         of the connection's pending output, emit the payload in place
-        after the header (zero intermediate full-payload ``bytes``).
+        after the header (zero intermediate full-payload ``bytes``).  An
+        emit that raises leaves the frame half built; the front door
+        takes it back.
 
         A request that arrived on fixed wire gets a fixed-wire response
         when the response type (and this instance) supports it — the
@@ -153,21 +127,11 @@ class XrpcServer(Ingress):
             # The module global, looked up per call: the benchmark's traced
             # pass patches it (docs/TRANSPORT.md, "what the benchmark patches").
             sized = prepare_emit(response, mode=self.encode_mode)
-        self.stats.responses += 1
-        self.stats.response_bytes += sized.size
         out = conn.out
-        start = len(out)
         append_response(out, call_id, StatusCode.OK, bytes(sized.size), wire_mode)
-        try:
-            sized.emit_into(out, len(out) - sized.size)
-        except BaseException:
-            del out[start:]  # no half-built frame reaches the client
-            raise
+        sized.emit_into(out, len(out) - sized.size)
+        self.stats.responses += 1
 
     def _respond(self, conn: _Connection, call_id: int, status: int, message: bytes) -> None:
-        if status == StatusCode.OK:
-            self.stats.responses += 1
-        else:
-            self.stats.errors += 1
-        self.stats.response_bytes += len(message)
+        self.stats.errors += 1  # (an OK answer is a message: _respond_message)
         super()._respond(conn, call_id, status, message)

@@ -57,15 +57,30 @@ def build_dispatch_table(
     service: ServiceDescriptor, servicer: object
 ) -> dict[str, MethodBinding]:
     """Bind a servicer object (one attribute per RPC name) to the service
-    definition; raises if a method implementation is missing."""
+    definition; raises if a method implementation is missing.  Either
+    server calls the bound handler with the request (parsed message or
+    zero-copy view): it passes the servicer no context — "we use a null
+    pointer for simplicity" (§V-D) — and holds it to the declared
+    response type, so no server can send a foreign type's bytes."""
     table: dict[str, MethodBinding] = {}
     for m in service.methods:
-        handler = getattr(servicer, m.name, None)
-        if handler is None or not callable(handler):
+        method = getattr(servicer, m.name, None)
+        if method is None or not callable(method):
             raise ServiceError(
                 f"servicer {type(servicer).__name__} does not implement {m.name!r}"
             )
-        table[method_path(service, m)] = MethodBinding(method_path(service, m), m, handler)
+        path = method_path(service, m)
+
+        def handler(request, _context=None, method=method, path=path,
+                    expected=m.output_type.full_name):
+            response = method(request, None)
+            if not isinstance(response, Message) or response.DESCRIPTOR.full_name != expected:
+                raise ServiceError(
+                    f"{path}: servicer returned {type(response).__name__}, not {expected}"
+                )
+            return response
+
+        table[path] = MethodBinding(path, m, handler)
     return table
 
 

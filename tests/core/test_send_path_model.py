@@ -128,10 +128,10 @@ class Model:
 
         def continuation(view, flags):
             self.fired[tag] += 1
-            if mode != "ok":
-                # admitted from the backlog, failed locally
-                assert flags == Flags.ERROR | Flags.ABORTED
-            elif resp_mode != "ok":
+            if mode != "ok" or resp_mode != "ok":
+                # failed locally when the backlog admitted it, or by the
+                # server: one answer either way (no wire-format error here,
+                # so no MALFORMED — and not ABORTED, nobody gave up on it)
                 assert flags == Flags.ERROR
             else:
                 # (a LARGE response shows its wire form's flag)

@@ -46,7 +46,7 @@ class TestDescribeFlags:
         assert describe_flags(Flags.TRACE_CTX) == "TRACE_CTX"
 
     def test_unknown_bits(self):
-        assert "unknown" in describe_flags(1 << 10)
+        assert "unknown" in describe_flags(1 << 11)  # (1 << 10 is MALFORMED now)
 
     def test_unknown_mixed_with_known(self):
         out = describe_flags(Flags.ERROR | (1 << 12))

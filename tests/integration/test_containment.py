@@ -1,6 +1,6 @@
-"""A connection can fail only itself (ROADMAP item 4(a): the "frame
-header" injection point, the client that hangs up, and the first payload
-injection point — a well-framed request whose payload lies).
+"""A connection can fail only itself, and a request only itself (ROADMAP
+item 4(a); docs/FAULTS.md §3 states the three front-door rules and the
+outcome table this file holds the code to).
 
 The front door terminates untrusted connections.  Three things a client
 can do to it — bytes that are no frame, a method name that is not UTF-8,
@@ -8,23 +8,45 @@ hanging up with a request in flight — must cost that connection and
 nothing else: ``Deployment.drive()`` never raises, the well-behaved
 client on a second connection is answered OK on the same and on the next
 round trip, and the protocol's books (credits, both §IV-D ID pools) end
-where an undisturbed exchange leaves them.  A fourth — a WIRE_FIXED
-payload whose count slots overrun it — must cost that request only.
-Every in-process kind ``repro.deploy.build`` makes runs the same script.
+where an undisturbed exchange leaves them.
+
+A well-framed request that *fails* — its payload lies, its servicer
+raises, its response cannot be encoded — must cost that request only,
+and get the same answer wherever it was found out.  The campaign below
+is the matrix: failure class × every kind ``repro.deploy.build`` makes ×
+both decode tiers; a Hypothesis property then throws arbitrary and
+mutated-valid payloads at the baseline and the offloaded stack side by
+side.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import Flags
+from repro.core.wire import MessageTooLarge
 from repro.deploy import build
-from repro.proto import WIRE_FIXED, serialize
+from repro.offload import DeserializeError
+from repro.proto import (
+    DECODE_MODES,
+    WIRE_FIXED,
+    DecodeError,
+    FixedWireError,
+    compile_schema,
+    serialize,
+)
 from repro.proto.fixed_wire import negotiation_hash, service_types
+from repro.proto.wire_format import encode_varint
 from repro.workloads import WorkloadFactory, bench_service
 from repro.xrpc import FrameDecoder, FrameType, StatusCode, encode_request
 from repro.xrpc.framing import encode_setup, request_frame_size, write_request_header
+from repro.xrpc.ingress import outcome
 from repro.xrpc.transport import ConnectionClosed
 
 KINDS = {
@@ -124,6 +146,20 @@ def _books(deployment) -> tuple:
     )
 
 
+def _assert_books_balanced(deployment) -> None:
+    """Where one undisturbed round trip leaves the protocol: every client
+    credit and request block back, both ID pools agreeing, one response
+    block waiting for its acknowledgment."""
+    rdma = deployment.rdma
+    if rdma is None:
+        return
+    live_ids = rdma.client.id_pool.fingerprint()
+    assert _books(deployment) == (
+        rdma.client.config.credits, rdma.server.config.credits - 1,
+        live_ids, live_ids, 0, 1, 1,
+    )
+
+
 @pytest.mark.parametrize("hang_up", [False, True], ids=["control", "hang-up"])
 def test_a_client_that_hangs_up_loses_only_its_own_reply(stack, hang_up):
     """Two clients, both requests in one pass (offloaded: one block, one
@@ -146,14 +182,7 @@ def test_a_client_that_hangs_up_loses_only_its_own_reply(stack, hang_up):
     # The next exchange carries the acknowledgment of that response
     # block: its credit and its request IDs come back (§IV-B/D).
     _assert_ok(stayer.round_trip(5, wire), 5)
-    if deployment.rdma is not None:
-        config = deployment.rdma.client.config
-        assert _books(deployment) == (
-            config.credits, deployment.rdma.server.config.credits - 1,
-            deployment.rdma.client.id_pool.fingerprint(),
-            deployment.rdma.client.id_pool.fingerprint(),
-            0, 1, 1,
-        )
+    _assert_books_balanced(deployment)
     # ...and the door let go of the dead connection.
     assert len(deployment.front._connections) == (1 if hang_up else 2)
 
@@ -190,3 +219,342 @@ def test_a_fixed_payload_whose_counts_lie_costs_only_its_request(stack):
     for call_id in (3, 5):
         _assert_ok(client.round_trip(call_id, wire), call_id)
     assert deployment.front.framing_errors == 0
+
+
+# -- the campaign: failure class × deployment kind × decode tier ---------------
+
+CAMPAIGN_PROTO = """
+syntax = "proto3";
+package t;
+message Node { uint32 v = 1; Node child = 2; string s = 3; }
+message Out { uint32 v = 1; string s = 2; }
+message Other { uint32 x = 1; }
+service S {
+  rpc Echo (Node) returns (Out);
+  rpc Raises (Node) returns (Out);
+  rpc ReturnsNone (Node) returns (Out);
+  rpc ReturnsWrongType (Node) returns (Out);
+  rpc Unencodable (Node) returns (Out);
+}
+"""
+WELL_FORMED = b"\x08\x05"  # Node(v=5)
+ECHOED = b"\x08\x05"  # Out(v=5)
+#: the DPU -> host concurrency window (ProtocolConfig.concurrency)
+WINDOW = 1024
+
+
+def campaign_service():
+    schema = compile_schema(CAMPAIGN_PROTO)
+    Out, Other = schema["t.Out"], schema["t.Other"]
+
+    class Servicer:
+        def Echo(self, request, context):
+            return Out(v=request.v)
+
+        def Raises(self, request, context):
+            raise ValueError("boom")
+
+        def ReturnsNone(self, request, context):
+            return None
+
+        def ReturnsWrongType(self, request, context):
+            return Other(x=7)
+
+        def Unencodable(self, request, context):
+            return Out(s="\ud800")  # a lone surrogate: accepted here, not by UTF-8
+
+    return schema, schema.service("t.S"), Servicer()
+
+
+def nested(depth: int, tag: bytes = b"\x12") -> bytes:
+    """``Node(v=1)`` wrapped in field 2 (``tag``: any length-delimited
+    message field) until ``depth`` messages nest."""
+    payload = b"\x08\x01"
+    for _ in range(depth - 1):
+        payload = tag + encode_varint(len(payload)) + payload
+    return payload
+
+
+def _frame(call_id: int, method: str, payload: bytes, wire_mode: int = 0) -> bytes:
+    method = f"/t.S/{method}".encode()
+    frame = bytearray(request_frame_size(len(method), len(payload)))
+    frame[write_request_header(frame, call_id, method, len(payload), wire_mode):] = payload
+    return bytes(frame)
+
+
+#: row -> (method, payload, wire mode, status, how the deployment is set up)
+ROWS = {
+    "unknown-method": ("Nope", WELL_FORMED, 0, StatusCode.UNIMPLEMENTED, None),
+    "truncated-varint": ("Echo", b"\x08\x80", 0, StatusCode.INVALID_ARGUMENT, None),
+    "length-overrun": ("Echo", b"\x1a\x05ab", 0, StatusCode.INVALID_ARGUMENT, None),
+    "bad-utf8": ("Echo", b"\x1a\x01\xff", 0, StatusCode.INVALID_ARGUMENT, None),
+    "wire-type-7": ("Echo", b"\x0f", 0, StatusCode.INVALID_ARGUMENT, None),
+    "nesting-101": ("Echo", nested(101), 0, StatusCode.INVALID_ARGUMENT, None),
+    "fixed-frame-for-an-ineligible-type": (
+        "Echo", WELL_FORMED, WIRE_FIXED, StatusCode.INVALID_ARGUMENT, None),
+    "servicer-raises": ("Raises", WELL_FORMED, 0, StatusCode.INTERNAL, None),
+    "servicer-returns-none": ("ReturnsNone", WELL_FORMED, 0, StatusCode.INTERNAL, None),
+    "servicer-returns-the-wrong-type": (
+        "ReturnsWrongType", WELL_FORMED, 0, StatusCode.INTERNAL, None),
+    "response-cannot-be-encoded": ("Unencodable", WELL_FORMED, 0, StatusCode.INTERNAL, None),
+    "malformed-from-the-backlog": (
+        "Echo", b"\x1a\x01\xff", 0, StatusCode.INVALID_ARGUMENT, "backlog"),
+    "malformed-with-the-engine-crashed": (
+        "Echo", b"\x08\x80", 0, StatusCode.INVALID_ARGUMENT, "crashed"),
+}
+COLUMNS = [(label, mode) for label in sorted(KINDS) for mode in DECODE_MODES]
+
+
+def _whole_frames(raw: bytes) -> dict:
+    """call id -> every answer it got, from *all* the bytes a client has
+    read so far: a fresh decoder must find whole frames and nothing else."""
+    decoder = FrameDecoder()
+    decoder.feed(raw)
+    answers: dict = {}
+    for frame in decoder.frames():  # (a FramingError here is a partial frame sent)
+        assert frame.frame_type == FrameType.RESPONSE
+        answers.setdefault(frame.call_id, []).append(
+            (frame.status, frame.message, frame.wire_mode))
+    assert not decoder._buf, "bytes after the last whole frame"
+    return answers
+
+
+def _answers(deployment, socket, expected: int, seconds: float = 30.0) -> dict:
+    """Drive until ``expected`` responses came back on ``socket``."""
+    raw, counter, seen = bytearray(), FrameDecoder(), 0
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        deployment.drive()  # must not raise
+        data = socket.recv(1 << 22)
+        raw += data
+        counter.feed(data)
+        seen += sum(1 for _ in counter.frames())
+        if seen >= expected:
+            return _whole_frames(bytes(raw))
+    raise AssertionError(f"{expected} answers expected, {seen} came")
+
+
+def _set_engine(deployment, crashed: bool) -> None:
+    if deployment.supervisor is not None:
+        control = deployment.supervisor
+        control.crash_dpu_engine() if crashed else control.revive_dpu_engine()
+    elif deployment.dpu is not None:
+        deployment.dpu.crash() if crashed else deployment.dpu.revive()
+
+
+def _run_row(deployment, row: str, first_id: int) -> int:
+    """One cell: the failing request and well-formed ones in *one* send;
+    returns the next free call id."""
+    method, payload, wire_mode, status, setup = ROWS[row]
+    ahead = WINDOW + 2 if setup == "backlog" else 0  # the bad one past the window
+    ids = range(first_id, first_id + 2 * (ahead + 3), 2)
+    bad = ids[ahead]
+    if setup == "crashed":
+        _set_engine(deployment, crashed=True)
+    socket = deployment.connect(f"campaign-{row}")
+    socket.send(b"".join(
+        _frame(call_id, method, payload, wire_mode) if call_id == bad
+        else _frame(call_id, "Echo", WELL_FORMED)
+        for call_id in ids
+    ))
+    answers = _answers(deployment, socket, len(ids))
+    assert sorted(answers) == list(ids)
+    # exactly one typed answer, empty as the baseline's is
+    assert answers.pop(bad) == [(status, b"", 0)], row
+    # ...and the well-formed requests around it on the same connection are served
+    assert all(answer == [(StatusCode.OK, ECHOED, 0)] for answer in answers.values())
+    if setup == "crashed":
+        _set_engine(deployment, crashed=False)
+    return ids[-1] + 2
+
+
+@pytest.fixture(params=COLUMNS, ids=lambda column: "-".join(column))
+def column(request):
+    label, decode_mode = request.param
+    kind, transport = KINDS[label]
+    with build(kind, *campaign_service(), transport=transport) as deployment:
+        if deployment.dpu is None:
+            deployment.front.decode_mode = decode_mode
+        else:
+            deployment.dpu.deserializer.mode = decode_mode
+        yield deployment
+
+
+@pytest.mark.parametrize("row", sorted(ROWS))
+def test_a_request_that_fails_costs_itself(column, row):
+    deployment = column
+    next_id = _run_row(deployment, row, 1)
+    front, setup = deployment.front, ROWS[row][4]
+    status = ROWS[row][3]
+    if status != StatusCode.UNIMPLEMENTED:  # (the method table's answer, not a failure's)
+        assert front.request_faults == {status: 1}
+    if deployment.rdma is not None:
+        # which of the three handlers met it, each counting once
+        client, server, host = deployment.rdma.client, deployment.rdma.server, deployment.host
+        assert client.backlog_failures == (setup == "backlog")
+        # (all three requests of the crashed row's send went the degraded way)
+        assert host.host_deserialized == (3 if setup == "crashed" else 0)
+        assert server.stats.handler_errors == (
+            status == StatusCode.INTERNAL or setup == "crashed")
+    else:
+        stats = front.stats
+        assert (stats.requests, stats.responses + stats.errors) == (
+            (next_id - 1) // 2, (next_id - 1) // 2)
+        assert stats.errors == 1
+    # The next exchange on the connection is an undisturbed one.
+    socket = deployment.connect("campaign-after")
+    socket.send(_frame(next_id, "Echo", WELL_FORMED))
+    assert _answers(deployment, socket, 1) == {next_id: [(StatusCode.OK, ECHOED, 0)]}
+    _assert_books_balanced(deployment)
+
+
+def test_the_campaign_on_three_processes(own_descriptors):
+    """``procs`` has one client connection, so the rows run on it one
+    after the other — each leaves the three processes serving the next."""
+    held_before = own_descriptors()
+    with build("procs", *campaign_service(), name="campaign") as deployment:
+        next_id = 1
+        for row in sorted(ROWS):
+            next_id = _run_row(deployment, row, next_id)
+        stats = deployment.supervisor.stats()
+        assert stats["host"]["host_deserialized"] == 3  # the crashed row's three
+        assert stats["dpu"]["fallback_requests"] == 3
+    assert sorted(own_descriptors() - held_before) == []
+
+
+# -- the event loop (baseline): what one failing request used to cost ----------
+
+@pytest.mark.parametrize("method, payload, status", [
+    # 987 deep in 2 900 bytes: RecursionError out of progress(), before the limit
+    ("Echo", nested(987), StatusCode.INVALID_ARGUMENT),
+    # UnicodeEncodeError out of the emit, with nothing around it
+    ("Unencodable", WELL_FORMED, StatusCode.INTERNAL),
+], ids=["nesting", "response-cannot-be-encoded"])
+def test_a_request_that_fails_does_not_cost_the_pass(method, payload, status):
+    """The frame behind it in the same ``recv`` and the connection after
+    it in the list are served in the *same* pass — the exception used to
+    end the ``frames()`` generator and the loop over connections both."""
+    with build("baseline", *campaign_service()) as deployment:
+        first, second = deployment.connect("first"), deployment.connect("second")
+        first.send(_frame(1, method, payload) + _frame(3, "Echo", WELL_FORMED))
+        second.send(_frame(5, "Echo", WELL_FORMED))
+        deployment.drive()  # one pass; must not raise
+        ok = [(StatusCode.OK, ECHOED, 0)]
+        assert _whole_frames(first.recv(1 << 20)) == {1: [(status, b"", 0)], 3: ok}
+        assert _whole_frames(second.recv(1 << 20)) == {5: ok}
+        front = deployment.front
+        assert not any(conn.out for conn in front._connections)
+        stats = front.stats
+        assert (stats.requests, stats.responses, stats.errors) == (3, 2, 1)
+        assert front.request_faults == {status: 1}
+
+
+# -- the outcome table: docs/FAULTS.md §3 against xrpc.ingress.outcome ---------
+
+def _documented_outcomes():
+    """``(key, status, detail crosses)`` per key of the table between the
+    two ``outcome-table`` markers of docs/FAULTS.md: the third column
+    names, in backticks, the exception classes or the flag combinations
+    a row stands for, the fourth the status, the fifth the detail."""
+    docs = os.path.join(os.path.dirname(__file__), "..", "..", "docs", "FAULTS.md")
+    with open(docs) as fh:
+        table = fh.read().split("<!-- outcome-table -->")[1]
+    names = {
+        "WireFormatError": DecodeError, "DecodeError": DecodeError,
+        "DeserializeError": DeserializeError, "FixedWireError": FixedWireError,
+        "MessageTooLarge": MessageTooLarge, "Exception": RuntimeError,
+        **{name: value for name, value in vars(Flags).items() if name.isupper()},
+    }
+    rows = []
+    for line in table.strip().splitlines()[2:]:
+        cells = [cell.strip() for cell in line.strip().strip("|").split(" | ")]
+        keys = [part for i, part in enumerate(cells[2].split("`")) if i % 2]
+        for key in keys:
+            fault = eval(key.replace("\\|", "|"), {}, names)  # noqa: S307 — our own docs
+            if isinstance(fault, type):
+                fault = fault("documented")
+            rows.append((key, fault, getattr(StatusCode, cells[3].strip("`")),
+                         not cells[4].startswith("empty")))
+    return rows
+
+
+def test_the_outcome_table_is_the_documented_one():
+    rows = _documented_outcomes()
+    assert len(rows) >= 8
+    for key, fault, status, crosses in rows:
+        assert outcome(fault) == (status, crosses), key
+    # every status the table can give is documented
+    assert {status for _, _, status, _ in rows} == {
+        StatusCode.INVALID_ARGUMENT, StatusCode.INTERNAL,
+        StatusCode.DEADLINE_EXCEEDED, StatusCode.ABORTED,
+    }
+
+
+# -- arbitrary payloads, baseline and offloaded side by side -------------------
+
+def _bench_payloads() -> dict:
+    factory = WorkloadFactory(schema=bench_service()[0])
+    return {
+        "PingSmall": serialize(factory.small()),
+        "SumInts": serialize(factory.int_array(24)),
+        "Upper": serialize(factory.char_array(40)),
+    }
+
+
+def _mutate(payload: bytes, edits) -> bytes:
+    out = bytearray(payload)
+    for op, where, byte in edits:
+        at = where % (len(out) + 1)
+        if op == "flip" and out:
+            out[at % len(out)] ^= byte or 0x80
+        elif op == "insert":
+            out.insert(at, byte)
+        elif op == "drop":
+            del out[at:at + 1 + byte % 4]
+        elif op == "truncate":
+            del out[at:]
+        else:  # repeat a slice: duplicate fields, merged messages
+            out[at:at] = out[at // 2:at]
+    return bytes(out)
+
+
+_VALID = _bench_payloads()
+_edits = st.lists(
+    st.tuples(st.sampled_from(["flip", "insert", "drop", "truncate", "repeat"]),
+              st.integers(0, 1 << 12), st.integers(0, 255)),
+    min_size=1, max_size=4,
+)
+hostile_requests = st.sampled_from(sorted(_VALID)).flatmap(lambda method: st.tuples(
+    st.just(method),
+    st.one_of(st.binary(max_size=48), st.builds(_mutate, st.just(_VALID[method]), _edits)),
+))
+#: CI's fault-matrix job widens the search and seeds it (--hypothesis-seed);
+#: tier-1 runs the same 200 examples every time.
+_EXAMPLES = int(os.environ.get("CONTAINMENT_EXAMPLES", "0"))
+
+
+@pytest.fixture(scope="module")
+def side_by_side():
+    with build("baseline", *bench_service()) as baseline, \
+            build("offloaded", *bench_service()) as offloaded:
+        yield [(d, d.connect("property")) for d in (baseline, offloaded)], iter(range(1, 1 << 30, 2))
+
+
+@settings(max_examples=_EXAMPLES or 200, derandomize=not _EXAMPLES, deadline=None)
+@given(request=hostile_requests)
+def test_baseline_and_offloaded_give_one_answer_to_any_payload(side_by_side, request):
+    """Whatever the bytes, nothing escapes ``drive()``, both deployments
+    send the same frame, and its status is OK or INVALID_ARGUMENT:
+    INTERNAL here would mean a decoder raised something it does not
+    declare — the fault counter must never have seen one."""
+    stacks, call_ids = side_by_side
+    (method, payload), call_id = request, next(call_ids)
+    frame = encode_request(call_id, f"/bench.Bench/{method}", payload)
+    answers = []
+    for deployment, socket in stacks:
+        socket.send(frame)
+        (answer,) = _answers(deployment, socket, 1)[call_id]
+        answers.append(answer)
+        assert StatusCode.INTERNAL not in deployment.front.request_faults
+    assert answers[0] == answers[1], (method, payload)
+    assert answers[0][0] in (StatusCode.OK, StatusCode.INVALID_ARGUMENT)

@@ -17,8 +17,18 @@ from hypothesis import strategies as st
 
 from repro.core import create_channel
 from repro.deploy import build
+from repro.memory import AddressSpace, Arena, MemoryRegion
+from repro.offload import ArenaDeserializer, DeserializeError, TypeUniverse
 from repro.offload.engine import DpuEngine, HostEngine
-from repro.proto import DECODE_MODES, compile_schema, parse, serialize
+from repro.proto import (
+    DECODE_MODES,
+    DecodeError,
+    WireFormatError,
+    compile_schema,
+    parse,
+    serialize,
+)
+from repro.proto.wire_format import MAX_NESTING_DEPTH
 from repro.xrpc import (
     FrameDecoder,
     Network,
@@ -31,6 +41,7 @@ from repro.xrpc import (
     register_offloaded_servicer,
 )
 from tests.conftest import KITCHEN_SINK_PROTO
+from tests.integration.test_containment import nested
 from tests.proto.test_codec_roundtrip import everything_strategy
 
 SERVICE_SRC = KITCHEN_SINK_PROTO + """
@@ -90,7 +101,7 @@ def deployments():
     baseline = XrpcServer(net_a, "h:1", schema.factory)
     baseline.add_service(svc, make_servicer(schema))
     chan_a = XrpcChannel(net_a, "h:1")
-    chan_a.drive = baseline.poll
+    chan_a.drive = baseline.progress
 
     def offloaded_deployment(offload_responses: bool, address: str):
         rdma = create_channel()
@@ -104,7 +115,7 @@ def deployments():
         net = Network()
         front = OffloadedXrpcServer(net, address, dpu, svc)
         chan = XrpcChannel(net, address)
-        chan.drive = lambda: (front.poll(), host.progress())
+        chan.drive = lambda: (front.progress(), host.progress())
         return chan
 
     chan_b = offloaded_deployment(False, "dpu:1")
@@ -203,3 +214,63 @@ def test_overwide_sint32_has_one_answer(form):
     assert frame.status == StatusCode.OK
     seen = parse(compile_schema(OVERWIDE_SRC)["t.Seen"], frame.message)
     assert (seen.a, list(seen.r)) == ((-2, []) if form == "singular" else (0, [-2]))
+
+
+# -- one nesting limit, four decoders -------------------------------------------
+
+NESTED_SRC = """
+syntax = "proto3";
+package t;
+message Node { uint32 v = 1; Node child = 2; repeated Node kids = 3; }
+"""
+
+
+@pytest.fixture(scope="module")
+def four_decoders():
+    """name -> ``decode(wire)`` returning how deep the message it built
+    nests: both reference tiers, both arena tiers (each behind its size
+    estimate, as ``DpuEngine.call`` runs it)."""
+    schema = compile_schema(NESTED_SRC)
+    Node = schema["t.Node"]
+    space = AddressSpace("host")
+    space.map(MemoryRegion(0x5000_0000, 1 << 22, "arena"))
+    adt = TypeUniverse(space).build_adt([Node.DESCRIPTOR])
+
+    def reference(mode):
+        def decode(wire):
+            node, depth = parse(Node, wire, mode=mode), 1
+            while node.HasField("child") or len(node.kids):
+                node, depth = (node.child if node.HasField("child") else node.kids[0]), depth + 1
+            return depth
+        return decode
+
+    def arena(mode):
+        deserializer = ArenaDeserializer(adt, mode=mode)
+
+        def decode(wire):
+            deserializer.stats.reset()
+            size = deserializer.estimate_size(0, wire)
+            deserializer.deserialize(0, wire, Arena(space, 0x5000_0000, size))
+            return deserializer.stats.max_depth
+        return decode
+
+    return {**{f"reference-{m}": reference(m) for m in DECODE_MODES},
+            **{f"arena-{m}": arena(m) for m in DECODE_MODES}}
+
+
+@pytest.mark.parametrize("field", ["singular", "repeated"])
+@pytest.mark.parametrize("depth", [1, MAX_NESTING_DEPTH, MAX_NESTING_DEPTH + 1, 2000])
+def test_nesting_has_one_limit(four_decoders, depth, field):
+    """Depth 100 is accepted and depth 101 rejected — with the decoder's
+    declared error, not a ``RecursionError`` that depends on how deep the
+    interpreter stack already is at the call (the baseline used to take
+    986 here, the offloaded stack 492)."""
+    wire = nested(depth, b"\x12" if field == "singular" else b"\x1a")
+    for name, decode in four_decoders.items():
+        declared = DecodeError if name.startswith("reference") else DeserializeError
+        assert issubclass(declared, WireFormatError)
+        if depth <= MAX_NESTING_DEPTH:
+            assert decode(wire) == depth, name
+        else:
+            with pytest.raises(declared, match=f"nest deeper than {MAX_NESTING_DEPTH}"):
+                decode(wire)

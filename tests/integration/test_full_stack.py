@@ -66,7 +66,7 @@ def deployment():
 def make_client(deployment, name="client"):
     schema, net, front, host, _ = deployment
     channel = XrpcChannel(net, "dpu:50051", name)
-    channel.drive = lambda: (front.poll(), host.progress())
+    channel.drive = lambda: (front.progress(), host.progress())
     Stub = make_stub_class(schema.service("bench.Bench"), schema.factory)
     return Stub(channel), channel
 
@@ -115,7 +115,7 @@ class TestPaperWorkloadsEndToEnd:
                     ),
                 )
         for _ in range(300):
-            front.poll()
+            front.progress()
             host.progress()
             for channel in clients:
                 channel.poll()

@@ -49,7 +49,7 @@ def deployment(schema):
     net = Network()
     front = OffloadedXrpcServer(net, "dpu:1", dpu, svc)
     channel = XrpcChannel(net, "dpu:1")
-    channel.drive = lambda: (front.poll(), host.progress())
+    channel.drive = lambda: (front.progress(), host.progress())
     stub = make_stub_class(svc, schema.factory)(channel)
     return stub, dpu, host, front, schema
 

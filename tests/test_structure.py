@@ -190,15 +190,17 @@ def test_a_scalar_kind_is_tabulated_once():
 
 def test_the_zigzag32_rule_is_stated_in_the_table_and_the_oracles_only():
     """``FieldType.SINT32`` is the kind whose copies drifted.  It is named
-    where kinds are declared and tabulated, in the two hand-written
-    oracles the table is tested against, and in the JSON mapping."""
+    where kinds are tabulated, in the two hand-written oracles the table
+    is tested against, and in the JSON mapping (``descriptor.py``, which
+    declares the enum, no longer restates which kinds are varint, zigzag
+    or signed — predicates nothing had read since the table)."""
     named_in = {
         str(path.relative_to(SRC))
         for path, tree in _trees(SRC)
         if any(_is_field_type(node, "SINT32") for node in ast.walk(tree))
     }
     assert named_in == {
-        "proto/descriptor.py", "proto/kinds.py", "proto/serializer.py",
+        "proto/kinds.py", "proto/serializer.py",
         "proto/deserializer.py", "proto/json_format.py",
     }
 
@@ -340,3 +342,97 @@ def test_a_patched_module_global_is_called_by_its_bare_name(module, name, argume
         if arguments is not None:
             assert len(call.args) + len(call.keywords) <= len(arguments)
             assert {kw.arg for kw in call.keywords} <= set(arguments)
+
+
+# -- one boundary per event loop, one outcome table (ROADMAP 4(a), docs/FAULTS.md §3) --
+
+
+def _broad_handlers(path: Path) -> list[str | None]:
+    """Outermost function of every ``except Exception`` / ``except
+    BaseException`` / bare ``except`` in ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = _enclosing_functions(tree)
+    return sorted(
+        owner[node] for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and (
+            node.type is None
+            or (isinstance(node.type, ast.Name) and node.type.id in ("Exception", "BaseException")))
+    )
+
+
+def test_the_front_door_is_the_only_broad_handler_under_xrpc():
+    """``_serve`` is straight-line code that raises, in both servers;
+    what it raises is answered in ``Ingress._serve_contained`` and
+    nowhere else."""
+    handlers = {path.name: _broad_handlers(path) for path, _ in _trees(SRC / "xrpc")}
+    assert {name: fns for name, fns in handlers.items() if fns} == {
+        "ingress.py": ["_serve_contained"],
+    }
+
+
+def test_the_endpoint_turns_an_exception_into_an_answer_in_three_places():
+    """Backlog admission (no caller to raise to), the host's handler
+    boundary, and the in-place response writer (which runs after the
+    boundary returned, for background results passes later) — each
+    through the one fault function; the appender's clean-up-and-re-raise
+    is the only other broad handler."""
+    endpoint = SRC / "core" / "endpoint.py"
+    assert _broad_handlers(endpoint) == [
+        "_append", "_drain_backlog", "_enqueue_response", "_invoke"]
+    assert _callers(endpoint, "_fault") == {"_drain_backlog", "_enqueue_response", "_invoke"}
+    # ...and it is the only place an exception's repr becomes a payload
+    tree = ast.parse(endpoint.read_text())
+    owner = _enclosing_functions(tree)
+    assert {owner[node] for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "repr"} == {"_fault"}
+    # the handler is resolved and run in one function, foreground or background
+    assert _callers(endpoint, "_invoke") == {"_process_request_block", "_spawn_background"}
+
+
+@pytest.mark.parametrize("status, functions", [
+    ("INTERNAL", {"outcome"}),
+    # (a SETUP whose layout hash mismatches is refused with the same code:
+    # the negotiation's answer, not a request's outcome)
+    ("INVALID_ARGUMENT", {"outcome", "_answer_setup"}),
+])
+def test_the_status_of_a_failure_is_decided_in_the_outcome_table(status, functions):
+    """Server side of ``xrpc/`` (the client maps statuses back to
+    exceptions in ``channel.py``): one function names the two statuses a
+    failed request can get."""
+    named = set()
+    for module in ("ingress.py", "server.py", "dpu_frontend.py", "service.py"):
+        tree = ast.parse((SRC / "xrpc" / module).read_text())
+        owner = _enclosing_functions(tree)
+        named |= {
+            (module, owner[node]) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == status
+            and isinstance(node.value, ast.Name) and node.value.id == "StatusCode"
+        }
+    assert named == {("ingress.py", fn) for fn in functions}
+
+
+def test_the_last_pr1_shim_is_gone():
+    """``Ingress.poll`` — "deprecation shim for the historical name" —
+    outlived PR 19's deletion of the shim chain; the servers are driven
+    through ``progress()``.  (``XrpcChannel.poll`` is the client's own.)"""
+    assert [where for where in _definitions(SRC / "xrpc", "poll")
+            if not where.startswith("src/repro/xrpc/channel.py:")] == []
+
+
+def test_the_nesting_limit_is_one_constant():
+    """Defined beside the wire-format errors; the decoders name it, none
+    restates the number."""
+    defined = [
+        str(path.relative_to(SRC)) for path, tree in _trees(SRC)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "MAX_NESTING_DEPTH" for t in node.targets)
+    ]
+    assert defined == ["proto/wire_format.py"]
+    users = {
+        str(path.relative_to(SRC)) for path, tree in _trees(SRC)
+        if any(isinstance(node, ast.Name) and node.id == "MAX_NESTING_DEPTH"
+               and isinstance(node.ctx, ast.Load) for node in ast.walk(tree))
+    }
+    assert users == {"proto/deserializer.py", "proto/gen_codec.py",
+                     "offload/arena_deserializer.py"}

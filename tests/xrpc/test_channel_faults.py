@@ -45,7 +45,7 @@ class ScriptedServer:
         self.answered = 0
         self.paused = False
 
-    def poll(self) -> None:
+    def progress(self) -> None:
         sock = self.listener.accept()
         if sock is not None:
             self.sockets.append(sock)
@@ -69,7 +69,7 @@ def scripted(schema, statuses, address="scripted:1"):
     net = Network()
     server = ScriptedServer(net, address, statuses)
     channel = XrpcChannel(net, address)
-    channel.drive = server.poll
+    channel.drive = server.progress
     return channel, server
 
 
@@ -105,7 +105,7 @@ class TestTimeout:
         with pytest.raises(RpcTimeoutError):
             channel.call_sync("/t.Svc/Echo", Ping(x=5), Ping, max_iters=20)
         server.paused = False
-        server.poll()  # the stale answer goes out now
+        server.progress()  # the stale answer goes out now
         assert channel.poll() == 0  # ...and is dropped, not delivered
         assert server.answered == 1
 
@@ -165,7 +165,7 @@ class TestIdempotentRetry:
         channel, server = scripted(schema, [])
         channel.retry_policy = RetryPolicy(max_retries=1, base_iters=1, cap_iters=2)
         calls = {"n": 0}
-        real_poll = server.poll
+        real_poll = server.progress
 
         def flaky_drive():
             calls["n"] += 1
@@ -192,7 +192,7 @@ class TestCancel:
         )
         assert channel.cancel(call_id) is True
         assert channel.cancel(call_id) is False  # already forgotten
-        server.poll()
+        server.progress()
         assert channel.poll() == 0
         assert fired == []
         assert channel.outstanding == 0
@@ -226,7 +226,7 @@ class TestAgainstRealServer:
         def drive():
             state["drives"] += 1
             if state["drives"] > 15:
-                server.poll()
+                server.progress()
 
         channel.drive = drive
         reply = channel.call_sync(

@@ -97,7 +97,7 @@ def start_call(channel, schema, out, timeout_us):
 
 def drive(channel, front, host, out, iters=400):
     for _ in range(iters):
-        front.poll()
+        front.progress()
         host.progress()
         channel.poll()
         if out:
@@ -116,7 +116,7 @@ class TestOffloadedStages:
             out = []
             start_call(channel, schema, out, timeout_us=500)
             clock.advance(1_000)  # now 2000 µs > deadline 1500 µs
-            front.poll()
+            front.progress()
             channel.poll()
             # Dropped before the arena deserializer ever saw it: nothing
             # crossed to the host, no decode, no dispatch.
@@ -143,7 +143,7 @@ class TestOffloadedStages:
             start_call(channel, schema, out, timeout_us=500)
             # Forward through DPU ingress while the deadline is live...
             for _ in range(20):
-                front.poll()
+                front.progress()
             assert front.deadline_expired["dpu_ingress"] == 0
             # ...then let it expire sitting in the host's receive buffer.
             clock.advance(1_000)
@@ -215,7 +215,7 @@ class TestBaselineServer:
         out = []
         start_call(channel, schema, out, timeout_us=500)
         clock.advance(1_000)
-        server.poll()
+        server.progress()
         channel.poll()
         assert server.deadline_expired["dispatch"] == 1
         assert servicer.calls == 0
@@ -231,7 +231,7 @@ class TestBaselineServer:
             # before the server dequeues.
             if clock.now_us() < 10_000:
                 clock.advance(10_000)
-            server.poll()
+            server.progress()
 
         channel.drive = drive_and_expire
         with pytest.raises(RpcTimeoutError) as excinfo:

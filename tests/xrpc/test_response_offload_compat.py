@@ -45,7 +45,7 @@ def deployment(offload_responses: bool):
     net = Network()
     front = OffloadedXrpcServer(net, "dpu:1", dpu, svc)
     channel = XrpcChannel(net, "dpu:1")
-    channel.drive = lambda: (front.poll(), host.progress())
+    channel.drive = lambda: (front.progress(), host.progress())
     stub = make_stub_class(svc, schema.factory)(channel)
     return schema, stub, dpu
 

@@ -50,7 +50,7 @@ def make_deployment(schema, name="retry-client"):
 
     server.add_service(schema.service("rb.Svc"), Servicer())
     channel = XrpcChannel(net, "host:1", name=name)
-    channel.drive = server.poll
+    channel.drive = server.progress
     return channel, server
 
 

@@ -61,7 +61,7 @@ def baseline_deployment(schema):
     server = XrpcServer(net, "host:50051", schema.factory)
     server.add_service(schema.service("calc.Calc"), make_servicer(schema))
     channel = XrpcChannel(net, "host:50051")
-    channel.drive = server.poll
+    channel.drive = server.progress
     return channel, server
 
 
@@ -76,7 +76,7 @@ def offloaded_deployment(schema):
     net = Network()
     front = OffloadedXrpcServer(net, "dpu:50051", dpu, svc)
     channel = XrpcChannel(net, "dpu:50051")
-    channel.drive = lambda: (front.poll(), host.progress())
+    channel.drive = lambda: (front.progress(), host.progress())
     return channel, front, host
 
 
@@ -96,7 +96,7 @@ class TestBaselineServer:
         result = []
         channel.call("/calc.Calc/Nope", Value(v=1), Value,
                      lambda rsp, status: result.append(status))
-        server.poll()
+        server.progress()
         channel.poll()
         assert result == [StatusCode.UNIMPLEMENTED]
 
@@ -105,7 +105,7 @@ class TestBaselineServer:
 
         channel, server = baseline_deployment(schema)
         channel.socket.send(encode_request(1, "/calc.Calc/Add", b"\xff\xff\xff"))
-        server.poll()
+        server.progress()
         assert server.stats.errors == 1
 
     def test_servicer_exception_is_internal(self, schema):
@@ -125,7 +125,7 @@ class TestBaselineServer:
 
         server.add_service(schema.service("calc.Calc"), Bad())
         channel = XrpcChannel(net, "h:1")
-        channel.drive = server.poll
+        channel.drive = server.progress
         Stub = make_stub_class(schema.service("calc.Calc"), schema.factory)
         stub = Stub(channel)
         with pytest.raises(RpcError):
@@ -209,7 +209,7 @@ class TestOffloadedServer:
                 ch.call("/calc.Calc/Mul", BinOp(a=i + 1, b=k), Value,
                         lambda rsp, status, i=i: done[i].append(rsp.v))
         for _ in range(200):
-            front.poll()
+            front.progress()
             host.progress()
             for ch in channels:
                 ch.poll()

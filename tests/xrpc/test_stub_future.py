@@ -28,7 +28,7 @@ def setup():
     server = XrpcServer(net, "h:1", schema.factory)
     server.add_service(schema.service("f.Math"), Servicer())
     channel = XrpcChannel(net, "h:1")
-    channel.drive = server.poll
+    channel.drive = server.progress
     Stub = make_stub_class(schema.service("f.Math"), schema.factory)
     return schema, channel, server, Stub(channel)
 
@@ -40,7 +40,7 @@ class TestFutureStyle:
         got = []
         stub.Double.future(N(v=21), lambda rsp, status: got.append((rsp.v, status)))
         assert got == []  # not yet — continuation style
-        server.poll()
+        server.progress()
         channel.poll()
         assert got == [(42, StatusCode.OK)]
 
@@ -51,7 +51,7 @@ class TestFutureStyle:
         for i in range(10):
             stub.Double.future(N(v=i), lambda rsp, status, i=i: got.append((i, rsp.v)))
         assert channel.outstanding == 10
-        server.poll()
+        server.progress()
         channel.poll()
         assert got == [(i, 2 * i) for i in range(10)]
         assert channel.outstanding == 0

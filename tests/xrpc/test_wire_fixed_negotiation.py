@@ -60,7 +60,7 @@ def baseline_deployment(schema, layout_salt=""):
     server = XrpcServer(net, "host:1", schema.factory, layout_salt=layout_salt)
     server.add_service(schema.service("fxc.Calc"), make_servicer(schema))
     channel = XrpcChannel(net, "host:1")
-    channel.drive = server.poll
+    channel.drive = server.progress
     return channel, server
 
 
@@ -76,7 +76,7 @@ def offloaded_deployment(schema, layout_salt="", decode_mode="generated",
     net = Network()
     front = OffloadedXrpcServer(net, "dpu:1", dpu, svc, layout_salt=layout_salt)
     channel = XrpcChannel(net, "dpu:1")
-    channel.drive = lambda: (front.poll(), host.progress())
+    channel.drive = lambda: (front.progress(), host.progress())
     return channel, front, host, dpu, rdma
 
 
