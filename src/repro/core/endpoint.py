@@ -39,9 +39,10 @@ pass, a plain method that a :class:`~repro.runtime.engine.ProgressEngine`
 (docs/RUNTIME.md) or an owner driving the endpoint by hand calls; only
 the engine's own polls are counted, scheduled and supervised.  Both
 roles send through one path — ``_append`` puts a message into the open
-block, ``_seal`` queues the block, ``flush`` / ``_flush_by_policy``
-decide when a partial one goes (``ProtocolConfig.flush_policy``) —
-whose rules docs/PROTOCOL.md §3 "Sender rules" states once.
+block, ``_send`` seals it and transmits queued blocks as credits allow,
+``flush`` / ``_flush_by_policy`` decide when a partial one goes
+(``ProtocolConfig.flush_policy``) — whose rules docs/PROTOCOL.md §3
+"Sender rules" states once; and receive through one, ``_receive``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from repro.memory import (
     OffsetAllocator,
 )
 from repro.proto.wire_format import WireFormatError
-from repro.rdma import CompletionQueue, Opcode, QpState, QueuePair, WorkRequest
+from repro.rdma import CompletionQueue, Opcode, QpState, QueuePair, WcStatus, WorkRequest
 from repro.runtime.flush import FlushState, make_flush_policy
 from repro.runtime.overload import now_us, unpack_deadline
 
@@ -74,8 +75,7 @@ from .wire import (
     ProtocolError,
     bucket_to_offset,
     offset_to_bucket,
-    patch_ack_blocks,
-    patch_sequence,
+    stamp_transmit,
 )
 
 __all__ = [
@@ -330,9 +330,10 @@ class _EndpointBase:
         self._tx_seq = 0
         self._rx_seq = 0
         self._trace_by_rid: dict[int, object] = {}
-        self._posted_recvs = 0  # (a reset's error flush emptied the queue)
+        self._queued_messages = 0  # sealed into queued blocks, not yet sent
+        # receive WQEs (a reset's error flush emptied the queue)
         for _ in range(self._recv_slots + 8):
-            self._post_recv()
+            self.qp.post_recv(next(self._wr_ids))
 
     def reset_connection_state(self) -> None:
         """Rebuild the connection-scoped protocol state from scratch after
@@ -341,12 +342,6 @@ class _EndpointBase:
         sequences the two sides."""
         self._init_connection()
         self.resets += 1
-
-    # -- receive WQE management ------------------------------------------------
-
-    def _post_recv(self) -> None:
-        self.qp.post_recv(next(self._wr_ids))
-        self._posted_recvs += 1
 
     # -- the send path (docs/PROTOCOL.md "Sender rules") -----------------------
 
@@ -359,29 +354,35 @@ class _EndpointBase:
         ``write`` builds the payload in place and reports its true size
         (at most ``reserve``); each of ``words`` is a u64 written ahead
         of it, in order; ``note`` is what the role keeps of the message
-        until its block is sealed.  A block that cannot take the message
-        seals first; one is opened when none is; one that reached
-        ``block_size`` seals and goes, as far as credits allow.  A
-        writer that raises (a malformed payload fails in the arena
-        decoder) or over-reports costs exactly this message: the block
-        is as it was, the error re-raised.  A block left holding nothing
-        is given back: sealed empty later, it would take a credit no
-        response can ever return."""
+        until its block is transmitted.  A block that cannot take the
+        message goes first; one is opened when none is; one that reached
+        ``block_size`` goes too, as far as credits allow.  A writer that
+        raises (a malformed payload fails in the arena decoder) or
+        over-reports costs exactly this message: the block is as it was,
+        the error re-raised.  A block left holding nothing is given back:
+        sealed empty later, it would take a credit no response can ever
+        return."""
         if words:
             reserve += 8 * len(words)
         writer = self._writer
         if writer is not None and writer.end - writer.cursor < reserve + 32:
-            self._seal("block_full")
+            self._send("block_full")
             writer = None
         if writer is None:
-            capacity = self._block_capacity(reserve)
+            # At least block_size, grown for a single oversized message
+            # (§IV: 'the block is composed of a single message'; LARGE
+            # messages add a size-extension word).
+            config = self.config
+            need = PREAMBLE_SIZE + 8 + 8 + 8 + reserve + 16
+            capacity = max(config.block_size,
+                           -(-need // config.block_alignment) * config.block_alignment)
             writer = self._writer = BlockWriter(
                 self.sbuf, self._alloc_block(capacity), capacity)
         try:
             actual = writer.put_message(self.sbuf, reserve, write, method_or_id, flags, words)
         except BaseException:
             if not writer.message_count:
-                self._free_block(writer.base)
+                self.allocator.free(writer.base - self.sbuf.base)
                 self._writer = None
             raise
         self._open_notes.append(note)
@@ -390,162 +391,140 @@ class _EndpointBase:
         if self._open_since is None:
             self._open_since = self._polls  # starts the flush-policy clock
         if writer.cursor - writer.base >= self.config.block_size:
-            self._seal("block_full")
-            self._pump_send_queue()
+            self._send("block_full")
         elif self._send_queue:
-            self._pump_send_queue()
+            self._send()
         return actual
 
-    def _seal(self, reason: str) -> None:
-        """Seal the open block and queue it, counting ``reason``.  Ack
-        counter, sequence number and (client) request IDs are settled at
-        transmit time, keeping that bookkeeping in wire order."""
-        writer = self._writer
-        self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
-        traces = self._writer_traces
-        if traces:
-            self._writer_traces = []
-        out = _OutBlock(
-            writer.base,
-            writer.seal(ack_blocks=0),  # placeholder; patched on send
-            writer.message_count, self._open_notes, traces or (),
-        )
-        self._open_notes = []
-        self._writer = None
-        self._open_since = None
-        self._on_seal(out)
-        self._send_queue.append(out)
+    def _send(self, reason: str | None = None) -> None:
+        """Seal the open block, counting ``reason``, when one is given;
+        then transmit queued blocks, oldest first, while credits remain
+        (§IV-C).  Per block, in wire order: the role's transmit-time
+        bookkeeping (:meth:`_on_transmit`), ack counter and sequence
+        stamped, one WRITE_WITH_IMM (:meth:`_post_block`)."""
+        queue = self._send_queue
+        if reason is not None:
+            writer = self._writer
+            self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
+            traces = self._writer_traces
+            count = writer.message_count
+            # built as the tuple it is (a NamedTuple's __new__ is one more
+            # Python-level call); stamped at transmit, outside the body CRC
+            out = tuple.__new__(_OutBlock, (
+                writer.base, writer.seal(), count, self._open_notes, traces or ()))
+            if traces:
+                self._writer_traces = []
+                for ctx in traces:
+                    if ctx is not None:
+                        self.trace.event(ctx, "block_seal", bytes=out.length,
+                                         messages=count)
+            self._open_notes = []
+            self._writer = self._open_since = None
+            self._queued_messages += count
+            queue.append(out)
+        while queue and self.credits.consume():
+            out = queue.popleft()
+            self._queued_messages -= out.message_count
+            self._post_block(out.sbuf_addr, out.length, self._on_transmit(out))
 
-    def _on_seal(self, out: _OutBlock) -> None:
-        """Role hook: what the role remembers about a sealed block."""
+    def _on_transmit(self, out: _OutBlock) -> int:
+        """Role hook, run as a queued block leaves: what the role
+        remembers about it; returns the ack counter to stamp on it."""
         raise NotImplementedError
+
+    def _post_block(self, addr: int, length: int, ack_blocks: int) -> None:
+        """Stamp the sealed block at ``addr`` — ack counter and sequence,
+        both outside the body checksum, so the sealed CRC stays valid —
+        and WRITE_WITH_IMM it into the peer's mirrored RBuf at the same
+        offset.  Post order *is* wire order on a reliable connection, and
+        every block (data, response, pure ack) leaves through here."""
+        sbuf = self.sbuf
+        offset = addr - sbuf.base
+        self._tx_seq += 1
+        stamp_transmit(sbuf.buf, offset, ack_blocks, self._tx_seq)
+        self.qp.post_send(WorkRequest(
+            next(self._wr_ids), Opcode.RDMA_WRITE_WITH_IMM, addr, length,
+            addr,  # mirrored: same virtual address
+            offset_to_bucket(offset, self.remote_block_alignment),
+        ))
+        self.stats.blocks_sent += 1
+        self.stats.bytes_sent += length
 
     def flush(self, reason: str = "explicit") -> None:
         """Force-seal a partial block, bypassing the policy (§IV deadlock
         prevention; an engine's drain pushes out held batches with it)."""
-        if self._writer is not None:
-            self._seal(reason)
-        self._pump_send_queue()
+        self._send(reason if self._writer is not None else None)
 
     def _flush_by_policy(self) -> None:
-        """Seal the partial block when the flush policy says so."""
+        """Send the partial block when the flush policy says so."""
         writer = self._writer
-        reason = self.flush_policy.should_flush(FlushState(
-            pending_bytes=writer.cursor - writer.base,
-            pending_messages=writer.message_count,
-            ticks_waiting=self._polls - self._open_since,
-        ))
+        # built as the tuple it is, like _OutBlock in _send
+        reason = self.flush_policy.should_flush(tuple.__new__(FlushState, (
+            writer.cursor - writer.base, writer.message_count, self._polls - self._open_since)))
         if reason is not None:
-            self._seal(reason)
+            self._send(reason)
 
     # -- block plumbing ----------------------------------------------------------
 
     def _alloc_block(self, capacity: int) -> int:
         """Allocate block space in the SBuf; raises AllocationError when
         the buffer is full (back-pressure)."""
-        offset = self.allocator.allocate(capacity, self.config.block_alignment)
-        return self.sbuf.base + offset
+        return self.sbuf.base + self.allocator.allocate(capacity, self.config.block_alignment)
 
-    def _free_block(self, sbuf_addr: int) -> None:
-        self.allocator.free(sbuf_addr - self.sbuf.base)
+    # -- the receive path ----------------------------------------------------------
 
-    def _block_capacity(self, first_payload: int) -> int:
-        """Capacity of a new block: at least block_size, grown for a
-        single oversized message (§IV: 'the block is composed of a single
-        message'; LARGE messages add a size-extension word)."""
-        need = PREAMBLE_SIZE + 8 + 8 + 8 + first_payload + 16
-        return max(self.config.block_size, -(-need // self.config.block_alignment) * self.config.block_alignment)
-
-    def _transmit(self, out: _OutBlock) -> None:
-        """WRITE_WITH_IMM the sealed block into the peer's mirrored RBuf
-        at the same offset the block occupies in our SBuf."""
-        offset = out.sbuf_addr - self.sbuf.base
-        bucket = offset_to_bucket(offset, self.remote_block_alignment)
-        # Stamp the block sequence now — post order *is* wire order on a
-        # reliable connection, and every block (data, response, pure ack)
-        # funnels through here.  Like the ack counter, the sequence lives
-        # outside the body checksum, so the sealed CRC stays valid.
-        self._tx_seq += 1
-        patch_sequence(self.sbuf.buf, offset, self._tx_seq)
-        self.qp.post_send(
-            WorkRequest(
-                wr_id=next(self._wr_ids),
-                opcode=Opcode.RDMA_WRITE_WITH_IMM,
-                local_addr=out.sbuf_addr,
-                length=out.length,
-                remote_addr=out.sbuf_addr,  # mirrored: same virtual address
-                imm_data=bucket,
-            )
-        )
-        self.stats.blocks_sent += 1
-        self.stats.bytes_sent += out.length
-
-    def _on_transmit(self, out: _OutBlock) -> None:
-        """Hook run just before a queued block is posted (the client's
-        send-time ID bookkeeping lives here)."""
-
-    def _pump_send_queue(self) -> None:
-        """Send queued blocks while credits remain (§IV-C)."""
-        while self._send_queue and self.credits.consume():
-            out = self._send_queue.popleft()
-            self._on_transmit(out)
-            self._transmit(out)
-
-    def _drain_recv_cq(self, limit: int | None = None) -> list:
-        """Poll received block notifications; drains send completions.
-        ``limit`` caps the completions absorbed this pass (the engine's
-        poll budget); the rest stay queued for the next pass."""
-        if self.qp.state is QpState.ERROR:
+    def _receive(self, limit: int | None, process) -> int:
+        """One pass's receive path; returns what ``process`` (the role's
+        block handler) returned, summed.  ``limit`` caps the completions
+        absorbed (the engine's poll budget).  The CQ is drained first:
+        each consumed receive WQE is reposted, an out-of-band SEND (ADT
+        bootstrap) queued on ``inbound_sends``, a send completion skipped
+        (blocks are recycled by acknowledgment, §IV-B), an error
+        completion ends the connection.  Then each block is opened on our
+        RBuf and handed to ``process`` before the next is opened: a
+        duplicate delivery is dropped, a sequence gap raises
+        :class:`TransportError` (the mirrored ID pools can never re-align
+        without a reset); sequence 0 (hand-built blocks) is unchecked."""
+        qp = self.qp
+        if qp.state is QpState.ERROR:
             # Surface the dead connection as the typed transport fault —
             # processing completions would trip on reposting receive WQEs
             # into an errored QP with an untyped VerbsError.
             raise TransportError(self.name, "qp in ERROR state")
-        events = []
-        for wc in self.recv_cq.poll(max_entries=limit if limit else 1 << 16):
-            if wc.opcode is Opcode.RECV_RDMA_WITH_IMM and wc.ok:
-                events.append(wc)
-                self._posted_recvs -= 1
-                self._post_recv()
-            elif wc.opcode is Opcode.RECV and wc.ok:
-                # Out-of-band SEND (ADT bootstrap and other control data).
-                self.inbound_sends.append(getattr(wc, "payload", b""))
-                self._posted_recvs -= 1
-                self._post_recv()
-            elif not wc.ok:
+        buckets = []
+        for wc in self.recv_cq.poll(limit or 1 << 16):
+            if wc.status is not WcStatus.SUCCESS:
                 raise TransportError(self.name, wc.status)
-            # else a send completion, which recycles nothing: it says the
-            # wire took the block, not that the peer read it.  Blocks are
-            # recycled by acknowledgment (§IV-B).
-        return events
-
-    def _open_received(self, bucket: int) -> BlockReader | None:
-        """Open the block just delivered at ``bucket`` of our RBuf — the
-        region is ours, so the reader works on it directly and the
-        preamble is read once.  Returns None for a duplicate delivery
-        (drop it — the first delivery already did all the accounting);
-        raises :class:`TransportError` on a sequence gap, because a
-        missing block means the mirrored ID pools can never re-align
-        without a connection reset.  Sequence 0 (hand-built test blocks)
-        bypasses the check."""
-        rbuf = self.rbuf
-        base = rbuf.base + bucket_to_offset(bucket, self.config.block_alignment)
-        reader = BlockReader(rbuf, base, rbuf.base + rbuf.size - base)
-        seq = reader.preamble.sequence
-        if seq:
-            if seq <= self._rx_seq:
-                self.duplicate_blocks += 1
-                return None
-            if seq != self._rx_seq + 1:
-                raise TransportError(
-                    self.name,
-                    f"block sequence gap: expected {self._rx_seq + 1}, got {seq}",
-                )
-            self._rx_seq = seq
-        if self.config.verify_checksums:
-            reader.verify_checksum()
-        self.stats.blocks_received += 1
-        self.stats.bytes_received += reader.preamble.block_length
-        return reader
+            if wc.opcode is Opcode.RECV_RDMA_WITH_IMM:
+                buckets.append(wc.imm_data)
+            elif wc.opcode is Opcode.RECV:
+                self.inbound_sends.append(wc.payload)
+            else:
+                continue
+            qp.post_recv(next(self._wr_ids))
+        handled = 0
+        for bucket in buckets:
+            rbuf = self.rbuf
+            base = rbuf.base + bucket_to_offset(bucket, self.config.block_alignment)
+            reader = BlockReader(rbuf, base, rbuf.base + rbuf.size - base)
+            preamble = reader.preamble
+            seq = preamble.sequence
+            if seq:
+                if seq <= self._rx_seq:
+                    self.duplicate_blocks += 1
+                    continue
+                if seq != self._rx_seq + 1:
+                    raise TransportError(
+                        self.name,
+                        f"block sequence gap: expected {self._rx_seq + 1}, got {seq}",
+                    )
+                self._rx_seq = seq
+            if self.config.verify_checksums:
+                reader.verify_checksum()
+            self.stats.blocks_received += 1
+            self.stats.bytes_received += preamble.block_length
+            handled += process(reader)
+        return handled
 
 
 class ClientEndpoint(_EndpointBase):
@@ -559,6 +538,9 @@ class ClientEndpoint(_EndpointBase):
         self.late_responses = 0  # responses that arrived after their deadline
         self.replayed = 0  # requests re-sent by a connection reset
         self.aborted = 0  # requests failed by a non-replaying reset
+        # Unacknowledged response blocks that warrant a pure ack (§4 of
+        # docs/PROTOCOL.md): at the server's credit count it is blocked.
+        self._ack_batch = min(max(4, self.config.credits // 2), self._recv_slots)
         self.backlog_failures = 0  # backlogged requests whose writer raised
 
     def _init_connection(self) -> None:
@@ -575,8 +557,6 @@ class ClientEndpoint(_EndpointBase):
         # Requests beyond the concurrency window wait here (§IV-D bounds
         # live request IDs to the pool size; the app may enqueue freely).
         self._backlog: deque[tuple] = deque()
-        # Messages sealed into queued blocks but not yet transmitted.
-        self._queued_messages = 0
         # SBuf addresses of pure-ack blocks sent since the last request
         # block.  Nothing answers a pure ack, and its send completion only
         # says the wire took it, not that the server read it — reusing
@@ -703,15 +683,6 @@ class ClientEndpoint(_EndpointBase):
                      trace_ctx)
         self.stats.requests_sent += 1
 
-    def _on_seal(self, out: _OutBlock) -> None:
-        """A request block carries its messages' continuations until
-        transmit time binds them to request IDs (:meth:`_on_transmit`)."""
-        if self.trace is not None:
-            for ctx in out.traces:
-                self.trace.event(ctx, "block_seal", bytes=out.length,
-                                 messages=out.message_count)
-        self._queued_messages += out.message_count
-
     def _flush_pending_acks(self) -> int:
         """§IV-D step 1: free the request IDs answered by every response
         block we are about to acknowledge; returns the ack count."""
@@ -720,16 +691,13 @@ class ClientEndpoint(_EndpointBase):
             self.id_pool.free_many(self._unacked_response_ids.popleft())
         return ack_blocks
 
-    def _on_transmit(self, out: _OutBlock) -> None:
+    def _on_transmit(self, out: _OutBlock) -> int:
         """Send-time bookkeeping, mirrored verbatim by the server on
-        receipt: flush acks, then allocate this block's request IDs."""
+        receipt: flush acks, then allocate this block's request IDs — a
+        request block carried its messages' continuations until now.
+        Returns the ack count the block's preamble carries."""
         ack_blocks = self._flush_pending_acks()
         ids = self.id_pool.allocate_many(out.message_count)
-        # Patch the preamble with the real ack count (the block still
-        # lives in our SBuf; the fabric snapshots it at post time).  The
-        # body checksum computed at seal time stays valid — it excludes
-        # the preamble.
-        patch_ack_blocks(self.sbuf.buf, out.sbuf_addr - self.sbuf.base, ack_blocks)
         seq = next(self._block_seq)
         self._blocks[seq] = [out.sbuf_addr, len(ids), ids, self._spent_acks]
         self._spent_acks = []
@@ -756,7 +724,7 @@ class ClientEndpoint(_EndpointBase):
                     ctx.tid = (self._trace_stream, self._trace_serial)
                 self.trace.event(ctx, "transmit", rid=rid, seq=seq)
                 self._trace_by_rid[rid] = ctx
-        self._queued_messages -= out.message_count
+        return ack_blocks
 
     def _send_pure_ack(self) -> None:
         """Emit a zero-message block that only carries the preamble ack
@@ -768,9 +736,8 @@ class ClientEndpoint(_EndpointBase):
             addr = self._alloc_block(self.config.block_alignment)
         except AllocationError:
             return  # SBuf exhausted; retry next pass
-        writer = BlockWriter(self.sbuf, addr, self.config.block_alignment)
-        length = writer.seal(ack_blocks=self._flush_pending_acks())
-        self._transmit(_OutBlock(addr, length))
+        length = BlockWriter(self.sbuf, addr, self.config.block_alignment).seal()
+        self._post_block(addr, length, self._flush_pending_acks())
         self._spent_acks.append(addr)
 
     # -- event loop -----------------------------------------------------------------
@@ -809,14 +776,12 @@ class ClientEndpoint(_EndpointBase):
         if self._writer is not None:
             self._flush_by_policy()
         if self._send_queue:
-            self._pump_send_queue()
-        delivered = 0
-        for wc in self._drain_recv_cq(budget):
-            delivered += self._process_response_block(wc.imm_data, wc.byte_len)
+            self._send()
+        delivered = self._receive(budget, self._process_response_block)
         if self._backlog:
             self._drain_backlog()
         if self._send_queue:
-            self._pump_send_queue()
+            self._send()
         # Two reasons to push acknowledgments out of band: we are credit-
         # starved with blocks waiting (deadlock breaker), or acks piled up
         # while we had nothing to send (lets the server recycle memory —
@@ -824,8 +789,7 @@ class ClientEndpoint(_EndpointBase):
         # unacknowledged response block keeps one of the server's).
         if self._unacked_response_ids and (
             (self._send_queue and not self.credits.can_send())
-            or len(self._unacked_response_ids)
-            >= min(max(4, self.config.credits // 2), self._recv_slots)
+            or len(self._unacked_response_ids) >= self._ack_batch
         ):
             self._send_pure_ack()
         return delivered
@@ -849,7 +813,7 @@ class ClientEndpoint(_EndpointBase):
         if admitted and self._writer is not None:
             # Ship what we admitted so the window keeps moving even while
             # a backlog remains (window progress, not a policy decision).
-            self._seal("backlog")
+            self._send("backlog")
 
     def _fail_backlogged(self, entry: tuple, reason: bytes,
                          flags: int = Flags.ERROR | Flags.ABORTED) -> None:
@@ -858,10 +822,7 @@ class ClientEndpoint(_EndpointBase):
             self.trace.event(entry[5], "abort")
         _fail_continuation(entry[3], reason, flags)
 
-    def _process_response_block(self, bucket: int, byte_len: int) -> int:
-        reader = self._open_received(bucket)
-        if reader is None:
-            return 0
+    def _process_response_block(self, reader: BlockReader) -> int:
         pending, blocks, tombstones = self._pending, self._blocks, self._tombstones
         rbuf, trace = self.rbuf, self.trace
         answered: list[int] = []
@@ -897,8 +858,10 @@ class ClientEndpoint(_EndpointBase):
                 # credit (§IV-B server-side implicit ack, observed
                 # client-side).
                 del blocks[seq]
-                for addr in (block[0], *block[3]):
-                    self._free_block(addr)
+                free, sbuf_base = self.allocator.free, self.sbuf.base
+                free(block[0] - sbuf_base)
+                for addr in block[3]:
+                    free(addr - sbuf_base)
                 self.credits.replenish(1)
         # Remember the IDs to free at the next seal, and count the block
         # toward the preamble ack counter.
@@ -913,8 +876,6 @@ class ClientEndpoint(_EndpointBase):
         the open block — out of the SBuf before the allocator is rebuilt.
         Returned in original submission order as (method_id, payload,
         continuation, flags) tuples ready for re-enqueueing."""
-        if self._writer is not None:
-            self._seal("reset")
         survivors: list[tuple[int, bytes, Continuation, int]] = []
         # LARGE is recomputed by the writer on re-send; TRACE_CTX (and its
         # 8-byte word) is stripped so the replay gets a *fresh* context
@@ -945,6 +906,16 @@ class ClientEndpoint(_EndpointBase):
             harvest(addr, None, rids)
         for out in self._send_queue:
             harvest(out.sbuf_addr, out.notes)
+        writer = self._writer
+        if writer is not None:
+            # sealed, counted and traced like any seal; read in place
+            self.flush_reasons["reset"] = self.flush_reasons.get("reset", 0) + 1
+            length = writer.seal()
+            for ctx in self._writer_traces:
+                if ctx is not None:
+                    self.trace.event(ctx, "block_seal", bytes=length,
+                                     messages=writer.message_count)
+            harvest(writer.base, self._open_notes)
         return survivors
 
     def begin_reset(self) -> tuple[list, list]:
@@ -1041,23 +1012,17 @@ class ServerEndpoint(_EndpointBase):
         thread), collect finished background RPCs, flush responses per
         policy.  Returns the number of requests handled."""
         self._polls += 1
-        handled = 0
-        for wc in self._drain_recv_cq(budget):
-            handled += self._process_request_block(wc.imm_data)
+        handled = self._receive(budget, self._process_request_block)
         while self._background_results:
             rid, response = self._background_results.popleft()
             self._enqueue_response(rid, response)
         if self._writer is not None:
             self._flush_by_policy()
         if self._send_queue:
-            self._pump_send_queue()
+            self._send()
         return handled
 
-    def _process_request_block(self, bucket: int) -> int:
-        reader = self._open_received(bucket)
-        if reader is None:
-            return 0
-
+    def _process_request_block(self, reader: BlockReader) -> int:
         # Replay the client's two-step ID bookkeeping (§IV-D).
         acked = reader.preamble.ack_blocks
         if acked > len(self._outstanding_responses):
@@ -1068,7 +1033,7 @@ class ServerEndpoint(_EndpointBase):
         for _ in range(acked):
             sbuf_addr, ids = self._outstanding_responses.popleft()
             self.id_pool.free_many(ids)
-            self._free_block(sbuf_addr)
+            self.allocator.free(sbuf_addr - self.sbuf.base)
             self.credits.replenish(1)
 
         messages = reader.records()
@@ -1194,7 +1159,9 @@ class ServerEndpoint(_EndpointBase):
                                  bytes=actual, flags=response.flags)
         self.stats.responses_sent += 1
 
-    def _on_seal(self, out: _OutBlock) -> None:
+    def _on_transmit(self, out: _OutBlock) -> int:
         """A response block is remembered with the request IDs it
-        answers until the client acknowledges it (§IV-B)."""
+        answers until the client acknowledges it (§IV-B); it carries no
+        acknowledgments."""
         self._outstanding_responses.append((out.sbuf_addr, out.notes))
+        return 0

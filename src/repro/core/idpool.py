@@ -62,7 +62,9 @@ class RequestIdPool:
             raise IdPoolError(
                 f"need {count} IDs, only {len(free)} free"
             )
-        ids = [free.popleft() for _ in range(count)]
+        ids = []
+        for _ in range(count):
+            ids.append(free.popleft())
         self._live.update(ids)
         return ids
 

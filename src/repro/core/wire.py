@@ -39,6 +39,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "PREAMBLE_SIZE",
@@ -55,8 +56,7 @@ __all__ = [
     "BlockFormatError",
     "ChecksumError",
     "compute_block_checksum",
-    "patch_ack_blocks",
-    "patch_sequence",
+    "stamp_transmit",
     "bucket_to_offset",
     "offset_to_bucket",
 ]
@@ -109,13 +109,10 @@ def _body_crc(mem, offset: int, block_length: int) -> int:
     return zlib.crc32(body) & 0xFFFFFFFF or 1
 
 
-def patch_ack_blocks(mem, offset: int, ack_blocks: int) -> None:
-    """Set the ack counter of the sealed block at ``mem[offset:]``."""
+def stamp_transmit(mem, offset: int, ack_blocks: int, sequence: int) -> None:
+    """Settle the two transmit-time preamble fields of the sealed block at
+    ``mem[offset:]``: its ack counter and its sequence number."""
     _ACK_BLOCKS.pack_into(mem, offset + 2, ack_blocks)
-
-
-def patch_sequence(mem, offset: int, sequence: int) -> None:
-    """Stamp the sequence number of the sealed block at ``mem[offset:]``."""
     _SEQUENCE.pack_into(mem, offset + 12, sequence)
 
 
@@ -194,8 +191,7 @@ def offset_to_bucket(offset: int, block_alignment: int) -> int:
     return offset // block_alignment
 
 
-@dataclass(slots=True)
-class Preamble:
+class Preamble(NamedTuple):
     message_count: int
     ack_blocks: int
     block_length: int
@@ -263,17 +259,19 @@ class BlockWriter:
     region itself — an endpoint hands in the send buffer it owns).
     """
 
+    #: header address of the in-progress message and whether it is LARGE
+    #: (class-level defaults: opening a block stores neither)
+    _open: int | None = None
+    _open_large = False
+
     def __init__(self, space, base_addr: int, capacity: int) -> None:
         region = space.region_of(base_addr, capacity)
         self.base = base_addr
-        self.capacity = capacity
         self.end = base_addr + capacity
         self.cursor = base_addr + PREAMBLE_SIZE  # first unused byte
         self.message_count = 0
         self._mem = region.buf
         self._origin = region.base  # address of _mem[0]
-        self._open: int | None = None  # header addr of the in-progress message
-        self._open_large = False
 
     @property
     def bytes_used(self) -> int:
@@ -424,7 +422,9 @@ class BlockReader:
         self.base = base_addr
         self._mem = region.buf
         self._origin = region.base  # address of _mem[0]
-        self.preamble = Preamble(*_PREAMBLE.unpack_from(self._mem, base_addr - region.base))
+        # built as the tuple it is (no Python-level __new__ per block)
+        self.preamble = tuple.__new__(
+            Preamble, _PREAMBLE.unpack_from(self._mem, base_addr - region.base))
         length = self.preamble.block_length
         if length < PREAMBLE_SIZE:
             raise BlockFormatError("block length smaller than preamble")
@@ -432,7 +432,8 @@ class BlockReader:
             raise BlockFormatError(
                 f"block claims {length} bytes, only {max_length} are addressable"
             )
-        region.region_of(base_addr, length)
+        if base_addr + length > region.base + region.size:
+            region.region_of(base_addr, length)  # raises, naming the span
         if verify_checksum:
             self.verify_checksum()
 
@@ -472,7 +473,8 @@ class BlockReader:
                 raise BlockFormatError("payload extends past block end")
             out.append((method_or_id, flags, payload_addr, payload_size))
             cursor = payload_addr + payload_size
-        if _align_up(cursor, PAYLOAD_ALIGN) not in (end, _align_up(end, PAYLOAD_ALIGN)):
+        padded = (cursor + PAYLOAD_ALIGN - 1) & -PAYLOAD_ALIGN
+        if padded != end and padded != (end + PAYLOAD_ALIGN - 1) & -PAYLOAD_ALIGN:
             # All messages consumed must land exactly at the declared end
             # (modulo final padding).
             if cursor != end:

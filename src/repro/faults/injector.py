@@ -165,7 +165,7 @@ class FaultInjector:
         self._now += 1
         self._release_due()
 
-    # -- hook: qp._push_completion ------------------------------------------------
+    # -- hook: CompletionQueue.push (a QP's completions) --------------------------
 
     def deliver_completion(self, qp, cq, wc: WorkCompletion) -> bool:
         """Returns True when the injector consumed the completion (it was

@@ -21,19 +21,13 @@ not pointers.
 
 from __future__ import annotations
 
+import bisect
+
 __all__ = ["AllocationError", "OffsetAllocator"]
 
 
 class AllocationError(RuntimeError):
     """Raised when a request cannot be satisfied or a free is invalid."""
-
-
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def _align_up(value: int, alignment: int) -> int:
-    return (value + alignment - 1) & ~(alignment - 1)
 
 
 class OffsetAllocator:
@@ -89,10 +83,10 @@ class OffsetAllocator:
         """
         if size <= 0:
             raise ValueError("size must be positive")
-        if not _is_pow2(alignment):
+        if alignment <= 0 or alignment & (alignment - 1):
             raise ValueError("alignment must be a power of two")
         for idx, (start, span) in enumerate(self._free):
-            aligned = _align_up(start, alignment)
+            aligned = (start + alignment - 1) & -alignment
             pad = aligned - start
             if pad + size > span:
                 continue
@@ -115,36 +109,27 @@ class OffsetAllocator:
     def free(self, offset: int) -> None:
         """Release a previous allocation; coalesces with neighbours."""
         try:
-            start, reserved = self._live.pop(offset)
+            start, size = self._live.pop(offset)
         except KeyError:
             raise AllocationError(f"free of unallocated offset {offset:#x}") from None
-        self._insert_free(start, reserved)
-
-    def _insert_free(self, start: int, size: int) -> None:
-        # Binary search for the insertion point in the sorted free list.
-        lo, hi = 0, len(self._free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._free[mid][0] < start:
-                lo = mid + 1
-            else:
-                hi = mid
-        idx = lo
+        free = self._free
+        # Insertion point in the sorted free list: (start,) sorts before
+        # every (start, size) entry that begins at start or later.
+        idx = bisect.bisect_left(free, (start,))
         end = start + size
         # Coalesce with successor.
-        if idx < len(self._free) and self._free[idx][0] == end:
-            size += self._free[idx][1]
-            end = start + size
-            del self._free[idx]
+        if idx < len(free) and free[idx][0] == end:
+            size += free[idx][1]
+            del free[idx]
         # Coalesce with predecessor.
         if idx > 0:
-            pstart, psize = self._free[idx - 1]
+            pstart, psize = free[idx - 1]
             if pstart + psize == start:
-                self._free[idx - 1] = (pstart, psize + size)
+                free[idx - 1] = (pstart, psize + size)
                 return
             if pstart + psize > start:
                 raise AllocationError("double free or corrupted free list")
-        self._free.insert(idx, (start, size))
+        free.insert(idx, (start, size))
 
     def reset(self) -> None:
         """Drop all allocations and return to the pristine state."""

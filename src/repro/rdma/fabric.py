@@ -15,9 +15,11 @@ host's DMA hardware").  The fabric:
   figure (Fig. 8b) reads back.
 
 ``auto_flush=True`` (the default) delivers synchronously at post time,
-which is the right model for the functional stack.  Tests that need to
-interleave the two sides set ``auto_flush=False`` and call :meth:`flush`
-or :meth:`step` explicitly.
+which is the right model for the functional stack: :meth:`transmit`
+resolves an op posted onto an idle wire through the body :meth:`step`
+runs (injector tick, op verdict, delivery, both completions), so a fault
+plan sees one timeline either way.  Tests that interleave the two sides
+set ``auto_flush=False`` and call :meth:`flush` or :meth:`step`.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .verbs import (
 )
 
 __all__ = ["Fabric"]
+
+_RTS = QpState.RTS
 
 
 class Fabric(FabricTransport):
@@ -57,66 +61,81 @@ class Fabric(FabricTransport):
     # -- transmission -----------------------------------------------------------
 
     def transmit(self, sender: QueuePair, wr: WorkRequest) -> None:
-        """Enqueue ``wr`` for delivery; reads the payload bytes *now*
-        (the HCA DMAs from the send buffer at post time — the memory may
-        be reused only after the send completion)."""
+        """Accept ``wr`` for in-order delivery, reading its payload *now*
+        (the HCA DMAs at post time; the buffer may be reused only after
+        the send completion).  With ``auto_flush`` it resolves before this
+        returns: onto an idle wire directly, as the step that pops it."""
         payload = None
-        if wr.length:
-            payload = bytes(sender.pd.space.read(wr.local_addr, wr.length))
+        length = wr.length
+        if length:
+            region = sender.pd.space.region_of(wr.local_addr, length)
+            start = wr.local_addr - region.base
+            payload = bytes(memoryview(region.buf)[start:start + length])
         if self.injector is not None:
             payload = self.injector.on_transmit(sender, wr, payload)
-        self._wire.append((sender, wr, payload, 0))
-        if self.auto_flush:
+        if self.auto_flush and not self._wire:
+            self._resolve(sender, wr, payload, 0)
+        else:
+            self._wire.append((sender, wr, payload, 0))
+        if self.auto_flush and self._wire:
             self.flush()
 
     def step(self) -> bool:
         """Deliver the oldest in-flight operation.  Returns False when the
         wire is idle."""
-        if self.injector is not None:
-            self.injector.tick(self)
         if not self._wire:
+            if self.injector is not None:
+                self.injector.tick(self)
             return False
-        sender, wr, payload, attempts = self._wire.popleft()
+        self._resolve(*self._wire.popleft())
+        return True
+
+    def _resolve(self, sender: QueuePair, wr: WorkRequest, payload: bytes | None,
+                 attempts: int) -> None:
+        """One step's work on one operation, off the wire: injector tick,
+        op verdict, delivery, completions on both sides — or, on RNR, the
+        operation back at the head of the wire."""
+        injector = self.injector
+        if injector is not None:
+            injector.tick(self)
         receiver = sender.peer
         if receiver is None:
             raise VerbsError("QP is not connected")
-        if self.injector is not None:
-            verdict = self.injector.on_op(self, sender, wr)
+        if injector is not None:
+            verdict = injector.on_op(self, sender, wr)
             if verdict == "drop_op":
                 # The operation (and both completions) vanish: the lost-
                 # completion fault the recovery machinery must detect.
-                return True
+                return
             if verdict == "qp_error":
                 # The popped op is already off the wire; to_error flushes
                 # the rest, complete_send flushes this one.
                 sender.to_error()
                 sender.complete_send(wr, WcStatus.WR_FLUSH_ERROR)
-                return True
-        if sender.state is not QpState.RTS or receiver.state is not QpState.RTS:
+                return
+        if sender.state is not _RTS or receiver.state is not _RTS:
             # One side died while the op was in flight: the requester sees
             # a flush, never a silent loss (RC semantics).
             self.flushed_operations += 1
             sender.complete_send(wr, WcStatus.WR_FLUSH_ERROR)
-            return True
-        if wr.opcode in (Opcode.SEND, Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM):
-            delivered = receiver.deliver(wr, payload)
-            if not delivered:
-                # RNR NAK: responder not ready.  Retry preserving order —
-                # the operation goes back to the head of the wire.
-                self.rnr_retransmissions += 1
-                sender.rnr_events += 1
-                if attempts + 1 > sender.rnr_retry:
-                    sender.complete_send(wr, WcStatus.RNR_RETRY_EXCEEDED)
-                    return True
+            return
+        status = receiver.deliver(wr, payload)
+        if status is None:
+            # RNR NAK: responder not ready.  Retry preserving order —
+            # the operation goes back to the head of the wire.
+            self.rnr_retransmissions += 1
+            sender.rnr_events += 1
+            if attempts + 1 > sender.rnr_retry:
+                sender.complete_send(wr, WcStatus.RNR_RETRY_EXCEEDED)
+            else:
                 self._wire.appendleft((sender, wr, payload, attempts + 1))
-                return True
+            return
+        if status is WcStatus.SUCCESS:
             self.total_bytes += wr.length
             self.total_operations += 1
             if self.trace is not None and wr.opcode is Opcode.RDMA_WRITE_WITH_IMM:
                 self.trace.instant("rdma_write", bytes=wr.length, imm=wr.imm_data)
-            sender.complete_send(wr, WcStatus.SUCCESS)
-            return True
-        raise VerbsError(f"fabric cannot carry {wr.opcode}")
+        sender.complete_send(wr, status)
 
     def flush_qp(self, qp: QueuePair) -> int:
         """Flush every in-flight operation posted by ``qp`` with
@@ -129,10 +148,8 @@ class Fabric(FabricTransport):
             if sender is qp:
                 flushed += 1
                 self.flushed_operations += 1
-                qp._push_completion(
-                    qp.send_cq,
-                    WorkCompletion(wr.wr_id, wr.opcode, WcStatus.WR_FLUSH_ERROR),
-                )
+                qp.send_cq.push(
+                    WorkCompletion(wr.wr_id, wr.opcode, WcStatus.WR_FLUSH_ERROR), qp)
             else:
                 kept.append((sender, wr, payload, attempts))
         self._wire = kept

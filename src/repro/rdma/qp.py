@@ -40,6 +40,12 @@ class QpState(enum.Enum):
     ERROR = "error"
 
 
+_INIT, _RTS, _ERROR = QpState.INIT, QpState.RTS, QpState.ERROR
+_SEND, _RECV = Opcode.SEND, Opcode.RECV
+_WRITE, _WRITE_IMM = Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM
+_SUCCESS = WcStatus.SUCCESS
+
+
 class QueuePair:
     """One endpoint of a reliable connection."""
 
@@ -58,13 +64,16 @@ class QueuePair:
         self.max_recv_wr = max_recv_wr
         self.rnr_retry = rnr_retry
         self.name = name
-        self.state = QpState.INIT
+        self.state = _INIT
         self.peer: QueuePair | None = None
         self.fabric = None  # set by Fabric.connect
-        self._recv_queue: deque[WorkRequest] = deque()
+        #: posted receive WQEs, oldest first: their wr_ids (a receive
+        #: WQE names no memory — a WRITE_WITH_IMM says where it landed)
+        self._recv_queue: deque[int] = deque()
         #: optional fault-injection hook (see repro.faults.injector):
-        #: every completion this QP would push is offered to the injector
-        #: first, which may drop, delay, or duplicate it.
+        #: every completion this QP pushes is offered to the injector
+        #: first (``CompletionQueue.push``), which may drop, delay, or
+        #: duplicate it.
         self.injector = None
         # -- statistics ------------------------------------------------------
         self.bytes_sent = 0
@@ -75,15 +84,15 @@ class QueuePair:
 
     # -- connection management ----------------------------------------------
 
-    def _require_state(self, *states: QpState) -> None:
-        if self.state not in states:
-            raise VerbsError(f"{self.name}: invalid in state {self.state.value}")
+    def _refuse(self) -> None:
+        raise VerbsError(f"{self.name}: invalid in state {self.state.value}")
 
     def connect(self, peer: "QueuePair", fabric) -> None:
-        self._require_state(QpState.INIT)
+        if self.state is not _INIT:
+            self._refuse()
         self.peer = peer
         self.fabric = fabric
-        self.state = QpState.RTS
+        self.state = _RTS
 
     def connect_remote(self, fabric) -> None:
         """RTS against a peer that lives in *another process*: there is no
@@ -91,26 +100,24 @@ class QueuePair:
         (e.g. :class:`~repro.rdma.shm_fabric.ShmFabric`) owns delivery
         end-to-end.  Only the in-process fabric ever dereferences
         ``peer``."""
-        self._require_state(QpState.INIT)
+        if self.state is not _INIT:
+            self._refuse()
         self.peer = None
         self.fabric = fabric
-        self.state = QpState.RTS
+        self.state = _RTS
 
     def to_error(self) -> None:
         """Transition to error: flush outstanding receives *and* any sends
         the fabric still holds in flight for this QP, all with
         ``WR_FLUSH_ERROR``.  Idempotent — completion-error paths call it
         re-entrantly."""
-        if self.state is QpState.ERROR:
+        if self.state is _ERROR:
             return
-        self.state = QpState.ERROR
+        self.state = _ERROR
         self.error_transitions += 1
         while self._recv_queue:
-            wr = self._recv_queue.popleft()
-            self._push_completion(
-                self.recv_cq,
-                WorkCompletion(wr.wr_id, Opcode.RECV, WcStatus.WR_FLUSH_ERROR),
-            )
+            self.recv_cq.push(WorkCompletion(
+                self._recv_queue.popleft(), _RECV, WcStatus.WR_FLUSH_ERROR), self)
         # Without this, send completions for fabric-held WRs were silently
         # lost on error: the requester could never learn those sends died.
         if self.fabric is not None:
@@ -121,49 +128,42 @@ class QueuePair:
         RESET; we fold it in).  Drops any still-queued receives without
         completions — the caller already consumed the flush — and detaches
         from the peer; :meth:`connect` re-arms the pair."""
-        self._require_state(QpState.ERROR, QpState.INIT)
+        if self.state is not _ERROR and self.state is not _INIT:
+            self._refuse()
         self._recv_queue.clear()
         self.peer = None
         self.fabric = None
-        self.state = QpState.INIT
-
-    # -- completion delivery ---------------------------------------------------
-
-    def _push_completion(self, cq, wc: WorkCompletion) -> None:
-        """Push through the fault injector when one is attached; the
-        injector may swallow (drop/delay) or multiply (duplicate) it."""
-        if self.injector is not None and self.injector.deliver_completion(self, cq, wc):
-            return
-        cq.push(wc)
+        self.state = _INIT
 
     # -- posting --------------------------------------------------------------
 
     def post_recv(self, wr_id: int) -> None:
         """Post a receive WQE (consumed by inbound SEND or WRITE_WITH_IMM)."""
-        self._require_state(QpState.INIT, QpState.RTS)
+        if self.state is not _RTS and self.state is not _INIT:
+            self._refuse()
         if len(self._recv_queue) >= self.max_recv_wr:
             raise QueueOverflowError(f"{self.name}: receive queue full")
-        self._recv_queue.append(WorkRequest(wr_id, Opcode.RECV))
+        self._recv_queue.append(wr_id)
 
     def recv_outstanding(self) -> int:
         return len(self._recv_queue)
 
+    def _consume_recv_wqe(self) -> int | None:
+        """Take the oldest receive WQE's wr_id; None on RNR (shm delivery)."""
+        return self._recv_queue.popleft() if self._recv_queue else None
+
     def post_send(self, wr: WorkRequest) -> None:
         """Post to the send queue; the fabric transmits in order."""
-        self._require_state(QpState.RTS)
-        if wr.opcode not in (
-            Opcode.SEND,
-            Opcode.RDMA_WRITE,
-            Opcode.RDMA_WRITE_WITH_IMM,
-        ):
-            raise VerbsError(f"{self.name}: cannot post {wr.opcode}")
+        if self.state is not _RTS:
+            self._refuse()
+        opcode = wr.opcode
+        if opcode is not _WRITE_IMM and opcode is not _SEND and opcode is not _WRITE:
+            raise VerbsError(f"{self.name}: cannot post {opcode}")
         try:
             self.pd.check_local(wr.local_addr, wr.length)
         except ProtectionError:
-            self._push_completion(
-                self.send_cq,
-                WorkCompletion(wr.wr_id, wr.opcode, WcStatus.LOCAL_PROTECTION_ERROR),
-            )
+            self.send_cq.push(
+                WorkCompletion(wr.wr_id, opcode, WcStatus.LOCAL_PROTECTION_ERROR), self)
             self.to_error()
             raise
         self.sends_posted += 1
@@ -171,59 +171,54 @@ class QueuePair:
 
     # -- fabric-side delivery hooks -------------------------------------------
 
-    def _consume_recv_wqe(self) -> WorkRequest | None:
-        if not self._recv_queue:
-            return None
-        return self._recv_queue.popleft()
-
-    def deliver(self, wr: WorkRequest, payload: bytes | None) -> bool:
-        """Called by the fabric on the *responder* QP.  Returns False on
-        RNR (no receive WQE for an operation that needs one)."""
-        if self.state is not QpState.RTS:
+    def deliver(self, wr: WorkRequest, payload: bytes | None) -> WcStatus | None:
+        """Called by the fabric on the *responder* QP: land ``wr`` and
+        push its receive completion.  Returns the status the requester's
+        send completes with — ``REMOTE_ACCESS_ERROR`` for a write no
+        REMOTE_WRITE MR covers (checked first; nothing lands, no receive
+        WQE is taken) — or None on RNR (no receive WQE for an operation
+        that needs one)."""
+        if self.state is not _RTS:
             raise VerbsError(f"{self.name}: delivery in state {self.state.value}")
-        if wr.opcode is Opcode.SEND:
-            rwr = self._consume_recv_wqe()
-            if rwr is None:
-                return False
+        opcode = wr.opcode
+        length = wr.length
+        recv_queue = self._recv_queue
+        if opcode is _SEND:
+            if not recv_queue:
+                return None
             # SEND payload lands wherever the application's receive buffer
             # is; our simulation stores it on the WC for simplicity of the
             # bootstrap path (ADT transfer), keeping data-path writes pure.
-            wc = WorkCompletion(rwr.wr_id, Opcode.RECV, byte_len=wr.length)
-            wc.payload = payload  # type: ignore[attr-defined]
-            self.bytes_received += wr.length
-            self._push_completion(self.recv_cq, wc)
-            return True
-        if wr.opcode is Opcode.RDMA_WRITE_WITH_IMM:
-            rwr = self._consume_recv_wqe()
-            if rwr is None:
-                return False
-            mr = self.pd.find_remote_writable(wr.remote_addr, max(wr.length, 1))
-            if payload:
-                mr.region.write(wr.remote_addr, payload)
-            self.bytes_received += wr.length
-            self._push_completion(
-                self.recv_cq,
-                WorkCompletion(
-                    rwr.wr_id,
-                    Opcode.RECV_RDMA_WITH_IMM,
-                    byte_len=wr.length,
-                    imm_data=wr.imm_data,
-                ),
-            )
-            return True
-        if wr.opcode is Opcode.RDMA_WRITE:
-            mr = self.pd.find_remote_writable(wr.remote_addr, max(wr.length, 1))
-            if payload:
-                mr.region.write(wr.remote_addr, payload)
-            self.bytes_received += wr.length
-            return True
-        raise VerbsError(f"{self.name}: cannot deliver {wr.opcode}")
+            self.bytes_received += length
+            self.recv_cq.push(WorkCompletion(
+                recv_queue.popleft(), _RECV, byte_len=length, payload=payload), self)
+            return _SUCCESS
+        if opcode is not _WRITE_IMM and opcode is not _WRITE:
+            raise VerbsError(f"{self.name}: cannot deliver {opcode}")
+        try:
+            region = self.pd.find_remote_writable(wr.remote_addr, length or 1).region
+        except ProtectionError:
+            return WcStatus.REMOTE_ACCESS_ERROR
+        wc = None
+        if opcode is _WRITE_IMM:
+            if not recv_queue:
+                return None
+            wc = WorkCompletion(recv_queue.popleft(), Opcode.RECV_RDMA_WITH_IMM,
+                                byte_len=length, imm_data=wr.imm_data)
+        if payload:
+            # the MR covers [remote_addr, remote_addr + length): in bounds
+            start = wr.remote_addr - region.base
+            region.buf[start:start + len(payload)] = payload
+        self.bytes_received += length
+        if wc is not None:
+            self.recv_cq.push(wc, self)
+        return _SUCCESS
 
     def complete_send(self, wr: WorkRequest, status: WcStatus) -> None:
         """Called by the fabric on the requester once delivery resolves."""
-        self.bytes_sent += wr.length if status is WcStatus.SUCCESS else 0
-        self._push_completion(
-            self.send_cq, WorkCompletion(wr.wr_id, wr.opcode, status, wr.length)
-        )
-        if status is not WcStatus.SUCCESS:
+        ok = status is _SUCCESS
+        if ok:
+            self.bytes_sent += wr.length
+        self.send_cq.push(WorkCompletion(wr.wr_id, wr.opcode, status, wr.length), self)
+        if not ok:
             self.to_error()

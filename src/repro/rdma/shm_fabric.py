@@ -53,7 +53,6 @@ from repro.memory.shm import SharedRegion
 
 from .qp import QpState, QueuePair
 from .verbs import (
-    Access,
     FabricTransport,
     Opcode,
     ProtectionError,
@@ -237,12 +236,22 @@ class ShmFabric(FabricTransport):
         RDMA writes), and ring the doorbell."""
         port = self._port(sender)
         payload = None
-        if wr.length:
-            payload = bytes(sender.pd.space.read(wr.local_addr, wr.length))
+        length = wr.length
+        if length:
+            region = sender.pd.space.region_of(wr.local_addr, length)
+            start = wr.local_addr - region.base
+            payload = bytes(memoryview(region.buf)[start:start + length])
         if self.injector is not None:
             payload = self.injector.on_transmit(sender, wr, payload)
-        if wr.opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM):
-            window = self._find_window(port, wr.remote_addr, max(wr.length, 1))
+        if wr.opcode is not Opcode.SEND:
+            try:
+                window = self._find_window(port, wr.remote_addr, wr.length or 1)
+            except ProtectionError:
+                # The rkey check fails here, where the DMA would start:
+                # nothing is written, no doorbell rings, the send
+                # completes in error and the QP breaks (RC semantics).
+                sender.complete_send(wr, WcStatus.REMOTE_ACCESS_ERROR)
+                return
             if payload:
                 self._window_write(port, window, wr.remote_addr, payload)
         inline = payload if wr.opcode is Opcode.SEND else None
@@ -295,7 +304,7 @@ class ShmFabric(FabricTransport):
         regions = qp.pd._regions
         body += _HELLO_FIXED.pack(qp.rnr_retry, len(regions))
         for mr in regions:
-            flags = _REGION_REMOTE_WRITE if Access.REMOTE_WRITE in mr.access else 0
+            flags = _REGION_REMOTE_WRITE if mr.remote_write else 0
             seg = mr.region.segment.encode() if isinstance(mr.region, SharedRegion) else b""
             body += _HELLO_REGION.pack(mr.region.base, mr.region.size, flags, len(seg))
             body += seg
@@ -475,7 +484,7 @@ class ShmFabric(FabricTransport):
             self._send_ack(port, wr.wr_id, wr.opcode, wr.length,
                            WcStatus.WR_FLUSH_ERROR, retries=entry[2])
             return True
-        if wr.opcode in (Opcode.SEND, Opcode.RDMA_WRITE_WITH_IMM):
+        if wr.opcode is Opcode.SEND or wr.opcode is Opcode.RDMA_WRITE_WITH_IMM:
             rwr = qp._consume_recv_wqe()
             if rwr is None:
                 # RNR NAK — retry responder-side so ordering holds: the op
@@ -489,20 +498,16 @@ class ShmFabric(FabricTransport):
                                    WcStatus.RNR_RETRY_EXCEEDED, retries=entry[2])
                 return True
             port.inbox.popleft()
+            qp.bytes_received += wr.length
             if wr.opcode is Opcode.SEND:
-                wc = WorkCompletion(rwr.wr_id, Opcode.RECV, byte_len=wr.length)
-                wc.payload = bytes(payload)  # type: ignore[attr-defined]
-                qp.bytes_received += wr.length
-                qp._push_completion(qp.recv_cq, wc)
+                qp.recv_cq.push(WorkCompletion(
+                    rwr, Opcode.RECV, byte_len=wr.length, payload=bytes(payload)), qp)
             else:
                 # The payload already landed via the shared segment (or
                 # the local-region fallback) at post time.
-                qp.bytes_received += wr.length
-                qp._push_completion(
-                    qp.recv_cq,
-                    WorkCompletion(rwr.wr_id, Opcode.RECV_RDMA_WITH_IMM,
-                                   byte_len=wr.length, imm_data=wr.imm_data),
-                )
+                qp.recv_cq.push(WorkCompletion(
+                    rwr, Opcode.RECV_RDMA_WITH_IMM, byte_len=wr.length,
+                    imm_data=wr.imm_data), qp)
                 if self.trace is not None:
                     self.trace.instant("rdma_write", bytes=wr.length, imm=wr.imm_data)
             self.total_bytes += wr.length
@@ -533,10 +538,8 @@ class ShmFabric(FabricTransport):
             wr = port.await_ack.popleft()
             flushed += 1
             self.flushed_operations += 1
-            qp._push_completion(
-                qp.send_cq,
-                WorkCompletion(wr.wr_id, wr.opcode, WcStatus.WR_FLUSH_ERROR),
-            )
+            qp.send_cq.push(
+                WorkCompletion(wr.wr_id, wr.opcode, WcStatus.WR_FLUSH_ERROR), qp)
         return flushed
 
     def discard_in_flight(self) -> int:

@@ -132,27 +132,31 @@ class ProtectionDomain:
 
     def find_remote_writable(self, addr: int, length: int) -> "RegisteredMemory":
         """The MR a remote WRITE to [addr, addr+length) lands in."""
+        end = addr + length
         for mr in self._regions:
-            if mr.region.contains(addr, length):
-                if Access.REMOTE_WRITE not in mr.access:
+            region = mr.region
+            if region.base <= addr and end <= region.base + region.size:
+                if not mr.remote_write:
                     raise ProtectionError(
-                        f"{self.name}: MR {mr.region.name} not REMOTE_WRITE"
+                        f"{self.name}: MR {region.name} not REMOTE_WRITE"
                     )
                 return mr
         raise ProtectionError(
-            f"{self.name}: no MR covers remote write [{addr:#x}, {addr + length:#x})"
+            f"{self.name}: no MR covers remote write [{addr:#x}, {end:#x})"
         )
 
     def check_local(self, addr: int, length: int) -> None:
+        end = addr + length
         for mr in self._regions:
-            if mr.region.contains(addr, length):
+            region = mr.region
+            if region.base <= addr and end <= region.base + region.size:
                 return
         raise ProtectionError(
-            f"{self.name}: no MR covers local access [{addr:#x}, {addr + length:#x})"
+            f"{self.name}: no MR covers local access [{addr:#x}, {end:#x})"
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class RegisteredMemory:
     """A pinned, registered memory region with local/remote keys."""
 
@@ -161,11 +165,16 @@ class RegisteredMemory:
     access: Access
     lkey: int
     rkey: int
+    #: ``REMOTE_WRITE in access`` (Python-level Flag code), asked once
+    remote_write: bool = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.remote_write = Access.REMOTE_WRITE in self.access
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkRequest:
-    """A posted send- or receive-queue element."""
+    """A posted send-queue element."""
 
     wr_id: int
     opcode: Opcode
@@ -175,7 +184,7 @@ class WorkRequest:
     imm_data: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkCompletion:
     """A completion-queue entry."""
 
@@ -184,10 +193,8 @@ class WorkCompletion:
     status: WcStatus = WcStatus.SUCCESS
     byte_len: int = 0
     imm_data: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status is WcStatus.SUCCESS
+    #: an inbound SEND's bytes, handed over on its RECV completion
+    payload: bytes | None = None
 
 
 @dataclass
@@ -199,21 +206,35 @@ class CompletionQueue:
     name: str = "cq"
     _entries: deque = field(default_factory=deque)
     channel: "CompletionChannel | None" = None
+    #: whether the next push raises an event on ``channel`` — one event
+    #: per arm, as ``ibv_req_notify_cq`` arms one; ``get_events`` re-arms
+    _armed: bool = field(default=True, init=False, repr=False)
 
-    def push(self, wc: WorkCompletion) -> None:
-        if len(self._entries) >= self.capacity:
+    def push(self, wc: WorkCompletion, qp=None) -> None:
+        """The one way a completion enters the CQ.  One a QP pushes
+        (``qp``) is offered to that QP's fault injector first, which may
+        swallow it (drop, delay) or push it itself, possibly more than
+        once (duplicate) — without ``qp``, so never offered twice."""
+        if qp is not None and qp.injector is not None and qp.injector.deliver_completion(
+                qp, self, wc):
+            return
+        entries = self._entries
+        if len(entries) >= self.capacity:
             raise QueueOverflowError(
                 f"{self.name}: CQ overflow at {self.capacity} entries "
                 "(credit accounting failed to bound in-flight work)"
             )
-        self._entries.append(wc)
-        if self.channel is not None:
+        entries.append(wc)
+        if self._armed and self.channel is not None:
+            self._armed = False
             self.channel.notify(self)
 
     def poll(self, max_entries: int = 16) -> list[WorkCompletion]:
-        out = []
-        while self._entries and len(out) < max_entries:
-            out.append(self._entries.popleft())
+        entries = self._entries
+        if len(entries) > max_entries:
+            return [entries.popleft() for _ in range(max_entries)]
+        out = list(entries)
+        entries.clear()
         return out
 
     def __len__(self) -> int:
@@ -225,18 +246,22 @@ class CompletionChannel:
 
     The paper uses ``poll()`` on completion channels instead of busy
     polling to avoid pinning cores at 100% under low load (§III-C).  The
-    channel records which CQs became ready; ``get_events`` drains them.
+    channel lists each CQ that became ready since it was last armed —
+    at most once, however many completions it took meanwhile;
+    ``get_events`` hands the list out and re-arms those CQs.
     """
 
     def __init__(self) -> None:
-        self._ready: deque[CompletionQueue] = deque()
+        self._ready: list[CompletionQueue] = []
 
     def notify(self, cq: CompletionQueue) -> None:
+        """List ``cq`` as ready; an armed CQ calls this on its first push."""
         self._ready.append(cq)
 
     def get_events(self) -> list[CompletionQueue]:
-        out = list(self._ready)
-        self._ready.clear()
+        out, self._ready = self._ready, []
+        for cq in out:
+            cq._armed = True
         return out
 
     def has_events(self) -> bool:
@@ -263,10 +288,14 @@ class FabricTransport:
       becomes pollable (completion-after-write visibility);
     * RNR retries up to the sender QP's ``rnr_retry`` budget, then the
       send completes ``RNR_RETRY_EXCEEDED``;
+    * a remote write no REMOTE_WRITE MR of the peer covers completes the
+      send ``REMOTE_ACCESS_ERROR`` — nothing is written, nothing raises
+      out of ``post_send`` — and errors the requester QP;
     * injector hooks fire at the same points on every backend:
       ``on_transmit`` (payload snapshot at post time), ``on_op``
       (verdicts at delivery time), ``tick`` (once per :meth:`step`), and
-      completion delivery routed through ``QueuePair._push_completion``.
+      every completion a QP pushes offered to its injector
+      (:meth:`CompletionQueue.push` with the QP).
     """
 
     #: registry name of the backend ("inproc", "shm"); subclasses set it.

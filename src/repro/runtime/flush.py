@@ -33,7 +33,7 @@ backlog     window-admission flush (client backlog drain)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "FlushState",
@@ -46,9 +46,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FlushState:
-    """What the endpoint knows about its open partial block."""
+class FlushState(NamedTuple):
+    """What the endpoint knows about its open partial block (built once
+    per pass while a block is open: a tuple is the cheapest record)."""
 
     pending_bytes: int  # bytes written into the open block so far
     pending_messages: int  # messages committed into the open block

@@ -121,6 +121,20 @@ class TestChannelRecovery:
         run(ch)
         assert out == [b"fresh"]
 
+    def test_reset_seals_the_open_block_as_a_counted_flush(self):
+        """Requests still in the open block are replayed, and the seal
+        that read them out is counted under ``reset``."""
+        ch = make_channel()
+        out = []
+        for payload in (b"a", b"b"):
+            ch.client.enqueue_bytes(METHOD, payload, lambda v, f: out.append(bytes(v)))
+        assert ch.client._writer is not None and not ch.client.flush_reasons
+        report = ChannelRecovery(ch).reset(reason="test")
+        assert report.replayed == 2
+        assert ch.client.flush_reasons == {"reset": 1}
+        run(ch)
+        assert out == [b"a", b"b"]
+
     def test_reset_is_safe_on_a_healthy_channel(self):
         ch = make_channel()
         report = ChannelRecovery(ch).reset(reason="paranoia")

@@ -1,5 +1,5 @@
 """Model test of the one send path both endpoint roles share
-(``_EndpointBase._append`` / ``_seal`` / ``flush`` / ``_flush_by_policy``)
+(``_EndpointBase._append`` / ``_send`` / ``flush`` / ``_flush_by_policy``)
 and of the receive path behind it (records → dispatch → response append
 → seal).
 
@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Flags, ProtocolConfig, ProtocolError, Response, create_channel
-from repro.core.wire import BlockReader
+from repro.core.wire import BlockReader, Preamble
 from repro.runtime.overload import pack_deadline
 
 KIB = 1024
@@ -98,13 +98,13 @@ class Model:
         self.server.register(1, self.handle)
 
     def _count_data_blocks(self, ep) -> None:
-        transmit = ep._transmit
+        post_send = ep.qp.post_send
 
-        def counted(out):
-            self.data_blocks[ep] += bool(out.message_count)
-            return transmit(out)
+        def counted(wr):
+            self.data_blocks[ep] += bool(Preamble.read(ep.sbuf, wr.local_addr).message_count)
+            return post_send(wr)
 
-        ep._transmit = counted
+        ep.qp.post_send = counted
 
     # -- the two applications ---------------------------------------------------
 
@@ -172,10 +172,8 @@ class Model:
         spent_acks = len(client._spent_acks) + sum(
             len(block[3]) for block in client._blocks.values())
         self._check_side(client, in_flight=len(client._blocks), uncredited=spent_acks)
-        # a response block is outstanding from seal to acknowledgment
-        self._check_side(
-            server, in_flight=len(server._outstanding_responses) - len(server._send_queue),
-        )
+        # a response block is outstanding from transmit to acknowledgment
+        self._check_side(server, in_flight=len(server._outstanding_responses))
         assert all(
             count + (tag in self.rejected) <= 1 for tag, count in self.fired.items()
         )

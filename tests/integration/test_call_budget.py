@@ -3,11 +3,14 @@
 ROADMAP item 2 says the block, not the message, should be the unit of
 interpreter work.  Wall-clock says whether that paid; this says whether
 it *holds*: ``sys.setprofile`` counts every Python-level ``call`` event
-while a minimal closed loop drives 640 Small requests at depth 16
-through ``repro.deploy.build("offloaded", ...)``.  The count depends on
+while a minimal closed loop drives 640 Small requests through
+``repro.deploy.build("offloaded", ...)`` — at depth 16, where sixteen
+messages share a block and the per-message path shows, and at depth 1,
+where every request pays a block each way and the per-block path shows
+(seal, post, deliver, completions, repost, open).  The count depends on
 the code alone — no clock, no scheduler — so it is asserted, not
 reported as a speed.  ``python tests/integration/test_call_budget.py``
-prints it (CI's benchmark smoke job does, and fails above the budget).
+prints both (CI's benchmark smoke job does, and fails above a budget).
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ from repro.xrpc import FrameDecoder, StatusCode, encode_request
 REQUESTS = 640
 DEPTH = 16
 #: Python-level calls per request this script counted at the parent of
-#: the PR that made the block the unit (commit 1988374)
-PARENT_CALLS_PER_REQUEST = 115.8766
-BUDGET = 0.75 * PARENT_CALLS_PER_REQUEST
+#: the change that made the per-block path straight (commit 1887ce7)
+PARENT_CALLS = {16: 68.8766, 1: 247.0016}
+#: depth -> budget: depth 16 may not grow past that parent, depth 1 must
+#: stay below 170 (the straight path)
+BUDGET = {16: PARENT_CALLS[16], 1: 170.0}
 
 
 def python_calls_per_request(requests: int = REQUESTS, depth: int = DEPTH) -> float:
@@ -71,13 +76,24 @@ def python_calls_per_request(requests: int = REQUESTS, depth: int = DEPTH) -> fl
 def test_a_small_request_crosses_the_offloaded_datapath_within_its_call_budget():
     first = python_calls_per_request()
     assert first == python_calls_per_request(), "the count must repeat exactly"
-    assert first <= BUDGET, (
-        f"{first:.2f} Python-level calls per Small request, budget {BUDGET:.2f} "
-        f"(0.75 x the parent's {PARENT_CALLS_PER_REQUEST})")
+    assert first <= BUDGET[DEPTH], (
+        f"{first:.2f} Python-level calls per Small request, budget {BUDGET[DEPTH]:.2f} "
+        f"(the parent's {PARENT_CALLS[DEPTH]})")
+
+
+def test_a_block_crosses_the_offloaded_datapath_within_its_call_budget():
+    """Depth 1: one message per block each way, nothing amortizes."""
+    measured = python_calls_per_request(depth=1)
+    assert measured <= BUDGET[1], (
+        f"{measured:.2f} Python-level calls per Small request at depth 1, budget "
+        f"{BUDGET[1]:.2f} (the parent's {PARENT_CALLS[1]})")
 
 
 if __name__ == "__main__":
-    measured = python_calls_per_request()
-    print(f"python_calls_per_small_request {measured:.4f} budget {BUDGET:.4f} "
-          f"parent {PARENT_CALLS_PER_REQUEST}")
-    sys.exit(measured > BUDGET)
+    over = False
+    for depth in (DEPTH, 1):
+        measured = python_calls_per_request(depth=depth)
+        over |= measured > BUDGET[depth]
+        print(f"python_calls_per_small_request depth={depth} {measured:.4f} "
+              f"budget {BUDGET[depth]:.4f} parent {PARENT_CALLS[depth]}")
+    sys.exit(over)

@@ -86,13 +86,19 @@ class TestWriteWithImm:
         assert imms == list(range(8))
 
     def test_write_outside_registered_memory_fails(self):
-        fabric, (dspace, _, _, dqp), (_, _, _, hqp) = make_pair()
+        """RC semantics: the send completes REMOTE_ACCESS_ERROR and the
+        requester QP breaks; nothing raises out of post_send, and the
+        responder's receive WQE is not consumed."""
+        fabric, (dspace, _, dcq, dqp), (_, _, hcq, hqp) = make_pair()
         hqp.post_recv(1)
         dspace.write(SBUF, b"x")
-        with pytest.raises(ProtectionError):
-            dqp.post_send(
-                WorkRequest(1, Opcode.RDMA_WRITE_WITH_IMM, SBUF, 1, 0x999000, imm_data=0)
-            )
+        dqp.post_send(
+            WorkRequest(1, Opcode.RDMA_WRITE_WITH_IMM, SBUF, 1, 0x999000, imm_data=0)
+        )
+        assert [w.status for w in dcq.poll()] == [WcStatus.REMOTE_ACCESS_ERROR]
+        assert dqp.state is QpState.ERROR
+        assert hcq.poll() == [] and hqp.recv_outstanding() == 1
+        assert fabric.in_flight == 0 and fabric.total_operations == 0
 
     def test_local_protection_error(self):
         fabric, (_, _, dcq, dqp), _ = make_pair()

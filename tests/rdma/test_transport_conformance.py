@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import TransportError, create_channel
 from repro.memory import AddressSpace, MemoryRegion
 from repro.memory.shm import SharedRegion
 from repro.rdma import (
@@ -20,7 +21,6 @@ from repro.rdma import (
     FlushBudgetExceeded,
     Opcode,
     ProtectionDomain,
-    ProtectionError,
     QpState,
     QueuePair,
     WcStatus,
@@ -208,15 +208,39 @@ def test_rnr_exhaustion_breaks_requester_qp(make_pair):
 
 
 def test_write_outside_advertised_memory_fails(make_pair):
+    """The write fails as RC says it does: a REMOTE_ACCESS_ERROR send
+    completion and the requester QP in ERROR — not an exception out of
+    ``post_send``, and not an operation lost off the wire."""
     pair = make_pair()
-    dspace, _, dqp = pair.dpu
-    _, _, hqp = pair.host
+    dspace, dcq, dqp = pair.dpu
+    _, hcq, hqp = pair.host
     hqp.post_recv(1)
     dspace.write(SBUF, b"x")
-    with pytest.raises(ProtectionError):
-        dqp.post_send(
-            WorkRequest(1, Opcode.RDMA_WRITE_WITH_IMM, SBUF, 1, 0x999000, imm_data=0)
-        )
+    dqp.post_send(
+        WorkRequest(1, Opcode.RDMA_WRITE_WITH_IMM, SBUF, 1, 0x999000, imm_data=0)
+    )
+    pair.fabric.flush()
+    wcs = dcq.poll()
+    assert [(wc.wr_id, wc.status) for wc in wcs] == [(1, WcStatus.REMOTE_ACCESS_ERROR)]
+    assert dqp.state is QpState.ERROR
+    assert hcq.poll() == [] and hqp.recv_outstanding() == 1
+    assert pair.fabric.in_flight == 0 and pair.fabric.total_operations == 0
+
+
+def test_a_remote_access_error_reaches_the_endpoint_as_a_transport_error(backend):
+    """The endpoint's recovery entry point: after a write no MR of the
+    peer covers, the next pass raises the typed TransportError."""
+    ch = create_channel(transport=backend)
+    try:
+        client = ch.client
+        client.qp.post_send(WorkRequest(
+            99, Opcode.RDMA_WRITE_WITH_IMM, client.sbuf.base, 16, 0x999000, imm_data=0))
+        ch.fabric.flush()
+        assert client.qp.state is QpState.ERROR
+        with pytest.raises(TransportError):
+            client.progress()
+    finally:
+        ch.close()
 
 
 def test_flush_budget_exhaustion_raises_and_counts(make_pair):

@@ -91,3 +91,11 @@ class TestCompletionQueue:
         assert chan.has_events()
         assert chan.get_events() == [cq]
         assert not chan.has_events()
+        # One event per CQ per arm (ibv semantics): however many pushes
+        # land before get_events, the CQ is listed once — the channel of
+        # a long-lived connection holds one entry, not two per block.
+        for i in range(10_000):
+            cq.push(WorkCompletion(i, Opcode.SEND))
+            cq.poll()
+        assert chan.get_events() == [cq]
+        assert chan.get_events() == []
