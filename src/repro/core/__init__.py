@@ -21,7 +21,6 @@ from .endpoint import (
 from .executor import DeferredExecutor, InlineExecutor, WorkerPool
 from .idpool import IdPoolError, RequestIdPool
 from .recovery import ChannelRecovery, RecoveryError, RecoveryReport, supervise_channel
-from .tracing import describe_flags, dissect_block, hexdump
 from .wire import (
     HEADER_SIZE,
     PAYLOAD_ALIGN,
@@ -64,9 +63,6 @@ __all__ = [
     "DeferredExecutor",
     "InlineExecutor",
     "WorkerPool",
-    "describe_flags",
-    "dissect_block",
-    "hexdump",
     "HEADER_SIZE",
     "PAYLOAD_ALIGN",
     "PREAMBLE_SIZE",

@@ -72,7 +72,7 @@ class AddressPlanner:
 class Channel:
     """Everything belonging to one connected client/server pair.  Both
     endpoints are registered with :attr:`engine`, the channel's progress
-    engine; one :meth:`progress` call is one engine scheduling pass.
+    engine; one :meth:`progress` call is one engine pass.
 
     In a multiprocess deployment (``transport="shm"`` under
     :mod:`repro.runtime.procs`) a channel is *one-sided*: the process
@@ -247,7 +247,7 @@ def create_channel(
     )
     fabric.connect(client.qp, server.qp)
 
-    engine = ProgressEngine(scheduler=client_config.scheduling, name=f"{name}.engine")
+    engine = ProgressEngine(name=f"{name}.engine")
     engine.register(client, name=f"{name}.client")
     engine.register(server, name=f"{name}.server")
     return Channel(fabric, client, server, client_space, server_space, engine)
@@ -256,20 +256,20 @@ def create_channel(
 class RpcServer:
     """A host-side poller serving several connections (§III-C: many
     connections, one poller, shared handler table).  The poller is a
-    :class:`~repro.runtime.engine.ProgressEngine`; attached endpoints
-    register with it and a scheduling policy (e.g. ``adaptive`` to back
-    off cold connections) orders each pass."""
+    :class:`~repro.runtime.engine.ProgressEngine`; each attached
+    endpoint takes a seat of its own, ``<endpoint name>#<n>`` for the
+    n-th connection, so two connections never share a metrics row."""
 
-    def __init__(self, scheduler: str = "round_robin", engine: ProgressEngine | None = None) -> None:
-        self.engine = engine or ProgressEngine(scheduler=scheduler, name="rpc-server")
+    def __init__(self, engine: ProgressEngine | None = None) -> None:
+        self.engine = engine or ProgressEngine(name="rpc-server")
         self._endpoints: list[ServerEndpoint] = []
         self._handlers: list[tuple[int, object]] = []
 
     def attach(self, endpoint: ServerEndpoint) -> None:
+        self.engine.register(endpoint, name=f"{endpoint.name}#{len(self._endpoints)}")
         for method_id, handler in self._handlers:
             endpoint.register(method_id, handler)
         self._endpoints.append(endpoint)
-        self.engine.register(endpoint, name=endpoint.name)
 
     def register(self, method_id: int, handler) -> None:
         """Register on all current and future connections."""

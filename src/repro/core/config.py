@@ -41,10 +41,6 @@ class ProtocolConfig:
     threads:
         Poller thread count (used by the datapath simulator; the
         functional stack is event-loop driven).
-    scheduling:
-        Progress-engine scheduling policy for this side's pollables:
-        ``round_robin`` (default), ``weighted``/``priority``, or
-        ``adaptive`` (idle backoff).  See docs/RUNTIME.md.
     flush_policy:
         When partially filled blocks are flushed: ``eager`` (every
         progress pass — the paper's behavior and the default),
@@ -70,7 +66,6 @@ class ProtocolConfig:
     #: accept at all (policy, not wire format).
     max_message_size: int = 1 << 20
     max_payload: int = (1 << 16) - 1
-    scheduling: str = "round_robin"
     flush_policy: str = "eager"
     flush_deadline_ticks: int = 4
     flush_byte_threshold: int = 0
@@ -101,8 +96,6 @@ class ProtocolConfig:
             raise ValueError("credits must be >= 1")
         if self.concurrency > (1 << 16):
             raise ValueError("concurrency exceeds the 2^16 request-ID space")
-        if self.scheduling not in ("round_robin", "weighted", "priority", "adaptive"):
-            raise ValueError(f"unknown scheduling policy {self.scheduling!r}")
         if self.flush_policy not in ("eager", "nagle", "bytes"):
             raise ValueError(f"unknown flush policy {self.flush_policy!r}")
         if self.flush_deadline_ticks < 1:

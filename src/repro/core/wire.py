@@ -484,7 +484,7 @@ class BlockReader:
         return out
 
     def messages(self) -> list[ReceivedMessage]:
-        """:meth:`records` as objects (tests, dissector, reset harvest)."""
+        """:meth:`records` as objects (tests, reset harvest)."""
         return [
             ReceivedMessage(
                 MessageHeader(0xFFFF if flags & Flags.LARGE else size, method_or_id, flags),

@@ -65,14 +65,6 @@ from .serializer import (
     serialize_into,
     serialized_size,
 )
-from .json_format import (
-    JsonFormatError,
-    message_to_dict,
-    message_to_json,
-    parse_dict,
-    parse_json,
-)
-from .text_format import TextFormatError, message_to_string, parse_text
 from .utf8 import Utf8Error, validate_utf8
 from .wire_format import (
     TruncatedMessageError,
@@ -133,14 +125,6 @@ __all__ = [
     "EncodeError",
     "Utf8Error",
     "validate_utf8",
-    "JsonFormatError",
-    "message_to_dict",
-    "message_to_json",
-    "parse_dict",
-    "parse_json",
-    "TextFormatError",
-    "message_to_string",
-    "parse_text",
     "TruncatedMessageError",
     "WireFormatError",
     "WireType",

@@ -1,11 +1,10 @@
 """The unified progress-engine runtime.
 
-One pluggable event loop for the whole datapath: components implement
-the :class:`Pollable` protocol (``progress(budget) -> work_done``) and
-register with a :class:`ProgressEngine`, which drives them under a
-pluggable scheduling policy, applies pluggable partial-block flush
-policies through the endpoints, and instruments every poll with metrics
-and optional tracing spans.  See docs/RUNTIME.md.
+One event loop for the whole datapath: components implement the
+:class:`Pollable` protocol (``progress(budget) -> work_done``) and
+register with a :class:`ProgressEngine`, which polls them in
+registration order and counts every poll.  The endpoints apply the
+pluggable partial-block flush policies.  See docs/RUNTIME.md.
 
 This package deliberately imports nothing from the rest of ``repro`` at
 module level — every layer (core, xrpc, sim) imports *it*, so it must
@@ -19,7 +18,7 @@ from .degradation import (
     DegradationStep,
     standard_ladder,
 )
-from .engine import EngineError, EngineState, ProgressEngine, Registration
+from .engine import EngineError, ProgressEngine, Registration
 from .flush import (
     FLUSH_POLICIES,
     ByteThresholdFlush,
@@ -45,20 +44,11 @@ from .overload import (
     pack_deadline,
     unpack_deadline,
 )
-from .pollable import FnPollable, Pollable, resolve_poll_fn
-from .scheduling import (
-    SCHEDULERS,
-    AdaptiveBackoffPolicy,
-    RoundRobinPolicy,
-    SchedulingPolicy,
-    WeightedPolicy,
-    make_scheduler,
-)
+from .pollable import FnPollable, Pollable
 from .supervisor import EngineSupervisor, SupervisorEvent
 
 __all__ = [
     "EngineError",
-    "EngineState",
     "ProgressEngine",
     "Registration",
     "FLUSH_POLICIES",
@@ -72,13 +62,6 @@ __all__ = [
     "PollableMetrics",
     "FnPollable",
     "Pollable",
-    "resolve_poll_fn",
-    "SCHEDULERS",
-    "AdaptiveBackoffPolicy",
-    "RoundRobinPolicy",
-    "SchedulingPolicy",
-    "WeightedPolicy",
-    "make_scheduler",
     "EngineSupervisor",
     "SupervisorEvent",
     "LANE_BULK",

@@ -49,16 +49,10 @@ class EngineMetrics:
 
     def __init__(self) -> None:
         self.ticks = 0
+        #: name -> row; the engine seats a registration's row here
         self.per_pollable: dict[str, PollableMetrics] = {}
         self._registry = None
         self._gauges = None
-
-    def track(self, name: str, shared_flushes: dict | None = None) -> PollableMetrics:
-        pm = PollableMetrics()
-        if shared_flushes is not None:
-            pm.flushes = shared_flushes
-        self.per_pollable[name] = pm
-        return pm
 
     @property
     def total_polls(self) -> int:

@@ -328,8 +328,7 @@ class _ChildSide:
         self.fabric = fabric = ShmFabric(auto_flush=False)
         fabric.bind(self.endpoint.qp, db_sock)
 
-        self.engine = ProgressEngine(scheduler=mine.scheduling,
-                                     name=f"{spec.name}.{spec.role}-engine")
+        self.engine = ProgressEngine(name=f"{spec.name}.{spec.role}-engine")
         self.supervisor = EngineSupervisor(self.engine, stall_ticks=spec.stall_ticks,
                                            max_faults=spec.max_faults)
         self.engine.register(fabric, name="fabric")

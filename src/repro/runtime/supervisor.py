@@ -196,16 +196,15 @@ class EngineSupervisor:
             self._watch(reg).faults = 0
 
     def release(self, pollable) -> bool:
-        """Re-admit a quarantined pollable (after external repair);
-        returns whether it was found."""
+        """Re-admit a quarantined pollable (after external repair) in its
+        kept registration, so its metrics row counts on; returns whether
+        it was found."""
         for reg in self.quarantined:
             if reg.pollable is pollable:
+                self.engine.seat(reg)
                 self.quarantined.remove(reg)
-                new = self.engine.register(
-                    pollable, name=reg.name, weight=reg.weight, priority=reg.priority
-                )
                 self._watches.pop(id(reg), None)
-                self._watch(new).faults = 0
+                self._watch(reg).faults = 0
                 return True
         return False
 

@@ -482,9 +482,7 @@ class DatapathSimulator:
         if engine is None:
             from repro.runtime import ProgressEngine
 
-            engine = ProgressEngine(
-                scheduler="round_robin", name="sim", registry=self.registry
-            )
+            engine = ProgressEngine(name="sim", registry=self.registry)
         engine.register(
             self, name=f"sim.{self.scenario.value}.{self.profile.spec.name}"
         )

@@ -465,6 +465,29 @@ class TestMultiConnectionServer:
             assert len(results[i]) == 25
             assert results[i][0] == f"c{i}m0!".encode()
 
+    def test_two_default_named_connections_get_two_metrics_rows(self):
+        """Both servers are named ``chan.server``; seated under that one
+        name they shared a row, and the first connection's polls, work
+        and flush reasons vanished from ``summary()``."""
+        host = RpcServer()
+        host.register(1, lambda req: Response.from_bytes(b"ok"))
+        channels = [small_channel(), small_channel()]
+        for ch in channels:
+            host.attach(ch.server)
+        out = []
+        channels[0].client.enqueue_bytes(1, b"x", lambda v, f: out.append(bytes(v)))
+        for _ in range(20):
+            channels[0].client.progress()
+            host.progress()
+        assert out == [b"ok"]
+        rows = host.engine.metrics.per_pollable
+        assert sorted(rows) == ["chan.server#0", "chan.server#1"]
+        for i, ch in enumerate(channels):
+            assert rows[f"chan.server#{i}"].polls == ch.server._polls
+        assert rows["chan.server#0"].work_items > 0
+        assert rows["chan.server#0"].flushes is channels[0].server.flush_reasons
+        assert "chan.server#0: polls=20" in host.engine.summary()
+
     def test_register_after_attach(self):
         fabric = Fabric()
         host = RpcServer()

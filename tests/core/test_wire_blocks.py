@@ -226,6 +226,13 @@ class TestWriterReader:
         with pytest.raises(BlockFormatError):
             BlockReader(space, BASE, 1024).messages()
 
+    def test_reader_rejects_block_ending_mid_header(self, space):
+        # The preamble promises a message, but block_length ends inside
+        # its header.
+        Preamble(1, 0, PREAMBLE_SIZE + 3).pack_into(space, BASE)
+        with pytest.raises(BlockFormatError):
+            BlockReader(space, BASE, 4096).messages()
+
 
 class TestPropertyRoundTrip:
     @settings(max_examples=100, deadline=None)

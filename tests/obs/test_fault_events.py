@@ -105,7 +105,7 @@ class TestSupervisorEvents:
             def __init__(self):
                 self.polls = 0
 
-            def poll(self, budget=None) -> int:
+            def progress(self, budget=None) -> int:
                 self.polls += 1
                 if self.polls == 2:
                     raise RuntimeError("injected")

@@ -1,10 +1,8 @@
 """Tests for the unified progress engine: registration, stepping,
-metrics, lifecycle, threading, and what a direct ``progress()`` call on
-a registered endpoint is (the pass itself — no engine involved)."""
+metrics, draining, and what a direct ``progress()`` call on a
+registered endpoint is (the pass itself — no engine involved)."""
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -12,7 +10,6 @@ from repro.core import ProtocolConfig, Response, create_channel
 from repro.metrics import MetricsRegistry
 from repro.runtime import (
     EngineError,
-    EngineState,
     FnPollable,
     ProgressEngine,
 )
@@ -78,6 +75,17 @@ class TestStepping:
         with pytest.raises(EngineError):
             eng.register(a)
 
+    def test_a_live_name_is_not_registered_twice(self):
+        """Two seats under one name would share one metrics row: the
+        first pollable's polls would vanish from ``summary()``."""
+        eng = ProgressEngine()
+        a = ScriptedPollable(name="a")
+        eng.register(a, name="seat")
+        with pytest.raises(EngineError, match="seat"):
+            eng.register(ScriptedPollable(name="b"), name="seat")
+        eng.unregister(a)
+        eng.register(ScriptedPollable(name="b"), name="seat")  # no longer live
+
     def test_unregister(self):
         eng = ProgressEngine()
         a = ScriptedPollable([1, 1], name="a")
@@ -142,19 +150,6 @@ class TestMetrics:
 
 
 class TestLifecycle:
-    def test_states(self):
-        eng = ProgressEngine()
-        assert eng.state is EngineState.NEW
-        eng.start()
-        assert eng.state is EngineState.RUNNING
-        eng.stop()
-        assert eng.state is EngineState.STOPPED
-        eng.stop()  # idempotent
-        with pytest.raises(EngineError):
-            eng.step()
-        with pytest.raises(EngineError):
-            eng.start()
-
     def test_drain_waits_for_quiet(self):
         eng = ProgressEngine()
         a = ScriptedPollable([1, 1, 1], name="a")
@@ -166,21 +161,6 @@ class TestLifecycle:
         eng = ProgressEngine()
         eng.register(ScriptedPollable([1] * 1000, name="busy"))
         assert not eng.drain(max_iters=5)
-
-    def test_threaded_mode_reuses_worker_pool(self):
-        eng = ProgressEngine(name="bg-engine")
-        a = ScriptedPollable([1] * 10_000, name="a")
-        eng.register(a)
-        eng.start(threaded=True)
-        deadline = time.time() + 5
-        while a.polls == 0 and time.time() < deadline:
-            time.sleep(0.001)
-        eng.stop()
-        assert a.polls > 0
-        assert eng.state is EngineState.STOPPED
-        ticks_at_stop = eng.tick
-        time.sleep(0.01)
-        assert eng.tick == ticks_at_stop  # the loop really stopped
 
 
 class TestDrainFlush:
@@ -306,7 +286,7 @@ class TestEndpointShims:
         ch = create_channel(CFG, CFG)
         supervisor = EngineSupervisor(ch.engine, fault_types=(TransportError,))
         ch.engine.register(
-            FnPollable(lambda budget: ch.client.progress(budget), name="front")
+            FnPollable(ch.client.progress, name="front")
         )
         ch.client.qp.to_error()
         ch.engine.step()  # both faults contained: the tick finishes

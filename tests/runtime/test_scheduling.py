@@ -1,16 +1,9 @@
-"""Tests for the pluggable scheduling policies."""
+"""The engine's one schedule: every pollable once per pass, in
+registration order."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.runtime import (
-    AdaptiveBackoffPolicy,
-    ProgressEngine,
-    RoundRobinPolicy,
-    WeightedPolicy,
-    make_scheduler,
-)
+from repro.runtime import ProgressEngine
 
 
 class Recorder:
@@ -28,111 +21,14 @@ class Recorder:
         return self.work
 
 
-class TestMakeScheduler:
-    def test_names(self):
-        assert isinstance(make_scheduler(None), RoundRobinPolicy)
-        assert isinstance(make_scheduler("round_robin"), RoundRobinPolicy)
-        assert isinstance(make_scheduler("weighted"), WeightedPolicy)
-        assert isinstance(make_scheduler("priority"), WeightedPolicy)
-        assert isinstance(make_scheduler("adaptive"), AdaptiveBackoffPolicy)
-
-    def test_instance_passthrough(self):
-        policy = AdaptiveBackoffPolicy(max_backoff=4)
-        assert make_scheduler(policy) is policy
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            make_scheduler("fifo")
-
-
 class TestRoundRobin:
     def test_stable_registration_order(self):
-        """Round-robin preserves registration order on every tick — it is
-        bit-for-bit the legacy ``client.progress(); server.progress()``."""
+        """Registration order on every tick — bit-for-bit the legacy
+        ``client.progress(); server.progress()``."""
         trace = []
-        eng = ProgressEngine(scheduler="round_robin")
+        eng = ProgressEngine()
         for n in ("a", "b", "c"):
             eng.register(Recorder(n, trace))
         eng.step()
         eng.step()
         assert trace == ["a", "b", "c", "a", "b", "c"]
-
-
-class TestWeighted:
-    def test_priority_orders_and_weight_repeats(self):
-        trace = []
-        eng = ProgressEngine(scheduler="weighted")
-        eng.register(Recorder("bulk", trace), weight=1, priority=0)
-        eng.register(Recorder("latency", trace), weight=2, priority=10)
-        eng.step()
-        assert trace == ["latency", "latency", "bulk"]
-
-    def test_equal_priority_falls_back_to_registration_order(self):
-        trace = []
-        eng = ProgressEngine(scheduler="priority")
-        eng.register(Recorder("a", trace))
-        eng.register(Recorder("b", trace))
-        eng.step()
-        assert trace == ["a", "b"]
-
-
-class TestAdaptiveBackoff:
-    def test_idle_pollable_polled_less(self):
-        trace = []
-        eng = ProgressEngine(scheduler=AdaptiveBackoffPolicy(max_backoff=8))
-        busy = Recorder("busy", trace, work=1)
-        idle = Recorder("idle", trace, work=0)
-        eng.register(busy)
-        eng.register(idle)
-        for _ in range(64):
-            eng.step()
-        assert busy.polls == 64  # never backed off: always has work
-        assert 0 < idle.polls < 64  # backed off, but never starved
-
-    def test_work_resets_backoff(self):
-        policy = AdaptiveBackoffPolicy(max_backoff=8)
-        eng = ProgressEngine(scheduler=policy)
-        flaky = Recorder("flaky", [], work=0)
-        eng.register(flaky)
-        for _ in range(32):
-            eng.step()
-        backed_off = flaky.polls
-        flaky.work = 1  # suddenly busy again
-        before = flaky.polls
-        for _ in range(16):
-            eng.step()
-        # After the first successful poll the streak resets, so the
-        # pollable is polled on (almost) every subsequent tick.
-        assert flaky.polls - before >= 8
-        assert backed_off < 32
-
-
-class TestPolicySelectionViaConfig:
-    def test_channel_scheduler_follows_protocol_config(self):
-        from repro.core import ProtocolConfig, create_channel
-
-        cfg = ProtocolConfig(
-            block_size=2 * 1024,
-            block_alignment=1024,
-            credits=8,
-            send_buffer_size=64 * 1024,
-            recv_buffer_size=64 * 1024,
-            concurrency=128,
-            scheduling="weighted",
-        )
-        ch = create_channel(cfg, cfg)
-        assert isinstance(ch.engine.scheduler, WeightedPolicy)
-
-    def test_invalid_scheduling_rejected_by_config(self):
-        from repro.core import ProtocolConfig
-
-        with pytest.raises(ValueError):
-            ProtocolConfig(
-                block_size=2 * 1024,
-                block_alignment=1024,
-                credits=8,
-                send_buffer_size=64 * 1024,
-                recv_buffer_size=64 * 1024,
-                concurrency=128,
-                scheduling="random",
-            )

@@ -143,15 +143,30 @@ class TestQuarantine:
         assert pollable.polls == polls
 
     def test_release_readmits(self):
+        """Re-admitted in the kept registration: its metrics row — and the
+        exported ``engine_*`` gauges — count on, never backwards."""
+        registry = MetricsRegistry()
         engine, pollable, supervisor = make(max_faults=1)
+        engine.metrics.bind_registry(registry)
+        pollable.work = 1
+        for _ in range(5):
+            engine.step()
         self._exhaust(engine, pollable, supervisor)
+        row = engine.metrics.per_pollable["fake"]
+        before = (row.polls, row.work_items)
+        assert before == (7, 5)
         pollable.exc = None
         assert supervisor.release(pollable) is True
         assert supervisor.quarantined == []
-        pollable.work = 1
+        (reg,) = engine.registrations
+        assert reg.metrics is row is engine.metrics.per_pollable["fake"]
         polls = pollable.polls
         engine.step()
         assert pollable.polls == polls + 1
+        assert (row.polls, row.work_items) == (before[0] + 1, before[1] + 1)
+        text = registry.expose()
+        assert f'engine_polls_total{{pollable="fake"}} {before[0] + 1}' in text
+        assert f'engine_work_items_total{{pollable="fake"}} {before[1] + 1}' in text
 
     def test_release_unknown_pollable_is_false(self):
         _, _, supervisor = make()

@@ -167,6 +167,37 @@ def test_the_engine_has_no_single_pollable_entry_point():
             if where.startswith("src/repro/runtime/engine.py:")] == []
 
 
+def test_the_engine_polls_progress_and_nothing_else():
+    """Every pollable defines ``progress(budget)``: nothing under
+    ``runtime/`` falls back to a ``"poll"`` method or sniffs a signature
+    to decide how to call one."""
+    offenders = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in _trees(SRC / "runtime")
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Constant) and node.value == "poll")
+        or (isinstance(node, ast.Attribute) and node.attr == "signature"
+            and getattr(node.value, "id", None) == "inspect")
+    ]
+    assert offenders == []
+
+
+def test_protocol_config_fields():
+    """The fifteen per-endpoint knobs; the engine has one schedule, so
+    none of them picks a scheduling policy."""
+    from dataclasses import fields
+
+    from repro.core import ProtocolConfig
+
+    assert [f.name for f in fields(ProtocolConfig)] == [
+        "block_size", "block_alignment", "credits", "send_buffer_size",
+        "recv_buffer_size", "concurrency", "threads", "max_message_size",
+        "max_payload", "flush_policy", "flush_deadline_ticks",
+        "flush_byte_threshold", "request_deadline_ticks", "verify_checksums",
+        "transport",
+    ]
+
+
 # -- one kind table, one tag loop (ROADMAP item 3) ----------------------------
 
 
@@ -191,18 +222,15 @@ def test_a_scalar_kind_is_tabulated_once():
 def test_the_zigzag32_rule_is_stated_in_the_table_and_the_oracles_only():
     """``FieldType.SINT32`` is the kind whose copies drifted.  It is named
     where kinds are tabulated, in the two hand-written oracles the table
-    is tested against, and in the JSON mapping (``descriptor.py``, which
-    declares the enum, no longer restates which kinds are varint, zigzag
-    or signed — predicates nothing had read since the table)."""
+    is tested against (``descriptor.py``, which declares the enum, no
+    longer restates which kinds are varint, zigzag or signed — predicates
+    nothing had read since the table)."""
     named_in = {
         str(path.relative_to(SRC))
         for path, tree in _trees(SRC)
         if any(_is_field_type(node, "SINT32") for node in ast.walk(tree))
     }
-    assert named_in == {
-        "proto/kinds.py", "proto/serializer.py",
-        "proto/deserializer.py", "proto/json_format.py",
-    }
+    assert named_in == {"proto/kinds.py", "proto/serializer.py", "proto/deserializer.py"}
 
 
 def test_the_tag_loop_is_generated_in_one_function():
