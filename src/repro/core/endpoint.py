@@ -455,6 +455,13 @@ class _EndpointBase:
         prevention; an engine's drain pushes out held batches with it)."""
         self._send(reason if self._writer is not None else None)
 
+    @property
+    def holds_open_block(self) -> bool:
+        """Whether a partial block is open after the pass — one a
+        non-eager flush policy holds for more messages or for a deadline
+        counted in passes."""
+        return self._writer is not None
+
     def _flush_by_policy(self) -> None:
         """Send the partial block when the flush policy says so."""
         writer = self._writer

@@ -228,6 +228,21 @@ class ShmFabric(FabricTransport):
             raise VerbsError(f"{self.name}: QP {qp.name} is not bound")
         return port
 
+    # -- readiness (a process that waits between passes) ------------------------
+
+    def doorbells(self) -> list[tuple[int, bool]]:
+        """``(fd, frames waiting to leave)`` for every doorbell that can
+        still deliver — what a process parked between passes waits on
+        (:mod:`repro.runtime.procs`).  Read per pass: ``bind`` replaces a
+        doorbell on reconnect."""
+        return [(port.sock.fileno(), bool(port.txq))
+                for port in self._ports.values() if not port.eof]
+
+    def holds_ops(self) -> bool:
+        """Whether an op already read off a doorbell waits in an inbox
+        (one RNR holds at the head): work no doorbell announces again."""
+        return any(port.inbox for port in self._ports.values())
+
     # -- requester side ---------------------------------------------------------
 
     def transmit(self, sender: QueuePair, wr: WorkRequest) -> None:

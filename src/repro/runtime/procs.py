@@ -20,7 +20,10 @@ real OS processes joined by the pieces the ``shm`` backend provides:
 
 Topology: the *parent* process is the client (it drives
 :class:`~repro.xrpc.channel.XrpcChannel`); the two children run the DPU
-engine + xRPC front end and the host engine respectively.
+engine + xRPC front end and the host engine respectively.  A child waits
+on its sockets between passes instead of spinning: one readiness poll
+per pass, parked in it after a pass that did nothing
+(:meth:`_ChildSide._loop`, docs/RUNTIME.md "The child loop").
 
 Crash propagation: the parent registers one :class:`ProcessPollable` per
 child with its progress engine; a child that dies unexpectedly raises
@@ -70,6 +73,20 @@ from .supervisor import EngineSupervisor
 __all__ = ["ProcError", "ProcessPollable", "ProcSupervisor"]
 
 _CTL_LEN = struct.Struct("<I")
+
+#: How long a child whose last pass did nothing waits on its sockets
+#: before it runs a pass anyway, in ms.  Bytes wake it at once; the
+#: bound is for what advances by passes rather than by bytes —
+#: supervisor stall ticks, an injector's delayed completion, request
+#: deadlines counted in polls — which must keep moving with no traffic.
+_PARK_MS = 1
+#: The same wait while nothing advances by passes (nothing in flight,
+#: no delayed completion): a safety bound only.  At 1 ms an idle child
+#: would wake ~900 times a second, ~45 µs of CPU each on a 2-vCPU VM.
+_IDLE_PARK_MS = 100
+#: what a child waits for on a socket: bytes to read, and room to write
+#: while its own bytes wait to leave
+_READ, _READ_WRITE = select.POLLIN, select.POLLIN | select.POLLOUT
 
 
 class ProcError(RuntimeError):
@@ -266,48 +283,35 @@ def _export_and_clear(collector):
     return snapshot
 
 
-def _child_loop(ctl: _CtlConn, engine: ProgressEngine, handlers, on_exit) -> None:
-    """Free-running engine loop with control polling.  EOF on the control
-    socket means the parent is gone — clean up and leave (orphan
-    cleanup)."""
-    idle = 0
-    while True:
-        work = engine.step()
-        msg = ctl.poll()
-        if msg is not None:
-            idle = 0
-            cmd, payload = msg
-            if cmd == "exit":
-                try:
-                    ctl.send(("ok", on_exit(payload)))
-                except ProcError:
-                    pass
-                return
-            fn = handlers.get(cmd)
-            if fn is None:
-                ctl.send(("err", f"unknown command {cmd!r}"))
-                continue
+def _answer_control(ctl: _CtlConn, handlers, on_exit) -> bool:
+    """Answer every command the control socket holds; False when the
+    child should leave — told to exit, or EOF: the parent is gone
+    (orphan cleanup)."""
+    while (msg := ctl.poll()) is not None:
+        cmd, payload = msg
+        if cmd == "exit":
             try:
-                ctl.send(("ok", fn(payload)))
-            except Exception as exc:  # noqa: BLE001 — reported to the parent
-                ctl.send(("err", f"{type(exc).__name__}: {exc}"))
+                ctl.send(("ok", on_exit(payload)))
+            except ProcError:
+                pass
+            return False
+        fn = handlers.get(cmd)
+        if fn is None:
+            ctl.send(("err", f"unknown command {cmd!r}"))
             continue
-        if ctl.eof:
-            return
-        if work:
-            idle = 0
-        else:
-            idle += 1
-            if idle > 16:
-                time.sleep(0.0002)
+        try:
+            ctl.send(("ok", fn(payload)))
+        except Exception as exc:  # noqa: BLE001 — reported to the parent
+            ctl.send(("err", f"{type(exc).__name__}: {exc}"))
+    return not ctl.eof
 
 
 class _ChildSide:
     """What both child mains share: this process's one side of the
     channel (the endpoint over its attached RBuf, the shm fabric on the
     doorbell, a supervised engine polling fabric then endpoint), the
-    optional fault injector and trace collector, and the control loop.
-    A child main adds its half of the stack (:mod:`repro.deploy`) and the
+    optional fault injector and trace collector, and the child loop that
+    waits on its sockets.  A child main adds its half of the stack (:mod:`repro.deploy`) and the
     commands only it answers."""
 
     def __init__(self, spec: _SideSpec, ctl_sock, db_sock, close_socks) -> None:
@@ -337,6 +341,8 @@ class _ChildSide:
             self.channel = Channel(fabric, None, self.endpoint, None, space, self.engine)
         else:
             self.channel = Channel(fabric, self.endpoint, None, space, None, self.engine)
+        #: the DPU child's xRPC front door, whose connections it waits on
+        self.front = None
 
         self.injector = None
         if spec.fault_plan is not None:
@@ -352,6 +358,60 @@ class _ChildSide:
             fabric.trace = collector.recorder(f"{spec.role}.fabric")
             if self.injector is not None:
                 self.injector.trace = collector.recorder(f"{spec.role}.faults")
+
+    def wait_set(self) -> tuple:
+        """``(fd, poll events)`` for every socket this child reads: the
+        control socket, each live doorbell of the fabric and each
+        connection of the front door (:attr:`front`, the DPU child's).
+        Read per pass, not captured: a reconnect binds a new doorbell."""
+        fds = [(self.ctl.sock.fileno(), _READ)]
+        for fd, unsent in self.fabric.doorbells():
+            fds.append((fd, _READ_WRITE if unsent else _READ))
+        if self.front is not None:
+            for sock in self.front.sockets():
+                fds.append((sock.fileno(), _READ_WRITE if sock.unsent else _READ))
+        return tuple(fds)
+
+    def holds_work(self) -> bool:
+        """Work no socket will announce: an op the fabric already read
+        (one RNR holds at an inbox head), or a partial block a non-eager
+        flush policy holds for a deadline counted in passes."""
+        return self.fabric.holds_ops() or self.endpoint.holds_open_block
+
+    def ticking(self) -> bool:
+        """Whether a pass with no traffic still moves something: work in
+        flight — the supervisor's stall clock and request deadlines count
+        passes while it waits for the peer — or a completion the fault
+        injector delays by passes."""
+        injector = self.injector
+        return bool(self.fabric.in_flight or self.endpoint.pending()
+                    or (injector is not None and injector.delayed_held))
+
+    def _loop(self, handlers, on_exit) -> None:
+        """The child's event loop.  A pass is one ``poll`` over
+        :meth:`wait_set`, the control commands it found readable, then
+        one engine step.  The poll returns at once when the last pass did
+        work or :meth:`holds_work`; otherwise the child parks in it, for up to
+        :data:`_PARK_MS` while :meth:`ticking`, else :data:`_IDLE_PARK_MS`
+        — waiting for a peer never keeps it awake."""
+        ctl, step = self.ctl, self.engine.step
+        ctl_fd = ctl.sock.fileno()
+        poller = watched = None
+        timeout = 0
+        while True:
+            fds = self.wait_set()
+            if fds != watched:
+                poller, watched = select.poll(), fds
+                for fd, events in fds:
+                    poller.register(fd, events)
+            ready = poller.poll(timeout)
+            if ready and any(fd == ctl_fd for fd, _ in ready):
+                if not _answer_control(ctl, handlers, on_exit):
+                    return
+            if step() or self.holds_work():
+                timeout = 0
+            else:
+                timeout = _PARK_MS if self.ticking() else _IDLE_PARK_MS
 
     def stats(self) -> dict:
         fabric, injector = self.fabric, self.injector
@@ -376,7 +436,7 @@ class _ChildSide:
         self.fabric.handshake(self.endpoint.qp, timeout=self.spec.handshake_timeout)
         try:
             self.ctl.send(("ready", {"pid": os.getpid()}))
-            _child_loop(self.ctl, self.engine, handlers, on_exit)
+            self._loop(handlers, on_exit)
         finally:
             self.channel.close()
             self.ctl.close()
@@ -448,6 +508,7 @@ def _dpu_child(spec: _SideSpec, schema, service,
     dpu = front.dpu
     front.adopt(StreamSocket(xrpc_sock, "dpu-front"))
     side.engine.register(front, name="front")
+    side.front = front
     if side.collector is not None:
         front.trace = side.collector.recorder("dpu.front")
         dpu.trace = side.collector.recorder("dpu.engine")

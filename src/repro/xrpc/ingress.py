@@ -122,6 +122,11 @@ class Ingress:
         """Serve a pre-established connection (no listener involved)."""
         self._connections.append(_Connection(socket))
 
+    def sockets(self) -> list:
+        """The sockets of the connections it serves — what a process that
+        waits between passes waits on."""
+        return [conn.socket for conn in self._connections]
+
     # -- event loop -----------------------------------------------------------
 
     def progress(self, budget: int | None = None) -> int:

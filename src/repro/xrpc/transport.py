@@ -168,7 +168,10 @@ class StreamSocket:
         return len(self._rx)
 
     def eof(self) -> bool:
-        self._pump()
+        """True when the last pump saw the peer close and every byte it
+        read has been taken.  It reads nothing itself: asked right after a
+        :meth:`recv` that came back empty, a second read would only repeat
+        that one's answer."""
         return self._peer_closed and not self._rx
 
     def close(self) -> None:
@@ -181,6 +184,11 @@ class StreamSocket:
     @property
     def closed(self) -> bool:
         return self._closed
+
+    @property
+    def unsent(self) -> bool:
+        """Whether sent bytes still wait for room in the OS socket."""
+        return bool(self._txq)
 
     def fileno(self) -> int:
         return self._sock.fileno()

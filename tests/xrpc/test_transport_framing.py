@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.proto import compile_schema
 from repro.xrpc import (
     ConnectionClosed,
     FrameDecoder,
@@ -14,10 +17,12 @@ from repro.xrpc import (
     Network,
     SimSocket,
     TransportError,
+    XrpcServer,
     encode_request,
     encode_response,
 )
 from repro.xrpc.framing import encode_setup, encode_setup_ack
+from repro.xrpc.transport import StreamSocket
 
 
 class TestTransport:
@@ -80,6 +85,35 @@ class TestTransport:
         for i, (c, s) in enumerate(zip(clients, servers)):
             c.send(f"msg{i}".encode())
             assert s.recv() == f"msg{i}".encode()
+
+    def test_an_idle_stream_connection_costs_one_recv_per_pass(self):
+        """The front door asks ``eof()`` right after the pass's empty
+        ``recv``; over an OS socket that answer costs no second read, and
+        a peer's close is still seen in the pass whose read saw it."""
+
+        class CountingSocket:
+            def __init__(self, sock) -> None:
+                self.sock, self.recvs = sock, 0
+
+            def recv(self, n: int) -> bytes:
+                self.recvs += 1
+                return self.sock.recv(n)
+
+            def __getattr__(self, name):
+                return getattr(self.sock, name)
+
+        ours, theirs = socket.socketpair()
+        counting = CountingSocket(ours)
+        server = XrpcServer(None, "stream", compile_schema('syntax = "proto3";').factory)
+        server.adopt(StreamSocket(counting, "front"))
+        for _ in range(5):
+            server.progress()
+        assert counting.recvs == 5
+        theirs.close()
+        server.progress()
+        assert counting.recvs == 6
+        assert server.sockets() == []  # let go of in that pass
+        assert ours.fileno() == -1
 
 
 class TestFraming:
