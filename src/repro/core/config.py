@@ -41,17 +41,10 @@ class ProtocolConfig:
     threads:
         Poller thread count (used by the datapath simulator; the
         functional stack is event-loop driven).
-    flush_policy:
-        When partially filled blocks are flushed: ``eager`` (every
-        progress pass — the paper's behavior and the default),
-        ``nagle`` (hold up to ``flush_deadline_ticks`` passes), or
-        ``bytes`` (hold until ``flush_byte_threshold`` bytes, deadline
-        as backstop).
-    flush_deadline_ticks:
-        Maximum progress passes a partial block may wait under the
-        ``nagle``/``bytes`` policies.
-    flush_byte_threshold:
-        Byte threshold of the ``bytes`` policy; 0 means half a block.
+
+    A partially filled block seals on the next progress pass (the
+    paper's event loop); an endpoint's ``flush_hold`` lets it wait more
+    passes, set live by the autotuner and the degradation ladder.
     """
 
     block_size: int = 8 * KIB
@@ -61,14 +54,10 @@ class ProtocolConfig:
     recv_buffer_size: int = 3 * MIB
     concurrency: int = 1024
     threads: int = 16
-    #: payloads above (2^16 - 1) bytes switch to the LARGE wire form with
-    #: a 64-bit size extension (§IV-E); this caps what the endpoint will
-    #: accept at all (policy, not wire format).
+    #: the largest payload the endpoint accepts at all (a limit, not the
+    #: wire format: payloads from 2^16 bytes on take the LARGE form with
+    #: a 64-bit size extension, §IV-E, whatever this says)
     max_message_size: int = 1 << 20
-    max_payload: int = (1 << 16) - 1
-    flush_policy: str = "eager"
-    flush_deadline_ticks: int = 4
-    flush_byte_threshold: int = 0
     #: progress passes a transmitted request may stay unanswered before
     #: the client fails it locally with Flags.ERROR | Flags.ABORTED
     #: (docs/FAULTS.md).  0 (the default) disables deadlines — correct
@@ -96,12 +85,6 @@ class ProtocolConfig:
             raise ValueError("credits must be >= 1")
         if self.concurrency > (1 << 16):
             raise ValueError("concurrency exceeds the 2^16 request-ID space")
-        if self.flush_policy not in ("eager", "nagle", "bytes"):
-            raise ValueError(f"unknown flush policy {self.flush_policy!r}")
-        if self.flush_deadline_ticks < 1:
-            raise ValueError("flush_deadline_ticks must be >= 1")
-        if self.flush_byte_threshold < 0:
-            raise ValueError("flush_byte_threshold must be >= 0")
         if self.request_deadline_ticks < 0:
             raise ValueError("request_deadline_ticks must be >= 0")
         if self.transport not in ("inproc", "shm"):

@@ -40,8 +40,8 @@ pass, a plain method that a :class:`~repro.runtime.engine.ProgressEngine`
 the engine's own polls are counted, scheduled and supervised.  Both
 roles send through one path — ``_append`` puts a message into the open
 block, ``_send`` seals it and transmits queued blocks as credits allow,
-``flush`` / ``_flush_by_policy`` decide when a partial one goes
-(``ProtocolConfig.flush_policy``) — whose rules docs/PROTOCOL.md §3
+``flush`` / ``_flush_by_policy`` decide when a partial one goes (after
+``flush_hold`` passes; 0, every pass) — whose rules docs/PROTOCOL.md §3
 "Sender rules" states once; and receive through one, ``_receive``.
 """
 
@@ -60,7 +60,6 @@ from repro.memory import (
 )
 from repro.proto.wire_format import WireFormatError
 from repro.rdma import CompletionQueue, Opcode, QpState, QueuePair, WcStatus, WorkRequest
-from repro.runtime.flush import FlushState, make_flush_policy
 from repro.runtime.overload import now_us, unpack_deadline
 
 from .config import ProtocolConfig
@@ -276,11 +275,13 @@ class _EndpointBase:
         self.config = config
         self.remote_block_alignment = remote_block_alignment
         self.stats = EndpointStats()
-        self.flush_policy = make_flush_policy(config)
+        #: passes a partial block may wait for more messages before it
+        #: seals; 0 (the paper's event loop) seals it on every pass
+        self.flush_hold = 0
         #: flush decisions by reason — one count per block sealed; shared
         #: with the engine's metrics.
         self.flush_reasons: dict[str, int] = {}
-        self._polls = 0  # local pass counter: the flush policies' clock
+        self._polls = 0  # local pass counter: the flush hold's clock
         self._wr_ids = itertools.count(1)
         #: connection resets survived (repro.core.recovery)
         self.resets = 0
@@ -387,9 +388,15 @@ class _EndpointBase:
             raise
         self._open_notes.append(note)
         if self.trace is not None:
-            self._writer_traces.append(trace_ctx)
+            traces = self._writer_traces
+            missing = len(self._open_notes) - 1 - len(traces)
+            if missing:
+                # a recorder attached mid-block: the messages before it
+                # keep their places, untraced
+                traces.extend([None] * missing)
+            traces.append(trace_ctx)
         if self._open_since is None:
-            self._open_since = self._polls  # starts the flush-policy clock
+            self._open_since = self._polls  # starts the flush hold's clock
         if writer.cursor - writer.base >= self.config.block_size:
             self._send("block_full")
         elif self._send_queue:
@@ -414,10 +421,7 @@ class _EndpointBase:
                 writer.base, writer.seal(), count, self._open_notes, traces or ()))
             if traces:
                 self._writer_traces = []
-                for ctx in traces:
-                    if ctx is not None:
-                        self.trace.event(ctx, "block_seal", bytes=out.length,
-                                         messages=count)
+                self._trace_seal(traces, out.length, count)
             self._open_notes = []
             self._writer = self._open_since = None
             self._queued_messages += count
@@ -450,26 +454,34 @@ class _EndpointBase:
         self.stats.blocks_sent += 1
         self.stats.bytes_sent += length
 
+    def _trace_seal(self, traces, length: int, count: int) -> None:
+        """Record the seal of a block whose messages were traced — unless
+        the recorder was detached meanwhile (the degradation ladder's
+        ``shed_tracing`` rung sets ``trace`` to None at any pass)."""
+        trace = self.trace
+        if trace is not None:
+            for ctx in traces:
+                if ctx is not None:
+                    trace.event(ctx, "block_seal", bytes=length, messages=count)
+
     def flush(self, reason: str = "explicit") -> None:
-        """Force-seal a partial block, bypassing the policy (§IV deadlock
+        """Force-seal a partial block, whatever its hold (§IV deadlock
         prevention; an engine's drain pushes out held batches with it)."""
         self._send(reason if self._writer is not None else None)
 
     @property
     def holds_open_block(self) -> bool:
-        """Whether a partial block is open after the pass — one a
-        non-eager flush policy holds for more messages or for a deadline
-        counted in passes."""
+        """Whether a partial block is open after the pass — one that
+        ``flush_hold`` keeps waiting, for more messages, a few passes."""
         return self._writer is not None
 
     def _flush_by_policy(self) -> None:
-        """Send the partial block when the flush policy says so."""
-        writer = self._writer
-        # built as the tuple it is, like _OutBlock in _send
-        reason = self.flush_policy.should_flush(tuple.__new__(FlushState, (
-            writer.cursor - writer.base, writer.message_count, self._polls - self._open_since)))
-        if reason is not None:
-            self._send(reason)
+        """Send the partial block once it has waited ``flush_hold``
+        passes: at once with no hold (reason ``eager``), else on the
+        pass the hold runs out (``deadline``)."""
+        hold = self.flush_hold
+        if self._polls - self._open_since >= hold:
+            self._send("deadline" if hold else "eager")
 
     # -- block plumbing ----------------------------------------------------------
 
@@ -721,14 +733,16 @@ class ClientEndpoint(_EndpointBase):
             # transmitted message is the server's n-th received one
             # (same determinism as the §IV-D ID pools).  Events recorded
             # before this point reference the context and pick the id up
-            # retroactively.
-            traces = out.traces or [None] * out.message_count
-            for rid, ctx in zip(ids, traces):
-                self._trace_serial += 1
+            # retroactively.  ``out.traces`` may stop short of the block's
+            # end (the recorder was detached after its traced messages).
+            serial = self._trace_serial
+            self._trace_serial += len(ids)
+            for rid, ctx in zip(ids, out.traces):
+                serial += 1
                 if ctx is None:
                     continue
                 if ctx.tid is None:
-                    ctx.tid = (self._trace_stream, self._trace_serial)
+                    ctx.tid = (self._trace_stream, serial)
                 self.trace.event(ctx, "transmit", rid=rid, seq=seq)
                 self._trace_by_rid[rid] = ctx
         return ack_blocks
@@ -774,9 +788,9 @@ class ClientEndpoint(_EndpointBase):
             _fail_continuation(cont, b"request deadline exceeded")
 
     def progress(self, budget: int | None = None) -> int:
-        """One event-loop pass: flush per policy, then process arrived
-        response blocks (at most ``budget`` completions).  Returns the
-        number of responses delivered."""
+        """One event-loop pass: flush a partial block whose hold ran out,
+        then process arrived response blocks (at most ``budget``
+        completions).  Returns the number of responses delivered."""
         self._polls += 1
         if self._deadlines:
             self._expire_deadlines()
@@ -819,7 +833,7 @@ class ClientEndpoint(_EndpointBase):
             admitted = True
         if admitted and self._writer is not None:
             # Ship what we admitted so the window keeps moving even while
-            # a backlog remains (window progress, not a policy decision).
+            # a backlog remains (window progress, not the hold's decision).
             self._send("backlog")
 
     def _fail_backlogged(self, entry: tuple, reason: bytes,
@@ -917,11 +931,7 @@ class ClientEndpoint(_EndpointBase):
         if writer is not None:
             # sealed, counted and traced like any seal; read in place
             self.flush_reasons["reset"] = self.flush_reasons.get("reset", 0) + 1
-            length = writer.seal()
-            for ctx in self._writer_traces:
-                if ctx is not None:
-                    self.trace.event(ctx, "block_seal", bytes=length,
-                                     messages=writer.message_count)
+            self._trace_seal(self._writer_traces, writer.seal(), writer.message_count)
             harvest(writer.base, self._open_notes)
         return survivors
 
@@ -1016,8 +1026,8 @@ class ServerEndpoint(_EndpointBase):
     def progress(self, budget: int | None = None) -> int:
         """One event-loop pass: process arrived request blocks (at most
         ``budget`` completions; foreground execution in the polling
-        thread), collect finished background RPCs, flush responses per
-        policy.  Returns the number of requests handled."""
+        thread), collect finished background RPCs, flush responses whose
+        hold ran out.  Returns the number of requests handled."""
         self._polls += 1
         handled = self._receive(budget, self._process_request_block)
         while self._background_results:

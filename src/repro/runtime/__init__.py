@@ -3,8 +3,9 @@
 One event loop for the whole datapath: components implement the
 :class:`Pollable` protocol (``progress(budget) -> work_done``) and
 register with a :class:`ProgressEngine`, which polls them in
-registration order and counts every poll.  The endpoints apply the
-pluggable partial-block flush policies.  See docs/RUNTIME.md.
+registration order and counts every poll; an endpoint's pass seals a
+partial block once it has waited the endpoint's ``flush_hold`` passes.
+See docs/RUNTIME.md.
 
 This package deliberately imports nothing from the rest of ``repro`` at
 module level — every layer (core, xrpc, sim) imports *it*, so it must
@@ -19,15 +20,6 @@ from .degradation import (
     standard_ladder,
 )
 from .engine import EngineError, ProgressEngine, Registration
-from .flush import (
-    FLUSH_POLICIES,
-    ByteThresholdFlush,
-    EagerFlush,
-    FlushPolicy,
-    FlushState,
-    NagleFlush,
-    make_flush_policy,
-)
 from .metrics import EngineMetrics, PollableMetrics
 from .overload import (
     LANE_BULK,
@@ -35,7 +27,6 @@ from .overload import (
     AdmissionController,
     AdmissionDecision,
     CircuitBreaker,
-    CoDelAdmission,
     ManualClock,
     QueueDepthAdmission,
     RetryBudget,
@@ -51,13 +42,6 @@ __all__ = [
     "EngineError",
     "ProgressEngine",
     "Registration",
-    "FLUSH_POLICIES",
-    "ByteThresholdFlush",
-    "EagerFlush",
-    "FlushPolicy",
-    "FlushState",
-    "NagleFlush",
-    "make_flush_policy",
     "EngineMetrics",
     "PollableMetrics",
     "FnPollable",
@@ -69,7 +53,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "CircuitBreaker",
-    "CoDelAdmission",
     "ManualClock",
     "QueueDepthAdmission",
     "RetryBudget",

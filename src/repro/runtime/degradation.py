@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .flush import NagleFlush
-
 __all__ = [
     "DegradationStep",
     "DegradationEvent",
@@ -142,9 +140,9 @@ def standard_ladder(
 
     1. ``shed_tracing`` — detach the trace recorder from every component
        in ``traced`` (their hooks become free); restore on revert.
-    2. ``widen_batching`` — swap each endpoint in ``endpoints`` to a
-       wide :class:`~repro.runtime.flush.NagleFlush` so bulk responses
-       amortize doorbells; restore the original policy on revert.
+    2. ``widen_batching`` — let each endpoint in ``endpoints`` hold a
+       partial block ``bulk_batch_ticks`` passes (``flush_hold``) so
+       bulk responses amortize doorbells; restore its hold on revert.
     3. ``offload_breaker`` — trip ``breaker`` so the DPU front end
        routes through host-parse fallback; revert begins half-open
        probing and the breaker closes itself once probes succeed.
@@ -167,16 +165,16 @@ def standard_ladder(
 
         steps.append(DegradationStep("shed_tracing", shed, unshed))
     if endpoints:
-        saved_policies: dict[int, object] = {}
+        saved_holds: dict[int, int] = {}
 
         def widen() -> None:
             for ep in endpoints:
-                saved_policies[id(ep)] = ep.flush_policy
-                ep.flush_policy = NagleFlush(deadline_ticks=bulk_batch_ticks)
+                saved_holds[id(ep)] = ep.flush_hold
+                ep.flush_hold = bulk_batch_ticks
 
         def narrow() -> None:
             for ep in endpoints:
-                ep.flush_policy = saved_policies.pop(id(ep))
+                ep.flush_hold = saved_holds.pop(id(ep))
 
         steps.append(DegradationStep("widen_batching", widen, narrow))
     if breaker is not None:

@@ -5,10 +5,10 @@ tolerance of :mod:`repro.core.recovery`: when offered traffic exceeds
 DPU/host capacity, queues grow without bound and every request's latency
 explodes together.  This module holds the mechanism layer — a shared
 microsecond clock, the packed deadline word requests carry on the wire,
-pluggable admission controllers (queue-depth and CoDel-style), the
-client-side retry budget, and the circuit breaker the degradation ladder
-trips on the DPU offload path.  Policy (when to shed, when to degrade)
-lives with the servers and :mod:`repro.runtime.degradation`.
+the queue-depth admission controller, the client-side retry budget, and
+the circuit breaker the degradation ladder trips on the DPU offload
+path.  Policy (when to shed, when to degrade) lives with the servers
+and :mod:`repro.runtime.degradation`.
 
 Like the rest of the ``runtime`` package this module imports nothing
 from the rest of ``repro`` — every layer above imports *it*.
@@ -16,7 +16,6 @@ from the rest of ``repro`` — every layer above imports *it*.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -35,7 +34,6 @@ __all__ = [
     "ADMIT",
     "AdmissionController",
     "QueueDepthAdmission",
-    "CoDelAdmission",
     "RetryBudget",
     "CircuitBreaker",
 ]
@@ -145,29 +143,26 @@ ADMIT = AdmissionDecision(True)
 
 
 class AdmissionController:
-    """Pluggable admission policy.  Servers call :meth:`decide` once per
-    request before doing any decode work; subclasses implement
-    :meth:`admit`.  The base class admits everything (useful as a
-    counting pass-through)."""
+    """What a server asks before serving a request.  Servers call
+    :meth:`decide` once per request before doing any decode work;
+    :class:`QueueDepthAdmission` implements :meth:`admit`.  The base
+    class admits everything (a counting pass-through, and the seam a
+    test substitutes a scripted controller through)."""
 
     def __init__(self) -> None:
         self.admitted = {LANE_LATENCY: 0, LANE_BULK: 0}
         self.shed = {LANE_LATENCY: 0, LANE_BULK: 0}
 
-    def admit(self, lane: int, depth: int, now: int) -> AdmissionDecision:
+    def admit(self, lane: int, depth: int) -> AdmissionDecision:
         return ADMIT
 
-    def decide(self, lane: int, depth: int, now: int) -> AdmissionDecision:
-        decision = self.admit(lane, depth, now)
+    def decide(self, lane: int, depth: int) -> AdmissionDecision:
+        decision = self.admit(lane, depth)
         if decision.admit:
             self.admitted[lane] += 1
         else:
             self.shed[lane] += 1
         return decision
-
-    def note_sojourn(self, sojourn_us: int, now: int) -> None:
-        """Feed one served request's queueing delay to latency-sensing
-        policies (no-op for depth-based ones)."""
 
     def pressure(self) -> float:
         """Normalized load signal in [0, ~inf): 1.0 = at the shed
@@ -205,7 +200,7 @@ class QueueDepthAdmission(AdmissionController):
         self.drain_per_tick = max(1, drain_per_tick)
         self._last_depth = 0
 
-    def admit(self, lane: int, depth: int, now: int) -> AdmissionDecision:
+    def admit(self, lane: int, depth: int) -> AdmissionDecision:
         self._last_depth = depth
         limit = self.max_depth
         if lane == LANE_LATENCY:
@@ -217,76 +212,6 @@ class QueueDepthAdmission(AdmissionController):
 
     def pressure(self) -> float:
         return self._last_depth / self.max_depth
-
-
-class CoDelAdmission(AdmissionController):
-    """CoDel-style admission: shed based on *measured* queueing delay
-    (sojourn time), not depth.  Standing queues — minimum sojourn above
-    ``target_us`` for a full ``interval_us`` — enter the dropping state;
-    while dropping, bulk requests are shed on the square-root-spaced
-    CoDel cadence, which sheds harder the longer the queue stands.  The
-    latency lane only sheds when sojourn exceeds ``hard_factor`` times
-    the target (total collapse, not a standing bulk queue)."""
-
-    def __init__(
-        self,
-        target_us: int = 5_000,
-        interval_us: int = 100_000,
-        hard_factor: int = 8,
-        retry_after_ticks: int = 16,
-    ) -> None:
-        super().__init__()
-        self.target_us = target_us
-        self.interval_us = interval_us
-        self.hard_factor = hard_factor
-        self.retry_after_ticks = retry_after_ticks
-        self._first_above: int | None = None
-        self._dropping = False
-        self._drop_next = 0
-        self._drop_count = 0
-        self._last_sojourn = 0
-
-    def note_sojourn(self, sojourn_us: int, now: int) -> None:
-        self._last_sojourn = sojourn_us
-        if sojourn_us < self.target_us:
-            self._first_above = None
-            self._dropping = False
-            self._drop_count = 0
-            return
-        if self._first_above is None:
-            self._first_above = now + self.interval_us
-        elif not self._dropping and now >= self._first_above:
-            # The queue has stood above target for a full interval.
-            self._dropping = True
-            self._drop_count = 1
-            self._drop_next = now
-
-    @property
-    def dropping(self) -> bool:
-        return self._dropping
-
-    def admit(self, lane: int, depth: int, now: int) -> AdmissionDecision:
-        if not self._dropping:
-            return ADMIT
-        if (
-            lane == LANE_LATENCY
-            and self._last_sojourn < self.target_us * self.hard_factor
-        ):
-            return ADMIT
-        if now >= self._drop_next:
-            self._drop_count += 1
-            self._drop_next = now + int(
-                self.interval_us / math.sqrt(self._drop_count)
-            )
-            return AdmissionDecision(
-                False,
-                self.retry_after_ticks,
-                f"sojourn {self._last_sojourn}us above target for interval",
-            )
-        return ADMIT
-
-    def pressure(self) -> float:
-        return self._last_sojourn / self.target_us if self.target_us else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ Two optional extensions refine engine behavior without being required:
 * ``pending() -> bool`` — true while the component still holds queued
   work (used by :meth:`ProgressEngine.drain` to know when the world has
   gone quiet);
-* ``flush_reasons`` — a ``dict[str, int]`` of flush-policy decisions the
+* ``flush_reasons`` — a ``dict[str, int]`` of block seals by reason the
   component records; the engine surfaces it through its metrics, and a
   draining engine calls such a component's ``flush(reason)``.
 """

@@ -374,8 +374,8 @@ class _ChildSide:
 
     def holds_work(self) -> bool:
         """Work no socket will announce: an op the fabric already read
-        (one RNR holds at an inbox head), or a partial block a non-eager
-        flush policy holds for a deadline counted in passes."""
+        (one RNR holds at an inbox head), or a partial block the
+        endpoint's ``flush_hold`` keeps open for a number of passes."""
         return self.fabric.holds_ops() or self.endpoint.holds_open_block
 
     def ticking(self) -> bool:

@@ -542,8 +542,8 @@ def default_knobs(deployment, cells: dict, initial: dict | None = None):
 
     Every knob applies *live* — mid-traffic, no reconnect:
 
-    * ``flush_ticks`` — response batching on both RDMA endpoints
-      (0 = eager, else Nagle with that deadline);
+    * ``flush_ticks`` — passes both RDMA endpoints hold a partial block
+      (``flush_hold``; 0 seals it every pass);
     * ``forward_budget`` — requests the DPU front end forwards per pass
       (the paper's DPU poller width, §III-C);
     * ``host_passes`` — host engine passes per tick (worker-pool width);
@@ -553,14 +553,13 @@ def default_knobs(deployment, cells: dict, initial: dict | None = None):
     ``cells`` carries the budget knobs to the drive loop; ``initial``
     overrides starting values (the deliberately bad config)."""
     from repro.runtime.autotune import Knob
-    from repro.runtime.flush import EagerFlush, NagleFlush
 
     initial = dict(initial or {})
     rdma, dpu, host = deployment.rdma, deployment.dpu, deployment.host
 
     def apply_flush(v):
         for ep in (rdma.client, rdma.server):
-            ep.flush_policy = EagerFlush() if v == 0 else NagleFlush(deadline_ticks=v)
+            ep.flush_hold = v
 
     def apply_credits(v):
         for ep in (rdma.client, rdma.server):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.core.wire import Flags, MessageTooLarge
 from repro.proto.fixed_wire import negotiation_hash
 from repro.proto.wire_format import WireFormatError
-from repro.runtime.overload import deadline_expired, now_us
+from repro.runtime.overload import deadline_expired
 
 from .framing import (
     FrameDecoder,
@@ -95,7 +95,7 @@ class Ingress:
         #: requests dropped expired-on-arrival, before any decode work
         self.deadline_expired = {self.EXPIRED_STAGE: 0}
         # Two priority lanes of decoded-but-unserved requests:
-        # (conn, frame, arrival_us).  The latency lane always drains
+        # (conn, frame).  The latency lane always drains
         # first; with budget=None both drain fully every pass, so the
         # lanes only reorder under an explicit per-pass budget.
         self._lanes = (deque(), deque())
@@ -137,8 +137,8 @@ class Ingress:
         :class:`~repro.runtime.engine.ProgressEngine`; ``budget`` caps
         the requests *served* in one pass (overload drops and sheds are
         cheap and never charged against it) — unserved requests wait in
-        their priority lane, where their sojourn feeds CoDel-style
-        admission (docs/OVERLOAD.md)."""
+        their priority lane, and count into the depth admission control
+        judges (docs/OVERLOAD.md)."""
         self._ticks += 1
         while self.listener is not None and (sock := self.listener.accept()) is not None:
             self.adopt(sock)
@@ -159,14 +159,14 @@ class Ingress:
                     elif frame.frame_type is not FrameType.REQUEST:
                         continue
                     elif (
-                        (judged := frame.deadline_word or self.admission is not None)
+                        frame.deadline_word
+                        or self.admission is not None
                         or lanes[0]
                         or (budget is not None and served >= budget)
                     ):
                         # It has to wait — to be judged by the overload
                         # checks, for its lane's turn or for the budget.
-                        lanes[frame.deadline_word & 1].append(
-                            (conn, frame, now_us() if judged else 0))
+                        lanes[frame.deadline_word & 1].append((conn, frame))
                     else:
                         # Nothing is ahead of it and no one to ask: it is
                         # served where it was decoded.
@@ -179,10 +179,10 @@ class Ingress:
                 gone.append(conn)
         for lane, queue in enumerate(self._lanes):
             while queue and (budget is None or served < budget):
-                conn, frame, arrival = queue.popleft()
+                conn, frame = queue.popleft()
                 if not conn.alive or conn.socket.eof():
                     continue  # client gone; a reply would be dropped anyway
-                if self._drop_or_shed(conn, frame, lane, arrival):
+                if self._drop_or_shed(conn, frame, lane):
                     continue
                 served += 1
                 self._serve_contained(conn, frame, lane)
@@ -207,8 +207,7 @@ class Ingress:
             self._connections = [c for c in self._connections if c.alive]
         return served
 
-    def _drop_or_shed(self, conn: _Connection, frame, lane: int,
-                      arrival: int) -> bool:
+    def _drop_or_shed(self, conn: _Connection, frame, lane: int) -> bool:
         """Overload checks ahead of any decode work: expired-on-arrival
         requests are dropped, then the admission controller may shed.
         With an engine behind the door the depth signal also counts the
@@ -226,12 +225,10 @@ class Ingress:
             return True
         if self.admission is None:
             return False
-        now = now_us()
-        self.admission.note_sojourn(now - arrival, now)
         depth = 1 + sum(len(q) for q in self._lanes)
         if self.dpu is not None:
             depth += self.dpu.channel.client.outstanding
-        decision = self.admission.decide(lane, depth, now)
+        decision = self.admission.decide(lane, depth)
         if decision.admit:
             return False
         if self.trace is not None:

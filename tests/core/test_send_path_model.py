@@ -33,17 +33,21 @@ CONCURRENCY = 8  # small, so the backlog admits most of the requests
 DEADLINE_US = 1 << 60  # never expires; rides as a prefix word
 
 
-def config(credits: int, flush_policy: str) -> ProtocolConfig:
+#: passes both sides hold a partial block: none, or a few
+HOLDS = {"eager": 0, "nagle": 4}
+
+
+def config(credits: int) -> ProtocolConfig:
     return ProtocolConfig(
         block_size=BLOCK, block_alignment=KIB, credits=credits,
         send_buffer_size=4 * KIB * KIB, recv_buffer_size=4 * KIB * KIB,
-        concurrency=CONCURRENCY, flush_policy=flush_policy,
+        concurrency=CONCURRENCY,
     )
 
 
 #: where a block seals before (remaining < size + 32) or after
 #: (bytes_used >= block_size) a message, two to a block, empty, and both
-#: sides of the LARGE form's threshold (ProtocolConfig.max_payload ± 1)
+#: sides of the LARGE form's threshold (payloads of 2^16 bytes and up)
 sizes = st.one_of(
     st.sampled_from([0, 1, 8, 100, 65534, 65535, 65536]),
     st.integers(BLOCK - 80, BLOCK + 1),
@@ -80,9 +84,10 @@ def make_writer(tag: int, size: int, mode: str):
 
 class Model:
     def __init__(self, credits: int, flush_policy: str) -> None:
-        cfg = config(credits, flush_policy)
+        cfg = config(credits)
         self.ch = create_channel(cfg, cfg)
         self.client, self.server = self.ch.client, self.ch.server
+        self.client.flush_hold = self.server.flush_hold = HOLDS[flush_policy]
         #: what the server will see, in order: (tag, size, deadline?, response plan)
         self.expected = deque()
         self.fired: dict[int, int] = {}
@@ -202,7 +207,7 @@ class Model:
         assert all(out.message_count >= 1 for out in ep._send_queue)
 
 
-@pytest.mark.parametrize("flush_policy", ["eager", "nagle", "bytes"])
+@pytest.mark.parametrize("flush_policy", ["eager", "nagle"])
 @settings(max_examples=200, deadline=None)
 @given(credits=st.sampled_from([2, 8]), script=steps)
 def test_the_send_path_keeps_its_books(flush_policy, credits, script):

@@ -26,11 +26,15 @@ from repro.xrpc import FrameDecoder, StatusCode, encode_request
 REQUESTS = 640
 DEPTH = 16
 #: Python-level calls per request this script counted at the parent of
-#: the change that made the per-block path straight (commit 1887ce7)
-PARENT_CALLS = {16: 68.8766, 1: 247.0016}
-#: depth -> budget: depth 16 may not grow past that parent, depth 1 must
-#: stay below 170 (the straight path)
-BUDGET = {16: PARENT_CALLS[16], 1: 170.0}
+#: the change that made a partial block's hold an int on the endpoint
+#: (commit ce2af41: one flush-policy call per endpoint pass)
+PARENT_CALLS = {16: 63.9391, 1: 168.0016}
+#: depth -> budget, halfway between that parent and what the change
+#: counted alone (63.8141 and 166.0016: 40 841 and 106 241 calls for the
+#: 640 requests).  The parent fails both; the margin absorbs the few
+#: calls that can land inside the window when the whole suite shares
+#: the process (+2 seen once at depth 1; alone the count never moved).
+BUDGET = {16: 63.8766, 1: 167.0}
 
 
 def python_calls_per_request(requests: int = REQUESTS, depth: int = DEPTH) -> float:

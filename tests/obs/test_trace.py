@@ -146,6 +146,86 @@ class TestDerivedIds:
         assert results[0] == results[1]  # derived ids ship zero wire bytes
 
 
+class TestRecorderChangedMidBlock:
+    """A recorder is attached or detached at any pass — the degradation
+    ladder's ``shed_tracing`` rung sets ``trace`` to None and back — so
+    a block the client holds open may straddle the change."""
+
+    @staticmethod
+    def held_channel(collector):
+        ch = make_channel()
+        attach_channel(collector, ch, stream="t",
+                       client_component="c", server_component="s")
+        ch.client.flush_hold = 8
+        return ch
+
+    def test_detached_while_a_held_block_is_traced(self):
+        ch = self.held_channel(TraceCollector())
+        done = []
+        ch.client.enqueue_bytes(METHOD, b"held", lambda v, f: done.append(bytes(v)))
+        ch.client.trace = None
+        for _ in range(20):
+            ch.engine.step()
+        assert done == [b"held"]
+
+    def test_detached_then_reset_while_a_held_block_is_traced(self):
+        from repro.core.recovery import ChannelRecovery
+
+        ch = self.held_channel(TraceCollector())
+        done = []
+        ch.client.enqueue_bytes(METHOD, b"held", lambda v, f: done.append(bytes(v)))
+        ch.client.trace = None
+        ChannelRecovery(ch).reset(reason="test")
+        for _ in range(20):
+            ch.engine.step()
+        assert done == [b"held"]
+
+    def test_reattached_mid_block_keeps_the_serials_in_step(self):
+        collector = TraceCollector()
+        ch = self.held_channel(collector)
+        recorder = ch.client.trace
+        done = []
+        ch.client.enqueue_bytes(METHOD, b"a", lambda v, f: done.append(bytes(v)))
+        ch.client.trace = None  # what the shed_tracing rung does...
+        ch.client.enqueue_bytes(METHOD, b"bb", lambda v, f: done.append(bytes(v)))
+        ch.client.trace = recorder  # ...and its revert, before the seal
+        for _ in range(20):
+            ch.engine.step()
+        ch.client.enqueue_bytes(METHOD, b"ccc", lambda v, f: done.append(bytes(v)))
+        for _ in range(20):
+            ch.engine.step()
+        assert done == [b"a", b"bb", b"ccc"]
+        timelines, _ = stitch(collector)
+        traced = {tl.tid: tl for tl in timelines if "c" in tl.components()}
+        # The untraced second message still took serial 2 on both sides.
+        assert sorted(traced) == [("t", 1), ("t", 3)]
+        for tl in traced.values():
+            sizes = {ev.component: ev.attrs["bytes"] for ev in tl.events
+                     if ev.stage in (Stage.ENQUEUE, Stage.DELIVER)}
+            assert sizes["c"] == sizes["s"]
+
+    def test_attached_mid_block_gives_each_request_its_own_id(self):
+        collector = TraceCollector()
+        ch = make_channel()
+        ch.client.flush_hold = 8
+        done = []
+        ch.client.enqueue_bytes(METHOD, b"abc", lambda v, f: done.append(bytes(v)))
+        attach_channel(collector, ch, stream="t",
+                       client_component="c", server_component="s")
+        ch.client.enqueue_bytes(METHOD, b"defgh", lambda v, f: done.append(bytes(v)))
+        for _ in range(20):
+            ch.engine.step()
+        assert done == [b"abc", b"defgh"]
+        timelines, _ = stitch(collector)
+        (traced,) = [tl for tl in timelines if "c" in tl.components()]
+        # The second message of the block: serial 2 on both sides, and
+        # the client's half stitched to that request's server half.
+        assert traced.tid == ("t", 2)
+        sizes = {ev.component: ev.attrs["bytes"] for ev in traced.events
+                 if ev.stage in (Stage.ENQUEUE, Stage.DELIVER)}
+        assert sizes == {"c": 5, "s": 5}
+
+
 class TestExplicitContext:
     def test_word_stripped_before_handler(self):
         collector = TraceCollector()

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.core import Response, create_channel
 from repro.metrics import MetricsRegistry
+from repro.obs import TraceCollector, attach_channel
 from repro.runtime.degradation import (
     DegradationManager,
     DegradationStep,
     standard_ladder,
 )
-from repro.runtime.flush import NagleFlush
 from repro.runtime.overload import CircuitBreaker
 
 
@@ -113,7 +116,7 @@ class FakeTraced:
 
 class FakeEndpoint:
     def __init__(self):
-        self.flush_policy = NagleFlush(deadline_ticks=2)
+        self.flush_hold = 2
 
 
 class TestStandardLadder:
@@ -129,13 +132,11 @@ class TestStandardLadder:
 
     def test_widen_batching_rung(self):
         ep = FakeEndpoint()
-        original = ep.flush_policy
         steps = standard_ladder(endpoints=[ep], bulk_batch_ticks=32)
         steps[0].apply()
-        assert isinstance(ep.flush_policy, NagleFlush)
-        assert ep.flush_policy.deadline_ticks == 32
+        assert ep.flush_hold == 32
         steps[0].revert()
-        assert ep.flush_policy is original
+        assert ep.flush_hold == 2
 
     def test_breaker_rung_trips_and_half_opens(self):
         breaker = CircuitBreaker()
@@ -169,6 +170,38 @@ class TestStandardLadder:
         assert [s.name for s in steps] == [
             "shed_tracing", "widen_batching", "offload_breaker",
         ]
+
+    def test_a_ladder_walked_mid_traffic_answers_every_request_once(self):
+        """Both rungs that touch an endpoint, on a live traced one: the
+        recorder goes and comes back, and the hold widens and narrows,
+        while blocks with traced and untraced messages are open."""
+        ch = create_channel()
+        ch.server.register(1, lambda req: Response.from_bytes(req.payload_bytes()))
+        attach_channel(TraceCollector(), ch, stream="t")
+        ep = ch.client
+        mgr = DegradationManager(
+            standard_ladder(traced=[ep], endpoints=[ep], bulk_batch_ticks=4),
+            step_up_after=1, step_down_after=1,
+        )
+        answers: Counter = Counter()
+        sent = 0
+
+        def enqueue(n: int) -> None:
+            nonlocal sent
+            for _ in range(n):
+                ep.enqueue_bytes(1, sent.to_bytes(4, "big"),
+                                 lambda v, f: answers.update([int.from_bytes(v, "big")]))
+                sent += 1
+
+        for tick in range(60):
+            enqueue(2)
+            mgr.observe(2.0 if tick % 12 < 6 else 0.0, tick)
+            enqueue(1)
+            ch.engine.step()
+        assert [e.action for e in mgr.events[:4]] == [
+            "degrade", "degrade", "recover", "recover"]
+        assert ch.engine.drain(max_iters=200)
+        assert answers == Counter(range(sent))
 
     def test_full_ladder_walk(self):
         comp, ep = FakeTraced(), FakeEndpoint()

@@ -1,19 +1,16 @@
-"""Tests for the pluggable flush policies: policy semantics in isolation,
-flush-reason accounting on live endpoints, and the credit-exhaustion /
-partial-block flush ordering interaction under every policy."""
+"""Tests for the flush hold (``flush_hold``, the passes a partial block
+may wait): the rule on one endpoint, flush-reason accounting on live
+endpoints, and the credit-exhaustion / partial-block flush ordering
+interaction with no hold (``eager``) and with one (``nagle``)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import ProtocolConfig, Response, create_channel
-from repro.runtime.flush import (
-    ByteThresholdFlush,
-    EagerFlush,
-    FlushState,
-    NagleFlush,
-    make_flush_policy,
-)
+
+#: the two ways a partial block waits: every pass, or a few passes
+HOLDS = {"eager": 0, "nagle": 3}
 
 
 def make_cfg(**overrides) -> ProtocolConfig:
@@ -29,51 +26,44 @@ def make_cfg(**overrides) -> ProtocolConfig:
     return ProtocolConfig(**base)
 
 
+def echo_channel(cfg=None, hold: int = 0):
+    """A channel whose client holds a partial block ``hold`` passes."""
+    cfg = cfg or make_cfg()
+    ch = create_channel(cfg, cfg)
+    ch.server.register(1, lambda req: Response.from_bytes(req.payload_bytes()))
+    ch.client.flush_hold = hold
+    return ch
+
+
 class TestPolicyUnits:
     def test_eager_flushes_any_pending_message(self):
-        p = EagerFlush()
-        assert p.should_flush(FlushState(10, 1, 0)) == "eager"
-        assert p.should_flush(FlushState(0, 0, 99)) is None
+        ch = echo_channel()
+        assert ch.client.flush_hold == 0  # the paper's event loop
+        ch.client.progress()
+        assert ch.client.flush_reasons == {}  # nothing open, nothing sealed
+        ch.client.enqueue_bytes(1, b"x", lambda v, f: None)
+        assert ch.client.holds_open_block
+        ch.client.progress()
+        assert not ch.client.holds_open_block
+        assert ch.client.flush_reasons == {"eager": 1}
 
     def test_nagle_waits_for_deadline(self):
-        p = NagleFlush(deadline_ticks=3)
-        assert p.should_flush(FlushState(10, 1, 0)) is None
-        assert p.should_flush(FlushState(10, 1, 2)) is None
-        assert p.should_flush(FlushState(10, 1, 3)) == "deadline"
-        assert p.should_flush(FlushState(0, 0, 50)) is None  # nothing open
-
-    def test_bytes_threshold_with_deadline_backstop(self):
-        p = ByteThresholdFlush(byte_threshold=100, deadline_ticks=5)
-        assert p.should_flush(FlushState(99, 2, 0)) is None
-        assert p.should_flush(FlushState(100, 2, 0)) == "bytes"
-        assert p.should_flush(FlushState(10, 1, 5)) == "deadline"
-
-    def test_factory_reads_config(self):
-        assert isinstance(make_flush_policy(make_cfg()), EagerFlush)
-        nagle = make_flush_policy(make_cfg(flush_policy="nagle", flush_deadline_ticks=7))
-        assert isinstance(nagle, NagleFlush)
-        assert nagle.deadline_ticks == 7
-        by = make_flush_policy(make_cfg(flush_policy="bytes", flush_byte_threshold=333))
-        assert isinstance(by, ByteThresholdFlush)
-        assert by.byte_threshold == 333
-
-    def test_factory_defaults_byte_threshold_to_half_block(self):
-        by = make_flush_policy(make_cfg(flush_policy="bytes"))
-        assert by.byte_threshold == 2 * 1024 // 2
-
-    def test_invalid_flush_policy_rejected_by_config(self):
-        with pytest.raises(ValueError):
-            make_cfg(flush_policy="immediately")
+        ch = echo_channel(hold=3)
+        for _ in range(50):
+            ch.client.progress()
+        assert ch.client.flush_reasons == {}  # nothing open
+        ch.client.enqueue_bytes(1, b"x", lambda v, f: None)
+        ch.client.progress()
+        ch.client.progress()
+        assert ch.client.holds_open_block  # two passes < the hold of three
+        ch.client.progress()
+        assert not ch.client.holds_open_block
+        assert ch.client.flush_reasons == {"deadline": 1}
 
 
 class TestPolicyOnEndpoints:
-    def _echo_channel(self, cfg):
-        ch = create_channel(cfg, cfg)
-        ch.server.register(1, lambda req: Response.from_bytes(req.payload_bytes()))
-        return ch
-
     def test_eager_sends_on_first_step(self):
-        ch = self._echo_channel(make_cfg())
+        ch = echo_channel()
         out = []
         ch.client.enqueue_bytes(1, b"x", lambda v, f: out.append(bytes(v)))
         ch.engine.step()
@@ -81,7 +71,7 @@ class TestPolicyOnEndpoints:
         assert ch.client.flush_reasons.get("eager") == 1
 
     def test_nagle_holds_partial_block_until_deadline(self):
-        ch = self._echo_channel(make_cfg(flush_policy="nagle", flush_deadline_ticks=4))
+        ch = echo_channel(hold=4)
         out = []
         ch.client.enqueue_bytes(1, b"x", lambda v, f: out.append(bytes(v)))
         for _ in range(3):
@@ -91,44 +81,22 @@ class TestPolicyOnEndpoints:
         assert ch.client.stats.blocks_sent == 1
         assert ch.client.flush_reasons == {"deadline": 1}
         # Messages enqueued while waiting batch into the same block.
-        ch2 = self._echo_channel(make_cfg(flush_policy="nagle", flush_deadline_ticks=4))
+        ch2 = echo_channel(hold=4)
         for i in range(5):
             ch2.client.enqueue_bytes(1, bytes([i]), lambda v, f: None)
         for _ in range(5):
             ch2.engine.step()
         assert ch2.client.stats.blocks_sent == 1
 
-    def test_bytes_policy_flushes_on_threshold(self):
-        cfg = make_cfg(flush_policy="bytes", flush_byte_threshold=256,
-                       flush_deadline_ticks=50)
-        ch = self._echo_channel(cfg)
-        ch.client.enqueue_bytes(1, b"a" * 100, lambda v, f: None)
-        ch.engine.step()
-        assert ch.client.stats.blocks_sent == 0  # 100 bytes < 256
-        ch.client.enqueue_bytes(1, b"b" * 200, lambda v, f: None)
-        ch.engine.step()
-        assert ch.client.stats.blocks_sent == 1
-        assert "bytes" in ch.client.flush_reasons
-
-    def test_bytes_policy_deadline_backstop(self):
-        cfg = make_cfg(flush_policy="bytes", flush_byte_threshold=1024,
-                       flush_deadline_ticks=6)
-        ch = self._echo_channel(cfg)
-        ch.client.enqueue_bytes(1, b"tiny", lambda v, f: None)
-        for _ in range(10):
-            ch.engine.step()
-        assert ch.client.stats.blocks_sent == 1
-        assert "deadline" in ch.client.flush_reasons
-
     def test_block_full_recorded_when_block_fills(self):
-        ch = self._echo_channel(make_cfg(flush_policy="nagle", flush_deadline_ticks=50))
+        ch = echo_channel(hold=50)
         # Each ~700-byte message: three fill past a 2 KiB block.
         for i in range(4):
             ch.client.enqueue_bytes(1, bytes([i]) * 700, lambda v, f: None)
         assert ch.client.flush_reasons.get("block_full", 0) >= 1
 
     def test_explicit_flush_always_available(self):
-        ch = self._echo_channel(make_cfg(flush_policy="nagle", flush_deadline_ticks=99))
+        ch = echo_channel(hold=99)
         out = []
         ch.client.enqueue_bytes(1, b"now", lambda v, f: out.append(bytes(v)))
         ch.client.flush()
@@ -137,30 +105,30 @@ class TestPolicyOnEndpoints:
         assert out == [b"now"]
 
     def test_server_side_flush_reasons_recorded(self):
-        ch = self._echo_channel(make_cfg())
+        ch = echo_channel()
         ch.client.enqueue_bytes(1, b"x", lambda v, f: None)
         assert ch.engine.drain(max_iters=50)
         assert ch.server.flush_reasons.get("eager", 0) >= 1
 
 
 class TestCreditExhaustionOrdering:
-    """§IV-C congestion control meets the flush policies: with a tiny
-    credit window and more blocks than credits, every policy must keep
-    responses strictly FIFO, exercise the pure-ack deadlock breaker, and
-    return the credit window to full once quiescent."""
+    """§IV-C congestion control meets the flush hold: with a tiny credit
+    window and more blocks than credits, both sides holding or not must
+    keep responses strictly FIFO, exercise the pure-ack deadlock
+    breaker, and return the credit window to full once quiescent."""
 
     N = 40
 
-    @pytest.mark.parametrize("policy", ["eager", "nagle", "bytes"])
-    def test_ordering_and_recovery_under_each_policy(self, policy):
-        cfg = make_cfg(
-            credits=2,
-            flush_policy=policy,
-            flush_deadline_ticks=3,
-            flush_byte_threshold=1024,
-            concurrency=16,
-        )
+    @staticmethod
+    def channel(policy: str):
+        cfg = make_cfg(credits=2, concurrency=16)
         ch = create_channel(cfg, cfg)
+        ch.client.flush_hold = ch.server.flush_hold = HOLDS[policy]
+        return cfg, ch
+
+    @pytest.mark.parametrize("policy", ["eager", "nagle"])
+    def test_ordering_and_recovery_under_each_policy(self, policy):
+        cfg, ch = self.channel(policy)
         ch.server.register(5, lambda req: Response.from_bytes(req.payload_bytes()))
         out = []
         # ~600-byte payloads: ~3 per 2 KiB block, so 40 requests need far
@@ -185,30 +153,22 @@ class TestCreditExhaustionOrdering:
         assert ch.client.credits.stalls > 0
         # ...and recovered completely once the exchange quiesced.
         assert ch.client.credits.available == cfg.credits
-        # Replay invariant survives congestion under every policy.
+        # Replay invariant survives congestion with or without a hold.
         assert ch.client.id_pool.fingerprint() == ch.server.id_pool.fingerprint()
 
-    @pytest.mark.parametrize("policy", ["eager", "nagle", "bytes"])
+    @pytest.mark.parametrize("policy", ["eager", "nagle"])
     def test_flush_reasons_match_policy(self, policy):
-        cfg = make_cfg(
-            credits=2,
-            flush_policy=policy,
-            flush_deadline_ticks=3,
-            flush_byte_threshold=1024,
-            concurrency=16,
-        )
-        ch = create_channel(cfg, cfg)
+        _, ch = self.channel(policy)
         ch.server.register(5, lambda req: Response.from_bytes(b"ok"))
         for i in range(self.N):
             ch.client.enqueue_bytes(5, bytes(600), lambda v, f: None)
         assert ch.engine.drain(max_iters=600)
         reasons = set(ch.client.flush_reasons)
-        # "drain" can appear for any policy: ProgressEngine.drain()
+        # "drain" can appear either way: ProgressEngine.drain()
         # force-flushes whatever partial block is open when it starts.
         allowed = {
             "eager": {"eager", "block_full", "backlog", "drain"},
             "nagle": {"deadline", "block_full", "backlog", "drain"},
-            "bytes": {"bytes", "deadline", "block_full", "backlog", "drain"},
         }[policy]
         assert reasons, "no flushes recorded at all"
         assert reasons <= allowed, f"unexpected flush reasons: {reasons - allowed}"

@@ -10,7 +10,6 @@ from repro.runtime.overload import (
     LANE_LATENCY,
     AdmissionController,
     CircuitBreaker,
-    CoDelAdmission,
     ManualClock,
     QueueDepthAdmission,
     RetryBudget,
@@ -79,98 +78,48 @@ class TestDeadlineWord:
 class TestQueueDepthAdmission:
     def test_admits_below_depth(self):
         adm = QueueDepthAdmission(max_depth=4)
-        assert adm.decide(LANE_BULK, 3, 0).admit
+        assert adm.decide(LANE_BULK, 3).admit
         assert adm.admitted[LANE_BULK] == 1
 
     def test_sheds_bulk_at_depth(self):
         adm = QueueDepthAdmission(max_depth=4)
-        decision = adm.decide(LANE_BULK, 4, 0)
+        decision = adm.decide(LANE_BULK, 4)
         assert not decision.admit
         assert decision.retry_after_ticks >= 1
         assert adm.shed[LANE_BULK] == 1
 
     def test_latency_lane_survives_bulk_shedding(self):
         adm = QueueDepthAdmission(max_depth=4, hard_factor=4)
-        assert adm.decide(LANE_LATENCY, 15, 0).admit
-        assert not adm.decide(LANE_LATENCY, 16, 0).admit
+        assert adm.decide(LANE_LATENCY, 15).admit
+        assert not adm.decide(LANE_LATENCY, 16).admit
 
     def test_retry_after_scales_with_excess(self):
         adm = QueueDepthAdmission(max_depth=4, drain_per_tick=2)
-        small = adm.decide(LANE_BULK, 5, 0).retry_after_ticks
-        large = adm.decide(LANE_BULK, 50, 0).retry_after_ticks
+        small = adm.decide(LANE_BULK, 5).retry_after_ticks
+        large = adm.decide(LANE_BULK, 50).retry_after_ticks
         assert large > small
 
     def test_pressure_is_normalized_depth(self):
         adm = QueueDepthAdmission(max_depth=10)
-        adm.decide(LANE_BULK, 5, 0)
+        adm.decide(LANE_BULK, 5)
         assert adm.pressure() == pytest.approx(0.5)
-        adm.decide(LANE_BULK, 20, 0)
+        adm.decide(LANE_BULK, 20)
         assert adm.pressure() == pytest.approx(2.0)
 
     def test_stats(self):
         adm = QueueDepthAdmission(max_depth=2)
-        adm.decide(LANE_BULK, 1, 0)
-        adm.decide(LANE_BULK, 9, 0)
+        adm.decide(LANE_BULK, 1)
+        adm.decide(LANE_BULK, 9)
         assert adm.stats() == {
             "admitted": {LANE_LATENCY: 0, LANE_BULK: 1},
             "shed": {LANE_LATENCY: 0, LANE_BULK: 1},
         }
 
 
-class TestCoDelAdmission:
-    def test_no_drop_below_target(self):
-        adm = CoDelAdmission(target_us=1_000, interval_us=10_000)
-        for now in range(0, 100_000, 1_000):
-            adm.note_sojourn(500, now)
-            assert adm.decide(LANE_BULK, 1, now).admit
-        assert not adm.dropping
-
-    def test_standing_queue_enters_dropping(self):
-        adm = CoDelAdmission(target_us=1_000, interval_us=10_000)
-        now = 0
-        adm.note_sojourn(2_000, now)  # first above target: arms the interval
-        assert not adm.dropping
-        now = 11_000
-        adm.note_sojourn(2_000, now)  # stood above target a full interval
-        assert adm.dropping
-        assert not adm.decide(LANE_BULK, 1, now).admit
-
-    def test_drop_cadence_accelerates(self):
-        adm = CoDelAdmission(target_us=1_000, interval_us=10_000)
-        adm.note_sojourn(2_000, 0)
-        adm.note_sojourn(2_000, 11_000)
-        drops, now = 0, 11_000
-        for _ in range(200):
-            adm.note_sojourn(2_000, now)
-            if not adm.decide(LANE_BULK, 1, now).admit:
-                drops += 1
-            now += 1_000
-        # sqrt cadence: strictly more drops in the second half
-        assert drops > 200 * 1_000 / 10_000
-
-    def test_latency_lane_only_sheds_on_collapse(self):
-        adm = CoDelAdmission(target_us=1_000, interval_us=10_000, hard_factor=8)
-        adm.note_sojourn(2_000, 0)
-        adm.note_sojourn(2_000, 11_000)
-        assert adm.dropping
-        assert adm.decide(LANE_LATENCY, 1, 11_000).admit
-        adm.note_sojourn(9_000, 12_000)  # above hard_factor * target
-        assert not adm.decide(LANE_LATENCY, 1, 12_000).admit
-
-    def test_recovery_clears_dropping(self):
-        adm = CoDelAdmission(target_us=1_000, interval_us=10_000)
-        adm.note_sojourn(2_000, 0)
-        adm.note_sojourn(2_000, 11_000)
-        assert adm.dropping
-        adm.note_sojourn(100, 12_000)
-        assert not adm.dropping
-        assert adm.decide(LANE_BULK, 1, 12_000).admit
-
-
 class TestAdmissionBase:
     def test_base_controller_admits_and_counts(self):
         adm = AdmissionController()
-        assert adm.decide(LANE_LATENCY, 10**6, 0) is ADMIT
+        assert adm.decide(LANE_LATENCY, 10**6) is ADMIT
         assert adm.admitted[LANE_LATENCY] == 1
         assert adm.pressure() == 0.0
 

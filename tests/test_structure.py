@@ -183,8 +183,9 @@ def test_the_engine_polls_progress_and_nothing_else():
 
 
 def test_protocol_config_fields():
-    """The fifteen per-endpoint knobs; the engine has one schedule, so
-    none of them picks a scheduling policy."""
+    """The eleven per-endpoint knobs; the engine has one schedule and a
+    partial block one hold (``flush_hold``, set on the endpoint), so none
+    of them picks a scheduling or flush policy."""
     from dataclasses import fields
 
     from repro.core import ProtocolConfig
@@ -192,9 +193,7 @@ def test_protocol_config_fields():
     assert [f.name for f in fields(ProtocolConfig)] == [
         "block_size", "block_alignment", "credits", "send_buffer_size",
         "recv_buffer_size", "concurrency", "threads", "max_message_size",
-        "max_payload", "flush_policy", "flush_deadline_ticks",
-        "flush_byte_threshold", "request_deadline_ticks", "verify_checksums",
-        "transport",
+        "request_deadline_ticks", "verify_checksums", "transport",
     ]
 
 

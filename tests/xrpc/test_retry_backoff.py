@@ -117,7 +117,7 @@ class TestRetryBudgetIntegration:
         from repro.runtime.overload import AdmissionController, AdmissionDecision
 
         class ShedAll(AdmissionController):
-            def admit(self, lane, depth, now):
+            def admit(self, lane, depth):
                 return AdmissionDecision(False, 2, "always")
 
         server.admission = ShedAll()
@@ -137,7 +137,7 @@ class TestRetryBudgetIntegration:
                 super().__init__()
                 self.n = n
 
-            def admit(self, lane, depth, now):
+            def admit(self, lane, depth):
                 if self.n > 0:
                     self.n -= 1
                     return AdmissionDecision(False, 1, "warming")
@@ -167,7 +167,7 @@ class TestRetryBudgetIntegration:
                 super().__init__()
                 self.done = False
 
-            def admit(self, lane, depth, now):
+            def admit(self, lane, depth):
                 if not self.done:
                     self.done = True
                     return AdmissionDecision(False, 1, "once")
@@ -197,7 +197,7 @@ class TestRetryAfterHint:
                 super().__init__()
                 self.done = False
 
-            def admit(self, lane, depth, now):
+            def admit(self, lane, depth):
                 if not self.done:
                     self.done = True
                     return AdmissionDecision(False, hint, "hinted")
@@ -235,7 +235,7 @@ class TestRetryAfterHint:
         from repro.runtime.overload import AdmissionController, AdmissionDecision
 
         class ShedAll(AdmissionController):
-            def admit(self, lane, depth, now):
+            def admit(self, lane, depth):
                 return AdmissionDecision(False, 7, "test")
 
         server.admission = ShedAll()
