@@ -107,18 +107,6 @@ def _writer_from_emit(size: int, emit) -> PayloadWriter:
     return writer
 
 
-class AddressContinuation:
-    """Wrap a continuation that needs the payload's *virtual address*
-    (``fn(payload_addr, payload_size, flags)``) instead of a byte view —
-    required when the response payload is an object whose internal
-    pointers must be resolved in place (response-serialization offload)."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[int, int, int], None]) -> None:
-        self.fn = fn
-
-
 class TransportError(ProtocolError):
     """The reliable connection itself failed: an error completion (QP
     flush, RNR exhaustion, protection fault) surfaced in the CQ.  The
@@ -224,12 +212,8 @@ def _fault(exc: Exception) -> Response:
 def _fail_continuation(cont, reason: bytes, flags: int = Flags.ERROR | Flags.ABORTED) -> None:
     """Deliver a locally synthesized failure to a request continuation.
     The default, ABORTED (deadline expiry, connection reset), tells 'the
-    library gave up' from a server-side ERROR response; AddressContinuations
-    get a null address — their object payload never materialized."""
-    if isinstance(cont, AddressContinuation):
-        cont.fn(0, 0, flags)
-    else:
-        cont(memoryview(reason), flags)
+    library gave up' from a server-side ERROR response."""
+    cont(memoryview(reason), flags)
 
 
 class _OutBlock(NamedTuple):
@@ -866,8 +850,6 @@ class ClientEndpoint(_EndpointBase):
                 # accounting so IDs, acks, and credits stay synchronized.
                 tombstones.discard(rid)
                 self.late_responses += 1
-            elif isinstance(cont, AddressContinuation):
-                cont.fn(payload_addr, payload_size, flags)
             else:
                 cont(rbuf.view(payload_addr, payload_size), flags)
             answered.append(rid)

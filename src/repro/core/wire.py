@@ -124,9 +124,7 @@ class Flags:
     ERROR = 1 << 0
     #: request asks for background (thread-pool) execution
     BACKGROUND = 1 << 1
-    #: payload is a deserialized C++ object (not wire bytes) — set on
-    #: responses when response *serialization* is offloaded to the client
-    OBJECT_PAYLOAD = 1 << 2
+    # 1 << 2 is reserved: never sent (docs/PROTOCOL.md §3)
     #: the header's 16-bit size is an overflow marker; the true payload
     #: size sits in a 64-bit extension word before the payload (the §IV-E
     #: "variable-length encoding" escape hatch for large messages —

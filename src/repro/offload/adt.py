@@ -41,6 +41,7 @@ __all__ = [
     "AdtEntry",
     "Adt",
     "TypeUniverse",
+    "BlobReader",
     "encode_adt",
     "decode_adt",
     "GLOBALS_BASE",
@@ -259,10 +260,36 @@ def _pack_str(out: bytearray, s: str) -> None:
     out += data
 
 
-def _unpack_str(buf: bytes, pos: int) -> tuple[str, int]:
-    (n,) = struct.unpack_from("<H", buf, pos)
-    pos += 2
-    return buf[pos : pos + n].decode("utf-8"), pos + n
+class BlobReader:
+    """Reads over an untrusted bootstrap blob in which every way out — a
+    read past its end, a name that is not UTF-8, bytes left over — is
+    :class:`AdtError`, the one error a hostile or truncated blob gives."""
+
+    __slots__ = ("data", "pos")
+
+    def __init__(self, data: bytes) -> None:
+        self.data, self.pos = data, 0
+
+    def take(self, n: int) -> bytes:
+        end = self.pos + n
+        if end > len(self.data):
+            raise AdtError(f"blob truncated: {n} bytes wanted at {self.pos}")
+        out, self.pos = self.data[self.pos : end], end
+        return out
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self) -> str:
+        (n,) = self.unpack("<H")
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise AdtError("a name is not UTF-8") from None
+
+    def done(self) -> None:
+        if self.pos != len(self.data):
+            raise AdtError(f"{len(self.data) - self.pos} trailing bytes")
 
 
 def encode_adt(adt: Adt) -> bytes:
@@ -292,31 +319,30 @@ def encode_adt(adt: Adt) -> bytes:
 
 
 def decode_adt(data: bytes) -> Adt:
-    if data[:4] != _MAGIC:
+    """The inverse of :func:`encode_adt`, checked once here: a blob it
+    did not write raises :class:`AdtError`.  ``Adt.entry`` and the
+    generated-decoder cache index ``entries`` with a field's ``child``
+    unchecked, where −1 would quietly name the last entry."""
+    blob = BlobReader(data)
+    if blob.take(4) != _MAGIC:
         raise AdtError("bad ADT magic")
-    pos = 4
-    stdlib = StdLib.LIBSTDCXX if data[pos] == 0 else StdLib.LIBCXX
-    pos += 1
-    abi_note, pos = _unpack_str(data, pos)
-    (n_entries,) = struct.unpack_from("<H", data, pos)
-    pos += 2
+    (stdlib_code,) = blob.unpack("<B")
+    if stdlib_code > 1:
+        raise AdtError(f"unknown stdlib code {stdlib_code}")
+    stdlib = StdLib.LIBCXX if stdlib_code else StdLib.LIBSTDCXX
+    abi_note = blob.text()
+    (n_entries,) = blob.unpack("<H")
     entries = []
     for _ in range(n_entries):
-        full_name, pos = _unpack_str(data, pos)
-        sizeof, alignof, vtable, default_addr, blen = struct.unpack_from("<IHQQI", data, pos)
-        pos += struct.calcsize("<IHQQI")
-        default_bytes = data[pos : pos + blen]
-        if len(default_bytes) != blen:
-            raise AdtError("truncated default instance bytes")
-        pos += blen
-        (n_fields,) = struct.unpack_from("<H", data, pos)
-        pos += 2
+        full_name = blob.text()
+        sizeof, alignof, vtable, default_addr, blen = blob.unpack("<IHQQI")
+        default_bytes = blob.take(blen)
+        (n_fields,) = blob.unpack("<H")
         fields = []
         for _ in range(n_fields):
-            name, pos = _unpack_str(data, pos)
+            name = blob.text()
             (number, kind_code, repeated, offset, has_bit, elem, child,
-             oneof_group) = struct.unpack_from("<IBBIHBhh", data, pos)
-            pos += struct.calcsize("<IBBIHBhh")
+             oneof_group) = blob.unpack("<IBBIHBhh")
             try:
                 kind = _KIND_FROM_CODE[kind_code]
             except KeyError:
@@ -328,4 +354,10 @@ def decode_adt(data: bytes) -> Adt:
         entries.append(
             AdtEntry(full_name, sizeof, alignof, vtable, default_addr, default_bytes, fields)
         )
+    blob.done()
+    for e in entries:
+        for f in e.fields:
+            ok = 0 <= f.child < n_entries if f.kind is FieldType.MESSAGE else f.child == -1
+            if not ok:
+                raise AdtError(f"{e.full_name}.{f.name}: child {f.child} out of range")
     return Adt(stdlib=stdlib, abi_note=abi_note, entries=entries)

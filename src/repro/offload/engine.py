@@ -9,13 +9,13 @@ host/DPU connection.
   zero-copy :class:`~repro.offload.materialize.CppMessageView` — the
   object was fully constructed by the DPU, no deserialization happens
   here;
-* serializes responses on the host (response serialization is *not*
-  offloaded, matching the paper's prototype, §III-A).
+* serializes every response on the host, as the paper's prototype does
+  (§III-A): responses cross the PCIe as wire bytes the DPU only reframes.
 
 ``DpuEngine`` (DPU):
 
 * receives the bootstrap blob (ADT + method table + ABI note) once at
-  startup (§V-B) and instantiates the
+  startup (§V-B), checks every index in it, and instantiates the
   :class:`~repro.offload.arena_deserializer.ArenaDeserializer` from it;
 * for each xRPC request, deserializes the protobuf payload **directly
   into the outgoing protocol block** (the arena *is* the payload) and
@@ -43,7 +43,6 @@ from repro.core import (
     create_channel,
 )
 from repro.core.config import CLIENT_DEFAULTS, SERVER_DEFAULTS
-from repro.core.endpoint import AddressContinuation
 from repro.memory import Arena
 from repro.proto import (
     DECODE_MODES,
@@ -57,11 +56,9 @@ from repro.proto.descriptor import MessageDescriptor
 from repro.proto.fixed_wire import WIRE_FIXED, parse_fixed
 from repro.rdma import Opcode, WorkRequest
 
-from .adt import Adt, AdtError, TypeUniverse, decode_adt, encode_adt
+from .adt import Adt, AdtError, BlobReader, TypeUniverse, decode_adt, encode_adt
 from .arena_deserializer import ArenaDeserializer, DeserializeStats
 from .materialize import CppMessageView
-from .object_builder import build_object, object_size_upper_bound
-from .view import serialize_object
 
 __all__ = [
     "MethodSpec",
@@ -85,13 +82,12 @@ class EngineCrashedError(RuntimeError):
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One offloadable procedure: numeric ID, input message type, and —
-    when response serialization is offloaded too — the output type."""
+    """One offloadable procedure: numeric ID, name, input message type.
+    Its response crosses as wire bytes the host serialized (§III-A)."""
 
     method_id: int
     name: str
     input_type: str  # full message type name
-    output_type: str | None = None  # set => responses cross as objects
 
 
 # ---------------------------------------------------------------------------
@@ -110,39 +106,31 @@ def encode_bootstrap(adt: Adt, methods: list[MethodSpec]) -> bytes:
     by_name = {e.full_name: i for i, e in enumerate(adt.entries)}
     for m in methods:
         name = m.name.encode()
-        output_idx = by_name[m.output_type] if m.output_type else -1
-        out += struct.pack("<Hhh", m.method_id, by_name[m.input_type], output_idx)
+        out += struct.pack("<Hh", m.method_id, by_name[m.input_type])
         out += struct.pack("<H", len(name)) + name
     return bytes(out)
 
 
-def decode_bootstrap(
-    data: bytes,
-) -> tuple[Adt, dict[int, int], dict[int, str], dict[int, int]]:
-    """Returns (adt, method_id -> input entry index, method_id -> name,
-    method_id -> output entry index [response-offloaded methods only])."""
-    if data[:4] != _BOOT_MAGIC:
+def decode_bootstrap(data: bytes) -> tuple[Adt, dict[int, int], dict[int, str]]:
+    """Returns (adt, method_id -> input entry index, method_id -> name).
+    The DPU trusts the table from here on, so any blob that is not one
+    :func:`encode_bootstrap` wrote raises :class:`AdtError` now."""
+    blob = BlobReader(data)
+    if blob.take(4) != _BOOT_MAGIC:
         raise AdtError("bad bootstrap magic")
-    (adt_len,) = struct.unpack_from("<I", data, 4)
-    pos = 8
-    adt = decode_adt(data[pos : pos + adt_len])
-    pos += adt_len
-    (n,) = struct.unpack_from("<H", data, pos)
-    pos += 2
+    (adt_len,) = blob.unpack("<I")
+    adt = decode_adt(blob.take(adt_len))
+    (n,) = blob.unpack("<H")
     table: dict[int, int] = {}
     names: dict[int, str] = {}
-    outputs: dict[int, int] = {}
     for _ in range(n):
-        mid, entry_idx, output_idx = struct.unpack_from("<Hhh", data, pos)
-        pos += 6
-        (name_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        names[mid] = data[pos : pos + name_len].decode()
-        pos += name_len
+        mid, entry_idx = blob.unpack("<Hh")
+        names[mid] = blob.text()
+        if not 0 <= entry_idx < len(adt.entries):
+            raise AdtError(f"method {mid}: input index {entry_idx} is not an ADT entry")
         table[mid] = entry_idx
-        if output_idx >= 0:
-            outputs[mid] = output_idx
-    return adt, table, names, outputs
+    blob.done()
+    return adt, table, names
 
 
 # ---------------------------------------------------------------------------
@@ -181,23 +169,14 @@ class HostEngine:
         self.trace = None
 
     def register_method(self, method_id: int, input_type: str, callback: HostCallback,
-                        name: str | None = None, output_type: str | None = None) -> None:
+                        name: str | None = None) -> None:
         """Register business logic for ``method_id``.  The wrapper converts
         the incoming block payload address into a typed view — the entire
-        'deserialization' the host performs.
-
-        With ``output_type`` set, *response serialization is offloaded
-        too*: the callback's response Message is written into the response
-        block as a C++ object (no host-side serialization) and the DPU
-        serializes it for the xRPC client (§III-A).
-        """
+        'deserialization' the host performs."""
         desc = self.schema.pool.message(input_type)
-        self.methods.append(
-            MethodSpec(method_id, name or f"m{method_id}", input_type, output_type)
-        )
+        self.methods.append(MethodSpec(method_id, name or f"m{method_id}", input_type))
         self._input_descriptors[method_id] = desc
         layout = self.universe.layouts.layout(desc)
-        output_desc = self.schema.pool.message(output_type) if output_type else None
 
         input_cls = self.schema.factory.get_class(desc)
 
@@ -226,17 +205,6 @@ class HostEngine:
                 trace.event(request.trace, "callback", ts=t0, dur=trace.now() - t0,
                             method=method_id, degraded=bool(degraded))
             if isinstance(result, Message):
-                if output_desc is not None:
-                    if result.DESCRIPTOR.full_name != output_desc.full_name:
-                        raise TypeError(
-                            f"method {method_id}: expected {output_desc.full_name} "
-                            f"response, got {result.DESCRIPTOR.full_name}"
-                        )
-                    # (Degraded requests always get wire-byte responses:
-                    # with the DPU engine down there is nothing on the
-                    # other side to serialize an object payload.)
-                    if not degraded:
-                        return self._object_response(result)
                 # Host-side response serialization, but zero-copy: the
                 # encoder sizes the message, the endpoint reserves
                 # that space in the response block, and the wire bytes
@@ -249,29 +217,10 @@ class HostEngine:
 
         self.channel.server.register(method_id, handler)
 
-    def _object_response(self, result: Message) -> Response:
-        """Ship a response as an in-block C++ object (zero host-side
-        serialization): build it in place via the object builder."""
-        bound = object_size_upper_bound(self.universe, result)
-
-        def writer(space, addr: int) -> int:
-            arena = Arena(space, addr, bound)
-            obj = build_object(self.universe, result, arena)
-            assert obj == addr
-            return arena.used
-
-        return Response(size=bound, writer=writer, flags=Flags.OBJECT_PAYLOAD)
-
     def bootstrap_bytes(self) -> bytes:
         """Encode the ADT + method table, built over every registered
-        input type and every response-offloaded output type (transmitted
-        once, §V-B)."""
+        input type (transmitted once, §V-B)."""
         roots = [self._input_descriptors[m.method_id] for m in self.methods]
-        roots += [
-            self.schema.pool.message(m.output_type)
-            for m in self.methods
-            if m.output_type
-        ]
         adt = self.universe.build_adt(roots)
         return encode_bootstrap(adt, self.methods)
 
@@ -318,9 +267,6 @@ class DpuEngine:
         self.adt: Adt | None = None
         self.method_table: dict[int, int] = {}
         self.method_names: dict[int, str] = {}
-        #: method_id -> ADT entry index of the output type, for methods
-        #: whose response serialization is offloaded to this side.
-        self.method_outputs: dict[int, int] = {}
         self.deserializer: ArenaDeserializer | None = None
         self.stats = DeserializeStats()
         #: crash simulation (docs/FAULTS.md): while set, :meth:`call`
@@ -358,11 +304,10 @@ class DpuEngine:
         raise AdtError("bootstrap blob never arrived")
 
     def _install_bootstrap(self, data: bytes) -> None:
-        adt, table, names, outputs = decode_bootstrap(data)
+        adt, table, names = decode_bootstrap(data)
         self.adt = adt
         self.method_table = table
         self.method_names = names
-        self.method_outputs = outputs
         self.deserializer = ArenaDeserializer(adt, self.stats, mode=self.decode_mode)
         self.ready = not self.crashed
 
@@ -471,36 +416,10 @@ class DpuEngine:
                 raise AdtError("root object must sit at the payload start")
             return arena.used
 
-        continuation = on_response
-        if self.method_outputs:
-            output_idx = self.method_outputs.get(method_id)
-            if output_idx is not None:
-                continuation = self._object_continuation(output_idx, on_response)
         self.channel.client.enqueue(
-            method_id, estimate, writer, continuation,
+            method_id, estimate, writer, on_response,
             Flags.BACKGROUND if background else Flags.NONE, trace_ctx, deadline,
         )
-
-    def _object_continuation(self, output_idx: int, on_response) -> AddressContinuation:
-        """Response-serialization offload: the host ships an object; it
-        is serialized here (on the DPU) before the caller gets wire
-        bytes.  Pointers inside the object resolve through the mirrored
-        buffers, so the continuation needs the payload's address."""
-        space = self.channel.client.space
-
-        def on_object(payload_addr: int, payload_size: int, flags: int) -> None:
-            if not payload_addr:
-                # Locally synthesized failure (deadline, reset, backlog):
-                # there is no payload at all — address 0 must not be read.
-                on_response(memoryview(b"request aborted"), flags)
-            elif flags & Flags.OBJECT_PAYLOAD:
-                wire = serialize_object(self.adt, output_idx, space, payload_addr)
-                on_response(memoryview(wire), flags & ~Flags.OBJECT_PAYLOAD)
-            else:
-                # e.g. an ERROR response: plain bytes as usual.
-                on_response(space.view(payload_addr, payload_size), flags)
-
-        return AddressContinuation(on_object)
 
     def call_message(self, method_id: int, message: Message, on_response) -> None:
         """Convenience: serialize a message (the xRPC client's job) and
@@ -559,24 +478,17 @@ def create_offload_pair(
     """Build a channel, register methods, verify binary compatibility,
     and run the ADT handshake.
 
-    ``methods`` entries are ``(method_id, input_type, callback)`` or
-    ``(method_id, input_type, callback, output_type)`` — the 4-tuple form
-    additionally offloads that method's *response serialization*.
+    ``methods`` entries are ``(method_id, input_type, callback)``.
     """
     dpu_abi = dpu_abi or AbiConfig()
     host_abi = host_abi or AbiConfig()
     channel = create_channel(client_config, server_config)
     host = HostEngine(channel, schema, host_abi)
-    for entry in methods:
-        method_id, input_type, callback = entry[:3]
-        output_type = entry[3] if len(entry) > 3 else None
-        host.register_method(method_id, input_type, callback, output_type=output_type)
+    for method_id, input_type, callback in methods:
+        host.register_method(method_id, input_type, callback)
         # §V-A: the pairing is validated, not assumed.
-        for type_name in filter(None, (input_type, output_type)):
-            report = check_compatibility(
-                schema.pool.message(type_name), dpu_abi, host_abi
-            )
-            report.raise_if_incompatible()
+        report = check_compatibility(schema.pool.message(input_type), dpu_abi, host_abi)
+        report.raise_if_incompatible()
     dpu = DpuEngine(channel, dpu_abi)
     bootstrap(host, dpu)
     return OffloadPair(channel, dpu, host)

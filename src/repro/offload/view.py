@@ -8,10 +8,10 @@ descriptor-free equivalents:
 * :class:`AdtMessageView` — lazy, zero-copy field access driven purely by
   ADT field entries (offsets, kinds, child indices);
 * :func:`serialize_object` — proto3 serialization straight from object
-  bytes, which is what the *response-serialization offload* uses: the
-  host ships a C++ object (no host-side serialization), and the DPU walks
-  it once, emitting wire bytes for the xRPC client (§III-A: "serialization
-  can be offloaded with similar techniques").
+  bytes, walking the object once.  No datapath calls it: responses are
+  serialized on the host, as in the paper's prototype (§III-A).  It is
+  an oracle — the tests hold it byte-identical to the reference
+  serializer, so an object a decoder built says what it holds.
 
 Field emission order is ascending field number, matching the reference
 serializer, so DPU-serialized bytes are byte-identical to host-serialized
@@ -126,7 +126,7 @@ class AdtMessageView:
 
 
 # ---------------------------------------------------------------------------
-# Serialization straight from object bytes (the offloaded response path)
+# Serialization straight from object bytes (an oracle; no datapath calls it)
 # ---------------------------------------------------------------------------
 
 

@@ -5,8 +5,8 @@ terminates client connections, and for every unary request looks up the
 procedure ID and hands the serialized payload to the
 :class:`~repro.offload.engine.DpuEngine`, which deserializes it into the
 outgoing protocol block.  When the host's response comes back (already
-serialized — response serialization stays on the host in this prototype),
-the front end wraps it in an xRPC response frame and forwards it to the
+serialized — response serialization stays on the host, as in the paper's
+prototype), the front end wraps it in an xRPC response frame and forwards it to the
 client.  Clients cannot tell the difference; they only changed the server
 address.
 
@@ -151,17 +151,11 @@ def register_offloaded_servicer(
     host: HostEngine,
     service: ServiceDescriptor,
     servicer: object,
-    offload_responses: bool = False,
 ) -> None:
     """Host side of the compatibility layer: plug an ordinary servicer
     into the offload engine.  Its methods run on already-deserialized
-    objects; no request parsing happens on the host.
-
-    With ``offload_responses=True``, response *serialization* moves to
-    the DPU as well: the servicer's response Messages cross the PCIe as
-    C++ objects and the DPU front end serializes them before framing
-    (§III-A: "serialization can be offloaded with similar techniques").
-    """
+    objects; no request parsing happens on the host.  Their response
+    Messages are serialized here, on the host (§III-A)."""
     table = build_dispatch_table(service, servicer)
     ids = assign_method_ids(service)
     for m in service.methods:
@@ -171,5 +165,4 @@ def register_offloaded_servicer(
             m.input_type.full_name,
             table[path].handler,  # (it passes the servicer no context)
             name=path,
-            output_type=m.output_type.full_name if offload_responses else None,
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.abi import AbiConfig, StdLib
@@ -9,6 +11,7 @@ from repro.memory import AddressSpace
 from repro.offload import TypeUniverse, decode_adt, encode_adt
 from repro.offload.adt import GLOBALS_BASE, AdtError
 from repro.proto import compile_schema
+from repro.proto.descriptor import FieldType
 
 SCHEMA = """
 syntax = "proto3";
@@ -136,6 +139,41 @@ class TestAdtCodec:
     def test_bad_magic(self):
         with pytest.raises(AdtError):
             decode_adt(b"NOPE....")
+
+    @pytest.mark.parametrize("hostile", [
+        "magic only", "stdlib byte 2", "non-UTF-8 note", "trailing byte",
+        "message child -1", "message child past the end", "scalar child 0",
+    ])
+    def test_hostile_blob_is_adt_error(self, setup, hostile):
+        """Each of these used to escape as IndexError / UnicodeDecodeError,
+        or decode into a table whose −1 child names the last entry."""
+        schema, _, universe = setup
+        adt = universe.build_adt([schema.pool.message("t.Root")])
+        mid = adt.entry_by_name("t.Mid")
+        leaf_field, xs_field = mid.fields  # Leaf leaf = 1; repeated int32 xs = 2
+        assert leaf_field.kind is FieldType.MESSAGE and xs_field.child == -1
+
+        def with_mid_field(i: int, child: int) -> bytes:
+            mid.fields[i] = dataclasses.replace(mid.fields[i], child=child)
+            return encode_adt(adt)
+
+        blob = bytearray(encode_adt(adt))
+        if hostile == "magic only":
+            blob = b"ADT2"
+        elif hostile == "stdlib byte 2":
+            blob[4] = 2
+        elif hostile == "non-UTF-8 note":
+            blob[7] = 0xFF  # first byte of the ABI note, after its u16 length
+        elif hostile == "trailing byte":
+            blob += b"\0"
+        elif hostile == "message child -1":
+            blob = with_mid_field(0, -1)
+        elif hostile == "message child past the end":
+            blob = with_mid_field(0, len(adt.entries))
+        else:
+            blob = with_mid_field(1, 0)
+        with pytest.raises(AdtError):
+            decode_adt(bytes(blob))
 
     def test_unknown_name_lookup(self, setup):
         schema, _, universe = setup

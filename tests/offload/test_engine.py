@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.abi import AbiConfig, StdLib
-from repro.offload import create_offload_pair
+from repro.memory import AddressSpace
+from repro.offload import TypeUniverse, create_offload_pair
+from repro.offload.adt import AdtError
 from repro.offload.engine import MethodSpec, decode_bootstrap, encode_bootstrap
-from repro.proto import compile_schema, parse
+from repro.proto import FieldType, compile_schema, parse
+from tests.conftest import KITCHEN_SINK_PROTO
 
 SCHEMA_SRC = """
 syntax = "proto3";
@@ -55,10 +63,9 @@ class TestBootstrapHandshake:
     def test_bootstrap_blob_roundtrip(self, schema):
         pair, _ = make_pair(schema)
         blob = pair.host.bootstrap_bytes()
-        adt, table, names, outputs = decode_bootstrap(blob)
+        adt, table, names = decode_bootstrap(blob)
         assert adt.entries[table[2]].full_name == "app.StatsReq"
         assert names[1] == "m1"
-        assert outputs == {}  # no response-offloaded methods here
 
     def test_incompatible_abis_rejected_at_startup(self, schema):
         def cb(view, request):
@@ -80,6 +87,67 @@ class TestBootstrapHandshake:
         dpu = DpuEngine(create_channel())
         with pytest.raises(AdtError, match="bootstrap"):
             dpu.call(1, b"", lambda v, f: None)
+
+
+def _real_blob() -> bytes:
+    """A bootstrap blob with nested message fields: two methods over the
+    kitchen-sink schema, as ``HostEngine.bootstrap_bytes`` writes it."""
+    schema = compile_schema(KITCHEN_SINK_PROTO)
+    adt = TypeUniverse(AddressSpace("host")).build_adt(
+        [schema.pool.message("test.Everything"), schema.pool.message("test.Leaf")])
+    return encode_bootstrap(adt, [MethodSpec(1, "/t/Everything", "test.Everything"),
+                                  MethodSpec(2, "/t/Leaf", "test.Leaf")])
+
+
+BLOB = _real_blob()
+#: CI's fault-matrix job widens the search and seeds it (--hypothesis-seed);
+#: tier-1 runs the same 200 examples every time.
+_EXAMPLES = int(os.environ.get("BOOTSTRAP_EXAMPLES", "0"))
+
+
+def _assert_in_range(decoded) -> None:
+    adt, table, _ = decoded
+    n = len(adt.entries)
+    assert all(0 <= index < n for index in table.values())
+    for entry in adt.entries:
+        for f in entry.fields:
+            assert 0 <= f.child < n if f.kind is FieldType.MESSAGE else f.child == -1
+
+
+class TestHostileBootstrap:
+    """The DPU indexes its ADT with the blob's numbers unchecked, so the
+    decoder answers any blob with a table whose indices are in range or
+    with AdtError — never an IndexError, struct.error or
+    UnicodeDecodeError, never a quiet −1."""
+
+    def test_every_truncation_is_refused(self):
+        _assert_in_range(decode_bootstrap(BLOB))
+        for cut in range(len(BLOB)):
+            with pytest.raises(AdtError):
+                decode_bootstrap(BLOB[:cut])
+
+    @settings(max_examples=_EXAMPLES or 200, derandomize=not _EXAMPLES, deadline=None)
+    @given(cut=st.one_of(st.just(len(BLOB)), st.integers(0, len(BLOB))),
+           flips=st.lists(st.tuples(st.integers(0, len(BLOB) - 1), st.integers(1, 255)),
+                          max_size=4))
+    def test_any_blob_gives_a_table_in_range_or_adt_error(self, cut, flips):
+        blob = bytearray(BLOB)
+        for at, mask in flips:
+            blob[at] ^= mask
+        try:
+            decoded = decode_bootstrap(bytes(blob[:cut]))
+        except AdtError:
+            return
+        _assert_in_range(decoded)
+
+    def test_input_index_minus_one_is_refused(self):
+        """Worked example: −1 used to be installed, and ``DpuEngine.call``
+        then decoded the request as ``entries[-1]``, the wrong type."""
+        (adt_len,) = struct.unpack_from("<I", BLOB, 4)
+        at = 8 + adt_len + 2 + 2  # magic, ADT length, ADT, method count, method id
+        blob = BLOB[:at] + struct.pack("<h", -1) + BLOB[at + 2:]
+        with pytest.raises(AdtError, match="input index -1"):
+            decode_bootstrap(blob)
 
 
 class TestOffloadedCalls:

@@ -1,5 +1,7 @@
-"""Tests for response-serialization offload: the object builder (host),
-the ADT view + object serializer (DPU), and the end-to-end path."""
+"""Tests for the DPU's descriptor-free side of an object: the ADT view
+and the object serializer.  Responses are serialized on the host; the
+object serializer stays as an oracle, held byte-identical to the
+reference serializer for every object the arena deserializer builds."""
 
 from __future__ import annotations
 
@@ -7,12 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.abi import AbiConfig, StdLib
 from repro.memory import AddressSpace, Arena, MemoryRegion
-from repro.offload import ArenaDeserializer, TypeUniverse, create_offload_pair, decode_adt, encode_adt
-from repro.offload.object_builder import build_object, object_size_upper_bound
+from repro.offload import ArenaDeserializer, TypeUniverse, decode_adt, encode_adt
 from repro.offload.view import AdtMessageView, serialize_object
-from repro.proto import compile_schema, parse, serialize
+from repro.proto import compile_schema, serialize
 from tests.conftest import KITCHEN_SINK_PROTO, build_everything
 from tests.proto.test_codec_roundtrip import everything_strategy
 
@@ -32,59 +32,38 @@ def env():
     return schema, space, universe, adt
 
 
+def decoded_object(env, msg) -> int:
+    """``msg`` as the DPU builds it: the arena deserializer's object for
+    its wire bytes."""
+    _, space, _, adt = env
+    arena = Arena(space, ARENA_BASE, ARENA_SIZE)
+    return ArenaDeserializer(adt).deserialize_by_name(
+        msg.DESCRIPTOR.full_name, serialize(msg), arena)
+
+
 class TestObjectBuilder:
-    def test_builder_and_deserializer_objects_equivalent(self, env):
-        """build_object(msg) and deserialize(serialize(msg)) must be
-        indistinguishable to readers."""
-        schema, space, universe, adt = env
-        cls = schema["test.Everything"]
-        msg = build_everything(cls)
-        arena = Arena(space, ARENA_BASE, ARENA_SIZE)
-        addr = build_object(universe, msg, arena)
-        idx = adt.index_of("test.Everything")
-        view = AdtMessageView(adt, idx, space, addr)
-        assert view.f_string == msg.f_string
-        assert list(view.r_uint32) == list(msg.r_uint32)
-        # Round trip through the DPU-side serializer.
-        wire = serialize_object(adt, idx, space, addr)
-        assert parse(cls, wire) == msg
-
-    def test_size_bound_holds(self, env):
-        schema, space, universe, _ = env
-        msg = build_everything(schema["test.Everything"])
-        bound = object_size_upper_bound(universe, msg)
-        arena = Arena(space, ARENA_BASE, ARENA_SIZE)
-        build_object(universe, msg, arena)
-        assert arena.used <= bound
-
     def test_empty_message(self, env):
-        schema, space, universe, adt = env
-        cls = schema["test.Everything"]
-        arena = Arena(space, ARENA_BASE, ARENA_SIZE)
-        addr = build_object(universe, cls(), arena)
+        schema, space, _, adt = env
+        addr = decoded_object(env, schema["test.Everything"]())
         idx = adt.index_of("test.Everything")
         assert serialize_object(adt, idx, space, addr) == b""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_dpu_serialization_byte_identical_to_reference(self, env, data):
-        """THE response-offload invariant: serializing the built object on
-        the 'DPU' yields byte-identical wire to the reference serializer."""
-        schema, space, universe, adt = env
-        cls = schema["test.Everything"]
-        msg = data.draw(everything_strategy(cls))
-        arena = Arena(space, ARENA_BASE, ARENA_SIZE)
-        addr = build_object(universe, msg, arena)
+        """The oracle's invariant: serializing an object from the ADT alone
+        yields byte-identical wire to the reference serializer."""
+        schema, space, _, adt = env
+        msg = data.draw(everything_strategy(schema["test.Everything"]))
+        addr = decoded_object(env, msg)
         idx = adt.index_of("test.Everything")
         assert serialize_object(adt, idx, space, addr) == serialize(msg)
 
 
 class TestAdtView:
     def test_vptr_verified(self, env):
-        schema, space, universe, adt = env
-        cls = schema["test.Everything"]
-        arena = Arena(space, ARENA_BASE, ARENA_SIZE)
-        addr = build_object(universe, cls(f_uint32=1), arena)
+        schema, space, _, adt = env
+        addr = decoded_object(env, schema["test.Everything"](f_uint32=1))
         # Corrupt the vptr: the view must refuse the object.
         space.write_u64(addr, 0xBAD)
         from repro.abi import AbiError
@@ -93,9 +72,8 @@ class TestAdtView:
             AdtMessageView(adt, adt.index_of("test.Everything"), space, addr)
 
     def test_unknown_field(self, env):
-        schema, space, universe, adt = env
-        arena = Arena(space, ARENA_BASE, ARENA_SIZE)
-        addr = build_object(universe, schema["test.Everything"](), arena)
+        schema, space, _, adt = env
+        addr = decoded_object(env, schema["test.Everything"]())
         view = AdtMessageView(adt, adt.index_of("test.Everything"), space, addr)
         with pytest.raises(AttributeError):
             view.nonexistent
@@ -103,122 +81,10 @@ class TestAdtView:
     def test_view_agrees_with_arena_deserializer_output(self, env):
         """Reading a deserializer-built object through the ADT view gives
         the same values as through the host CppMessageView."""
-        schema, space, universe, adt = env
-        cls = schema["test.Everything"]
-        msg = build_everything(cls)
-        deser = ArenaDeserializer(adt)
-        arena = Arena(space, ARENA_BASE, ARENA_SIZE)
-        addr = deser.deserialize_by_name("test.Everything", serialize(msg), arena)
+        schema, space, _, adt = env
+        msg = build_everything(schema["test.Everything"])
+        addr = decoded_object(env, msg)
         view = AdtMessageView(adt, adt.index_of("test.Everything"), space, addr)
         assert view.f_sint64 == msg.f_sint64
         assert view.f_bytes == msg.f_bytes
         assert [v.label for v in view.r_leaf] == [v.label for v in msg.r_leaf]
-
-
-class TestEndToEndResponseOffload:
-    SRC = """
-    syntax = "proto3";
-    package ro;
-    message Req { uint32 n = 1; }
-    message Rsp { repeated uint32 squares = 1; string note = 2; }
-    """
-
-    def _pair(self):
-        schema = compile_schema(self.SRC)
-        Rsp = schema["ro.Rsp"]
-
-        def handler(view, request):
-            return Rsp(
-                squares=[i * i for i in range(view.n)],
-                note="computed on host, serialized on dpu " + "x" * 40,
-            )
-
-        pair = create_offload_pair(schema, [(1, "ro.Req", handler, "ro.Rsp")])
-        return schema, pair
-
-    def test_roundtrip(self):
-        schema, pair = self._pair()
-        Req, Rsp = schema["ro.Req"], schema["ro.Rsp"]
-        out = []
-        pair.dpu.call_message(1, Req(n=5), lambda v, f: out.append((bytes(v), f)))
-        pair.run_until_idle()
-        wire, flags = out[0]
-        rsp = parse(Rsp, wire)
-        assert list(rsp.squares) == [0, 1, 4, 9, 16]
-        # The OBJECT_PAYLOAD flag was consumed by the DPU engine.
-        from repro.core import Flags
-
-        assert not flags & Flags.OBJECT_PAYLOAD
-
-    def test_bootstrap_includes_output_type(self):
-        schema, pair = self._pair()
-        names = {e.full_name for e in pair.dpu.adt.entries}
-        assert names == {"ro.Req", "ro.Rsp"}
-        assert pair.dpu.method_outputs == {1: pair.dpu.adt.index_of("ro.Rsp")}
-
-    def test_error_responses_still_plain_bytes(self):
-        schema = compile_schema(self.SRC)
-
-        def handler(view, request):
-            raise RuntimeError("host exploded")
-
-        pair = create_offload_pair(schema, [(1, "ro.Req", handler, "ro.Rsp")])
-        Req = schema["ro.Req"]
-        out = []
-        pair.dpu.call_message(1, Req(n=1), lambda v, f: out.append((bytes(v), f)))
-        pair.run_until_idle()
-        data, flags = out[0]
-        from repro.core import Flags
-
-        assert flags & Flags.ERROR
-        assert b"host exploded" in data
-
-    def test_wrong_response_type_rejected(self):
-        schema = compile_schema(self.SRC)
-        Req = schema["ro.Req"]
-
-        def handler(view, request):
-            return Req(n=1)  # wrong: should be Rsp
-
-        pair = create_offload_pair(schema, [(1, "ro.Req", handler, "ro.Rsp")])
-        out = []
-        pair.dpu.call_message(1, Req(n=1), lambda v, f: out.append(f))
-        pair.run_until_idle()
-        from repro.core import Flags
-
-        assert out[0] & Flags.ERROR
-
-    def test_many_offloaded_responses(self):
-        schema, pair = self._pair()
-        Req, Rsp = schema["ro.Req"], schema["ro.Rsp"]
-        out = []
-        for n in range(40):
-            pair.dpu.call_message(
-                1, Req(n=n % 7), lambda v, f, n=n: out.append((n, parse(Rsp, bytes(v))))
-            )
-        pair.run_until_idle()
-        assert len(out) == 40
-        for n, rsp in out:
-            assert list(rsp.squares) == [i * i for i in range(n % 7)]
-
-
-class TestLibcxxResponseOffload:
-    def test_libcxx_host(self):
-        """The whole response path also works when the host runs libc++
-        (ADT announces it; both sides craft 24-byte strings)."""
-        schema = compile_schema(TestEndToEndResponseOffload.SRC)
-        Rsp = schema["ro.Rsp"]
-        abi = AbiConfig(stdlib=StdLib.LIBCXX)
-
-        def handler(view, request):
-            return Rsp(squares=[view.n], note="libc++ " * 10)
-
-        pair = create_offload_pair(
-            schema, [(1, "ro.Req", handler, "ro.Rsp")], dpu_abi=abi, host_abi=abi
-        )
-        Req = schema["ro.Req"]
-        out = []
-        pair.dpu.call_message(1, Req(n=9), lambda v, f: out.append(parse(Rsp, bytes(v))))
-        pair.run_until_idle()
-        assert list(out[0].squares) == [9]
-        assert out[0].note == "libc++ " * 10
