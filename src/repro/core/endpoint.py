@@ -59,6 +59,7 @@ from repro.memory import (
     OffsetAllocator,
 )
 from repro.proto.wire_format import WireFormatError
+from repro.metrics.registry import counter, gauge
 from repro.rdma import CompletionQueue, Opcode, QpState, QueuePair, WcStatus, WorkRequest
 from repro.runtime.overload import now_us, unpack_deadline
 
@@ -85,6 +86,7 @@ __all__ = [
     "ClientEndpoint",
     "ServerEndpoint",
     "EndpointStats",
+    "endpoint_families",
 ]
 
 #: Writer callback: writes payload bytes at ``addr`` and returns the actual
@@ -121,7 +123,8 @@ class TransportError(ProtocolError):
 @dataclass
 class EndpointStats:
     """Library-level instrumentation (§VI: 'directly instrumentalized at
-    the library level'); exported to repro.metrics by the monitor."""
+    the library level'); a registry reads it through
+    :func:`endpoint_families`."""
 
     requests_sent: int = 0
     responses_received: int = 0
@@ -132,6 +135,36 @@ class EndpointStats:
     bytes_sent: int = 0
     bytes_received: int = 0
     handler_errors: int = 0
+
+
+_STATS_HELP = (
+    ("requests_sent", "requests enqueued by the client"),
+    ("responses_received", "responses delivered to continuations"),
+    ("requests_received", "requests dispatched to handlers"),
+    ("responses_sent", "responses enqueued by the server"),
+    ("blocks_sent", "protocol blocks transmitted"),
+    ("blocks_received", "protocol blocks received"),
+    ("bytes_sent", "payload bytes transmitted"),
+    ("bytes_received", "payload bytes received"),
+    ("handler_errors", "handler faults turned into RPC errors"),
+)
+
+
+def endpoint_families(endpoint, prefix: str):
+    """One endpoint's stats, credits and send-buffer occupancy as metric
+    families under ``prefix``, read now — bind it with
+    ``functools.partial`` for :meth:`MetricsRegistry.add_collector`."""
+    stats = endpoint.stats
+    for field, help_text in _STATS_HELP:
+        yield counter(f"{prefix}_{field}_total", help_text, getattr(stats, field))
+    credits, allocator = endpoint.credits, endpoint.allocator
+    yield gauge(f"{prefix}_credits", "credits available", credits.available)
+    yield gauge(f"{prefix}_credits_low_watermark", "lowest credit level observed",
+                credits.low_watermark)
+    yield gauge(f"{prefix}_sbuf_live_blocks", "unrecycled blocks in the send buffer",
+                allocator.live_count)
+    yield gauge(f"{prefix}_sbuf_live_bytes", "bytes held by unrecycled blocks",
+                allocator.bytes_live)
 
 
 @dataclass(slots=True)

@@ -21,9 +21,10 @@ invariants, mirroring what a production stack does on ``IBV_EVENT_QP_FATAL``:
 7. verify the recovered invariants: ID-pool fingerprints equal, credit
    windows full, no stranded state.
 
-Every recovery is counted in the optional :class:`MetricsRegistry` and,
-with a ``trace`` recorder (repro.obs), lands in the request trace as a
-timed ``recovery_reset`` span, matching the §VI "instrumented at the
+Every recovery is kept in :attr:`ChannelRecovery.reports`, which
+:meth:`ChannelRecovery.collect` reads as metric families at scrape time,
+and, with a ``trace`` recorder (repro.obs), lands in the request trace as
+a timed ``recovery_reset`` span, matching the §VI "instrumented at the
 library level" stance.  See docs/FAULTS.md for the fault model this
 answers.
 """
@@ -31,6 +32,8 @@ answers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.metrics.registry import counter
 
 from .endpoint import ProtocolError
 
@@ -87,24 +90,13 @@ class ChannelRecovery:
     ``repro.runtime.supervisor``).
     """
 
-    def __init__(self, channel, metrics=None, trace=None) -> None:
+    def __init__(self, channel, trace=None) -> None:
         self.channel = channel
         #: StageRecorder (repro.obs): each reset lands in the request
         #: trace as a timed recovery_reset span, so a recovered timeline
         #: shows *when* the channel healed between its retries.
         self.trace = trace
         self.reports: list[RecoveryReport] = []
-        self._resets = self._replayed = self._aborted = None
-        if metrics is not None:
-            self._resets = metrics.counter(
-                "rpc_recovery_resets_total", "Connection resets performed",
-            )
-            self._replayed = metrics.counter(
-                "rpc_recovery_replayed_total", "Requests replayed after a reset",
-            )
-            self._aborted = metrics.counter(
-                "rpc_recovery_aborted_total", "Requests aborted by a reset",
-            )
 
     # -- the procedure -----------------------------------------------------------
 
@@ -119,11 +111,17 @@ class ChannelRecovery:
                              dur=self.trace.now() - t0, reason=reason,
                              replayed=report.replayed, aborted=report.aborted)
         self.reports.append(report)
-        if self._resets is not None:
-            self._resets.inc()
-            self._replayed.inc(report.replayed)
-            self._aborted.inc(report.aborted)
         return report
+
+    def collect(self):
+        """The resets so far as metric families (a registry collector)."""
+        reports = self.reports
+        yield counter("rpc_recovery_resets_total", "Connection resets performed",
+                      len(reports))
+        yield counter("rpc_recovery_replayed_total", "Requests replayed after a reset",
+                      sum(r.replayed for r in reports))
+        yield counter("rpc_recovery_aborted_total", "Requests aborted by a reset",
+                      sum(r.aborted for r in reports))
 
     def _reset(self, reason: str, replay: bool) -> RecoveryReport:
         ch = self.channel
@@ -210,7 +208,6 @@ def supervise_channel(
     channel,
     stall_ticks: int = 50,
     max_faults: int = 3,
-    metrics=None,
     fault_types: tuple[type, ...] | None = None,
     trace=None,
 ):
@@ -221,7 +218,7 @@ def supervise_channel(
     endpoints.  Returns ``(recovery, supervisor)``."""
     from repro.runtime.supervisor import EngineSupervisor
 
-    recovery = ChannelRecovery(channel, metrics=metrics, trace=trace)
+    recovery = ChannelRecovery(channel, trace=trace)
 
     def heal(reason: str) -> None:
         recovery.reset(reason=reason)
@@ -236,7 +233,6 @@ def supervise_channel(
         on_stall=lambda reg: heal(f"stall:{reg.name}"),
         on_fault=lambda reg, exc: heal(f"fault:{reg.name}"),
         fault_types=fault_types if fault_types is not None else default_fault_types(),
-        metrics=metrics,
         trace=trace,
     )
     return recovery, supervisor

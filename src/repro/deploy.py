@@ -10,13 +10,21 @@ stack in this process (DPU front end → RPC over RDMA → host engine) or
 torn down the same way whichever it is.  The builder owns four decisions
 (DESIGN.md "Building a deployment"): the build + bootstrap order, the
 drive pass, where recorders attach, and all-or-nothing teardown.
-Admission, breaker and knobs are set on the parts after the build.
+Admission, breaker and knobs are set on the parts after the build; the
+deployment's one :class:`~repro.metrics.registry.MetricsRegistry` reads
+them when it is scraped.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.core import create_channel
+from repro.core.endpoint import endpoint_families
+from repro.metrics import MetricsRegistry
 from repro.offload.engine import DpuEngine, HostEngine, bootstrap
+from repro.proto import ENCODE_PLAN_METRICS, PLAN_METRICS
+from repro.runtime.overload import overload_families
 from repro.xrpc import (
     Network,
     OffloadedXrpcServer,
@@ -42,7 +50,7 @@ def host_half(channel, schema, service, servicer) -> HostEngine:
     return host
 
 
-def dpu_half(channel, service, network=None, layout_salt: str = "",
+def dpu_half(channel, service, network=None,
              host: HostEngine | None = None) -> OffloadedXrpcServer:
     """The DPU half: the deserialization engine and the front end that
     feeds it (``front.dpu``).  ``channel`` needs only its client side.
@@ -56,13 +64,29 @@ def dpu_half(channel, service, network=None, layout_salt: str = "",
     dpu = DpuEngine(channel)
     if host is not None:
         bootstrap(host, dpu)
-    return OffloadedXrpcServer(network, ADDRESS, dpu, service, layout_salt)
+    return OffloadedXrpcServer(network, ADDRESS, dpu, service)
+
+
+def _overload(front, rdma, budgets):
+    """The overload families of what this process can see, read now
+    (the ``procs`` sources live in the children)."""
+    if front is None:
+        return overload_families(budgets=budgets)
+    stages = [front] if rdma is None else [front, rdma.server]
+    admissions = [front.admission] if front.admission is not None else []
+    return overload_families(stages, admissions, getattr(front, "breaker", None), budgets)
 
 
 class Deployment:
     """One built stack.  Parts a kind does not have in this process are
     None: ``baseline`` has only :attr:`front`; ``procs`` only
-    :attr:`supervisor` — its front end and engines live in the children."""
+    :attr:`supervisor` — its front end and engines live in the children.
+
+    :attr:`registry` reads, at every scrape, what can be read from this
+    process: the RDMA endpoints' stats, the overload sources (front door,
+    server endpoint, admission, breaker, the retry budget of every client
+    :meth:`channel` made) and the codec counters.  Nothing is copied
+    into it on the datapath."""
 
     def __init__(self, kind: str, *, front=None, host=None, rdma=None,
                  network=None, supervisor=None, collector=None) -> None:
@@ -76,6 +100,19 @@ class Deployment:
         self.network = network
         self.supervisor = supervisor
         self.collector = collector
+        #: retry budgets of the clients :meth:`channel` made
+        self._budgets: list = []
+        # The collectors hold the parts, not this object: no reference
+        # cycle, so a dropped deployment is freed at once.
+        self.registry = MetricsRegistry()
+        if rdma is not None:
+            for side in ("client", "server"):
+                # "trace_": the names `repro metrics` has always printed
+                self.registry.add_collector(partial(
+                    endpoint_families, getattr(rdma, side), f"trace_{kind}_{side}"))
+        self.registry.add_collector(partial(_overload, front, rdma, self._budgets))
+        self.registry.add_collector(PLAN_METRICS.collect)
+        self.registry.add_collector(ENCODE_PLAN_METRICS.collect)
 
     def drive(self) -> None:
         """One pass of everything server-side: front end, then host, so
@@ -99,28 +136,17 @@ class Deployment:
 
     def channel(self, name: str = "xrpc-client") -> XrpcChannel:
         """A client channel with :meth:`drive` wired, traced when the
-        deployment is."""
+        deployment is; its retry budget joins :attr:`registry`."""
         if self.supervisor is not None:
-            return self.supervisor.xrpc_channel()
-        channel = XrpcChannel(self.network, ADDRESS, name)
-        channel.drive = self.drive
-        if self.collector is not None:
-            channel.trace = self.collector.recorder("xrpc.client")
+            channel = self.supervisor.xrpc_channel()
+        else:
+            channel = XrpcChannel(self.network, ADDRESS, name)
+            channel.drive = self.drive
+            if self.collector is not None:
+                channel.trace = self.collector.recorder("xrpc.client")
+        if channel.retry_budget not in self._budgets:
+            self._budgets.append(channel.retry_budget)
         return channel
-
-    def overload_sources(self) -> dict:
-        """Keyword arguments for
-        :class:`~repro.metrics.exporters.OverloadExporter`: what can be
-        scraped from this process (the ``procs`` sources live in the
-        children); an absent admission controller or breaker is empty."""
-        front = self.front
-        if front is None:
-            return {}
-        return {
-            "stages": [front] if self.rdma is None else [front, self.rdma.server],
-            "admissions": [front.admission] if front.admission is not None else [],
-            "breaker": getattr(front, "breaker", None),
-        }
 
     def close(self) -> None:
         """Release everything the build made — children, sockets,
@@ -138,21 +164,20 @@ class Deployment:
 
 
 def build(kind: str, schema, service, servicer, *, transport: str = "inproc",
-          layout_salt: str = "", collector=None, explicit_context: bool = False,
+          collector=None, explicit_context: bool = False,
           name: str = "procs") -> Deployment:
     """Build one deployment of ``service`` served by ``servicer``.
 
     ``transport`` is the fabric under the in-process ``offloaded`` kind
     (``baseline`` has none, ``procs`` is shm by construction);
-    ``layout_salt`` perturbs the front door's WIRE_FIXED negotiation
-    hash (docs/FAULTS.md); ``collector`` attaches every layer to one
+    ``collector`` attaches every layer to one
     :class:`~repro.obs.trace.TraceCollector`, and ``explicit_context``
     then makes the in-process RDMA client carry trace ids on the wire
     instead of deriving them; ``name`` names the ``procs`` children and
     their shared-memory segments."""
     if kind == "baseline":
         network = Network()
-        front = XrpcServer(network, ADDRESS, schema.factory, layout_salt=layout_salt)
+        front = XrpcServer(network, ADDRESS, schema.factory)
         front.add_service(service, servicer)
         if collector is not None:
             front.trace = collector.recorder("xrpc.server")
@@ -162,7 +187,7 @@ def build(kind: str, schema, service, servicer, *, transport: str = "inproc",
         try:
             host = host_half(rdma, schema, service, servicer)
             network = Network()
-            front = dpu_half(rdma, service, network, layout_salt, host=host)
+            front = dpu_half(rdma, service, network, host=host)
             if collector is not None:
                 # After the bootstrap (control traffic is not request
                 # scoped), before the first request: both endpoints'
@@ -183,8 +208,6 @@ def build(kind: str, schema, service, servicer, *, transport: str = "inproc",
     if kind == "procs":
         from repro.runtime.procs import ProcSupervisor
 
-        if layout_salt:
-            raise ValueError("the procs children take no layout salt")
         supervisor = ProcSupervisor(schema, service, servicer, name=name,
                                     trace=collector is not None)
         if collector is not None:

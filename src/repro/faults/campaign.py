@@ -278,10 +278,10 @@ def run_offloaded_scenario(seed: int, calls: int | None = None) -> ScenarioResul
     revive_at = rng.choice((None, rng.randrange(crash_at + 1, n_calls + 1)))
     # WIRE_FIXED fault surface: some scenarios negotiate the branchless
     # fixed-layout wire, some of those are forced into a layout-hash
-    # mismatch (server salted), and some drop back to the standard wire
+    # mismatch (the client's offer salted), and some drop back to the standard wire
     # mid-connection — every combination must keep answering correctly.
     try_fixed = rng.random() < 0.5
-    layout_salt = "campaign-salt" if try_fixed and rng.random() < 0.3 else ""
+    salt = "campaign-salt" if try_fixed and rng.random() < 0.3 else ""
     disable_plan = try_fixed and rng.random() < 0.3
 
     schema = _calc_schema()
@@ -292,15 +292,14 @@ def run_offloaded_scenario(seed: int, calls: int | None = None) -> ScenarioResul
             return Value(v=request.a + request.b)
 
     service = schema.service("faults.Calc")
-    deployment = build("offloaded", schema, service, Servicer(),
-                       layout_salt=layout_salt)
+    deployment = build("offloaded", schema, service, Servicer())
     front, dpu, host = deployment.front, deployment.dpu, deployment.host
     channel = deployment.channel()
     stub = make_stub_class(service, schema.factory)(channel)
 
     negotiated = False
     if try_fixed:
-        negotiated = channel.negotiate_fixed(service)
+        negotiated = channel.negotiate_fixed(service, salt=salt)
     disable_at = rng.randrange(1, n_calls) if negotiated and disable_plan else None
 
     outcomes: list[tuple[int, bool]] = []  # (status-ish, correct)
@@ -331,7 +330,7 @@ def run_offloaded_scenario(seed: int, calls: int | None = None) -> ScenarioResul
     h = hashlib.sha256()
     h.update(f"crash={crash_at} revive={revive_at}\n".encode())
     h.update(
-        f"fixed_try={int(try_fixed)} salted={int(bool(layout_salt))} "
+        f"fixed_try={int(try_fixed)} salted={int(bool(salt))} "
         f"negotiated={int(negotiated)} disable_at={disable_at}\n".encode()
     )
     for i, (status, good) in enumerate(outcomes):

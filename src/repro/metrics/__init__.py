@@ -1,17 +1,15 @@
 """Prometheus-style metrics and the monitoring/stability pipeline (§VI)."""
 
-from .exporters import EndpointExporter, OverloadExporter
 from .monitor import MonitorError, Scraper, StabilityMonitor, TimeSeries
-from .registry import Counter, Gauge, Histogram, MetricError, MetricsRegistry, Sample
+from .registry import Counter, Family, Gauge, Histogram, MetricError, MetricsRegistry, Sample
 
 __all__ = [
-    "EndpointExporter",
-    "OverloadExporter",
     "MonitorError",
     "Scraper",
     "StabilityMonitor",
     "TimeSeries",
     "Counter",
+    "Family",
     "Gauge",
     "Histogram",
     "MetricError",

@@ -5,13 +5,23 @@ client and scrapes it from a monitoring server (§VI).  This module is that
 client: counters, gauges and histograms with label support, a registry,
 and the text exposition format.  :mod:`repro.metrics.monitor` adds the
 scraping/stability side.
+
+Stored metrics hold values someone *observes* into them (per-stage
+latencies).  Live component state is read instead, at every scrape, by a
+collector (:meth:`MetricsRegistry.add_collector`) that yields
+:class:`Family` rows from the component's own plain-int stats — the
+Prometheus client's custom-collector idiom: nothing is written on the
+datapath and nothing is refreshed before a scrape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["MetricError", "Counter", "Gauge", "Histogram", "MetricsRegistry", "Sample"]
+__all__ = [
+    "MetricError", "Counter", "Gauge", "Histogram", "MetricsRegistry", "Sample",
+    "Family", "counter", "gauge",
+]
 
 
 class MetricError(ValueError):
@@ -31,6 +41,35 @@ class Sample:
             inner = ",".join(f'{k}="{v}"' for k, v in self.labels)
             return f"{self.name}{{{inner}}} {self.value}"
         return f"{self.name} {self.value}"
+
+
+@dataclass(frozen=True)
+class Family:
+    """One metric family as a collector reads it at scrape time."""
+
+    name: str
+    help: str
+    #: "counter" (monotone) or "gauge"
+    type: str
+    label_names: tuple[str, ...]
+    #: label values (one per label name; ``()`` when unlabelled) -> value
+    values: dict
+
+    def samples(self) -> list[Sample]:
+        return [
+            Sample(self.name, tuple(zip(self.label_names, key)), float(value))
+            for key, value in self.values.items()
+        ]
+
+
+def counter(name: str, help_text: str, value: float) -> Family:
+    """An unlabelled counter family."""
+    return Family(name, help_text, "counter", (), {(): value})
+
+
+def gauge(name: str, help_text: str, value: float) -> Family:
+    """An unlabelled gauge family."""
+    return Family(name, help_text, "gauge", (), {(): value})
 
 
 class _MetricBase:
@@ -205,16 +244,25 @@ class Histogram(_MetricBase):
 
 
 class MetricsRegistry:
-    """Holds all metrics; renders the text exposition format."""
+    """Holds stored metrics and collectors; renders the text exposition
+    format.  Both are read in the order they were added."""
 
     def __init__(self) -> None:
         self._metrics: dict[str, _MetricBase] = {}
+        #: stored metrics and collector callables, in order added
+        self._entries: list = []
 
     def register(self, metric: _MetricBase):
         if metric.name in self._metrics:
             raise MetricError(f"metric {metric.name!r} already registered")
         self._metrics[metric.name] = metric
+        self._entries.append(metric)
         return metric
+
+    def add_collector(self, fn) -> None:
+        """Read ``fn()`` — an iterable of :class:`Family` — at every
+        scrape, alongside the stored metrics."""
+        self._entries.append(fn)
 
     def counter(self, name: str, help_text: str = "", label_names: tuple[str, ...] = ()) -> Counter:
         return self.register(Counter(name, help_text, label_names))
@@ -229,17 +277,25 @@ class MetricsRegistry:
     def get(self, name: str) -> _MetricBase:
         return self._metrics[name]
 
+    def families(self):
+        """Every stored metric and every collected family, in order."""
+        for entry in self._entries:
+            if isinstance(entry, _MetricBase):
+                yield entry
+            else:
+                yield from entry()
+
     def collect(self) -> list[Sample]:
         out: list[Sample] = []
-        for metric in self._metrics.values():
-            out.extend(metric.samples())
+        for family in self.families():
+            out.extend(family.samples())
         return out
 
     def expose(self) -> str:
         """Prometheus text format (simplified: HELP + samples)."""
         lines = []
-        for metric in self._metrics.values():
-            if metric.help:
-                lines.append(f"# HELP {metric.name} {metric.help}")
-            lines.extend(s.render() for s in metric.samples())
+        for family in self.families():
+            if family.help:
+                lines.append(f"# HELP {family.name} {family.help}")
+            lines.extend(s.render() for s in family.samples())
         return "\n".join(lines) + "\n"

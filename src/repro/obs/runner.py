@@ -80,19 +80,19 @@ def _build_deployment(kind: str, collector: TraceCollector,
         calls[i % len(calls)]()
         return True
 
-    endpoints = {}
-    if deployment.rdma is not None:
-        endpoints = {"client": deployment.rdma.client, "server": deployment.rdma.server}
-    # Overload-control sources for the merged scrape (`repro metrics`):
-    # whatever this deployment can be scraped for from here, plus the
-    # client-side retry budget — OverloadExporter handles every shape.
-    overload = dict(deployment.overload_sources(), budget=channel.retry_budget)
-    return issue, endpoints, deployment.close, overload
+    return issue, deployment.registry, deployment.close
 
 
 def _build_core(collector: TraceCollector, explicit_context: bool,
                 transport: str = "inproc"):
+    """The bare RPC-over-RDMA channel, scraped by the same collectors a
+    deployment registers."""
+    from functools import partial
+
     from repro.core import Flags, Response, create_channel
+    from repro.core.endpoint import endpoint_families
+    from repro.proto import ENCODE_PLAN_METRICS, PLAN_METRICS
+    from repro.runtime.overload import overload_families
 
     channel = create_channel(transport=transport)
     attach_channel(collector, channel, stream="core",
@@ -117,9 +117,14 @@ def _build_core(collector: TraceCollector, explicit_context: bool,
                 break
         return bool(done) and not (done[0] & Flags.ERROR)
 
-    endpoints = {"client": channel.client, "server": channel.server}
-    overload = {"stages": [channel.server]}
-    return issue, endpoints, channel.close, overload
+    registry = MetricsRegistry()
+    for side in ("client", "server"):
+        registry.add_collector(partial(
+            endpoint_families, getattr(channel, side), f"trace_core_{side}"))
+    registry.add_collector(partial(overload_families, [channel.server]))
+    registry.add_collector(PLAN_METRICS.collect)
+    registry.add_collector(ENCODE_PLAN_METRICS.collect)
+    return issue, registry, channel.close
 
 
 def run_traced_workload(
@@ -128,13 +133,12 @@ def run_traced_workload(
     explicit_context: bool = False,
     keep_slowest: int = 10,
     ring: int = 1 << 15,
-    registry: MetricsRegistry | None = None,
     collector: TraceCollector | None = None,
     transport: str | None = None,
 ) -> TraceRunResult:
     """Run ``requests`` RPCs through a fully traced deployment and
-    stitch the result.  Endpoint statistics are exported into the same
-    registry (``repro metrics`` dumps the combined scrape).
+    stitch the result.  The per-stage latency histograms join the
+    deployment's own registry, so ``repro metrics`` dumps one scrape.
 
     ``transport`` selects the fabric backend (docs/TRANSPORT.md) for the
     in-process deployments; the ``procs`` deployment always runs shm."""
@@ -143,12 +147,10 @@ def run_traced_workload(
     if transport is None:
         transport = "shm" if deployment == "procs" else "inproc"
     collector = collector or TraceCollector(ring=ring)
-    registry = registry or MetricsRegistry()
     if deployment == "core":
-        issue, endpoints, finalize, overload = _build_core(
-            collector, explicit_context, transport)
+        issue, registry, finalize = _build_core(collector, explicit_context, transport)
     else:
-        issue, endpoints, finalize, overload = _build_deployment(
+        issue, registry, finalize = _build_deployment(
             deployment, collector, explicit_context, transport)
 
     errors = 0
@@ -162,25 +164,6 @@ def run_traced_workload(
                 errors += 1
     finally:
         finalize()
-
-    from repro.metrics import EndpointExporter, OverloadExporter
-
-    for label, endpoint in endpoints.items():
-        EndpointExporter(registry, endpoint, f"trace_{deployment}_{label}").update()
-
-    # The overload subsystem joins the same scrape: per-stage deadline
-    # drops, admission outcomes, breaker state, retry budget — whatever
-    # sources this deployment actually has (docs/OVERLOAD.md).  Before
-    # this bind, a plain `repro metrics` run silently omitted them.
-    OverloadExporter(registry, "overload", **overload).update()
-
-    # Codec-layer counters: the generated-codec tier (compiles, cache
-    # hits, source bytes, compile ns) and its decode/encode volume land in
-    # the same scrape, so ``repro metrics`` shows what the codec layer did.
-    from repro.proto import ENCODE_PLAN_METRICS, PLAN_METRICS
-
-    PLAN_METRICS.bind_registry(registry).export()
-    ENCODE_PLAN_METRICS.bind_registry(registry).export()
 
     timelines, global_events = stitch(collector)
     latency = StageLatencyExporter(registry)

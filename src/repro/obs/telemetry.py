@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.metrics.registry import Family, counter, gauge
+
 from .trace import Stage, TraceCollector
 
 __all__ = [
@@ -179,7 +181,6 @@ class TelemetryHub:
         self._listeners: list = []
         self._sources: dict[str, object] = {}
         self._source_last: dict[str, dict] = {}
-        self._gauges = None
         # -- current-window accumulators ---------------------------------
         self._tick = 0
         self._window = 0
@@ -210,24 +211,24 @@ class TelemetryHub:
         self._sources[name] = fn
         self._source_last[name] = dict(fn())
 
-    def bind_registry(self, registry, prefix: str = "telemetry"):
-        """Expose rolling state as gauges in a
-        :class:`~repro.metrics.registry.MetricsRegistry` — one scrape
-        surface for trace-derived and counter-derived signals."""
-        self._gauges = {
-            "windows": registry.gauge(
-                f"{prefix}_windows_closed", "observation windows sealed"),
-            "events": registry.gauge(
-                f"{prefix}_events_streamed", "stage events folded into windows"),
-            "goodput": registry.gauge(
-                f"{prefix}_goodput_per_tick", "completions per tick, last window"),
-            "lane_p99": registry.gauge(
-                f"{prefix}_lane_p99_us", "per-lane p99 latency, last window",
-                ("lane",)),
-            "inflight": registry.gauge(
-                f"{prefix}_live_entries", "in-flight request entries held"),
-        }
-        return registry
+    def collect(self):
+        """The hub's rolling state as metric families — a registry
+        collector, so trace-derived and counter-derived signals share one
+        scrape surface.  Window figures come from the last sealed window."""
+        last = self.last
+        yield counter("telemetry_windows_closed", "observation windows sealed",
+                      self.windows_closed)
+        yield counter("telemetry_events_streamed", "stage events folded into windows",
+                      self.events_seen)
+        yield gauge("telemetry_goodput_per_tick", "completions per tick, last window",
+                    last.goodput_per_tick() if last is not None else 0)
+        yield Family("telemetry_lane_p99_us", "per-lane p99 latency, last window",
+                     "gauge", ("lane",),
+                     {} if last is None else {
+                         (str(lane),): stats["p99"]
+                         for lane, stats in last.lane_latency_us.items()})
+        yield gauge("telemetry_live_entries", "in-flight request entries held",
+                    len(self._by_tid) + len(self._by_ctx))
 
     # -- the streaming sink (called from StageRecorder.event) ------------
 
@@ -386,14 +387,6 @@ class TelemetryHub:
         self._comp_stage_counts = {}
         self._gap_seconds = {}
         self._evict_stale()
-        if self._gauges is not None:
-            g = self._gauges
-            g["windows"].set(self.windows_closed)
-            g["events"].set(self.events_seen)
-            g["goodput"].set(snap.goodput_per_tick())
-            for lane, stats in snap.lane_latency_us.items():
-                g["lane_p99"].labels(str(lane)).set(stats["p99"])
-            g["inflight"].set(snap.live_entries)
         for fn in self._listeners:
             fn(snap)
         return snap

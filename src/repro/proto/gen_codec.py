@@ -44,8 +44,8 @@ is the default of every ``mode=`` / ``decode_mode=`` / ``encode_mode=``
 argument; ``"interpretive"`` selects the oracle.
 
 Cache traffic, compile cost and codec volume are observable through
-:data:`PLAN_METRICS` and :data:`ENCODE_PLAN_METRICS`, which export into a
-:class:`~repro.metrics.registry.MetricsRegistry`.
+:data:`PLAN_METRICS` and :data:`ENCODE_PLAN_METRICS`, whose ``collect``
+a :class:`~repro.metrics.registry.MetricsRegistry` reads at scrape time.
 
 The tag-wire decoder is said once, in the "tag loop" section below: the
 frame, the three wire reads a branch is built from, the cold path for a
@@ -63,6 +63,8 @@ from __future__ import annotations
 import time
 
 import numpy as np
+
+from repro.metrics.registry import Family, gauge
 
 from .descriptor import FieldDescriptor, FieldType, MessageDescriptor
 from .deserializer import DecodeError, skip_field
@@ -119,8 +121,8 @@ _BULK_MIN = 16
 # ---------------------------------------------------------------------------
 #
 # Cheap plain-int counters on the hot path (the :mod:`repro.runtime.metrics`
-# idiom), pushed into a :class:`~repro.metrics.registry.MetricsRegistry` on
-# demand via ``bind_registry`` + ``export``.  ``gen_compile_ns`` counts
+# idiom), read by a :class:`~repro.metrics.registry.MetricsRegistry` at
+# scrape time through ``collect``.  ``gen_compile_ns`` counts
 # outermost compiles only — a nested child compile is inside its parent's
 # span.
 
@@ -128,8 +130,8 @@ _BULK_MIN = 16
 class CodecMetrics:
     """One direction's generated-codec counters: cache traffic, compile
     cost, and volume per message type.  Every key of ``counters`` becomes
-    a plain-int attribute and a ``<prefix>_<counter>`` gauge (the value is
-    the gauge's help text); the per-type count dict is the attribute
+    a plain-int attribute and a ``<prefix>_<counter>`` family (the value is
+    the family's help text); the per-type count dict is the attribute
     ``per_message`` names (``decodes`` / ``encodes``) and the
     ``<prefix>_<per_message>{message=...}`` family."""
 
@@ -143,7 +145,6 @@ class CodecMetrics:
             "gen_source_bytes": f"generated {noun} source bytes",
             "gen_compile_ns": f"ns spent generating + compiling {noun}s",
         }
-        self._gauges = None  # bound registry families, once bind_registry ran
         #: codec runs per message type, aggregated across factories
         setattr(self, per_message, {})
         self.reset()
@@ -153,33 +154,19 @@ class CodecMetrics:
             setattr(self, name, 0)
         getattr(self, self._per_message).clear()
 
-    def bind_registry(self, registry, prefix: str | None = None):
-        """Create the exported metric families in ``registry``."""
-        prefix = prefix or self._prefix
-        self._gauges = {
-            name: registry.gauge(f"{prefix}_{name}", text)
-            for name, text in self._help.items()
-        }
-        self._gauges[self._per_message] = registry.gauge(
-            f"{prefix}_{self._per_message}",
-            f"generated-codec message {self._per_message}",
-            ("message",),
-        )
-        return self
-
-    def export(self) -> None:
-        """Push current counter values into the bound registry."""
-        if self._gauges is None:
-            return
-        for name in self._help:
-            self._gauges[name].set(getattr(self, name))
-        family = self._gauges[self._per_message]
-        for full_name, count in getattr(self, self._per_message).items():
-            family.labels(full_name).set(count)
+    def collect(self):
+        """This direction's metric families, read from the counters now."""
+        prefix, per_message = self._prefix, self._per_message
+        for name, text in self._help.items():
+            yield gauge(f"{prefix}_{name}", text, getattr(self, name))
+        yield Family(f"{prefix}_{per_message}", f"generated-codec message {per_message}",
+                     "gauge", ("message",),
+                     {(full_name,): count
+                      for full_name, count in getattr(self, per_message).items()})
 
 
 #: Process-wide codec metrics.  The names (and the ``decode_plan_*`` /
-#: ``encode_plan_*`` gauge prefixes) predate the removal of the
+#: ``encode_plan_*`` family prefixes) predate the removal of the
 #: closure-table plan tier and are kept so scrapes stay comparable.  The
 #: reference decoders of :func:`get_gen_decoder` and the arena decoders of
 #: :class:`~repro.offload.arena_gen.ArenaGenCache` both feed the first.

@@ -8,8 +8,9 @@ partial block once it has waited the endpoint's ``flush_hold`` passes.
 See docs/RUNTIME.md.
 
 This package deliberately imports nothing from the rest of ``repro`` at
-module level — every layer (core, xrpc, sim) imports *it*, so it must
-sit at the bottom of the dependency stack.
+module level but the metric primitives (:mod:`repro.metrics.registry`,
+which import nothing themselves) — every layer (core, xrpc, sim) imports
+*it*, so it must sit at the bottom of the dependency stack.
 """
 
 from .autotune import AutoTuner, Knob, KnobSet, TuneDecision

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.metrics.registry import gauge
+
 __all__ = [
     "DegradationStep",
     "DegradationEvent",
@@ -63,21 +65,15 @@ class DegradationManager:
     step_up_after: int = 3
     step_down_after: int = 8
     trace: object | None = None
-    metrics: object | None = None
 
     level: int = field(default=0, init=False)
     events: list[DegradationEvent] = field(default_factory=list, init=False)
     _above: int = field(default=0, init=False)
     _below: int = field(default=0, init=False)
-    _gauge: object = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.low_watermark > self.high_watermark:
             raise ValueError("low watermark must not exceed high watermark")
-        if self.metrics is not None:
-            self._gauge = self.metrics.gauge(
-                "degradation_level", "current degradation ladder level"
-            )
 
     def on_tick(self, tick: int) -> None:
         """Supervisor hook: sample ``pressure_fn`` once per engine tick."""
@@ -116,11 +112,13 @@ class DegradationManager:
     def _note(self, tick: int, action: str, step: DegradationStep,
               pressure: float) -> None:
         self.events.append(DegradationEvent(tick, action, step.name, pressure))
-        if self._gauge is not None:
-            self._gauge.set(self.level)
         if self.trace is not None:
             self.trace.instant(action, step=step.name, level=self.level,
                                pressure=round(pressure, 3))
+
+    def collect(self):
+        """The ladder's level as a metric family (a registry collector)."""
+        yield gauge("degradation_level", "current degradation ladder level", self.level)
 
     def recover_all(self, tick: int, pressure: float = 0.0) -> None:
         """Unwind every applied step (shutdown / test teardown)."""

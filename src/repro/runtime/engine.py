@@ -9,8 +9,8 @@ be called continuously" (§III-C/D), and a poller calls them in turn.
 * each :meth:`step` polls every registered pollable once, in
   registration order;
 * per-pollable :mod:`metrics <repro.runtime.metrics>` (polls, work,
-  idle ratio, flush reasons) accrue automatically and can be exported
-  into the Prometheus-style registry.
+  idle ratio, flush reasons) accrue automatically; a registry reads them
+  through ``engine.metrics.collect``.
 
 There is no lifecycle: an engine is stepped (:meth:`step`, :meth:`run`,
 :meth:`drain`) by whoever owns it.  A pollable's ``progress()`` stays an
@@ -50,11 +50,9 @@ class Registration:
 class ProgressEngine:
     """Poller driving registered pollables in registration order."""
 
-    def __init__(self, name: str = "engine", registry=None, metrics_prefix: str = "engine") -> None:
+    def __init__(self, name: str = "engine") -> None:
         self.name = name
         self.metrics = EngineMetrics()
-        if registry is not None:
-            self.metrics.bind_registry(registry, metrics_prefix)
         self.tick = 0
         #: optional EngineSupervisor (repro.runtime.supervisor): receives
         #: poll exceptions (may contain them) and end-of-tick progress
@@ -129,7 +127,6 @@ class ProgressEngine:
             total += self._poll(reg, budget)
         if self.supervisor is not None:
             self.supervisor.after_tick(self.tick)
-        self.metrics.sync()
         return total
 
     def run(

@@ -1,4 +1,4 @@
-"""Engine observability: per-pollable counters, registry export.
+"""Engine observability: per-pollable counters, read at scrape time.
 
 The paper instruments the RPC library itself and scrapes it with a
 Prometheus-style monitor (§VI).  The engine extends that to the runtime
@@ -7,14 +7,15 @@ work items, idle polls (and the derived idle ratio), plus the flush
 reasons the endpoints record — so every layer boundary the engine drives
 is observable for free.
 
-Counters live as plain ints (the hot path must stay cheap); binding a
-:class:`~repro.metrics.registry.MetricsRegistry` creates labeled gauges
-(``engine_polls_total{pollable=...}`` etc.) that
-:meth:`EngineMetrics.sync` refreshes — the engine calls it once per
-tick, so a scraper sees current values.
+Counters live as plain ints (the hot path must stay cheap);
+:meth:`EngineMetrics.collect` is a registry collector
+(:meth:`~repro.metrics.registry.MetricsRegistry.add_collector`) that
+reads them as ``engine_polls_total{pollable=...}`` etc. when scraped.
 """
 
 from __future__ import annotations
+
+from repro.metrics.registry import Family, counter
 
 __all__ = ["PollableMetrics", "EngineMetrics"]
 
@@ -44,15 +45,12 @@ class PollableMetrics:
 
 
 class EngineMetrics:
-    """Aggregates per-pollable metrics; optionally mirrors them into a
-    metrics registry for scraping."""
+    """Aggregates per-pollable metrics."""
 
     def __init__(self) -> None:
         self.ticks = 0
         #: name -> row; the engine seats a registration's row here
         self.per_pollable: dict[str, PollableMetrics] = {}
-        self._registry = None
-        self._gauges = None
 
     @property
     def total_polls(self) -> int:
@@ -62,42 +60,20 @@ class EngineMetrics:
     def total_work(self) -> int:
         return sum(pm.work_items for pm in self.per_pollable.values())
 
-    # -- registry export -----------------------------------------------------
-
-    def bind_registry(self, registry, prefix: str = "engine") -> None:
-        """Create the exported metric families in ``registry``."""
-        self._registry = registry
-        self._gauges = {
-            "ticks": registry.gauge(f"{prefix}_ticks", "engine scheduling passes"),
-            "polls": registry.gauge(
-                f"{prefix}_polls_total", "polls per pollable", ("pollable",)
-            ),
-            "work": registry.gauge(
-                f"{prefix}_work_items_total", "work items per pollable", ("pollable",)
-            ),
-            "idle": registry.gauge(
-                f"{prefix}_idle_ratio", "idle poll fraction per pollable", ("pollable",)
-            ),
-            "flushes": registry.gauge(
-                f"{prefix}_flushes_total",
-                "block flushes by reason",
-                ("pollable", "reason"),
-            ),
-        }
-        self.sync()
-
-    def sync(self) -> None:
-        """Push current counter values into the bound registry."""
-        if self._gauges is None:
-            return
-        g = self._gauges
-        g["ticks"].set(self.ticks)
-        for name, pm in self.per_pollable.items():
-            g["polls"].labels(name).set(pm.polls)
-            g["work"].labels(name).set(pm.work_items)
-            g["idle"].labels(name).set(pm.idle_ratio)
-            for reason, count in pm.flushes.items():
-                g["flushes"].labels(name, reason).set(count)
+    def collect(self):
+        """The engine's metric families, read from the counters now."""
+        rows = self.per_pollable
+        yield counter("engine_ticks", "engine scheduling passes", self.ticks)
+        yield Family("engine_polls_total", "polls per pollable", "counter", ("pollable",),
+                     {(name,): pm.polls for name, pm in rows.items()})
+        yield Family("engine_work_items_total", "work items per pollable", "counter",
+                     ("pollable",), {(name,): pm.work_items for name, pm in rows.items()})
+        yield Family("engine_idle_ratio", "idle poll fraction per pollable", "gauge",
+                     ("pollable",), {(name,): pm.idle_ratio for name, pm in rows.items()})
+        yield Family("engine_flushes_total", "block flushes by reason", "counter",
+                     ("pollable", "reason"),
+                     {(name, reason): count for name, pm in rows.items()
+                      for reason, count in pm.flushes.items()})
 
     # -- human-readable summary ----------------------------------------------
 

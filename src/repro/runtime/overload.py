@@ -11,13 +11,18 @@ path.  Policy (when to shed, when to degrade) lives with the servers
 and :mod:`repro.runtime.degradation`.
 
 Like the rest of the ``runtime`` package this module imports nothing
-from the rest of ``repro`` — every layer above imports *it*.
+from the rest of ``repro`` but the metric primitives — every layer above
+imports *it*.  :func:`overload_families` reads the whole subsystem's
+counters at scrape time.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
+
+from repro.metrics.registry import Family, counter, gauge
 
 __all__ = [
     "ManualClock",
@@ -36,6 +41,7 @@ __all__ = [
     "QueueDepthAdmission",
     "RetryBudget",
     "CircuitBreaker",
+    "overload_families",
 ]
 
 
@@ -358,3 +364,67 @@ class CircuitBreaker:
             "probes": self.probes,
             "denied": self.denied,
         }
+
+
+# ---------------------------------------------------------------------------
+# Metric families
+
+
+_BREAKER_STATE_CODE = {
+    CircuitBreaker.CLOSED: 0,
+    CircuitBreaker.HALF_OPEN: 1,
+    CircuitBreaker.OPEN: 2,
+}
+
+
+def overload_families(stages=(), admissions=(), breaker=None, budgets=()):
+    """The overload-control subsystem's metric families, read now.
+
+    ``stages`` is any iterable of objects carrying a ``deadline_expired``
+    mapping of stage name -> drop count (the server endpoint, the front
+    door — which also carries ``request_faults``, status -> count);
+    ``admissions`` any iterable of :class:`AdmissionController`;
+    ``budgets`` any iterable of :class:`RetryBudget`, summed.  Counts are
+    summed across sources.  An absent source reads zero, so every
+    deployment shape yields the same families."""
+    deadline, faults, admitted, shed = Counter(), Counter(), Counter(), Counter()
+    for source in stages:
+        deadline.update(source.deadline_expired)
+        faults.update(getattr(source, "request_faults", {}))
+    for ctl in admissions:
+        admitted.update(ctl.admitted)
+        shed.update(ctl.shed)
+    yield Family("overload_deadline_expired_total",
+                 "requests dropped with an expired deadline, by datapath stage",
+                 "counter", ("stage",), {(stage,): n for stage, n in deadline.items()})
+    yield Family("overload_request_faults_total",
+                 "failed requests answered through the outcome table, by status code",
+                 "counter", ("status",), {(str(status),): n for status, n in faults.items()})
+    yield Family("overload_admitted_total",
+                 "requests admitted by admission control, by priority lane",
+                 "counter", ("lane",),
+                 {(LANE_NAMES.get(lane, str(lane)),): n for lane, n in admitted.items()})
+    yield Family("overload_shed_total",
+                 "requests shed by admission control, by priority lane",
+                 "counter", ("lane",),
+                 {(LANE_NAMES.get(lane, str(lane)),): n for lane, n in shed.items()})
+    yield gauge("overload_breaker_state",
+                "offload circuit breaker state (0 closed, 1 half-open, 2 open)",
+                _BREAKER_STATE_CODE.get(breaker.state, -1) if breaker is not None else 0)
+    yield counter("overload_breaker_trips_total", "circuit breaker trips",
+                  breaker.trips if breaker is not None else 0)
+    yield counter("overload_breaker_probes_total", "half-open probe requests admitted",
+                  breaker.probes if breaker is not None else 0)
+    yield counter("overload_breaker_denied_total",
+                  "offload requests denied by the breaker (host-parse fallback)",
+                  breaker.denied if breaker is not None else 0)
+    # No deployment runs a ladder; one that does scrapes its own
+    # level (`DegradationManager.collect`, `degradation_level`).
+    yield gauge("overload_degradation_level", "current degradation ladder level", 0)
+    yield gauge("overload_retry_tokens", "retry-budget tokens remaining",
+                sum(b.tokens for b in budgets))
+    yield counter("overload_retries_spent_total", "retries charged to the budget",
+                  sum(b.spent for b in budgets))
+    yield counter("overload_retries_suppressed_total",
+                  "retries suppressed by an exhausted budget",
+                  sum(b.suppressed for b in budgets))

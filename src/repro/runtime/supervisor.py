@@ -18,8 +18,8 @@ pollable across ticks:
 
 The supervisor never acts on its own authority beyond quarantine: the
 recovery policy is whatever callable the owner wires in.  Everything it
-observes is counted (``stalls_detected`` …) and exported to a bound
-:class:`~repro.metrics.registry.MetricsRegistry`.
+observes is counted (``stalls_detected`` …); :meth:`EngineSupervisor.collect`
+is the registry collector that reads the counts.
 
 This module keeps the runtime package's no-upward-imports rule:
 ``repro.core`` types are resolved lazily, only when defaults are used.
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable
+
+from repro.metrics.registry import counter
 
 from .engine import ProgressEngine, Registration
 
@@ -72,7 +74,6 @@ class EngineSupervisor:
         on_stall: Callable[[Registration], None] | None = None,
         on_fault: Callable[[Registration, BaseException], None] | None = None,
         fault_types: tuple[type, ...] | None = None,
-        metrics=None,
         max_events: int = 256,
         trace=None,
         degradation=None,
@@ -101,19 +102,6 @@ class EngineSupervisor:
         self.stalls_detected = 0
         self.faults_contained = 0
         self.quarantines = 0
-        self._gauges = None
-        if metrics is not None:
-            self._gauges = {
-                "stalls": metrics.counter(
-                    "engine_supervisor_stalls_total", "stalls detected"
-                ),
-                "faults": metrics.counter(
-                    "engine_supervisor_faults_total", "poll faults contained"
-                ),
-                "quarantines": metrics.counter(
-                    "engine_supervisor_quarantines_total", "pollables quarantined"
-                ),
-            }
         engine.supervisor = self
 
     # -- engine hooks ------------------------------------------------------------
@@ -134,8 +122,6 @@ class EngineSupervisor:
         watch = self._watch(reg)
         watch.faults += 1
         self.faults_contained += 1
-        if self._gauges is not None:
-            self._gauges["faults"].inc()
         self._record(reg, "fault", repr(exc))
         if self.on_fault is not None:
             self.on_fault(reg, exc)
@@ -163,8 +149,6 @@ class EngineSupervisor:
             if tick - watch.last_progress_tick >= self.stall_ticks:
                 watch.stalls += 1
                 self.stalls_detected += 1
-                if self._gauges is not None:
-                    self._gauges["stalls"].inc()
                 self._record(reg, "stall", f"no progress for {self.stall_ticks} ticks")
                 # Re-arm before acting so a recovery that itself takes
                 # ticks does not immediately re-fire.
@@ -184,8 +168,6 @@ class EngineSupervisor:
         self._watch(reg).meta["registration"] = reg
         self.quarantined.append(reg)
         self.quarantines += 1
-        if self._gauges is not None:
-            self._gauges["quarantines"].inc()
         self._record(reg, "quarantine", reason)
 
     def reset_faults(self, pollable) -> None:
@@ -227,6 +209,15 @@ class EngineSupervisor:
         if self.trace is not None:
             self.trace.instant(kind, pollable=reg.name, detail=detail,
                                tick=self.engine.tick)
+
+    def collect(self):
+        """The supervisor's counts as metric families (a registry collector)."""
+        yield counter("engine_supervisor_stalls_total", "stalls detected",
+                      self.stalls_detected)
+        yield counter("engine_supervisor_faults_total", "poll faults contained",
+                      self.faults_contained)
+        yield counter("engine_supervisor_quarantines_total", "pollables quarantined",
+                      self.quarantines)
 
     def summary(self) -> str:
         return (

@@ -472,8 +472,8 @@ class DatapathSimulator:
 
         The simulator is itself a pollable: passing a shared ``engine``
         lets one reactor interleave several cells (and surfaces each
-        cell's poll/work counters through the engine metrics, exported
-        into this cell's own registry).  Single-stepped operation for
+        cell's poll/work counters through the engine metrics; an engine
+        made here is read by this cell's own registry).  Single-stepped operation for
         tests is ``sim.progress()`` by hand.
         """
         opts = self.options
@@ -482,7 +482,8 @@ class DatapathSimulator:
         if engine is None:
             from repro.runtime import ProgressEngine
 
-            engine = ProgressEngine(name="sim", registry=self.registry)
+            engine = ProgressEngine(name="sim")
+            self.registry.add_collector(engine.metrics.collect)
         engine.register(
             self, name=f"sim.{self.scenario.value}.{self.profile.spec.name}"
         )

@@ -19,8 +19,6 @@ from repro.proto import Message, parse, prepare_emit
 from repro.proto.fixed_wire import (
     WIRE_FIXED,
     WIRE_STANDARD,
-    FixedWireError,
-    get_fixed_layout,
     measure_fixed,
     negotiation_hash,
     service_types,
@@ -448,21 +446,10 @@ class XrpcChannel:
                                      bytes=len(frame.message),
                                      wire_mode=frame.wire_mode)
             if frame.status == StatusCode.OK:
-                if frame.wire_mode == WIRE_FIXED:
-                    layout = get_fixed_layout(
-                        response_cls.DESCRIPTOR, response_cls._FACTORY
-                    )
-                    if layout is None:
-                        callback(None, StatusCode.INTERNAL)
-                        completed += 1
-                        continue
-                    try:
-                        response = layout.parse(response_cls, frame.message)
-                    except FixedWireError:
-                        callback(None, StatusCode.INTERNAL)
-                        completed += 1
-                        continue
-                    callback(response, StatusCode.OK)
+                if frame.wire_mode != WIRE_STANDARD:
+                    # Responses are standard protobuf on every deployment
+                    # (WIRE_FIXED carries requests only): a server fault.
+                    callback(None, StatusCode.INTERNAL)
                 else:
                     callback(
                         parse(response_cls, frame.message, mode=self.decode_mode),

@@ -47,9 +47,8 @@ class OffloadedXrpcServer(Ingress):
         address: str,
         dpu: DpuEngine,
         service: ServiceDescriptor,
-        layout_salt: str = "",
     ) -> None:
-        super().__init__(network, address, layout_salt)
+        super().__init__(network, address)
         self.dpu = dpu
         self.service = service
         self._method_ids = assign_method_ids(service)

@@ -78,8 +78,7 @@ class Ingress:
     #: depth and it is progressed after the lanes; None serves in place.
     dpu = None
 
-    def __init__(self, network: Network | None, address: str,
-                 layout_salt: str = "") -> None:
+    def __init__(self, network: Network | None, address: str) -> None:
         """With ``network=None`` the server starts without a listener;
         connections arrive through :meth:`adopt` instead (the multiprocess
         deployments hand it :class:`~repro.xrpc.transport.StreamSocket`
@@ -102,10 +101,6 @@ class Ingress:
         # Event-loop pass counter — the circuit breaker's monotonic time
         # unit.
         self._ticks = 0
-        #: Perturbs this server's fixed-layout negotiation hash; any
-        #: non-empty value makes every SETUP offer mismatch (the fault
-        #: campaign's forced-fallback knob, docs/FAULTS.md).
-        self.layout_salt = layout_salt
         #: WIRE_FIXED negotiations answered (match, mismatch) — observability
         self.setup_matches = 0
         self.setup_mismatches = 0
@@ -263,7 +258,7 @@ class Ingress:
         Stateless — the answer only informs the *client*; each frame
         carries its wire mode, so the server never needs per-connection
         mode state."""
-        mine = negotiation_hash(self._registered_types(), self.layout_salt)
+        mine = negotiation_hash(self._registered_types())
         if offered_hash == mine:
             self.setup_matches += 1
             conn.out += encode_setup_ack(StatusCode.OK)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.proto import Message, MessageFactory, parse, prepare_emit
 from repro.proto.descriptor import ServiceDescriptor
-from repro.proto.fixed_wire import WIRE_FIXED, WIRE_STANDARD, measure_fixed, parse_fixed
+from repro.proto.fixed_wire import WIRE_FIXED, parse_fixed
 
 from .framing import StatusCode, append_response
 from .ingress import Ingress, _Connection
@@ -42,9 +42,8 @@ class XrpcServer(Ingress):
         factory: MessageFactory,
         decode_mode: str | None = None,
         encode_mode: str | None = None,
-        layout_salt: str = "",
     ) -> None:
-        super().__init__(network, address, layout_salt)
+        super().__init__(network, address)
         self.factory = factory
         #: Request-deserialization path: ``"generated"`` (also what
         #: ``None`` means) or ``"interpretive"``
@@ -103,32 +102,23 @@ class XrpcServer(Ingress):
         response = binding.handler(request)
         if trace is not None:
             trace.event(ctx, "dispatch", ts=t0, dur=trace.now() - t0, method=method)
-        self._respond_message(conn, call_id, response, fixed)
+        self._respond_message(conn, call_id, response)
         if trace is not None:
             trace.event(ctx, "respond", status=int(StatusCode.OK))
 
-    def _respond_message(
-        self, conn: _Connection, call_id: int, response: Message,
-        request_was_fixed: bool = False,
-    ) -> None:
+    def _respond_message(self, conn: _Connection, call_id: int, response: Message) -> None:
         """OK response: size the message, reserve its frame at the tail
         of the connection's pending output, emit the payload in place
         after the header (zero intermediate full-payload ``bytes``).  An
         emit that raises leaves the frame half built; the front door
-        takes it back.
-
-        A request that arrived on fixed wire gets a fixed-wire response
-        when the response type (and this instance) supports it — the
-        client negotiated the layout, so no per-connection state is
-        needed to answer in kind."""
-        sized = measure_fixed(response) if request_was_fixed else None
-        wire_mode = WIRE_STANDARD if sized is None else WIRE_FIXED
-        if sized is None:
-            # The module global, looked up per call: the benchmark's traced
-            # pass patches it (docs/TRANSPORT.md, "what the benchmark patches").
-            sized = prepare_emit(response, mode=self.encode_mode)
+        takes it back.  Responses are standard protobuf whatever wire
+        the request came on: WIRE_FIXED carries requests only, as on the
+        offloaded deployment, where the host serializes."""
+        # The module global, looked up per call: the benchmark's traced
+        # pass patches it (docs/TRANSPORT.md, "what the benchmark patches").
+        sized = prepare_emit(response, mode=self.encode_mode)
         out = conn.out
-        append_response(out, call_id, StatusCode.OK, bytes(sized.size), wire_mode)
+        append_response(out, call_id, StatusCode.OK, bytes(sized.size))
         sized.emit_into(out, len(out) - sized.size)
         self.stats.responses += 1
 

@@ -148,7 +148,9 @@ class TestChannelRecovery:
         metrics = MetricsRegistry()
         ch = make_channel()
         self._wedge(ch, n=2)
-        ChannelRecovery(ch, metrics=metrics).reset()
+        recovery = ChannelRecovery(ch)
+        metrics.add_collector(recovery.collect)
+        recovery.reset()
         text = metrics.expose()
         assert "rpc_recovery_resets_total 1" in text
         assert "rpc_recovery_replayed_total 2" in text

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Flags, ProtocolConfig, create_channel
-from repro.metrics import EndpointExporter, MetricsRegistry, Scraper, StabilityMonitor
+from repro.metrics import MetricsRegistry, Scraper, StabilityMonitor
 from repro.offload import create_offload_pair
 from repro.offload.engine import DpuEngine, HostEngine
 from repro.proto import compile_schema, parse, serialize
@@ -128,8 +128,12 @@ class TestPaperWorkloadsEndToEnd:
 class TestMetricsIntegration:
     def test_endpoint_exporter_scrapes_real_traffic(self):
         """End-to-end §VI pipeline: endpoint stats -> Prometheus registry
-        -> scraper -> instant rate -> stability."""
+        -> scraper -> instant rate -> stability, with nothing refreshed
+        between scrapes."""
+        from functools import partial
+
         from repro.core import Response
+        from repro.core.endpoint import endpoint_families
 
         cfg = ProtocolConfig(
             block_size=2048, block_alignment=1024, credits=32,
@@ -138,7 +142,7 @@ class TestMetricsIntegration:
         ch = create_channel(cfg, cfg)
         ch.server.register(1, lambda req: Response.empty())
         registry = MetricsRegistry()
-        exporter = EndpointExporter(registry, ch.client, "ror_client")
+        registry.add_collector(partial(endpoint_families, ch.client, "ror_client"))
         scraper = Scraper(registry)
         monitor = StabilityMonitor(window=3, tolerance=0.01)
 
@@ -150,7 +154,6 @@ class TestMetricsIntegration:
                 ch.client.progress()
                 ch.server.progress()
             t += 1.0
-            exporter.update()
             scraper.scrape(t)
         series = scraper.get("ror_client_responses_received_total")
         assert monitor.is_stable(series)

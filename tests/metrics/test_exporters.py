@@ -1,10 +1,12 @@
-"""EndpointExporter: scrape mirroring and stat-reset re-basing."""
+"""An endpoint's collector: its stats, read at scrape time."""
 
 from __future__ import annotations
 
+from functools import partial
 from types import SimpleNamespace
 
-from repro.metrics import EndpointExporter, MetricsRegistry
+from repro.core.endpoint import endpoint_families
+from repro.metrics import MetricsRegistry
 
 
 def _fake_endpoint():
@@ -20,57 +22,43 @@ def _fake_endpoint():
     )
 
 
+def _scraped(ep):
+    reg = MetricsRegistry()
+    reg.add_collector(partial(endpoint_families, ep, "t"))
+    return reg
+
+
+def _value(reg, name):
+    (value,) = [s.value for s in reg.collect() if s.name == name]
+    return value
+
+
 class TestEndpointExporter:
     def test_mirrors_counters(self):
-        reg = MetricsRegistry()
         ep = _fake_endpoint()
-        exporter = EndpointExporter(reg, ep, "t")
+        reg = _scraped(ep)
         ep.stats.requests_sent = 5
         ep.stats.bytes_sent = 120
-        exporter.update()
         text = reg.expose()
         assert "t_requests_sent_total 5.0" in text
         assert "t_bytes_sent_total 120.0" in text
-        assert exporter.resets_detected == 0
 
     def test_incremental_updates_accumulate_once(self):
-        reg = MetricsRegistry()
         ep = _fake_endpoint()
-        exporter = EndpointExporter(reg, ep, "t")
+        reg = _scraped(ep)
         ep.stats.requests_sent = 3
-        exporter.update()
+        assert _value(reg, "t_requests_sent_total") == 3.0
         ep.stats.requests_sent = 7
-        exporter.update()
-        exporter.update()  # no growth — no double counting
-        assert reg.get("t_requests_sent_total").value == 7.0
-
-    def test_stat_reset_rebases_instead_of_raising(self):
-        # A connection reset (or a swapped-in endpoint) restarts the raw
-        # stats at zero; the exported counter must absorb that, never
-        # raise "counters cannot decrease" mid-scrape.
-        reg = MetricsRegistry()
-        ep = _fake_endpoint()
-        exporter = EndpointExporter(reg, ep, "t")
-        ep.stats.blocks_sent = 10
-        exporter.update()
-        ep.stats.blocks_sent = 2  # went backwards: new epoch
-        exporter.update()
-        assert exporter.resets_detected == 1
-        # Exported total = old epoch (10) + new epoch so far (2).
-        assert reg.get("t_blocks_sent_total").value == 12.0
-        ep.stats.blocks_sent = 5
-        exporter.update()
-        assert reg.get("t_blocks_sent_total").value == 15.0
-        assert exporter.resets_detected == 1
+        assert _value(reg, "t_requests_sent_total") == 7.0
+        # a scrape reads, it does not add: no double counting
+        assert _value(reg, "t_requests_sent_total") == 7.0
 
     def test_gauges_follow_endpoint(self):
-        reg = MetricsRegistry()
         ep = _fake_endpoint()
-        exporter = EndpointExporter(reg, ep, "t")
+        reg = _scraped(ep)
         ep.credits.available = 3
         ep.allocator.live_count = 2
         ep.allocator.bytes_live = 4096
-        exporter.update()
-        assert reg.get("t_credits").value == 3.0
-        assert reg.get("t_sbuf_live_blocks").value == 2.0
-        assert reg.get("t_sbuf_live_bytes").value == 4096.0
+        assert _value(reg, "t_credits") == 3.0
+        assert _value(reg, "t_sbuf_live_blocks") == 2.0
+        assert _value(reg, "t_sbuf_live_bytes") == 4096.0

@@ -4,6 +4,10 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -158,6 +162,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "trace_stage_latency_seconds_bucket" in out
         assert "# HELP" in out
+
+    @pytest.mark.parametrize("deployment", DEPLOYMENTS)
+    def test_metrics_names_and_help_are_stable(self, deployment):
+        """``repro metrics`` prints the families and HELP lines it printed
+        before collectors replaced the exporters.  A fresh process each:
+        the codec counters are process-wide, and which labelled families
+        have samples depends on what ran before."""
+        golden = json.loads(
+            (pathlib.Path(__file__).parent / "metrics_scrape_golden.json").read_text()
+        )[deployment]
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "metrics", "--deployment", deployment],
+            capture_output=True, text=True, env=env, timeout=300,
+        ).stdout
+        lines = out.splitlines()
+        assert sorted(line for line in lines if line.startswith("# HELP ")) == golden["help"]
+        families = {line.split("{")[0].split(" ")[0]
+                    for line in lines if line and not line.startswith("#")}
+        assert sorted(families) == golden["families"]
 
     def test_trace_shm_transport_flag(self, tmp_path, capsys):
         out = tmp_path / "shm.json"

@@ -212,7 +212,7 @@ class TestSourcesAndGauges:
     def test_bound_gauges_update_on_seal(self):
         collector, hub = make_hub(window_ticks=1)
         registry = MetricsRegistry()
-        hub.bind_registry(registry)
+        registry.add_collector(hub.collect)
         rec = collector.recorder("c")
         ctx = rec.context(lane=0)
         ctx.tid = ("s", 1)

@@ -490,17 +490,15 @@ class TestPlanCache:
         cls = schema["pm.M"]
         PLAN_METRICS.reset()
         registry = MetricsRegistry()
-        PLAN_METRICS.bind_registry(registry)
-        try:
-            parse(cls, serialize(cls(a=2)), mode="generated")
-            parse(cls, serialize(cls(a=3)), mode="generated")
-            PLAN_METRICS.export()
-        finally:
-            PLAN_METRICS._gauges = None  # unbind for other tests
-        assert registry.get("decode_plan_gen_compiles").samples()[0].value == 1
-        assert registry.get("decode_plan_gen_cache_hits").samples()[0].value == 1
-        assert registry.get("decode_plan_gen_source_bytes").samples()[0].value > 0
+        registry.add_collector(PLAN_METRICS.collect)
+        parse(cls, serialize(cls(a=2)), mode="generated")
+        parse(cls, serialize(cls(a=3)), mode="generated")
+        scraped = {(s.name, s.labels): s.value for s in registry.collect()}
+        assert scraped["decode_plan_gen_compiles", ()] == 1
+        assert scraped["decode_plan_gen_cache_hits", ()] == 1
+        assert scraped["decode_plan_gen_source_bytes", ()] > 0
         decodes = {
-            s.labels: s.value for s in registry.get("decode_plan_decodes").samples()
+            labels: value for (name, labels), value in scraped.items()
+            if name == "decode_plan_decodes"
         }
         assert decodes[(("message", "pm.M"),)] == 2

@@ -422,12 +422,10 @@ class TestPlanCache:
     def test_metrics_export_to_registry(self, everything_cls):
         registry = MetricsRegistry()
         ENCODE_PLAN_METRICS.reset()
-        ENCODE_PLAN_METRICS.bind_registry(registry)
+        registry.add_collector(ENCODE_PLAN_METRICS.collect)
         serialize(build_everything(everything_cls), mode="generated")
-        ENCODE_PLAN_METRICS.export()
         exposed = registry.expose()
         assert "encode_plan_gen_cache_hits" in exposed
         assert "encode_plan_bytes_emitted" in exposed
         assert "encode_plan_copies_avoided" in exposed
         assert "encode_plan_encodes" in exposed
-        ENCODE_PLAN_METRICS._gauges = None  # unbind for other tests

@@ -79,9 +79,8 @@ class TestHysteresis:
 
     def test_events_and_gauge(self):
         registry = MetricsRegistry()
-        mgr = DegradationManager(
-            make_recording_steps([]), step_up_after=1, metrics=registry
-        )
+        mgr = DegradationManager(make_recording_steps([]), step_up_after=1)
+        registry.add_collector(mgr.collect)
         mgr.observe(2.0, 7)
         assert mgr.events[0].tick == 7
         assert mgr.events[0].action == "degrade"

@@ -122,7 +122,8 @@ class TestMetrics:
 
     def test_registry_export(self):
         reg = MetricsRegistry()
-        eng = ProgressEngine(registry=reg)
+        eng = ProgressEngine()
+        reg.add_collector(eng.metrics.collect)
         eng.register(ScriptedPollable([2], name="a"), name="a")
         eng.step()
         text = reg.expose()
@@ -133,7 +134,7 @@ class TestMetrics:
     def test_flush_reasons_shared_from_endpoints(self):
         reg = MetricsRegistry()
         ch = create_channel(CFG, CFG)
-        ch.engine.metrics.bind_registry(reg)
+        reg.add_collector(ch.engine.metrics.collect)
         ch.server.register(1, lambda req: Response.from_bytes(b"ok"))
         out = []
         ch.client.enqueue_bytes(1, b"hi", lambda v, f: out.append(bytes(v)))

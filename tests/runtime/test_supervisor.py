@@ -144,10 +144,10 @@ class TestQuarantine:
 
     def test_release_readmits(self):
         """Re-admitted in the kept registration: its metrics row — and the
-        exported ``engine_*`` gauges — count on, never backwards."""
+        scraped ``engine_*`` families — count on, never backwards."""
         registry = MetricsRegistry()
         engine, pollable, supervisor = make(max_faults=1)
-        engine.metrics.bind_registry(registry)
+        registry.add_collector(engine.metrics.collect)
         pollable.work = 1
         for _ in range(5):
             engine.step()
@@ -185,7 +185,8 @@ class TestObservability:
 
     def test_metrics_exported(self):
         metrics = MetricsRegistry()
-        engine, pollable, supervisor = make(max_faults=1, metrics=metrics)
+        engine, pollable, supervisor = make(max_faults=1)
+        metrics.add_collector(supervisor.collect)
         pollable.exc = TransportError("fake", "x")
         engine.step()
         engine.step()

@@ -16,6 +16,7 @@ from repro.core import create_channel
 from repro.offload.engine import DpuEngine, HostEngine
 from repro.proto import WIRE_FIXED, compile_schema, get_fixed_layout
 from repro.xrpc import (
+    FrameDecoder,
     Network,
     OffloadedXrpcServer,
     XrpcChannel,
@@ -23,6 +24,7 @@ from repro.xrpc import (
     make_stub_class,
     register_offloaded_servicer,
 )
+from repro.xrpc.framing import StatusCode, append_response
 
 SRC = """
 syntax = "proto3";
@@ -55,17 +57,16 @@ def make_servicer(schema):
     return CalcServicer()
 
 
-def baseline_deployment(schema, layout_salt=""):
+def baseline_deployment(schema):
     net = Network()
-    server = XrpcServer(net, "host:1", schema.factory, layout_salt=layout_salt)
+    server = XrpcServer(net, "host:1", schema.factory)
     server.add_service(schema.service("fxc.Calc"), make_servicer(schema))
     channel = XrpcChannel(net, "host:1")
     channel.drive = server.progress
     return channel, server
 
 
-def offloaded_deployment(schema, layout_salt="", decode_mode="generated",
-                         transport="inproc"):
+def offloaded_deployment(schema, decode_mode="generated", transport="inproc"):
     svc = schema.service("fxc.Calc")
     rdma = create_channel(transport=transport)
     host = HostEngine(rdma, schema)
@@ -74,7 +75,7 @@ def offloaded_deployment(schema, layout_salt="", decode_mode="generated",
     host.send_bootstrap()
     dpu.receive_bootstrap()
     net = Network()
-    front = OffloadedXrpcServer(net, "dpu:1", dpu, svc, layout_salt=layout_salt)
+    front = OffloadedXrpcServer(net, "dpu:1", dpu, svc)
     channel = XrpcChannel(net, "dpu:1")
     channel.drive = lambda: (front.progress(), host.progress())
     return channel, front, host, dpu, rdma
@@ -93,9 +94,9 @@ class TestBaselineNegotiation:
         assert stub.Echo(schema["fxc.Blob"](data=b"\x00\xffhey")).data == b"\x00\xffhey"
 
     def test_hash_mismatch_falls_back_to_standard(self, schema):
-        channel, server = baseline_deployment(schema, layout_salt="drift")
+        channel, server = baseline_deployment(schema)
         svc = schema.service("fxc.Calc")
-        assert channel.negotiate_fixed(svc) is False
+        assert channel.negotiate_fixed(svc, salt="drift") is False
         assert not channel.wire_fixed
         assert server.setup_mismatches == 1
         stub = make_stub_class(svc, schema.factory)(channel)
@@ -144,6 +145,41 @@ class TestBaselineNegotiation:
                 break
         assert done and done[0].v == 14
         assert seen == [(WIRE_FIXED, layout.encode(msg))]
+
+
+    def test_responses_stay_on_standard_wire(self, schema):
+        """WIRE_FIXED carries requests only: a fixed request to the
+        baseline is answered in standard protobuf, as the offloaded
+        front door answers (the host serializes)."""
+        channel, server = baseline_deployment(schema)
+        svc = schema.service("fxc.Calc")
+        assert channel.negotiate_fixed(svc)
+        socket = channel.socket
+        replies = []
+        recv = socket.recv
+        socket.recv = lambda n: replies.append(recv(n)) or replies[-1]
+        stub = make_stub_class(svc, schema.factory)(channel)
+        assert stub.Add(schema["fxc.BinOp"](a=40, b=2)).v == 42
+        decoder = FrameDecoder()
+        decoder.feed(b"".join(replies))
+        assert [frame.wire_mode for frame in decoder.frames()] == [0]
+
+    def test_a_fixed_response_frame_completes_internal(self, schema):
+        """An OK response frame on fixed wire is a server fault: the call
+        completes INTERNAL, although the payload is a valid fixed layout."""
+        net = Network()
+        listener = net.listen("raw:1")
+        channel = XrpcChannel(net, "raw:1")
+        Value = schema["fxc.Value"]
+        done = []
+        call_id = channel.call("/fxc.Calc/Add", schema["fxc.BinOp"](a=1, b=2), Value,
+                               lambda rsp, status: done.append((rsp, status)))
+        layout = get_fixed_layout(Value.DESCRIPTOR, schema.factory)
+        frame = bytearray()
+        append_response(frame, call_id, StatusCode.OK, layout.encode(Value(v=3)), WIRE_FIXED)
+        listener.accept().send(bytes(frame))
+        assert channel.poll() == 1
+        assert done == [(None, StatusCode.INTERNAL)]
 
 
 class TestOffloadedNegotiation:
@@ -200,12 +236,10 @@ class TestOffloadedNegotiation:
             rdma.close()
 
     def test_front_end_salt_mismatch(self, schema):
-        channel, front, host, dpu, rdma = offloaded_deployment(
-            schema, layout_salt="drift"
-        )
+        channel, front, host, dpu, rdma = offloaded_deployment(schema)
         try:
             svc = schema.service("fxc.Calc")
-            assert channel.negotiate_fixed(svc) is False
+            assert channel.negotiate_fixed(svc, salt="drift") is False
             assert front.setup_mismatches == 1
             stub = make_stub_class(svc, schema.factory)(channel)
             assert stub.Add(schema["fxc.BinOp"](a=6, b=6)).v == 12
