@@ -146,6 +146,8 @@ class TypeUniverse:
         self._cursor = globals_base
         self._vtables: dict[str, int] = {}
         self._defaults: dict[str, int] = {}
+        #: MessageLayout -> its generated view class (offload.materialize)
+        self.view_classes: dict = {}
 
     # -- globals materialization -------------------------------------------------
 

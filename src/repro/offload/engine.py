@@ -58,7 +58,7 @@ from repro.rdma import Opcode, WorkRequest
 
 from .adt import Adt, AdtError, BlobReader, TypeUniverse, decode_adt, encode_adt
 from .arena_deserializer import ArenaDeserializer, DeserializeStats
-from .materialize import CppMessageView
+from .materialize import CppMessageView, view_class
 
 __all__ = [
     "MethodSpec",
@@ -176,20 +176,19 @@ class HostEngine:
         desc = self.schema.pool.message(input_type)
         self.methods.append(MethodSpec(method_id, name or f"m{method_id}", input_type))
         self._input_descriptors[method_id] = desc
-        layout = self.universe.layouts.layout(desc)
-
-        input_cls = self.schema.factory.get_class(desc)
-
         universe = self.universe
+        layout = universe.layouts.layout(desc)
+        view_cls = view_class(universe, layout)
+        input_cls = self.schema.factory.get_class(desc)
 
         def handler(request: IncomingRequest) -> Response:
             degraded = request.flags & Flags.WIRE_PAYLOAD
             if degraded:
                 # Failover path: the DPU engine is down, the payload is
                 # raw protobuf (or, with FIXED_PAYLOAD, the negotiated
-                # fixed layout).  Deserialize here — the parsed Message
-                # duck-types field access exactly like the CppMessageView,
-                # so the business callback runs unchanged.  (What the parser
+                # fixed layout).  Deserialize here — a field reads the same
+                # on the parsed Message as on the view, so the business
+                # callback runs unchanged.  (What the parser
                 # rejects, the endpoint's boundary answers ERROR | MALFORMED.)
                 self.host_deserialized += 1
                 if request.flags & Flags.FIXED_PAYLOAD:
@@ -197,7 +196,7 @@ class HostEngine:
                 else:
                     view = parse(input_cls, request.payload_bytes())
             else:
-                view = CppMessageView(universe, layout, request.payload_addr)
+                view = view_cls(universe, layout, request.payload_addr)
             trace = self.trace if request.trace is not None else None
             t0 = trace.now() if trace is not None else 0
             result = callback(view, request)

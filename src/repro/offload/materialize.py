@@ -21,7 +21,7 @@ from repro.proto.message import Message, MessageFactory
 
 from .adt import TypeUniverse
 
-__all__ = ["CppMessageView", "read_message", "verify_object"]
+__all__ = ["CppMessageView", "read_message", "verify_object", "view_class"]
 
 _POINTER = PRIMITIVES["pointer"].codec
 
@@ -46,36 +46,49 @@ def verify_object(
 class CppMessageView:
     """Zero-copy, read-only view of a C++ message object in memory.
 
-    Field access follows exactly the memory trips host code makes: scalar
-    loads at member offsets, ``std::string`` data-pointer dereferences
-    (with the SSO fast path), repeated-header + element-array reads, and
-    child-pointer chases returning nested views.
+    ``CppMessageView(universe, layout, addr)`` builds an instance of the
+    layout's generated subclass (:func:`view_class`), which has one
+    property per field, as a protoc-generated class has one inline
+    accessor per field.  Field access follows exactly the memory trips
+    host code makes: scalar loads at member offsets, ``std::string``
+    data-pointer dereferences (with the SSO fast path), repeated-header +
+    element-array reads, and child-pointer chases returning nested views.
+    A name that is not a field raises ``AttributeError``, as on a parsed
+    message.
 
     The object is *loaded, not parsed*: its region is resolved once, at
     construction, with one bounds check for ``[addr, addr + sizeof)``, and
     every in-object read (vptr, has-bits, string and repeated headers) is
-    served from that region — a singular scalar straight from its buffer
-    at the member's fixed offset.  Only a pointer that leaves the
-    object — an element array, out-of-line string data, a child — pays a
-    further check, and each pays exactly one for its whole span.
+    served from that region — a singular scalar is one ``unpack_from`` on
+    its buffer at the member's literal offset.  Only a pointer that leaves
+    the object — an element array, out-of-line string data, a child —
+    pays a further check, and each pays exactly one for its whole span.
     """
 
-    __slots__ = ("_universe", "_layout", "_addr", "_space", "_region", "_offset")
+    __slots__ = ("_addr", "_region", "_buf", "_offset")
+    #: set on each generated subclass: what it views, and the vtable its
+    #: objects point at (once the first one has been verified)
+    _universe: TypeUniverse
+    _layout: MessageLayout
+    _space: Any
+    _vtable: int | None
 
-    def __init__(self, universe: TypeUniverse, layout: MessageLayout, addr: int) -> None:
-        space = universe.space
-        region = space.region_of(addr, layout.sizeof)
+    def __new__(cls, universe: TypeUniverse, layout: MessageLayout, addr: int):
+        if cls is CppMessageView:  # the generic entry: the layout's class
+            cls = view_class(universe, layout)
+        region = universe.space.region_of(addr, layout.sizeof)
         offset = addr - region.base
         # The vptr check of :func:`verify_object`, on the span just proven.
         vptr = _POINTER.unpack_from(region.buf, offset + layout.VPTR_OFFSET)[0]
-        if vptr != universe.vtable_address(layout.descriptor):
+        if vptr != cls._vtable:
             verify_object(universe, layout, addr, region)  # raises, naming both
-        self._universe = universe
-        self._layout = layout
-        self._addr = addr
-        self._space = space
-        self._region = region
-        self._offset = offset
+            cls._vtable = vptr  # proven: later objects compare to it alone
+        self = object.__new__(cls)
+        self._addr, self._region, self._buf, self._offset = addr, region, region.buf, offset
+        return self
+
+    def __getnewargs__(self):  # copy.copy rebuilds the view through __new__
+        return self._universe, self._layout, self._addr
 
     @property
     def address(self) -> int:
@@ -89,27 +102,15 @@ class CppMessageView:
         slot = self._layout.slot(name)
         return self._layout.get_has_bit(self._region, self._addr, slot.has_bit)
 
-    def __getattr__(self, name: str) -> Any:
-        load = self._layout.scalar_loads.get(name)
-        if load is not None:
-            return load[1](self._region.buf, self._offset + load[0])[0]
-        slot = self._layout.slot(name)
-        fd = slot.field
-        addr = self._addr + slot.offset
-
-        if fd.is_repeated:
-            return self._read_repeated(fd, addr)
-        if fd.type in (FieldType.STRING, FieldType.BYTES):
-            return self._read_string(self._region, addr, fd.type is FieldType.STRING)
-        # Singular scalars were served above: this is a child pointer.
+    def _read_child(self, fd, addr: int) -> "CppMessageView":
         ptr = self._region.read_u64(addr)
-        child_layout = self._universe.layouts.layout(fd.message_type)
         if ptr == 0:
             # C++ semantics: accessing an unset submessage returns the
             # (immutable) global default instance, never null — the
             # same view a parsed Message gives via auto-vivification.
             ptr = self._universe.default_instance(fd.message_type)
-        return CppMessageView(self._universe, child_layout, ptr)
+        layout = self._universe.layouts.layout(fd.message_type)
+        return view_class(self._universe, layout)(self._universe, layout, ptr)
 
     def _read_string(self, holder, addr: int, text: bool):
         """The ``std::string`` at ``addr`` inside ``holder``, the already
@@ -130,11 +131,10 @@ class CppMessageView:
             return []
         space = self._space
         if fd.type is FieldType.MESSAGE:
-            child_layout = self._universe.layouts.layout(fd.message_type)
-            return [
-                CppMessageView(self._universe, child_layout, ptr)
-                for ptr in space.read_array(elems, "Q", count)
-            ]
+            universe = self._universe
+            layout = universe.layouts.layout(fd.message_type)
+            cls = view_class(universe, layout)
+            return [cls(universe, layout, ptr) for ptr in space.read_array(elems, "Q", count)]
         if fd.type in (FieldType.STRING, FieldType.BYTES):
             size = self._layout.string_layout.size
             holder = space.region_of(elems, size * count)
@@ -152,6 +152,40 @@ class CppMessageView:
 
     def __repr__(self) -> str:
         return f"<CppMessageView {self.type_name} @ {self._addr:#x}>"
+
+
+def view_class(universe: TypeUniverse, layout: MessageLayout) -> type[CppMessageView]:
+    """The generated :class:`CppMessageView` subclass for ``layout``,
+    compiled on first use and cached on ``universe``.  Each field is a
+    property whose getter is straight-line source; a field name appears
+    there only as a string literal, and a name the base class already
+    answers (``address``, ``fields``, ...) keeps that attribute."""
+    cls = universe.view_classes.get(layout)
+    if cls is not None:
+        return cls
+    ns, lines = {}, []
+    for i, slot in enumerate(layout.slots):
+        fd, at = slot.field, f"self._addr + {slot.offset}"
+        ns[f"f{i}"] = fd
+        if slot.kind == "scalar":
+            ns[f"u{i}"] = member_primitive(fd).codec.unpack_from
+            read = f"u{i}(self._buf, self._offset + {slot.offset})[0]"
+        elif slot.kind == "string":
+            read = f"self._read_string(self._region, {at}, {fd.type is FieldType.STRING})"
+        elif slot.kind == "repeated":
+            read = f"self._read_repeated(f{i}, {at})"
+        else:
+            read = f"self._read_child(f{i}, {at})"
+        lines.append(f"def g{i}(self):\n    return {read}")
+    exec("\n".join(lines), ns)
+    namespace = {"__slots__": (), "_universe": universe, "_layout": layout,
+                 "_space": universe.space, "_vtable": None}
+    for i, slot in enumerate(layout.slots):
+        if not hasattr(CppMessageView, slot.field.name) and slot.field.name not in namespace:
+            namespace[slot.field.name] = property(ns[f"g{i}"])
+    cls = universe.view_classes[layout] = type(
+        f"{layout.descriptor.name}View", (CppMessageView,), namespace)
+    return cls
 
 
 def read_message(

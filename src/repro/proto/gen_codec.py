@@ -527,8 +527,8 @@ def get_gen_decoder(descriptor: MessageDescriptor, factory: MessageFactory) -> G
 class SizedMessage:
     """A message whose serialized size is already known.
 
-    Produced by :meth:`GeneratedEncoder.measure`: the size pass has run
-    and its per-submessage length memo is retained, so the caller can
+    Building one runs the size pass (:meth:`GeneratedEncoder.measure`)
+    and retains its per-submessage length memo, so the caller can
     first reserve ``size`` bytes at the destination (a block payload slot,
     a frame buffer) and then :meth:`emit_into` it — the emit pass never
     re-measures anything.  The message must not be mutated in between.
@@ -536,11 +536,11 @@ class SizedMessage:
 
     __slots__ = ("encoder", "msg", "size", "_memo")
 
-    def __init__(self, encoder: "GeneratedEncoder", msg: Message, size: int, memo: dict) -> None:
+    def __init__(self, encoder: "GeneratedEncoder", msg: Message) -> None:
         self.encoder = encoder
         self.msg = msg
-        self.size = size
-        self._memo = memo
+        self._memo = memo = {}
+        self.size = encoder._size(msg, memo)
 
     def emit_into(self, buf, offset: int = 0) -> int:
         """Write the wire bytes into ``buf`` at ``offset``; returns the end
@@ -590,8 +590,7 @@ class GeneratedEncoder:
 
     def measure(self, msg: Message) -> SizedMessage:
         """Run the size pass now, emit later (see :class:`SizedMessage`)."""
-        memo: dict = {}
-        return SizedMessage(self, msg, self._size(msg, memo), memo)
+        return SizedMessage(self, msg)
 
     def serialize(self, msg: Message) -> bytes:
         """Serialize ``msg`` to a fresh ``bytes`` object (the fused form of

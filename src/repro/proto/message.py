@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from inspect import isfunction
 from typing import Any, Iterator
 
 import numpy as np
@@ -183,10 +184,16 @@ class Message:
 
     * ``DESCRIPTOR`` — the :class:`MessageDescriptor`
     * ``_FACTORY`` — the owning factory (for nested construction)
+    * one property per field, and ``_SETTERS`` (field name → the
+      property's setter, which the constructor calls)
+    * ``_ENCODER`` — the generated encoder, bound by
+      :mod:`repro.proto.serializer` on the class's first encode
     """
 
     DESCRIPTOR: MessageDescriptor
     _FACTORY: "MessageFactory"
+    _SETTERS: dict = {}
+    _ENCODER = None
     __slots__ = ("_values", "_unknown")
 
     def __init__(self, **kwargs: Any) -> None:
@@ -196,76 +203,10 @@ class Message:
         #: fields on re-serialization).  NOT part of message equality.
         self._unknown: bytes = b""
         for name, value in kwargs.items():
-            fd = self.DESCRIPTOR.field_by_name(name)
-            if fd is None:
-                raise FieldValueError(
-                    f"{self.DESCRIPTOR.full_name} has no field {name!r}"
-                )
-            if fd.is_repeated:
-                getattr(self, name).extend(value)
-            else:
-                setattr(self, name, value)
-
-    # -- attribute protocol --------------------------------------------------
-
-    def __getattr__(self, name: str) -> Any:
-        # Only called when normal lookup fails; field access lands here.
-        desc = type(self).DESCRIPTOR
-        fd = desc.field_by_name(name)
-        if fd is None:
-            raise AttributeError(f"{desc.full_name} has no field {name!r}")
-        values = self._values
-        if name in values:
-            return values[name]
-        if fd.is_repeated:
-            lst = _RepeatedField(fd, self._FACTORY)
-            values[name] = lst
-            return lst
-        if fd.type is FieldType.MESSAGE:
-            # proto3 semantics: reading a singular message field
-            # auto-vivifies an empty submessage (like C++'s default
-            # instance, but mutable here for convenience).
-            sub = self._FACTORY.get_class(fd.message_type)()
-            values[name] = sub
-            return sub
-        return fd.default_value()
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name in Message.__slots__:
-            object.__setattr__(self, name, value)
-            return
-        desc = type(self).DESCRIPTOR
-        fd = desc.field_by_name(name)
-        if fd is None:
-            raise AttributeError(f"{desc.full_name} has no field {name!r}")
-        if fd.is_repeated:
-            lst = _RepeatedField(fd, self._FACTORY)
-            lst.extend(value)
-            self._values[name] = lst
-            return
-        if fd.type is FieldType.MESSAGE:
-            if value is None:
-                self._values.pop(name, None)
-                return
-            if not isinstance(value, Message) or (
-                value.DESCRIPTOR.full_name != fd.message_type.full_name
-            ):
-                raise FieldValueError(
-                    f"{name}: expected {fd.message_type.full_name} message"
-                )
-            self._values[name] = value
-        else:
-            self._values[name] = _coerce_scalar(fd, value)
-        if fd.containing_oneof is not None:
-            self._clear_other_oneof_members(fd)
-
-    def _clear_other_oneof_members(self, fd: FieldDescriptor) -> None:
-        for other in self.DESCRIPTOR.fields:
-            if (
-                other.containing_oneof == fd.containing_oneof
-                and other.name != fd.name
-            ):
-                self._values.pop(other.name, None)
+            setter = self._SETTERS.get(name)
+            if setter is None:
+                raise FieldValueError(f"{self.DESCRIPTOR.full_name} has no field {name!r}")
+            setter(self, value)
 
     # -- protobuf-style API ---------------------------------------------------
 
@@ -387,6 +328,57 @@ class Message:
         return f"{self.DESCRIPTOR.full_name}({parts})"
 
 
+#: scalar kind → the one type whose values a setter stores without a call;
+#: any other value takes :func:`_coerce_scalar` (same accepts, same rejects).
+_EXACT_TYPES = {**dict.fromkeys(_INT_RANGES, "int"), FieldType.BOOL: "bool",
+                FieldType.FLOAT: "float", FieldType.DOUBLE: "float",
+                FieldType.STRING: "str", FieldType.BYTES: "bytes"}
+
+
+def _install_accessors(cls: type[Message]) -> None:
+    """Give ``cls`` one property per field, compiled from straight-line
+    source in which a field name appears only as a string literal.  A name
+    the class already answers keeps its attribute (a method name still
+    stores the field on assignment); the constructor reaches every setter
+    through ``_SETTERS``."""
+    ns = {"F": cls._FACTORY, "R": _RepeatedField, "M": Message, "E": FieldValueError,
+          "C": _coerce_scalar}
+    lines = []
+    for i, fd in enumerate(fields := cls.DESCRIPTOR.fields):
+        ns[f"f{i}"], ns[f"d{i}"], key = fd, fd.default_value(), repr(fd.name)
+        if fd.is_repeated or fd.type is FieldType.MESSAGE:  # auto-vivified on first read
+            new = f"R(f{i}, F)" if fd.is_repeated else f"F.get_class(f{i}.message_type)()"
+            get = ["values = self._values", f"if {key} not in values:",
+                   f"    values[{key}] = {new}", f"return values[{key}]"]
+        else:
+            get = [f"return self._values.get({key}, d{i})"]
+        if fd.is_repeated:  # atomic: the span is checked before it is stored
+            put = [f"new = R(f{i}, F)", "new.extend(value)", "value = new"]
+        elif fd.type is FieldType.MESSAGE:
+            full = fd.message_type.full_name
+            put = ["if value is None:", f"    self._values.pop({key}, None)", "    return",
+                   f"if not isinstance(value, M) or value.DESCRIPTOR.full_name != {full!r}:",
+                   f"    raise E({f'{fd.name}: expected {full} message'!r})"]
+        else:
+            lo, hi = _INT_RANGES.get(fd.type, (None, None))
+            test = f"type(value) is not {_EXACT_TYPES[fd.type]}"
+            put = [f"if {test}{f' or not {lo} <= value <= {hi}' if lo is not None else ''}:",
+                   f"    value = C(f{i}, value)"]
+        put.append(f"self._values[{key}] = value")
+        if fd.containing_oneof is not None:
+            put += [f"self._values.pop({o.name!r}, None)" for o in fields
+                    if o.containing_oneof == fd.containing_oneof and o is not fd]
+        lines += [f"def g{i}(self):", *(f"    {ln}" for ln in get),
+                  f"def s{i}(self, value):", *(f"    {ln}" for ln in put)]
+    exec("\n".join(lines), ns)
+    for i, fd in enumerate(fields):
+        if not hasattr(cls, fd.name):
+            setattr(cls, fd.name, property(ns[f"g{i}"], ns[f"s{i}"]))
+        elif isfunction(method := getattr(cls, fd.name)) and not fd.name.startswith("__"):
+            setattr(cls, fd.name, property(method.__get__, ns[f"s{i}"]))
+    cls._SETTERS = {fd.name: ns[f"s{i}"] for i, fd in enumerate(fields)}
+
+
 class MessageFactory:
     """Creates and caches one Python class per message descriptor."""
 
@@ -408,6 +400,7 @@ class MessageFactory:
                     "__qualname__": descriptor.full_name,
                 },
             )
+            _install_accessors(cls)
             self._classes[descriptor.full_name] = cls
         return cls
 

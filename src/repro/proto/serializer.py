@@ -70,20 +70,22 @@ def check_room(buf, offset: int, size: int) -> None:
 
 # Bound on first use (gen_codec imports this module for the tag cache, so
 # the import cannot be at module level).
-_get_gen_encoder = None
+_gen_codec = None
 
 
 def _encoder_for(msg: Message, mode: str | None):
-    """The message type's :class:`~repro.proto.gen_codec.GeneratedEncoder`
-    when ``mode`` is ``"generated"`` (or ``None``, the default); ``None``
-    when it is ``"interpretive"``."""
+    """The message class's :class:`~repro.proto.gen_codec.GeneratedEncoder`
+    when ``mode`` is ``"generated"`` (or ``None``, the default), bound to
+    the class as ``_ENCODER`` on its first encode; ``None`` when ``mode``
+    is ``"interpretive"``."""
     if mode is None or mode == "generated":
-        global _get_gen_encoder
-        if _get_gen_encoder is None:
-            from .gen_codec import get_gen_encoder
+        cls = type(msg)
+        if cls._ENCODER is None:
+            global _gen_codec
+            from . import gen_codec as _gen_codec
 
-            _get_gen_encoder = get_gen_encoder
-        return _get_gen_encoder(type(msg).DESCRIPTOR, msg._FACTORY)
+            cls._ENCODER = _gen_codec.get_gen_encoder(cls.DESCRIPTOR, cls._FACTORY)
+        return cls._ENCODER
     if mode != "interpretive":
         raise ValueError(f"unknown encode mode {mode!r} (expected one of {ENCODE_MODES})")
     return None
@@ -238,8 +240,12 @@ def emit_writer(msg: Message, mode: str | None = None):
     """``(size, writer)`` for the block datapath: ``writer(space, addr)``
     emits ``msg``'s wire bytes directly into the registered send region
     via ``space.view`` and returns the payload size — the shape
-    ``core.endpoint`` expects from ``Response.writer`` / ``enqueue``."""
-    sized = prepare_emit(msg, mode)
+    ``core.endpoint`` expects from ``Response.writer`` / ``enqueue``.
+    Once the class's encoder is bound, the size pass runs straight from
+    here; the writer emits through the measured message's one
+    ``emit_into``."""
+    encoder = type(msg)._ENCODER if mode is None or mode == "generated" else None
+    sized = prepare_emit(msg, mode) if encoder is None else _gen_codec.SizedMessage(encoder, msg)
     size = sized.size
     emit_into = sized.emit_into
 

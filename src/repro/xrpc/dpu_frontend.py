@@ -13,9 +13,11 @@ address.
 ``register_offloaded_servicer`` is the host-side compatibility layer: an
 application servicer written for the normal xRPC server runs unmodified —
 its methods receive the request object (here the zero-copy
-:class:`~repro.offload.materialize.CppMessageView`, which duck-types field
-access exactly like a parsed message) and a ``None`` context ("we use a
-null pointer for simplicity"), and return a response Message.
+:class:`~repro.offload.materialize.CppMessageView`, whose generated class
+reads every field as a parsed message does — same values and defaults,
+``AttributeError`` for a name that is not a field — but is read-only and
+has none of the message's protobuf methods) and a ``None`` context ("we
+use a null pointer for simplicity"), and return a response Message.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ both counts and exits non-zero above either budget.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 from repro.deploy import build
@@ -26,15 +27,16 @@ from repro.xrpc import FrameDecoder, StatusCode, encode_request
 REQUESTS = 640
 DEPTH = 16
 #: Python-level calls per request this script counted at the parent of
-#: the change that made a partial block's hold an int on the endpoint
-#: (commit ce2af41: one flush-policy call per endpoint pass)
-PARENT_CALLS = {16: 63.9391, 1: 168.0016}
+#: the change that generated one accessor class per message type (field
+#: reads and sets are properties, a view is built in one call, the
+#: encoder is bound to the message class)
+PARENT_CALLS = {16: 63.8141, 1: 166.0016}
 #: depth -> budget, halfway between that parent and what the change
-#: counted alone (63.8141 and 166.0016: 40 841 and 106 241 calls for the
-#: 640 requests).  The parent fails both; the margin absorbs the few
-#: calls that can land inside the window when the whole suite shares
-#: the process (+2 seen once at depth 1; alone the count never moved).
-BUDGET = {16: 63.8766, 1: 167.0}
+#: counted alone (56.8141 and 159.0016: 36 361 and 101 761 calls for the
+#: 640 requests).  The parent fails both; the margin absorbs the calls
+#: that land inside the window when the whole suite shares the process
+#: (a garbage collection runs the callbacks other libraries registered).
+BUDGET = {16: 60.3141, 1: 162.5016}
 
 
 def python_calls_per_request(requests: int = REQUESTS, depth: int = DEPTH) -> float:
@@ -68,6 +70,8 @@ def python_calls_per_request(requests: int = REQUESTS, depth: int = DEPTH) -> fl
             if event == "call":
                 calls += 1
 
+        # Collections then fall at the same points in every window.
+        gc.collect()
         sys.setprofile(profile)
         try:
             run(4 * depth + requests)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import time
+
 import pytest
 
 from repro.abi import REPEATED_HEADER, AbiError
@@ -13,8 +16,12 @@ from repro.offload import (
     read_message,
     verify_object,
 )
+from repro.offload.materialize import view_class
 from repro.offload.view import AdtMessageView
+from repro.deploy import build
 from repro.proto import compile_schema, serialize
+from repro.workloads import bench_service
+from repro.xrpc import FrameDecoder, StatusCode, encode_request
 
 ARENA_BASE = 0x0800_0000
 ARENA_SIZE = 1 << 18
@@ -105,10 +112,34 @@ class TestCppMessageView:
         assert view.has_field("s")
 
     def test_unknown_field(self, built):
+        """A name that is not a field answers as on a parsed message."""
         _, _, universe, layout, addr, _ = built
         view = CppMessageView(universe, layout, addr)
-        with pytest.raises(AbiError):
+        with pytest.raises(AttributeError):
             view.zzz
+
+    def test_probing_an_optional_attribute(self, built):
+        schema, _, universe, layout, addr, msg = built
+        view = CppMessageView(universe, layout, addr)
+        for obj in (view, msg):
+            assert not hasattr(obj, "nope")
+            assert getattr(obj, "nope", "default") == "default"
+            assert hasattr(obj, "a") and getattr(obj, "a", None) == 7
+
+    def test_copy(self, built):
+        _, _, universe, layout, addr, _ = built
+        view = CppMessageView(universe, layout, addr)
+        twin = copy.copy(view)
+        assert type(twin) is type(view) and twin.address == addr
+        assert (twin.a, twin.s, twin.xs, twin.leaf.tag) == (7, "view me", [-1, 5], "child")
+
+    def test_generated_class_per_layout(self, built):
+        schema, _, universe, layout, addr, _ = built
+        view = CppMessageView(universe, layout, addr)
+        assert type(view) is view_class(universe, layout)
+        assert isinstance(view, CppMessageView) and type(view) is not CppMessageView
+        assert type(view.leaf) is view_class(
+            universe, universe.layouts.layout(schema.pool.message("mv.Leaf")))
 
     def test_address_and_repr(self, built):
         _, _, universe, layout, addr, _ = built
@@ -248,3 +279,34 @@ class TestHostileRepeatedHeader:
         _, _, universe, layout, _, _ = built
         with pytest.raises(MemoryError_):
             CppMessageView(universe, layout, ARENA_BASE + ARENA_SIZE - 8)
+
+
+def test_a_probing_servicer_gets_one_answer_on_both_deployments():
+    """A servicer that probes an optional attribute of its request (here:
+    ``hasattr`` / ``getattr`` with a default, for names the schema does
+    not have) answers the same whether the front end parsed the request
+    on the host or the host reads the DPU's object through a view."""
+    answers = {}
+    for kind in ("baseline", "offloaded"):
+        schema, service, servicer = bench_service()
+        CharArray = schema["bench.CharArray"]
+
+        class Probing(type(servicer)):
+            def Upper(self, request, context):
+                return CharArray(data=f"{getattr(request, 'encoding', 'utf-8')}"
+                                      f"|{hasattr(request, 'nope')}|{request.data}")
+
+        with build(kind, schema, service, Probing()) as deployment:
+            socket, decoder = deployment.connect(), FrameDecoder()
+            socket.send(encode_request(1, "/bench.Bench/Upper",
+                                       serialize(CharArray(data="probe"))))
+            deadline = time.monotonic() + 30.0
+            frames = []
+            while not frames and time.monotonic() < deadline:
+                deployment.drive()
+                decoder.feed(socket.recv(1 << 20))
+                frames = list(decoder.frames())
+        (frame,) = frames
+        assert frame.status == StatusCode.OK, (kind, frame.status)
+        answers[kind] = schema["bench.CharArray"]().ParseFromString(frame.message).data
+    assert answers == {"baseline": "utf-8|False|probe", "offloaded": "utf-8|False|probe"}

@@ -339,6 +339,21 @@ def test_a_fixed_payload_is_bounds_proved_in_one_function(needle):
     assert _functions_writing(needle, SRC / "offload") == set()
 
 
+# -- field access is generated per message type, on both host-side representations --
+
+
+@pytest.mark.parametrize("module, cls", [("proto/message.py", "Message"),
+                                         ("offload/materialize.py", "CppMessageView")])
+def test_field_access_has_no_generic_attribute_hook(module, cls):
+    """A field is a property of the type's generated class: neither base
+    class answers a name through ``__getattr__`` or intercepts every
+    assignment through ``__setattr__``."""
+    tree = ast.parse((SRC / module).read_text())
+    (node,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls]
+    assert [f.name for f in node.body if isinstance(f, ast.FunctionDef)
+            and f.name in ("__getattr__", "__setattr__")] == []
+
+
 # -- the benchmark's patch points (docs/TRANSPORT.md, "what the benchmark patches") --
 
 
