@@ -4,10 +4,10 @@ Sweeps the open-loop workload (``repro.workloads.openloop``) across
 offered loads from half capacity to twice capacity over the offloaded
 deployment, in two configurations:
 
-* **controlled** — admission control (queue-depth), per-call deadlines,
-  the degradation ladder, and the offload circuit breaker all armed;
-* **uncontrolled** — the same traffic with every overload control off,
-  the divergence baseline.
+* **controlled** — queue-depth admission control at the DPU front door,
+  priority lanes and per-call deadlines;
+* **uncontrolled** — the same traffic with admission off and no lanes
+  on the wire, the divergence baseline.
 
 All time is the deterministic manual clock (one tick = one event-loop
 pass = 100 simulated µs), so the sweep is exactly reproducible and the
@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.runtime.overload import CircuitBreaker, QueueDepthAdmission
+from repro.runtime.overload import QueueDepthAdmission
 from repro.workloads.openloop import OpenLoopConfig, run_open_loop
 
 BENCH_JSON = pathlib.Path(__file__).parents[1] / "BENCH_overload.json"
@@ -57,20 +57,8 @@ def _config(load: float, controlled: bool) -> OpenLoopConfig:
 
 def run_point(load: float, controlled: bool) -> dict:
     """One sweep point; identical seeded traffic either way."""
-    if controlled:
-        result = run_open_loop(
-            _config(load, True),
-            admission=QueueDepthAdmission(max_depth=24, hard_factor=4),
-            use_degradation=True,
-            breaker=CircuitBreaker(recovery_ticks=96),
-            # The ladder is for sustained collapse beyond what shedding
-            # absorbs: step up only when pressure doubles the shed
-            # threshold, so steady 2x load sheds bulk without widening
-            # batching under the latency lane.
-            degradation_kwargs={"high_watermark": 2.0, "low_watermark": 0.75},
-        )
-    else:
-        result = run_open_loop(_config(load, False))
+    admission = QueueDepthAdmission(max_depth=24, hard_factor=4) if controlled else None
+    result = run_open_loop(_config(load, controlled), admission=admission)
     row = result.summary()
     row["load"] = load
     row["controlled"] = controlled

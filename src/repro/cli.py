@@ -13,7 +13,6 @@ code generator from a shell.
     python -m repro trace [--deployment D] [-o FILE]    # Perfetto trace
     python -m repro top [--batches N] [--live]          # stage latency table / live dashboard
     python -m repro metrics [--deployment D]            # Prometheus scrape
-    python -m repro tune [--bad-start] [--verify]       # closed-loop autotuner run
 """
 
 from __future__ import annotations
@@ -223,79 +222,54 @@ def _open_loop_config(args):
     )
 
 
-#: the deliberately bad starting config (docs/AUTOTUNE.md#convergence):
-#: maximal response batching, minimal poller budget, starved credits
-BAD_START = (
-    ("flush_ticks", 16),
-    ("forward_budget", 1),
-    ("host_passes", 1),
-    ("credits", 2),
-)
-
-
-def _cmd_tune(args) -> int:
-    import json
-
-    from repro.runtime.overload import LANE_LATENCY
-    from repro.workloads.openloop import TuneConfig, run_autotuned
-
-    config = _open_loop_config(args)
-    tune = TuneConfig(
-        window_ticks=args.window,
-        enabled=not args.static,
-        initial=BAD_START if args.bad_start else (),
-    )
-    res = run_autotuned(config, tune)
-    if args.verify:
-        again = run_autotuned(config, tune)
-        if again.tuner_fingerprint != res.tuner_fingerprint:
-            print(
-                f"FINGERPRINT MISMATCH: {res.tuner_fingerprint} != "
-                f"{again.tuner_fingerprint}",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"fingerprint verified: {res.tuner_fingerprint}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(res.summary(), indent=2))
-        return 0
-    for line in res.decision_log():
-        print(line)
-    print()
-    print(f"initial config: {res.initial_config}")
-    print(f"final config:   {res.final_config}")
-    print(
-        f"steady goodput {res.steady_goodput():.3f}/tick, "
-        f"latency-lane p99 {res.steady_p99_us(LANE_LATENCY):.0f}µs, "
-        f"{res.windows} windows, {len(res.decisions)} decisions "
-        f"({sum(1 for d in res.decisions if d.action == 'rollback')} rollbacks)"
-    )
-    print(f"decision fingerprint: {res.tuner_fingerprint}")
-    return 0
-
-
 def _top_live(args) -> int:
-    from repro.obs.telemetry import render_dashboard
-    from repro.runtime.overload import LANE_NAMES
-    from repro.workloads.openloop import TuneConfig, run_autotuned
+    from repro.obs.slo import (
+        KIND_GOODPUT,
+        KIND_LANE_P99,
+        KIND_MISS_RATE,
+        AnomalyDetector,
+        SloSpec,
+        SloTracker,
+    )
+    from repro.obs.telemetry import TelemetryHub, render_dashboard
+    from repro.runtime.overload import LANE_LATENCY, LANE_NAMES
+    from repro.workloads.openloop import run_open_loop
 
     config = _open_loop_config(args)
-    tune = TuneConfig(
-        window_ticks=args.window,
-        enabled=args.tune,
-        initial=BAD_START if args.bad_start else (),
-    )
     clear = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
+    hub = None
 
-    def observer(hub, slo, tuner, snapshot) -> None:
-        frame = render_dashboard(hub, slo=slo, tuner=tuner if args.tune else None,
-                                 lane_names=LANE_NAMES)
-        print(f"{clear}{frame}", flush=True)
+    def observer(collector):
+        nonlocal hub
+        # Every window: the hub seals it, the SLO tracker judges it
+        # (latency-lane p99, a goodput floor of 80 % of what the
+        # offered load can sustain, deadline misses; each may burn a
+        # quarter of its windows), and the dashboard redraws.
+        hub = TelemetryHub(collector, window_ticks=args.window)
+        floor = 0.8 * min(config.offered_per_tick, float(config.capacity_per_tick))
+        slo = SloTracker(
+            [
+                SloSpec("latency_p99", KIND_LANE_P99, 2_500.0,
+                        lane=LANE_LATENCY, budget=0.25),
+                SloSpec("goodput_floor", KIND_GOODPUT, floor, budget=0.25),
+                SloSpec("deadline_miss", KIND_MISS_RATE, 0.05, budget=0.25),
+            ],
+            recorder=collector.recorder("slo"),
+            anomaly=AnomalyDetector(),
+        )
+        hub.add_listener(slo.observe)
 
-    res = run_autotuned(config, tune, observer=observer)
+        def redraw(snapshot) -> None:
+            frame = render_dashboard(hub, slo=slo, lane_names=LANE_NAMES)
+            print(f"{clear}{frame}", flush=True)
+
+        hub.add_listener(redraw)
+        return hub.on_tick
+
+    res = run_open_loop(config, observer=observer)
     print(
-        f"done: {res.result.total_completed} completed over {res.result.ticks} "
-        f"ticks, {res.windows} windows", file=sys.stderr,
+        f"done: {res.total_completed} completed over {res.ticks} "
+        f"ticks, {hub.windows_closed} windows", file=sys.stderr,
     )
     return 0
 
@@ -355,11 +329,6 @@ def _add_openloop_args(subparser) -> None:
                            help="fraction of arrivals on the bulk lane")
     subparser.add_argument("--window", type=int, default=50,
                            help="telemetry window in ticks (default 50)")
-    subparser.add_argument(
-        "--bad-start", action="store_true",
-        help="start from the deliberately bad config the convergence "
-        "benchmark uses (wide Nagle, budget 1, starved credits)",
-    )
 
 
 def _add_transport_arg(subparser) -> None:
@@ -475,29 +444,11 @@ def main(argv: list[str] | None = None) -> int:
     top.add_argument(
         "--live", action="store_true",
         help="drive the open-loop workload and refresh a telemetry "
-        "dashboard every window (stage table, SLO burn gauges, tuner "
-        "actions — docs/AUTOTUNE.md)",
+        "dashboard every window (lane and stage tables, SLO burn gauges — "
+        "docs/OBSERVABILITY.md)",
     )
-    top.add_argument("--tune", action="store_true",
-                     help="with --live: close the loop (arm the autotuner)")
     _add_openloop_args(top)
     top.set_defaults(fn=_cmd_top)
-
-    tune = sub.add_parser(
-        "tune",
-        help="run the open-loop harness under the trace-driven autotuner "
-        "and print the decision log (docs/AUTOTUNE.md)",
-    )
-    _add_openloop_args(tune)
-    tune.add_argument("--static", action="store_true",
-                      help="observe without steering (static-config twin)")
-    tune.add_argument(
-        "--verify", action="store_true",
-        help="run twice and require identical decision fingerprints",
-    )
-    tune.add_argument("--json", action="store_true",
-                      help="emit the run summary as JSON")
-    tune.set_defaults(fn=_cmd_tune)
 
     metrics = sub.add_parser(
         "metrics",

@@ -44,7 +44,7 @@ class ProtocolConfig:
 
     A partially filled block seals on the next progress pass (the
     paper's event loop); an endpoint's ``flush_hold`` lets it wait more
-    passes, set live by the autotuner and the degradation ladder.
+    passes (an attribute of the built endpoint, settable live).
     """
 
     block_size: int = 8 * KIB

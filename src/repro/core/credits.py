@@ -29,10 +29,6 @@ class CreditManager:
         #: credits "never reach zero" — this makes that checkable.
         self.low_watermark = initial
         self.stalls = 0  # times a send found zero credits
-        #: acks still owed to a shrunken ceiling (see :meth:`resize`);
-        #: replenishes are absorbed against this before touching the pool.
-        self._absorb = 0
-        self.resizes = 0
 
     @property
     def available(self) -> int:
@@ -53,36 +49,8 @@ class CreditManager:
     def replenish(self, count: int = 1) -> None:
         if count < 0:
             raise ValueError("count must be non-negative")
-        if self._absorb:
-            absorbed = min(self._absorb, count)
-            self._absorb -= absorbed
-            count -= absorbed
         if self._credits + count > self.initial:
             raise CreditError(
                 f"replenish overflows: {self._credits} + {count} > {self.initial}"
             )
         self._credits += count
-
-    def resize(self, new_initial: int) -> None:
-        """Live-retune the ceiling (the autotuner's credit knob,
-        docs/AUTOTUNE.md).
-
-        The total tokens in the system — idle pool plus in-flight blocks
-        — always equals ``initial``.  Growing mints the difference into
-        the idle pool immediately.  Shrinking destroys tokens: first
-        from the idle pool, and whatever is still out with in-flight
-        blocks is *absorbed* as their acks return, so over-replenish
-        detection stays strict while a shrink converges without ever
-        raising on a legitimate ack."""
-        if new_initial < 1:
-            raise ValueError("initial credits must be >= 1")
-        delta = new_initial - self.initial
-        if delta >= 0:
-            self._credits += delta
-        else:
-            from_pool = min(-delta, self._credits)
-            self._credits -= from_pool
-            self._absorb += -delta - from_pool
-        self.initial = new_initial
-        self.low_watermark = min(self.low_watermark, self._credits)
-        self.resizes += 1

@@ -473,8 +473,8 @@ class _EndpointBase:
 
     def _trace_seal(self, traces, length: int, count: int) -> None:
         """Record the seal of a block whose messages were traced — unless
-        the recorder was detached meanwhile (the degradation ladder's
-        ``shed_tracing`` rung sets ``trace`` to None at any pass)."""
+        the recorder was detached meanwhile (``trace`` may be set to
+        None at any pass)."""
         trace = self.trace
         if trace is not None:
             for ctx in traces:
@@ -578,6 +578,9 @@ class ClientEndpoint(_EndpointBase):
         # docs/PROTOCOL.md): at the server's credit count it is blocked.
         self._ack_batch = min(max(4, self.config.credits // 2), self._recv_slots)
         self.backlog_failures = 0  # backlogged requests whose writer raised
+        #: the first exception a continuation raised this pass, re-raised
+        #: once the pass has delivered and accounted every other response
+        self._raised: Exception | None = None
 
     def _init_connection(self) -> None:
         super()._init_connection()
@@ -807,7 +810,9 @@ class ClientEndpoint(_EndpointBase):
     def progress(self, budget: int | None = None) -> int:
         """One event-loop pass: flush a partial block whose hold ran out,
         then process arrived response blocks (at most ``budget``
-        completions).  Returns the number of responses delivered."""
+        completions).  Returns the number of responses delivered; if a
+        continuation raised, the pass still finishes and its first
+        exception is raised at the end."""
         self._polls += 1
         if self._deadlines:
             self._expire_deadlines()
@@ -830,6 +835,9 @@ class ClientEndpoint(_EndpointBase):
             or len(self._unacked_response_ids) >= self._ack_batch
         ):
             self._send_pure_ack()
+        if self._raised is not None:
+            raised, self._raised = self._raised, None
+            raise raised
         return delivered
 
     def _drain_backlog(self) -> None:
@@ -884,7 +892,11 @@ class ClientEndpoint(_EndpointBase):
                 tombstones.discard(rid)
                 self.late_responses += 1
             else:
-                cont(rbuf.view(payload_addr, payload_size), flags)
+                try:
+                    cont(rbuf.view(payload_addr, payload_size), flags)
+                except Exception as exc:  # noqa: BLE001 — re-raised at the end of the pass
+                    if self._raised is None:
+                        self._raised = exc
             answered.append(rid)
             block = blocks[seq]
             block[1] -= 1

@@ -364,16 +364,16 @@ def run_offloaded_scenario(seed: int, calls: int | None = None) -> ScenarioResul
 
 def run_overload_scenario(seed: int) -> ScenarioResult:
     """The offloaded stack under seeded open-loop burst traffic plus an
-    injected host-worker slowdown, with the whole overload-control
-    subsystem armed (docs/OVERLOAD.md): admission control sheds, the
-    degradation ladder steps down, the DPU circuit breaker trips to
-    host-parse fallback and recovers via half-open probes.
+    injected host-worker slowdown, with overload control armed
+    (docs/OVERLOAD.md): admission control sheds at the DPU front door,
+    deadlines drop expired work, and the DPU circuit breaker stands by.
 
     The invariants here are the overload promises: every offered request
     is answered (served, typed shed, or typed deadline drop — never
-    silently lost), the latency lane is never shed harder than bulk, and
-    the shed → degrade → trip → half-open → close → recover *sequence*
-    is deterministic — the fingerprint hashes it event by event."""
+    silently lost), the latency lane is never shed harder than bulk, a
+    breaker that trips closes again via half-open probes, and the shed /
+    expiry / breaker sequence is deterministic — the fingerprint hashes
+    it event by event."""
     from repro.runtime.overload import CircuitBreaker, QueueDepthAdmission
     from repro.workloads.openloop import OpenLoopConfig, run_open_loop
 
@@ -400,9 +400,7 @@ def run_overload_scenario(seed: int) -> ScenarioResult:
 
     error: str | None = None
     try:
-        result = run_open_loop(
-            config, admission=admission, use_degradation=True, breaker=breaker
-        )
+        result = run_open_loop(config, admission=admission, breaker=breaker)
     except Exception as exc:  # noqa: BLE001 — an uncontained escape is the finding
         return ScenarioResult(
             seed=seed, deployment="overload", requests=0, completed=0,
@@ -455,7 +453,7 @@ def run_overload_scenario(seed: int) -> ScenarioResult:
         mismatches=0,
         duplicate_fires=0,
         resets=0,
-        faults_fired=len(result.degradation_events),
+        faults_fired=breaker.trips,
         stalls=0,
         contained=result.breaker_fallbacks,
         ticks=result.ticks,

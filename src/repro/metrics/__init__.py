@@ -1,7 +1,16 @@
 """Prometheus-style metrics and the monitoring/stability pipeline (§VI)."""
 
 from .monitor import MonitorError, Scraper, StabilityMonitor, TimeSeries
-from .registry import Counter, Family, Gauge, Histogram, MetricError, MetricsRegistry, Sample
+from .registry import (
+    Counter,
+    Family,
+    Gauge,
+    Histogram,
+    MetricError,
+    MetricsRegistry,
+    Sample,
+    percentile,
+)
 
 __all__ = [
     "MonitorError",
@@ -15,4 +24,5 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "Sample",
+    "percentile",
 ]

@@ -16,11 +16,12 @@ datapath and nothing is refreshed before a scrape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
     "MetricError", "Counter", "Gauge", "Histogram", "MetricsRegistry", "Sample",
-    "Family", "counter", "gauge",
+    "Family", "counter", "gauge", "percentile",
 ]
 
 
@@ -160,6 +161,16 @@ class Gauge(_MetricBase):
         return [
             Sample(self.name, labels, leaf.value) for labels, leaf in self._iter_leaves()
         ]
+
+
+def percentile(sorted_values, q: float) -> float:
+    """Nearest-rank ``q``-quantile of an ascending list of samples (0
+    when empty).  :meth:`Histogram.quantile` estimates from bucket
+    counts instead, when only the buckets were kept."""
+    if not sorted_values:
+        return 0.0
+    idx = min(len(sorted_values) - 1, math.ceil(q * len(sorted_values)) - 1)
+    return float(sorted_values[max(0, idx)])
 
 
 class Histogram(_MetricBase):

@@ -12,7 +12,7 @@ Layers (docs/OBSERVABILITY.md):
 * :mod:`repro.obs.runner` — the traced-workload driver behind the
   ``repro trace`` / ``repro top`` / ``repro metrics`` CLI subcommands;
 * :mod:`repro.obs.telemetry` — the streaming aggregator: windowed
-  snapshots folded from the live event stream (docs/AUTOTUNE.md);
+  snapshots folded from the live event stream;
 * :mod:`repro.obs.slo` — declarative SLO specs, multi-window burn-rate
   tracking, and anomaly detection over telemetry snapshots.
 """
@@ -27,7 +27,6 @@ from .slo import (
 from .telemetry import (
     TelemetryHub,
     TelemetrySnapshot,
-    exact_quantile,
     render_dashboard,
 )
 from .timeline import (
@@ -71,7 +70,6 @@ __all__ = [
     "write_trace",
     "TelemetryHub",
     "TelemetrySnapshot",
-    "exact_quantile",
     "render_dashboard",
     "AnomalyDetector",
     "SloEvent",

@@ -2,7 +2,7 @@
 
 The telemetry hub (:mod:`repro.obs.telemetry`) answers *what is
 happening*; this module answers *is it acceptable* — the judgement the
-autotuner's rollback logic and the dashboard's gauges both consume.
+`repro top --live` dashboard's gauges show.
 
 **Specs** are declarative: a :class:`SloSpec` names a signal (a latency
 lane's p99, the goodput floor, the deadline-miss rate), a target, and an
@@ -24,7 +24,7 @@ Both produce typed :class:`SloEvent` records, and — when given a
 recorder — emit them into the trace stream as first-class stages
 (``slo_burn`` / ``slo_recovered`` / ``stage_anomaly``), so a Perfetto
 export shows the judgement layer reacting on the same timeline as the
-datapath it judges (docs/AUTOTUNE.md#slo).
+datapath it judges (docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ KIND_MISS_RATE = "deadline_miss_rate"  # sheds+expiries fraction under target
 
 
 class SloSpec:
-    """One declarative objective (docs/AUTOTUNE.md#slo-specs)."""
+    """One declarative objective (docs/OBSERVABILITY.md)."""
 
     __slots__ = ("name", "kind", "target", "lane", "budget")
 
@@ -198,8 +198,7 @@ class SloTracker:
         return (sum(recent) / horizon) / budget
 
     def burn(self) -> float:
-        """Worst short-horizon burn across all specs — the single scalar
-        the autotuner's rollback guard watches."""
+        """Worst short-horizon burn across all specs, as one scalar."""
         worst = 0.0
         for spec in self.specs:
             worst = max(worst, self._burn(spec.name, spec.budget,

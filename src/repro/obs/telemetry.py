@@ -1,4 +1,4 @@
-"""Streaming telemetry: the pipeline half of the closed observability loop.
+"""Streaming telemetry: windowed snapshots of the live trace stream.
 
 PR 5 made every request's latency attributable to a stage; this module
 makes that signal *continuous*.  A :class:`TelemetryHub` attaches to a
@@ -8,57 +8,39 @@ observation window at record time — O(1) per event, no ring rescans —
 and every ``window_ticks`` event-loop passes the hub seals the window
 into an immutable :class:`TelemetrySnapshot`:
 
-* per-lane completion latency with exact p50/p95/p99 (the latency the
-  SLO layer targets),
+* per-lane completion latency with nearest-rank p50/p95/p99 (the
+  latency the SLO layer targets),
 * per-stage gap attribution — where the window's microseconds went —
   plus the share *delta* against the previous window (nanoPU's thesis:
   the tail moves between handoffs, so the interesting signal is the
   derivative),
 * rate counters for every ``(component, stage)`` pair, which covers the
-  overload stages (shed / deadline_expired / degrade / ...) for free,
+  overload stages (shed / deadline_expired / breaker_fallback) for free,
 * deltas from attachable counter *sources* (engine/endpoint/codec
   counters that are not stage events).
 
 Consumers subscribe with :meth:`TelemetryHub.add_listener`; the SLO
-tracker (:mod:`repro.obs.slo`) and the autotuner
-(:mod:`repro.runtime.autotune`) are both pure functions of these
-snapshots.  Cross-process runs need no extra plumbing: events merged via
-:func:`~repro.obs.trace.import_events` are offered to the sink in
-timestamp order, so a parent-side hub aggregates child traffic the same
-way it aggregates local traffic (docs/AUTOTUNE.md#telemetry).
+tracker (:mod:`repro.obs.slo`) and the `repro top --live` dashboard are
+pure functions of these snapshots.  Cross-process runs need no extra
+plumbing: events merged via :func:`~repro.obs.trace.import_events` are
+offered to the sink in timestamp order, so a parent-side hub aggregates
+child traffic the same way it aggregates local traffic
+(docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from repro.metrics.registry import Family, counter, gauge
+from repro.metrics.registry import Family, counter, gauge, percentile
 
 from .trace import Stage, TraceCollector
 
 __all__ = [
     "TelemetryHub",
     "TelemetrySnapshot",
-    "exact_quantile",
     "render_dashboard",
 ]
-
-
-def exact_quantile(sorted_values, q: float) -> float:
-    """Exact ``q``-quantile of an ascending list, linear interpolation
-    between ranks (0 when empty).  Exact — not bucketed — because the
-    autotuner compares windows against each other and bucket edges would
-    quantize away the differences it steers by."""
-    n = len(sorted_values)
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return float(sorted_values[0])
-    pos = q * (n - 1)
-    lo = int(pos)
-    hi = min(lo + 1, n - 1)
-    frac = pos - lo
-    return float(sorted_values[lo]) * (1.0 - frac) + float(sorted_values[hi]) * frac
 
 
 #: stages that complete a request from the hub's point of view (the
@@ -98,7 +80,7 @@ class _LiveEntry:
 
 class TelemetrySnapshot:
     """One sealed observation window — everything downstream consumers
-    (SLO tracker, autotuner, dashboard) are allowed to see."""
+    (SLO tracker, dashboard) are allowed to see."""
 
     __slots__ = (
         "window", "ticks", "duration_s", "epoch_id",
@@ -153,8 +135,8 @@ class TelemetryHub:
     here), drive with :meth:`on_tick` from the event loop, and read
     :attr:`last` or subscribe via :meth:`add_listener`.
 
-    ``window_ticks`` sets the observation cadence — it is the autotuner's
-    decision period, so it trades reaction speed against statistical
+    ``window_ticks`` sets the observation cadence — the SLO tracker's
+    judgement period, so it trades reaction speed against statistical
     noise per window.  ``max_windows`` bounds retained history;
     ``stale_windows`` bounds how long an in-flight entry may live before
     the hub gives up on its completion (requests dropped without any
@@ -343,9 +325,9 @@ class TelemetryHub:
             values.sort()
             lane_latency[lane] = {
                 "count": len(values),
-                "p50": exact_quantile(values, 0.50),
-                "p95": exact_quantile(values, 0.95),
-                "p99": exact_quantile(values, 0.99),
+                "p50": percentile(values, 0.50),
+                "p95": percentile(values, 0.95),
+                "p99": percentile(values, 0.99),
                 "mean": sum(values) / len(values),
             }
         totals: dict = {}
@@ -409,7 +391,7 @@ class TelemetryHub:
 
 
 # ---------------------------------------------------------------------------
-# Dashboard rendering (`repro top --live`, `repro tune`)
+# Dashboard rendering (`repro top --live`)
 # ---------------------------------------------------------------------------
 
 
@@ -419,10 +401,9 @@ def _burn_gauge(burn: float, width: int = 20) -> str:
     return "█" * filled + "·" * (width - filled)
 
 
-def render_dashboard(hub: TelemetryHub, slo=None, tuner=None,
-                     lane_names=None) -> str:
-    """One refreshable text frame: stage table, SLO burn gauges, last
-    tuner actions — the `repro top --live` / `repro tune` surface."""
+def render_dashboard(hub: TelemetryHub, slo=None, lane_names=None) -> str:
+    """One refreshable text frame: lane and stage tables, SLO burn
+    gauges — the `repro top --live` surface."""
     snap = hub.last
     lines = []
     if snap is None:
@@ -453,8 +434,8 @@ def render_dashboard(hub: TelemetryHub, slo=None, tuner=None,
         )
     overload = [
         (stage, n) for stage, n in sorted(snap.stage_counts.items())
-        if stage in (Stage.SHED, Stage.DEADLINE_EXPIRED, Stage.DEGRADE,
-                     Stage.RECOVER, Stage.BREAKER_FALLBACK, Stage.ANOMALY)
+        if stage in (Stage.SHED, Stage.DEADLINE_EXPIRED,
+                     Stage.BREAKER_FALLBACK, Stage.ANOMALY)
         and n
     ]
     if overload:
@@ -469,9 +450,4 @@ def render_dashboard(hub: TelemetryHub, slo=None, tuner=None,
                 f"{st['burn_short']:>5.2f}x  [{_burn_gauge(st['burn_short'])}]"
                 + ("  BURNING" if st["burning"] else "")
             )
-    if tuner is not None and tuner.decisions:
-        lines.append("")
-        lines.append("last tuner actions:")
-        for d in list(tuner.decisions)[-5:]:
-            lines.append("  " + d.render())
     return "\n".join(lines) + "\n"

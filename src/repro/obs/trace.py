@@ -83,14 +83,11 @@ class Stage:
     # -- overload control (docs/OVERLOAD.md) ------------------------------
     SHED = "shed"                        # admission control rejected
     DEADLINE_EXPIRED = "deadline_expired"  # dropped expired-on-arrival
-    DEGRADE = "degrade"                  # degradation ladder stepped up
-    RECOVER = "recover"                  # degradation ladder stepped down
     BREAKER_FALLBACK = "breaker_fallback"  # breaker denied the offload path
-    # -- the closed observability loop (docs/AUTOTUNE.md) -----------------
+    # -- the SLO layer over telemetry windows (docs/OBSERVABILITY.md) ------
     SLO_BURN = "slo_burn"                # an SLO's error budget is burning
     SLO_RECOVERED = "slo_recovered"      # burn dropped back under 1x
     ANOMALY = "stage_anomaly"            # stage gap outside median±k·MAD
-    TUNE = "tune"                        # one autotuner decision
 
     #: stages whose presence marks a request as error-afflicted for the
     #: tail sampler (docs/OBSERVABILITY.md#sampling)

@@ -106,8 +106,9 @@ class ArenaDeserializer:
         if mode not in DECODE_MODES:
             raise ValueError(f"unknown arena decode mode {mode!r}")
         #: "generated" or "interpretive"; may be reassigned on a live
-        #: deserializer (the autotuner's ``decode_mode`` knob does) —
-        #: :meth:`deserialize` dispatches on it per call.
+        #: deserializer (the containment and differential tests switch
+        #: tiers on a built deployment) — :meth:`deserialize` dispatches
+        #: on it per call.
         self.mode = mode
         # The generated-decoder cache, built on first use (arena_gen
         # imports this module for the shared constants).

@@ -151,16 +151,12 @@ class HostEngine:
         channel: Channel,
         schema: CompiledSchema,
         abi: AbiConfig | None = None,
-        encode_mode: str | None = None,
     ) -> None:
         self.channel = channel
         self.schema = schema
         self.universe = TypeUniverse(channel.server_space, abi)
         self.methods: list[MethodSpec] = []
         self._input_descriptors: dict[int, MessageDescriptor] = {}
-        #: Response-serialization path: ``"generated"`` (also what ``None``
-        #: means) or ``"interpretive"`` (see repro.proto.serializer).
-        self.encode_mode = encode_mode
         #: requests that arrived as wire bytes (Flags.WIRE_PAYLOAD) and
         #: were deserialized *here* — the degraded mode that keeps the
         #: service alive while the DPU engine is down.
@@ -208,7 +204,7 @@ class HostEngine:
                 # encoder sizes the message, the endpoint reserves
                 # that space in the response block, and the wire bytes
                 # are emitted there directly (no intermediate bytes).
-                size, writer = emit_writer(result, self.encode_mode)
+                size, writer = emit_writer(result)
                 return Response(size, writer)
             if isinstance(result, Response):
                 return result

@@ -13,13 +13,6 @@ which import nothing themselves) — every layer (core, xrpc, sim) imports
 *it*, so it must sit at the bottom of the dependency stack.
 """
 
-from .autotune import AutoTuner, Knob, KnobSet, TuneDecision
-from .degradation import (
-    DegradationEvent,
-    DegradationManager,
-    DegradationStep,
-    standard_ladder,
-)
 from .engine import EngineError, ProgressEngine, Registration
 from .metrics import EngineMetrics, PollableMetrics
 from .overload import (
@@ -61,12 +54,4 @@ __all__ = [
     "now_us",
     "pack_deadline",
     "unpack_deadline",
-    "DegradationEvent",
-    "DegradationManager",
-    "DegradationStep",
-    "standard_ladder",
-    "AutoTuner",
-    "Knob",
-    "KnobSet",
-    "TuneDecision",
 ]

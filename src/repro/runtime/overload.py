@@ -6,9 +6,8 @@ DPU/host capacity, queues grow without bound and every request's latency
 explodes together.  This module holds the mechanism layer — a shared
 microsecond clock, the packed deadline word requests carry on the wire,
 the queue-depth admission controller, the client-side retry budget, and
-the circuit breaker the degradation ladder trips on the DPU offload
-path.  Policy (when to shed, when to degrade) lives with the servers
-and :mod:`repro.runtime.degradation`.
+the circuit breaker on the DPU offload path.  Policy (when to shed)
+lives with the servers that hold an admission controller.
 
 Like the rest of the ``runtime`` package this module imports nothing
 from the rest of ``repro`` but the metric primitives — every layer above
@@ -172,7 +171,7 @@ class AdmissionController:
 
     def pressure(self) -> float:
         """Normalized load signal in [0, ~inf): 1.0 = at the shed
-        threshold.  Drives :class:`repro.runtime.degradation`."""
+        threshold."""
         return 0.0
 
     def stats(self) -> dict:
@@ -418,9 +417,6 @@ def overload_families(stages=(), admissions=(), breaker=None, budgets=()):
     yield counter("overload_breaker_denied_total",
                   "offload requests denied by the breaker (host-parse fallback)",
                   breaker.denied if breaker is not None else 0)
-    # No deployment runs a ladder; one that does scrapes its own
-    # level (`DegradationManager.collect`, `degradation_level`).
-    yield gauge("overload_degradation_level", "current degradation ladder level", 0)
     yield gauge("overload_retry_tokens", "retry-budget tokens remaining",
                 sum(b.tokens for b in budgets))
     yield counter("overload_retries_spent_total", "retries charged to the budget",

@@ -284,10 +284,12 @@ def _export_and_clear(collector):
 
 
 def _answer_control(ctl: _CtlConn, handlers, on_exit) -> bool:
-    """Answer every command the control socket holds; False when the
-    child should leave — told to exit, or EOF: the parent is gone
-    (orphan cleanup)."""
-    while (msg := ctl.poll()) is not None:
+    """Answer the command the control socket holds (the parent has at
+    most one outstanding: every command is a request that waits for its
+    reply); False when the child should leave — told to exit, or EOF:
+    the parent is gone (orphan cleanup)."""
+    msg = ctl.poll()
+    if msg is not None:
         cmd, payload = msg
         if cmd == "exit":
             try:
@@ -298,11 +300,11 @@ def _answer_control(ctl: _CtlConn, handlers, on_exit) -> bool:
         fn = handlers.get(cmd)
         if fn is None:
             ctl.send(("err", f"unknown command {cmd!r}"))
-            continue
-        try:
-            ctl.send(("ok", fn(payload)))
-        except Exception as exc:  # noqa: BLE001 — reported to the parent
-            ctl.send(("err", f"{type(exc).__name__}: {exc}"))
+        else:
+            try:
+                ctl.send(("ok", fn(payload)))
+            except Exception as exc:  # noqa: BLE001 — reported to the parent
+                ctl.send(("err", f"{type(exc).__name__}: {exc}"))
     return not ctl.eof
 
 
@@ -389,9 +391,13 @@ class _ChildSide:
 
     def _loop(self, handlers, on_exit) -> None:
         """The child's event loop.  A pass is one ``poll`` over
-        :meth:`wait_set`, the control commands it found readable, then
-        one engine step.  The poll returns at once when the last pass did
-        work or :meth:`holds_work`; otherwise the child parks in it, for up to
+        :meth:`wait_set`, one engine step, then the control command the
+        poll found readable — so a command is answered after a step that
+        read whatever the peer sent before it (a ``stats`` sees the
+        completion whose doorbell beat it), and two commands always have
+        a step between them.  The poll returns at once when the last
+        pass did work, answered a command or :meth:`holds_work`;
+        otherwise the child parks in it, for up to
         :data:`_PARK_MS` while :meth:`ticking`, else :data:`_IDLE_PARK_MS`
         — waiting for a peer never keeps it awake."""
         ctl, step = self.ctl, self.engine.step
@@ -405,10 +411,12 @@ class _ChildSide:
                 for fd, events in fds:
                     poller.register(fd, events)
             ready = poller.poll(timeout)
+            busy = step()
             if ready and any(fd == ctl_fd for fd, _ in ready):
                 if not _answer_control(ctl, handlers, on_exit):
                     return
-            if step() or self.holds_work():
+                busy = True  # the command may have queued work
+            if busy or self.holds_work():
                 timeout = 0
             else:
                 timeout = _PARK_MS if self.ticking() else _IDLE_PARK_MS

@@ -76,14 +76,9 @@ class EngineSupervisor:
         fault_types: tuple[type, ...] | None = None,
         max_events: int = 256,
         trace=None,
-        degradation=None,
     ) -> None:
         if stall_ticks < 1:
             raise ValueError("stall_ticks must be >= 1")
-        #: DegradationManager (repro.runtime.degradation) sampled once per
-        #: engine tick — overload pressure rides the same watchdog cadence
-        #: as stall detection.
-        self.degradation = degradation
         #: StageRecorder (repro.obs): supervisor verdicts land in the same
         #: collector as the request stages, so a stall/quarantine shows up
         #: *between* the request timelines it interrupted.
@@ -132,8 +127,6 @@ class EngineSupervisor:
     def after_tick(self, tick: int) -> None:
         """Called by the engine at the end of every :meth:`step`; scans
         for watched pollables that are pending-but-parked."""
-        if self.degradation is not None:
-            self.degradation.on_tick(tick)
         for reg in self.engine.registrations:
             watch = self._watch(reg)
             work_total = reg.metrics.work_items

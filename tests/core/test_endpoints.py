@@ -433,6 +433,60 @@ class TestRunUntilComplete:
             ch.client.run_until_complete(max_iters=50)
 
 
+class TestRaisingContinuation:
+    """A client continuation that raises reaches the event loop's
+    boundary, but only after every other response of the pass was
+    delivered and its ID, block and credit accounted."""
+
+    @staticmethod
+    def drive(ch, passes):
+        raised = []
+        for _ in range(passes):
+            try:
+                ch.client.progress()
+            except RuntimeError as exc:
+                raised.append(exc)
+            ch.server.progress()
+        return raised
+
+    def test_the_rest_of_the_block_is_answered(self):
+        ch = create_channel()
+        ch.server.register(1, lambda req: Response.from_bytes(req.payload_bytes()))
+        out = []
+
+        def boom(view, flags):
+            raise RuntimeError("continuation failed")
+
+        ch.client.enqueue_bytes(1, b"a", boom)
+        ch.client.enqueue_bytes(1, b"b", lambda v, f: out.append(bytes(v)))
+        raised = self.drive(ch, 100)
+        assert [str(e) for e in raised] == ["continuation failed"]
+        assert out == [b"b"]
+        assert ch.client.outstanding == 0
+        assert ch.client.credits.available == ch.client.credits.initial
+
+    def test_later_blocks_of_the_pass_are_answered(self):
+        # Two responses too large to share a block arrive in one client
+        # pass; the first one's continuation raises.
+        ch = small_channel()
+        ch.server.register(1, lambda req: Response.from_bytes(bytes(1500)))
+        out = []
+
+        def boom(view, flags):
+            raise RuntimeError("continuation failed")
+
+        ch.client.enqueue_bytes(1, b"a", boom)
+        ch.client.enqueue_bytes(1, b"b", lambda v, f: out.append(len(v)))
+        ch.client.progress()
+        ch.server.progress()
+        assert ch.server.stats.blocks_sent >= 2
+        raised = self.drive(ch, 50)
+        assert len(raised) == 1
+        assert out == [1500]
+        assert ch.client.outstanding == 0
+        assert ch.client.credits.available == ch.client.credits.initial
+
+
 class TestMultiConnectionServer:
     def test_one_host_many_dpu_connections(self):
         """§III-C: the host serves several connections with one poller."""

@@ -123,82 +123,3 @@ class TestCreditManager:
             # Blocks in flight never exceed the credit limit (§IV-C).
             assert in_flight <= 8
             assert c.available + in_flight == 8
-
-
-class TestCreditResize:
-    """Live ceiling retune (the autotuner's credit knob)."""
-
-    def test_grow_mints_into_pool(self):
-        c = CreditManager(2)
-        c.resize(5)
-        assert c.initial == 5
-        assert c.available == 5
-        assert c.resizes == 1
-
-    def test_shrink_takes_from_idle_pool_first(self):
-        c = CreditManager(8)
-        c.resize(3)
-        assert c.initial == 3
-        assert c.available == 3
-
-    def test_shrink_with_in_flight_absorbs_acks(self):
-        c = CreditManager(4)
-        for _ in range(3):
-            assert c.consume()   # 3 in flight, pool 1
-        c.resize(2)              # pool drained to 0; 1 token owed to absorb
-        assert c.available == 0
-        # the three in-flight acks return: the first is absorbed, the
-        # remaining two refill the new (smaller) ceiling without raising
-        c.replenish()
-        assert c.available == 0
-        c.replenish()
-        c.replenish()
-        assert c.available == 2
-        with pytest.raises(CreditError):
-            c.replenish()
-
-    def test_resize_invalid(self):
-        c = CreditManager(2)
-        with pytest.raises(ValueError):
-            c.resize(0)
-
-    def test_conservation_across_resizes(self):
-        # pool + in-flight - absorb == initial holds at every step
-        c = CreditManager(4)
-        in_flight = 0
-        for _ in range(2):
-            c.consume()
-            in_flight += 1
-        for new in (8, 2, 6, 1, 4):
-            c.resize(new)
-            assert c.available + in_flight - c._absorb == c.initial
-            assert c.available >= 0
-        while in_flight:
-            c.replenish()
-            in_flight -= 1
-        assert c.available == c.initial
-
-    @settings(max_examples=80, deadline=None)
-    @given(ops=st.lists(
-        st.one_of(
-            st.just("send"), st.just("ack"),
-            st.integers(min_value=1, max_value=16).map(lambda n: ("resize", n)),
-        ),
-        max_size=200,
-    ))
-    def test_resize_never_breaks_invariants(self, ops):
-        c = CreditManager(8)
-        in_flight = 0
-        for op in ops:
-            if op == "send":
-                if c.consume():
-                    in_flight += 1
-            elif op == "ack":
-                if in_flight:
-                    c.replenish()
-                    in_flight -= 1
-            else:
-                c.resize(op[1])
-            assert c.available >= 0
-            # tokens are conserved modulo the absorb debt
-            assert c.available + in_flight - c._absorb == c.initial

@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.metrics import MetricsRegistry
+from repro.metrics import MetricsRegistry, percentile
 from repro.obs import (
     Stage,
     TelemetryHub,
     TraceCollector,
-    exact_quantile,
     export_events,
     import_events,
     render_dashboard,
@@ -33,19 +32,23 @@ def drive(hub, ticks):
 
 
 class TestExactQuantile:
+    """The hub's window quantiles are `repro.metrics.percentile`:
+    nearest rank over the window's samples, no interpolation."""
+
     def test_empty_and_single(self):
-        assert exact_quantile([], 0.99) == 0.0
-        assert exact_quantile([7.0], 0.5) == 7.0
+        assert percentile([], 0.99) == 0.0
+        assert percentile([7.0], 0.5) == 7.0
 
     def test_interpolates(self):
+        # Nearest rank: a quantile is always one of the samples.
         values = [0.0, 10.0]
-        assert exact_quantile(values, 0.5) == 5.0
-        assert exact_quantile(values, 0.99) == pytest.approx(9.9)
+        assert percentile(values, 0.5) == 0.0
+        assert percentile(values, 0.99) == 10.0
 
     def test_endpoints(self):
         values = [1.0, 2.0, 3.0, 4.0]
-        assert exact_quantile(values, 0.0) == 1.0
-        assert exact_quantile(values, 1.0) == 4.0
+        assert percentile(values, 0.0) == 1.0
+        assert percentile(values, 1.0) == 4.0
 
 
 class TestWindowing:

@@ -147,9 +147,9 @@ class TestDerivedIds:
 
 
 class TestRecorderChangedMidBlock:
-    """A recorder is attached or detached at any pass — the degradation
-    ladder's ``shed_tracing`` rung sets ``trace`` to None and back — so
-    a block the client holds open may straddle the change."""
+    """A recorder is attached or detached at any pass (``trace`` is a
+    plain attribute, set to None and back) — so a block the client holds
+    open may straddle the change."""
 
     @staticmethod
     def held_channel(collector):

@@ -236,7 +236,7 @@ class TestPlanCache:
     def test_mode_set_after_construction_is_honoured(self, kitchen_env):
         """Regression: ``deserialize`` used to consult a flag cached in
         ``__init__``, so flipping ``mode`` on a live deserializer (what the
-        autotuner's ``decode_mode`` knob does) kept decoding through the
+        containment and differential tests do) kept decoding through the
         compiled tier."""
         deser = ArenaDeserializer(kitchen_env[3])
         PLAN_METRICS.reset()

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.cli import main
@@ -72,34 +70,9 @@ class TestCliFig8Mix:
 
 
 class TestCliAutotune:
-    """The closed-loop CLI surfaces: `repro tune` and `repro top --live`."""
+    """The `repro top` surfaces: the live dashboard and the batch table."""
 
     ARGS = ["--ticks", "300", "--window", "50", "--seed", "2024"]
-
-    def test_tune_json(self, capsys):
-        assert main(["tune", "--bad-start", "--json"] + self.ARGS) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["initial_config"]["flush_ticks"] == 16
-        assert summary["decisions"] > 0
-        assert summary["tuner_fingerprint"]
-
-    def test_tune_decision_log(self, capsys):
-        assert main(["tune", "--bad-start"] + self.ARGS) == 0
-        out = capsys.readouterr().out
-        assert "initial config:" in out
-        assert "final config:" in out
-        assert "decision fingerprint:" in out
-
-    def test_tune_verify_deterministic(self, capsys):
-        assert main(["tune", "--bad-start", "--verify", "--json"] + self.ARGS) == 0
-        captured = capsys.readouterr()
-        assert "fingerprint verified" in captured.err
-
-    def test_tune_static_never_steps(self, capsys):
-        assert main(["tune", "--static", "--bad-start", "--json"] + self.ARGS) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["decisions"] == 0
-        assert summary["final_config"] == summary["initial_config"]
 
     def test_top_live_renders_dashboard(self, capsys):
         assert main(["top", "--live"] + self.ARGS) == 0
@@ -107,11 +80,6 @@ class TestCliAutotune:
         assert "goodput" in captured.out
         assert "window" in captured.out
         assert "done:" in captured.err
-
-    def test_top_live_with_tuner(self, capsys):
-        assert main(["top", "--live", "--tune", "--bad-start"] + self.ARGS) == 0
-        out = capsys.readouterr().out
-        assert "SLO" in out
 
     def test_top_batches_stream_tail_sample(self, capsys):
         assert main(["top", "--batches", "2", "--requests-per-batch", "8"]) == 0

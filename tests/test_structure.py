@@ -416,11 +416,14 @@ def test_the_endpoint_turns_an_exception_into_an_answer_in_three_places():
     """Backlog admission (no caller to raise to), the host's handler
     boundary, and the in-place response writer (which runs after the
     boundary returned, for background results passes later) — each
-    through the one fault function; the appender's clean-up-and-re-raise
-    is the only other broad handler."""
+    through the one fault function.  The only other broad handlers
+    re-raise: the appender's clean-up, and the client's response block,
+    which delivers the rest of the pass before the first continuation's
+    exception reaches the event loop."""
     endpoint = SRC / "core" / "endpoint.py"
     assert _broad_handlers(endpoint) == [
-        "_append", "_drain_backlog", "_enqueue_response", "_invoke"]
+        "_append", "_drain_backlog", "_enqueue_response", "_invoke",
+        "_process_response_block"]
     assert _callers(endpoint, "_fault") == {"_drain_backlog", "_enqueue_response", "_invoke"}
     # ...and it is the only place an exception's repr becomes a payload
     tree = ast.parse(endpoint.read_text())
