@@ -18,7 +18,6 @@ from .endpoint import (
     ServerEndpoint,
     TransportError,
 )
-from .executor import DeferredExecutor, InlineExecutor, WorkerPool
 from .idpool import IdPoolError, RequestIdPool
 from .recovery import ChannelRecovery, RecoveryError, RecoveryReport, supervise_channel
 from .wire import (
@@ -60,9 +59,6 @@ __all__ = [
     "RecoveryError",
     "RecoveryReport",
     "supervise_channel",
-    "DeferredExecutor",
-    "InlineExecutor",
-    "WorkerPool",
     "HEADER_SIZE",
     "PAYLOAD_ALIGN",
     "PREAMBLE_SIZE",

@@ -140,7 +140,6 @@ def build_endpoint_side(
     rbuf_base: int,
     space: AddressSpace | None = None,
     rbuf_region: MemoryRegion | None = None,
-    background_executor=None,
 ):
     """Build one side's full resource stack — regions, PD, MRs, CQ, QP,
     endpoint — without connecting it to anything.
@@ -184,12 +183,10 @@ def build_endpoint_side(
         pd, cq, cq, max_recv_wr=peer_config.credits + 16, name=f"{side_name}.qp"
     )
     endpoint_cls = ClientEndpoint if role == "client" else ServerEndpoint
-    kwargs = {} if role == "client" else {"background_executor": background_executor}
     endpoint = endpoint_cls(
         side_name, space, qp, cq, sbuf, rbuf, config,
         remote_block_alignment=peer_config.block_alignment,
         recv_slots=peer_config.credits,
-        **kwargs,
     )
     return endpoint, space
 
@@ -202,7 +199,6 @@ def create_channel(
     client_space: AddressSpace | None = None,
     server_space: AddressSpace | None = None,
     name: str = "chan",
-    background_executor=None,
     transport: str | None = None,
 ) -> Channel:
     """Create and connect one RPC-over-RDMA channel.
@@ -243,7 +239,6 @@ def create_channel(
     server, server_space = build_endpoint_side(
         "server", name, server_config, client_config, s2c_base, c2s_base,
         space=server_space, rbuf_region=server_rbuf,
-        background_executor=background_executor,
     )
     fabric.connect(client.qp, server.qp)
 

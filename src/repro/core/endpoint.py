@@ -30,9 +30,8 @@ The full protocol state machine implemented here:
 
 Threading (§III-C/D): endpoints are event-loop objects — the application
 calls :meth:`progress` repeatedly ("an event loop function that should be
-called continuously").  Foreground RPCs run inside ``progress``;
-background execution is available through an optional executor, carrying
-the BACKGROUND header flag the protocol reserves for it.
+called continuously").  Every RPC runs to completion inside ``progress``,
+in the thread that polls — the prototype's foreground execution.
 
 Endpoints do not own their loop: :meth:`progress` *is* one event-loop
 pass, a plain method that a :class:`~repro.runtime.engine.ProgressEngine`
@@ -94,19 +93,6 @@ __all__ = [
 PayloadWriter = Callable[[AddressSpace, int], int]
 #: Client continuation: (payload memoryview, flags) -> None
 Continuation = Callable[[memoryview, int], None]
-
-
-def _writer_from_emit(size: int, emit) -> PayloadWriter:
-    """Adapt ``emit(view)`` — fill a writable ``size``-byte memoryview of
-    the send region, the shape ``repro.proto.prepare_emit`` produces via
-    ``emit_into`` — to a payload writer: no intermediate ``bytes``
-    payload is ever materialized, in either direction."""
-
-    def writer(space: AddressSpace, addr: int) -> int:
-        emit(space.view(addr, size))
-        return size
-
-    return writer
 
 
 class TransportError(ProtocolError):
@@ -211,12 +197,6 @@ class Response:
     @classmethod
     def empty(cls) -> "Response":
         return cls(size=0, data=b"")
-
-    @classmethod
-    def from_emitter(cls, size: int, emit, flags: int = Flags.NONE) -> "Response":
-        """Response whose payload is emitted straight into the reserved
-        block space by ``emit(view)``."""
-        return cls(size=size, writer=_writer_from_emit(size, emit), flags=flags)
 
     def write_to(self, space: AddressSpace, addr: int) -> int:
         if self.writer is not None:
@@ -634,17 +614,6 @@ class ClientEndpoint(_EndpointBase):
         self.enqueue(method_id, len(payload), writer, continuation, flags,
                      trace_ctx=trace_ctx, deadline=deadline)
 
-    def enqueue_emit(
-        self, method_id: int, size: int, emit, continuation: Continuation,
-        flags: int = Flags.NONE, trace_ctx=None, deadline: int = 0,
-    ) -> None:
-        """Queue one request whose payload is written in place: ``size``
-        bytes are reserved inside the outgoing block and ``emit(view)``
-        fills the writable memoryview — the zero-copy request path used by
-        the generated encoders (``repro.proto.prepare_emit``)."""
-        self.enqueue(method_id, size, _writer_from_emit(size, emit), continuation,
-                     flags, trace_ctx=trace_ctx, deadline=deadline)
-
     def enqueue(
         self,
         method_id: int,
@@ -1003,23 +972,14 @@ class ClientEndpoint(_EndpointBase):
         """One-shot reset: :meth:`begin_reset` + :meth:`finish_reset`."""
         return self.finish_reset(self.begin_reset(), replay)
 
-    def run_until_complete(self, max_iters: int = 100_000) -> None:
-        """Drive the loop until no requests are outstanding."""
-        for _ in range(max_iters):
-            self.progress()
-            if not self.pending():
-                return
-        raise ProtocolError(f"{self.name}: requests still pending after {max_iters} iterations")
-
 
 class ServerEndpoint(_EndpointBase):
     """The RPC-over-RDMA *server* — the host.  Register callbacks with
     :meth:`register`; drive with :meth:`progress` (§III-D)."""
 
-    def __init__(self, *args, background_executor=None, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._handlers: dict[int, Handler] = {}
-        self._background_executor = background_executor
         #: requests dropped because their deadline had already passed,
         #: by the stage that dropped them (docs/OVERLOAD.md)
         self.deadline_expired = {"host_dispatch": 0, "response_emit": 0}
@@ -1030,7 +990,6 @@ class ServerEndpoint(_EndpointBase):
         super()._init_connection()
         # Outstanding response blocks in send order: (sbuf_addr, answered ids)
         self._outstanding_responses: deque[tuple[int, list[int]]] = deque()
-        self._background_results: deque[tuple[int, Response]] = deque()
         # rid -> absolute deadline (µs) for requests that carried a
         # deadline word, so the response-emit stage can drop late answers
         self._deadline_by_rid: dict[int, int] = {}
@@ -1046,20 +1005,15 @@ class ServerEndpoint(_EndpointBase):
     def pending(self) -> bool:
         """Whether responses are still queued or being built (used by
         :meth:`ProgressEngine.drain`)."""
-        return bool(
-            self._send_queue or self._background_results or self._writer is not None
-        )
+        return bool(self._send_queue or self._writer is not None)
 
     def progress(self, budget: int | None = None) -> int:
         """One event-loop pass: process arrived request blocks (at most
-        ``budget`` completions; foreground execution in the polling
-        thread), collect finished background RPCs, flush responses whose
-        hold ran out.  Returns the number of requests handled."""
+        ``budget`` completions), running each handler to completion in
+        the polling thread, then flush responses whose hold ran out.
+        Returns the number of requests handled."""
         self._polls += 1
         handled = self._receive(budget, self._process_request_block)
-        while self._background_results:
-            rid, response = self._background_results.popleft()
-            self._enqueue_response(rid, response)
         if self._writer is not None:
             self._flush_by_policy()
         if self._send_queue:
@@ -1084,7 +1038,6 @@ class ServerEndpoint(_EndpointBase):
         ids = self.id_pool.allocate_many(len(messages))
         self.stats.requests_received += len(messages)
         space, rbuf, trace = self.space, self.rbuf, self.trace
-        executor = self._background_executor
         for rid, (method_id, flags, payload_addr, payload_size) in zip(ids, messages):
             word = deadline_us = lane = 0
             if flags & (Flags.TRACE_CTX | Flags.DEADLINE):
@@ -1125,9 +1078,6 @@ class ServerEndpoint(_EndpointBase):
                     self._enqueue_response(rid, self._expired("host_dispatch"))
                     continue
                 self._deadline_by_rid[rid] = deadline_us
-            if flags & Flags.BACKGROUND and executor is not None:
-                self._spawn_background(request)
-                continue
             if ctx is not None:
                 t0 = trace.now()
             response = self._invoke(request)
@@ -1139,7 +1089,7 @@ class ServerEndpoint(_EndpointBase):
 
     def _invoke(self, request: IncomingRequest) -> Response:
         """The host loop's boundary (docs/FAULTS.md §3): resolve the
-        handler and run it, in the polling thread or a background one.
+        handler and run it in the polling thread.
         A fault — an unknown method is one — ends with its request: the
         one ERROR response, counted; the block's rest is dispatched."""
         try:
@@ -1150,19 +1100,6 @@ class ServerEndpoint(_EndpointBase):
         except Exception as exc:  # noqa: BLE001 — handler faults become RPC errors
             self.stats.handler_errors += 1
             return _fault(exc)
-
-    def _spawn_background(self, request: IncomingRequest) -> None:
-        """Background RPCs (§III-D): the payload view dies with the block,
-        so the request is re-pointed at a private copy of its payload — a
-        region of its own at the same virtual address.  This is the one
-        deliberate request-payload copy in the endpoint — foreground
-        handlers always see the in-place ``payload_view()``."""
-        size = request.payload_size
-        private = MemoryRegion(request.payload_addr, max(size, 1), "background")
-        private.buf[:size] = request.payload_view()
-        request.space = private
-        self._background_executor(lambda: self._background_results.append(
-            (request.request_id, self._invoke(request))))
 
     # -- response path -------------------------------------------------------------------
 

@@ -122,9 +122,7 @@ class Flags:
     NONE = 0
     #: response carries an application-level error instead of a payload
     ERROR = 1 << 0
-    #: request asks for background (thread-pool) execution
-    BACKGROUND = 1 << 1
-    # 1 << 2 is reserved: never sent (docs/PROTOCOL.md §3)
+    # 1 << 1 and 1 << 2 are reserved: never sent (docs/PROTOCOL.md §3)
     #: the header's 16-bit size is an overflow marker; the true payload
     #: size sits in a 64-bit extension word before the payload (the §IV-E
     #: "variable-length encoding" escape hatch for large messages —
@@ -161,10 +159,6 @@ class Flags:
     #: WIRE_PAYLOAD path, by its writer in the backlog); always paired
     #: with ERROR, so the front end can say whose fault it was
     MALFORMED = 1 << 10
-
-
-def _align_up(value: int, alignment: int) -> int:
-    return (value + alignment - 1) & ~(alignment - 1)
 
 
 def _pack_large_header(mem, offset: int, payload_size: int, method_or_id: int,
@@ -248,8 +242,8 @@ class BlockWriter:
     build the payload directly at the reserved address — this is what
     lets the arena deserializer construct the C++ object *inside* the
     outgoing block with no further copies — and packs the header, in one
-    step that happens or leaves the block untouched.  Hand-built blocks
-    take it in three: :meth:`begin_message`, write, :meth:`commit_message`.
+    step that happens or leaves the block untouched.  It is the one way
+    a message enters a block.
 
     ``[base_addr, base_addr + capacity)`` is bounds-checked once, here;
     every header and the preamble are then packed straight into the
@@ -257,10 +251,9 @@ class BlockWriter:
     region itself — an endpoint hands in the send buffer it owns).
     """
 
-    #: header address of the in-progress message and whether it is LARGE
-    #: (class-level defaults: opening a block stores neither)
+    #: header address of the message being written (class-level
+    #: default: opening a block stores nothing)
     _open: int | None = None
-    _open_large = False
 
     def __init__(self, space, base_addr: int, capacity: int) -> None:
         region = space.region_of(base_addr, capacity)
@@ -287,7 +280,7 @@ class BlockWriter:
         reservation check covers the message.  The cursor moves last: a
         writer that raises or over-reports costs the block nothing."""
         if self._open is not None:
-            raise BlockFormatError("previous message not committed")
+            raise BlockFormatError("block busy: a message is being written")
         header_addr = (self.cursor + PAYLOAD_ALIGN - 1) & -PAYLOAD_ALIGN
         large = reserve >= 1 << 16
         payload_addr = header_addr + (HEADER_SIZE + SIZE_EXT_SIZE if large else HEADER_SIZE)
@@ -316,67 +309,13 @@ class BlockWriter:
         self.cursor = payload_addr + actual
         return actual
 
-    def begin_message(self, max_payload: int) -> tuple[int, int]:
-        """Reserve a header + up to ``max_payload`` bytes of payload —
-        behind a 64-bit size-extension word when they may exceed the
-        header's 16-bit size field (§IV-E's escape hatch).  Returns
-        ``(header_addr, payload_addr)``, the payload 8-byte aligned;
-        :meth:`commit_message` with the actual size (or
-        :meth:`abort_message`) must follow before the next one begins."""
-        if self._open is not None:
-            raise BlockFormatError("previous message not committed")
-        header_addr = _align_up(self.cursor, PAYLOAD_ALIGN)
-        large = max_payload >= (1 << 16)
-        payload_addr = header_addr + HEADER_SIZE + (SIZE_EXT_SIZE if large else 0)
-        if payload_addr + max_payload > self.end:
-            raise BlockFormatError(
-                f"block full: need {max_payload} payload bytes, "
-                f"{self.end - payload_addr} remain"
-            )
-        self._open = header_addr
-        self._open_large = large
-        return header_addr, payload_addr
-
-    def commit_message(
-        self, payload_size: int, method_or_id: int, flags: int = Flags.NONE
-    ) -> None:
-        if self._open is None:
-            raise BlockFormatError("no message in progress")
-        header_addr = self._open
-        payload_addr = header_addr + HEADER_SIZE
-        if self._open_large:
-            payload_addr += SIZE_EXT_SIZE
-        elif payload_size >= (1 << 16):
-            raise BlockFormatError(
-                f"payload of {payload_size} bytes exceeds the 2^16 limit "
-                "(reserve it as large via begin_message)"
-            )
-        if payload_addr + payload_size > self.end:
-            # The reservation was checked in begin_message; the size the
-            # writer reports back is checked here, before the cursor moves.
-            raise BlockFormatError(
-                f"payload of {payload_size} bytes runs past the block end"
-            )
-        offset = header_addr - self._origin
-        if self._open_large:
-            _pack_large_header(self._mem, offset, payload_size, method_or_id, flags)
-        else:
-            _HEADER.pack_into(self._mem, offset, payload_size, method_or_id, flags, 0)
-        self.message_count += 1
-        self.cursor = payload_addr + payload_size
-        self._open = None
-        self._open_large = False
-
-    def abort_message(self) -> None:
-        self._open = None
-
     def seal(self, ack_blocks: int = 0, sequence: int = 0) -> int:
         """Write the preamble (body checksum included); returns the total
         block length in bytes.  The sequence defaults to 0 (unsequenced)
         because the endpoints stamp it at transmit time, when wire order
         is actually decided."""
         if self._open is not None:
-            raise BlockFormatError("cannot seal with a message in progress")
+            raise BlockFormatError("cannot seal while a message is being written")
         length = self.cursor - self.base
         offset = self.base - self._origin
         crc = _body_crc(self._mem, offset, length)

@@ -50,7 +50,6 @@ from repro.proto import (
     Message,
     emit_writer,
     parse,
-    serialize,
 )
 from repro.proto.descriptor import MessageDescriptor
 from repro.proto.fixed_wire import WIRE_FIXED, parse_fixed
@@ -335,7 +334,6 @@ class DpuEngine:
         method_id: int,
         wire_bytes: bytes,
         on_response: Callable[[memoryview, int], None],
-        background: bool = False,
         trace_ctx=None,
         wire_mode: int = 0,
         deadline: int = 0,
@@ -353,7 +351,7 @@ class DpuEngine:
             trace_ctx.mark(degraded=True)
             self.trace.event(trace_ctx, "failover", method=method_id,
                              crashed=self.crashed)
-        flags = Flags.WIRE_PAYLOAD | (Flags.BACKGROUND if background else Flags.NONE)
+        flags = Flags.WIRE_PAYLOAD
         if wire_mode == WIRE_FIXED:
             flags |= Flags.FIXED_PAYLOAD
         self.channel.client.enqueue_bytes(method_id, wire_bytes, on_response, flags,
@@ -364,7 +362,6 @@ class DpuEngine:
         method_id: int,
         wire_bytes: bytes,
         on_response: Callable[[memoryview, int], None],
-        background: bool = False,
         trace_ctx=None,
         wire_mode: int = 0,
         deadline: int = 0,
@@ -412,14 +409,8 @@ class DpuEngine:
             return arena.used
 
         self.channel.client.enqueue(
-            method_id, estimate, writer, on_response,
-            Flags.BACKGROUND if background else Flags.NONE, trace_ctx, deadline,
+            method_id, estimate, writer, on_response, Flags.NONE, trace_ctx, deadline,
         )
-
-    def call_message(self, method_id: int, message: Message, on_response) -> None:
-        """Convenience: serialize a message (the xRPC client's job) and
-        offload its deserialization."""
-        self.call(method_id, serialize(message), on_response)
 
     def progress(self, budget: int | None = None) -> int:
         return self.channel.client.progress(budget)

@@ -311,7 +311,7 @@ def _answer_control(ctl: _CtlConn, handlers, on_exit) -> bool:
 class _ChildSide:
     """What both child mains share: this process's one side of the
     channel (the endpoint over its attached RBuf, the shm fabric on the
-    doorbell, a supervised engine polling fabric then endpoint), the
+    doorbell, a supervised engine polling the fabric first), the
     optional fault injector and trace collector, and the child loop that
     waits on its sockets.  A child main adds its half of the stack (:mod:`repro.deploy`) and the
     commands only it answers."""
@@ -338,8 +338,11 @@ class _ChildSide:
         self.supervisor = EngineSupervisor(self.engine, stall_ticks=spec.stall_ticks,
                                            max_faults=spec.max_faults)
         self.engine.register(fabric, name="fabric")
-        self.engine.register(self.endpoint, name=side)
         if side == "server":
+            # The DPU child's client endpoint is polled by its front door
+            # instead (``Ingress.progress`` -> ``dpu.progress``): once a
+            # pass, as in one process.
+            self.engine.register(self.endpoint, name=side)
             self.channel = Channel(fabric, None, self.endpoint, None, space, self.engine)
         else:
             self.channel = Channel(fabric, self.endpoint, None, space, None, self.engine)
@@ -739,7 +742,7 @@ class ProcSupervisor:
         self.engine.step()
         time.sleep(0.0001)
 
-    def xrpc_channel(self, encode_mode: str | None = None):
+    def xrpc_channel(self):
         """The client's xRPC channel to the DPU front end (cached; a DPU
         respawn invalidates it and the next call returns a fresh one over
         the new socketpair — an honest client reconnect)."""
@@ -751,8 +754,7 @@ class ProcSupervisor:
         if self._client_raw_sock is None:
             raise ProcError("not started (or the DPU connection is being replaced)")
         self._client_socket = StreamSocket(self._client_raw_sock, f"{self.name}-client")
-        channel = XrpcChannel(None, f"{self.name}:xrpc", socket=self._client_socket,
-                              encode_mode=encode_mode)
+        channel = XrpcChannel(None, f"{self.name}:xrpc", socket=self._client_socket)
         channel.drive = self.drive
         if self.collector is not None:
             channel.trace = self.collector.recorder("client.xrpc")

@@ -144,7 +144,6 @@ class XrpcChannel:
         address: str,
         name: str = "xrpc-client",
         encode_mode: str | None = None,
-        decode_mode: str | None = None,
         socket: SimSocket | None = None,
     ) -> None:
         """``socket`` bypasses the network registry with a pre-established
@@ -161,9 +160,6 @@ class XrpcChannel:
         #: Request-serialization path: ``"generated"`` (also what ``None``
         #: means) or ``"interpretive"`` (see repro.proto.serializer).
         self.encode_mode = encode_mode
-        #: Response-deserialization path, same convention
-        #: (see repro.proto.deserializer).
-        self.decode_mode = decode_mode
         #: True once :meth:`negotiate_fixed` succeeded: eligible requests
         #: ride the branchless fixed-layout wire (docs/PROTOCOL.md).
         self.wire_fixed = False
@@ -451,10 +447,7 @@ class XrpcChannel:
                     # (WIRE_FIXED carries requests only): a server fault.
                     callback(None, StatusCode.INTERNAL)
                 else:
-                    callback(
-                        parse(response_cls, frame.message, mode=self.decode_mode),
-                        StatusCode.OK,
-                    )
+                    callback(parse(response_cls, frame.message), StatusCode.OK)
             else:
                 # Callbacks only see (None, status); stash the frame's
                 # detail bytes (shed stage, retry-after hint) so callers

@@ -127,8 +127,10 @@ class Ingress:
     def progress(self, budget: int | None = None) -> int:
         """One event-loop pass: accept, deframe, serve the lanes, then
         advance the engine behind the door (responses fire continuations
-        that write back to the right client socket).  Returns the number
-        of requests served.  Registerable with a
+        that write back to the right client socket).  Returns the work
+        done: requests served plus the responses the engine behind the
+        door delivered, so a process that parks when a pass did nothing
+        sees both.  Registerable with a
         :class:`~repro.runtime.engine.ProgressEngine`; ``budget`` caps
         the requests *served* in one pass (overload drops and sheds are
         cheap and never charged against it) — unserved requests wait in
@@ -181,8 +183,7 @@ class Ingress:
                     continue
                 served += 1
                 self._serve_contained(conn, frame, lane)
-        if self.dpu is not None:
-            self.dpu.progress(budget)
+        delivered = self.dpu.progress(budget) if self.dpu is not None else 0
         for conn in self._connections:
             if conn.out:
                 # The pass's response frames for it leave in one send.  A
@@ -200,7 +201,7 @@ class Ingress:
                 conn.alive = False
                 conn.socket.close()
             self._connections = [c for c in self._connections if c.alive]
-        return served
+        return served + delivered
 
     def _drop_or_shed(self, conn: _Connection, frame, lane: int) -> bool:
         """Overload checks ahead of any decode work: expired-on-arrival

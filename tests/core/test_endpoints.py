@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from repro.core import (
     create_channel,
 )
 from repro.rdma import Fabric
+from repro.runtime.engine import EngineError, ProgressEngine
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -427,10 +430,16 @@ class TestRunUntilComplete:
         assert done
 
     def test_raises_when_server_dead(self):
+        """An engine that polls only the client runs out of passes with
+        the request still pending; its continuation never fires."""
         ch = small_channel()
-        ch.client.enqueue_bytes(1, b"x", lambda v, f: None)
-        with pytest.raises(ProtocolError, match="still pending"):
-            ch.client.run_until_complete(max_iters=50)
+        done = []
+        ch.client.enqueue_bytes(1, b"x", lambda v, f: done.append(f))
+        engine = ProgressEngine(name="client-only")
+        engine.register(ch.client)
+        with pytest.raises(EngineError, match="exceeded 50"):
+            engine.run(max_iters=50, until=lambda: not ch.client.pending())
+        assert ch.client.pending() and done == []
 
 
 class TestRaisingContinuation:
@@ -557,29 +566,27 @@ class TestMultiConnectionServer:
 
 
 class TestBackgroundRpc:
-    def test_background_flag_runs_via_executor(self):
-        """§III-D: background RPCs execute off the polling thread; the
-        protocol carries the BACKGROUND flag and copies the payload."""
-        deferred = []
-        ch = create_channel(SMALL_CFG, SMALL_CFG, background_executor=deferred.append)
-        ch.server.register(1, lambda req: Response.from_bytes(req.payload_bytes() + b"-bg"))
-        out = []
-        ch.client.enqueue_bytes(1, b"task", lambda v, f: out.append(bytes(v)),
-                                flags=Flags.BACKGROUND)
-        run(ch, 5)
-        assert not out  # handler deferred, nothing answered yet
-        assert len(deferred) == 1
-        deferred.pop()()  # the "worker thread" runs the RPC
-        run(ch, 10)
-        assert out == [b"task-bg"]
-
     def test_background_without_executor_falls_back_to_foreground(self):
+        """Bit 1 << 1 once asked for background execution; it is reserved
+        now and never sent.  A request that arrives with it set is served
+        in the poller — inside the server's own pass, on its thread — and
+        answered once."""
         ch = small_channel()
-        ch.server.register(1, lambda req: Response.from_bytes(b"fg"))
+        calls = []
+
+        def handler(req):
+            calls.append((threading.get_ident(), req.flags))
+            return Response.from_bytes(b"fg")
+
+        ch.server.register(1, handler)
         out = []
-        ch.client.enqueue_bytes(1, b"", lambda v, f: out.append(bytes(v)),
-                                flags=Flags.BACKGROUND)
-        run(ch)
+        ch.client.enqueue_bytes(1, b"", lambda v, f: out.append(bytes(v)), flags=1 << 1)
+        handled = 0
+        for _ in range(10):
+            ch.client.progress()
+            handled += ch.server.progress()
+        assert handled == 1
+        assert calls == [(threading.get_ident(), 1 << 1)]
         assert out == [b"fg"]
 
 

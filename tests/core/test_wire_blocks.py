@@ -17,6 +17,7 @@ from repro.core.wire import (
     Flags,
     MessageHeader,
     Preamble,
+    ProtocolError,
     bucket_to_offset,
     compute_block_checksum,
     offset_to_bucket,
@@ -66,12 +67,31 @@ class TestStructs:
             offset_to_bucket(5121, 1024)
 
 
+def writes(data: bytes):
+    """A payload writer that copies ``data`` to its address and reports
+    its length — the shape ``Response.write_to`` and ``enqueue_bytes``
+    hand to :meth:`BlockWriter.put_message`."""
+
+    def writer(space, addr: int) -> int:
+        if data:
+            space.write(addr, data)
+        return len(data)
+
+    return writer
+
+
+def put(w: BlockWriter, space, data: bytes, method_or_id: int, flags: int = 0) -> int:
+    return w.put_message(space, len(data), writes(data), method_or_id, flags)
+
+
+def state(w: BlockWriter) -> tuple[int, int]:
+    return w.cursor, w.message_count
+
+
 class TestWriterReader:
     def test_single_message(self, space):
         w = BlockWriter(space, BASE, 8192)
-        _, payload = w.begin_message(5)
-        space.write(payload, b"hello")
-        w.commit_message(5, method_or_id=3)
+        assert put(w, space, b"hello", 3) == 5
         length = w.seal(ack_blocks=1)
 
         r = BlockReader(space, BASE, 8192)
@@ -86,10 +106,7 @@ class TestWriterReader:
     def test_multiple_messages_alignment(self, space):
         w = BlockWriter(space, BASE, 8192)
         for i, data in enumerate([b"a", b"bb" * 5, b"", b"c" * 13]):
-            _, payload = w.begin_message(len(data))
-            if data:
-                space.write(payload, data)
-            w.commit_message(len(data), i)
+            put(w, space, data, i)
         w.seal()
         r = BlockReader(space, BASE, 8192)
         msgs = r.messages()
@@ -100,30 +117,44 @@ class TestWriterReader:
             assert m.payload_addr % PAYLOAD_ALIGN == 0
 
     def test_zero_copy_payload_in_place(self, space):
-        """The payload address returned by begin_message is inside the
-        block: writes there need no later copy."""
+        """The address the writer is handed is inside the block: what it
+        writes there needs no later copy."""
         w = BlockWriter(space, BASE, 4096)
-        _, payload = w.begin_message(8)
-        assert BASE < payload < BASE + 4096
-        space.write_u64(payload, 0x1122334455667788)
-        w.commit_message(8, 0)
+        seen = []
+
+        def writer(where, addr):
+            seen.append(addr)
+            where.write_u64(addr, 0x1122334455667788)
+            return 8
+
+        w.put_message(space, 8, writer, 0)
         w.seal()
+        assert BASE < seen[0] < BASE + 4096
         msg = BlockReader(space, BASE, 4096).messages()[0]
-        assert msg.payload_addr == payload
+        assert msg.payload_addr == seen[0]
+        assert space.read_u64(msg.payload_addr) == 0x1122334455667788
 
     def test_block_full(self, space):
+        """A reservation past the block end is refused before the writer
+        runs."""
         w = BlockWriter(space, BASE, 64)
+        before = state(w)
         with pytest.raises(BlockFormatError, match="block full"):
-            w.begin_message(100)
+            w.put_message(space, 100, pytest.fail, 1)
+        assert state(w) == before
 
     def test_commit_past_block_end_rejected(self, space):
-        """The size a payload writer reports back is re-checked against
-        the block, not trusted: headers are stored unchecked after it."""
+        """The size a payload writer reports back is checked against its
+        reservation, not trusted: headers are stored unchecked after it.
+        An over-report is refused and leaves the block as it was."""
         w = BlockWriter(space, BASE, 64)
-        w.begin_message(8)
-        with pytest.raises(BlockFormatError, match="past the block end"):
-            w.commit_message(100, 1)
-        assert w.message_count == 0
+        put(w, space, b"first", 1)
+        before = state(w)
+        with pytest.raises(ProtocolError, match="reserved 8"):
+            w.put_message(space, 8, lambda where, addr: 100, 2)
+        assert state(w) == before
+        w.seal()
+        assert [m.payload_size for m in BlockReader(space, BASE, 64).messages()] == [5]
 
     def test_region_stands_in_for_the_space(self, space):
         """An endpoint hands the buffer it owns straight to the writer
@@ -133,79 +164,110 @@ class TestWriterReader:
         for where in (space, region):
             region.fill(BASE, 256)
             w = BlockWriter(where, BASE, 256)
-            _, payload = w.begin_message(5)
-            where.write(payload, b"hello")
-            w.commit_message(5, method_or_id=3, flags=Flags.ERROR)
+            seen = []
+
+            def writer(target, addr):
+                seen.append(addr)
+                target.write(addr, b"hello")
+                return 5
+
+            w.put_message(where, 5, writer, 3, Flags.ERROR)
             length = w.seal(ack_blocks=2, sequence=7)
             r = BlockReader(where, BASE, 256, verify_checksum=True)
-            assert r.records() == [(3, Flags.ERROR, payload, 5)]
+            assert r.records() == [(3, Flags.ERROR, seen[0], 5)]
             images.append(space.read(BASE, length))
         assert images[0] == images[1]
 
-    def test_commit_without_begin(self, space):
-        w = BlockWriter(space, BASE, 128)
-        with pytest.raises(BlockFormatError):
-            w.commit_message(0, 0)
-
     def test_double_begin(self, space):
+        """A writer that re-enters put_message finds the block busy; the
+        outer message fails with it and the block is left as it was."""
         w = BlockWriter(space, BASE, 1024)
-        w.begin_message(8)
-        with pytest.raises(BlockFormatError):
-            w.begin_message(8)
+        before = state(w)
+
+        def reentrant(where, addr):
+            put(w, where, b"inner", 2)
+            return 0
+
+        with pytest.raises(BlockFormatError, match="busy"):
+            w.put_message(space, 8, reentrant, 1)
+        assert state(w) == before
+        put(w, space, b"next", 3)
+        w.seal()
+        assert [m.header.method_or_id for m in BlockReader(space, BASE, 1024).messages()] == [3]
 
     def test_abort_message(self, space):
+        """A writer that raises leaves the cursor and the message count
+        unchanged; the next message lands where it would have."""
         w = BlockWriter(space, BASE, 1024)
-        w.begin_message(8)
-        w.abort_message()
-        _, p = w.begin_message(4)
-        space.write(p, b"abcd")
-        w.commit_message(4, 1)
+        put(w, space, b"one", 1)
+        before = state(w)
+
+        def raising(where, addr):
+            where.write(addr, b"garbage!")
+            raise ValueError("payload rejected")
+
+        with pytest.raises(ValueError):
+            w.put_message(space, 8, raising, 2)
+        assert state(w) == before
+        put(w, space, b"abcd", 3)
         w.seal()
-        assert BlockReader(space, BASE, 1024).preamble.message_count == 1
+
+        clean = AddressSpace()
+        clean.map(MemoryRegion(BASE, 1024, "clean"))
+        twin = BlockWriter(clean, BASE, 1024)
+        put(twin, clean, b"one", 1)
+        put(twin, clean, b"abcd", 3)
+        twin.seal()
+        msgs = BlockReader(space, BASE, 1024).messages()
+        assert [(m.header.method_or_id, m.payload_addr) for m in msgs] == [
+            (m.header.method_or_id, m.payload_addr)
+            for m in BlockReader(clean, BASE, 1024).messages()
+        ]
+        assert space.read(msgs[1].payload_addr, 4) == b"abcd"
 
     def test_seal_with_open_message_rejected(self, space):
+        """A writer cannot seal the block it is writing into."""
         w = BlockWriter(space, BASE, 1024)
-        w.begin_message(8)
-        with pytest.raises(BlockFormatError):
+
+        def sealing(where, addr):
             w.seal()
+            return 0
+
+        with pytest.raises(BlockFormatError, match="cannot seal"):
+            w.put_message(space, 8, sealing, 1)
+        assert state(w) == (BASE + PREAMBLE_SIZE, 0)
 
     def test_payload_size_limit_without_large_reservation(self, space):
-        """A message reserved small cannot commit a 2^16+ size — it lacks
-        the extension word."""
+        """A message reserved small cannot report a 2^16+ size — it lacks
+        the extension word — so the writer's claim is refused."""
         w = BlockWriter(space, BASE, 1 << 18)
-        w.begin_message((1 << 16) - 1)
-        with pytest.raises(BlockFormatError, match="2\\^16"):
-            w.commit_message(1 << 16, 0)
+        before = state(w)
+        with pytest.raises(ProtocolError, match="65536 > reserved 65535"):
+            w.put_message(space, (1 << 16) - 1, lambda where, addr: 1 << 16, 0)
+        assert state(w) == before
 
     def test_large_message_form(self, space):
-        """§IV-E extension: reserving >= 2^16 bytes switches to the LARGE
-        form (marker size + 64-bit extension word) transparently."""
-        from repro.core.wire import Flags
-
+        """§IV-E extension: the reservation picks the form.  Reserving
+        >= 2^16 bytes switches to the LARGE form (marker size + 64-bit
+        extension word) even when the writer then reports less."""
         big = bytes(range(256)) * 300  # 76 800 bytes
         w = BlockWriter(space, BASE, 1 << 18)
-        _, payload = w.begin_message(len(big))
-        space.write(payload, big)
-        w.commit_message(len(big), method_or_id=9)
+        put(w, space, big, method_or_id=9)
+        w.put_message(space, 1 << 16, writes(b"short"), 10)
+        w.put_message(space, (1 << 16) - 1, writes(b"small"), 11)
         w.seal()
         msgs = BlockReader(space, BASE, 1 << 18).messages()
-        assert len(msgs) == 1
-        assert msgs[0].header.flags & Flags.LARGE
-        assert msgs[0].payload_size == len(big)
+        assert len(msgs) == 3
+        assert [bool(m.header.flags & Flags.LARGE) for m in msgs] == [True, True, False]
+        assert [m.payload_size for m in msgs] == [len(big), 5, 5]
         assert space.read(msgs[0].payload_addr, len(big)) == big
+        assert space.read(msgs[1].payload_addr, 5) == b"short"
 
     def test_large_and_small_messages_mix(self, space):
         w = BlockWriter(space, BASE, 1 << 18)
-        _, p = w.begin_message(4)
-        space.write(p, b"tiny")
-        w.commit_message(4, 1)
-        big = b"B" * 70000
-        _, p = w.begin_message(len(big))
-        space.write(p, big)
-        w.commit_message(len(big), 2)
-        _, p = w.begin_message(2)
-        space.write(p, b"ok")
-        w.commit_message(2, 3)
+        put(w, space, b"tiny", 1)
+        put(w, space, b"B" * 70000, 2)
+        put(w, space, b"ok", 3)
         w.seal()
         msgs = BlockReader(space, BASE, 1 << 18).messages()
         assert [m.payload_size for m in msgs] == [4, 70000, 2]
@@ -218,8 +280,7 @@ class TestWriterReader:
 
     def test_reader_rejects_truncated_payload(self, space):
         w = BlockWriter(space, BASE, 1024)
-        _, p = w.begin_message(16)
-        w.commit_message(16, 0)
+        put(w, space, bytes(16), 0)
         w.seal()
         # Corrupt: claim more messages than present.
         Preamble(2, 0, PREAMBLE_SIZE + HEADER_SIZE + 16).pack_into(space, BASE)
@@ -245,10 +306,7 @@ class TestPropertyRoundTrip:
         space.map(MemoryRegion(BASE, 1 << 16, "blk"))
         w = BlockWriter(space, BASE, 1 << 16)
         for i, data in enumerate(payloads):
-            _, addr = w.begin_message(len(data))
-            if data:
-                space.write(addr, data)
-            w.commit_message(len(data), i % 65536, Flags.ERROR if i % 3 == 0 else 0)
+            put(w, space, data, i % 65536, Flags.ERROR if i % 3 == 0 else 0)
         length = w.seal(ack)
         assert length <= 1 << 16
 
@@ -265,9 +323,7 @@ class TestPropertyRoundTrip:
 class TestChecksums:
     def seal_block(self, space, payload=b"checksummed", sequence=0):
         w = BlockWriter(space, BASE, 4096)
-        _, addr = w.begin_message(len(payload))
-        space.write(addr, payload)
-        w.commit_message(len(payload), 1)
+        put(w, space, payload, 1)
         return w.seal(sequence=sequence)
 
     def test_seal_writes_body_crc(self, space):

@@ -10,7 +10,7 @@ from repro.core import Flags, Response, TransportError, create_channel
 from repro.core.recovery import ChannelRecovery
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.memory.shm import SharedRegion
-from repro.proto import parse
+from repro.proto import parse, serialize
 from repro.rdma import QpState
 from repro.rdma.shm_fabric import ShmFabric
 
@@ -121,8 +121,8 @@ class TestShmOffload:
         try:
             assert isinstance(pair.channel.fabric, ShmFabric)
             out = []
-            pair.dpu.call_message(
-                1, IntArray(values=list(range(64))),
+            pair.dpu.call(
+                1, serialize(IntArray(values=list(range(64)))),
                 lambda view, flags: out.append((bytes(view), flags)),
             )
             pair.run_until_idle()

@@ -14,7 +14,7 @@ from repro.memory import AddressSpace
 from repro.offload import TypeUniverse, create_offload_pair
 from repro.offload.adt import AdtError
 from repro.offload.engine import MethodSpec, decode_bootstrap, encode_bootstrap
-from repro.proto import FieldType, compile_schema, parse
+from repro.proto import FieldType, compile_schema, parse, serialize
 from tests.conftest import KITCHEN_SINK_PROTO
 
 SCHEMA_SRC = """
@@ -155,8 +155,8 @@ class TestOffloadedCalls:
         pair, calls = make_pair(schema)
         Query, Result = schema["app.Query"], schema["app.Result"]
         responses = []
-        pair.dpu.call_message(
-            1, Query(term="abc", limit=3, shard_ids=[1, 2]),
+        pair.dpu.call(
+            1, serialize(Query(term="abc", limit=3, shard_ids=[1, 2])),
             lambda v, f: responses.append(parse(Result, bytes(v))),
         )
         pair.run_until_idle()
@@ -170,10 +170,10 @@ class TestOffloadedCalls:
             schema["app.Query"], schema["app.StatsReq"], schema["app.StatsRsp"]
         )
         out = {}
-        pair.dpu.call_message(2, StatsReq(samples=[2, 4, 6]),
-                              lambda v, f: out.setdefault("stats", parse(StatsRsp, bytes(v))))
-        pair.dpu.call_message(1, Query(term="q", limit=1),
-                              lambda v, f: out.setdefault("search", bytes(v)))
+        pair.dpu.call(2, serialize(StatsReq(samples=[2, 4, 6])),
+                      lambda v, f: out.setdefault("stats", parse(StatsRsp, bytes(v))))
+        pair.dpu.call(1, serialize(Query(term="q", limit=1)),
+                      lambda v, f: out.setdefault("search", bytes(v)))
         pair.run_until_idle()
         assert out["stats"].mean == 4.0
         assert ("search", "q", 1, []) in calls
@@ -183,8 +183,8 @@ class TestOffloadedCalls:
         Query = schema["app.Query"]
         n_done = []
         for i in range(500):
-            pair.dpu.call_message(1, Query(term=f"t{i}", limit=1),
-                                  lambda v, f: n_done.append(1))
+            pair.dpu.call(1, serialize(Query(term=f"t{i}", limit=1)),
+                          lambda v, f: n_done.append(1))
         pair.run_until_idle()
         assert len(n_done) == 500
         assert len(calls) == 500
@@ -199,7 +199,7 @@ class TestOffloadedCalls:
     def test_deserialize_stats_accumulate(self, schema):
         pair, _ = make_pair(schema)
         StatsReq = schema["app.StatsReq"]
-        pair.dpu.call_message(2, StatsReq(samples=list(range(64))), lambda v, f: None)
+        pair.dpu.call(2, serialize(StatsReq(samples=list(range(64)))), lambda v, f: None)
         pair.run_until_idle()
         assert pair.dpu.stats.varints_decoded >= 64
         assert pair.dpu.stats.messages == 1

@@ -1,4 +1,4 @@
-"""Tests for the scalar and vectorized UTF-8 validators."""
+"""Tests for the UTF-8 validator, against CPython's strict decoder."""
 
 from __future__ import annotations
 
@@ -6,14 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.proto.utf8 import (
-    Utf8Error,
-    validate_utf8,
-    validate_utf8_scalar,
-    validate_utf8_simd,
-)
+from repro.proto.utf8 import Utf8Error, validate_utf8
 
-VALIDATORS = [validate_utf8, validate_utf8_scalar, validate_utf8_simd]
+VALIDATORS = [validate_utf8]
 
 
 def _cpython_accepts(data: bytes) -> bool:

@@ -5,15 +5,18 @@ failover, cross-process fault injection, and trace merging."""
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import time
 
 import pytest
 
+from repro.core import ClientEndpoint
 from repro.faults import FaultPlan, FaultSpec
 from repro.proto import compile_schema
 from repro.runtime import procs
+from repro.runtime.engine import ProgressEngine
 from repro.runtime.procs import ProcError, ProcSupervisor
 
 #: a park no test outlives: what a child parked this long does within
@@ -191,6 +194,42 @@ def test_cross_process_fault_injection(calc_schema, monkeypatch):
         assert stats["host"]["injector_fingerprint"]
     finally:
         sup.stop()
+
+
+def test_the_dpu_child_polls_its_endpoint_once_per_pass(calc_schema, monkeypatch):
+    """The DPU child's client endpoint is polled by its front door
+    (``Ingress.progress`` -> ``dpu.progress``) and by nothing else in
+    the same engine pass.  An anonymous shared mapping made before the
+    fork carries what the child counted back to the test."""
+    # [most polls in one pass, polls inside passes]
+    counts = memoryview(mmap.mmap(-1, 16)).cast("q")
+    polls = [0]  # this process's count for the pass under way
+    step, poll = ProgressEngine.step, ClientEndpoint.progress
+
+    def counted_step(self, budget=None):
+        polls[0] = 0
+        try:
+            return step(self, budget)
+        finally:
+            if polls[0]:
+                counts[0] = max(counts[0], polls[0])
+                counts[1] += polls[0]
+
+    def counted_poll(self, budget=None):
+        polls[0] += 1
+        return poll(self, budget)
+
+    monkeypatch.setattr(ProgressEngine, "step", counted_step)
+    monkeypatch.setattr(ClientEndpoint, "progress", counted_poll)
+    BinOp, Value = calc_schema["calc.BinOp"], calc_schema["calc.Value"]
+    with ProcSupervisor(calc_schema, calc_schema.service("calc.Calc"),
+                        make_servicer(calc_schema), name="onepoll") as sup:
+        chan = sup.xrpc_channel()
+        for a in range(8):
+            r = chan.call_sync("/calc.Calc/Add", BinOp(a=a, b=1), Value, max_iters=40000)
+            assert r.v == a + 1
+        assert counts[1] > 0
+        assert counts[0] == 1
 
 
 def test_a_parked_child_answers_a_control_command(parked):

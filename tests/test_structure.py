@@ -136,10 +136,12 @@ def _callers(path: Path, called: str) -> set[str | None]:
 def test_a_message_is_put_into_a_block_in_one_place(step):
     """Both endpoint roles append through ``_EndpointBase._append``, and
     that puts a message in with the one step ``BlockWriter.put_message``
-    (reserve, write, header — or nothing): the three-step form is for
-    hand-built blocks and has no caller under ``src/``."""
+    (reserve, write, header — or nothing).  There is no three-step form
+    to call: the block writer has no such method."""
+    from repro.core.wire import BlockWriter
+
     assert _callers(SRC / "core" / "endpoint.py", "put_message") == {"_append"}
-    assert [path.name for path, _ in _trees(SRC) if _callers(path, step)] == []
+    assert not hasattr(BlockWriter, step)
 
 
 def test_blocks_are_opened_by_the_appender_and_the_pure_ack_only():
@@ -415,8 +417,7 @@ def test_the_front_door_is_the_only_broad_handler_under_xrpc():
 def test_the_endpoint_turns_an_exception_into_an_answer_in_three_places():
     """Backlog admission (no caller to raise to), the host's handler
     boundary, and the in-place response writer (which runs after the
-    boundary returned, for background results passes later) — each
-    through the one fault function.  The only other broad handlers
+    boundary returned) — each through the one fault function.  The only other broad handlers
     re-raise: the appender's clean-up, and the client's response block,
     which delivers the rest of the pass before the first continuation's
     exception reaches the event loop."""
@@ -430,8 +431,8 @@ def test_the_endpoint_turns_an_exception_into_an_answer_in_three_places():
     owner = _enclosing_functions(tree)
     assert {owner[node] for node in ast.walk(tree)
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "repr"} == {"_fault"}
-    # the handler is resolved and run in one function, foreground or background
-    assert _callers(endpoint, "_invoke") == {"_process_request_block", "_spawn_background"}
+    # the handler is resolved and run in one function, in the poller
+    assert _callers(endpoint, "_invoke") == {"_process_request_block"}
 
 
 @pytest.mark.parametrize("status, functions", [
@@ -481,3 +482,26 @@ def test_the_nesting_limit_is_one_constant():
     }
     assert users == {"proto/deserializer.py", "proto/gen_codec.py",
                      "offload/arena_deserializer.py"}
+
+
+def test_no_module_under_src_imports_threading():
+    """Every RPC runs to completion in the poller that received it (the
+    prototype's foreground execution, §III-D); nothing under ``src/``
+    starts a thread."""
+    importers = [
+        str(path.relative_to(SRC)) for path, tree in _trees(SRC)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "threading" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "threading")
+    ]
+    assert importers == []
+
+
+def test_utf8_is_checked_one_way():
+    """One validator: CPython's strict decoder behind an ASCII fast
+    path, the check the host's generated decoder makes too."""
+    from repro.proto import utf8
+
+    assert sorted(utf8.__all__) == ["Utf8Error", "validate_utf8"]

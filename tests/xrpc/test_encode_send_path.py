@@ -13,7 +13,7 @@ interpretive mode.
 from __future__ import annotations
 
 from repro.core import Response, create_channel
-from repro.proto import ENCODE_PLAN_METRICS, parse, prepare_emit, serialize
+from repro.proto import ENCODE_PLAN_METRICS, emit_writer, parse, serialize
 
 from tests.xrpc.test_rpc_end_to_end import (  # noqa: F401 — schema fixture
     baseline_deployment,
@@ -65,9 +65,11 @@ def test_offloaded_path_emits_into_frames(schema):
 
 
 def test_rdma_emit_path_round_trips():
-    """``enqueue_emit`` + ``Response.from_emitter``: both directions of the
-    RPC-over-RDMA datapath accept emit callables that write into the
-    registered block, and the counter sees both emissions."""
+    """``emit_writer`` hands both directions of the RPC-over-RDMA
+    datapath one payload-writer shape — ``Response(size, writer)`` on
+    the server, ``enqueue(…, size, writer, …)`` on the client — that
+    emits into the registered block, and the counter sees both
+    emissions."""
     from repro.proto import compile_schema
 
     schema = compile_schema(
@@ -81,19 +83,13 @@ def test_rdma_emit_path_round_trips():
 
     def handler(incoming):
         assert parse(P, bytes(incoming.payload_view())) == request
-        sized = prepare_emit(reply)
-        return Response.from_emitter(sized.size, lambda buf: sized.emit_into(buf))
+        return Response(*emit_writer(reply))
 
     channel.server.register(1, handler)
 
     ENCODE_PLAN_METRICS.reset()
-    sized_req = prepare_emit(request)
-    channel.client.enqueue_emit(
-        1,
-        sized_req.size,
-        lambda buf: sized_req.emit_into(buf),
-        lambda view, flags: got.append(bytes(view)),
-    )
+    size, writer = emit_writer(request)
+    channel.client.enqueue(1, size, writer, lambda view, flags: got.append(bytes(view)))
     for _ in range(50):
         channel.client.progress()
         channel.server.progress()
