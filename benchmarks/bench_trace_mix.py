@@ -78,6 +78,9 @@ def test_trace_overhead(report):
         return ch
 
     def drive(ch, n: int) -> None:
+        # a tier with a telemetry hub ticks it once per pass, as the
+        # `repro top --live` loop does
+        tick = getattr(ch, "tick", None) or (lambda: None)
         done = []
         k = len(wires)
         for i in range(n):
@@ -85,11 +88,13 @@ def test_trace_overhead(report):
                 METHOD, wires[i % k], lambda v, f: done.append(f))
             ch.client.progress()
             ch.server.progress()
+            tick()
         for _ in range(40 * n):
             if len(done) == n:
                 break
             ch.client.progress()
             ch.server.progress()
+            tick()
         assert len(done) == n
 
     def measure(setups, n: int = 1_500, rounds: int = 5) -> dict:
@@ -131,7 +136,7 @@ def test_trace_overhead(report):
 
         ch = make_channel()
         collector = TraceCollector()
-        ch._hub = TelemetryHub(collector, window_ticks=64)  # live sink
+        ch.tick = TelemetryHub(collector, window_ticks=64).on_tick
         attach_channel(collector, ch, stream="t")
         return ch
 

@@ -11,8 +11,9 @@ Layers (docs/OBSERVABILITY.md):
   export and validation;
 * :mod:`repro.obs.runner` — the traced-workload driver behind the
   ``repro trace`` / ``repro top`` / ``repro metrics`` CLI subcommands;
-* :mod:`repro.obs.telemetry` — the streaming aggregator: windowed
-  snapshots folded from the live event stream;
+* :mod:`repro.obs.telemetry` — windowed snapshots: each window folds
+  the events the rings gained, stitched and attributed by
+  :mod:`repro.obs.timeline`;
 * :mod:`repro.obs.slo` — declarative SLO specs, multi-window burn-rate
   tracking, and anomaly detection over telemetry snapshots.
 """

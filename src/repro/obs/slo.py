@@ -197,17 +197,6 @@ class SloTracker:
         # cold-start violation cannot saturate the long horizon and page.
         return (sum(recent) / horizon) / budget
 
-    def burn(self) -> float:
-        """Worst short-horizon burn across all specs, as one scalar."""
-        worst = 0.0
-        for spec in self.specs:
-            worst = max(worst, self._burn(spec.name, spec.budget,
-                                          self.short_windows))
-        return worst
-
-    def burning(self) -> bool:
-        return any(self._burning.values())
-
     # -- the listener ----------------------------------------------------
 
     def observe(self, snapshot) -> list[SloEvent]:
@@ -261,11 +250,3 @@ class SloTracker:
             })
             for spec in self.specs
         ]
-
-    def fingerprint_lines(self):
-        """Deterministic event material (campaign-style fingerprints)."""
-        for ev in self.events:
-            yield (
-                f"slo:{ev.window}:{ev.kind}:{ev.name}:"
-                f"{ev.value:.3f}:{ev.burn_short:.3f}"
-            )

@@ -1,93 +1,76 @@
-"""Streaming telemetry: windowed snapshots of the live trace stream.
+"""Windowed telemetry: snapshots folded from the trace rings.
 
-PR 5 made every request's latency attributable to a stage; this module
-makes that signal *continuous*.  A :class:`TelemetryHub` attaches to a
-:class:`~repro.obs.trace.TraceCollector` as its streaming sink, so every
-:class:`~repro.obs.trace.StageEvent` is folded into the current
-observation window at record time — O(1) per event, no ring rescans —
-and every ``window_ticks`` event-loop passes the hub seals the window
-into an immutable :class:`TelemetrySnapshot`:
+A :class:`TelemetryHub` watches one
+:class:`~repro.obs.trace.TraceCollector` and reads it once per
+observation window.  Every ``window_ticks`` event-loop passes it takes
+the events each ring gained since the last seal, stitches them — with
+the events of requests still open from earlier windows — into request
+timelines (:func:`~repro.obs.timeline.stitch`), and seals an immutable
+:class:`TelemetrySnapshot`:
 
-* per-lane completion latency with nearest-rank p50/p95/p99 (the
-  latency the SLO layer targets),
-* per-stage gap attribution — where the window's microseconds went —
-  plus the share *delta* against the previous window (nanoPU's thesis:
-  the tail moves between handoffs, so the interesting signal is the
-  derivative),
-* rate counters for every ``(component, stage)`` pair, which covers the
-  overload stages (shed / deadline_expired / breaker_fallback) for free,
-* deltas from attachable counter *sources* (engine/endpoint/codec
-  counters that are not stage events).
+* per-lane completion latency (each finished timeline's
+  :attr:`~repro.obs.timeline.RequestTimeline.total`) with nearest-rank
+  p50/p95/p99 — the latency the SLO layer targets,
+* per-stage gap attribution — where the window's microseconds went,
+  summed from :meth:`~repro.obs.timeline.RequestTimeline.stage_gaps`,
+  the attribution `repro trace` and `repro top` print — plus the share
+  *delta* against the previous window (nanoPU's thesis: the tail moves
+  between handoffs, so the interesting signal is the derivative),
+* per-stage event counts, which cover the overload stages (shed /
+  deadline_expired / breaker_fallback) for free.
 
-Consumers subscribe with :meth:`TelemetryHub.add_listener`; the SLO
-tracker (:mod:`repro.obs.slo`) and the `repro top --live` dashboard are
-pure functions of these snapshots.  Cross-process runs need no extra
-plumbing: events merged via :func:`~repro.obs.trace.import_events` are
-offered to the sink in timestamp order, so a parent-side hub aggregates
-child traffic the same way it aggregates local traffic
-(docs/OBSERVABILITY.md).
+A request is counted once, at its serving edge: the front door's
+``respond``, or ``response_deliver`` on a bare RDMA channel (no
+``ingress``).  A traced client's own half of a call (``xrpc_send`` →
+``xrpc_complete``) is the same call seen from the other side, and is
+not counted again.
+
+Recording an event stays a plain ring append: the hub costs nothing
+between seals.  Consumers subscribe with :meth:`TelemetryHub.add_listener`;
+the SLO tracker (:mod:`repro.obs.slo`) and the `repro top --live`
+dashboard are pure functions of the snapshots.  Events merged with
+:func:`~repro.obs.trace.import_events` land in the rings and are read
+at the next seal like local ones (docs/OBSERVABILITY.md §8).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
+from operator import attrgetter
 
-from repro.metrics.registry import Family, counter, gauge, percentile
+from repro.metrics.registry import percentile
 
+from .timeline import stitch
 from .trace import Stage, TraceCollector
 
 __all__ = [
+    "STALE_WINDOWS",
     "TelemetryHub",
     "TelemetrySnapshot",
     "render_dashboard",
 ]
 
 
-#: stages that complete a request from the hub's point of view (the
-#: server edge's ``respond`` for server-side tracing, the client edge's
-#: ``xrpc_complete`` / ``response_deliver`` when the client is traced too)
-_TERMINAL_STAGES = frozenset({Stage.RESPOND, Stage.RESPONSE_DELIVER, "xrpc_complete"})
+#: seals a request may stay open (not answered at its serving edge)
+#: before the hub drops it: a request shed upstream of the edge, or
+#: abandoned by its client, must not be held for ever
+STALE_WINDOWS = 4
 
-
-class _LiveEntry:
-    """One in-flight request's accumulating state (pre-completion)."""
-
-    __slots__ = ("first_ts", "prev_end", "lane", "gaps", "events", "window")
-
-    def __init__(self, ts: float, window: int) -> None:
-        self.first_ts = ts
-        self.prev_end = None
-        self.lane = None
-        self.gaps: list = []          # (component, stage, seconds)
-        self.events = 0
-        self.window = window          # window of the first event (staleness)
-
-    def merge(self, other: "_LiveEntry") -> None:
-        """Fold another half of the same request in (the client-side and
-        server-side contexts share a late-bound tid; whichever entry
-        registered second folds into the first)."""
-        self.first_ts = min(self.first_ts, other.first_ts)
-        if self.prev_end is None or (
-            other.prev_end is not None and other.prev_end > self.prev_end
-        ):
-            self.prev_end = other.prev_end
-        if self.lane is None:
-            self.lane = other.lane
-        self.gaps.extend(other.gaps)
-        self.events += other.events
-        self.window = min(self.window, other.window)
+#: the traced client's last stage (``XrpcChannel``): its half of a call
+#: is closed here, uncounted — the serving edge counts the call
+_CLIENT_COMPLETE = "xrpc_complete"
 
 
 class TelemetrySnapshot:
     """One sealed observation window — everything downstream consumers
-    (SLO tracker, dashboard) are allowed to see."""
+    (SLO tracker, dashboard) are allowed to see.  ``tick_us`` is the
+    modeled length of one tick the driver reported (0.0 if none)."""
 
     __slots__ = (
-        "window", "ticks", "duration_s", "epoch_id",
-        "completed", "completed_by_lane", "lane_latency_us",
-        "stage_counts", "component_stage_counts",
-        "gap_seconds", "gap_share", "gap_share_delta",
-        "source_totals", "source_deltas", "live_entries",
+        "window", "ticks", "tick_us",
+        "completed", "lane_latency_us",
+        "stage_counts", "gap_seconds", "gap_share", "gap_share_delta",
+        "live_entries",
     )
 
     def __init__(self, **kw) -> None:
@@ -115,203 +98,91 @@ class TelemetrySnapshot:
         outcomes = missed + self.completed
         return missed / outcomes if outcomes else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "ticks": self.ticks,
-            "completed": self.completed,
-            "completed_by_lane": dict(self.completed_by_lane),
-            "lane_latency_us": {k: dict(v) for k, v in self.lane_latency_us.items()},
-            "stage_counts": dict(self.stage_counts),
-            "gap_share": dict(self.gap_share),
-            "source_deltas": {k: dict(v) for k, v in self.source_deltas.items()},
-        }
-
 
 class TelemetryHub:
-    """Streaming aggregator: collector sink in, windowed snapshots out.
+    """Windowed fold over one collector's rings.
 
-    Attach with ``collector.attach_sink(hub)`` (or pass the collector
-    here), drive with :meth:`on_tick` from the event loop, and read
-    :attr:`last` or subscribe via :meth:`add_listener`.
+    Drive it with :meth:`on_tick` from the event loop and read
+    :attr:`last` or subscribe via :meth:`add_listener`.  ``window_ticks``
+    sets the observation cadence — the SLO tracker's judgement period,
+    so it trades reaction speed against statistical noise per window."""
 
-    ``window_ticks`` sets the observation cadence — the SLO tracker's
-    judgement period, so it trades reaction speed against statistical
-    noise per window.  ``max_windows`` bounds retained history;
-    ``stale_windows`` bounds how long an in-flight entry may live before
-    the hub gives up on its completion (requests dropped without any
-    terminal stage must not leak)."""
-
-    def __init__(self, collector: TraceCollector | None = None,
-                 window_ticks: int = 64, max_windows: int = 32,
-                 stale_windows: int = 4,
-                 latency_exporter=None) -> None:
+    def __init__(self, collector: TraceCollector, window_ticks: int = 64) -> None:
         if window_ticks < 1:
             raise ValueError("window_ticks must be >= 1")
-        self.window_ticks = window_ticks
-        self.max_windows = max_windows
-        self.stale_windows = stale_windows
-        #: optional StageLatencyExporter — completed requests' gaps are
-        #: fed into its registry histograms, so `repro metrics` and the
-        #: hub expose the same data through one surface.
-        self.latency_exporter = latency_exporter
         self.collector = collector
-        self.events_seen = 0
+        self.window_ticks = window_ticks
         self.windows_closed = 0
-        self.completed_total = 0
-        self.snapshots: deque = deque(maxlen=max_windows)
+        self.last: TelemetrySnapshot | None = None
         self._listeners: list = []
-        self._sources: dict[str, object] = {}
-        self._source_last: dict[str, dict] = {}
-        # -- current-window accumulators ---------------------------------
         self._tick = 0
-        self._window = 0
-        self._completed = 0
-        self._completed_by_lane: dict = {}
-        self._lane_lat: dict = {}          # lane -> [latency_us, ...]
-        self._stage_counts: dict = {}
-        self._comp_stage_counts: dict = {}
-        self._gap_seconds: dict = {}       # stage -> total seconds
         self._prev_gap_share: dict = {}
-        # -- live (in-flight) request entries -----------------------------
-        self._by_tid: dict = {}
-        self._by_ctx: dict = {}
-        if collector is not None:
-            collector.attach_sink(self)
-
-    # -- wiring ----------------------------------------------------------
+        #: component -> the newest event of its ring already read
+        self._marks: dict = {}
+        #: events of the requests still open, and the window each
+        #: request's contexts were first read in (by context identity)
+        self._open: list = []
+        self._born: dict = {}
 
     def add_listener(self, fn) -> None:
         """``fn(snapshot)`` fires on every window close, in add order."""
         self._listeners.append(fn)
 
-    def add_source(self, name: str, fn) -> None:
-        """Attach a counter source: ``fn()`` returns ``{name: value}``;
-        the hub records per-window deltas (and absolute totals) for it.
-        This is how the overload / endpoint / codec counters that are
-        not stage events join the snapshot surface."""
-        self._sources[name] = fn
-        self._source_last[name] = dict(fn())
-
-    def collect(self):
-        """The hub's rolling state as metric families — a registry
-        collector, so trace-derived and counter-derived signals share one
-        scrape surface.  Window figures come from the last sealed window."""
-        last = self.last
-        yield counter("telemetry_windows_closed", "observation windows sealed",
-                      self.windows_closed)
-        yield counter("telemetry_events_streamed", "stage events folded into windows",
-                      self.events_seen)
-        yield gauge("telemetry_goodput_per_tick", "completions per tick, last window",
-                    last.goodput_per_tick() if last is not None else 0)
-        yield Family("telemetry_lane_p99_us", "per-lane p99 latency, last window",
-                     "gauge", ("lane",),
-                     {} if last is None else {
-                         (str(lane),): stats["p99"]
-                         for lane, stats in last.lane_latency_us.items()})
-        yield gauge("telemetry_live_entries", "in-flight request entries held",
-                    len(self._by_tid) + len(self._by_ctx))
-
-    # -- the streaming sink (called from StageRecorder.event) ------------
-
-    def offer(self, ev) -> None:
-        """Fold one stage event into the current window.  O(1)."""
-        self.events_seen += 1
-        stage = ev.stage
-        self._stage_counts[stage] = self._stage_counts.get(stage, 0) + 1
-        key = (ev.component, stage)
-        self._comp_stage_counts[key] = self._comp_stage_counts.get(key, 0) + 1
-        ctx = ev.ctx
-        if ctx is None:
-            return
-        # -- locate (or create) the live entry: tid key wins, identity
-        #    key covers the pre-bind stages (enqueue/seal happen before
-        #    transmit binds the id).
-        tid = ctx.tid
-        entry = None
-        if tid is not None:
-            entry = self._by_tid.get(tid)
-        ident = id(ctx)
-        by_ident = self._by_ctx.get(ident)
-        if by_ident is not None and entry is not None and by_ident is not entry:
-            entry.merge(by_ident)
-            del self._by_ctx[ident]
-        elif by_ident is not None and entry is None:
-            entry = by_ident
-            if tid is not None:
-                # the id just bound: promote from identity to tid keying
-                self._by_tid[tid] = entry
-                del self._by_ctx[ident]
-        if entry is None:
-            if stage in _TERMINAL_STAGES:
-                # A terminal stage with no live entry: the request already
-                # completed under an earlier terminal (response_deliver
-                # before the front's respond).  Starting a new entry here
-                # would just park a one-event orphan until eviction.
-                return
-            entry = _LiveEntry(ev.ts, self._window)
-            if tid is not None:
-                self._by_tid[tid] = entry
-            else:
-                self._by_ctx[ident] = entry
-        # -- gap attribution, streaming mirror of RequestTimeline.stage_gaps
-        if ev.dur:
-            entry.gaps.append((ev.component, stage, ev.dur))
-        elif entry.prev_end is not None:
-            entry.gaps.append(
-                (ev.component, stage, max(0.0, ev.ts - entry.prev_end))
-            )
-        end = ev.ts + ev.dur
-        if entry.prev_end is None or end > entry.prev_end:
-            entry.prev_end = end
-        entry.events += 1
-        if entry.lane is None and "lane" in ctx.attrs:
-            entry.lane = ctx.attrs["lane"]
-        if stage in _TERMINAL_STAGES and entry.events >= 2:
-            self._complete(entry, ev, tid, ident)
-
-    def _complete(self, entry, ev, tid, ident) -> None:
-        lane = entry.lane if entry.lane is not None else 0
-        latency_us = (ev.ts + ev.dur - entry.first_ts) * 1e6
-        self._completed += 1
-        self.completed_total += 1
-        self._completed_by_lane[lane] = self._completed_by_lane.get(lane, 0) + 1
-        self._lane_lat.setdefault(lane, []).append(latency_us)
-        for _component, stage, seconds in entry.gaps:
-            self._gap_seconds[stage] = self._gap_seconds.get(stage, 0.0) + seconds
-        if self.latency_exporter is not None:
-            for _component, stage, seconds in entry.gaps:
-                self.latency_exporter.stage_hist.labels(stage).observe(seconds)
-            self.latency_exporter.request_hist.observe(latency_us * 1e-6)
-            self.latency_exporter.observed += 1
-        if tid is not None:
-            self._by_tid.pop(tid, None)
-        self._by_ctx.pop(ident, None)
-
-    # -- windowing (called from the event loop) ---------------------------
-
-    def progress(self, budget: int | None = None) -> int:
-        """Pollable adapter: register the hub on a
-        :class:`~repro.runtime.engine.ProgressEngine` and every engine
-        pass becomes one hub tick — windows seal on the reactor's own
-        cadence, no side loop."""
-        self.on_tick()
-        return 0
-
     def on_tick(self, tick_us: float | None = None) -> TelemetrySnapshot | None:
         """One event-loop pass; seals and returns a snapshot every
-        ``window_ticks`` calls (None otherwise).  ``tick_us`` sizes the
-        reported window duration; omitted, durations are in ticks."""
+        ``window_ticks`` calls (None otherwise).  ``tick_us`` is the
+        modeled length of one tick, which the dashboard prints."""
         self._tick += 1
         if self._tick % self.window_ticks:
             return None
         return self._seal(tick_us)
 
+    def _fresh(self) -> list:
+        """The events each ring gained since the last seal, in timestamp
+        order (the order :meth:`TraceCollector.events` gives).  A ring
+        is scanned from the right down to its mark; a ring that wrapped
+        past its mark, or was cleared, is read whole."""
+        out = []
+        for component, ring in self.collector._rings.items():
+            mark = self._marks.get(component)
+            new = []
+            for ev in reversed(ring):
+                if ev is mark:
+                    break
+                new.append(ev)
+            if new:
+                self._marks[component] = new[0]
+                out.extend(reversed(new))
+        out.sort(key=attrgetter("ts"))
+        return out
+
     def _seal(self, tick_us: float | None) -> TelemetrySnapshot:
-        total_gap = sum(self._gap_seconds.values())
+        window = self.windows_closed
+        fresh = self._fresh()
+        stage_counts = dict(Counter(map(attrgetter("stage"), fresh)))
+        timelines, _ = stitch(self._open + fresh)
+        born, self._born, self._open = self._born, {}, []
+        lane_lat: dict = {}
+        gap_seconds: dict = {}
+        live = 0
+        for tl in timelines:
+            stages = tl.stages()
+            if Stage.RESPOND in stages or (
+                Stage.RESPONSE_DELIVER in stages and Stage.INGRESS not in stages
+            ):
+                lane_lat.setdefault(tl.attrs().get("lane", 0), []).append(tl.total * 1e6)
+                for _component, stage, seconds in tl.stage_gaps():
+                    gap_seconds[stage] = gap_seconds.get(stage, 0.0) + seconds
+            elif _CLIENT_COMPLETE not in stages:
+                ctxs = {id(ev.ctx) for ev in tl.events}
+                first = min(born.get(key, window) for key in ctxs)
+                if window - first < STALE_WINDOWS:
+                    live += 1
+                    self._open.extend(tl.events)
+                    self._born.update(dict.fromkeys(ctxs, first))
+        total_gap = sum(gap_seconds.values())
         gap_share = {
-            stage: seconds / total_gap
-            for stage, seconds in self._gap_seconds.items()
+            stage: seconds / total_gap for stage, seconds in gap_seconds.items()
         } if total_gap > 0 else {}
         gap_delta = {
             stage: share - self._prev_gap_share.get(stage, 0.0)
@@ -321,7 +192,7 @@ class TelemetryHub:
             if stage not in gap_share:
                 gap_delta[stage] = -prev
         lane_latency = {}
-        for lane, values in self._lane_lat.items():
+        for lane, values in lane_lat.items():
             values.sort()
             lane_latency[lane] = {
                 "count": len(values),
@@ -330,64 +201,24 @@ class TelemetryHub:
                 "p99": percentile(values, 0.99),
                 "mean": sum(values) / len(values),
             }
-        totals: dict = {}
-        deltas: dict = {}
-        for name, fn in self._sources.items():
-            current = dict(fn())
-            last = self._source_last[name]
-            totals[name] = current
-            deltas[name] = {
-                k: v - last.get(k, 0) for k, v in current.items()
-            }
-            self._source_last[name] = current
         snap = TelemetrySnapshot(
-            window=self._window,
+            window=window,
             ticks=self.window_ticks,
-            duration_s=(self.window_ticks * tick_us * 1e-6) if tick_us else 0.0,
-            epoch_id=self.collector.epoch_id if self.collector is not None else 0,
-            completed=self._completed,
-            completed_by_lane=dict(self._completed_by_lane),
+            tick_us=tick_us or 0.0,
+            completed=sum(map(len, lane_lat.values())),
             lane_latency_us=lane_latency,
-            stage_counts=dict(self._stage_counts),
-            component_stage_counts=dict(self._comp_stage_counts),
-            gap_seconds=dict(self._gap_seconds),
+            stage_counts=stage_counts,
+            gap_seconds=gap_seconds,
             gap_share=gap_share,
             gap_share_delta=gap_delta,
-            source_totals=totals,
-            source_deltas=deltas,
-            live_entries=len(self._by_tid) + len(self._by_ctx),
+            live_entries=live,
         )
-        self.snapshots.append(snap)
+        self.last = snap
         self.windows_closed += 1
         self._prev_gap_share = gap_share
-        # reset window accumulators
-        self._window += 1
-        self._completed = 0
-        self._completed_by_lane = {}
-        self._lane_lat = {}
-        self._stage_counts = {}
-        self._comp_stage_counts = {}
-        self._gap_seconds = {}
-        self._evict_stale()
         for fn in self._listeners:
             fn(snap)
         return snap
-
-    def _evict_stale(self) -> None:
-        """Drop in-flight entries whose request will clearly never
-        complete (shed upstream of any terminal stage, client vanished):
-        unbounded live-entry growth would be a leak under overload."""
-        horizon = self._window - self.stale_windows
-        if horizon <= 0:
-            return
-        for table in (self._by_tid, self._by_ctx):
-            stale = [k for k, e in table.items() if e.window < horizon]
-            for k in stale:
-                del table[k]
-
-    @property
-    def last(self) -> TelemetrySnapshot | None:
-        return self.snapshots[-1] if self.snapshots else None
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +244,10 @@ def render_dashboard(hub: TelemetryHub, slo=None, lane_names=None) -> str:
         f"completed {snap.completed}  goodput {snap.goodput_per_tick():.3f}/tick  "
         f"in-flight {snap.live_entries}"
     )
+    if snap.tick_us:
+        # A simulated clock: every stage inside one tick reads a 0 µs
+        # gap, so these figures are model time, not system speed.
+        lines.append(f"modeled: 1 tick = {snap.tick_us:g} µs")
     lines.append("")
     lines.append(f"{'lane':<10} {'count':>6} {'p50 µs':>10} {'p95 µs':>10} {'p99 µs':>10}")
     for lane in sorted(snap.lane_latency_us):

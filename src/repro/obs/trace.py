@@ -179,9 +179,6 @@ class StageRecorder:
             ts = self._clock() - self._epoch
         ev = StageEvent(ctx, stage, self.component, ts, dur, attrs)
         self._ring.append(ev)
-        sink = self.collector.sink
-        if sink is not None:
-            sink.offer(ev)
 
     def instant(self, stage: str, **attrs) -> None:
         """Component-global event with no request context."""
@@ -205,19 +202,9 @@ class TraceCollector:
         #: :class:`~repro.obs.timeline.TailSampler`) can evict entries
         #: recorded against a dead epoch.
         self.epoch_id = 0
-        #: optional streaming consumer (``offer(event)`` — the telemetry
-        #: aggregator); None keeps the record path a plain ring append.
-        self.sink = None
         self._rings: dict[str, deque] = {}
         self._recorders: dict[str, StageRecorder] = {}
         self._context_words = iter(range(1, 1 << 62))
-
-    def attach_sink(self, sink):
-        """Stream every recorded event into ``sink.offer(event)`` as it
-        happens (the incremental path of :mod:`repro.obs.telemetry` —
-        no ring rescans).  Returns the sink; pass None to detach."""
-        self.sink = sink
-        return sink
 
     def recorder(self, component: str) -> StageRecorder:
         """The (memoized) recorder for one component name."""
@@ -336,19 +323,11 @@ def import_events(collector: TraceCollector, snapshot: dict,
     offset = snapshot["epoch"] - collector.epoch
     contexts = [TraceContext(tid=tid, **attrs) for tid, attrs in snapshot["contexts"]]
     n = 0
-    # The snapshot groups events by ring (component); a streaming sink
-    # needs them in causal (timestamp) order or its gap attribution sees
-    # components out of sequence.  Ring membership is unaffected.
-    records = sorted(snapshot["events"], key=lambda rec: rec[3])
-    sink = collector.sink
-    for key, stage, component, ts, dur, attrs in records:
+    for key, stage, component, ts, dur, attrs in snapshot["events"]:
         comp = component_prefix + component
         ring = collector._rings.setdefault(comp, deque(maxlen=collector.ring))
         ctx = contexts[key] if key is not None else None
-        ev = StageEvent(ctx, stage, comp, ts + offset, dur, attrs)
-        ring.append(ev)
-        if sink is not None:
-            sink.offer(ev)
+        ring.append(StageEvent(ctx, stage, comp, ts + offset, dur, attrs))
         n += 1
     return n
 

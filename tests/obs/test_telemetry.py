@@ -1,11 +1,13 @@
-"""The streaming telemetry hub: windowing, live-entry lifecycle, gap
-attribution, sources, and the cross-process sink path."""
+"""The telemetry hub: windowing, open-request lifecycle, gap attribution
+through ``RequestTimeline.stage_gaps``, one completion per served call,
+and events imported from another process."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.metrics import MetricsRegistry, percentile
+from repro.deploy import build
+from repro.metrics import percentile
 from repro.obs import (
     Stage,
     TelemetryHub,
@@ -13,12 +15,16 @@ from repro.obs import (
     export_events,
     import_events,
     render_dashboard,
+    stitch,
 )
+from repro.obs.telemetry import STALE_WINDOWS
+from repro.workloads import WorkloadFactory, bench_service
+from repro.xrpc import make_stub_class
 
 
-def make_hub(window_ticks=4, **kw):
+def make_hub(window_ticks=4):
     collector = TraceCollector(clock=lambda: 0.0)
-    hub = TelemetryHub(collector, window_ticks=window_ticks, **kw)
+    hub = TelemetryHub(collector, window_ticks=window_ticks)
     return collector, hub
 
 
@@ -68,14 +74,7 @@ class TestWindowing:
 
     def test_window_ticks_validated(self):
         with pytest.raises(ValueError):
-            TelemetryHub(window_ticks=0)
-
-    def test_progress_is_a_tick(self):
-        # The Pollable adapter: engine passes drive the window cadence.
-        _, hub = make_hub(window_ticks=3)
-        for _ in range(3):
-            assert hub.progress() == 0
-        assert hub.windows_closed == 1
+            TelemetryHub(TraceCollector(), window_ticks=0)
 
 
 class TestRequestFolding:
@@ -88,16 +87,16 @@ class TestRequestFolding:
         rec.event(ctx, Stage.RESPOND, ts=100e-6)
         snap = hub.on_tick()
         assert snap.completed == 1
-        assert snap.completed_by_lane == {0: 1}
         stats = snap.lane_latency_us[0]
+        assert list(snap.lane_latency_us) == [0]
         assert stats["count"] == 1
         assert stats["p99"] == pytest.approx(100.0)
         assert snap.live_entries == 0
 
     def test_terminal_with_no_entry_is_not_an_orphan(self):
-        # The front's `respond` lands after `response_deliver` already
-        # completed (and popped) the entry; it must not park a one-event
-        # orphan in the live tables.
+        # The front's `respond` lands after `response_deliver`, under a
+        # second context with the same tid: one request, counted once,
+        # and nothing left open.
         collector, hub = make_hub(window_ticks=1)
         rec = collector.recorder("edge")
         ctx = rec.context()
@@ -113,8 +112,8 @@ class TestRequestFolding:
 
     def test_identity_entry_promotes_on_tid_bind(self):
         # enqueue/seal happen before transmit binds the id (§IV-D
-        # allocates nothing until transmit); the entry must follow the
-        # context from identity keying to tid keying and merge halves.
+        # allocates nothing until transmit); the late-bound tid stitches
+        # the pre-bind events to the server half.
         collector, hub = make_hub(window_ticks=1)
         client = collector.recorder("client")
         server = collector.recorder("server")
@@ -128,7 +127,7 @@ class TestRequestFolding:
         server.event(sctx, Stage.RESPOND, ts=40e-6)
         snap = hub.on_tick()
         assert snap.completed == 1
-        assert snap.completed_by_lane == {1: 1}
+        assert {lane: s["count"] for lane, s in snap.lane_latency_us.items()} == {1: 1}
         # latency spans from the pre-bind enqueue, not from deliver
         assert snap.lane_latency_us[1]["p99"] == pytest.approx(40.0)
         assert snap.live_entries == 0
@@ -168,14 +167,14 @@ class TestRequestFolding:
         assert second.gap_share_delta[Stage.RESPOND] == pytest.approx(0.0)
 
     def test_stale_entries_evicted(self):
-        collector, hub = make_hub(window_ticks=1, stale_windows=2)
+        collector, hub = make_hub(window_ticks=1)
         rec = collector.recorder("c")
         ctx = rec.context()
         rec.event(ctx, Stage.ENQUEUE, ts=0.0)  # never completes
-        snap = hub.on_tick()
-        assert snap.live_entries == 1
-        for _ in range(3):
+        for _ in range(STALE_WINDOWS):
             snap = hub.on_tick()
+            assert snap.live_entries == 1
+        snap = hub.on_tick()
         assert snap.live_entries == 0
 
     def test_stage_counts_include_ctxless_events(self):
@@ -185,7 +184,6 @@ class TestRequestFolding:
         rec.instant(Stage.SHED, lane=1)
         snap = hub.on_tick()
         assert snap.stage_count(Stage.SHED) == 2
-        assert snap.component_stage_counts[("front", Stage.SHED)] == 2
 
     def test_deadline_miss_rate(self):
         collector, hub = make_hub(window_ticks=1)
@@ -199,40 +197,49 @@ class TestRequestFolding:
         assert snap.deadline_miss_rate() == pytest.approx(0.5)
 
 
-class TestSourcesAndGauges:
-    def test_source_deltas_per_window(self):
-        _, hub = make_hub(window_ticks=1)
-        counter = {"polls": 0}
-        hub.add_source("engine", lambda: dict(counter))
-        counter["polls"] = 5
-        first = hub.on_tick()
-        assert first.source_deltas["engine"] == {"polls": 5}
-        counter["polls"] = 7
-        second = hub.on_tick()
-        assert second.source_deltas["engine"] == {"polls": 2}
-        assert second.source_totals["engine"] == {"polls": 7}
+def ping(kind, calls):
+    """``calls`` PingSmall calls through a traced deployment of
+    ``kind``; returns the collector and the one window sealed over
+    them."""
+    schema, service, servicer = bench_service()
+    collector = TraceCollector()
+    hub = TelemetryHub(collector, window_ticks=1)
+    with build(kind, schema, service, servicer, collector=collector) as deployment:
+        stub = make_stub_class(service, schema.factory)(deployment.channel())
+        small = WorkloadFactory(schema=schema).small()
+        for _ in range(calls):
+            stub.PingSmall(small)
+        return collector, hub.on_tick()
 
-    def test_bound_gauges_update_on_seal(self):
-        collector, hub = make_hub(window_ticks=1)
-        registry = MetricsRegistry()
-        registry.add_collector(hub.collect)
-        rec = collector.recorder("c")
-        ctx = rec.context(lane=0)
-        ctx.tid = ("s", 1)
-        rec.event(ctx, Stage.INGRESS, ts=0.0)
-        rec.event(ctx, Stage.RESPOND, ts=2e-6)
-        hub.on_tick()
-        text = registry.expose()
-        assert "telemetry_windows_closed 1" in text
-        assert "telemetry_goodput_per_tick 1" in text
-        assert 'telemetry_lane_p99_us{lane="0"}' in text
+
+class TestServedCalls:
+    @pytest.mark.parametrize("kind", ["baseline", "offloaded"])
+    def test_one_traced_call_is_one_completion(self, kind):
+        # A deployment built with a collector traces its channel() too:
+        # the client's half of each call (xrpc_send -> xrpc_complete) is
+        # the call the serving edge answers, and is not counted again.
+        _, snap = ping(kind, 50)
+        assert snap.completed == 50
+        assert snap.live_entries == 0
+
+    def test_window_gaps_are_the_stage_gaps_of_the_served_timelines(self):
+        collector, snap = ping("offloaded", 200)
+        served = [tl for tl in stitch(collector)[0] if Stage.RESPOND in tl.stages()]
+        assert len(served) == 200
+        expected: dict = {}
+        for tl in served:
+            for _component, stage, seconds in tl.stage_gaps():
+                expected[stage] = expected.get(stage, 0.0) + seconds
+        assert {Stage.RESPOND, Stage.RESPONSE_EMIT} <= set(expected)
+        assert set(snap.gap_seconds) == set(expected)
+        for stage, seconds in expected.items():
+            assert snap.gap_seconds[stage] == pytest.approx(seconds), stage
 
 
 class TestCrossProcessSink:
     def test_import_events_streams_in_timestamp_order(self):
-        # A child collector's snapshot groups events by ring; the
-        # importer must offer them to the parent hub in causal order or
-        # the streaming gap attribution sees components out of sequence.
+        # A child collector's snapshot groups events by ring; the hub
+        # reads them at the next seal and attributes them in time order.
         child = TraceCollector(clock=lambda: 0.0)
         a = child.recorder("dpu")
         b = child.recorder("host")

@@ -166,6 +166,8 @@ class TestCliAutotune:
         captured = capsys.readouterr()
         assert "goodput" in captured.out
         assert "window" in captured.out
+        # the open loop runs on a simulated clock: say so, in its units
+        assert "modeled: 1 tick = 100 µs" in captured.out
         assert "done:" in captured.err
 
     def test_top_batches_stream_tail_sample(self, capsys):

@@ -505,3 +505,38 @@ def test_utf8_is_checked_one_way():
     from repro.proto import utf8
 
     assert sorted(utf8.__all__) == ["Utf8Error", "validate_utf8"]
+
+
+# -- one attribution (ROADMAP item 10) ----------------------------------------
+
+
+@pytest.mark.parametrize("name", ["sink", "attach_sink"])
+def test_recording_an_event_is_a_ring_append(name):
+    """No consumer is fed event by event: the collector has no sink to
+    call, and ``StageRecorder.event`` appends to its ring and returns."""
+    from repro.obs.trace import TraceCollector
+
+    assert not hasattr(TraceCollector(), name)
+    assert _callers(SRC / "obs" / "trace.py", "offer") == set()
+
+
+def test_the_telemetry_hub_attributes_through_stage_gaps():
+    """The hub stitches with ``obs.timeline.stitch`` and attributes with
+    ``RequestTimeline.stage_gaps`` — the numbers `repro trace` prints —
+    and keeps no gap attribution of its own."""
+    path = SRC / "obs" / "telemetry.py"
+    tree = ast.parse(path.read_text())
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for node in ast.walk(tree) if isinstance(node, ast.Call)
+    }
+    assert {"stitch", "stage_gaps"} <= called
+    defined = {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    }
+    assert defined.isdisjoint({"_LiveEntry", "offer", "_complete", "_evict_stale"})
+    # an event's duration is read by stage_gaps only
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "dur"
+                   for node in ast.walk(tree))
+
