@@ -57,7 +57,7 @@ def _config(load: float, controlled: bool) -> OpenLoopConfig:
 
 def run_point(load: float, controlled: bool) -> dict:
     """One sweep point; identical seeded traffic either way."""
-    admission = QueueDepthAdmission(max_depth=24, hard_factor=4) if controlled else None
+    admission = QueueDepthAdmission(max_depth=24) if controlled else None
     result = run_open_loop(_config(load, controlled), admission=admission)
     row = result.summary()
     row["load"] = load

@@ -10,9 +10,10 @@ stack in this process (DPU front end → RPC over RDMA → host engine) or
 torn down the same way whichever it is.  The builder owns four decisions
 (DESIGN.md "Building a deployment"): the build + bootstrap order, the
 drive pass, where recorders attach, and all-or-nothing teardown.
-Admission, breaker and knobs are set on the parts after the build; the
-deployment's one :class:`~repro.metrics.registry.MetricsRegistry` reads
-them when it is scraped.
+Admission control and the flush hold are set on the parts after the
+build; the deployment's one
+:class:`~repro.metrics.registry.MetricsRegistry` reads them when it is
+scraped.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _overload(front, rdma, budgets):
         return overload_families(budgets=budgets)
     stages = [front] if rdma is None else [front, rdma.server]
     admissions = [front.admission] if front.admission is not None else []
-    return overload_families(stages, admissions, getattr(front, "breaker", None), budgets)
+    return overload_families(stages, admissions, budgets)
 
 
 class Deployment:
@@ -84,7 +85,7 @@ class Deployment:
 
     :attr:`registry` reads, at every scrape, what can be read from this
     process: the RDMA endpoints' stats, the overload sources (front door,
-    server endpoint, admission, breaker, the retry budget of every client
+    server endpoint, admission, the retry budget of every client
     :meth:`channel` made) and the codec counters.  Nothing is copied
     into it on the datapath."""
 

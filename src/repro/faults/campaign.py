@@ -365,16 +365,15 @@ def run_offloaded_scenario(seed: int, calls: int | None = None) -> ScenarioResul
 def run_overload_scenario(seed: int) -> ScenarioResult:
     """The offloaded stack under seeded open-loop burst traffic plus an
     injected host-worker slowdown, with overload control armed
-    (docs/OVERLOAD.md): admission control sheds at the DPU front door,
-    deadlines drop expired work, and the DPU circuit breaker stands by.
+    (docs/OVERLOAD.md): admission control sheds at the DPU front door
+    and deadlines drop expired work.
 
     The invariants here are the overload promises: every offered request
     is answered (served, typed shed, or typed deadline drop — never
-    silently lost), the latency lane is never shed harder than bulk, a
-    breaker that trips closes again via half-open probes, and the shed /
-    expiry / breaker sequence is deterministic — the fingerprint hashes
+    silently lost), the latency lane is never shed harder than bulk, and
+    the shed / expiry sequence is deterministic — the fingerprint hashes
     it event by event."""
-    from repro.runtime.overload import CircuitBreaker, QueueDepthAdmission
+    from repro.runtime.overload import QueueDepthAdmission
     from repro.workloads.openloop import OpenLoopConfig, run_open_loop
 
     rng = random.Random(seed)
@@ -396,11 +395,10 @@ def run_overload_scenario(seed: int) -> ScenarioResult:
         slow_stride=rng.choice((3, 4)),
     )
     admission = QueueDepthAdmission(max_depth=rng.choice((12, 16, 24)))
-    breaker = CircuitBreaker(recovery_ticks=rng.choice((48, 64, 96)))
 
     error: str | None = None
     try:
-        result = run_open_loop(config, admission=admission, breaker=breaker)
+        result = run_open_loop(config, admission=admission)
     except Exception as exc:  # noqa: BLE001 — an uncontained escape is the finding
         return ScenarioResult(
             seed=seed, deployment="overload", requests=0, completed=0,
@@ -412,9 +410,8 @@ def run_overload_scenario(seed: int) -> ScenarioResult:
     # Overload invariants, mapped onto the campaign verdict fields:
     # a silently lost request shows up as `unanswered` (a hang), shedding
     # the latency lane at a higher *rate* than bulk breaks the priority
-    # promise, and the breaker must have closed again by the end.
+    # promise.
     failed = result.total_shed + sum(result.expired.values()) + result.errors
-    violations = []
     total_by_lane = {
         lane: result.completed[lane] + result.shed[lane]
         for lane in result.completed
@@ -425,24 +422,13 @@ def run_overload_scenario(seed: int) -> ScenarioResult:
             for lane in total_by_lane
         }
         if rate[0] > rate[1] + 1e-9 and result.shed[0] > 1:
-            violations.append("latency lane shed harder than bulk")
-    if breaker.trips and breaker.state != CircuitBreaker.CLOSED:
-        violations.append(f"breaker stuck {breaker.state}")
-    if breaker.trips:
-        states = [s for _, s, _ in breaker.transitions]
-        if "half_open" not in states or states[-1] != "closed":
-            violations.append("breaker never recovered via half-open probes")
-    if violations:
-        error = "; ".join(violations)
+            error = "latency lane shed harder than bulk"
 
     h = hashlib.sha256()
     for line in result.fingerprint_lines():
         h.update(line.encode())
         h.update(b"\n")
-    h.update(
-        f"breaker_fallbacks={result.breaker_fallbacks} "
-        f"host_parsed={result.host_parsed} ticks={result.ticks}".encode()
-    )
+    h.update(f"host_parsed={result.host_parsed} ticks={result.ticks}".encode())
 
     return ScenarioResult(
         seed=seed,
@@ -453,9 +439,9 @@ def run_overload_scenario(seed: int) -> ScenarioResult:
         mismatches=0,
         duplicate_fires=0,
         resets=0,
-        faults_fired=breaker.trips,
+        faults_fired=0,
         stalls=0,
-        contained=result.breaker_fallbacks,
+        contained=0,
         ticks=result.ticks,
         hung=result.unanswered > 0,
         error=error,

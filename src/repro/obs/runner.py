@@ -115,7 +115,8 @@ def _build_core(collector: TraceCollector, explicit_context: bool,
             channel.progress()
             if done:
                 break
-        return bool(done) and not (done[0] & Flags.ERROR)
+        # Method 2 answers ERROR by design: that is its expected answer.
+        return bool(done) and bool(done[0] & Flags.ERROR) == (method == 2)
 
     registry = MetricsRegistry()
     for side in ("client", "server"):

@@ -17,7 +17,7 @@ timelines (:func:`~repro.obs.timeline.stitch`), and seals an immutable
   *delta* against the previous window (nanoPU's thesis: the tail moves
   between handoffs, so the interesting signal is the derivative),
 * per-stage event counts, which cover the overload stages (shed /
-  deadline_expired / breaker_fallback) for free.
+  deadline_expired) for free.
 
 A request is counted once, at its serving edge: the front door's
 ``respond``, or ``response_deliver`` on a bare RDMA channel (no
@@ -269,9 +269,7 @@ def render_dashboard(hub: TelemetryHub, slo=None, lane_names=None) -> str:
         )
     overload = [
         (stage, n) for stage, n in sorted(snap.stage_counts.items())
-        if stage in (Stage.SHED, Stage.DEADLINE_EXPIRED,
-                     Stage.BREAKER_FALLBACK, Stage.ANOMALY)
-        and n
+        if stage in (Stage.SHED, Stage.DEADLINE_EXPIRED, Stage.ANOMALY) and n
     ]
     if overload:
         lines.append("")

@@ -83,7 +83,6 @@ class Stage:
     # -- overload control (docs/OVERLOAD.md) ------------------------------
     SHED = "shed"                        # admission control rejected
     DEADLINE_EXPIRED = "deadline_expired"  # dropped expired-on-arrival
-    BREAKER_FALLBACK = "breaker_fallback"  # breaker denied the offload path
     # -- the SLO layer over telemetry windows (docs/OBSERVABILITY.md) ------
     SLO_BURN = "slo_burn"                # an SLO's error budget is burning
     SLO_RECOVERED = "slo_recovered"      # burn dropped back under 1x

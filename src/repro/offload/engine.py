@@ -269,7 +269,6 @@ class DpuEngine:
         self.crashed = False
         self.crash_reason = ""
         self.crashes = 0
-        self.fallback_calls = 0
         #: Can :meth:`call` succeed right now?  Not while crashed or before
         #: the bootstrap blob arrives: :meth:`call_raw` serves until then.
         self.ready = False
@@ -346,7 +345,6 @@ class DpuEngine:
         ``wire_mode`` tags WIRE_FIXED payloads with
         ``Flags.FIXED_PAYLOAD`` so the host's degraded parser decodes the
         fixed layout instead of standard wire."""
-        self.fallback_calls += 1
         if self.trace is not None and trace_ctx is not None:
             trace_ctx.mark(degraded=True)
             self.trace.event(trace_ctx, "failover", method=method_id,

@@ -20,7 +20,6 @@ from .overload import (
     LANE_LATENCY,
     AdmissionController,
     AdmissionDecision,
-    CircuitBreaker,
     ManualClock,
     QueueDepthAdmission,
     RetryBudget,
@@ -46,7 +45,6 @@ __all__ = [
     "LANE_LATENCY",
     "AdmissionController",
     "AdmissionDecision",
-    "CircuitBreaker",
     "ManualClock",
     "QueueDepthAdmission",
     "RetryBudget",

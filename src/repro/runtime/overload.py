@@ -5,9 +5,9 @@ tolerance of :mod:`repro.core.recovery`: when offered traffic exceeds
 DPU/host capacity, queues grow without bound and every request's latency
 explodes together.  This module holds the mechanism layer — a shared
 microsecond clock, the packed deadline word requests carry on the wire,
-the queue-depth admission controller, the client-side retry budget, and
-the circuit breaker on the DPU offload path.  Policy (when to shed)
-lives with the servers that hold an admission controller.
+the queue-depth admission controller and the client-side retry budget.
+Policy (when to shed) lives with the servers that hold an admission
+controller.
 
 Like the rest of the ``runtime`` package this module imports nothing
 from the rest of ``repro`` but the metric primitives — every layer above
@@ -37,9 +37,10 @@ __all__ = [
     "AdmissionDecision",
     "ADMIT",
     "AdmissionController",
+    "HARD_FACTOR",
+    "DRAIN_PER_TICK",
     "QueueDepthAdmission",
     "RetryBudget",
-    "CircuitBreaker",
     "overload_families",
 ]
 
@@ -169,11 +170,6 @@ class AdmissionController:
             self.shed[lane] += 1
         return decision
 
-    def pressure(self) -> float:
-        """Normalized load signal in [0, ~inf): 1.0 = at the shed
-        threshold."""
-        return 0.0
-
     def stats(self) -> dict:
         return {
             "admitted": dict(self.admitted),
@@ -181,42 +177,34 @@ class AdmissionController:
         }
 
 
+#: the latency lane is shed only at this multiple of ``max_depth``
+HARD_FACTOR = 4
+#: requests a queue drains per event-loop pass, for the retry-after hint
+DRAIN_PER_TICK = 8
+
+
 class QueueDepthAdmission(AdmissionController):
     """Classic bounded-queue admission: shed bulk traffic once the
     instantaneous queue depth reaches ``max_depth``; the latency lane is
-    only shed at ``hard_factor`` times that, so small latency-critical
-    RPCs keep flowing while bulk absorbs the shedding.
+    only shed at :data:`HARD_FACTOR` times that, so small latency-critical
+    RPCs keep flowing while bulk absorbs the shedding.  The retry-after
+    hint says a queue ``d`` deep over the limit drains in about
+    ``d / DRAIN_PER_TICK`` event-loop passes."""
 
-    ``drain_per_tick`` sizes the retry-after hint: a queue ``d`` deep
-    over the limit drains in about ``d / drain_per_tick`` event-loop
-    passes."""
-
-    def __init__(
-        self,
-        max_depth: int = 64,
-        hard_factor: int = 4,
-        drain_per_tick: int = 8,
-    ) -> None:
+    def __init__(self, max_depth: int = 64) -> None:
         super().__init__()
         if max_depth <= 0:
             raise ValueError("max_depth must be positive")
         self.max_depth = max_depth
-        self.hard_factor = hard_factor
-        self.drain_per_tick = max(1, drain_per_tick)
-        self._last_depth = 0
 
     def admit(self, lane: int, depth: int) -> AdmissionDecision:
-        self._last_depth = depth
         limit = self.max_depth
         if lane == LANE_LATENCY:
-            limit *= self.hard_factor
+            limit *= HARD_FACTOR
         if depth < limit:
             return ADMIT
-        hint = max(1, (depth - limit) // self.drain_per_tick + 1)
+        hint = (depth - limit) // DRAIN_PER_TICK + 1
         return AdmissionDecision(False, hint, f"queue depth {depth} >= {limit}")
-
-    def pressure(self) -> float:
-        return self._last_depth / self.max_depth
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +219,12 @@ class RetryBudget:
     rate, so a failing server sees at most a (1+r) amplification instead
     of (1 + max_retries)."""
 
-    def __init__(
-        self,
-        capacity: float = 10.0,
-        refill_per_success: float = 0.1,
-        cost: float = 1.0,
-    ) -> None:
+    def __init__(self, capacity: float = 10.0, refill_per_success: float = 0.1) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = float(capacity)
         self.tokens = float(capacity)
         self.refill_per_success = float(refill_per_success)
-        self.cost = float(cost)
         self.spent = 0
         self.suppressed = 0
 
@@ -252,8 +234,8 @@ class RetryBudget:
     def try_spend(self) -> bool:
         """Take one retry token; False (and counted as suppressed) when
         the budget is exhausted — the caller must not retry."""
-        if self.tokens >= self.cost:
-            self.tokens -= self.cost
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
             self.spent += 1
             return True
         self.suppressed += 1
@@ -261,122 +243,10 @@ class RetryBudget:
 
 
 # ---------------------------------------------------------------------------
-# Circuit breaker
-
-
-class CircuitBreaker:
-    """Three-state circuit breaker for the DPU offload path.
-
-    CLOSED passes everything.  OPEN (tripped) denies — the front end
-    routes denied requests through the host-parse fallback.  HALF_OPEN
-    admits up to ``max_probes`` in-flight probe requests; ``probe_goal``
-    consecutive successes close the breaker, any probe failure re-trips
-    it.  Time is whatever monotonically increasing unit the caller
-    passes (the front end uses its event-loop pass counter)."""
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        recovery_ticks: int = 256,
-        probe_goal: int = 3,
-        max_probes: int = 2,
-    ) -> None:
-        self.failure_threshold = failure_threshold
-        self.recovery_ticks = recovery_ticks
-        self.probe_goal = probe_goal
-        self.max_probes = max_probes
-        self.state = self.CLOSED
-        self.trips = 0
-        self.probes = 0
-        self.denied = 0
-        self._failures = 0
-        self._probe_successes = 0
-        self._probes_in_flight = 0
-        self._opened_at = 0
-        #: (tick, new_state, reason) transition log — the campaign
-        #: fingerprints this to prove trip -> half-open -> close.
-        self.transitions: list[tuple[int, str, str]] = []
-
-    def _transition(self, now: int, state: str, reason: str) -> None:
-        self.state = state
-        self.transitions.append((now, state, reason))
-
-    def allow(self, now: int) -> bool:
-        """Whether the offload path may carry one more request."""
-        if self.state == self.CLOSED:
-            return True
-        if self.state == self.OPEN:
-            if now - self._opened_at >= self.recovery_ticks:
-                self.begin_half_open(now, reason="recovery timer")
-            else:
-                self.denied += 1
-                return False
-        # HALF_OPEN: admit a bounded number of concurrent probes.
-        if self._probes_in_flight < self.max_probes:
-            self._probes_in_flight += 1
-            self.probes += 1
-            return True
-        self.denied += 1
-        return False
-
-    def trip(self, now: int, reason: str = "manual") -> None:
-        if self.state != self.OPEN:
-            self.trips += 1
-            self._transition(now, self.OPEN, reason)
-        self._opened_at = now
-        self._failures = 0
-        self._probe_successes = 0
-        self._probes_in_flight = 0
-
-    def begin_half_open(self, now: int, reason: str = "manual") -> None:
-        if self.state != self.HALF_OPEN:
-            self._transition(now, self.HALF_OPEN, reason)
-        self._probe_successes = 0
-        self._probes_in_flight = 0
-
-    def record_success(self, now: int = 0) -> None:
-        if self.state == self.HALF_OPEN:
-            self._probes_in_flight = max(0, self._probes_in_flight - 1)
-            self._probe_successes += 1
-            if self._probe_successes >= self.probe_goal:
-                self._transition(now, self.CLOSED, "probes healthy")
-                self._failures = 0
-        elif self.state == self.CLOSED:
-            self._failures = 0
-
-    def record_failure(self, now: int) -> None:
-        if self.state == self.HALF_OPEN:
-            self.trip(now, reason="probe failed")
-        elif self.state == self.CLOSED:
-            self._failures += 1
-            if self._failures >= self.failure_threshold:
-                self.trip(now, reason=f"{self._failures} consecutive failures")
-
-    def stats(self) -> dict:
-        return {
-            "state": self.state,
-            "trips": self.trips,
-            "probes": self.probes,
-            "denied": self.denied,
-        }
-
-
-# ---------------------------------------------------------------------------
 # Metric families
 
 
-_BREAKER_STATE_CODE = {
-    CircuitBreaker.CLOSED: 0,
-    CircuitBreaker.HALF_OPEN: 1,
-    CircuitBreaker.OPEN: 2,
-}
-
-
-def overload_families(stages=(), admissions=(), breaker=None, budgets=()):
+def overload_families(stages=(), admissions=(), budgets=()):
     """The overload-control subsystem's metric families, read now.
 
     ``stages`` is any iterable of objects carrying a ``deadline_expired``
@@ -407,16 +277,6 @@ def overload_families(stages=(), admissions=(), breaker=None, budgets=()):
                  "requests shed by admission control, by priority lane",
                  "counter", ("lane",),
                  {(LANE_NAMES.get(lane, str(lane)),): n for lane, n in shed.items()})
-    yield gauge("overload_breaker_state",
-                "offload circuit breaker state (0 closed, 1 half-open, 2 open)",
-                _BREAKER_STATE_CODE.get(breaker.state, -1) if breaker is not None else 0)
-    yield counter("overload_breaker_trips_total", "circuit breaker trips",
-                  breaker.trips if breaker is not None else 0)
-    yield counter("overload_breaker_probes_total", "half-open probe requests admitted",
-                  breaker.probes if breaker is not None else 0)
-    yield counter("overload_breaker_denied_total",
-                  "offload requests denied by the breaker (host-parse fallback)",
-                  breaker.denied if breaker is not None else 0)
     yield gauge("overload_retry_tokens", "retry-budget tokens remaining",
                 sum(b.tokens for b in budgets))
     yield counter("overload_retries_spent_total", "retries charged to the budget",

@@ -546,7 +546,6 @@ def _dpu_child(spec: _SideSpec, schema, service,
             requests_forwarded=front.requests_forwarded,
             responses_returned=front.responses_returned,
             fallback_requests=front.fallback_requests,
-            fallback_calls=dpu.fallback_calls,
             deserialized=dpu.stats.messages,
         )
 

@@ -5,12 +5,11 @@ the client only offers a new request after the previous one answered, so
 offered load self-limits at capacity — the *coordinated omission* trap.
 This harness is open-loop: arrivals follow a seeded Poisson process that
 keeps offering work whether or not the datapath keeps up, which is the
-only way to exercise admission control, deadline expiry and the
-offload circuit breaker.
+only way to exercise admission control and deadline expiry.
 
 Everything is simulated time on a :class:`~repro.runtime.overload.
 ManualClock` — one *tick* is one event-loop pass plus ``tick_us``
-microseconds — so identical seeds give identical shed / expiry / breaker
+microseconds — so identical seeds give identical shed / expiry
 sequences on any machine (the fault campaign fingerprints them) and
 latency percentiles are exact, not noisy.
 
@@ -33,7 +32,6 @@ from repro.runtime.overload import (
     LANE_BULK,
     LANE_LATENCY,
     LANE_NAMES,
-    CircuitBreaker,
     ManualClock,
     install_clock,
     installed_clock,
@@ -127,10 +125,8 @@ class OpenLoopResult:
     ticks: int = 0
     #: per-lane response latencies in µs, ascending (successes only)
     latencies: dict = field(default_factory=lambda: {LANE_LATENCY: [], LANE_BULK: []})
-    breaker_transitions: list = field(default_factory=list)
     admission_stats: dict = field(default_factory=dict)
     server_expired: dict = field(default_factory=dict)  # stage -> server-side drops
-    breaker_fallbacks: int = 0
     host_parsed: int = 0
 
     @property
@@ -170,8 +166,6 @@ class OpenLoopResult:
                 LANE_NAMES[k]: percentile(sorted(v), 0.99)
                 for k, v in self.latencies.items()
             },
-            "breaker_transitions": list(self.breaker_transitions),
-            "breaker_fallbacks": self.breaker_fallbacks,
         }
 
     def fingerprint_lines(self):
@@ -183,14 +177,11 @@ class OpenLoopResult:
         )
         for stage in sorted(self.expired):
             yield f"expired:{stage}={self.expired[stage]}"
-        for tick, state, reason in self.breaker_transitions:
-            yield f"breaker:{tick}:{state}:{reason}"
 
 
 def run_open_loop(
     config: OpenLoopConfig,
     admission=None,
-    breaker: CircuitBreaker | None = None,
     observer=None,
 ) -> OpenLoopResult:
     """Drive the built offloaded deployment (xRPC client → DPU front end
@@ -199,9 +190,8 @@ def run_open_loop(
     event loop, and once arrivals stop keep ticking until every call is
     answered or the drain budget runs out.
 
-    ``admission`` installs an admission controller on the DPU front end,
-    ``breaker`` an offload circuit breaker; both default off — the
-    uncontrolled baseline the benchmark compares against.
+    ``admission`` installs an admission controller on the DPU front end;
+    None is the uncontrolled baseline the benchmark compares against.
 
     ``observer(collector)`` traces the run (the `repro top --live`
     dashboard): it is called once, before the first request, with a
@@ -222,7 +212,6 @@ def run_open_loop(
     deployment = build("offloaded", schema, service, Servicer())
     rdma, host, front = deployment.rdma, deployment.host, deployment.front
     front.admission = admission
-    front.breaker = breaker
     channel = deployment.channel(f"openloop-{config.seed}")
     method = f"/{service.full_name}/Run"
     rng = random.Random(config.seed)
@@ -317,11 +306,8 @@ def run_open_loop(
 
     if admission is not None:
         result.admission_stats = admission.stats()
-    if breaker is not None:
-        result.breaker_transitions = list(breaker.transitions)
     result.server_expired = dict(front.deadline_expired)
     result.server_expired.update(rdma.server.deadline_expired)
-    result.breaker_fallbacks = front.breaker_fallbacks
     result.host_parsed = host.host_deserialized
     deployment.close()
     return result

@@ -42,6 +42,8 @@ class OffloadedXrpcServer(Ingress):
 
     EXPIRED_STAGE = "dpu_ingress"
     SHED_STAGE = "dpu_admission"
+    #: always 0; read by benchmarks/e2e/layers.py::counters
+    breaker_fallbacks = 0
 
     def __init__(
         self,
@@ -59,12 +61,6 @@ class OffloadedXrpcServer(Ingress):
         #: requests served through the degraded path (DPU engine down →
         #: wire bytes forwarded for host-side deserialization)
         self.fallback_requests = 0
-        #: CircuitBreaker on the *offload* path — while open, requests
-        #: take the host-parse fallback even though the DPU engine is up
-        self.breaker = None
-        #: requests routed to host-parse because the breaker denied the
-        #: offload path (distinct from fallback_requests' crash failover)
-        self.breaker_fallbacks = 0
 
     def _registered_types(self) -> list:
         # The front end hashes the same service schema the client did.
@@ -85,22 +81,7 @@ class OffloadedXrpcServer(Ingress):
         if self.trace is not None:
             ctx = self.trace.context(method=method, call_id=call_id, lane=lane)
             self.trace.event(ctx, "ingress", bytes=len(payload))
-        # Offload-path circuit breaker (repro.runtime.overload): while
-        # open, route through host-parse fallback even though the DPU is
-        # healthy; while half-open, responses below grade the probes.
         dpu = self.dpu
-        offloaded = dpu.ready
-        if (
-            offloaded
-            and self.breaker is not None
-            and not self.breaker.allow(self._ticks)
-        ):
-            offloaded = False
-            self.breaker_fallbacks += 1
-            if self.trace is not None:
-                self.trace.event(ctx, "breaker_fallback",
-                                 state=self.breaker.state)
-        probe = offloaded and self.breaker is not None
 
         def on_response(view: memoryview, flags: int) -> None:
             # The host's response is already serialized protobuf; the DPU
@@ -117,11 +98,6 @@ class OffloadedXrpcServer(Ingress):
                 self.request_faults[status] += 1
                 if not crosses:
                     view = b""
-            if probe:
-                if flags & Flags.ERROR and not flags & Flags.EXPIRED:
-                    self.breaker.record_failure(self._ticks)
-                else:
-                    self.breaker.record_success(self._ticks)
             if self.trace is not None and ctx is not None:
                 self.trace.event(ctx, "respond", status=int(status),
                                  flags=flags, bytes=len(view))
@@ -133,11 +109,12 @@ class OffloadedXrpcServer(Ingress):
         # Graceful degradation (docs/FAULTS.md): with the DPU engine down —
         # or freshly respawned and still awaiting its bootstrap blob —
         # keep serving by shipping wire bytes for host-side
-        # deserialization: slower, never unavailable.  Breaker denials go
-        # the same way (with the engine healthy); those were counted above.
-        if not dpu.ready:
+        # deserialization: slower, never unavailable.
+        if dpu.ready:
+            forward = dpu.call
+        else:
             self.fallback_requests += 1
-        forward = dpu.call if offloaded else dpu.call_raw
+            forward = dpu.call_raw
         try:
             forward(method_id, payload, on_response, trace_ctx=ctx,
                     wire_mode=wire_mode, deadline=deadline_word)

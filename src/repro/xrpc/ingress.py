@@ -98,9 +98,6 @@ class Ingress:
         # first; with budget=None both drain fully every pass, so the
         # lanes only reorder under an explicit per-pass budget.
         self._lanes = (deque(), deque())
-        # Event-loop pass counter — the circuit breaker's monotonic time
-        # unit.
-        self._ticks = 0
         #: WIRE_FIXED negotiations answered (match, mismatch) — observability
         self.setup_matches = 0
         self.setup_mismatches = 0
@@ -136,7 +133,6 @@ class Ingress:
         cheap and never charged against it) — unserved requests wait in
         their priority lane, and count into the depth admission control
         judges (docs/OVERLOAD.md)."""
-        self._ticks += 1
         while self.listener is not None and (sock := self.listener.accept()) is not None:
             self.adopt(sock)
         lanes = self._lanes

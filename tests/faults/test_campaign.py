@@ -69,7 +69,7 @@ class TestOffloadedScenario:
 class TestOverloadScenario:
     def test_shed_degrade_trip_recover_sequence(self, monkeypatch):
         """The overload promises under a seeded burst + host slowdown,
-        with admission control and the breaker armed: bulk is shed,
+        with admission control armed: bulk is shed,
         nothing is silently lost, and the latency lane is shed no harder
         than bulk."""
         from repro.runtime.overload import LANE_BULK, LANE_LATENCY

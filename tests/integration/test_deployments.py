@@ -133,7 +133,7 @@ def _run(kind: str, transport: str, stream, own_descriptors) -> dict:
         elif kind == "offloaded":
             front = deployment.front
             forwarded = front.requests_forwarded
-            fallbacks = front.fallback_requests + front.breaker_fallbacks
+            fallbacks = front.fallback_requests
         else:
             forwarded = fallbacks = None
     finally:
@@ -206,6 +206,32 @@ def test_a_build_that_fails_releases_what_it_made(monkeypatch, own_descriptors):
         build("offloaded", *bench_service(), transport="shm")
     assert _own_segments() == []
     assert sorted(own_descriptors() - held_before) == []
+
+
+def test_one_clients_failures_leave_the_offload_path_in_use():
+    """A servicer that raises and a client that sends payloads the DPU's
+    decoder rejects fail their own requests only: the healthy calls that
+    follow are still parsed on the DPU, never diverted to host-parse."""
+    schema, service, servicer = _misbehaving_bench_service()
+    CharArray = schema["bench.CharArray"]
+    small = serialize(WorkloadFactory(schema=schema).small())
+    requests = (
+        [("Upper", serialize(CharArray(data="servicer-raises")))] * 8
+        + [("SumInts", MALFORMED)] * 2
+        + [("PingSmall", small)] * 10
+    )
+    with build("offloaded", schema, service, servicer) as deployment:
+        socket = deployment.connect("failing-client")
+        statuses = [
+            _round_trip(deployment, socket,
+                        encode_request(2 * i + 1, f"/bench.Bench/{method}", payload))[1].status
+            for i, (method, payload) in enumerate(requests)
+        ]
+        host_deserialized = deployment.host.host_deserialized
+        fallbacks = deployment.front.fallback_requests
+    assert statuses == ([StatusCode.INTERNAL] * 8 + [StatusCode.INVALID_ARGUMENT] * 2
+                        + [StatusCode.OK] * 10)
+    assert (host_deserialized, fallbacks) == (0, 0)
 
 
 def test_a_malformed_request_admitted_from_the_backlog_is_answered():

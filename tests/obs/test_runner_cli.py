@@ -71,10 +71,11 @@ class TestOffloadedRun:
 class TestCoreRun:
     def test_core_deployment_traces_and_samples_errors(self):
         res = run_traced_workload("core", requests=32)
-        # i % 16 == 15 requests hit the error handler by design.
-        assert res.errors == 2
+        # i % 16 == 15 requests hit the error handler by design: that
+        # error is their expected answer, not a failed request.
+        assert res.errors == 0
         errored = [tl for tl in res.sampled if tl.errored]
-        assert errored  # tail sampler kept every errored request
+        assert len(errored) == 2  # tail sampler kept every errored request
         assert validate_trace_events(res.trace_events()) == []
 
     def test_explicit_context_mode(self):

@@ -89,7 +89,6 @@ class TestEngineCrash:
             dpu.progress()
             host.progress()
         assert len(out) == 1
-        assert dpu.fallback_calls == 1
         assert host.host_deserialized == 1
 
 

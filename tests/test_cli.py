@@ -145,6 +145,16 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("command", ["trace", "top", "metrics"])
+    def test_core_exits_zero_at_defaults(self, command, tmp_path, capsys):
+        """The core workload answers every 16th request with an error
+        by design; at the default request counts (more than 16) those
+        expected answers are not failures."""
+        args = [command, "--deployment", "core"]
+        if command == "trace":
+            args += ["-o", str(tmp_path / "core.json")]
+        assert main(args) == 0
+
 
 class TestCliFig8Mix:
     def test_mix_flag(self, capsys):

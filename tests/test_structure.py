@@ -499,6 +499,34 @@ def test_no_module_under_src_imports_threading():
     assert importers == []
 
 
+def _defined_names(tree: ast.AST):
+    """Every name a module defines: classes, functions, parameters,
+    assignment targets (plain and ``obj.attr``) and identifier-like
+    string constants (metric family and trace event names)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            yield getattr(node, "id", None) or node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value
+
+
+def test_the_offload_path_has_no_breaker():
+    """Every failure the front door could grade also reaches the
+    host-parse path, so there is no circuit breaker to divert requests
+    (docs/OVERLOAD.md §6).  One constant stays: ``breaker_fallbacks``
+    on the front end, always 0, which the e2e benchmark still reads."""
+    defined = [
+        (str(path.relative_to(SRC)), name) for path, tree in _trees(SRC)
+        for name in _defined_names(tree) if "breaker" in name.lower()
+    ]
+    assert defined == [("xrpc/dpu_frontend.py", "breaker_fallbacks")]
+
+
 def test_utf8_is_checked_one_way():
     """One validator: CPython's strict decoder behind an ASCII fast
     path, the check the host's generated decoder makes too."""
