@@ -56,10 +56,11 @@ class AddressPlanner:
     One planner per simulated deployment keeps every mirrored range
     unique, so a host that serves many connections maps them all without
     overlap — as the real host does with distinct pinned allocations.
+    The first range starts at ``0x1000_0000``.
     """
 
-    def __init__(self, start: int = 0x1000_0000, alignment: int = 1 << 20) -> None:
-        self._cursor = start
+    def __init__(self, alignment: int = 1 << 20) -> None:
+        self._cursor = 0x1000_0000
         self._alignment = alignment
 
     def take(self, size: int) -> int:
@@ -255,8 +256,8 @@ class RpcServer:
     endpoint takes a seat of its own, ``<endpoint name>#<n>`` for the
     n-th connection, so two connections never share a metrics row."""
 
-    def __init__(self, engine: ProgressEngine | None = None) -> None:
-        self.engine = engine or ProgressEngine(name="rpc-server")
+    def __init__(self) -> None:
+        self.engine = ProgressEngine(name="rpc-server")
         self._endpoints: list[ServerEndpoint] = []
         self._handlers: list[tuple[int, object]] = []
 

@@ -968,10 +968,6 @@ class ClientEndpoint(_EndpointBase):
         self.aborted += len(survivors) + len(backlog)
         return len(survivors) + len(backlog)
 
-    def reset_connection_state(self, replay: bool = True) -> int:
-        """One-shot reset: :meth:`begin_reset` + :meth:`finish_reset`."""
-        return self.finish_reset(self.begin_reset(), replay)
-
 
 class ServerEndpoint(_EndpointBase):
     """The RPC-over-RDMA *server* — the host.  Register callbacks with

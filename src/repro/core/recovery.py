@@ -208,7 +208,6 @@ def supervise_channel(
     channel,
     stall_ticks: int = 50,
     max_faults: int = 3,
-    fault_types: tuple[type, ...] | None = None,
     trace=None,
 ):
     """Wire a channel for self-healing: an
@@ -232,7 +231,7 @@ def supervise_channel(
         max_faults=max_faults,
         on_stall=lambda reg: heal(f"stall:{reg.name}"),
         on_fault=lambda reg, exc: heal(f"fault:{reg.name}"),
-        fault_types=fault_types if fault_types is not None else default_fault_types(),
+        fault_types=default_fault_types(),
         trace=trace,
     )
     return recovery, supervisor

@@ -145,17 +145,13 @@ class CampaignReport:
 # -- core deployment ---------------------------------------------------------------
 
 
-def run_core_scenario(
-    seed: int,
-    requests: int | None = None,
-    max_ticks: int = 6000,
-    stall_ticks: int = 30,
-) -> ScenarioResult:
+def run_core_scenario(seed: int) -> ScenarioResult:
     """One self-healing channel under datapath faults.
 
     The workload enqueues echo requests paced one per tick; the scenario
     ends when every continuation has fired (success or typed failure) or
-    the tick budget runs out (a hang — always a violation)."""
+    the 6000-tick budget runs out (a hang — always a violation).  The
+    channel's supervisor calls a stall after 30 ticks without progress."""
     from dataclasses import replace
 
     from repro.core import Flags, Response
@@ -164,7 +160,7 @@ def run_core_scenario(
     from repro.core.recovery import supervise_channel
 
     rng = random.Random(seed)
-    n_requests = requests if requests is not None else rng.randrange(8, 25)
+    n_requests = rng.randrange(8, 25)
     n_faults = rng.randrange(1, 4)
     deadline = rng.choice((0, 0, 200))  # mostly stall-driven recovery
 
@@ -174,7 +170,7 @@ def run_core_scenario(
         ),
         server_config=replace(SERVER_DEFAULTS, verify_checksums=True),
     )
-    recovery, supervisor = supervise_channel(ch, stall_ticks=stall_ticks, max_faults=4)
+    recovery, supervisor = supervise_channel(ch, stall_ticks=30, max_faults=4)
     plan = FaultPlan.generate(
         seed, n_faults=n_faults, kinds=DATAPATH_KINDS, horizon=max(8, 2 * n_requests)
     )
@@ -200,7 +196,7 @@ def run_core_scenario(
     ticks = 0
     try:
         next_send = 0
-        while len(outcomes) < n_requests and ticks < max_ticks:
+        while len(outcomes) < n_requests and ticks < 6000:
             if next_send < n_requests:
                 ch.client.enqueue_bytes(
                     ECHO_METHOD, payloads[next_send], make_continuation(next_send)
@@ -265,7 +261,7 @@ def _calc_schema():
     return _SCHEMA
 
 
-def run_offloaded_scenario(seed: int, calls: int | None = None) -> ScenarioResult:
+def run_offloaded_scenario(seed: int) -> ScenarioResult:
     """The full xRPC-over-DPU stack with the DPU engine crashing (and
     sometimes reviving) mid-workload: graceful degradation means every
     call still answers correctly, host-side parsing covering the gap."""
@@ -273,7 +269,7 @@ def run_offloaded_scenario(seed: int, calls: int | None = None) -> ScenarioResul
     from repro.xrpc import RpcError, make_stub_class
 
     rng = random.Random(seed)
-    n_calls = calls if calls is not None else rng.randrange(6, 16)
+    n_calls = rng.randrange(6, 16)
     crash_at = rng.randrange(1, n_calls)
     revive_at = rng.choice((None, rng.randrange(crash_at + 1, n_calls + 1)))
     # WIRE_FIXED fault surface: some scenarios negotiate the branchless

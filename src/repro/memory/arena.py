@@ -63,9 +63,10 @@ class Arena:
         self._top = addr + size
         return addr
 
-    def allocate_bytes(self, data, alignment: int = 8) -> int:
-        """Allocate and write ``data``; returns its virtual address."""
-        addr = self.allocate(len(data), alignment)
+    def allocate_bytes(self, data) -> int:
+        """Allocate and write ``data`` 8-byte aligned; returns its
+        virtual address."""
+        addr = self.allocate(len(data), 8)
         if len(data):
             self.space.write(addr, data)
         return addr

@@ -101,9 +101,10 @@ class MemoryRegion:
         off = self._check(addr, len(data))
         self.buf[off : off + len(data)] = data
 
-    def fill(self, addr: int, length: int, value: int = 0) -> None:
+    def fill(self, addr: int, length: int) -> None:
+        """Zero ``length`` bytes at ``addr``."""
         off = self._check(addr, length)
-        self.buf[off : off + length] = bytes([value]) * length
+        self.buf[off : off + length] = bytes(length)
 
     # -- typed access (little-endian, matching the wire assumption) ----------
 

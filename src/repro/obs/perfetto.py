@@ -30,7 +30,7 @@ def _us(seconds: float) -> float:
     return round(seconds * 1e6, 3)
 
 
-def to_trace_events(timelines, global_events=(), process_name="repro") -> dict:
+def to_trace_events(timelines, global_events=()) -> dict:
     """Build the ``{"traceEvents": [...]}`` document."""
     components: dict[str, int] = {}
 
@@ -78,7 +78,7 @@ def to_trace_events(timelines, global_events=(), process_name="repro") -> dict:
     events.sort(key=lambda e: e["ts"])
     meta = [{
         "name": "process_name", "ph": "M", "pid": _PID, "ts": 0,
-        "args": {"name": process_name},
+        "args": {"name": "repro"},
     }]
     for component, tid in sorted(components.items(), key=lambda kv: kv[1]):
         meta.append({

@@ -226,10 +226,11 @@ class TelemetryHub:
 # ---------------------------------------------------------------------------
 
 
-def _burn_gauge(burn: float, width: int = 20) -> str:
-    """A bar that fills at burn=2x (the fast-burn alert threshold)."""
-    filled = min(width, int(round(width * burn / 2.0)))
-    return "█" * filled + "·" * (width - filled)
+def _burn_gauge(burn: float) -> str:
+    """A 20-cell bar that fills at burn=2x (the fast-burn alert
+    threshold)."""
+    filled = min(20, int(round(20 * burn / 2.0)))
+    return "█" * filled + "·" * (20 - filled)
 
 
 def render_dashboard(hub: TelemetryHub, slo=None, lane_names=None) -> str:

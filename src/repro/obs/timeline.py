@@ -184,14 +184,8 @@ class TailSampler:
     current one, so a pre-crash outlier would otherwise sit at the top
     of the slowest-N list forever."""
 
-    def __init__(self, keep_slowest: int = 10, keep_errored: bool = True,
-                 keep_retried: bool = True, keep_failed_over: bool = True,
-                 keep_exceptional: bool = True, keep_epochs: int = 1) -> None:
+    def __init__(self, keep_slowest: int = 10, keep_epochs: int = 1) -> None:
         self.keep_slowest = keep_slowest
-        self.keep_errored = keep_errored
-        self.keep_retried = keep_retried
-        self.keep_failed_over = keep_failed_over
-        self.keep_exceptional = keep_exceptional
         self.keep_epochs = keep_epochs
         self._epoch = 0
         self._retained: list[tuple[int, RequestTimeline]] = []
@@ -209,13 +203,13 @@ class TailSampler:
         # and slowest-N keeps its exceptional label, so the streaming
         # form never makes it compete for (and lose) a slow seat.
         for tl in timelines:
-            if self.keep_errored and tl.errored:
+            if tl.errored:
                 mark(tl, "errored")
-            elif self.keep_retried and tl.retried:
+            elif tl.retried:
                 mark(tl, "retried")
-            elif self.keep_failed_over and tl.failed_over:
+            elif tl.failed_over:
                 mark(tl, "failed_over")
-            elif self.keep_exceptional and tl.exceptional:
+            elif tl.exceptional:
                 mark(tl, "exceptional")
         for tl in sorted(timelines, key=lambda t: t.total, reverse=True)[
             : self.keep_slowest
@@ -296,15 +290,15 @@ class StageLatencyExporter:
     p50/p95/p99 per stage available through the standard text exposition
     (`repro metrics`) — the §VI scrape path, now request-aware."""
 
-    def __init__(self, registry, prefix: str = "trace") -> None:
+    def __init__(self, registry) -> None:
         self.stage_hist = registry.histogram(
-            f"{prefix}_stage_latency_seconds",
+            "trace_stage_latency_seconds",
             "per-stage request latency (gap since the previous stage)",
             ("stage",),
             buckets=TRACE_LATENCY_BUCKETS,
         )
         self.request_hist = registry.histogram(
-            f"{prefix}_request_latency_seconds",
+            "trace_request_latency_seconds",
             "end-to-end request latency across all traced stages",
             buckets=TRACE_LATENCY_BUCKETS,
         )

@@ -262,11 +262,10 @@ def attach_channel(collector: TraceCollector, channel,
                    stream: str = "chan",
                    client_component: str = "dpu.rpc",
                    server_component: str = "host.rpc",
-                   explicit_context: bool = False,
-                   fabric_component: str | None = "fabric") -> None:
+                   explicit_context: bool = False) -> None:
     """Wire a whole :class:`~repro.core.channel.Channel` for tracing:
-    both endpoints on one shared stream, plus (optionally) the fabric's
-    WRITE_WITH_IMM delivery events.  One-sided channels (the
+    both endpoints on one shared stream, plus the fabric's
+    WRITE_WITH_IMM delivery events (component ``fabric``).  One-sided channels (the
     multiprocess deployments) attach whatever sides are local; the other
     process attaches its own half with the *same* ``stream`` name and the
     two collectors merge afterwards via :func:`export_events` /
@@ -276,8 +275,7 @@ def attach_channel(collector: TraceCollector, channel,
                         explicit_context=explicit_context)
     if channel.server is not None:
         attach_endpoint(collector, channel.server, server_component, stream)
-    if fabric_component is not None:
-        channel.fabric.trace = collector.recorder(fabric_component)
+    channel.fabric.trace = collector.recorder("fabric")
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +309,7 @@ def export_events(collector: TraceCollector) -> dict:
     return {"epoch": collector.epoch, "contexts": contexts, "events": events}
 
 
-def import_events(collector: TraceCollector, snapshot: dict,
-                  component_prefix: str = "") -> int:
+def import_events(collector: TraceCollector, snapshot: dict) -> int:
     """Merge a peer process's :func:`export_events` snapshot into this
     collector, re-basing timestamps onto this collector's epoch via the
     shared monotonic clock.  Context identity is preserved within the
@@ -323,10 +320,9 @@ def import_events(collector: TraceCollector, snapshot: dict,
     contexts = [TraceContext(tid=tid, **attrs) for tid, attrs in snapshot["contexts"]]
     n = 0
     for key, stage, component, ts, dur, attrs in snapshot["events"]:
-        comp = component_prefix + component
-        ring = collector._rings.setdefault(comp, deque(maxlen=collector.ring))
+        ring = collector._rings.setdefault(component, deque(maxlen=collector.ring))
         ctx = contexts[key] if key is not None else None
-        ring.append(StageEvent(ctx, stage, comp, ts + offset, dur, attrs))
+        ring.append(StageEvent(ctx, stage, component, ts + offset, dur, attrs))
         n += 1
     return n
 

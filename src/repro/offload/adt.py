@@ -50,6 +50,8 @@ __all__ = [
 #: Where the host maps its globals (vtables + default instances).  High
 #: canonical addresses, far from the buffer ranges the planner hands out.
 GLOBALS_BASE = 0x7F00_0000_0000
+#: Bytes reserved there: 1 MiB.
+GLOBALS_SIZE = 1 << 20
 
 
 class AdtError(RuntimeError):
@@ -136,14 +138,12 @@ class TypeUniverse:
         self,
         space: AddressSpace,
         abi: AbiConfig | None = None,
-        globals_base: int = GLOBALS_BASE,
-        globals_size: int = 1 << 20,
     ) -> None:
         self.space = space
         self.abi = abi or AbiConfig()
         self.layouts = LayoutCache(self.abi)
-        self.globals = space.map(MemoryRegion(globals_base, globals_size, "globals"))
-        self._cursor = globals_base
+        self.globals = space.map(MemoryRegion(GLOBALS_BASE, GLOBALS_SIZE, "globals"))
+        self._cursor = GLOBALS_BASE
         self._vtables: dict[str, int] = {}
         self._defaults: dict[str, int] = {}
         #: MessageLayout -> its generated view class (offload.materialize)

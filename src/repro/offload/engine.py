@@ -45,7 +45,6 @@ from repro.core import (
 from repro.core.config import CLIENT_DEFAULTS, SERVER_DEFAULTS
 from repro.memory import Arena
 from repro.proto import (
-    DECODE_MODES,
     CompiledSchema,
     Message,
     emit_writer,
@@ -248,16 +247,9 @@ class DpuEngine:
         self,
         channel: Channel,
         abi: AbiConfig | None = None,
-        decode_mode: str = "generated",
     ) -> None:
-        if decode_mode not in DECODE_MODES:
-            raise ValueError(f"unknown decode mode {decode_mode!r}")
         self.channel = channel
         self.abi = abi or AbiConfig()
-        #: Arena decode tier the deserializer is built with: "generated"
-        #: compiles one straight-line decoder per ADT entry,
-        #: "interpretive" keeps the field-by-field oracle.
-        self.decode_mode = decode_mode
         self.adt: Adt | None = None
         self.method_table: dict[int, int] = {}
         self.method_names: dict[int, str] = {}
@@ -301,7 +293,7 @@ class DpuEngine:
         self.adt = adt
         self.method_table = table
         self.method_names = names
-        self.deserializer = ArenaDeserializer(adt, self.stats, mode=self.decode_mode)
+        self.deserializer = ArenaDeserializer(adt, self.stats)
         self.ready = not self.crashed
 
     # -- crash simulation --------------------------------------------------------
@@ -437,14 +429,9 @@ class OffloadPair:
     dpu: DpuEngine
     host: HostEngine
 
-    def progress(self, iterations: int = 1) -> None:
-        """Advance both halves via the channel's progress engine."""
-        for _ in range(iterations):
-            self.channel.engine.step()
-
-    def run_until_idle(self, max_iters: int = 10_000) -> None:
+    def run_until_idle(self) -> None:
         client = self.channel.client
-        for _ in range(max_iters):
+        for _ in range(10_000):
             self.channel.engine.step()
             if client.outstanding == 0 and not client._send_queue:
                 return

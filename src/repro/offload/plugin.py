@@ -17,7 +17,6 @@ from __future__ import annotations
 import base64
 import types
 
-from repro.abi import AbiConfig
 from repro.memory import AddressSpace
 from repro.proto.parser import compile_proto
 
@@ -26,9 +25,10 @@ from .adt import TypeUniverse, encode_adt
 __all__ = ["build_file_adt", "generate_adt_module", "load_adt_module"]
 
 
-def build_file_adt(proto_source: str, filename: str = "<proto>", abi: AbiConfig | None = None):
+def build_file_adt(proto_source: str, filename: str = "<proto>"):
     """Build the ADT covering every message type in one proto file,
-    recursively including nested field types (§V-B)."""
+    recursively including nested field types (§V-B), for the default
+    ABI."""
     fd, pool = compile_proto(proto_source, filename)
 
     def all_messages(messages):
@@ -38,7 +38,7 @@ def build_file_adt(proto_source: str, filename: str = "<proto>", abi: AbiConfig 
 
     roots = list(all_messages(fd.messages))
     space = AddressSpace("adt-gen")
-    universe = TypeUniverse(space, abi)
+    universe = TypeUniverse(space)
     return universe.build_adt(roots), universe
 
 
@@ -66,11 +66,9 @@ ADT = load_adt()
 '''
 
 
-def generate_adt_module(
-    proto_source: str, filename: str = "<proto>", abi: AbiConfig | None = None
-) -> str:
+def generate_adt_module(proto_source: str, filename: str = "<proto>") -> str:
     """Emit the ``.adt.pb``-analog Python source."""
-    adt, _universe = build_file_adt(proto_source, filename, abi)
+    adt, _universe = build_file_adt(proto_source, filename)
     blob = base64.b85encode(encode_adt(adt)).decode("ascii")
     return _TEMPLATE.format(
         filename=filename,

@@ -40,15 +40,14 @@ class AdtMessageView:
 
     __slots__ = ("_adt", "_entry", "_index", "_space", "_addr", "_string_layout")
 
-    def __init__(self, adt: Adt, index: int, space, addr: int, verify: bool = True) -> None:
+    def __init__(self, adt: Adt, index: int, space, addr: int) -> None:
         entry = adt.entry(index)
-        if verify:
-            vptr = space.read_u64(addr)
-            if vptr != entry.vtable_addr:
-                raise AbiError(
-                    f"{entry.full_name} at {addr:#x}: vptr {vptr:#x} != "
-                    f"vtable {entry.vtable_addr:#x}"
-                )
+        vptr = space.read_u64(addr)
+        if vptr != entry.vtable_addr:
+            raise AbiError(
+                f"{entry.full_name} at {addr:#x}: vptr {vptr:#x} != "
+                f"vtable {entry.vtable_addr:#x}"
+            )
         object.__setattr__(self, "_adt", adt)
         object.__setattr__(self, "_entry", entry)
         object.__setattr__(self, "_index", index)

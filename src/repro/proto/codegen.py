@@ -119,7 +119,6 @@ def protoc(
     proto_source: str,
     filename: str = "<proto>",
     with_adt: bool = False,
-    abi=None,
 ) -> dict[str, str]:
     """The full compiler driver: returns ``{artifact_name: source}``.
 
@@ -132,5 +131,5 @@ def protoc(
     if with_adt:
         from repro.offload.plugin import generate_adt_module
 
-        out["adt_pb2"] = generate_adt_module(proto_source, filename, abi)
+        out["adt_pb2"] = generate_adt_module(proto_source, filename)
     return out

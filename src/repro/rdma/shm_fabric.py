@@ -162,9 +162,9 @@ class ShmFabric(FabricTransport):
 
     transport = "shm"
 
-    def __init__(self, auto_flush: bool = True, injector=None, name: str = "shm") -> None:
+    def __init__(self, auto_flush: bool = True, injector=None) -> None:
         super().__init__(auto_flush=auto_flush, injector=injector)
-        self.name = name
+        self.name = "shm"
         self._ports: dict[int, _Port] = {}  # id(qp) -> port
         self._rr = 0  # round-robin cursor over ports for step()
 

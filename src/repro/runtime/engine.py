@@ -160,9 +160,9 @@ class ProgressEngine:
             else:
                 flush()
 
-    def drain(self, max_iters: int = 100_000, quiet_passes: int = 2) -> bool:
+    def drain(self, max_iters: int = 100_000) -> bool:
         """Step until every pollable is quiet: no work done and nothing
-        ``pending()`` for ``quiet_passes`` consecutive passes.  Open
+        ``pending()`` for two consecutive passes.  Open
         partial batches are force-flushed each pass (deadline-based flush
         policies would otherwise stall the drain).  Returns whether the
         engine actually went quiet within ``max_iters``."""
@@ -175,7 +175,7 @@ class ProgressEngine:
                 for reg in self._handles
             )
             quiet = quiet + 1 if (work == 0 and not pending) else 0
-            if quiet >= quiet_passes:
+            if quiet >= 2:
                 return True
         return False
 

@@ -87,6 +87,17 @@ _IDLE_PARK_MS = 100
 #: what a child waits for on a socket: bytes to read, and room to write
 #: while its own bytes wait to leave
 _READ, _READ_WRITE = select.POLLIN, select.POLLIN | select.POLLOUT
+#: how long a child waits for its peer's HELLO on the doorbell, in s
+_HANDSHAKE_TIMEOUT_S = 10.0
+#: each engine's supervisor: passes without progress before a stall,
+#: faults before quarantine
+_STALL_TICKS, _MAX_FAULTS = 500, 3
+#: the DPU child's bootstrap receive: polls per attempt, and how long it
+#: retries, in s
+_BOOTSTRAP_POLLS, _BOOTSTRAP_WINDOW_S = 2000, 10.0
+#: how long the parent waits for a child to answer a recovery step or
+#: to exit, in s
+_RECOVER_TIMEOUT_S, _STOP_TIMEOUT_S = 30.0, 10.0
 
 
 class ProcError(RuntimeError):
@@ -252,9 +263,6 @@ class _SideSpec:
     s2c_base: int
     rbuf_segment: str
     trace: bool
-    handshake_timeout: float
-    stall_ticks: int
-    max_faults: int
     fault_plan: object | None = None
 
 
@@ -335,8 +343,8 @@ class _ChildSide:
         fabric.bind(self.endpoint.qp, db_sock)
 
         self.engine = ProgressEngine(name=f"{spec.name}.{spec.role}-engine")
-        self.supervisor = EngineSupervisor(self.engine, stall_ticks=spec.stall_ticks,
-                                           max_faults=spec.max_faults)
+        self.supervisor = EngineSupervisor(self.engine, stall_ticks=_STALL_TICKS,
+                                           max_faults=_MAX_FAULTS)
         self.engine.register(fabric, name="fabric")
         if side == "server":
             # The DPU child's client endpoint is polled by its front door
@@ -444,7 +452,7 @@ class _ChildSide:
         def on_exit(_payload):
             return {"stats": stats(), "trace": _export_and_clear(collector)}
 
-        self.fabric.handshake(self.endpoint.qp, timeout=self.spec.handshake_timeout)
+        self.fabric.handshake(self.endpoint.qp, timeout=_HANDSHAKE_TIMEOUT_S)
         try:
             self.ctl.send(("ready", {"pid": os.getpid()}))
             self._loop(handlers, on_exit)
@@ -483,7 +491,7 @@ def _host_child(spec: _SideSpec, schema, service, servicer,
         fabric.discard_in_flight()
         server.qp.reset_to_init()
         fabric.bind(server.qp, new_db)
-        fabric.handshake(server.qp, timeout=spec.handshake_timeout)
+        fabric.handshake(server.qp, timeout=_HANDSHAKE_TIMEOUT_S)
         server.reset_connection_state()
         # The dead peer's fault storm may have quarantined the endpoint;
         # re-admit it with a clean slate.
@@ -524,15 +532,14 @@ def _dpu_child(spec: _SideSpec, schema, service,
         front.trace = side.collector.recorder("dpu.front")
         dpu.trace = side.collector.recorder("dpu.engine")
 
-    def _recv_bootstrap(payload):
+    def _recv_bootstrap(_payload):
         """Poll for the host's bootstrap SEND, tolerating cross-process
         latency: the blob is in flight on the doorbell socket, not one
         engine step away as it is in-process."""
-        max_polls, window = payload or (2000, 10.0)
-        deadline = time.monotonic() + window
+        deadline = time.monotonic() + _BOOTSTRAP_WINDOW_S
         while True:
             try:
-                dpu.receive_bootstrap(max_polls)
+                dpu.receive_bootstrap(_BOOTSTRAP_POLLS)
                 return None
             except AdtError:
                 if time.monotonic() > deadline:
@@ -551,7 +558,7 @@ def _dpu_child(spec: _SideSpec, schema, service,
 
     side.serve({
         "recv_bootstrap": _recv_bootstrap,
-        "crash_engine": lambda reason: dpu.crash(reason or "injected"),
+        "crash_engine": lambda _p: dpu.crash("injected"),
         "revive_engine": lambda _p: dpu.revive(),
     }, _stats)
 
@@ -575,7 +582,7 @@ class ProcSupervisor:
 
     ``start()`` performs the whole startup handshake: shared segments,
     doorbell/xRPC/control socketpairs, fork, RDMA-level HELLO exchange,
-    and (by default) the ADT bootstrap transfer.
+    and the ADT bootstrap transfer.
     """
 
     def __init__(
@@ -587,12 +594,7 @@ class ProcSupervisor:
         server_config: ProtocolConfig = SERVER_DEFAULTS,
         name: str = "procs",
         trace: bool = False,
-        handshake_timeout: float = 10.0,
         host_fault_plan=None,
-        dpu_fault_plan=None,
-        stall_ticks: int = 500,
-        max_faults: int = 3,
-        auto_recover: bool = False,
     ) -> None:
         try:
             self._mp = multiprocessing.get_context("fork")
@@ -608,14 +610,7 @@ class ProcSupervisor:
         check_config_pair(self.client_config, self.server_config)
         self.name = name
         self.trace = trace
-        self.handshake_timeout = handshake_timeout
         self.host_fault_plan = host_fault_plan
-        self.dpu_fault_plan = dpu_fault_plan
-        self.stall_ticks = stall_ticks
-        self.max_faults = max_faults
-        #: respawn a dead DPU child automatically from the engine's fault
-        #: path (tests usually drive :meth:`recover_dpu` explicitly)
-        self.auto_recover = auto_recover
 
         planner = AddressPlanner()
         self._c2s_base = planner.take(self.client_config.send_buffer_size)
@@ -639,15 +634,14 @@ class ProcSupervisor:
         #: built by :meth:`xrpc_channel` drive it while waiting.
         self.engine = ProgressEngine(name=f"{name}.client-engine")
         self.supervisor = EngineSupervisor(
-            self.engine, stall_ticks=stall_ticks, max_faults=max_faults,
-            on_fault=self._on_child_fault,
+            self.engine, stall_ticks=_STALL_TICKS, max_faults=_MAX_FAULTS,
         )
         self.engine.register(ProcessPollable(self._host), name="host-process")
         self.engine.register(ProcessPollable(self._dpu), name="dpu-process")
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def start(self, bootstrap: bool = True) -> "ProcSupervisor":
+    def start(self) -> "ProcSupervisor":
         """Spawn and connect both children.  All or nothing: a caller
         whose ``start()`` raised holds nothing it would think to
         ``stop()`` (``with`` never reaches ``__exit__`` when
@@ -660,8 +654,7 @@ class ProcSupervisor:
             self._spawn(round_socks)
             self._await_ready(self._host)
             self._await_ready(self._dpu)
-            if bootstrap:
-                self.bootstrap()
+            self.bootstrap()
         except BaseException:
             self.stop()
             _close_all(round_socks)  # those stop() was never told about
@@ -677,30 +670,19 @@ class ProcSupervisor:
                 base, config.send_buffer_size, f"{self.name}.{tag}",
                 segment=segment_name(f"{self.name}-{tag}"),
             ))
-        c2s_seg, s2c_seg = self._segments
 
         for _ in range(4):
             round_socks.extend(socketlib.socketpair())
         ctl_h_p, ctl_h_c, ctl_d_p, ctl_d_c, db_h, db_d, xr_p, xr_d = round_socks
 
-        host_spec = self._spec("host", c2s_seg.segment, self.host_fault_plan)
-        dpu_spec = self._spec("dpu", s2c_seg.segment, self.dpu_fault_plan)
-
         host_keep = {ctl_h_c, db_h}
         self._host.proc = self._mp.Process(
             target=_host_child, name=f"{self.name}-host",
-            args=(host_spec, self.schema, self.service, self.servicer,
+            args=(self._spec("host"), self.schema, self.service, self.servicer,
                   ctl_h_c, db_h, [s for s in round_socks if s not in host_keep]),
         )
         self._host.proc.start()
-
-        dpu_keep = {ctl_d_c, db_d, xr_d}
-        self._dpu.proc = self._mp.Process(
-            target=_dpu_child, name=f"{self.name}-dpu",
-            args=(dpu_spec, self.schema, self.service,
-                  ctl_d_c, db_d, xr_d, [s for s in round_socks if s not in dpu_keep]),
-        )
-        self._dpu.proc.start()
+        self._dpu.proc = self._start_dpu(f"{self.name}-dpu", ctl_d_c, db_d, xr_d, round_socks)
 
         parent_keep = {ctl_h_p, ctl_d_p, xr_p}
         _close_all(s for s in round_socks if s not in parent_keep)
@@ -708,30 +690,44 @@ class ProcSupervisor:
         self._dpu.ctl = _CtlConn(ctl_d_p)
         self._client_raw_sock = xr_p
 
-    def _spec(self, role: str, rbuf_segment: str, fault_plan) -> _SideSpec:
+    def _start_dpu(self, name: str, ctl_sock, db_sock, xrpc_sock, socks):
+        """Fork and start a DPU child on its control, doorbell and xRPC
+        sockets; the child closes every other socket in ``socks``."""
+        keep = {ctl_sock, db_sock, xrpc_sock}
+        proc = self._mp.Process(
+            target=_dpu_child, name=name,
+            args=(self._spec("dpu"), self.schema, self.service,
+                  ctl_sock, db_sock, xrpc_sock,
+                  [s for s in socks if s not in keep]),
+        )
+        proc.start()
+        return proc
+
+    def _spec(self, role: str) -> _SideSpec:
+        """The host child attaches the c2s segment and may carry a fault
+        plan; the DPU child attaches s2c."""
+        host = role == "host"
         return _SideSpec(
             role=role, name=self.name,
             client_config=self.client_config, server_config=self.server_config,
             c2s_base=self._c2s_base, s2c_base=self._s2c_base,
-            rbuf_segment=rbuf_segment, trace=self.trace,
-            handshake_timeout=self.handshake_timeout,
-            stall_ticks=self.stall_ticks, max_faults=self.max_faults,
-            fault_plan=fault_plan,
+            rbuf_segment=self._segments[0 if host else 1].segment, trace=self.trace,
+            fault_plan=self.host_fault_plan if host else None,
         )
 
     def _await_ready(self, child: _Child, timeout: float | None = None) -> None:
-        timeout = timeout or (self.handshake_timeout + 20.0)
+        timeout = timeout or (_HANDSHAKE_TIMEOUT_S + 20.0)
         kind, payload = child.ctl.wait(timeout)
         if kind != "ready":
             raise ProcError(f"{child.role}: expected ready, got {kind}: {payload}")
 
-    def bootstrap(self, max_polls: int = 2000, window: float = 10.0) -> None:
+    def bootstrap(self) -> None:
         """Run the ADT bootstrap transfer: host SENDs the blob, the DPU
         child polls it in and builds its deserializer.  Also the
         re-offload step after :meth:`recover_dpu`."""
         self._host.ctl.request(("send_bootstrap", None))
-        self._dpu.ctl.request(("recv_bootstrap", (max_polls, window)),
-                              timeout=window + 20.0)
+        self._dpu.ctl.request(("recv_bootstrap", None),
+                              timeout=_BOOTSTRAP_WINDOW_S + 20.0)
 
     # -- client plumbing ---------------------------------------------------------
 
@@ -771,10 +767,6 @@ class ProcSupervisor:
 
     # -- fault handling ----------------------------------------------------------
 
-    def _on_child_fault(self, reg, exc) -> None:
-        if self.auto_recover and reg.name == "dpu-process":
-            self.recover_dpu()
-
     def kill_dpu(self) -> None:
         """SIGKILL the DPU process — the failover acceptance scenario.
         The death surfaces through :class:`ProcessPollable` on the next
@@ -785,7 +777,7 @@ class ProcSupervisor:
         self._dpu.proc.kill()
         self._dpu.proc.join(5)
 
-    def recover_dpu(self, bootstrap: bool = False, timeout: float = 30.0) -> None:
+    def recover_dpu(self, bootstrap: bool = False) -> None:
         """Replace the DPU process: respawn, hand the host a fresh
         doorbell (fd over the control socket), re-handshake.  With
         ``bootstrap=False`` the new process starts *degraded* — the front
@@ -808,16 +800,8 @@ class ProcSupervisor:
         # The host child predates these sockets, so it holds no copies;
         # only the parent's pre-existing fds leak into the new child.
         extra_close = [s for s in (self._host.ctl.sock,) if s is not None]
-
-        dpu_spec = self._spec("dpu", self._segments[1].segment, self.dpu_fault_plan)
-        dpu_keep = {ctl_d_c, db_d, xr_d}
-        proc = self._mp.Process(
-            target=_dpu_child, name=f"{self.name}-dpu-{self.dpu_respawns + 1}",
-            args=(dpu_spec, self.schema, self.service,
-                  ctl_d_c, db_d, xr_d,
-                  [s for s in round_socks if s not in dpu_keep] + extra_close),
-        )
-        proc.start()
+        proc = self._start_dpu(f"{self.name}-dpu-{self.dpu_respawns + 1}",
+                               ctl_d_c, db_d, xr_d, round_socks + extra_close)
         _close_all([ctl_d_c, db_d, xr_d])
 
         old.proc = proc
@@ -830,11 +814,11 @@ class ProcSupervisor:
         # The new child blocks in its doorbell handshake until the host
         # rebinds; order matters: reconnect first, then await ready.
         try:
-            self._host.ctl.request(("reconnect", None), timeout=timeout,
+            self._host.ctl.request(("reconnect", None), timeout=_RECOVER_TIMEOUT_S,
                                    fds=[db_h.fileno()])
         finally:
             db_h.close()
-        self._await_ready(old, timeout)
+        self._await_ready(old, _RECOVER_TIMEOUT_S)
         self.supervisor.reset_faults(self._pollable("dpu-process"))
         if bootstrap:
             self.bootstrap()
@@ -882,17 +866,17 @@ class ProcSupervisor:
             out[child.role] = child.ctl.request(("stats", None))
         return out
 
-    def crash_dpu_engine(self, reason: str = "injected") -> None:
+    def crash_dpu_engine(self) -> None:
         """Soft-crash the DPU *engine* (process stays up) — the in-process
         fault campaign's dpu_crash, across the boundary."""
-        self._dpu.ctl.request(("crash_engine", reason))
+        self._dpu.ctl.request(("crash_engine", None))
 
     def revive_dpu_engine(self) -> None:
         self._dpu.ctl.request(("revive_engine", None))
 
     # -- teardown ----------------------------------------------------------------
 
-    def stop(self, timeout: float = 10.0) -> dict:
+    def stop(self) -> dict:
         """Orderly teardown: ask each child to exit (collecting its final
         stats and trace snapshot), escalate to terminate/kill on a
         deadline, unlink the shared segments.  Idempotent."""
@@ -903,12 +887,12 @@ class ProcSupervisor:
             child.expected_exit = True
             if child.proc.is_alive() and child.ctl is not None and not child.ctl.eof:
                 try:
-                    payload = child.ctl.request(("exit", None), timeout=timeout)
+                    payload = child.ctl.request(("exit", None), timeout=_STOP_TIMEOUT_S)
                     if payload:
                         results[child.role] = payload
                 except ProcError:
                     pass
-            child.proc.join(timeout)
+            child.proc.join(_STOP_TIMEOUT_S)
             if child.proc.is_alive():
                 child.proc.terminate()
                 child.proc.join(2)

@@ -40,10 +40,11 @@ class EventQueue:
         fn()
         return True
 
-    def run_until(self, end_time: float, max_events: int = 50_000_000) -> int:
-        """Run events with time <= end_time; returns events executed."""
+    def run_until(self, end_time: float) -> int:
+        """Run events with time <= end_time, at most 50 million; returns
+        events executed."""
         count = 0
-        while self._heap and self._heap[0][0] <= end_time and count < max_events:
+        while self._heap and self._heap[0][0] <= end_time and count < 50_000_000:
             self.step()
             count += 1
         self.now = max(self.now, end_time)

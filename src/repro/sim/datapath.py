@@ -128,9 +128,9 @@ class WorkloadProfile:
         )
 
     @classmethod
-    def measure_mix(cls, mix, seed: int = 0x5EED) -> "WorkloadProfile":
+    def measure_mix(cls, mix) -> "WorkloadProfile":
         """Profile a :class:`~repro.workloads.traces.TraceMix`."""
-        profiles = [cls.measure(c.spec, seed) for c in mix.components]
+        profiles = [cls.measure(c.spec) for c in mix.components]
         return cls.blend(profiles, [c.weight for c in mix.components], mix.name)
 
 
@@ -467,23 +467,19 @@ class DatapathSimulator:
             self._stable = True
         return self.completed - before
 
-    def run(self, engine=None) -> DatapathResult:
-        """Run the cell to completion on a progress engine.
-
-        The simulator is itself a pollable: passing a shared ``engine``
-        lets one reactor interleave several cells (and surfaces each
-        cell's poll/work counters through the engine metrics; an engine
-        made here is read by this cell's own registry).  Single-stepped operation for
+    def run(self) -> DatapathResult:
+        """Run the cell to completion on a progress engine of its own,
+        whose poll/work counters this cell's registry reads.  The
+        simulator is itself a pollable; single-stepped operation for
         tests is ``sim.progress()`` by hand.
         """
+        from repro.runtime import ProgressEngine
+
         opts = self.options
         self.begin()
 
-        if engine is None:
-            from repro.runtime import ProgressEngine
-
-            engine = ProgressEngine(name="sim")
-            self.registry.add_collector(engine.metrics.collect)
+        engine = ProgressEngine(name="sim")
+        self.registry.add_collector(engine.metrics.collect)
         engine.register(
             self, name=f"sim.{self.scenario.value}.{self.profile.spec.name}"
         )
@@ -545,9 +541,8 @@ class DatapathSimulator:
         )
 
 
-def run_cell(
-    spec: WorkloadSpec, scenario: Scenario, options: SimOptions = SimOptions()
-) -> DatapathResult:
-    """Convenience: measure the workload and run one simulation cell."""
+def run_cell(spec: WorkloadSpec, scenario: Scenario) -> DatapathResult:
+    """Convenience: measure the workload and run one simulation cell
+    with the default :class:`SimOptions`."""
     profile = WorkloadProfile.measure(spec)
-    return DatapathSimulator(profile, scenario, options).run()
+    return DatapathSimulator(profile, scenario, SimOptions()).run()

@@ -74,8 +74,9 @@ PAPER_ENVIRONMENT = Environment(
 )
 
 
-def render_table1(env: Environment = PAPER_ENVIRONMENT) -> str:
+def render_table1() -> str:
     """Regenerate Table I as aligned text."""
+    env = PAPER_ENVIRONMENT
     c, s = env.client, env.server
     kib = 1024
     mib = 1024 * kib

@@ -65,11 +65,10 @@ class TraceMix:
         idx = factory.rng.choice(len(self.components), size=count, p=self.weights)
         return [factory.build(self.components[i].spec) for i in idx]
 
-    def small_fraction(self, factory: WorkloadFactory, cutoff: int = 512,
-                       sample_size: int = 400) -> float:
-        """Fraction of sampled messages serializing to <= ``cutoff``
+    def small_fraction(self, factory: WorkloadFactory, cutoff: int = 512) -> float:
+        """Fraction of 400 sampled messages serializing to <= ``cutoff``
         bytes (the fleet statistic the mix is calibrated against)."""
-        msgs = self.sample(factory, sample_size)
+        msgs = self.sample(factory, 400)
         small = sum(1 for m in msgs if len(serialize(m)) <= cutoff)
         return small / len(msgs)
 

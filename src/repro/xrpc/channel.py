@@ -143,7 +143,6 @@ class XrpcChannel:
         network: Network | None,
         address: str,
         name: str = "xrpc-client",
-        encode_mode: str | None = None,
         socket: SimSocket | None = None,
     ) -> None:
         """``socket`` bypasses the network registry with a pre-established
@@ -158,8 +157,9 @@ class XrpcChannel:
                 raise ValueError("XrpcChannel needs a network or an explicit socket")
             self.socket = network.connect(address, name)
         #: Request-serialization path: ``"generated"`` (also what ``None``
-        #: means) or ``"interpretive"`` (see repro.proto.serializer).
-        self.encode_mode = encode_mode
+        #: means) or ``"interpretive"`` (see repro.proto.serializer);
+        #: tests that compare tiers flip it on a live channel.
+        self.encode_mode = None
         #: True once :meth:`negotiate_fixed` succeeded: eligible requests
         #: ride the branchless fixed-layout wire (docs/PROTOCOL.md).
         self.wire_fixed = False
@@ -204,11 +204,11 @@ class XrpcChannel:
 
     # -- wire-mode negotiation ------------------------------------------------
 
-    def negotiate_fixed(self, service, salt: str = "", max_iters: int = 10_000) -> bool:
+    def negotiate_fixed(self, service, salt: str = "") -> bool:
         """Offer the server this client's fixed-layout hash over the
         service's request/response types.  On a matching SETUP_ACK the
         connection switches eligible messages to WIRE_FIXED; on mismatch
-        (or no answer within ``max_iters`` drive iterations) it stays on
+        (or no answer within 10 000 drive iterations) it stays on
         standard wire.  Requires :attr:`drive`, like :meth:`call_sync`.
 
         ``salt`` perturbs the hash — the fault-injection knob that forces
@@ -218,7 +218,7 @@ class XrpcChannel:
         h = negotiation_hash(service_types(service), salt)
         self._setup_result.clear()
         self.socket.send(encode_setup(h))
-        for _ in range(max_iters):
+        for _ in range(10_000):
             self.drive()
             self.poll()
             if self._setup_result:
@@ -309,9 +309,8 @@ class XrpcChannel:
         max_iters: int = 100_000,
         idempotent: bool = False,
         timeout_us: int | None = None,
-        lane: int | None = None,
     ) -> Message:
-        """Synchronous unary call.  Requires :attr:`drive` so the server
+        """Synchronous unary call on :attr:`default_lane`.  Requires :attr:`drive` so the server
         (and the DPU/host datapath behind it) can make progress.
 
         Failure semantics: no response within ``max_iters`` raises
@@ -337,7 +336,7 @@ class XrpcChannel:
         for attempt in range(attempts):
             try:
                 response = self._call_sync_once(
-                    method, request, response_cls, max_iters, timeout_us, lane
+                    method, request, response_cls, max_iters, timeout_us
                 )
                 self.retry_budget.on_success()
                 return response
@@ -377,8 +376,7 @@ class XrpcChannel:
         request: Message,
         response_cls: type[Message],
         max_iters: int,
-        timeout_us: int | None = None,
-        lane: int | None = None,
+        timeout_us: int | None,
     ) -> Message:
         result: list = []
 
@@ -386,7 +384,7 @@ class XrpcChannel:
             result.append((response, status, self.last_error_detail))
 
         call_id = self.call(method, request, response_cls, done,
-                            timeout_us=timeout_us, lane=lane)
+                            timeout_us=timeout_us)
         for _ in range(max_iters):
             self.drive()
             self.poll()

@@ -40,18 +40,17 @@ class XrpcServer(Ingress):
         network: Network,
         address: str,
         factory: MessageFactory,
-        decode_mode: str | None = None,
-        encode_mode: str | None = None,
     ) -> None:
         super().__init__(network, address)
         self.factory = factory
         #: Request-deserialization path: ``"generated"`` (also what
         #: ``None`` means) or ``"interpretive"``
-        #: (see repro.proto.deserializer).
-        self.decode_mode = decode_mode
+        #: (see repro.proto.deserializer); tests that compare tiers flip
+        #: it on a live server.
+        self.decode_mode = None
         #: Response-serialization path, same convention
         #: (see repro.proto.serializer).
-        self.encode_mode = encode_mode
+        self.encode_mode = None
         self._methods: dict[str, MethodBinding] = {}
         self.stats = ServerStats()
 

@@ -34,12 +34,13 @@ def method_path(service: ServiceDescriptor, method: MethodDescriptor) -> str:
     return f"/{service.full_name}/{method.name}"
 
 
-def assign_method_ids(service: ServiceDescriptor, base: int = 1) -> dict[str, int]:
-    """Deterministic procedure IDs, identical wherever they are computed
-    (host compatibility layer and DPU front end independently derive the
-    same table from the same service definition)."""
+def assign_method_ids(service: ServiceDescriptor) -> dict[str, int]:
+    """Deterministic procedure IDs from 1 in method-name order, identical
+    wherever they are computed (host compatibility layer and DPU front end
+    independently derive the same table from the same service
+    definition)."""
     return {
-        method_path(service, m): base + i
+        method_path(service, m): 1 + i
         for i, m in enumerate(sorted(service.methods, key=lambda m: m.name))
     }
 

@@ -103,9 +103,8 @@ def test_tiers_are_the_whole_vocabulary():
 def test_plan_mode_is_gone_not_aliased(everything_cls):
     """``"plan"`` named the deleted closure-table tier: every component
     that takes a codec mode rejects it like any other unknown string."""
-    from repro.core import create_channel
     from repro.memory import AddressSpace
-    from repro.offload import ArenaDeserializer, DpuEngine, TypeUniverse
+    from repro.offload import ArenaDeserializer, TypeUniverse
 
     with pytest.raises(ValueError, match="unknown decode mode"):
         parse(everything_cls, b"", mode="plan")
@@ -114,8 +113,6 @@ def test_plan_mode_is_gone_not_aliased(everything_cls):
     adt = TypeUniverse(AddressSpace("host")).build_adt([everything_cls.DESCRIPTOR])
     with pytest.raises(ValueError, match="unknown arena decode mode"):
         ArenaDeserializer(adt, mode="plan")
-    with pytest.raises(ValueError, match="unknown decode mode"):
-        DpuEngine(create_channel(), decode_mode="plan")
 
 
 class TestThreeTierDifferential:

@@ -568,3 +568,49 @@ def test_the_telemetry_hub_attributes_through_stage_gaps():
     assert not any(isinstance(node, ast.Attribute) and node.attr == "dur"
                    for node in ast.walk(tree))
 
+
+
+# -- an option exists because a caller sets it (ROADMAP aim 2) ---------------
+
+#: Defaulted parameters under ``src/``.  Lower it when a parameter goes;
+#: a parameter no caller in the repository passes is a constant.
+DEFAULTED_PARAMETERS = 305
+
+
+def _defaulted_parameters() -> dict[str, list[str]]:
+    """module -> ``function(parameter)`` for every parameter with a
+    default, positional or keyword-only, of each module-level function
+    and each method of a module-level class.  Nested functions are left
+    out: the ``method=method`` closure binding is not an option."""
+    census: dict[str, list[str]] = {}
+    for path, tree in _trees(SRC):
+        rows = []
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                functions = [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions = [(node.name, node)]
+            else:
+                continue
+            for name, fn in functions:
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                rows += [f"{name}({a.arg})" for a in defaulted]
+        if rows:
+            census[str(path.relative_to(SRC))] = rows
+    return census
+
+
+def test_every_option_is_one_a_caller_sets():
+    """The count of defaulted parameters holds the rule "no option
+    added" the way the call budget holds the call count."""
+    census = _defaulted_parameters()
+    count = sum(len(rows) for rows in census.values())
+    report = "\n".join(f"{module} ({len(rows)}): {', '.join(rows)}"
+                       for module, rows in sorted(census.items()))
+    assert count <= DEFAULTED_PARAMETERS, (
+        f"{count} defaulted parameters under src/, at most {DEFAULTED_PARAMETERS}:\n{report}"
+    )

@@ -71,9 +71,10 @@ def offloaded_deployment(schema, decode_mode="generated", transport="inproc"):
     rdma = create_channel(transport=transport)
     host = HostEngine(rdma, schema)
     register_offloaded_servicer(host, svc, make_servicer(schema))
-    dpu = DpuEngine(rdma, decode_mode=decode_mode)
+    dpu = DpuEngine(rdma)
     host.send_bootstrap()
     dpu.receive_bootstrap()
+    dpu.deserializer.mode = decode_mode
     net = Network()
     front = OffloadedXrpcServer(net, "dpu:1", dpu, svc)
     channel = XrpcChannel(net, "dpu:1")
