@@ -8,7 +8,9 @@ explicitly:
 
 * a :class:`MemoryRegion` is a contiguous run of simulated "pinned" memory
   with a fixed 64-bit base virtual address and a private backing store
-  (a ``bytearray``, one per side — the two machines do *not* share RAM);
+  (an anonymous ``MAP_PRIVATE`` mapping, one per side — the two machines
+  do *not* share RAM, not even across ``fork``); a page holds RAM only
+  once it is written, so a mostly idle buffer costs only what is touched;
 * an :class:`AddressSpace` is one side's view: a set of non-overlapping
   regions indexed by address.  Both the DPU and the host register a region
   at the *same* base address for each mirrored buffer pair; the simulated
@@ -24,6 +26,7 @@ mirror a buffer) fail loudly here too.
 from __future__ import annotations
 
 import bisect
+import mmap
 import struct
 
 __all__ = ["MemoryError_", "MemoryRegion", "AddressSpace"]
@@ -59,7 +62,8 @@ class MemoryRegion:
         self.base = base
         self.size = size
         self.name = name
-        self.buf = bytearray(size)
+        # not mmap's default MAP_SHARED: a forked child's writes would show here
+        self.buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
 
     @property
     def end(self) -> int:

@@ -1,7 +1,7 @@
 """Shared-memory backed regions for the multiprocess transport.
 
 The in-process simulation gives every :class:`~repro.memory.region.MemoryRegion`
-a private ``bytearray`` and lets the fabric copy bytes between the two
+a private anonymous mapping and lets the fabric copy bytes between the two
 backings — an honest model of two machines with separate RAM joined by a
 DMA engine.  The ``shm`` transport keeps the same model but makes the
 *receive* side of each mirrored pair a ``multiprocessing.shared_memory``
@@ -13,7 +13,7 @@ an OS process boundary.
 
 A :class:`SharedRegion` is address-compatible with ``MemoryRegion`` —
 same base/size/name semantics, same typed accessors — its backing is just
-a ``memoryview`` over the segment instead of a ``bytearray``.
+a ``memoryview`` over the segment instead of a private mapping.
 
 Lifecycle: exactly one process *creates* a segment (and is responsible
 for ``unlink``); every other process *attaches* by segment name and only

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ctypes
+import mmap
+import os
 import struct
 
 import pytest
@@ -120,7 +123,7 @@ def _shared(base, size, name):
 @pytest.mark.parametrize("make_region", [_private, _shared], ids=["bytearray", "shm"])
 class TestReadArray:
     """The typed-span primitive: one bounds check, one reinterpretation,
-    the same on a private ``bytearray`` and on a shared-memory segment."""
+    the same on a private mapping and on a shared-memory segment."""
 
     @pytest.fixture
     def space(self, make_region):
@@ -167,3 +170,69 @@ class TestReadArray:
             space.read_array(addr, "Q", count)
         with pytest.raises(MemoryError_):
             space.region_of(0x1000).read_array(addr, "Q", count)
+
+    def test_a_wrong_length_store_raises_and_keeps_the_length(self, space):
+        # The arena decoders' slice stores are proven the right length at
+        # compile time (docs/DECODER.md §3); were one not, both stores
+        # refuse it rather than resize the region under the address space.
+        region = space.region_of(0x1000)
+        region.write(0x1000, b"abcd")
+        for wrong in (b"wxyz!", b"wx"):
+            with pytest.raises((IndexError, ValueError)):
+                region.buf[0:4] = wrong
+            assert len(region.buf) == region.size
+        assert region.read(0x1000, 4) == b"abcd"
+
+
+def _rss_kb(addr: int, size: int) -> int:
+    """``Rss`` of the one mapping in ``/proc/self/smaps`` that holds
+    ``[addr, addr + size)``."""
+    with open("/proc/self/smaps") as smaps:
+        holds = False
+        for line in smaps:
+            field = line.split()[0]
+            if not field.endswith(":"):  # a mapping's header: lo-hi perms ...
+                lo, hi = (int(x, 16) for x in field.split("-"))
+                holds = lo <= addr and addr + size <= hi
+            elif holds and field == "Rss:":
+                return int(line.split()[1])
+    raise AssertionError(f"no mapping holds [{addr:#x}, {addr + size:#x})")
+
+
+class TestPrivateMapping:
+    """A region's store is an anonymous ``MAP_PRIVATE`` mapping: pages are
+    resident only where written, and a forked child's writes stay its own."""
+
+    SIZE = 16 << 20  # one RBuf
+
+    def test_only_written_pages_are_resident(self):
+        region = MemoryRegion(0x1000, self.SIZE, "rbuf")
+        # Base pages on any transparent-huge-page setting, and a mapping of
+        # its own in smaps (a differing flag keeps the kernel from merging
+        # it with an adjacent anonymous mapping).
+        region.buf.madvise(mmap.MADV_NOHUGEPAGE)
+        export = ctypes.c_char.from_buffer(region.buf)
+        addr = ctypes.addressof(export)
+        del export
+        assert _rss_kb(addr, self.SIZE) == 0
+        assert sum(region.buf[i] for i in range(0, self.SIZE, mmap.PAGESIZE)) == 0
+        assert _rss_kb(addr, self.SIZE) == 0  # reads map the shared zero page
+        for i in range(3):
+            region.write(region.base + (i << 20), b"\x01")
+        assert _rss_kb(addr, self.SIZE) == 3 * mmap.PAGESIZE // 1024
+
+    def test_a_forked_child_writes_its_own_copy(self):
+        region = MemoryRegion(0x1000, 4096, "sbuf")
+        region.write(0x1000, b"P")
+        pid = os.fork()
+        if pid == 0:  # child: sees the parent's byte, then overwrites it
+            code = 1
+            try:
+                seen = region.read(0x1000, 1)
+                region.write(0x1000, b"C")
+                code = 0 if seen == b"P" else 2
+            finally:
+                os._exit(code)  # never return into the parent's test session
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert region.read(0x1000, 1) == b"P"
