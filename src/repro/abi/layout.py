@@ -133,7 +133,6 @@ class MessageLayout:
         self.sizeof = _align_up(offset, max_align)
         self._slots = slots
         self._by_name = {s.field.name: s for s in slots}
-        self._by_number = {s.field.number: s for s in slots}
 
     def _member_size_align(self, fd: FieldDescriptor) -> tuple[int, int]:
         if fd.is_repeated:
@@ -156,9 +155,6 @@ class MessageLayout:
             return self._by_name[name]
         except KeyError:
             raise AbiError(f"{self.descriptor.full_name}: no field {name!r}") from None
-
-    def slot_by_number(self, number: int) -> FieldSlot | None:
-        return self._by_number.get(number)
 
     def offsetof(self, name: str) -> int:
         return self.slot(name).offset
@@ -202,7 +198,3 @@ class LayoutCache:
             hit = MessageLayout(descriptor, self.abi)
             self._cache[descriptor.full_name] = hit
         return hit
-
-    def layouts_for_tree(self, root: MessageDescriptor) -> dict[str, MessageLayout]:
-        """Layouts for ``root`` and every transitively reachable message."""
-        return {m.full_name: self.layout(m) for m in root.transitive_messages()}

@@ -153,11 +153,11 @@ def endpoint_families(endpoint, prefix: str):
                 allocator.bytes_live)
 
 
-@dataclass(slots=True)
-class IncomingRequest:
-    """A request as the server sees it: payload referenced in place inside
-    the receive buffer (zero copy).  The view is valid only until the
-    handler returns — the block's memory is recycled afterwards."""
+class IncomingRequest(NamedTuple):
+    """A request as the server sees it: a record of where its payload
+    sits inside the receive buffer (zero copy), built per request as the
+    tuple it is.  The view is valid only until the handler returns — the
+    block's memory is recycled afterwards."""
 
     space: AddressSpace
     method_id: int
@@ -180,8 +180,7 @@ class IncomingRequest:
         return bytes(self.payload_view())
 
 
-@dataclass(slots=True)
-class Response:
+class Response(NamedTuple):
     """What a handler returns: either raw bytes or a (size, writer) pair
     for in-place construction."""
 
@@ -192,11 +191,11 @@ class Response:
 
     @classmethod
     def from_bytes(cls, data: bytes, flags: int = Flags.NONE) -> "Response":
-        return cls(size=len(data), data=data, flags=flags)
+        return tuple.__new__(cls, (len(data), None, data, flags))
 
     @classmethod
     def empty(cls) -> "Response":
-        return cls(size=0, data=b"")
+        return tuple.__new__(cls, (0, None, b"", Flags.NONE))
 
     def write_to(self, space: AddressSpace, addr: int) -> int:
         if self.writer is not None:
@@ -633,17 +632,17 @@ class ClientEndpoint(_EndpointBase):
         ``deadline`` is a packed overload word
         (:func:`repro.runtime.overload.pack_deadline`): non-zero spends 8
         bytes ahead of the payload so every downstream stage can drop the
-        request once its absolute deadline passes (docs/OVERLOAD.md)."""
+        request once its absolute deadline passes (docs/OVERLOAD.md).
+        A request beyond the concurrency window waits in the backlog;
+        :meth:`_drain_backlog` admits it through here again, in order."""
         if max_payload > self.config.max_message_size:
             raise MessageTooLarge(
                 f"payload of {max_payload} exceeds max_message_size "
                 f"{self.config.max_message_size}"
             )
-        if self.trace is not None:
-            if trace_ctx is None:
-                trace_ctx = self.trace.context()
-            self.trace.event(trace_ctx, "enqueue", method=method_id,
-                             bytes=max_payload)
+        trace = self.trace
+        if trace is not None and trace_ctx is None:
+            trace_ctx = trace.context()
         if self._backlog or (
             len(self._pending) + len(self._open_notes) + self._queued_messages
             >= self.id_pool.capacity
@@ -652,32 +651,17 @@ class ClientEndpoint(_EndpointBase):
             # defer, preserving FIFO order.
             self._backlog.append((method_id, max_payload, writer, continuation,
                                   flags, trace_ctx, deadline))
-        else:
-            self._enqueue_now(method_id, max_payload, writer, continuation,
-                              flags, trace_ctx, deadline)
-
-    def _enqueue_now(
-        self,
-        method_id: int,
-        max_payload: int,
-        writer: PayloadWriter,
-        continuation: Continuation,
-        flags: int,
-        trace_ctx=None,
-        deadline: int = 0,
-    ) -> None:
+            return
+        if trace is not None:
+            trace.event(trace_ctx, "enqueue", method=method_id, bytes=max_payload)
         # Wire layout [trace word][deadline word][payload], each word
         # announced by its flag (stripped in _process_request_block).
         words: tuple = ()
-        if (
-            self._trace_explicit
-            and self.trace is not None
-            and not flags & Flags.TRACE_CTX
-        ):
+        if self._trace_explicit and trace is not None and not flags & Flags.TRACE_CTX:
             # Explicit-context mode: bind the trace id now and spend 8
             # bytes to carry it (the only mode that keeps replayed/retried
             # requests correlated).
-            word = self.trace.collector.next_context_word()
+            word = trace.collector.next_context_word()
             if trace_ctx is not None and trace_ctx.tid is None:
                 trace_ctx.tid = ("ctx", word)
             words = (word,)
@@ -709,9 +693,7 @@ class ClientEndpoint(_EndpointBase):
         seq = next(self._block_seq)
         self._blocks[seq] = [out.sbuf_addr, len(ids), ids, self._spent_acks]
         self._spent_acks = []
-        pending = self._pending
-        for rid, cont in zip(ids, out.notes):
-            pending[rid] = (cont, seq)
+        self._pending.update(zip(ids, zip(out.notes, itertools.repeat(seq))))
         deadline = self.config.request_deadline_ticks
         if deadline:
             expiry = self._polls + deadline
@@ -814,17 +796,25 @@ class ClientEndpoint(_EndpointBase):
         A failing writer has no caller to raise to in here, so that one
         request is failed through its continuation — with the answer a
         handler's fault gets — and the rest is admitted all the same."""
+        # enqueue queues behind a backlog: the rest is held aside while
+        # each is admitted, and failures answered once it is back
+        backlog, self._backlog = self._backlog, deque()
+        failed = []
         admitted = False
-        while self._backlog and self.outstanding < self.id_pool.capacity:
-            entry = self._backlog.popleft()
-            try:
-                self._enqueue_now(*entry)
-            except Exception as exc:  # noqa: BLE001 — the event loop keeps running
-                self.backlog_failures += 1
-                fault = _fault(exc)
-                self._fail_backlogged(entry, fault.data, fault.flags)
-                continue
-            admitted = True
+        try:
+            while backlog and self.outstanding < self.id_pool.capacity:
+                entry = backlog.popleft()
+                try:
+                    self.enqueue(*entry)
+                except Exception as exc:  # noqa: BLE001 — the event loop keeps running
+                    failed.append((entry, _fault(exc)))
+                    continue
+                admitted = True
+        finally:
+            self._backlog = backlog
+        self.backlog_failures += len(failed)
+        for entry, fault in failed:
+            self._fail_backlogged(entry, fault.data, fault.flags)
         if admitted and self._writer is not None:
             # Ship what we admitted so the window keeps moving even while
             # a backlog remains (window progress, not the hold's decision).
@@ -839,7 +829,9 @@ class ClientEndpoint(_EndpointBase):
 
     def _process_response_block(self, reader: BlockReader) -> int:
         pending, blocks, tombstones = self._pending, self._blocks, self._tombstones
-        rbuf, trace = self.rbuf, self.trace
+        trace = self.trace
+        # every payload was proven inside the block, the block inside rbuf
+        mem, origin = memoryview(self.rbuf.buf), self.rbuf.base
         answered: list[int] = []
         for rid, flags, payload_addr, payload_size in reader.records():
             try:
@@ -862,7 +854,8 @@ class ClientEndpoint(_EndpointBase):
                 self.late_responses += 1
             else:
                 try:
-                    cont(rbuf.view(payload_addr, payload_size), flags)
+                    offset = payload_addr - origin
+                    cont(mem[offset:offset + payload_size], flags)
                 except Exception as exc:  # noqa: BLE001 — re-raised at the end of the pass
                     if self._raised is None:
                         self._raised = exc
@@ -986,9 +979,6 @@ class ServerEndpoint(_EndpointBase):
         super()._init_connection()
         # Outstanding response blocks in send order: (sbuf_addr, answered ids)
         self._outstanding_responses: deque[tuple[int, list[int]]] = deque()
-        # rid -> absolute deadline (µs) for requests that carried a
-        # deadline word, so the response-emit stage can drop late answers
-        self._deadline_by_rid: dict[int, int] = {}
 
     def register(self, method_id: int, handler: Handler) -> None:
         """Register the callback for a procedure ID (§III-D)."""
@@ -1017,7 +1007,12 @@ class ServerEndpoint(_EndpointBase):
         return handled
 
     def _process_request_block(self, reader: BlockReader) -> int:
-        # Replay the client's two-step ID bookkeeping (§IV-D).
+        """The host's one pass over a request block: replay the client's
+        ID bookkeeping (§IV-D), then per request run the registered
+        handler on its record and append the response in place.  The host
+        loop's boundary (docs/FAULTS.md §3): a handler's fault (an unknown
+        method is one) or a response writer's ends with its request, as
+        one ERROR response, counted; the block's rest is dispatched."""
         acked = reader.preamble.ack_blocks
         if acked > len(self._outstanding_responses):
             raise ProtocolError(
@@ -1032,13 +1027,14 @@ class ServerEndpoint(_EndpointBase):
 
         messages = reader.records()
         ids = self.id_pool.allocate_many(len(messages))
-        self.stats.requests_received += len(messages)
-        space, rbuf, trace = self.space, self.rbuf, self.trace
+        stats = self.stats
+        stats.requests_received += len(messages)
+        space, rbuf, trace, handlers = self.space, self.rbuf, self.trace, self._handlers
         for rid, (method_id, flags, payload_addr, payload_size) in zip(ids, messages):
             word = deadline_us = lane = 0
             if flags & (Flags.TRACE_CTX | Flags.DEADLINE):
-                # Undo _enqueue_now's prefix words, in wire order: the
-                # client opted in, whether or not this side traces or sheds.
+                # Undo enqueue's prefix words, in wire order: the client
+                # opted in, whether or not this side traces or sheds.
                 if flags & Flags.TRACE_CTX:
                     word = rbuf.read_u64(payload_addr)
                     payload_addr += 8
@@ -1061,41 +1057,48 @@ class ServerEndpoint(_EndpointBase):
                 ctx.tid = tid
                 trace.event(ctx, "deliver", rid=rid, method=method_id,
                             bytes=payload_size)
-                self._trace_by_rid[rid] = ctx
-            request = IncomingRequest(space, method_id, rid, payload_addr,
-                                      payload_size, flags, ctx, deadline_us, lane)
-            if deadline_us:
-                if now_us() >= deadline_us:
-                    # Expired on arrival: answer without invoking the
-                    # handler — no decode, no dispatch work.
-                    if ctx is not None:
-                        trace.event(ctx, "deadline_expired",
-                                    stage="host_dispatch", rid=rid)
-                    self._enqueue_response(rid, self._expired("host_dispatch"))
-                    continue
-                self._deadline_by_rid[rid] = deadline_us
+            if deadline_us and now_us() >= deadline_us:
+                # Expired on arrival: answer without invoking the
+                # handler — no decode, no dispatch work.
+                if ctx is not None:
+                    trace.event(ctx, "deadline_expired",
+                                stage="host_dispatch", rid=rid)
+                response = self._expired("host_dispatch")
+            else:
+                if ctx is not None:
+                    t0 = trace.now()
+                try:
+                    handler = handlers.get(method_id)
+                    if handler is None:
+                        raise LookupError(f"unknown method {method_id}")
+                    response = handler(tuple.__new__(IncomingRequest, (
+                        space, method_id, rid, payload_addr, payload_size,
+                        flags, ctx, deadline_us, lane)))
+                except Exception as exc:  # noqa: BLE001 — handler faults become RPC errors
+                    stats.handler_errors += 1
+                    response = _fault(exc)
+                if ctx is not None:
+                    trace.event(ctx, "dispatch", ts=t0, dur=trace.now() - t0,
+                                method=method_id, flags=response.flags)
+                if deadline_us and now_us() >= deadline_us:
+                    # The handler ran but the deadline passed meanwhile:
+                    # emitting the full response would be wasted wire.
+                    response = self._expired("response_emit")
+            try:
+                actual = self._append(response.size, response.writer or response.write_to,
+                                      rid, response.flags, rid)
+            except Exception as exc:  # noqa: BLE001 — the handler's fault, in its writer
+                if response.writer is None:
+                    raise  # plain bytes always write: no block was to be had
+                stats.handler_errors += 1
+                response = _fault(exc)
+                actual = self._append(response.size, response.write_to, rid,
+                                      response.flags, rid)
             if ctx is not None:
-                t0 = trace.now()
-            response = self._invoke(request)
-            if ctx is not None:
-                trace.event(ctx, "dispatch", ts=t0, dur=trace.now() - t0,
-                            method=method_id, flags=response.flags)
-            self._enqueue_response(rid, response)
+                trace.event(ctx, "response_emit", rid=rid, bytes=actual,
+                            flags=response.flags)
+            stats.responses_sent += 1
         return len(messages)
-
-    def _invoke(self, request: IncomingRequest) -> Response:
-        """The host loop's boundary (docs/FAULTS.md §3): resolve the
-        handler and run it in the polling thread.
-        A fault — an unknown method is one — ends with its request: the
-        one ERROR response, counted; the block's rest is dispatched."""
-        try:
-            handler = self._handlers.get(request.method_id)
-            if handler is None:
-                raise LookupError(f"unknown method {request.method_id}")
-            return handler(request)
-        except Exception as exc:  # noqa: BLE001 — handler faults become RPC errors
-            self.stats.handler_errors += 1
-            return _fault(exc)
 
     # -- response path -------------------------------------------------------------------
 
@@ -1106,35 +1109,6 @@ class ServerEndpoint(_EndpointBase):
         return Response.from_bytes(
             f"stage={stage}".encode(), flags=Flags.ERROR | Flags.EXPIRED
         )
-
-    def _enqueue_response(self, rid: int, response: Response) -> None:
-        if self._deadline_by_rid:
-            deadline_us = self._deadline_by_rid.pop(rid, 0)
-            if (
-                deadline_us
-                and not response.flags & Flags.EXPIRED
-                and now_us() >= deadline_us
-            ):
-                # The handler ran but the client's deadline passed
-                # meanwhile: emitting the full response would be wasted wire.
-                response = self._expired("response_emit")
-        try:
-            actual = self._append(response.size, response.writer or response.write_to,
-                                  rid, response.flags, rid)
-        except Exception as exc:  # noqa: BLE001 — _invoke's contract, for in-place writers
-            if response.writer is None:
-                raise  # plain bytes always write: no block was to be had
-            # The handler's fault ends with this request, not with the
-            # rest of the block being dispatched.
-            self.stats.handler_errors += 1
-            self._enqueue_response(rid, _fault(exc))
-            return
-        if self.trace is not None:
-            ctx = self._trace_by_rid.pop(rid, None)
-            if ctx is not None:
-                self.trace.event(ctx, "response_emit", rid=rid,
-                                 bytes=actual, flags=response.flags)
-        self.stats.responses_sent += 1
 
     def _on_transmit(self, out: _OutBlock) -> int:
         """A response block is remembered with the request IDs it

@@ -15,8 +15,6 @@ a live request.
 
 from __future__ import annotations
 
-from collections import deque
-
 __all__ = ["IdPoolError", "RequestIdPool"]
 
 MAX_IDS = 1 << 16
@@ -27,13 +25,16 @@ class IdPoolError(RuntimeError):
 
 
 class RequestIdPool:
-    """FIFO pool of request IDs ``0 .. capacity-1``."""
+    """FIFO pool of request IDs ``0 .. capacity-1``.  The free IDs are
+    ``_free[_head:]``, oldest first: a block's IDs are taken as one slice
+    and given back as one ``extend``."""
 
     def __init__(self, capacity: int = MAX_IDS) -> None:
         if not 1 <= capacity <= MAX_IDS:
             raise ValueError(f"capacity must be in [1, {MAX_IDS}]")
         self.capacity = capacity
-        self._free: deque[int] = deque(range(capacity))
+        self._free: list[int] = list(range(capacity))
+        self._head = 0
         self._live: set[int] = set()
 
     @property
@@ -42,29 +43,26 @@ class RequestIdPool:
 
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return len(self._free) - self._head
 
     def allocate(self) -> int:
         """Take the next ID, deterministically."""
-        try:
-            rid = self._free.popleft()
-        except IndexError:
-            raise IdPoolError(
-                f"request-ID space exhausted ({self.capacity} concurrent requests)"
-            ) from None
-        self._live.add(rid)
-        return rid
+        return self.allocate_many(1)[0]
 
     def allocate_many(self, count: int) -> list[int]:
-        """Allocate ``count`` IDs in order (one block's worth)."""
-        free = self._free
-        if count > len(free):
+        """Allocate ``count`` IDs in order (one block's worth), or none."""
+        free, head = self._free, self._head
+        if count > len(free) - head:
             raise IdPoolError(
-                f"need {count} IDs, only {len(free)} free"
+                f"request-ID space exhausted ({self.capacity} concurrent requests): "
+                f"need {count} IDs, only {len(free) - head} free"
             )
-        ids = []
-        for _ in range(count):
-            ids.append(free.popleft())
+        ids = free[head:head + count]
+        head += count
+        if head >= self.capacity:  # the taken prefix goes, amortized O(1)
+            del free[:head]
+            head = 0
+        self._head = head
         self._live.update(ids)
         return ids
 
@@ -72,16 +70,16 @@ class RequestIdPool:
         self.free_many((rid,))
 
     def free_many(self, ids) -> None:
-        """Free ``ids`` in order (one acknowledged block's worth)."""
-        remove, append = self._live.remove, self._free.append
-        for rid in ids:
-            try:
-                remove(rid)
-            except KeyError:
-                raise IdPoolError(f"request ID {rid} is not live") from None
-            append(rid)
+        """Free ``ids`` in order (one acknowledged block's worth), or none
+        of them: an ID that is not live, or is given twice, raises."""
+        live = self._live
+        if not live.issuperset(ids) or len(set(ids)) != len(ids):
+            raise IdPoolError(f"request IDs {list(ids)} are not live once each")
+        live.difference_update(ids)
+        self._free.extend(ids)
 
     def fingerprint(self) -> tuple[int, int, int]:
         """A cheap synchronization probe: (live, free, next-ID).  Two
         synchronized pools always agree on this triple."""
-        return (len(self._live), len(self._free), self._free[0] if self._free else -1)
+        free, head = self._free, self._head
+        return (len(self._live), len(free) - head, free[head] if len(free) > head else -1)

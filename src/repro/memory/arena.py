@@ -25,10 +25,11 @@ class Arena:
 
     The arena does not own memory; it hands out addresses within a span the
     caller has already mapped (typically a block payload inside a send
-    buffer).  Writes go through the provided address space.
+    buffer).  Writes go through the provided address space.  The DPU
+    engine points one arena at each request's span by storing its fields.
     """
 
-    __slots__ = ("space", "base", "size", "_top")
+    __slots__ = ("space", "base", "size", "top")
 
     def __init__(self, space: AddressSpace | MemoryRegion, base: int, size: int) -> None:
         if size <= 0:
@@ -36,15 +37,15 @@ class Arena:
         self.space = space
         self.base = base
         self.size = size
-        self._top = base
+        self.top = base  # the next free address
 
     @property
     def used(self) -> int:
-        return self._top - self.base
+        return self.top - self.base
 
     @property
     def remaining(self) -> int:
-        return self.base + self.size - self._top
+        return self.base + self.size - self.top
 
     def allocate(self, size: int, alignment: int = 8) -> int:
         """Reserve ``size`` bytes; returns the virtual address.
@@ -54,13 +55,13 @@ class Arena:
         """
         if size < 0:
             raise ValueError("size must be non-negative")
-        addr = (self._top + alignment - 1) & ~(alignment - 1)
+        addr = (self.top + alignment - 1) & ~(alignment - 1)
         if addr + size > self.base + self.size:
             raise ArenaExhausted(
                 f"arena needs {size} bytes @ {alignment}, "
                 f"only {self.remaining} remain"
             )
-        self._top = addr + size
+        self.top = addr + size
         return addr
 
     def allocate_bytes(self, data) -> int:
@@ -73,4 +74,4 @@ class Arena:
 
     def reset(self) -> None:
         """Recycle the arena (block acknowledged)."""
-        self._top = self.base
+        self.top = self.base

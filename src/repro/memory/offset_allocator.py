@@ -68,10 +68,6 @@ class OffsetAllocator:
         """True when nothing is allocated (range fully recycled)."""
         return not self._live
 
-    def live_allocations(self) -> list[tuple[int, int]]:
-        """[(offset, reserved_size)] of live allocations, for debugging."""
-        return [(off, span[1]) for off, span in sorted(self._live.items())]
-
     # -- allocate / free -----------------------------------------------------
 
     def allocate(self, size: int, alignment: int = 1) -> int:

@@ -214,9 +214,6 @@ class TraceCollector:
             self._recorders[component] = rec
         return rec
 
-    def new_context(self, **attrs) -> TraceContext:
-        return TraceContext(**attrs)
-
     def next_context_word(self) -> int:
         """Collector-unique id for the explicit on-wire context word."""
         return next(self._context_words)

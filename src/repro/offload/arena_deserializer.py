@@ -38,6 +38,7 @@ from repro.abi.cpp_types import REPEATED_HEADER, LibcxxString, LibstdcxxString
 from repro.memory import Arena
 from repro.proto.descriptor import FieldType
 from repro.proto.deserializer import DECODE_MODES, decode_varint_value, skip_field
+from repro.proto.gen_codec import PLAN_METRICS
 from repro.proto.kinds import KINDS
 from repro.proto.utf8 import validate_utf8
 from repro.proto.wire_format import (
@@ -61,7 +62,7 @@ class DeserializeError(WireFormatError):
     """Offloaded deserialization failed (bad wire data)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class DeserializeStats:
     """Operation census for the cost model (reset per measurement)."""
 
@@ -142,13 +143,19 @@ class ArenaDeserializer:
         object in ``arena``; returns the object's virtual address.
 
         Dispatches on the deserializer's current ``mode``: the generated
-        straight-line decoders (the default) or the interpretive oracle.
+        straight-line decoders (the default; the root's is looked up
+        here, as ``ArenaGenCache.decoder`` does) or the interpretive oracle.
         """
         mode = self.mode
         if mode == "generated":
             buf = wire if isinstance(wire, (bytes, memoryview)) else bytes(wire)
             cache = self._gen_cache or self.gen_plans
-            return cache.parse_message(root_index, buf, 0, len(buf), arena, 1)
+            decode = cache.decoders[root_index]
+            if decode is None:
+                decode = cache.compile(root_index)
+            else:
+                PLAN_METRICS.gen_cache_hits += 1
+            return decode(buf, 0, len(buf), arena, 1, 0)
         if mode != "interpretive":
             raise ValueError(f"unknown arena decode mode {mode!r}")
         buf = bytes(wire)
@@ -377,7 +384,9 @@ class ArenaDeserializer:
         ``(obj, mem, o)`` — address, the region's buffer and the object's
         offset in it.  The caller then stores at ``mem[o + offset]`` for
         the ADT offsets :meth:`check_entry_layout` proved inside the
-        object.  Both tiers place every object here: one nesting check."""
+        object.  The interpretive and fixed-wire tiers place here; a
+        generated decoder places its own object with the same lines
+        (:mod:`repro.offload.arena_gen`), nesting checked by its parent."""
         if depth > MAX_NESTING_DEPTH:
             raise DeserializeError(f"messages nest deeper than {MAX_NESTING_DEPTH}")
         sizeof = entry.sizeof

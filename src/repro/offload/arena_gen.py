@@ -18,14 +18,16 @@ the source as literals:
   clear masks) as straight-line stores;
 * the child entry index for message fields.
 
-An object's memory is checked once, then stored to: ``parse_message`` /
-``parse_into`` bounds-check ``[obj, obj + sizeof)`` and hand the decoder
-the region's buffer ``mem`` and the object's offset ``o`` in it; every
-in-object store is ``mem[o + LITERAL ...]`` with the literal proven
-``< sizeof`` at compile time (``check_entry_layout``) and every slice
-store the exact width of its slot — a wrong-length slice store would
-resize a ``bytearray`` or fail on a shared-memory view, so it must be
-impossible by construction.
+An object's memory is checked once, then stored to: the decoder places
+its object (or takes the one a first occurrence built), bounds-checks
+``[obj, obj + sizeof)`` and keeps the region's buffer ``mem`` and the
+object's offset ``o`` in it; every in-object store is
+``mem[o + LITERAL ...]`` with the literal proven ``< sizeof`` at compile
+time (``check_entry_layout``) and every slice store the exact width of
+its slot — a wrong-length slice store raises on both stores a region
+has (``IndexError`` on its ``mmap``, ``ValueError`` on a shared-memory
+view) after nothing was stored, so it must be impossible by
+construction.
 
 Decoders are compiled lazily per entry and cached on the
 :class:`ArenaGenCache` owned by the deserializer, keyed by ADT index;
@@ -47,6 +49,7 @@ import struct
 from repro.abi import PRIMITIVES
 from repro.proto.descriptor import FieldType
 from repro.proto.gen_codec import (
+    DESCEND,
     PLAN_METRICS,
     READ_VARINT,
     compile_codec,
@@ -69,9 +72,10 @@ class ArenaGenCache:
     """Per-deserializer store of generated decoders, keyed by ADT entry
     index.
 
-    ``parse_message`` / ``parse_into`` mirror the interpretive
-    ``_parse_message`` / ``_parse_into``; each entry's tag dispatch is one
-    compiled straight-line function.  Charges the exact
+    Each entry's decoder is one compiled straight-line function that
+    places its object and decodes into it — the interpretive
+    ``_parse_message`` / ``_parse_into`` in one; a message field calls
+    its child's.  Charges the exact
     :class:`~repro.offload.arena_deserializer.DeserializeStats` census the
     interpretive path charges.
     """
@@ -79,15 +83,16 @@ class ArenaGenCache:
     def __init__(self, deser) -> None:
         self.deser = deser
         self.stats = deser.stats
-        self._decoders: list = [None] * len(deser.adt.entries)
+        #: ADT index -> compiled decoder, None until its first use
+        self.decoders: list = [None] * len(deser.adt.entries)
         self._sources: list[str | None] = [None] * len(deser.adt.entries)
 
     # -- cache ---------------------------------------------------------------
 
     def decoder(self, index: int):
-        fn = self._decoders[index]
+        fn = self.decoders[index]
         if fn is None:
-            fn = self._compile(index)
+            fn = self.compile(index)
         else:
             PLAN_METRICS.gen_cache_hits += 1
         return fn
@@ -95,19 +100,6 @@ class ArenaGenCache:
     def source(self, index: int) -> str:
         self.decoder(index)
         return self._sources[index]
-
-    # -- driving loop --------------------------------------------------------
-
-    def parse_message(self, index: int, buf, pos: int, end: int, arena, depth: int) -> int:
-        deser = self.deser
-        decode = self.decoder(index)  # compiled (and its layout proven) first
-        obj, mem, o = deser.place_object(deser.adt.entries[index], arena, depth)
-        decode(mem, o, obj, buf, pos, end, arena, depth)
-        return obj
-
-    def parse_into(self, index: int, obj: int, buf, pos: int, end: int, arena, depth: int) -> None:
-        region = arena.space.region_of(obj, self.deser.adt.entry(index).sizeof)
-        self.decoder(index)(region.buf, obj - region.base, obj, buf, pos, end, arena, depth)
 
     # -- source generation ---------------------------------------------------
 
@@ -142,22 +134,18 @@ class ArenaGenCache:
                     ]
 
             if kind is FieldType.MESSAGE:
-                child = f.child
-                body = read_length("submessage")
+                child = f"_decoder({f.child})(buf, pos, npos, arena, depth + 1, {{}})"
+                body = [*read_length("submessage"), *DESCEND]
                 if f.repeated:
-                    body += [
-                        f"addr = _cache.parse_message({child}, buf, pos, npos, arena, depth + 1)",
-                        keep.format("addr"),
-                    ]
+                    body.append(keep.format(child.format(0)))
                 else:  # proto3 merge: a second occurrence parses into the first
                     body += [
                         *clear,
                         f"existing = _ru64(mem, o + {offset})[0]",
                         "if existing == 0:",
-                        f"    addr = _cache.parse_message({child}, buf, pos, npos, arena, depth + 1)",
-                        f"    _wu64(mem, o + {offset}, addr)",
+                        f"    _wu64(mem, o + {offset}, {child.format(0)})",
                         "else:",
-                        f"    _cache.parse_into({child}, existing, buf, pos, npos, arena, depth + 1)",
+                        f"    {child.format('existing')}",
                         *set_has,
                     ]
                 body.append("pos = npos")
@@ -224,13 +212,17 @@ class ArenaGenCache:
 
     def entry_source(self, index: int) -> tuple[str, dict]:
         """Build one entry's decode-function source and exec namespace:
-        the shared loop with the arena back end's branches.  Unknown
-        fields are dropped — a C++ object carries no unknown set."""
+        ``place_object``'s lines (``obj`` 0; any other ``obj`` is the one
+        a first occurrence built, merged into), then the shared loop with
+        the arena back end's branches; it returns the object's address.
+        Unknown fields are dropped — a C++ object has no unknown set."""
         entry = self.deser.adt.entry(index)
-        full_name = entry.full_name
+        full_name, sizeof = entry.full_name, entry.sizeof
+        # repeated fields collect in ``pending`` and materialize at the end
+        repeated = any(f.repeated for f in entry.fields)
         ns = loop_namespace(full_name, DeserializeError, entry.fields)
         ns.update(
-            _cache=self,
+            _decoder=self.decoder,
             _mat=self.deser._materialize_repeated,
             _fbn=entry.field_by_number,
             _ws=self.deser._write_string,
@@ -238,31 +230,49 @@ class ArenaGenCache:
             _serr=struct.error,
             _ru64=PRIMITIVES["pointer"].codec.unpack_from,
             _wu64=PRIMITIVES["pointer"].codec.pack_into,
+            _default=entry.default_bytes,
             stats=self.stats,
         )
         source = tag_loop(
             [
                 f"# generated arena decoder for {full_name} (ADT entry {index})",
-                "def _decode(mem, o, obj, buf, pos, end, arena, depth):",
+                "def _decode(buf, pos, end, arena, depth, obj):",
             ],
-            setup=["pending = {}"],
+            setup=[
+                "placed = not obj",
+                "if placed:",
+                f"    obj = arena.allocate({sizeof}, {entry.alignof})",
+                f"region = arena.space.region_of(obj, {sizeof})",
+                "mem = region.buf",
+                "o = obj - region.base",
+                "if placed:",
+                f"    mem[o:o + {sizeof}] = _default",
+                f"    stats.bytes_memcpy += {sizeof}",
+                "    stats.messages += 1",
+                "    if depth > stats.max_depth:",
+                "        stats.max_depth = depth",
+                *(["pending = {}"] if repeated else []),
+            ],
             each_tag=[],
             branches=self._field_branches(entry, ns),
             after_unknown=[],
             caught="(_Wfe, ValueError, _serr)",
             tail=[
-                "if pending:",
-                "    for number, values in pending.items():",
-                "        _mat(_fbn(number), obj, values, arena)",
+                *([
+                    "if pending:",
+                    "    for number, values in pending.items():",
+                    "        _mat(_fbn(number), obj, values, arena)",
+                ] if repeated else []),
+                "return obj",
             ],
         )
         return source, ns
 
-    def _compile(self, index: int):
+    def compile(self, index: int):
         entry = self.deser.adt.entry(index)
         self.deser.check_entry_layout(entry)
         self._sources[index], ns = compile_codec(
             lambda: self.entry_source(index), f"<gen_arena {entry.full_name}>", PLAN_METRICS
         )
-        fn = self._decoders[index] = ns["_decode"]
+        fn = self.decoders[index] = ns["_decode"]
         return fn

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.abi import AbiConfig, check_compatibility
@@ -203,7 +204,7 @@ class HostEngine:
                 # that space in the response block, and the wire bytes
                 # are emitted there directly (no intermediate bytes).
                 size, writer = emit_writer(result)
-                return Response(size, writer)
+                return tuple.__new__(Response, (size, writer, None, Flags.NONE))
             if isinstance(result, Response):
                 return result
             return Response.from_bytes(result)
@@ -254,6 +255,9 @@ class DpuEngine:
         self.method_table: dict[int, int] = {}
         self.method_names: dict[int, str] = {}
         self.deserializer: ArenaDeserializer | None = None
+        #: every request is decoded into it (:meth:`_decode_into`)
+        sbuf = channel.client.sbuf
+        self._arena = Arena(sbuf, sbuf.base, sbuf.size)
         self.stats = DeserializeStats()
         #: crash simulation (docs/FAULTS.md): while set, :meth:`call`
         #: raises EngineCrashedError; the transport underneath stays up,
@@ -379,28 +383,31 @@ class DpuEngine:
         trace = self.trace
         if trace is not None and trace_ctx is None:
             trace_ctx = trace.context()
-
-        def writer(space, addr: int) -> int:
-            # One resolution per request: everything the decoder writes
-            # lies in [addr, addr + estimate), inside this one region.
-            arena = Arena(space.region_of(addr, estimate), addr, estimate)
-            # The offloaded stage itself: wire bytes -> in-block C++ object,
-            # timed from inside the block writer so the span covers exactly
-            # the arena deserialization.
-            t0 = trace.now() if trace is not None else 0
-            obj = decode(root, wire_bytes, arena)
-            if trace is not None:
-                trace.event(trace_ctx, "deserialize", ts=t0,
-                            dur=trace.now() - t0, bytes=len(wire_bytes),
-                            object=arena.used,
-                            mode="fixed" if fixed else deserializer.mode)
-            if obj != addr:
-                raise AdtError("root object must sit at the payload start")
-            return arena.used
-
         self.channel.client.enqueue(
-            method_id, estimate, writer, on_response, Flags.NONE, trace_ctx, deadline,
+            method_id, estimate,
+            partial(self._decode_into, decode, root, wire_bytes, estimate, fixed, trace_ctx),
+            on_response, Flags.NONE, trace_ctx, deadline,
         )
+
+    def _decode_into(self, decode, root: int, wire_bytes, estimate: int, fixed: bool,
+                     trace_ctx, space, addr: int) -> int:
+        """A request's payload writer, as a ``partial`` over its arguments
+        (no closure): the offloaded stage — wire bytes -> in-block C++
+        object.  The engine's arena is pointed at the ``estimate`` bytes
+        the open block reserved at ``addr``; returns the bytes used."""
+        arena = self._arena
+        arena.space, arena.base, arena.size, arena.top = space, addr, estimate, addr
+        trace = self.trace if trace_ctx is not None else None
+        t0 = trace.now() if trace is not None else 0
+        obj = decode(root, wire_bytes, arena)
+        used = arena.top - addr
+        if trace is not None:
+            trace.event(trace_ctx, "deserialize", ts=t0,
+                        dur=trace.now() - t0, bytes=len(wire_bytes), object=used,
+                        mode="fixed" if fixed else self.deserializer.mode)
+        if obj != addr:
+            raise AdtError("root object must sit at the payload start")
+        return used
 
     def progress(self, budget: int | None = None) -> int:
         return self.channel.client.progress(budget)

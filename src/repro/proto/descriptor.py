@@ -140,18 +140,13 @@ class EnumDescriptor:
     values: list[EnumValueDescriptor] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._by_number: dict[int, EnumValueDescriptor] = {}
         self._by_name: dict[str, EnumValueDescriptor] = {}
         for v in self.values:
-            self._by_number.setdefault(v.number, v)
             if v.name in self._by_name:
                 raise DescriptorError(f"enum {self.full_name}: duplicate value name {v.name!r}")
             self._by_name[v.name] = v
         if self.values and self.values[0].number != 0:
             raise DescriptorError(f"enum {self.full_name}: first value must be zero in proto3")
-
-    def value_by_number(self, number: int) -> EnumValueDescriptor | None:
-        return self._by_number.get(number)
 
     def value_by_name(self, name: str) -> EnumValueDescriptor | None:
         return self._by_name.get(name)

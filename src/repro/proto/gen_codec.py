@@ -220,6 +220,13 @@ READ_VARINT = (
 )
 
 
+#: The one nesting limit, checked before descending to ``depth + 1``.
+DESCEND = (
+    f"if depth >= {MAX_NESTING_DEPTH}:",
+    f"    raise _Wfe('messages nest deeper than {MAX_NESTING_DEPTH}')",
+)
+
+
 def read_length(what: str) -> list[str]:
     """A length prefix: leaves the ``n`` payload bytes at ``buf[pos:npos]``,
     proven inside the enclosing message."""
@@ -418,11 +425,7 @@ def _decode_branches(
             ns[f"_c{i}"] = get_gen_decoder(fd.message_type, factory)
             ns[f"_cls{i}"] = factory.get_class(fd.message_type)
             # (a message without a sub-message never looks at the depth)
-            descend = [
-                f"if depth >= {MAX_NESTING_DEPTH}:",
-                f"    raise _Wfe('messages nest deeper than {MAX_NESTING_DEPTH}')",
-                f"_c{i}.decode_into(sub, buf, pos, npos, depth + 1)",
-            ]
+            descend = [*DESCEND, f"_c{i}.decode_into(sub, buf, pos, npos, depth + 1)"]
             if fd.is_repeated:
                 body = head + read_length("submessage") + [
                     f"sub = _cls{i}()", *descend, "_la(lst, sub)",

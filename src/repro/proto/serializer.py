@@ -239,18 +239,30 @@ def prepare_emit(msg: Message, mode: str | None = None):
 def emit_writer(msg: Message, mode: str | None = None):
     """``(size, writer)`` for the block datapath: ``writer(space, addr)``
     emits ``msg``'s wire bytes directly into the registered send region
-    via ``space.view`` and returns the payload size — the shape
-    ``core.endpoint`` expects from ``Response.writer`` / ``enqueue``.
-    Once the class's encoder is bound, the size pass runs straight from
-    here; the writer emits through the measured message's one
-    ``emit_into``."""
-    encoder = type(msg)._ENCODER if mode is None or mode == "generated" else None
-    sized = prepare_emit(msg, mode) if encoder is None else _gen_codec.SizedMessage(encoder, msg)
-    size = sized.size
-    emit_into = sized.emit_into
+    and returns the payload size — the shape ``core.endpoint`` expects
+    from ``Response.writer`` / ``enqueue``.  The size pass runs here; the
+    writer calls the generated ``_emit`` once, into ``space.view(addr,
+    size)`` — the room check: exactly ``size`` bytes, proven inside the
+    region, and no store can leave a view."""
+    encoder = (mode is None and type(msg)._ENCODER) or _encoder_for(msg, mode)
+    if encoder is None:  # the interpretive oracle: materialized, then copied
+        data = _serialize_bytes(msg)
+
+        def write_bytes(space, addr: int) -> int:
+            space.view(addr, len(data))[:] = data
+            return len(data)
+
+        return len(data), write_bytes
+    memo: dict = {}
+    size = encoder._size(msg, memo)
+    emit, full_name = encoder._emit, encoder.full_name
 
     def writer(space, addr: int) -> int:
-        emit_into(space.view(addr, size), 0)
+        emit(msg, space.view(addr, size), 0, memo)
+        metrics = _gen_codec.ENCODE_PLAN_METRICS  # as SizedMessage.emit_into counts
+        metrics.encodes[full_name] = metrics.encodes.get(full_name, 0) + 1
+        metrics.bytes_emitted += size
+        metrics.copies_avoided += 1
         return size
 
     return size, writer

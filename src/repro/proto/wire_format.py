@@ -138,6 +138,10 @@ def write_varint(buf, pos: int, value: int) -> int:
     return pos + 1
 
 
+#: the shift of each of a varint's at most ten bytes
+_SHIFTS = tuple(range(0, 64, 7))
+
+
 def read_varint(buf, pos: int) -> tuple[int, int]:
     """Decode one varint from ``buf`` starting at ``pos``.
 
@@ -146,21 +150,18 @@ def read_varint(buf, pos: int) -> tuple[int, int]:
     longer than 10 bytes (malformed).
     """
     result = 0
-    shift = 0
-    end = len(buf)
-    while True:
-        if pos >= end:
-            raise TruncatedMessageError("varint extends past end of buffer")
-        byte = buf[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            if shift == 63 and byte > 1:
-                raise WireFormatError("varint exceeds 64 bits")
-            return result & _U64_MASK, pos
-        shift += 7
-        if shift >= 64:
-            raise WireFormatError("varint longer than 10 bytes")
+    try:
+        for shift in _SHIFTS:
+            byte = buf[pos]
+            pos += 1
+            if byte < 0x80:
+                if shift == 63 and byte > 1:
+                    raise WireFormatError("varint exceeds 64 bits")
+                return result | byte << shift, pos
+            result |= (byte & 0x7F) << shift
+    except IndexError:
+        raise TruncatedMessageError("varint extends past end of buffer") from None
+    raise WireFormatError("varint longer than 10 bytes")
 
 
 def varint_size(value: int) -> int:

@@ -116,8 +116,7 @@ class OffloadedXrpcServer(Ingress):
             self.fallback_requests += 1
             forward = dpu.call_raw
         try:
-            forward(method_id, payload, on_response, trace_ctx=ctx,
-                    wire_mode=wire_mode, deadline=deadline_word)
+            forward(method_id, payload, on_response, ctx, wire_mode, deadline_word)
         except EngineCrashedError:
             # Crash raced the check: same degradation, same request.
             self.fallback_requests += 1

@@ -38,7 +38,7 @@ hash matches (docs/PROTOCOL.md).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.proto.fixed_wire import WIRE_FIXED, WIRE_STANDARD
 
@@ -96,8 +96,10 @@ class StatusCode:
 REQ_FLAG_DEADLINE = 0x01
 
 
-@dataclass(slots=True)
-class Frame:
+class Frame(NamedTuple):
+    """One decoded frame, built by :meth:`FrameDecoder.frames` as the
+    tuple it is (no Python-level ``__new__`` per frame)."""
+
     frame_type: int
     call_id: int
     status: int
@@ -241,18 +243,21 @@ class FrameDecoder:
         frame, after the frames before it; it stays failed (the bytes
         are kept), so the owner closes the connection."""
         buf = self._buf
-        header_size, prefix_size = _HEADER.size, _PREFIX.size
+        header, prefix = _HEADER.unpack_from, _PREFIX.unpack_from
+        header_size, prefix_size, deadline_size = _HEADER.size, _PREFIX.size, _DEADLINE.size
+        new = tuple.__new__
+        request, last = FrameType.REQUEST, FrameType.SETUP_ACK
         while True:
             start = self._pos
             if len(buf) - start < header_size:
                 break
-            frame_type, call_id, status, method_len = _HEADER.unpack_from(buf, start)
-            if not FrameType.REQUEST <= frame_type <= FrameType.SETUP_ACK:
+            frame_type, call_id, status, method_len = header(buf, start)
+            if not request <= frame_type <= last:
                 raise FramingError(f"unknown frame type {frame_type}")
             pos = start + header_size
             end = pos + method_len
-            has_deadline = frame_type == FrameType.REQUEST and status & REQ_FLAG_DEADLINE
-            if len(buf) < end + (_DEADLINE.size if has_deadline else 0) + prefix_size:
+            has_deadline = frame_type == request and status & REQ_FLAG_DEADLINE
+            if len(buf) < end + (deadline_size if has_deadline else 0) + prefix_size:
                 break
             try:
                 method = str(buf[pos:end], "utf-8")
@@ -261,12 +266,11 @@ class FrameDecoder:
             deadline_word = 0
             if has_deadline:
                 (deadline_word,) = _DEADLINE.unpack_from(buf, end)
-                end += _DEADLINE.size
-            wire_mode, msg_len = _PREFIX.unpack_from(buf, end)
-            if wire_mode not in (WIRE_STANDARD, 1, WIRE_FIXED):
-                raise FramingError(f"bad compressed flag {wire_mode}")
-            if wire_mode == 1:
-                raise FramingError("compressed messages are not supported")
+                end += deadline_size
+            wire_mode, msg_len = prefix(buf, end)
+            if wire_mode != WIRE_STANDARD and wire_mode != WIRE_FIXED:
+                raise FramingError("compressed messages are not supported" if wire_mode == 1
+                                   else f"bad compressed flag {wire_mode}")
             pos = end + prefix_size
             end = pos + msg_len
             if len(buf) < end:
@@ -275,8 +279,8 @@ class FrameDecoder:
             # may resize the buffer between two frames.
             message = bytes(memoryview(buf)[pos:end])
             self._pos = end
-            yield Frame(frame_type, call_id, status, method, message, wire_mode,
-                        deadline_word)
+            yield new(Frame, (frame_type, call_id, status, method, message, wire_mode,
+                              deadline_word))
         if self._pos:
             del buf[: self._pos]
             self._pos = 0

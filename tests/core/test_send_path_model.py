@@ -188,7 +188,6 @@ class Model:
         assert stats.requests_received == stats.responses_sent == (
             self.sendable - len(self.expected))
         assert stats.handler_errors == self.failed_answers
-        assert not server._deadline_by_rid
         # ...and a response block is remembered with the IDs it answers
         assert len(server._open_notes) == (
             server._writer.message_count if server._writer is not None else 0)

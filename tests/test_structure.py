@@ -417,22 +417,25 @@ def test_the_front_door_is_the_only_broad_handler_under_xrpc():
 def test_the_endpoint_turns_an_exception_into_an_answer_in_three_places():
     """Backlog admission (no caller to raise to), the host's handler
     boundary, and the in-place response writer (which runs after the
-    boundary returned) — each through the one fault function.  The only other broad handlers
-    re-raise: the appender's clean-up, and the client's response block,
-    which delivers the rest of the pass before the first continuation's
-    exception reaches the event loop."""
+    boundary returned) — each through the one fault function; the last
+    two in the host's one pass over a request block.  The only other
+    broad handlers re-raise: the appender's clean-up, and the client's
+    response block, which delivers the rest of the pass before the first
+    continuation's exception reaches the event loop."""
     endpoint = SRC / "core" / "endpoint.py"
     assert _broad_handlers(endpoint) == [
-        "_append", "_drain_backlog", "_enqueue_response", "_invoke",
+        "_append", "_drain_backlog", "_process_request_block", "_process_request_block",
         "_process_response_block"]
-    assert _callers(endpoint, "_fault") == {"_drain_backlog", "_enqueue_response", "_invoke"}
+    assert _callers(endpoint, "_fault") == {"_drain_backlog", "_process_request_block"}
     # ...and it is the only place an exception's repr becomes a payload
     tree = ast.parse(endpoint.read_text())
     owner = _enclosing_functions(tree)
     assert {owner[node] for node in ast.walk(tree)
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "repr"} == {"_fault"}
     # the handler is resolved and run in one function, in the poller
-    assert _callers(endpoint, "_invoke") == {"_process_request_block"}
+    assert {owner[node] for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_handlers"
+            and isinstance(node.ctx, ast.Load)} == {"register", "_process_request_block"}
 
 
 @pytest.mark.parametrize("status, functions", [
