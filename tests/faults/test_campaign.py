@@ -164,3 +164,22 @@ class TestCampaign:
         assert not report.ok
         assert report.render().endswith("FAIL")
         assert "VIOLATION" in bad.render()
+
+
+#: SHA-256 over the newline-joined fingerprints of seed 0's first 20
+#: core + offloaded scenarios and then its first 20 overload scenarios,
+#: recorded before the per-block send and receive path was cut to one
+#: straight line.  A fingerprint hashes every injected fault and every
+#: completion count, so a change that renumbers a completion, reorders
+#: a receive-WQE repost or moves an injector opportunity moves it.
+CAMPAIGN_DIGEST = "d4a165c9ec1cac9176f9a694782a61b04438eb77cdae482643d7fb077aceb142"
+
+
+def test_seed_zero_campaign_fingerprints_are_the_recorded_ones():
+    import hashlib
+
+    results = (run_campaign(base_seed=0, scenarios=20).results
+               + run_campaign(base_seed=0, scenarios=20, deployments=("overload",)).results)
+    assert all(result.ok for result in results)
+    joined = "\n".join(result.fingerprint for result in results)
+    assert hashlib.sha256(joined.encode()).hexdigest() == CAMPAIGN_DIGEST
