@@ -31,9 +31,6 @@ from .wire import (
     Flags,
     MessageHeader,
     Preamble,
-    bucket_to_offset,
-    compute_block_checksum,
-    offset_to_bucket,
 )
 
 __all__ = [
@@ -69,7 +66,4 @@ __all__ = [
     "Flags",
     "MessageHeader",
     "Preamble",
-    "bucket_to_offset",
-    "compute_block_checksum",
-    "offset_to_bucket",
 ]

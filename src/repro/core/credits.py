@@ -18,39 +18,35 @@ class CreditError(RuntimeError):
 
 
 class CreditManager:
-    """Counter with floor 0 and ceiling ``initial``."""
+    """Counter with floor 0 and ceiling ``initial``.  Its fields are the
+    state: an endpoint's send path takes and returns a block's credit by
+    the rules of :meth:`consume` and :meth:`replenish` in place (one per
+    block, no call)."""
 
     def __init__(self, initial: int) -> None:
         if initial < 1:
             raise ValueError("initial credits must be >= 1")
         self.initial = initial
-        self._credits = initial
+        self.available = initial
         #: lowest value ever observed; the paper's experiments require the
         #: credits "never reach zero" — this makes that checkable.
         self.low_watermark = initial
         self.stalls = 0  # times a send found zero credits
 
-    @property
-    def available(self) -> int:
-        return self._credits
-
-    def can_send(self) -> bool:
-        return self._credits > 0
-
     def consume(self) -> bool:
         """Take one credit; returns False (and counts a stall) at zero."""
-        if self._credits == 0:
+        if self.available == 0:
             self.stalls += 1
             return False
-        self._credits -= 1
-        self.low_watermark = min(self.low_watermark, self._credits)
+        self.available -= 1
+        self.low_watermark = min(self.low_watermark, self.available)
         return True
 
     def replenish(self, count: int = 1) -> None:
         if count < 0:
             raise ValueError("count must be non-negative")
-        if self._credits + count > self.initial:
+        if self.available + count > self.initial:
             raise CreditError(
-                f"replenish overflows: {self._credits} + {count} > {self.initial}"
+                f"replenish overflows: {self.available} + {count} > {self.initial}"
             )
-        self._credits += count
+        self.available += count

@@ -39,14 +39,15 @@ pass, a plain method that a :class:`~repro.runtime.engine.ProgressEngine`
 the engine's own polls are counted, scheduled and supervised.  Both
 roles send through one path — ``_append`` puts a message into the open
 block, ``_send`` seals it and transmits queued blocks as credits allow,
-``flush`` / ``_flush_by_policy`` decide when a partial one goes (after
-``flush_hold`` passes; 0, every pass) — whose rules docs/PROTOCOL.md §3
+``flush`` and each ``progress`` pass decide when a partial one goes
+(after ``flush_hold`` passes; 0, every pass) — whose rules docs/PROTOCOL.md §3
 "Sender rules" states once; and receive through one, ``_receive``.
 """
 
 from __future__ import annotations
 
 import itertools
+import zlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -60,21 +61,25 @@ from repro.memory import (
 from repro.proto.wire_format import WireFormatError
 from repro.metrics.registry import counter, gauge
 from repro.rdma import CompletionQueue, Opcode, QpState, QueuePair, WcStatus, WorkRequest
+
+_WRITE_IMM, _RECV_IMM, _RECV = Opcode.RDMA_WRITE_WITH_IMM, Opcode.RECV_RDMA_WITH_IMM, Opcode.RECV
+_QP_ERROR, _SUCCESS = QpState.ERROR, WcStatus.SUCCESS
 from repro.runtime.overload import now_us, unpack_deadline
 
 from .config import ProtocolConfig
-from .credits import CreditManager
+from .credits import CreditError, CreditManager
 from .idpool import RequestIdPool
 from .wire import (
+    PREAMBLE,
     PREAMBLE_SIZE,
+    BlockFormatError,
     BlockReader,
     BlockWriter,
     Flags,
     MessageTooLarge,
+    Preamble,
     ProtocolError,
-    bucket_to_offset,
-    offset_to_bucket,
-    stamp_transmit,
+    read_block,
 )
 
 __all__ = [
@@ -298,6 +303,8 @@ class _EndpointBase:
         # peer (the peer's credit limit bounds that; the factory passes it
         # in), plus slack for the repost that replenishes.
         self._recv_slots = recv_slots if recv_slots is not None else config.credits
+        # the BlockWriter re-aimed at each block opened (built with the first)
+        self._block_writer: BlockWriter | None = None
         self._init_connection()
 
     def _init_connection(self) -> None:
@@ -373,8 +380,14 @@ class _EndpointBase:
             need = PREAMBLE_SIZE + 8 + 8 + 8 + reserve + 16
             capacity = max(config.block_size,
                            -(-need // config.block_alignment) * config.block_alignment)
-            writer = self._writer = BlockWriter(
-                self.sbuf, self._alloc_block(capacity), capacity)
+            addr = self._alloc_block(capacity)
+            writer = self._block_writer
+            if writer is None:
+                writer = self._block_writer = BlockWriter(self.sbuf, addr, capacity)
+            else:  # inside the send buffer: the allocator's span
+                writer.base, writer.end, writer.cursor, writer.message_count = (
+                    addr, addr + capacity, addr + PREAMBLE_SIZE, 0)
+            self._writer = writer
         try:
             actual = writer.put_message(self.sbuf, reserve, write, method_or_id, flags, words)
         except BaseException:
@@ -400,11 +413,11 @@ class _EndpointBase:
         return actual
 
     def _send(self, reason: str | None = None) -> None:
-        """Seal the open block, counting ``reason``, when one is given;
-        then transmit queued blocks, oldest first, while credits remain
-        (§IV-C).  Per block, in wire order: the role's transmit-time
-        bookkeeping (:meth:`_on_transmit`), ack counter and sequence
-        stamped, one WRITE_WITH_IMM (:meth:`_post_block`)."""
+        """Seal the open block, counting ``reason``, when one is given:
+        its length is fixed and it joins the queue.  Then transmit queued
+        blocks, oldest first, while credits remain (§IV-C).  Per block,
+        in wire order: a credit taken, the role's transmit-time
+        bookkeeping (:meth:`_on_transmit`), then :meth:`_post_block`."""
         queue = self._send_queue
         if reason is not None:
             writer = self._writer
@@ -412,9 +425,10 @@ class _EndpointBase:
             traces = self._writer_traces
             count = writer.message_count
             # built as the tuple it is (a NamedTuple's __new__ is one more
-            # Python-level call); stamped at transmit, outside the body CRC
+            # Python-level call)
             out = tuple.__new__(_OutBlock, (
-                writer.base, writer.seal(), count, self._open_notes, traces or ()))
+                writer.base, writer.cursor - writer.base, count, self._open_notes,
+                traces or ()))
             if traces:
                 self._writer_traces = []
                 self._trace_seal(traces, out.length, count)
@@ -422,33 +436,47 @@ class _EndpointBase:
             self._writer = self._open_since = None
             self._queued_messages += count
             queue.append(out)
-        while queue and self.credits.consume():
+        credits = self.credits
+        while queue:
+            # CreditManager.consume, in place
+            left = credits.available
+            if not left:
+                credits.stalls += 1
+                return
+            credits.available = left = left - 1
+            if left < credits.low_watermark:
+                credits.low_watermark = left
             out = queue.popleft()
             self._queued_messages -= out.message_count
-            self._post_block(out.sbuf_addr, out.length, self._on_transmit(out))
+            self._post_block(out.sbuf_addr, out.length, out.message_count,
+                             self._on_transmit(out))
 
     def _on_transmit(self, out: _OutBlock) -> int:
         """Role hook, run as a queued block leaves: what the role
         remembers about it; returns the ack counter to stamp on it."""
         raise NotImplementedError
 
-    def _post_block(self, addr: int, length: int, ack_blocks: int) -> None:
-        """Stamp the sealed block at ``addr`` — ack counter and sequence,
-        both outside the body checksum, so the sealed CRC stays valid —
-        and WRITE_WITH_IMM it into the peer's mirrored RBuf at the same
-        offset.  Post order *is* wire order on a reliable connection, and
-        every block (data, response, pure ack) leaves through here."""
+    def _post_block(self, addr: int, length: int, count: int, ack_blocks: int) -> None:
+        """Stamp the block at ``addr`` and post it, in one step: its whole
+        preamble (count, ack counter, length, body CRC, next sequence)
+        packed once, then one WRITE_WITH_IMM into the peer's mirrored RBuf
+        at the same offset, its bucket (§IV-E) in the immediate.  Post
+        order *is* wire order, and every block leaves through here."""
         sbuf = self.sbuf
-        offset = addr - sbuf.base
+        mem, offset = sbuf.buf, addr - sbuf.base
+        bucket, misaligned = divmod(offset, self.remote_block_alignment)
+        if misaligned:
+            raise BlockFormatError(
+                f"block offset {offset:#x} not aligned to {self.remote_block_alignment}")
         self._tx_seq += 1
-        stamp_transmit(sbuf.buf, offset, ack_blocks, self._tx_seq)
-        self.qp.post_send(WorkRequest(
-            next(self._wr_ids), Opcode.RDMA_WRITE_WITH_IMM, addr, length,
-            addr,  # mirrored: same virtual address
-            offset_to_bucket(offset, self.remote_block_alignment),
-        ))
-        self.stats.blocks_sent += 1
-        self.stats.bytes_sent += length
+        crc = zlib.crc32(memoryview(mem)[offset + PREAMBLE_SIZE:offset + length]) or 1
+        PREAMBLE.pack_into(mem, offset, count, ack_blocks, length, crc, self._tx_seq)
+        # built as the tuple it is; mirrored: the same virtual address
+        self.qp.post_send(tuple.__new__(WorkRequest, (
+            next(self._wr_ids), _WRITE_IMM, addr, length, addr, bucket)))
+        stats = self.stats
+        stats.blocks_sent += 1
+        stats.bytes_sent += length
 
     def _trace_seal(self, traces, length: int, count: int) -> None:
         """Record the seal of a block whose messages were traced — unless
@@ -471,14 +499,6 @@ class _EndpointBase:
         ``flush_hold`` keeps waiting, for more messages, a few passes."""
         return self._writer is not None
 
-    def _flush_by_policy(self) -> None:
-        """Send the partial block once it has waited ``flush_hold``
-        passes: at once with no hold (reason ``eager``), else on the
-        pass the hold runs out (``deadline``)."""
-        hold = self.flush_hold
-        if self._polls - self._open_since >= hold:
-            self._send("deadline" if hold else "eager")
-
     # -- block plumbing ----------------------------------------------------------
 
     def _alloc_block(self, capacity: int) -> int:
@@ -490,55 +510,54 @@ class _EndpointBase:
 
     def _receive(self, limit: int | None, process) -> int:
         """One pass's receive path; returns what ``process`` (the role's
-        block handler) returned, summed.  ``limit`` caps the completions
-        absorbed (the engine's poll budget).  The CQ is drained first:
-        each consumed receive WQE is reposted, an out-of-band SEND (ADT
-        bootstrap) queued on ``inbound_sends``, a send completion skipped
-        (blocks are recycled by acknowledgment, §IV-B), an error
-        completion ends the connection.  Then each block is opened on our
-        RBuf and handed to ``process`` before the next is opened: a
-        duplicate delivery is dropped, a sequence gap raises
-        :class:`TransportError` (the mirrored ID pools can never re-align
-        without a reset); sequence 0 (hand-built blocks) is unchecked."""
+        block handler: ack counter, records) returned, summed.  ``limit``
+        caps the completions absorbed (the engine's poll budget).  The CQ
+        is drained first: each consumed receive WQE reposted, an
+        out-of-band SEND (ADT bootstrap) queued on ``inbound_sends``, a
+        send completion skipped (blocks are recycled by acknowledgment,
+        §IV-B), an error completion ends the connection.  Then each block
+        is opened in one :func:`~repro.core.wire.read_block` and handled
+        before the next: a duplicate delivery is dropped, a sequence gap
+        raises :class:`TransportError` (the mirrored ID pools can never
+        re-align without a reset); sequence 0 (hand-built) is unchecked."""
         qp = self.qp
-        if qp.state is QpState.ERROR:
+        if qp.state is _QP_ERROR:
             # Surface the dead connection as the typed transport fault —
             # processing completions would trip on reposting receive WQEs
             # into an errored QP with an untyped VerbsError.
             raise TransportError(self.name, "qp in ERROR state")
+        completions = self.recv_cq.poll(limit or 1 << 16)
+        if not completions:
+            return 0
         buckets = []
-        for wc in self.recv_cq.poll(limit or 1 << 16):
-            if wc.status is not WcStatus.SUCCESS:
+        for wc in completions:
+            if wc.status is not _SUCCESS:
                 raise TransportError(self.name, wc.status)
-            if wc.opcode is Opcode.RECV_RDMA_WITH_IMM:
+            if wc.opcode is _RECV_IMM:
                 buckets.append(wc.imm_data)
-            elif wc.opcode is Opcode.RECV:
+            elif wc.opcode is _RECV:
                 self.inbound_sends.append(wc.payload)
             else:
                 continue
             qp.post_recv(next(self._wr_ids))
         handled = 0
+        rbuf, config = self.rbuf, self.config
         for bucket in buckets:
-            rbuf = self.rbuf
-            base = rbuf.base + bucket_to_offset(bucket, self.config.block_alignment)
-            reader = BlockReader(rbuf, base, rbuf.base + rbuf.size - base)
-            preamble = reader.preamble
-            seq = preamble.sequence
-            if seq:
+            # §IV-E: the immediate carries a bucket, we add our RBuf base
+            preamble, records = read_block(rbuf, rbuf.base + bucket * config.block_alignment,
+                                           self._rx_seq, config.verify_checksums)
+            if records is None:
+                seq = preamble.sequence
                 if seq <= self._rx_seq:
                     self.duplicate_blocks += 1
                     continue
-                if seq != self._rx_seq + 1:
-                    raise TransportError(
-                        self.name,
-                        f"block sequence gap: expected {self._rx_seq + 1}, got {seq}",
-                    )
-                self._rx_seq = seq
-            if self.config.verify_checksums:
-                reader.verify_checksum()
+                raise TransportError(
+                    self.name, f"block sequence gap: expected {self._rx_seq + 1}, got {seq}")
+            if preamble.sequence:
+                self._rx_seq = preamble.sequence
             self.stats.blocks_received += 1
             self.stats.bytes_received += preamble.block_length
-            handled += process(reader)
+            handled += process(preamble.ack_blocks, records)
         return handled
 
 
@@ -563,9 +582,12 @@ class ClientEndpoint(_EndpointBase):
 
     def _init_connection(self) -> None:
         super()._init_connection()
-        # rid -> (continuation, block_seq)
-        self._pending: dict[int, tuple[Continuation, int]] = {}
-        # block_seq -> [sbuf_addr, outstanding_count, rids, spent acks]
+        # The §IV-D slot table.  A request ID indexes its slot: None, or
+        # (continuation, block) from transmit until its response; a block
+        # is [sbuf_addr, unanswered, rids, spent acks, block_seq], indexed
+        # by its sequence in ``_blocks`` until every request is answered.
+        self._slots: list = [None] * self.id_pool.capacity
+        self._answering = 0  # requests transmitted, not yet answered
         self._blocks: dict[int, list] = {}
         self._block_seq = itertools.count()
         # Response blocks processed but not yet acknowledged: their
@@ -583,10 +605,10 @@ class ClientEndpoint(_EndpointBase):
         # consumed in order, so an answer to that one proves it was read.
         self._spent_acks: list[int] = []
         # Deadline tracking (config.request_deadline_ticks): entries are
-        # (expiry_poll, rid, block_seq) in transmit order, so expiry is
-        # monotone and the scan is O(expired).  block_seq disambiguates a
+        # (expiry_poll, rid, block) in transmit order, so expiry is
+        # monotone and the scan is O(expired).  The block disambiguates a
         # recycled rid: a stale entry whose rid now names a younger
-        # request fails the seq comparison and is dropped.
+        # request fails the identity comparison and is dropped.
         self._deadlines: deque[tuple[int, int, int]] = deque()
         # Requests failed locally (deadline expiry) whose ID is still live
         # in the synchronized pools: the late response, if it ever comes,
@@ -599,7 +621,7 @@ class ClientEndpoint(_EndpointBase):
     @property
     def outstanding(self) -> int:
         """Requests awaiting a response (sent or not yet transmitted)."""
-        return len(self._pending) + len(self._open_notes) + self._queued_messages
+        return self._answering + len(self._open_notes) + self._queued_messages
 
     def enqueue_bytes(
         self, method_id: int, payload: bytes, continuation: Continuation,
@@ -644,7 +666,7 @@ class ClientEndpoint(_EndpointBase):
         if trace is not None and trace_ctx is None:
             trace_ctx = trace.context()
         if self._backlog or (
-            len(self._pending) + len(self._open_notes) + self._queued_messages
+            self._answering + len(self._open_notes) + self._queued_messages
             >= self.id_pool.capacity
         ):
             # Concurrency window full (the ID pool *is* the window, §IV-D):
@@ -685,19 +707,26 @@ class ClientEndpoint(_EndpointBase):
 
     def _on_transmit(self, out: _OutBlock) -> int:
         """Send-time bookkeeping, mirrored verbatim by the server on
-        receipt: flush acks, then allocate this block's request IDs — a
+        receipt: flush acks, then allocate this block's request IDs and
+        bind each one's slot to its continuation and to the block — a
         request block carried its messages' continuations until now.
         Returns the ack count the block's preamble carries."""
-        ack_blocks = self._flush_pending_acks()
+        unacked = self._unacked_response_ids
+        ack_blocks = len(unacked)
+        while unacked:  # as _flush_pending_acks
+            self.id_pool.free_many(unacked.popleft())
         ids = self.id_pool.allocate_many(out.message_count)
         seq = next(self._block_seq)
-        self._blocks[seq] = [out.sbuf_addr, len(ids), ids, self._spent_acks]
+        block = self._blocks[seq] = [out.sbuf_addr, len(ids), ids, self._spent_acks, seq]
         self._spent_acks = []
-        self._pending.update(zip(ids, zip(out.notes, itertools.repeat(seq))))
+        slots = self._slots
+        for rid, cont in zip(ids, out.notes):
+            slots[rid] = (cont, block)
+        self._answering += len(ids)
         deadline = self.config.request_deadline_ticks
         if deadline:
             expiry = self._polls + deadline
-            self._deadlines.extend((expiry, rid, seq) for rid in ids)
+            self._deadlines.extend((expiry, rid, block) for rid in ids)
         if self.trace is not None:
             # Transmit time is where the derived trace id binds: both
             # sides count wire-order messages, so the client's n-th
@@ -728,8 +757,7 @@ class ClientEndpoint(_EndpointBase):
             addr = self._alloc_block(self.config.block_alignment)
         except AllocationError:
             return  # SBuf exhausted; retry next pass
-        length = BlockWriter(self.sbuf, addr, self.config.block_alignment).seal()
-        self._post_block(addr, length, self._flush_pending_acks())
+        self._post_block(addr, PREAMBLE_SIZE, 0, self._flush_pending_acks())
         self._spent_acks.append(addr)
 
     # -- event loop -----------------------------------------------------------------
@@ -745,11 +773,11 @@ class ClientEndpoint(_EndpointBase):
         or the connection resets — freeing early would desynchronize the
         mirrored pools)."""
         while self._deadlines and self._deadlines[0][0] <= self._polls:
-            _, rid, seq = self._deadlines.popleft()
-            entry = self._pending.get(rid)
-            if entry is None or entry[1] != seq or rid in self._tombstones:
+            _, rid, block = self._deadlines.popleft()
+            entry = self._slots[rid]
+            if entry is None or entry[1] is not block or rid in self._tombstones:
                 continue  # answered in time (rid may even be reused by now)
-            cont, _ = entry
+            cont = entry[0]
             self._tombstones.add(rid)
             self.timeouts += 1
             if self.trace is not None:
@@ -767,8 +795,9 @@ class ClientEndpoint(_EndpointBase):
         self._polls += 1
         if self._deadlines:
             self._expire_deadlines()
-        if self._writer is not None:
-            self._flush_by_policy()
+        if self._writer is not None and self._polls - self._open_since >= self.flush_hold:
+            # the hold ran out: with none (``eager``) that is every pass
+            self._send("deadline" if self.flush_hold else "eager")
         if self._send_queue:
             self._send()
         delivered = self._receive(budget, self._process_response_block)
@@ -782,7 +811,7 @@ class ClientEndpoint(_EndpointBase):
         # and send at all, once they hold every credit it has: each
         # unacknowledged response block keeps one of the server's).
         if self._unacked_response_ids and (
-            (self._send_queue and not self.credits.can_send())
+            (self._send_queue and not self.credits.available)
             or len(self._unacked_response_ids) >= self._ack_batch
         ):
             self._send_pure_ack()
@@ -827,17 +856,18 @@ class ClientEndpoint(_EndpointBase):
             self.trace.event(entry[5], "abort")
         _fail_continuation(entry[3], reason, flags)
 
-    def _process_response_block(self, reader: BlockReader) -> int:
-        pending, blocks, tombstones = self._pending, self._blocks, self._tombstones
+    def _process_response_block(self, ack_blocks: int, records: list) -> int:
+        slots, blocks, tombstones = self._slots, self._blocks, self._tombstones
         trace = self.trace
         # every payload was proven inside the block, the block inside rbuf
         mem, origin = memoryview(self.rbuf.buf), self.rbuf.base
         answered: list[int] = []
-        for rid, flags, payload_addr, payload_size in reader.records():
+        for rid, flags, payload_addr, payload_size in records:
             try:
-                cont, seq = pending.pop(rid)
-            except KeyError:
+                cont, block = slots[rid]  # None (or past the table): not in flight
+            except (IndexError, TypeError):
                 raise ProtocolError(f"{self.name}: response for unknown request {rid}")
+            slots[rid] = None
             if trace is not None:
                 ctx = self._trace_by_rid.pop(rid, None)
                 if ctx is not None:
@@ -860,22 +890,25 @@ class ClientEndpoint(_EndpointBase):
                     if self._raised is None:
                         self._raised = exc
             answered.append(rid)
-            block = blocks[seq]
             block[1] -= 1
             if block[1] == 0:
                 # Every request in that block is answered: recycle the
                 # request block (and the pure acks sent before it) and its
                 # credit (§IV-B server-side implicit ack, observed
-                # client-side).
-                del blocks[seq]
+                # client-side; CreditManager.replenish, in place).
+                del blocks[block[4]]
                 free, sbuf_base = self.allocator.free, self.sbuf.base
                 free(block[0] - sbuf_base)
                 for addr in block[3]:
                     free(addr - sbuf_base)
-                self.credits.replenish(1)
+                credits = self.credits
+                if credits.available == credits.initial:
+                    raise CreditError(f"replenish overflows: {credits.initial} + 1")
+                credits.available += 1
         # Remember the IDs to free at the next seal, and count the block
         # toward the preamble ack counter.
         self._unacked_response_ids.append(answered)
+        self._answering -= len(answered)
         self.stats.responses_received += len(answered)
         return len(answered)
 
@@ -899,9 +932,9 @@ class ClientEndpoint(_EndpointBase):
             for i, msg in enumerate(reader.messages()):
                 if rids is not None:
                     rid = rids[i]
-                    if rid not in self._pending or rid in self._tombstones:
+                    if self._slots[rid] is None or rid in self._tombstones:
                         continue  # answered, or already failed by deadline
-                    cont = self._pending[rid][0]
+                    cont = self._slots[rid][0]
                 else:
                     cont = conts[i]
                 payload = bytes(self.space.view(msg.payload_addr, msg.payload_size))
@@ -912,9 +945,11 @@ class ClientEndpoint(_EndpointBase):
                 )
 
         for seq in sorted(self._blocks):
-            addr, _, rids, _ = self._blocks[seq]
+            addr, _, rids, _, _ = self._blocks[seq]
             harvest(addr, None, rids)
         for out in self._send_queue:
+            # a queued block's preamble is packed only as it is posted
+            Preamble(out.message_count, 0, out.length).pack_into(self.sbuf, out.sbuf_addr)
             harvest(out.sbuf_addr, out.notes)
         writer = self._writer
         if writer is not None:
@@ -1000,32 +1035,36 @@ class ServerEndpoint(_EndpointBase):
         Returns the number of requests handled."""
         self._polls += 1
         handled = self._receive(budget, self._process_request_block)
-        if self._writer is not None:
-            self._flush_by_policy()
+        if self._writer is not None and self._polls - self._open_since >= self.flush_hold:
+            # the hold ran out: with none (``eager``) that is every pass
+            self._send("deadline" if self.flush_hold else "eager")
         if self._send_queue:
             self._send()
         return handled
 
-    def _process_request_block(self, reader: BlockReader) -> int:
+    def _process_request_block(self, acked: int, messages: list) -> int:
         """The host's one pass over a request block: replay the client's
         ID bookkeeping (§IV-D), then per request run the registered
         handler on its record and append the response in place.  The host
         loop's boundary (docs/FAULTS.md §3): a handler's fault (an unknown
         method is one) or a response writer's ends with its request, as
         one ERROR response, counted; the block's rest is dispatched."""
-        acked = reader.preamble.ack_blocks
-        if acked > len(self._outstanding_responses):
-            raise ProtocolError(
-                f"{self.name}: client acked {acked} response blocks, "
-                f"only {len(self._outstanding_responses)} outstanding"
-            )
-        for _ in range(acked):
-            sbuf_addr, ids = self._outstanding_responses.popleft()
-            self.id_pool.free_many(ids)
-            self.allocator.free(sbuf_addr - self.sbuf.base)
-            self.credits.replenish(1)
+        if acked:
+            outstanding, credits = self._outstanding_responses, self.credits
+            if acked > len(outstanding):
+                raise ProtocolError(
+                    f"{self.name}: client acked {acked} response blocks, "
+                    f"only {len(outstanding)} outstanding"
+                )
+            if credits.available + acked > credits.initial:
+                raise CreditError(
+                    f"replenish overflows: {credits.available} + {acked} > {credits.initial}")
+            for _ in range(acked):
+                sbuf_addr, ids = outstanding.popleft()
+                self.id_pool.free_many(ids)
+                self.allocator.free(sbuf_addr - self.sbuf.base)
+            credits.available += acked  # CreditManager.replenish, in place
 
-        messages = reader.records()
         ids = self.id_pool.allocate_many(len(messages))
         stats = self.stats
         stats.requests_received += len(messages)

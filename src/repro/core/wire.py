@@ -14,7 +14,8 @@ Layout (little-endian)::
         u16 ack_blocks        # response blocks processed since last send
         u32 block_length      # total bytes incl. preamble (validation)
         u32 checksum          # CRC-32 of the block body (everything after
-                              # the preamble); 0 = unchecksummed block
+                              # the preamble; 1 if that is 0); 0 =
+                              # unchecksummed block
         u32 sequence          # per-direction block sequence number
                               # (1-based; 0 = unsequenced block): receivers
                               # drop duplicates and treat gaps as transport
@@ -55,10 +56,7 @@ __all__ = [
     "MessageTooLarge",
     "BlockFormatError",
     "ChecksumError",
-    "compute_block_checksum",
-    "stamp_transmit",
-    "bucket_to_offset",
-    "offset_to_bucket",
+    "read_block",
 ]
 
 PREAMBLE_SIZE = 16
@@ -67,13 +65,9 @@ PAYLOAD_ALIGN = 8
 #: 64-bit size-extension word used by LARGE messages (§IV-E)
 SIZE_EXT_SIZE = 8
 
-_PREAMBLE = struct.Struct("<HHIII")
+PREAMBLE = struct.Struct("<HHIII")
 _HEADER = struct.Struct("<HHHH")
 _SIZE_EXT = struct.Struct("<Q")
-# The two preamble words settled at transmit time, outside the body
-# checksum, patched in place at their fixed offsets.
-_ACK_BLOCKS = struct.Struct("<H")  # at preamble offset 2
-_SEQUENCE = struct.Struct("<I")  # at preamble offset 12
 
 
 class ProtocolError(RuntimeError):
@@ -92,28 +86,6 @@ class ChecksumError(BlockFormatError):
     """The block body does not match its preamble checksum — payload
     corruption in flight (real RDMA leaves end-to-end integrity beyond
     the link CRC to the application; this is that check)."""
-
-
-def compute_block_checksum(space, addr: int, block_length: int) -> int:
-    """CRC-32 of the block *body* — every byte after the preamble.  The
-    preamble itself is excluded so the ack counter can be patched at
-    transmit time (§IV-D) without resealing; its fields are structurally
-    validated by :class:`BlockReader` instead.  Never returns 0 (0 marks
-    an unchecksummed block, e.g. one hand-built by tests)."""
-    region = space.region_of(addr, block_length)
-    return _body_crc(region.buf, addr - region.base, block_length)
-
-
-def _body_crc(mem, offset: int, block_length: int) -> int:
-    body = memoryview(mem)[offset + PREAMBLE_SIZE : offset + block_length]
-    return zlib.crc32(body) & 0xFFFFFFFF or 1
-
-
-def stamp_transmit(mem, offset: int, ack_blocks: int, sequence: int) -> None:
-    """Settle the two transmit-time preamble fields of the sealed block at
-    ``mem[offset:]``: its ack counter and its sequence number."""
-    _ACK_BLOCKS.pack_into(mem, offset + 2, ack_blocks)
-    _SEQUENCE.pack_into(mem, offset + 12, sequence)
 
 
 class Flags:
@@ -169,20 +141,6 @@ def _pack_large_header(mem, offset: int, payload_size: int, method_or_id: int,
     _SIZE_EXT.pack_into(mem, offset + HEADER_SIZE, payload_size)
 
 
-def bucket_to_offset(bucket: int, block_alignment: int) -> int:
-    """offset = bucket * block_alignment (§IV-E: the immediate carries a
-    bucket, the receiver adds its RBuf base)."""
-    return bucket * block_alignment
-
-
-def offset_to_bucket(offset: int, block_alignment: int) -> int:
-    if offset % block_alignment:
-        raise BlockFormatError(
-            f"block offset {offset:#x} not aligned to {block_alignment}"
-        )
-    return offset // block_alignment
-
-
 class Preamble(NamedTuple):
     message_count: int
     ack_blocks: int
@@ -196,7 +154,7 @@ class Preamble(NamedTuple):
     sequence: int = 0
 
     def pack_into(self, space, addr: int) -> None:
-        _PREAMBLE.pack_into(
+        PREAMBLE.pack_into(
             space.view(addr, PREAMBLE_SIZE),
             0,
             self.message_count,
@@ -210,7 +168,7 @@ class Preamble(NamedTuple):
     def read(cls, space, addr: int) -> "Preamble":
         # unpack_from on the registered region's memoryview — no
         # intermediate bytes copy of the header words.
-        return cls(*_PREAMBLE.unpack_from(space.view(addr, PREAMBLE_SIZE), 0))
+        return cls(*PREAMBLE.unpack_from(space.view(addr, PREAMBLE_SIZE), 0))
 
 
 @dataclass(slots=True)
@@ -264,10 +222,6 @@ class BlockWriter:
         self._mem = region.buf
         self._origin = region.base  # address of _mem[0]
 
-    @property
-    def bytes_used(self) -> int:
-        return self.cursor - self.base
-
     def put_message(self, space, reserve: int, write, method_or_id: int,
                     flags: int = Flags.NONE, words=()) -> int:
         """Put one message into the block; returns its payload size.
@@ -311,15 +265,14 @@ class BlockWriter:
 
     def seal(self, ack_blocks: int = 0, sequence: int = 0) -> int:
         """Write the preamble (body checksum included); returns the total
-        block length in bytes.  The sequence defaults to 0 (unsequenced)
-        because the endpoints stamp it at transmit time, when wire order
-        is actually decided."""
+        block length in bytes.  An endpoint packs it itself, once, as it
+        posts the block (tests, and the client's reset harvest, seal)."""
         if self._open is not None:
             raise BlockFormatError("cannot seal while a message is being written")
         length = self.cursor - self.base
         offset = self.base - self._origin
-        crc = _body_crc(self._mem, offset, length)
-        _PREAMBLE.pack_into(
+        crc = zlib.crc32(memoryview(self._mem)[offset + PREAMBLE_SIZE:offset + length]) or 1
+        PREAMBLE.pack_into(
             self._mem, offset, self.message_count, ack_blocks, length, crc, sequence)
         return length
 
@@ -335,90 +288,86 @@ class ReceivedMessage:
     payload_size: int
 
 
+def read_block(region, base_addr: int, last_seq, verify: bool):
+    """Open the block at ``base_addr`` in ``region`` (the receive buffer
+    it landed in) in one call: ``(preamble, records)``, a record being
+    ``(method_or_id, flags, payload_addr, payload_size)``.  Checked in
+    order: the preamble inside the region, a length that fits it; the
+    sequence — neither 0 (unsequenced) nor ``last_seq + 1`` (``last_seq``
+    None: any) returns records None, the body unread, for the caller to
+    tell a duplicate from a gap; with ``verify``, the body CRC (flight
+    corruption is a :class:`ChecksumError`, not a wrong object); every
+    header and payload inside the block."""
+    mem, origin = region.buf, region.base
+    offset = base_addr - origin
+    room = region.size - offset
+    if offset < 0 or room < PREAMBLE_SIZE:
+        region.region_of(base_addr, PREAMBLE_SIZE)  # raises, naming the span
+    # built as the tuple it is (no Python-level __new__ per block)
+    preamble = tuple.__new__(Preamble, PREAMBLE.unpack_from(mem, offset))
+    count, _, length, checksum, sequence = preamble
+    if length < PREAMBLE_SIZE:
+        raise BlockFormatError("block length smaller than preamble")
+    if length > room:
+        raise BlockFormatError(f"block claims {length} bytes, only {room} are addressable")
+    if sequence and last_seq is not None and sequence != last_seq + 1:
+        return preamble, None
+    if verify and checksum:
+        actual = zlib.crc32(memoryview(mem)[offset + PREAMBLE_SIZE:offset + length]) or 1
+        if actual != checksum:
+            raise ChecksumError(
+                f"block checksum mismatch: preamble says "
+                f"{checksum:#010x}, body is {actual:#010x}"
+            )
+    records = []
+    cursor = base_addr + PREAMBLE_SIZE
+    end = base_addr + length
+    for _ in range(count):
+        header_addr = (cursor + PAYLOAD_ALIGN - 1) & -PAYLOAD_ALIGN
+        payload_addr = header_addr + HEADER_SIZE
+        if payload_addr > end:
+            raise BlockFormatError("header extends past block end")
+        payload_size, method_or_id, flags, _ = _HEADER.unpack_from(mem, header_addr - origin)
+        if flags & Flags.LARGE:
+            if payload_addr + SIZE_EXT_SIZE > end:
+                raise BlockFormatError("size extension extends past block end")
+            (payload_size,) = _SIZE_EXT.unpack_from(mem, payload_addr - origin)
+            payload_addr += SIZE_EXT_SIZE
+        if payload_addr + payload_size > end:
+            raise BlockFormatError("payload extends past block end")
+        records.append((method_or_id, flags, payload_addr, payload_size))
+        cursor = payload_addr + payload_size
+    padded = (cursor + PAYLOAD_ALIGN - 1) & -PAYLOAD_ALIGN
+    if padded != end and padded != (end + PAYLOAD_ALIGN - 1) & -PAYLOAD_ALIGN:
+        # All messages consumed must land exactly at the declared end
+        # (modulo final padding).
+        if cursor != end:
+            raise BlockFormatError(f"block length mismatch: cursor {cursor:#x}, end {end:#x}")
+    return preamble, records
+
+
 class BlockReader:
-    """Parses a received block in place.
-
-    The preamble is read once, here; after the length check
-    ``[base_addr, base_addr + block_length)`` is bounds-checked once and
-    every header is unpacked straight from the region's buffer (``space``
-    may be the region itself — an endpoint hands in the receive buffer
-    it owns).
-
-    With ``verify_checksum=True`` the body CRC is recomputed and compared
-    against the preamble's (skipped for checksum 0, the unchecksummed
-    marker): the endpoints verify (after their sequence check, via
-    :meth:`verify_checksum`) so in-flight payload corruption surfaces as
-    a :class:`ChecksumError` instead of a downstream parse failure or —
-    worse — a silently wrong object.
+    """A block parsed in place, whole, at construction: :func:`read_block`
+    with its sequence unchecked and ``verify_checksum`` for the CRC, and
+    a length of at most ``max_length`` (tests, and the client's reset
+    harvest of its own send buffer; ``space`` may be the region itself).
     """
 
     def __init__(
         self, space, base_addr: int, max_length: int, verify_checksum: bool = False
     ) -> None:
         region = space.region_of(base_addr, PREAMBLE_SIZE)
-        self.base = base_addr
-        self._mem = region.buf
-        self._origin = region.base  # address of _mem[0]
-        # built as the tuple it is (no Python-level __new__ per block)
-        self.preamble = tuple.__new__(
-            Preamble, _PREAMBLE.unpack_from(self._mem, base_addr - region.base))
-        length = self.preamble.block_length
-        if length < PREAMBLE_SIZE:
-            raise BlockFormatError("block length smaller than preamble")
+        length = PREAMBLE.unpack_from(region.buf, base_addr - region.base)[2]
         if length > max_length:
             raise BlockFormatError(
                 f"block claims {length} bytes, only {max_length} are addressable"
             )
-        if base_addr + length > region.base + region.size:
-            region.region_of(base_addr, length)  # raises, naming the span
-        if verify_checksum:
-            self.verify_checksum()
-
-    def verify_checksum(self) -> None:
-        expected = self.preamble.checksum
-        if not expected:
-            return
-        actual = _body_crc(self._mem, self.base - self._origin, self.preamble.block_length)
-        if actual != expected:
-            raise ChecksumError(
-                f"block checksum mismatch: preamble says "
-                f"{expected:#010x}, body is {actual:#010x}"
-            )
+        self.preamble, self._records = read_block(region, base_addr, None, verify_checksum)
 
     def records(self) -> list[tuple[int, int, int, int]]:
         """``(method_or_id, flags, payload_addr, payload_size)`` of every
-        message, in block order; the whole block is validated before the
-        first record is handed out."""
-        out = []
-        mem, origin = self._mem, self._origin
-        cursor = self.base + PREAMBLE_SIZE
-        end = self.base + self.preamble.block_length
-        for _ in range(self.preamble.message_count):
-            header_addr = (cursor + PAYLOAD_ALIGN - 1) & -PAYLOAD_ALIGN
-            payload_addr = header_addr + HEADER_SIZE
-            if payload_addr > end:
-                raise BlockFormatError("header extends past block end")
-            payload_size, method_or_id, flags, _ = _HEADER.unpack_from(
-                mem, header_addr - origin
-            )
-            if flags & Flags.LARGE:
-                if payload_addr + SIZE_EXT_SIZE > end:
-                    raise BlockFormatError("size extension extends past block end")
-                (payload_size,) = _SIZE_EXT.unpack_from(mem, payload_addr - origin)
-                payload_addr += SIZE_EXT_SIZE
-            if payload_addr + payload_size > end:
-                raise BlockFormatError("payload extends past block end")
-            out.append((method_or_id, flags, payload_addr, payload_size))
-            cursor = payload_addr + payload_size
-        padded = (cursor + PAYLOAD_ALIGN - 1) & -PAYLOAD_ALIGN
-        if padded != end and padded != (end + PAYLOAD_ALIGN - 1) & -PAYLOAD_ALIGN:
-            # All messages consumed must land exactly at the declared end
-            # (modulo final padding).
-            if cursor != end:
-                raise BlockFormatError(
-                    f"block length mismatch: cursor {cursor:#x}, end {end:#x}"
-                )
-        return out
+        message, in block order."""
+        return self._records
 
     def messages(self) -> list[ReceivedMessage]:
         """:meth:`records` as objects (tests, reset harvest)."""

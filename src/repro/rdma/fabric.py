@@ -30,6 +30,7 @@ from .qp import QpState, QueuePair
 from .verbs import (
     FabricTransport,
     Opcode,
+    ProtectionError,
     VerbsError,
     WcStatus,
     WorkCompletion,
@@ -39,6 +40,10 @@ from .verbs import (
 __all__ = ["Fabric"]
 
 _RTS = QpState.RTS
+_SEND, _WRITE, _WRITE_IMM = Opcode.SEND, Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_WITH_IMM
+_RECV, _RECV_IMM = Opcode.RECV, Opcode.RECV_RDMA_WITH_IMM
+_SUCCESS = WcStatus.SUCCESS
+_new = tuple.__new__
 
 
 class Fabric(FabricTransport):
@@ -63,14 +68,15 @@ class Fabric(FabricTransport):
     def transmit(self, sender: QueuePair, wr: WorkRequest) -> None:
         """Accept ``wr`` for in-order delivery, reading its payload *now*
         (the HCA DMAs at post time; the buffer may be reused only after
-        the send completion).  With ``auto_flush`` it resolves before this
-        returns: onto an idle wire directly, as the step that pops it."""
+        the send completion) from the span ``post_send`` checked.  With
+        ``auto_flush`` it resolves before this returns: onto an idle wire
+        directly, as the step that pops it."""
         payload = None
         length = wr.length
         if length:
-            region = sender.pd.space.region_of(wr.local_addr, length)
-            start = wr.local_addr - region.base
-            payload = bytes(memoryview(region.buf)[start:start + length])
+            base, _, region = sender.local_span
+            start = wr.local_addr - base
+            payload = bytes(region.buf[start:start + length])
         if self.injector is not None:
             payload = self.injector.on_transmit(sender, wr, payload)
         if self.auto_flush and not self._wire:
@@ -92,9 +98,11 @@ class Fabric(FabricTransport):
 
     def _resolve(self, sender: QueuePair, wr: WorkRequest, payload: bytes | None,
                  attempts: int) -> None:
-        """One step's work on one operation, off the wire: injector tick,
-        op verdict, delivery, completions on both sides — or, on RNR, the
-        operation back at the head of the wire."""
+        """One step's work on one operation, in one function: injector
+        tick and verdict, delivery (a write checked against the
+        responder's ``landing_span``; one no REMOTE_WRITE MR covers lands
+        nothing), both completions — or, on RNR, the operation back at
+        the head of the wire."""
         injector = self.injector
         if injector is not None:
             injector.tick(self)
@@ -119,8 +127,19 @@ class Fabric(FabricTransport):
             self.flushed_operations += 1
             sender.complete_send(wr, WcStatus.WR_FLUSH_ERROR)
             return
-        status = receiver.deliver(wr, payload)
-        if status is None:
+        opcode, length = wr.opcode, wr.length
+        if opcode is not _SEND:
+            addr = wr.remote_addr
+            span = receiver.landing_span
+            if addr < span[0] or addr + (length or 1) > span[1]:
+                try:
+                    region = receiver.pd.find_remote_writable(addr, length or 1).region
+                except ProtectionError:
+                    sender.complete_send(wr, WcStatus.REMOTE_ACCESS_ERROR)
+                    return
+                span = receiver.landing_span = (region.base, region.base + region.size, region)
+        recv_queue = receiver._recv_queue
+        if opcode is not _WRITE and not recv_queue:
             # RNR NAK: responder not ready.  Retry preserving order —
             # the operation goes back to the head of the wire.
             self.rnr_retransmissions += 1
@@ -130,12 +149,32 @@ class Fabric(FabricTransport):
             else:
                 self._wire.appendleft((sender, wr, payload, attempts + 1))
             return
-        if status is WcStatus.SUCCESS:
-            self.total_bytes += wr.length
-            self.total_operations += 1
-            if self.trace is not None and wr.opcode is Opcode.RDMA_WRITE_WITH_IMM:
-                self.trace.instant("rdma_write", bytes=wr.length, imm=wr.imm_data)
-        sender.complete_send(wr, status)
+        # completions built as the tuples they are
+        if opcode is _SEND:
+            # SEND payload lands wherever the application's receive buffer
+            # is; the simulation hands it over on the WC (the bootstrap
+            # path), keeping data-path writes pure.
+            wc = _new(WorkCompletion, (recv_queue.popleft(), _RECV, _SUCCESS, length, None,
+                                       payload))
+        else:
+            wc = None
+            if opcode is _WRITE_IMM:
+                wc = _new(WorkCompletion, (recv_queue.popleft(), _RECV_IMM, _SUCCESS, length,
+                                           wr.imm_data, None))
+            if payload:
+                # the MR covers [remote_addr, remote_addr + length): in bounds
+                start = addr - span[0]
+                span[2].buf[start:start + len(payload)] = payload
+        receiver.bytes_received += length
+        if wc is not None:
+            receiver.recv_cq.push(wc, receiver)
+        self.total_bytes += length
+        self.total_operations += 1
+        if self.trace is not None and opcode is _WRITE_IMM:
+            self.trace.instant("rdma_write", bytes=length, imm=wr.imm_data)
+        sender.bytes_sent += length
+        sender.send_cq.push(
+            _new(WorkCompletion, (wr.wr_id, opcode, _SUCCESS, length, None, None)), sender)
 
     def flush_qp(self, qp: QueuePair) -> int:
         """Flush every in-flight operation posted by ``qp`` with

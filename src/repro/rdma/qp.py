@@ -19,6 +19,7 @@ import enum
 from collections import deque
 
 from .verbs import (
+    NO_SPAN,
     CompletionQueue,
     Opcode,
     ProtectionDomain,
@@ -75,10 +76,15 @@ class QueuePair:
         #: first (``CompletionQueue.push``), which may drop, delay, or
         #: duplicate it.
         self.injector = None
+        #: ``(base, end, region)`` of the MR the last post read from and of
+        #: the REMOTE_WRITE MR the last write landed in: none after each
+        #: connect, then resolved by the first op through the PD, and the
+        #: ops after it bounds-checked against it (docs/TRANSPORT.md)
+        self.local_span = self.landing_span = NO_SPAN
+        pd.qps.append(self)
         # -- statistics ------------------------------------------------------
         self.bytes_sent = 0
         self.bytes_received = 0
-        self.sends_posted = 0
         self.rnr_events = 0
         self.error_transitions = 0
 
@@ -92,6 +98,7 @@ class QueuePair:
             self._refuse()
         self.peer = peer
         self.fabric = fabric
+        self.local_span = self.landing_span = NO_SPAN
         self.state = _RTS
 
     def connect_remote(self, fabric) -> None:
@@ -104,6 +111,7 @@ class QueuePair:
             self._refuse()
         self.peer = None
         self.fabric = fabric
+        self.local_span = self.landing_span = NO_SPAN
         self.state = _RTS
 
     def to_error(self) -> None:
@@ -153,66 +161,29 @@ class QueuePair:
         return self._recv_queue.popleft() if self._recv_queue else None
 
     def post_send(self, wr: WorkRequest) -> None:
-        """Post to the send queue; the fabric transmits in order."""
+        """Post to the send queue; the fabric transmits in order.  The
+        local span is checked against :attr:`local_span`; one outside it
+        is resolved through the PD (and remembered) or completes
+        ``LOCAL_PROTECTION_ERROR``."""
         if self.state is not _RTS:
             self._refuse()
         opcode = wr.opcode
         if opcode is not _WRITE_IMM and opcode is not _SEND and opcode is not _WRITE:
             raise VerbsError(f"{self.name}: cannot post {opcode}")
-        try:
-            self.pd.check_local(wr.local_addr, wr.length)
-        except ProtectionError:
-            self.send_cq.push(
-                WorkCompletion(wr.wr_id, opcode, WcStatus.LOCAL_PROTECTION_ERROR), self)
-            self.to_error()
-            raise
-        self.sends_posted += 1
+        addr = wr.local_addr
+        span = self.local_span
+        if addr < span[0] or addr + wr.length > span[1]:
+            try:
+                region = self.pd.check_local(addr, wr.length).region
+            except ProtectionError:
+                self.send_cq.push(
+                    WorkCompletion(wr.wr_id, opcode, WcStatus.LOCAL_PROTECTION_ERROR), self)
+                self.to_error()
+                raise
+            self.local_span = (region.base, region.base + region.size, region)
         self.fabric.transmit(self, wr)
 
     # -- fabric-side delivery hooks -------------------------------------------
-
-    def deliver(self, wr: WorkRequest, payload: bytes | None) -> WcStatus | None:
-        """Called by the fabric on the *responder* QP: land ``wr`` and
-        push its receive completion.  Returns the status the requester's
-        send completes with — ``REMOTE_ACCESS_ERROR`` for a write no
-        REMOTE_WRITE MR covers (checked first; nothing lands, no receive
-        WQE is taken) — or None on RNR (no receive WQE for an operation
-        that needs one)."""
-        if self.state is not _RTS:
-            raise VerbsError(f"{self.name}: delivery in state {self.state.value}")
-        opcode = wr.opcode
-        length = wr.length
-        recv_queue = self._recv_queue
-        if opcode is _SEND:
-            if not recv_queue:
-                return None
-            # SEND payload lands wherever the application's receive buffer
-            # is; our simulation stores it on the WC for simplicity of the
-            # bootstrap path (ADT transfer), keeping data-path writes pure.
-            self.bytes_received += length
-            self.recv_cq.push(WorkCompletion(
-                recv_queue.popleft(), _RECV, byte_len=length, payload=payload), self)
-            return _SUCCESS
-        if opcode is not _WRITE_IMM and opcode is not _WRITE:
-            raise VerbsError(f"{self.name}: cannot deliver {opcode}")
-        try:
-            region = self.pd.find_remote_writable(wr.remote_addr, length or 1).region
-        except ProtectionError:
-            return WcStatus.REMOTE_ACCESS_ERROR
-        wc = None
-        if opcode is _WRITE_IMM:
-            if not recv_queue:
-                return None
-            wc = WorkCompletion(recv_queue.popleft(), Opcode.RECV_RDMA_WITH_IMM,
-                                byte_len=length, imm_data=wr.imm_data)
-        if payload:
-            # the MR covers [remote_addr, remote_addr + length): in bounds
-            start = wr.remote_addr - region.base
-            region.buf[start:start + len(payload)] = payload
-        self.bytes_received += length
-        if wc is not None:
-            self.recv_cq.push(wc, self)
-        return _SUCCESS
 
     def complete_send(self, wr: WorkRequest, status: WcStatus) -> None:
         """Called by the fabric on the requester once delivery resolves."""

@@ -253,9 +253,9 @@ class ShmFabric(FabricTransport):
         payload = None
         length = wr.length
         if length:
-            region = sender.pd.space.region_of(wr.local_addr, length)
-            start = wr.local_addr - region.base
-            payload = bytes(memoryview(region.buf)[start:start + length])
+            base, _, region = sender.local_span  # checked by post_send
+            start = wr.local_addr - base
+            payload = bytes(region.buf[start:start + length])
         if self.injector is not None:
             payload = self.injector.on_transmit(sender, wr, payload)
         if wr.opcode is not Opcode.SEND:

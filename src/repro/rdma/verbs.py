@@ -18,6 +18,7 @@ import enum
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.memory import AddressSpace, MemoryRegion
 
@@ -99,6 +100,9 @@ class WcStatus(enum.Enum):
 
 _key_counter = itertools.count(0x1000)
 
+#: a resolved span ``(base, end, region)`` no access falls inside
+NO_SPAN = (1, 0, None)
+
 
 class RegistrationError(VerbsError):
     """Memory registration failed (pinning limit, injected fault...)."""
@@ -111,6 +115,9 @@ class ProtectionDomain:
         self.space = space
         self.name = name
         self._regions: list[RegisteredMemory] = []
+        #: the QPs made on this PD: a deregistration drops the spans they
+        #: resolved, as an HCA drops its cached translations
+        self.qps: list = []
         #: optional fault-injection hook (see repro.faults.injector); when
         #: set, registration consults it and may fail with
         #: :class:`RegistrationError` — the "pinning denied" hazard real
@@ -129,6 +136,8 @@ class ProtectionDomain:
 
     def deregister(self, mr: "RegisteredMemory") -> None:
         self._regions.remove(mr)
+        for qp in self.qps:
+            qp.local_span = qp.landing_span = NO_SPAN
 
     def find_remote_writable(self, addr: int, length: int) -> "RegisteredMemory":
         """The MR a remote WRITE to [addr, addr+length) lands in."""
@@ -145,12 +154,13 @@ class ProtectionDomain:
             f"{self.name}: no MR covers remote write [{addr:#x}, {end:#x})"
         )
 
-    def check_local(self, addr: int, length: int) -> None:
+    def check_local(self, addr: int, length: int) -> "RegisteredMemory":
+        """The MR a local access to [addr, addr+length) reads."""
         end = addr + length
         for mr in self._regions:
             region = mr.region
             if region.base <= addr and end <= region.base + region.size:
-                return
+                return mr
         raise ProtectionError(
             f"{self.name}: no MR covers local access [{addr:#x}, {end:#x})"
         )
@@ -172,9 +182,9 @@ class RegisteredMemory:
         self.remote_write = Access.REMOTE_WRITE in self.access
 
 
-@dataclass(slots=True)
-class WorkRequest:
-    """A posted send-queue element."""
+class WorkRequest(NamedTuple):
+    """A posted send-queue element; a record, built per post as the
+    tuple it is where it is built per block."""
 
     wr_id: int
     opcode: Opcode
@@ -184,9 +194,8 @@ class WorkRequest:
     imm_data: int | None = None
 
 
-@dataclass(slots=True)
-class WorkCompletion:
-    """A completion-queue entry."""
+class WorkCompletion(NamedTuple):
+    """A completion-queue entry; a record, like :class:`WorkRequest`."""
 
     wr_id: int
     opcode: Opcode

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +20,7 @@ from repro.core.wire import (
     MessageHeader,
     Preamble,
     ProtocolError,
-    bucket_to_offset,
-    compute_block_checksum,
-    offset_to_bucket,
+    read_block,
 )
 from repro.memory import AddressSpace, MemoryRegion
 
@@ -60,11 +60,27 @@ class TestStructs:
         assert Preamble.read(space, BASE).sequence == 0
 
     def test_bucket_formula(self):
-        # §IV-E: offset = bucket * alignment
-        assert bucket_to_offset(5, 1024) == 5120
-        assert offset_to_bucket(5120, 1024) == 5
-        with pytest.raises(BlockFormatError):
-            offset_to_bucket(5121, 1024)
+        """§IV-E: a posted block's immediate is its offset in the send
+        buffer over the block alignment; the receiver finds it at bucket
+        x alignment from its RBuf base.  A block off the alignment is
+        refused before anything is stamped or posted."""
+        from repro.core import create_channel
+
+        ch = create_channel()
+        posted = []
+        post = ch.client.qp.post_send
+        ch.client.qp.post_send = lambda wr: posted.append(wr) or post(wr)
+        ch.client.enqueue_bytes(1, b"x", lambda view, flags: None)
+        ch.client.flush()
+        (wr,) = posted
+        alignment = ch.client.remote_block_alignment
+        assert wr.imm_data * alignment == wr.local_addr - ch.client.sbuf.base
+        rbuf = ch.server.rbuf
+        preamble, records = read_block(rbuf, rbuf.base + wr.imm_data * alignment, None, False)
+        assert (preamble.message_count, records[0][0]) == (1, 1)
+        with pytest.raises(BlockFormatError, match="not aligned"):
+            ch.client._post_block(wr.local_addr + 8, PREAMBLE_SIZE, 0, 0)
+        assert posted == [wr]
 
 
 def writes(data: bytes):
@@ -330,7 +346,8 @@ class TestChecksums:
         length = self.seal_block(space)
         p = Preamble.read(space, BASE)
         assert p.checksum != 0
-        assert p.checksum == compute_block_checksum(space, BASE, length)
+        body = space.read(BASE + PREAMBLE_SIZE, length - PREAMBLE_SIZE)
+        assert p.checksum == (zlib.crc32(body) or 1)
 
     def test_verifying_reader_accepts_clean_block(self, space):
         self.seal_block(space)
