@@ -61,9 +61,6 @@ from repro.memory import (
 from repro.proto.wire_format import WireFormatError
 from repro.metrics.registry import counter, gauge
 from repro.rdma import CompletionQueue, Opcode, QpState, QueuePair, WcStatus, WorkRequest
-
-_WRITE_IMM, _RECV_IMM, _RECV = Opcode.RDMA_WRITE_WITH_IMM, Opcode.RECV_RDMA_WITH_IMM, Opcode.RECV
-_QP_ERROR, _SUCCESS = QpState.ERROR, WcStatus.SUCCESS
 from repro.runtime.overload import now_us, unpack_deadline
 
 from .config import ProtocolConfig
@@ -81,6 +78,9 @@ from .wire import (
     ProtocolError,
     read_block,
 )
+
+_WRITE_IMM, _RECV_IMM, _RECV = Opcode.RDMA_WRITE_WITH_IMM, Opcode.RECV_RDMA_WITH_IMM, Opcode.RECV
+_QP_ERROR, _SUCCESS = QpState.ERROR, WcStatus.SUCCESS
 
 __all__ = [
     "ProtocolError",
