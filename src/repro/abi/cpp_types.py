@@ -143,6 +143,12 @@ class StringLayout:
     size: int
     align: int = 8
     sso_capacity: int
+    #: ``(struct format, its arguments as source)`` of the short and the
+    #: long form, as :meth:`write` packs them — the generated arena
+    #: decoder stores them over the object's address ``{addr}``, the
+    #: length ``n``, the bytes ``raw`` and the data address ``d``
+    SSO_FORM: tuple[str, str]
+    LONG_FORM: tuple[str, str]
 
     def write(self, space, addr: int, data: bytes, data_addr: int | None) -> None:
         raise NotImplementedError
@@ -195,6 +201,8 @@ class LibstdcxxString(StringLayout):
     size = 32
     sso_capacity = 15
     _SSO_OFF = 16
+    SSO_FORM = ("<QQ16s", "{addr} + 16, n, raw")
+    LONG_FORM = ("<4Q", "d, n, n, 0")
 
     def write(self, space, addr: int, data: bytes, data_addr: int | None) -> None:
         n = len(data)
@@ -228,6 +236,8 @@ class LibcxxString(StringLayout):
 
     size = 24
     sso_capacity = 22
+    SSO_FORM = ("<B23s", "n << 1, raw")
+    LONG_FORM = ("<3Q", "(n + 1) | 1, n, d")
 
     def write(self, space, addr: int, data: bytes, data_addr: int | None) -> None:
         n = len(data)
@@ -284,6 +294,8 @@ class RepeatedHeader:
 
     size: int = 16
     align: int = 8
+    #: the header's ``struct`` (elements, size, capacity)
+    codec = _REPEATED_HEADER
 
     def write(self, space, addr: int, elements_addr: int, count: int) -> None:
         space.write(addr, _REPEATED_HEADER.pack(elements_addr, count, count))

@@ -67,8 +67,13 @@ from .config import ProtocolConfig
 from .credits import CreditError, CreditManager
 from .idpool import RequestIdPool
 from .wire import (
+    HEADER,
+    HEADER_SIZE,
+    PAYLOAD_ALIGN,
     PREAMBLE,
     PREAMBLE_SIZE,
+    SIZE_EXT,
+    SIZE_EXT_SIZE,
     BlockFormatError,
     BlockReader,
     BlockWriter,
@@ -164,7 +169,9 @@ class IncomingRequest(NamedTuple):
     tuple it is.  The view is valid only until the handler returns — the
     block's memory is recycled afterwards."""
 
-    space: AddressSpace
+    #: the receive buffer's region, the payload proven inside it (a
+    #: region stands where a space is expected)
+    space: MemoryRegion
     method_id: int
     request_id: int
     payload_addr: int
@@ -349,23 +356,25 @@ class _EndpointBase:
 
     # -- the send path (docs/PROTOCOL.md "Sender rules") -----------------------
 
-    def _append(
-        self, reserve: int, write: PayloadWriter, method_or_id: int, flags: int,
-        note, words: tuple = (), trace_ctx=None,
-    ) -> int:
-        """Put one message into the open block; returns its payload size.
+    def _append(self, reserve: int, write: PayloadWriter, method_or_id: int, flags: int,
+                note, words: tuple, trace_ctx) -> int:
+        """Put one message into the open block — the one function that
+        does; returns its payload size.
 
-        ``write`` builds the payload in place and reports its true size
-        (at most ``reserve``); each of ``words`` is a u64 written ahead
-        of it, in order; ``note`` is what the role keeps of the message
-        until its block is transmitted.  A block that cannot take the
-        message goes first; one is opened when none is; one that reached
-        ``block_size`` goes too, as far as credits allow.  A writer that
-        raises (a malformed payload fails in the arena decoder) or
-        over-reports costs exactly this message: the block is as it was,
-        the error re-raised.  A block left holding nothing is given back:
-        sealed empty later, it would take a credit no response can ever
-        return."""
+        ``reserve`` bytes are set aside behind an 8-aligned header (and
+        the §IV-E size-extension word from 2^16 on); each of ``words``
+        is a u64 written at their start, then ``write(sbuf, addr)``
+        builds the payload behind them in the send buffer and reports
+        its true size — at most what it reserved (:class:`ProtocolError`).
+        ``note`` is what the role keeps of the message until its block is
+        transmitted.  A block that cannot take the message goes first;
+        one is opened when none is; one that reached ``block_size`` goes
+        too, as far as credits allow.  A writer that raises (a malformed
+        payload fails in the arena decoder), re-enters (the block is
+        busy) or over-reports costs exactly this message: the header is
+        packed and the cursor moved only after it returned, the error
+        re-raised.  A block left holding nothing is given back: sealed
+        empty later, it would take a credit no response can ever return."""
         if words:
             reserve += 8 * len(words)
         writer = self._writer
@@ -388,13 +397,37 @@ class _EndpointBase:
                 writer.base, writer.end, writer.cursor, writer.message_count = (
                     addr, addr + capacity, addr + PREAMBLE_SIZE, 0)
             self._writer = writer
+        if writer._open is not None:
+            raise BlockFormatError("block busy: a message is being written")
+        # the room check above holds the header, the extension word and
+        # the alignment (at most 7 + 8 + 8 < 32 bytes)
+        header_addr = (writer.cursor + PAYLOAD_ALIGN - 1) & -PAYLOAD_ALIGN
+        large = reserve >= 1 << 16
+        payload_addr = header_addr + (HEADER_SIZE + SIZE_EXT_SIZE if large else HEADER_SIZE)
+        mem, origin = writer._mem, writer._origin
+        writer._open = header_addr  # a writer that re-enters finds the block busy
         try:
-            actual = writer.put_message(self.sbuf, reserve, write, method_or_id, flags, words)
+            addr = payload_addr
+            for word in words:
+                SIZE_EXT.pack_into(mem, addr - origin, word & 0xFFFFFFFFFFFFFFFF)
+                addr += 8
+            actual = addr - payload_addr + write(self.sbuf, addr)
+            if actual > reserve:
+                raise ProtocolError(f"writer produced {actual} > reserved {reserve}")
         except BaseException:
-            if not writer.message_count:
-                self.allocator.free(writer.base - self.sbuf.base)
+            if not writer.message_count:  # (its offset in the send buffer)
+                self.allocator.free(writer.base - writer._origin)
                 self._writer = None
             raise
+        finally:
+            writer._open = None
+        if large:  # §IV-E: overflow marker in the size field, true size behind it
+            HEADER.pack_into(mem, header_addr - origin, 0xFFFF, method_or_id, flags | Flags.LARGE, 0)
+            SIZE_EXT.pack_into(mem, header_addr - origin + HEADER_SIZE, actual)
+        else:
+            HEADER.pack_into(mem, header_addr - origin, actual, method_or_id, flags, 0)
+        writer.message_count += 1
+        writer.cursor = payload_addr + actual
         self._open_notes.append(note)
         if self.trace is not None:
             traces = self._writer_traces
@@ -1068,7 +1101,9 @@ class ServerEndpoint(_EndpointBase):
         ids = self.id_pool.allocate_many(len(messages))
         stats = self.stats
         stats.requests_received += len(messages)
-        space, rbuf, trace, handlers = self.space, self.rbuf, self.trace, self._handlers
+        # a request's space is the receive buffer its block landed in,
+        # resolved once: read_block proved every payload inside it
+        rbuf, trace, handlers = self.rbuf, self.trace, self._handlers
         for rid, (method_id, flags, payload_addr, payload_size) in zip(ids, messages):
             word = deadline_us = lane = 0
             if flags & (Flags.TRACE_CTX | Flags.DEADLINE):
@@ -1111,7 +1146,7 @@ class ServerEndpoint(_EndpointBase):
                     if handler is None:
                         raise LookupError(f"unknown method {method_id}")
                     response = handler(tuple.__new__(IncomingRequest, (
-                        space, method_id, rid, payload_addr, payload_size,
+                        rbuf, method_id, rid, payload_addr, payload_size,
                         flags, ctx, deadline_us, lane)))
                 except Exception as exc:  # noqa: BLE001 — handler faults become RPC errors
                     stats.handler_errors += 1
@@ -1125,14 +1160,14 @@ class ServerEndpoint(_EndpointBase):
                     response = self._expired("response_emit")
             try:
                 actual = self._append(response.size, response.writer or response.write_to,
-                                      rid, response.flags, rid)
+                                      rid, response.flags, rid, (), None)
             except Exception as exc:  # noqa: BLE001 — the handler's fault, in its writer
                 if response.writer is None:
                     raise  # plain bytes always write: no block was to be had
                 stats.handler_errors += 1
                 response = _fault(exc)
                 actual = self._append(response.size, response.write_to, rid,
-                                      response.flags, rid)
+                                      response.flags, rid, (), None)
             if ctx is not None:
                 trace.event(ctx, "response_emit", rid=rid, bytes=actual,
                             flags=response.flags)

@@ -66,8 +66,8 @@ PAYLOAD_ALIGN = 8
 SIZE_EXT_SIZE = 8
 
 PREAMBLE = struct.Struct("<HHIII")
-_HEADER = struct.Struct("<HHHH")
-_SIZE_EXT = struct.Struct("<Q")
+HEADER = struct.Struct("<HHHH")
+SIZE_EXT = struct.Struct("<Q")
 
 
 class ProtocolError(RuntimeError):
@@ -133,14 +133,6 @@ class Flags:
     MALFORMED = 1 << 10
 
 
-def _pack_large_header(mem, offset: int, payload_size: int, method_or_id: int,
-                       flags: int) -> None:
-    """The large form (§IV-E): overflow marker in the 16-bit size field,
-    true size in the extension word behind the header."""
-    _HEADER.pack_into(mem, offset, 0xFFFF, method_or_id, flags | Flags.LARGE, 0)
-    _SIZE_EXT.pack_into(mem, offset + HEADER_SIZE, payload_size)
-
-
 class Preamble(NamedTuple):
     message_count: int
     ack_blocks: int
@@ -178,7 +170,7 @@ class MessageHeader:
     flags: int = Flags.NONE
 
     def pack_into(self, space, addr: int) -> None:
-        _HEADER.pack_into(
+        HEADER.pack_into(
             space.view(addr, HEADER_SIZE),
             0,
             self.payload_size,
@@ -189,24 +181,26 @@ class MessageHeader:
 
     @classmethod
     def read(cls, space, addr: int) -> "MessageHeader":
-        size, mid, flags, _ = _HEADER.unpack_from(space.view(addr, HEADER_SIZE), 0)
+        size, mid, flags, _ = HEADER.unpack_from(space.view(addr, HEADER_SIZE), 0)
         return cls(size, mid, flags)
 
 
 class BlockWriter:
-    """Builds one block in place inside a send buffer.
+    """One block being built in place inside a send buffer: its span,
+    cursor and message count.
 
-    :meth:`put_message` reserves payload space, has the caller's writer
-    build the payload directly at the reserved address — this is what
-    lets the arena deserializer construct the C++ object *inside* the
-    outgoing block with no further copies — and packs the header, in one
-    step that happens or leaves the block untouched.  It is the one way
-    a message enters a block.
+    The endpoint's ``_append`` puts messages in — it reserves payload
+    space, has the caller's writer build the payload directly at the
+    reserved address (this is what lets the arena deserializer construct
+    the C++ object *inside* the outgoing block with no further copies)
+    and packs the header, in one step that happens or leaves the block
+    untouched; it is the one way a message enters a block.
 
     ``[base_addr, base_addr + capacity)`` is bounds-checked once, here;
     every header and the preamble are then packed straight into the
-    region's buffer at offsets inside that span (``space`` may be the
-    region itself — an endpoint hands in the send buffer it owns).
+    region's buffer (``_mem``, first byte at ``_origin``) at offsets
+    inside that span (``space`` may be the region itself — an endpoint
+    hands in the send buffer it owns).
     """
 
     #: header address of the message being written (class-level
@@ -221,47 +215,6 @@ class BlockWriter:
         self.message_count = 0
         self._mem = region.buf
         self._origin = region.base  # address of _mem[0]
-
-    def put_message(self, space, reserve: int, write, method_or_id: int,
-                    flags: int = Flags.NONE, words=()) -> int:
-        """Put one message into the block; returns its payload size.
-
-        ``reserve`` bytes are set aside behind an 8-aligned header (and
-        the §IV-E size-extension word from 2^16 on); each of ``words``
-        is a u64 written at their start, then ``write(space, addr)``
-        builds the payload behind them and reports its true size — at
-        most what it reserved (:class:`ProtocolError`), so the one
-        reservation check covers the message.  The cursor moves last: a
-        writer that raises or over-reports costs the block nothing."""
-        if self._open is not None:
-            raise BlockFormatError("block busy: a message is being written")
-        header_addr = (self.cursor + PAYLOAD_ALIGN - 1) & -PAYLOAD_ALIGN
-        large = reserve >= 1 << 16
-        payload_addr = header_addr + (HEADER_SIZE + SIZE_EXT_SIZE if large else HEADER_SIZE)
-        if payload_addr + reserve > self.end:
-            raise BlockFormatError(
-                f"block full: need {reserve} payload bytes, "
-                f"{self.end - payload_addr} remain"
-            )
-        mem, origin = self._mem, self._origin
-        self._open = header_addr  # a writer that re-enters finds the block busy
-        try:
-            addr = payload_addr
-            for word in words:
-                _SIZE_EXT.pack_into(mem, addr - origin, word & 0xFFFFFFFFFFFFFFFF)
-                addr += 8
-            actual = addr - payload_addr + write(space, addr)
-        finally:
-            self._open = None
-        if actual > reserve:
-            raise ProtocolError(f"writer produced {actual} > reserved {reserve}")
-        if large:
-            _pack_large_header(mem, header_addr - origin, actual, method_or_id, flags)
-        else:
-            _HEADER.pack_into(mem, header_addr - origin, actual, method_or_id, flags, 0)
-        self.message_count += 1
-        self.cursor = payload_addr + actual
-        return actual
 
     def seal(self, ack_blocks: int = 0, sequence: int = 0) -> int:
         """Write the preamble (body checksum included); returns the total
@@ -327,11 +280,11 @@ def read_block(region, base_addr: int, last_seq, verify: bool):
         payload_addr = header_addr + HEADER_SIZE
         if payload_addr > end:
             raise BlockFormatError("header extends past block end")
-        payload_size, method_or_id, flags, _ = _HEADER.unpack_from(mem, header_addr - origin)
+        payload_size, method_or_id, flags, _ = HEADER.unpack_from(mem, header_addr - origin)
         if flags & Flags.LARGE:
             if payload_addr + SIZE_EXT_SIZE > end:
                 raise BlockFormatError("size extension extends past block end")
-            (payload_size,) = _SIZE_EXT.unpack_from(mem, payload_addr - origin)
+            (payload_size,) = SIZE_EXT.unpack_from(mem, payload_addr - origin)
             payload_addr += SIZE_EXT_SIZE
         if payload_addr + payload_size > end:
             raise BlockFormatError("payload extends past block end")

@@ -25,11 +25,14 @@ class Arena:
 
     The arena does not own memory; it hands out addresses within a span the
     caller has already mapped (typically a block payload inside a send
-    buffer).  Writes go through the provided address space.  The DPU
-    engine points one arena at each request's span by storing its fields.
+    buffer).  Writes go through the provided address space, or — the
+    generated arena decoders — straight into ``mem``, the buffer of the
+    region holding the whole span, whose first byte is at ``origin``:
+    resolved on first use, or by the DPU engine, which builds an arena
+    per request over the send buffer by storing its fields.
     """
 
-    __slots__ = ("space", "base", "size", "top")
+    __slots__ = ("space", "base", "size", "top", "mem", "origin")
 
     def __init__(self, space: AddressSpace | MemoryRegion, base: int, size: int) -> None:
         if size <= 0:
@@ -38,6 +41,7 @@ class Arena:
         self.base = base
         self.size = size
         self.top = base  # the next free address
+        self.mem = self.origin = None  # the span is resolved on first use
 
     @property
     def used(self) -> int:

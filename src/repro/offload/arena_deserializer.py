@@ -138,14 +138,21 @@ class ArenaDeserializer:
             self._gen_cache = ArenaGenCache(self)
         return self._gen_cache
 
-    def deserialize(self, root_index: int, wire, arena: Arena) -> int:
+    def deserialize(self, root_index: int, wire, arena: Arena, space=None, addr=None) -> int:
         """Parse ``wire`` as the message class at ``root_index``; build the
         object in ``arena``; returns the object's virtual address.
 
-        Dispatches on the deserializer's current ``mode``: the generated
-        straight-line decoders (the default; the root's is looked up
-        here, as ``ArenaGenCache.decoder`` does) or the interpretive oracle.
+        Bound with its first three arguments it is a block payload writer
+        (``DpuEngine.call``): ``write(space, addr)`` places the arena —
+        sized to the span the block reserved, its buffer the send
+        buffer's — at ``addr``, builds the object there and returns the
+        bytes it took.  Dispatches on the deserializer's current ``mode``:
+        the generated straight-line decoders (the default; the root's is
+        looked up here, as ``ArenaGenCache.decoder`` does), which store
+        through the arena's resolved span, or the interpretive oracle.
         """
+        if addr is not None:
+            arena.base = arena.top = addr
         mode = self.mode
         if mode == "generated":
             buf = wire if isinstance(wire, (bytes, memoryview)) else bytes(wire)
@@ -155,11 +162,20 @@ class ArenaDeserializer:
                 decode = cache.compile(root_index)
             else:
                 PLAN_METRICS.gen_cache_hits += 1
-            return decode(buf, 0, len(buf), arena, 1, 0)
-        if mode != "interpretive":
+            if arena.mem is None:  # checked once, then stored to
+                region = arena.space.region_of(arena.base, arena.size)
+                arena.mem, arena.origin = region.buf, region.base
+            obj = decode(buf, 0, len(buf), arena, 1, 0)
+        elif mode == "interpretive":
+            buf = bytes(wire)
+            obj = self._parse_message(root_index, buf, 0, len(buf), arena, depth=1)
+        else:
             raise ValueError(f"unknown arena decode mode {mode!r}")
-        buf = bytes(wire)
-        return self._parse_message(root_index, buf, 0, len(buf), arena, depth=1)
+        if addr is None:
+            return obj
+        if obj != addr:
+            raise AdtError("root object must sit at the payload start")
+        return arena.top - addr
 
     def deserialize_by_name(self, full_name: str, wire, arena: Arena) -> int:
         return self.deserialize(self.adt.index_of(full_name), wire, arena)
@@ -224,11 +240,15 @@ class ArenaDeserializer:
                 total += _align8(v + 1) + 8
         return total + 64
 
-    def deserialize_fixed(self, root_index: int, wire, arena: Arena) -> int:
+    def deserialize_fixed(self, root_index: int, wire, arena: Arena, space=None,
+                          addr=None) -> int:
         """Decode a WIRE_FIXED payload into an arena object: one struct
         unpack and bounds walk (:meth:`FixedLayout.spans`), then
         straight-line application of the proven spans — no tags, no
-        varints, no per-byte branches."""
+        varints, no per-byte branches.  A payload writer bound as
+        :meth:`deserialize` is."""
+        if addr is not None:
+            arena.base = arena.top = addr
         buf = wire if isinstance(wire, (bytes, memoryview)) else bytes(wire)
         layout, rows = self.fixed_layout_for(root_index)
         values, cuts = layout.spans(buf, DeserializeError)
@@ -262,7 +282,11 @@ class ArenaDeserializer:
             else:  # array
                 stats.fixed_fields += v
                 self._materialize_repeated(f, obj, [tail], arena)
-        return obj
+        if addr is None:
+            return obj
+        if obj != addr:
+            raise AdtError("root object must sit at the payload start")
+        return arena.top - addr
 
     # ------------------------------------------------------- size estimation
 

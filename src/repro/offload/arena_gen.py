@@ -18,10 +18,11 @@ the source as literals:
   clear masks) as straight-line stores;
 * the child entry index for message fields.
 
-An object's memory is checked once, then stored to: the decoder places
-its object (or takes the one a first occurrence built), bounds-checks
-``[obj, obj + sizeof)`` and keeps the region's buffer ``mem`` and the
-object's offset ``o`` in it; every in-object store is
+An object's memory is checked once, then stored to: the arena's whole
+span was resolved once — with the send buffer, on the DPU's datapath —
+into the region's buffer ``mem``; the decoder bump-places its object
+inside the span (or takes the one a first occurrence built) and keeps
+its offset ``o`` in ``mem``; every in-object store is
 ``mem[o + LITERAL ...]`` with the literal proven ``< sizeof`` at compile
 time (``check_entry_layout``) and every slice store the exact width of
 its slot — a wrong-length slice store raises on both stores a region
@@ -38,15 +39,20 @@ The generated path preserves the interpretive path's
 :class:`~repro.offload.arena_deserializer.DeserializeStats` census
 exactly — the calibrated cost model converts that census into CPU/DPU
 time, so both paths must charge identical operation counts for the same
-wire bytes.  Repeated-field materialization and string crafting delegate
-to the deserializer's existing composite writers for the same reason.
+wire bytes.  The counts and the has-bit bytes live in locals and are
+stored once per object, however the decode ends.  Strings and repeated
+scalars are stored in place (a ``std::string`` through its layout's
+``SSO_FORM`` / ``LONG_FORM``, an element array in one arena span);
+repeated messages and strings, and a repeated scalar merged into a
+second occurrence of its message, go to the deserializer's composite
+writer, which lays them out as the oracle does.
 """
 
 from __future__ import annotations
 
 import struct
 
-from repro.abi import PRIMITIVES
+from repro.abi import PRIMITIVES, REPEATED_HEADER
 from repro.proto.descriptor import FieldType
 from repro.proto.gen_codec import (
     DESCEND,
@@ -67,6 +73,9 @@ from .arena_deserializer import HASBITS_OFFSET, DeserializeError
 
 __all__ = ["ArenaGenCache"]
 
+#: local -> the :class:`DeserializeStats` counter it is flushed into
+_CENSUS = {"nv": "varints_decoded", "vb": "varint_bytes", "nf": "fixed_fields",
+           "ns": "string_bytes_copied", "nu": "utf8_bytes_validated"}
 
 class ArenaGenCache:
     """Per-deserializer store of generated decoders, keyed by ADT entry
@@ -103,13 +112,18 @@ class ArenaGenCache:
 
     # -- source generation ---------------------------------------------------
 
-    def _field_branches(self, entry: AdtEntry, ns: dict) -> list[tuple[int, str, list[str]]]:
+    def _field_branches(self, entry: AdtEntry, ns: dict, census: set,
+                        has_bytes: set) -> list[tuple[int, str, list[str]]]:
         """Per-field branches — a shared read, then what an arena object
-        does with the value: a store at a literal offset plus the has-bit
-        byte (singular, after restoring any oneof siblings), or a chunk
-        kept in ``pending`` for ``_materialize_repeated`` (repeated), and
-        the ``DeserializeStats`` census either way."""
-        deser = self.deser
+        does with the value: a store at a literal offset plus its has-bit
+        in the local ``h<byte>`` (singular, after restoring any oneof
+        siblings and clearing their bits), a ``std::string`` stored in
+        place, or a chunk kept in ``pending`` (repeated).  The
+        ``DeserializeStats`` counts go to locals; ``census`` and
+        ``has_bytes`` collect the ones used, for the setup and the flush."""
+        layout = self.deser.string_layout
+        ns.update(_sso=struct.Struct(layout.SSO_FORM[0]).pack_into,
+                  _long=struct.Struct(layout.LONG_FORM[0]).pack_into)
         branches: list[tuple[int, str, list[str]]] = []
         for i, f in enumerate(entry.fields):
             kind = f.kind
@@ -117,20 +131,22 @@ class ArenaGenCache:
             offset = f.offset
             keep = f"pending.setdefault({number}, []).append({{}})"
             # _has_bits_ words are little-endian: bit b lives in byte b // 8
-            set_has = [f"mem[o + {HASBITS_OFFSET + f.has_bit // 8}] |= {1 << (f.has_bit % 8)}"]
+            set_has = [f"h{f.has_bit // 8} |= {1 << (f.has_bit % 8)}"]
+            if not f.repeated:
+                has_bytes.add(f.has_bit // 8)
             clear = []
             if f.oneof_group >= 0:
                 for k, other in enumerate(entry.fields):
                     if other.oneof_group != f.oneof_group or other.number == number:
                         continue
-                    size = deser._slot_size(other)
+                    size = self.deser._slot_size(other)
                     ns[f"_def{i}_{k}"] = entry.default_bytes[
                         other.offset : other.offset + size
                     ]
-                    o_byte = HASBITS_OFFSET + other.has_bit // 8
+                    has_bytes.add(other.has_bit // 8)
                     clear += [
                         f"mem[o + {other.offset}:o + {other.offset + size}] = _def{i}_{k}",
-                        f"mem[o + {o_byte}] &= {~(1 << (other.has_bit % 8)) & 0xFF}",
+                        f"h{other.has_bit // 8} &= {~(1 << (other.has_bit % 8)) & 0xFF}",
                     ]
 
             if kind is FieldType.MESSAGE:
@@ -152,12 +168,29 @@ class ArenaGenCache:
             elif kind in (FieldType.STRING, FieldType.BYTES):
                 body = read_length("string") + ["raw = bytes(buf[pos:npos])"]
                 if kind is FieldType.STRING:
-                    body += ["_vu8(raw)", "stats.utf8_bytes_validated += n"]
-                body.append("stats.string_bytes_copied += n")
+                    body += ["if not raw.isascii():", "    _vu8(raw)", "nu += n"]
+                    census.add("nu")
+                census.add("ns")
+                body.append("ns += n")
                 if f.repeated:
                     body.append(keep.format("raw"))
-                else:
-                    body += [*clear, f"_ws(arena, obj + {offset}, raw)", *set_has]
+                else:  # the std::string, short or with its data behind it in the arena
+                    body += [
+                        *clear,
+                        f"if n <= {layout.sso_capacity}:",
+                        f"    _sso(mem, o + {offset}, "
+                        f"{layout.SSO_FORM[1].format(addr=f'obj + {offset}')})",
+                        "else:",
+                        "    d = (arena.top + 7) & -8",
+                        "    if d + n + 1 > arena.base + arena.size:",
+                        "        arena.allocate(n + 1, 8)  # raises, naming the span",
+                        "    arena.top = d + n + 1",
+                        "    od = d - arena.origin",
+                        "    mem[od:od + n] = raw",
+                        "    mem[od + n] = 0",
+                        f"    _long(mem, o + {offset}, {layout.LONG_FORM[1]})",
+                        *set_has,
+                    ]
                 body.append("pos = npos")
             else:
                 row = KINDS[kind]
@@ -165,7 +198,8 @@ class ArenaGenCache:
                 if width:
                     # The in-object representation *is* the little-endian
                     # wire representation: wire bytes are stored verbatim.
-                    body = read_fixed(width) + ["stats.fixed_fields += 1"]
+                    census.add("nf")
+                    body = read_fixed(width) + ["nf += 1"]
                     if f.repeated:
                         body.append(keep.format("bytes(buf[pos:npos])"))
                     else:
@@ -179,17 +213,13 @@ class ArenaGenCache:
                     run = [
                         f"if n % {width}:",
                         "    raise _DE('packed fixed run not a multiple of element width')",
-                        f"stats.fixed_fields += n // {width}",
+                        f"nf += n // {width}",
                         keep.format("bytes(buf[pos:npos])"),
                     ]
                 else:
+                    census.update(("nv", "vb"))
                     ns[f"_pk{i}"] = row.codec.pack if f.repeated else row.codec.pack_into
-                    body = [
-                        "start = pos",
-                        *READ_VARINT,
-                        "stats.varints_decoded += 1",
-                        "stats.varint_bytes += pos - start",
-                    ]
+                    body = ["start = pos", *READ_VARINT, "nv += 1", "vb += pos - start"]
                     if f.repeated:
                         body.append(keep.format(f"_pk{i}({row.from_raw})"))
                     else:
@@ -198,8 +228,8 @@ class ArenaGenCache:
                     # arena: its ``tobytes()`` *is* the element storage.
                     run = [
                         "raw = _dpv(buf[pos:npos])",
-                        "stats.varints_decoded += len(raw)",
-                        "stats.varint_bytes += n",
+                        "nv += len(raw)",
+                        "vb += n",
                         keep.format(f"({row.from_raw_array}).tobytes()"),
                     ]
                 if f.repeated:
@@ -210,58 +240,103 @@ class ArenaGenCache:
             branches.append((make_tag(number, wire_type_of(kind)), f.name, body))
         return branches
 
+    @staticmethod
+    def _element_store(f) -> list[str]:
+        """A repeated scalar's element storage, built from its chunks
+        ``values`` in one arena span; a merge into elements already there
+        is left to ``_materialize_repeated``, which copies them first."""
+        at, size = f.offset, f.elem_size
+        return [
+            f"if _rh(mem, o + {at})[1]:",
+            "    _mat(_fbn(number), obj, values, arena)",
+            "    continue",
+            "data = b''.join(values)",
+            f"count = len(data) // {size}",
+            "stats.array_elements += count",
+            "e = (arena.top + 7) & -8",
+            "if e + len(data) > arena.base + arena.size:",
+            "    arena.allocate(len(data), 8)  # raises, naming the span",
+            "arena.top = e + len(data)",
+            "oe = e - arena.origin",
+            "mem[oe:oe + len(data)] = data",
+            "stats.bytes_memcpy += len(data)",
+            f"_wh(mem, o + {at}, e, count, count)",
+            f"mem[o + {HASBITS_OFFSET + f.has_bit // 8}] |= {1 << (f.has_bit % 8)}",
+        ]
+
     def entry_source(self, index: int) -> tuple[str, dict]:
         """Build one entry's decode-function source and exec namespace:
-        ``place_object``'s lines (``obj`` 0; any other ``obj`` is the one
-        a first occurrence built, merged into), then the shared loop with
-        the arena back end's branches; it returns the object's address.
-        Unknown fields are dropped — a C++ object has no unknown set."""
+        the object placed through the arena's resolved span (``obj`` 0;
+        any other ``obj`` is the one a first occurrence built, merged
+        into), then the shared loop with the arena back end's branches,
+        the census and has-bits flushed once, repeated fields stored; it
+        returns the object's address.  Unknown fields are dropped — a C++
+        object has no unknown set."""
         entry = self.deser.adt.entry(index)
-        full_name, sizeof = entry.full_name, entry.sizeof
-        # repeated fields collect in ``pending`` and materialize at the end
-        repeated = any(f.repeated for f in entry.fields)
+        full_name, sizeof, align = entry.full_name, entry.sizeof, entry.alignof
+        # repeated fields collect in ``pending`` and are stored at the end
+        repeated = [f for f in entry.fields if f.repeated]
         ns = loop_namespace(full_name, DeserializeError, entry.fields)
         ns.update(
             _decoder=self.decoder,
             _mat=self.deser._materialize_repeated,
             _fbn=entry.field_by_number,
-            _ws=self.deser._write_string,
             _vu8=validate_utf8,
             _serr=struct.error,
             _ru64=PRIMITIVES["pointer"].codec.unpack_from,
             _wu64=PRIMITIVES["pointer"].codec.pack_into,
+            _rh=REPEATED_HEADER.codec.unpack_from,
+            _wh=REPEATED_HEADER.codec.pack_into,
             _default=entry.default_bytes,
             stats=self.stats,
         )
+        census: set = set()
+        has_bytes: set = set()
+        branches = self._field_branches(entry, ns, census, has_bytes)
+        stores, composites = [], False
+        for f in repeated:
+            if f.kind in (FieldType.MESSAGE, FieldType.STRING, FieldType.BYTES):
+                composites = True
+            else:
+                stores += [f"if number == {f.number}:  # {f.name}",
+                           *(f"    {line}" for line in self._element_store(f)), "    continue"]
         source = tag_loop(
             [
                 f"# generated arena decoder for {full_name} (ADT entry {index})",
                 "def _decode(buf, pos, end, arena, depth, obj):",
             ],
             setup=[
-                "placed = not obj",
-                "if placed:",
-                f"    obj = arena.allocate({sizeof}, {entry.alignof})",
-                f"region = arena.space.region_of(obj, {sizeof})",
-                "mem = region.buf",
-                "o = obj - region.base",
-                "if placed:",
+                "mem = arena.mem",
+                "if obj:",
+                "    o = obj - arena.origin",
+                "else:",
+                f"    obj = (arena.top + {align - 1}) & -{align}",
+                f"    if obj + {sizeof} > arena.base + arena.size:",
+                f"        arena.allocate({sizeof}, {align})  # raises, naming the span",
+                f"    arena.top = obj + {sizeof}",
+                "    o = obj - arena.origin",
                 f"    mem[o:o + {sizeof}] = _default",
                 f"    stats.bytes_memcpy += {sizeof}",
                 "    stats.messages += 1",
                 "    if depth > stats.max_depth:",
                 "        stats.max_depth = depth",
+                *(f"h{k} = mem[o + {HASBITS_OFFSET + k}]" for k in sorted(has_bytes)),
+                *(f"{name} = 0" for name in sorted(census)),
                 *(["pending = {}"] if repeated else []),
             ],
             each_tag=[],
-            branches=self._field_branches(entry, ns),
+            branches=branches,
             after_unknown=[],
             caught="(_Wfe, ValueError, _serr)",
+            flush=[
+                *(f"mem[o + {HASBITS_OFFSET + k}] = h{k}" for k in sorted(has_bytes)),
+                *(f"stats.{_CENSUS[name]} += {name}" for name in sorted(census)),
+            ],
             tail=[
                 *([
-                    "if pending:",
-                    "    for number, values in pending.items():",
-                    "        _mat(_fbn(number), obj, values, arena)",
+                    "for number, values in pending.items():",
+                    *(f"    {line}" for line in stores),
+                    *(["    _mat(_fbn(number), obj, values, arena)"] if composites else []),
                 ] if repeated else []),
                 "return obj",
             ],

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from repro.abi import AbiConfig, check_compatibility
+from repro.abi import PRIMITIVES, AbiConfig, check_compatibility
 from repro.core import (
     Channel,
     Flags,
@@ -58,6 +58,9 @@ from repro.rdma import Opcode, WorkRequest
 from .adt import Adt, AdtError, BlobReader, TypeUniverse, decode_adt, encode_adt
 from .arena_deserializer import ArenaDeserializer, DeserializeStats
 from .materialize import CppMessageView, view_class
+
+_new = object.__new__
+_POINTER = PRIMITIVES["pointer"].codec.unpack_from
 
 __all__ = [
     "MethodSpec",
@@ -175,6 +178,7 @@ class HostEngine:
         layout = universe.layouts.layout(desc)
         view_cls = view_class(universe, layout)
         input_cls = self.schema.factory.get_class(desc)
+        sizeof, vptr_at = layout.sizeof, layout.VPTR_OFFSET
 
         def handler(request: IncomingRequest) -> Response:
             degraded = request.flags & Flags.WIRE_PAYLOAD
@@ -191,7 +195,20 @@ class HostEngine:
                 else:
                     view = parse(input_cls, request.payload_bytes())
             else:
-                view = view_cls(universe, layout, request.payload_addr)
+                # The object is loaded where the block landed: its region
+                # (the receive buffer, resolved once) is the request's
+                # space, the payload proven inside it.  A view whose vptr
+                # is the one its class proved is built right here; any
+                # other (the first, a short payload) is checked in full.
+                region, addr = request.space, request.payload_addr
+                offset = addr - region.base
+                if (request.payload_size >= sizeof
+                        and _POINTER(region.buf, offset + vptr_at)[0] == view_cls._vtable):
+                    view = _new(view_cls)
+                    view._addr, view._region, view._buf, view._offset = (
+                        addr, region, region.buf, offset)
+                else:
+                    view = view_cls(universe, layout, addr)
             trace = self.trace if request.trace is not None else None
             t0 = trace.now() if trace is not None else 0
             result = callback(view, request)
@@ -255,9 +272,9 @@ class DpuEngine:
         self.method_table: dict[int, int] = {}
         self.method_names: dict[int, str] = {}
         self.deserializer: ArenaDeserializer | None = None
-        #: every request is decoded into it (:meth:`_decode_into`)
+        #: the send buffer every request's arena lies in, resolved once
         sbuf = channel.client.sbuf
-        self._arena = Arena(sbuf, sbuf.base, sbuf.size)
+        self._sbuf_span = (sbuf, sbuf.buf, sbuf.base)
         self.stats = DeserializeStats()
         #: crash simulation (docs/FAULTS.md): while set, :meth:`call`
         #: raises EngineCrashedError; the transport underneath stays up,
@@ -373,40 +390,34 @@ class DpuEngine:
             root = self.method_table[method_id]
         except KeyError:
             raise AdtError(f"method {method_id} not in the offload table") from None
+        # The request's arena: its span is the block's reservation, placed
+        # by the payload writer; its buffer is the send buffer's.
+        arena = _new(Arena)
+        arena.space, arena.mem, arena.origin = self._sbuf_span
         fixed = wire_mode == WIRE_FIXED
         if fixed:
-            estimate = deserializer.estimate_size_fixed(root, wire_bytes)
-            decode = deserializer.deserialize_fixed
+            arena.size = estimate = deserializer.estimate_size_fixed(root, wire_bytes)
+            write = partial(deserializer.deserialize_fixed, root, wire_bytes, arena)
         else:
-            estimate = deserializer.estimate_size(root, wire_bytes)
-            decode = deserializer.deserialize
+            arena.size = estimate = deserializer.estimate_size(root, wire_bytes)
+            write = partial(deserializer.deserialize, root, wire_bytes, arena)
         trace = self.trace
-        if trace is not None and trace_ctx is None:
-            trace_ctx = trace.context()
-        self.channel.client.enqueue(
-            method_id, estimate,
-            partial(self._decode_into, decode, root, wire_bytes, estimate, fixed, trace_ctx),
-            on_response, Flags.NONE, trace_ctx, deadline,
-        )
-
-    def _decode_into(self, decode, root: int, wire_bytes, estimate: int, fixed: bool,
-                     trace_ctx, space, addr: int) -> int:
-        """A request's payload writer, as a ``partial`` over its arguments
-        (no closure): the offloaded stage — wire bytes -> in-block C++
-        object.  The engine's arena is pointed at the ``estimate`` bytes
-        the open block reserved at ``addr``; returns the bytes used."""
-        arena = self._arena
-        arena.space, arena.base, arena.size, arena.top = space, addr, estimate, addr
-        trace = self.trace if trace_ctx is not None else None
-        t0 = trace.now() if trace is not None else 0
-        obj = decode(root, wire_bytes, arena)
-        used = arena.top - addr
         if trace is not None:
-            trace.event(trace_ctx, "deserialize", ts=t0,
-                        dur=trace.now() - t0, bytes=len(wire_bytes), object=used,
-                        mode="fixed" if fixed else self.deserializer.mode)
-        if obj != addr:
-            raise AdtError("root object must sit at the payload start")
+            if trace_ctx is None:
+                trace_ctx = trace.context()
+            write = partial(self._traced, write, trace_ctx, len(wire_bytes), fixed)
+        self.channel.client.enqueue(method_id, estimate, write, on_response, Flags.NONE,
+                                    trace_ctx, deadline)
+
+    def _traced(self, write, trace_ctx, nbytes: int, fixed: bool, space, addr: int) -> int:
+        """A traced request's payload writer: the offloaded stage — wire
+        bytes -> in-block C++ object — as a ``deserialize`` event."""
+        trace = self.trace  # (a recorder may be detached meanwhile)
+        t0 = trace.now() if trace is not None else 0
+        used = write(space, addr)
+        if trace is not None:
+            trace.event(trace_ctx, "deserialize", ts=t0, dur=trace.now() - t0, bytes=nbytes,
+                        object=used, mode="fixed" if fixed else self.deserializer.mode)
         return used
 
     def progress(self, budget: int | None = None) -> int:

@@ -121,8 +121,9 @@ class CppMessageView:
         data_addr, n = sl.locate(holder, addr)
         if n == 0:
             return "" if text else b""
-        inline = addr <= data_addr < addr + sl.size
-        span = (holder if inline else self._space).view(data_addr, n)
+        # inline or out of line, the data lies in the holder's region:
+        # the arena that built the object is one span of it
+        span = holder.view(data_addr, n)
         return str(span, "utf-8") if text else bytes(span)
 
     def _read_repeated(self, fd, addr: int) -> list:

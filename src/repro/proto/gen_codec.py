@@ -96,6 +96,7 @@ __all__ = [
     "get_gen_decoder",
     "get_gen_encoder",
     "READ_VARINT",
+    "inline_varint",
     "read_length",
     "read_fixed",
     "tag_loop",
@@ -207,17 +208,24 @@ class _SourceBuilder:
 # loop, a read, the cold path or the compile step again.  These are plain
 # functions returning source lines: nothing here asks which back end called.
 
-#: One varint into ``raw``, single-byte fast path.
-READ_VARINT = (
-    "if pos >= end:",
-    "    raise _Trunc('varint extends past end of buffer')",
-    "b = buf[pos]",
-    "if b < 0x80:",
-    "    raw = b",
-    "    pos += 1",
-    "else:",
-    "    raw, pos = _rv(buf, pos)",
-)
+def inline_varint(var: str, past_end: str) -> list[str]:
+    """One varint into ``var``, read inline while five bytes remain
+    before ``end`` (a ``uint32``, a tag, a length); :func:`read_varint`
+    is the cold path for a longer one and near ``end``, where it reads
+    exactly as before.  ``past_end`` is the line run at ``end``."""
+    lines = ["if pos >= end:", f"    {past_end}", "elif (b := buf[pos]) < 0x80:",
+             f"    {var} = b", "    pos += 1", "elif pos + 5 <= end:"]
+    value, kw = "b - 0x80", "if"
+    for i in range(1, 5):
+        lines += [f"    {kw} (b{i} := buf[pos + {i}]) < 0x80:",
+                  f"        {var} = {value} | b{i} << {7 * i}", f"        pos += {i + 1}"]
+        value, kw = f"{value} | b{i} - 0x80 << {7 * i}", "elif"
+    return lines + ["    else:", f"        {var}, pos = _rv(buf, pos)",
+                    "else:", f"    {var}, pos = _rv(buf, pos)"]
+
+
+#: One varint value into ``raw``; past the end it is truncated.
+READ_VARINT = tuple(inline_varint("raw", "raise _Trunc('varint extends past end of buffer')"))
 
 
 #: The one nesting limit, checked before descending to ``depth + 1``.
@@ -231,7 +239,7 @@ def read_length(what: str) -> list[str]:
     """A length prefix: leaves the ``n`` payload bytes at ``buf[pos:npos]``,
     proven inside the enclosing message."""
     return [
-        "n, pos = _rv(buf, pos)",
+        *inline_varint("n", "n, pos = _rv(buf, pos)"),
         "npos = pos + n",
         "if npos > end:",
         f"    raise _Trunc('{what} extends past end')",
@@ -288,6 +296,7 @@ def tag_loop(
     branches: list[tuple[int, str, list[str]]],
     after_unknown: list[str],
     caught: str,
+    flush: list[str],
     tail: list[str],
 ) -> str:
     """The decoder's source.  ``header`` is the comment and ``def`` line,
@@ -295,8 +304,9 @@ def tag_loop(
     ``(tag, field_name, body)`` and become an ``if/elif`` chain over
     integer literals with the cold path in the ``else`` (followed by
     ``after_unknown``); an exception of the ``caught`` classes raised
-    inside a branch is re-raised as ``_DE`` naming the field; ``tail``
-    runs once the loop ended exactly at ``end``."""
+    inside a branch is re-raised as ``_DE`` naming the field; ``flush``
+    runs once however the loop ends (what the branches kept in locals
+    is stored), ``tail`` once it ended exactly at ``end``."""
     b = _SourceBuilder()
     b.add(0, *header)
     b.add(1, *setup, "fname = None", "try:")
@@ -304,8 +314,7 @@ def tag_loop(
     b.add(3,
           "fname = None",
           *each_tag,
-          "b = buf[pos]",
-          "if b < 0x80:",
+          "if (b := buf[pos]) < 0x80:",
           "    tag = b",
           "    pos += 1",
           "else:",
@@ -323,6 +332,7 @@ def tag_loop(
           "    if fname is None:",
           "        raise",
           "    raise _DE(f'{_FULL}.{fname}: {exc}') from exc",
+          *(["finally:", *_indented(flush)] if flush else ()),
           "if pos != end:",
           "    raise _DE(_FULL + ': field payload overran message end')",
           *tail)
@@ -493,6 +503,7 @@ def decode_source(descriptor: MessageDescriptor, factory: MessageFactory) -> tup
         branches=_decode_branches(descriptor, factory, ns),
         after_unknown=["msg._unknown += bytes(buf[tag_start:pos])"],
         caught="(_Wfe, _U8)",
+        flush=[],
         tail=["return pos"],
     )
     return source, ns

@@ -237,13 +237,14 @@ def prepare_emit(msg: Message, mode: str | None = None):
 
 
 def emit_writer(msg: Message, mode: str | None = None):
-    """``(size, writer)`` for the block datapath: ``writer(space, addr)``
+    """``(size, writer)`` for the block datapath: ``writer(region, addr)``
     emits ``msg``'s wire bytes directly into the registered send region
     and returns the payload size — the shape ``core.endpoint`` expects
-    from ``Response.writer`` / ``enqueue``.  The size pass runs here; the
-    writer calls the generated ``_emit`` once, into ``space.view(addr,
-    size)`` — the room check: exactly ``size`` bytes, proven inside the
-    region, and no store can leave a view."""
+    from ``Response.writer`` / ``enqueue``, where ``region`` is the send
+    buffer the endpoint holds and ``size`` bytes at ``addr`` are already
+    reserved in its open block.  The size pass runs here; the writer
+    calls the generated ``_emit`` once, straight into the region's
+    buffer, which writes exactly the ``size`` bytes it measured."""
     encoder = (mode is None and type(msg)._ENCODER) or _encoder_for(msg, mode)
     if encoder is None:  # the interpretive oracle: materialized, then copied
         data = _serialize_bytes(msg)
@@ -257,8 +258,8 @@ def emit_writer(msg: Message, mode: str | None = None):
     size = encoder._size(msg, memo)
     emit, full_name = encoder._emit, encoder.full_name
 
-    def writer(space, addr: int) -> int:
-        emit(msg, space.view(addr, size), 0, memo)
+    def writer(region, addr: int) -> int:
+        emit(msg, region.buf, addr - region.base, memo)
         metrics = _gen_codec.ENCODE_PLAN_METRICS  # as SizedMessage.emit_into counts
         metrics.encodes[full_name] = metrics.encodes.get(full_name, 0) + 1
         metrics.bytes_emitted += size

@@ -22,6 +22,8 @@ use a null pointer for simplicity"), and return a response Message.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.core import Flags
 from repro.offload.engine import DpuEngine, EngineCrashedError, HostEngine
 from repro.proto.descriptor import ServiceDescriptor
@@ -82,30 +84,7 @@ class OffloadedXrpcServer(Ingress):
             ctx = self.trace.context(method=method, call_id=call_id, lane=lane)
             self.trace.event(ctx, "ingress", bytes=len(payload))
         dpu = self.dpu
-
-        def on_response(view: memoryview, flags: int) -> None:
-            # The host's response is already serialized protobuf; the DPU
-            # only reframes it for the xRPC client (§III-A).  The payload
-            # is copied exactly once — from the protocol block straight
-            # into the outgoing frame, with no intermediate bytes object.
-            self.responses_returned += 1
-            status = StatusCode.OK
-            if flags & Flags.ERROR:
-                # The datapath answered with a failure: the outcome
-                # table's other half says which, and whether the record's
-                # payload is the client's to read.
-                status, crosses = outcome(flags)
-                self.request_faults[status] += 1
-                if not crosses:
-                    view = b""
-            if self.trace is not None and ctx is not None:
-                self.trace.event(ctx, "respond", status=int(status),
-                                 flags=flags, bytes=len(view))
-            if conn.alive:
-                append_response(conn.out, call_id, status, view)
-            else:
-                self.replies_dropped += 1
-
+        on_response = partial(self._reply, conn, call_id, ctx)
         # Graceful degradation (docs/FAULTS.md): with the DPU engine down —
         # or freshly respawned and still awaiting its bootstrap blob —
         # keep serving by shipping wire bytes for host-side
@@ -122,6 +101,30 @@ class OffloadedXrpcServer(Ingress):
             self.fallback_requests += 1
             dpu.call_raw(method_id, payload, on_response, trace_ctx=ctx,
                          wire_mode=wire_mode, deadline=deadline_word)
+
+    def _reply(self, conn: _Connection, call_id: int, ctx, view: memoryview,
+               flags: int) -> None:
+        """A request's continuation, bound over the request by ``_serve``:
+        the host's response is already serialized protobuf; the DPU only
+        reframes it for the xRPC client (§III-A).  The payload is copied
+        exactly once — from the protocol block straight into the
+        outgoing frame, with no intermediate bytes object."""
+        self.responses_returned += 1
+        status = StatusCode.OK
+        if flags & Flags.ERROR:
+            # The datapath answered with a failure: the outcome table's
+            # other half says which, and whether the record's payload is
+            # the client's to read.
+            status, crosses = outcome(flags)
+            self.request_faults[status] += 1
+            if not crosses:
+                view = b""
+        if ctx is not None and self.trace is not None:
+            self.trace.event(ctx, "respond", status=int(status), flags=flags, bytes=len(view))
+        if conn.alive:
+            append_response(conn.out, call_id, status, view)
+        else:
+            self.replies_dropped += 1
 
 
 def register_offloaded_servicer(

@@ -5,8 +5,8 @@ half (§III-A: clients only change the server address), so everything a
 client can observe before its request is served is written here once:
 accept, deframe, two priority lanes, the expired-on-arrival drop and
 the admission shed (docs/OVERLOAD.md), the WIRE_FIXED SETUP answer
-(docs/PROTOCOL.md) — and the one place a served request can fail
-(docs/FAULTS.md §3).  A subclass states the four things that differ: its
+(docs/PROTOCOL.md) — and the one place a served request's failure is
+answered (docs/FAULTS.md §3).  A subclass states the four things that differ: its
 stage names, the engine behind the door (:attr:`Ingress.dpu`), the types
 it negotiates over, and what happens to an admitted request.
 """
@@ -164,7 +164,11 @@ class Ingress:
                         # Nothing is ahead of it and no one to ask: it is
                         # served where it was decoded.
                         served += 1
-                        self._serve_contained(conn, frame, 0)
+                        mark = len(conn.out)
+                        try:
+                            self._serve(conn, frame, 0)
+                        except BaseException as exc:
+                            self._contain(conn, frame.call_id, mark, exc)
             except FramingError:
                 # It can not be resynchronized: the connection ends with
                 # this pass, every other one is served (docs/FAULTS.md).
@@ -178,7 +182,11 @@ class Ingress:
                 if self._drop_or_shed(conn, frame, lane):
                     continue
                 served += 1
-                self._serve_contained(conn, frame, lane)
+                mark = len(conn.out)
+                try:
+                    self._serve(conn, frame, lane)
+                except BaseException as exc:
+                    self._contain(conn, frame.call_id, mark, exc)
         delivered = self.dpu.progress(budget) if self.dpu is not None else 0
         for conn in self._connections:
             if conn.out:
@@ -232,21 +240,19 @@ class Ingress:
         )
         return True
 
-    def _serve_contained(self, conn: _Connection, frame, lane: int) -> None:
-        """A request that fails costs itself (docs/FAULTS.md §3): the one
-        place between "frame admitted" and "response appended" that
-        catches.  No half-built frame leaves, *that* call gets the
+    def _contain(self, conn: _Connection, call_id: int, mark: int,
+                 exc: BaseException) -> None:
+        """A request that fails costs itself (docs/FAULTS.md §3): what
+        ``_serve`` raised — :meth:`progress` serves each request in one
+        call, and catches there — is answered here.  No half-built frame
+        leaves (the output goes back to ``mark``), *that* call gets the
         outcome table's answer, and the pass goes on."""
-        mark = len(conn.out)
-        try:
-            self._serve(conn, frame, lane)
-        except BaseException as exc:
-            del conn.out[mark:]
-            if not isinstance(exc, Exception):
-                raise
-            status, _ = outcome(exc)
-            self.request_faults[status] += 1
-            self._respond(conn, frame.call_id, status, b"")
+        del conn.out[mark:]
+        if not isinstance(exc, Exception):
+            raise exc
+        status, _ = outcome(exc)
+        self.request_faults[status] += 1
+        self._respond(conn, call_id, status, b"")
 
     def _answer_setup(self, conn: _Connection, offered_hash: str) -> None:
         """WIRE_FIXED negotiation: compare the client's layout hash with

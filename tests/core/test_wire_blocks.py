@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import zlib
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.endpoint import _EndpointBase
 from repro.core.wire import (
     HEADER_SIZE,
     PAYLOAD_ALIGN,
@@ -86,7 +88,7 @@ class TestStructs:
 def writes(data: bytes):
     """A payload writer that copies ``data`` to its address and reports
     its length — the shape ``Response.write_to`` and ``enqueue_bytes``
-    hand to :meth:`BlockWriter.put_message`."""
+    hand to the endpoint's ``_append``."""
 
     def writer(space, addr: int) -> int:
         if data:
@@ -96,8 +98,34 @@ def writes(data: bytes):
     return writer
 
 
+class OneBlock:
+    """What ``_EndpointBase._append`` — the one function that puts a
+    message into a block — reads of an endpoint, around the block ``w``
+    alone: it never fills (a message that does not fit is refused, where
+    an endpoint would send the block and open another), nothing is
+    traced or queued, and writers are handed ``space``."""
+
+    trace = None
+    _polls = _open_since = 0
+    _send_queue = ()
+
+    def __init__(self, w: BlockWriter, space) -> None:
+        self._writer, self.sbuf, self._open_notes = w, space, []
+        self.config = SimpleNamespace(block_size=1 << 30)
+        self.allocator = SimpleNamespace(free=lambda offset: None)
+
+    def _send(self, reason: str) -> None:
+        raise BlockFormatError(f"block full ({reason})")
+
+
+def put_message(w: BlockWriter, space, reserve: int, write, method_or_id: int,
+                flags: int = 0) -> int:
+    return _EndpointBase._append(OneBlock(w, space), reserve, write, method_or_id, flags,
+                                 None, (), None)
+
+
 def put(w: BlockWriter, space, data: bytes, method_or_id: int, flags: int = 0) -> int:
-    return w.put_message(space, len(data), writes(data), method_or_id, flags)
+    return put_message(w, space, len(data), writes(data), method_or_id, flags)
 
 
 def state(w: BlockWriter) -> tuple[int, int]:
@@ -143,7 +171,7 @@ class TestWriterReader:
             where.write_u64(addr, 0x1122334455667788)
             return 8
 
-        w.put_message(space, 8, writer, 0)
+        put_message(w, space, 8, writer, 0)
         w.seal()
         assert BASE < seen[0] < BASE + 4096
         msg = BlockReader(space, BASE, 4096).messages()[0]
@@ -156,21 +184,22 @@ class TestWriterReader:
         w = BlockWriter(space, BASE, 64)
         before = state(w)
         with pytest.raises(BlockFormatError, match="block full"):
-            w.put_message(space, 100, pytest.fail, 1)
+            put_message(w, space, 100, pytest.fail, 1)
         assert state(w) == before
 
     def test_commit_past_block_end_rejected(self, space):
         """The size a payload writer reports back is checked against its
         reservation, not trusted: headers are stored unchecked after it.
-        An over-report is refused and leaves the block as it was."""
-        w = BlockWriter(space, BASE, 64)
+        An over-report is refused and leaves the block as it was.  (96
+        bytes: the endpoint wants 32 bytes beyond a reservation.)"""
+        w = BlockWriter(space, BASE, 96)
         put(w, space, b"first", 1)
         before = state(w)
         with pytest.raises(ProtocolError, match="reserved 8"):
-            w.put_message(space, 8, lambda where, addr: 100, 2)
+            put_message(w, space, 8, lambda where, addr: 100, 2)
         assert state(w) == before
         w.seal()
-        assert [m.payload_size for m in BlockReader(space, BASE, 64).messages()] == [5]
+        assert [m.payload_size for m in BlockReader(space, BASE, 96).messages()] == [5]
 
     def test_region_stands_in_for_the_space(self, space):
         """An endpoint hands the buffer it owns straight to the writer
@@ -187,7 +216,7 @@ class TestWriterReader:
                 target.write(addr, b"hello")
                 return 5
 
-            w.put_message(where, 5, writer, 3, Flags.ERROR)
+            put_message(w, where, 5, writer, 3, Flags.ERROR)
             length = w.seal(ack_blocks=2, sequence=7)
             r = BlockReader(where, BASE, 256, verify_checksum=True)
             assert r.records() == [(3, Flags.ERROR, seen[0], 5)]
@@ -195,7 +224,7 @@ class TestWriterReader:
         assert images[0] == images[1]
 
     def test_double_begin(self, space):
-        """A writer that re-enters put_message finds the block busy; the
+        """A writer that re-enters ``_append`` finds the block busy; the
         outer message fails with it and the block is left as it was."""
         w = BlockWriter(space, BASE, 1024)
         before = state(w)
@@ -205,7 +234,7 @@ class TestWriterReader:
             return 0
 
         with pytest.raises(BlockFormatError, match="busy"):
-            w.put_message(space, 8, reentrant, 1)
+            put_message(w, space, 8, reentrant, 1)
         assert state(w) == before
         put(w, space, b"next", 3)
         w.seal()
@@ -223,7 +252,7 @@ class TestWriterReader:
             raise ValueError("payload rejected")
 
         with pytest.raises(ValueError):
-            w.put_message(space, 8, raising, 2)
+            put_message(w, space, 8, raising, 2)
         assert state(w) == before
         put(w, space, b"abcd", 3)
         w.seal()
@@ -250,7 +279,7 @@ class TestWriterReader:
             return 0
 
         with pytest.raises(BlockFormatError, match="cannot seal"):
-            w.put_message(space, 8, sealing, 1)
+            put_message(w, space, 8, sealing, 1)
         assert state(w) == (BASE + PREAMBLE_SIZE, 0)
 
     def test_payload_size_limit_without_large_reservation(self, space):
@@ -259,7 +288,7 @@ class TestWriterReader:
         w = BlockWriter(space, BASE, 1 << 18)
         before = state(w)
         with pytest.raises(ProtocolError, match="65536 > reserved 65535"):
-            w.put_message(space, (1 << 16) - 1, lambda where, addr: 1 << 16, 0)
+            put_message(w, space, (1 << 16) - 1, lambda where, addr: 1 << 16, 0)
         assert state(w) == before
 
     def test_large_message_form(self, space):
@@ -269,8 +298,8 @@ class TestWriterReader:
         big = bytes(range(256)) * 300  # 76 800 bytes
         w = BlockWriter(space, BASE, 1 << 18)
         put(w, space, big, method_or_id=9)
-        w.put_message(space, 1 << 16, writes(b"short"), 10)
-        w.put_message(space, (1 << 16) - 1, writes(b"small"), 11)
+        put_message(w, space, 1 << 16, writes(b"short"), 10)
+        put_message(w, space, (1 << 16) - 1, writes(b"small"), 11)
         w.seal()
         msgs = BlockReader(space, BASE, 1 << 18).messages()
         assert len(msgs) == 3

@@ -355,7 +355,8 @@ class TestSerializeInto:
         space.map(MemoryRegion(0x1000, 4096, "sbuf"))
         size, writer = emit_writer(msg)
         assert size == len(wire)
-        assert writer(space, 0x1100) == size
+        # the writer is handed the region the endpoint's block lies in
+        assert writer(space.region_of(0x1100, size), 0x1100) == size
         assert bytes(space.read(0x1100, size)) == wire
 
 

@@ -134,14 +134,17 @@ def _callers(path: Path, called: str) -> set[str | None]:
 
 @pytest.mark.parametrize("step", ["begin_message", "commit_message", "abort_message"])
 def test_a_message_is_put_into_a_block_in_one_place(step):
-    """Both endpoint roles append through ``_EndpointBase._append``, and
-    that puts a message in with the one step ``BlockWriter.put_message``
-    (reserve, write, header — or nothing).  There is no three-step form
-    to call: the block writer has no such method."""
+    """Both endpoint roles put a message into a block through
+    ``_EndpointBase._append``, which does it in one step (reserve,
+    write, header — or nothing) and calls no other function for it.
+    There is no three-step form to call, and no second one-step form:
+    the block writer has no such method."""
     from repro.core.wire import BlockWriter
 
-    assert _callers(SRC / "core" / "endpoint.py", "put_message") == {"_append"}
-    assert not hasattr(BlockWriter, step)
+    endpoint = SRC / "core" / "endpoint.py"
+    assert _callers(endpoint, "_append") == {"enqueue", "_process_request_block"}
+    assert _callers(endpoint, "put_message") == set()
+    assert not hasattr(BlockWriter, step) and not hasattr(BlockWriter, "put_message")
 
 
 def test_blocks_are_opened_by_the_appender_and_the_pure_ack_only():
@@ -406,12 +409,15 @@ def _broad_handlers(path: Path) -> list[str | None]:
 
 def test_the_front_door_is_the_only_broad_handler_under_xrpc():
     """``_serve`` is straight-line code that raises, in both servers;
-    what it raises is answered in ``Ingress._serve_contained`` and
+    ``Ingress.progress`` calls it once per request, in place or from a
+    lane, and what it raised is answered by ``Ingress._contain`` and
     nowhere else."""
     handlers = {path.name: _broad_handlers(path) for path, _ in _trees(SRC / "xrpc")}
     assert {name: fns for name, fns in handlers.items() if fns} == {
-        "ingress.py": ["_serve_contained"],
+        "ingress.py": ["progress", "progress"],
     }
+    ingress = SRC / "xrpc" / "ingress.py"
+    assert _callers(ingress, "_serve") == _callers(ingress, "_contain") == {"progress"}
 
 
 def test_the_endpoint_turns_an_exception_into_an_answer_in_three_places():
