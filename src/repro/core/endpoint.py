@@ -69,11 +69,9 @@ from .idpool import RequestIdPool
 from .wire import (
     HEADER,
     HEADER_SIZE,
-    PAYLOAD_ALIGN,
     PREAMBLE,
     PREAMBLE_SIZE,
     SIZE_EXT,
-    SIZE_EXT_SIZE,
     BlockFormatError,
     BlockReader,
     BlockWriter,
@@ -86,6 +84,7 @@ from .wire import (
 
 _WRITE_IMM, _RECV_IMM, _RECV = Opcode.RDMA_WRITE_WITH_IMM, Opcode.RECV_RDMA_WITH_IMM, Opcode.RECV
 _QP_ERROR, _SUCCESS = QpState.ERROR, WcStatus.SUCCESS
+_PREFIXED = Flags.TRACE_CTX | Flags.DEADLINE  # the words enqueue writes ahead of a payload
 
 __all__ = [
     "ProtocolError",
@@ -399,11 +398,11 @@ class _EndpointBase:
             self._writer = writer
         if writer._open is not None:
             raise BlockFormatError("block busy: a message is being written")
-        # the room check above holds the header, the extension word and
-        # the alignment (at most 7 + 8 + 8 < 32 bytes)
-        header_addr = (writer.cursor + PAYLOAD_ALIGN - 1) & -PAYLOAD_ALIGN
+        # the room check above holds the 8-aligned header, the extension
+        # word and the alignment (at most 7 + 8 + 8 < 32 bytes)
+        header_addr = (writer.cursor + 7) & -8
         large = reserve >= 1 << 16
-        payload_addr = header_addr + (HEADER_SIZE + SIZE_EXT_SIZE if large else HEADER_SIZE)
+        payload_addr = header_addr + (16 if large else 8)
         mem, origin = writer._mem, writer._origin
         writer._open = header_addr  # a writer that re-enters finds the block busy
         try:
@@ -427,7 +426,7 @@ class _EndpointBase:
         else:
             HEADER.pack_into(mem, header_addr - origin, actual, method_or_id, flags, 0)
         writer.message_count += 1
-        writer.cursor = payload_addr + actual
+        writer.cursor = cursor = payload_addr + actual
         self._open_notes.append(note)
         if self.trace is not None:
             traces = self._writer_traces
@@ -439,7 +438,7 @@ class _EndpointBase:
             traces.append(trace_ctx)
         if self._open_since is None:
             self._open_since = self._polls  # starts the flush hold's clock
-        if writer.cursor - writer.base >= self.config.block_size:
+        if cursor - writer.base >= self.config.block_size:
             self._send("block_full")
         elif self._send_queue:
             self._send()
@@ -1106,7 +1105,7 @@ class ServerEndpoint(_EndpointBase):
         rbuf, trace, handlers = self.rbuf, self.trace, self._handlers
         for rid, (method_id, flags, payload_addr, payload_size) in zip(ids, messages):
             word = deadline_us = lane = 0
-            if flags & (Flags.TRACE_CTX | Flags.DEADLINE):
+            if flags & _PREFIXED:
                 # Undo enqueue's prefix words, in wire order: the client
                 # opted in, whether or not this side traces or sheds.
                 if flags & Flags.TRACE_CTX:
@@ -1117,7 +1116,7 @@ class ServerEndpoint(_EndpointBase):
                     deadline_us, lane = unpack_deadline(rbuf.read_u64(payload_addr))
                     payload_addr += 8
                     payload_size -= 8
-                flags &= ~(Flags.TRACE_CTX | Flags.DEADLINE)
+                flags &= ~_PREFIXED
             ctx = None
             if trace is not None:
                 # rx-serial mirrors the client's tx-serial (wire order on

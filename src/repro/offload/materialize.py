@@ -121,9 +121,10 @@ class CppMessageView:
         data_addr, n = sl.locate(holder, addr)
         if n == 0:
             return "" if text else b""
-        # inline or out of line, the data lies in the holder's region:
-        # the arena that built the object is one span of it
-        span = holder.view(data_addr, n)
+        # inline, or in the arena that built the object: the holder's
+        # region, already resolved; anywhere else, through the space
+        inside = holder.base <= data_addr <= holder.base + holder.size - n
+        span = (holder if inside else self._space).view(data_addr, n)
         return str(span, "utf-8") if text else bytes(span)
 
     def _read_repeated(self, fd, addr: int) -> list:

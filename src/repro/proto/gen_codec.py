@@ -308,27 +308,29 @@ def tag_loop(
     runs once however the loop ends (what the branches kept in locals
     is stored), ``tail`` once it ended exactly at ``end``."""
     b = _SourceBuilder()
-    b.add(0, *header)
-    b.add(1, *setup, "fname = None", "try:")
+    # the field a branch tag names, for the error raised inside its branch
+    b.add(0, f"_FIELDS = {({tag: fname for tag, fname, _ in branches})!r}", *header)
+    b.add(1, *setup, "tag = 0", "try:")
     b.add(2, "while pos < end:")
     b.add(3,
-          "fname = None",
           *each_tag,
           "if (b := buf[pos]) < 0x80:",
           "    tag = b",
           "    pos += 1",
           "else:",
+          "    tag = 0  # (a tag that fails to read names no field)",
           "    tag, pos = _rv(buf, pos)")
     kw = "if"
     for tag, fname, body in branches:
         b.add(3, f"{kw} tag == {tag}:  # {fname}")
-        b.add(4, f"fname = {fname!r}", *body)
+        b.add(4, *body)
         kw = "elif"
     if branches:
         b.add(3, "else:")
     b.add(4 if branches else 3, "pos = _unk(_known, _DE, buf, tag, pos, end)", *after_unknown)
     b.add(1,
           f"except {caught} as exc:",
+          "    fname = _FIELDS.get(tag)",
           "    if fname is None:",
           "        raise",
           "    raise _DE(f'{_FULL}.{fname}: {exc}') from exc",

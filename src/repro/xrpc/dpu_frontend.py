@@ -72,8 +72,7 @@ class OffloadedXrpcServer(Ingress):
         """What follows the lanes here: an admitted request is served by
         forwarding it.  A payload the DPU's decoder rejects raises out of
         ``dpu.call``; the front door answers it (docs/FAULTS.md §3)."""
-        call_id, method, payload = frame.call_id, frame.method, frame.message
-        wire_mode, deadline_word = frame.wire_mode, frame.deadline_word
+        _, call_id, _, method, payload, wire_mode, deadline_word = frame
         method_id = self._method_ids.get(method)
         if method_id is None:
             self._respond(conn, call_id, StatusCode.UNIMPLEMENTED, b"")

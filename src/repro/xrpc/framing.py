@@ -245,11 +245,12 @@ class FrameDecoder:
         buf = self._buf
         header, prefix = _HEADER.unpack_from, _PREFIX.unpack_from
         header_size, prefix_size, deadline_size = _HEADER.size, _PREFIX.size, _DEADLINE.size
-        new = tuple.__new__
+        new, standard, fixed = tuple.__new__, WIRE_STANDARD, WIRE_FIXED
         request, last = FrameType.REQUEST, FrameType.SETUP_ACK
+        start = self._pos
         while True:
-            start = self._pos
-            if len(buf) - start < header_size:
+            size = len(buf)
+            if size - start < header_size:
                 break
             frame_type, call_id, status, method_len = header(buf, start)
             if not request <= frame_type <= last:
@@ -257,7 +258,7 @@ class FrameDecoder:
             pos = start + header_size
             end = pos + method_len
             has_deadline = frame_type == request and status & REQ_FLAG_DEADLINE
-            if len(buf) < end + (deadline_size if has_deadline else 0) + prefix_size:
+            if size < end + (deadline_size if has_deadline else 0) + prefix_size:
                 break
             try:
                 method = str(buf[pos:end], "utf-8")
@@ -268,17 +269,17 @@ class FrameDecoder:
                 (deadline_word,) = _DEADLINE.unpack_from(buf, end)
                 end += deadline_size
             wire_mode, msg_len = prefix(buf, end)
-            if wire_mode != WIRE_STANDARD and wire_mode != WIRE_FIXED:
+            if wire_mode != standard and wire_mode != fixed:
                 raise FramingError("compressed messages are not supported" if wire_mode == 1
                                    else f"bad compressed flag {wire_mode}")
             pos = end + prefix_size
             end = pos + msg_len
-            if len(buf) < end:
+            if size < end:
                 break
             # One copy, and no view outlives the expression: ``feed``
             # may resize the buffer between two frames.
             message = bytes(memoryview(buf)[pos:end])
-            self._pos = end
+            self._pos = start = end
             yield new(Frame, (frame_type, call_id, status, method, message, wire_mode,
                               deadline_word))
         if self._pos:

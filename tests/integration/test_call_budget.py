@@ -9,7 +9,9 @@ messages share a block and the per-message path shows, and at depth 1,
 where every request pays a block each way and the per-block path shows
 (seal, post, deliver, completions, repost, open) — and for x512 Ints and
 x8000 Chars requests at depth 16, the Chars one block each way per
-request, so the per-block path under load shows too.  The count depends
+request, so the per-block path under load shows too.  Small at depth 16
+is also counted inside each half's pass alone: ``front.progress`` (the
+DPU half) and ``host.progress`` (the host half).  The count depends
 on the code alone — no clock, no scheduler — so it is asserted, not
 reported as a speed: the test functions below hold every budget in the
 tier-1 run.  ``python tests/integration/test_call_budget.py`` prints
@@ -32,22 +34,30 @@ DEPTH = 16
 SMALL, SMALL_D1, INTS = ("PingSmall", 16), ("PingSmall", 1), ("SumInts", 16)
 CHARS = ("Upper", 16)
 #: Python-level calls per request this script counted at the parent of
-#: the change that cut each block's send and receive path to one
-#: straight line (a block sealed, stamped and posted in one step, opened
-#: in one ``read_block``, QPs checking bounds against their resolved
-#: spans, the §IV-D slot table)
-PARENT_CALLS = {SMALL: 38.8141, SMALL_D1: 141.0016, INTS: 114.2516, CHARS: 136.3766}
-#: shape -> budget: what the change counted alone (36.2516, 100.0016,
-#: 104.2516 and 97.2516: 23 201, 64 001, 66 721 and 62 241 calls for the
+#: the change that made each message one straight line on both halves
+#: (varints read inline, the arena decoder storing its own fields, the
+#: payload writer the deserializer itself, one serve call per frame,
+#: one put per message, the host writing into the span it holds)
+PARENT_CALLS = {SMALL: 36.2516, SMALL_D1: 100.0016, INTS: 104.2516, CHARS: 97.2516}
+#: ... and Small at depth 16 inside each half's pass alone
+PARENT_HALVES = {"dpu": 19.25, "host": 14.5}
+#: shape -> budget: what the change counted alone (25.2516, 89.0016,
+#: 79.2516 and 74.2516: 16 161, 56 961, 50 721 and 47 521 calls for the
 #: 640 requests) plus 2.5 calls, the margin that absorbs the calls that
 #: land inside the window when the whole suite shares the process (a
 #: garbage collection runs the callbacks other libraries registered,
 #: about 2).  The parent fails each.
-BUDGET = {SMALL: 38.7516, SMALL_D1: 102.5016, INTS: 106.7516, CHARS: 99.7516}
+BUDGET = {SMALL: 27.7516, SMALL_D1: 91.5016, INTS: 81.7516, CHARS: 76.7516}
+#: half -> budget for Small at depth 16: the change's 12.25 (DPU) and
+#: 10.50 (host) plus the same 2.5; the parent fails the DPU half's.
+HALF_BUDGET = {"dpu": 14.75, "host": 13.0}
 
 
 def python_calls_per_request(requests: int = REQUESTS, depth: int = DEPTH,
-                             method: str = "PingSmall") -> float:
+                             method: str = "PingSmall") -> dict[str, float]:
+    """Python-level calls per request in the whole loop (``all``), and
+    inside ``front.progress`` (``dpu``, the DPU half) and
+    ``host.progress`` (``host``, the host half) alone."""
     schema, service, servicer = bench_service()
     factory = WorkloadFactory(schema=schema)
     wire = serialize({"PingSmall": factory.small, "SumInts": lambda: factory.int_array(512),
@@ -73,12 +83,20 @@ def python_calls_per_request(requests: int = REQUESTS, depth: int = DEPTH,
                         done += 1
 
         run(4 * depth)  # decoders compiled, block and id pools cycled once
-        calls = 0
+        calls = {"all": 0, "dpu": 0, "host": 0}
+        halves = {type(deployment.front).progress.__code__: "dpu",
+                  type(deployment.host).progress.__code__: "host"}
+        half = None  # the half whose progress pass is running
 
-        def profile(_frame, event, _arg):
-            nonlocal calls
+        def profile(frame, event, _arg):
+            nonlocal half
             if event == "call":
-                calls += 1
+                calls["all"] += 1
+                half = half or halves.get(frame.f_code)
+                if half is not None:
+                    calls[half] += 1
+            elif event == "return" and frame.f_code in halves:
+                half = None
 
         # Collections then fall at the same points in every window.
         gc.collect()
@@ -89,20 +107,27 @@ def python_calls_per_request(requests: int = REQUESTS, depth: int = DEPTH,
             sys.setprofile(None)
         assert deployment.front.requests_forwarded == sent
         assert deployment.front.fallback_requests == 0
-    return calls / requests
+    return {key: count / requests for key, count in calls.items()}
 
 
 def test_a_small_request_crosses_the_offloaded_datapath_within_its_call_budget():
+    """Depth 16, and each half's pass alone: ``front.progress`` on the
+    DPU (deframe, forward, arena decode, block) and ``host.progress``
+    (request block, handler, response encode, response block)."""
     first = python_calls_per_request()
     assert first == python_calls_per_request(), "the count must repeat exactly"
-    assert first <= BUDGET[SMALL], (
-        f"{first:.2f} Python-level calls per Small request, budget {BUDGET[SMALL]:.2f} "
-        f"(the parent's {PARENT_CALLS[SMALL]})")
+    assert first["all"] <= BUDGET[SMALL], (
+        f"{first['all']:.2f} Python-level calls per Small request, budget "
+        f"{BUDGET[SMALL]:.2f} (the parent's {PARENT_CALLS[SMALL]})")
+    for half, budget in HALF_BUDGET.items():
+        assert first[half] <= budget, (
+            f"{first[half]:.2f} calls per Small request in the {half} half, budget "
+            f"{budget:.2f} (the parent's {PARENT_HALVES[half]})")
 
 
 def test_a_block_crosses_the_offloaded_datapath_within_its_call_budget():
     """Depth 1: one message per block each way, nothing amortizes."""
-    measured = python_calls_per_request(depth=1)
+    measured = python_calls_per_request(depth=1)["all"]
     assert measured <= BUDGET[SMALL_D1], (
         f"{measured:.2f} Python-level calls per Small request at depth 1, budget "
         f"{BUDGET[SMALL_D1]:.2f} (the parent's {PARENT_CALLS[SMALL_D1]})")
@@ -114,8 +139,8 @@ def test_an_ints_request_crosses_the_offloaded_datapath_within_its_call_budget()
     first = python_calls_per_request(method="SumInts")
     assert first == python_calls_per_request(method="SumInts"), (
         "the count must repeat exactly")
-    assert first <= BUDGET[INTS], (
-        f"{first:.2f} Python-level calls per x512 Ints request, budget "
+    assert first["all"] <= BUDGET[INTS], (
+        f"{first['all']:.2f} Python-level calls per x512 Ints request, budget "
         f"{BUDGET[INTS]:.2f} (the parent's {PARENT_CALLS[INTS]})")
 
 
@@ -125,8 +150,8 @@ def test_a_chars_request_crosses_the_offloaded_datapath_within_its_call_budget()
     first = python_calls_per_request(method="Upper")
     assert first == python_calls_per_request(method="Upper"), (
         "the count must repeat exactly")
-    assert first <= BUDGET[CHARS], (
-        f"{first:.2f} Python-level calls per x8000 Chars request, budget "
+    assert first["all"] <= BUDGET[CHARS], (
+        f"{first['all']:.2f} Python-level calls per x8000 Chars request, budget "
         f"{BUDGET[CHARS]:.2f} (the parent's {PARENT_CALLS[CHARS]})")
 
 
@@ -134,7 +159,12 @@ if __name__ == "__main__":
     over = False
     for method, depth in (SMALL, SMALL_D1, INTS, CHARS):
         measured = python_calls_per_request(depth=depth, method=method)
-        over |= measured > BUDGET[method, depth]
-        print(f"python_calls_per_request {method} depth={depth} {measured:.4f} "
+        over |= measured["all"] > BUDGET[method, depth]
+        print(f"python_calls_per_request {method} depth={depth} {measured['all']:.4f} "
               f"budget {BUDGET[method, depth]:.4f} parent {PARENT_CALLS[method, depth]}")
+        if (method, depth) == SMALL:
+            for half, budget in HALF_BUDGET.items():
+                over |= measured[half] > budget
+                print(f"  {half} half {measured[half]:.4f} budget {budget:.4f} "
+                      f"parent {PARENT_HALVES[half]}")
     sys.exit(over)
