@@ -143,10 +143,9 @@ class StringLayout:
     size: int
     align: int = 8
     sso_capacity: int
-    #: ``(struct format, its arguments as source)`` of the short and the
-    #: long form, as :meth:`write` packs them — the generated arena
-    #: decoder stores them over the object's address ``{addr}``, the
-    #: length ``n``, the bytes ``raw`` and the data address ``d``
+    #: ``(struct format, its arguments as source over the address
+    #: {addr}, length n, bytes raw and data address d)`` of each form
+    #: :meth:`write` packs, for the generated arena decoder
     SSO_FORM: tuple[str, str]
     LONG_FORM: tuple[str, str]
 
@@ -294,8 +293,7 @@ class RepeatedHeader:
 
     size: int = 16
     align: int = 8
-    #: the header's ``struct`` (elements, size, capacity)
-    codec = _REPEATED_HEADER
+    codec = _REPEATED_HEADER  # (elements, size, capacity)
 
     def write(self, space, addr: int, elements_addr: int, count: int) -> None:
         space.write(addr, _REPEATED_HEADER.pack(elements_addr, count, count))

@@ -28,20 +28,15 @@ The full protocol state machine implemented here:
   when the block arrives.  The reliable connection makes the two
   sequences identical.
 
-Threading (§III-C/D): endpoints are event-loop objects — the application
-calls :meth:`progress` repeatedly ("an event loop function that should be
-called continuously").  Every RPC runs to completion inside ``progress``,
-in the thread that polls — the prototype's foreground execution.
-
-Endpoints do not own their loop: :meth:`progress` *is* one event-loop
-pass, a plain method that a :class:`~repro.runtime.engine.ProgressEngine`
-(docs/RUNTIME.md) or an owner driving the endpoint by hand calls; only
-the engine's own polls are counted, scheduled and supervised.  Both
-roles send through one path — ``_append`` puts a message into the open
-block, ``_send`` seals it and transmits queued blocks as credits allow,
-``flush`` and each ``progress`` pass decide when a partial one goes
-(after ``flush_hold`` passes; 0, every pass) — whose rules docs/PROTOCOL.md §3
-"Sender rules" states once; and receive through one, ``_receive``.
+Threading (§III-C/D): endpoints are event-loop objects — every RPC runs
+to completion inside :meth:`progress`, in the thread that polls (the
+prototype's foreground execution).  :meth:`progress` *is* one pass, a
+plain method a :class:`~repro.runtime.engine.ProgressEngine`
+(docs/RUNTIME.md) or an owner calls.  Both roles send through one path —
+``_append`` puts a message into the open block, ``_send`` seals it and
+transmits queued blocks as credits allow, each pass decides when a
+partial one goes (after ``flush_hold`` passes; 0, every pass), the rules
+of docs/PROTOCOL.md §3 "Sender rules" — and receive through ``_receive``.
 """
 
 from __future__ import annotations
@@ -168,8 +163,7 @@ class IncomingRequest(NamedTuple):
     tuple it is.  The view is valid only until the handler returns — the
     block's memory is recycled afterwards."""
 
-    #: the receive buffer's region, the payload proven inside it (a
-    #: region stands where a space is expected)
+    #: the receive buffer's region, the payload proven inside it
     space: MemoryRegion
     method_id: int
     request_id: int
@@ -241,12 +235,9 @@ def _fail_continuation(cont, reason: bytes, flags: int = Flags.ERROR | Flags.ABO
 
 class _OutBlock(NamedTuple):
     """A sealed block waiting for (or in) flight, with what its role
-    noted per message (``notes``): a client request block carries its
-    messages' continuations — the request IDs are allocated only at
-    transmit time (§IV-D: "the client *sends* a block and flushes all
-    the pending acknowledgments"), so queued blocks never hold IDs
-    hostage while waiting for credits — a server response block the
-    request IDs it answers."""
+    noted per message: a request block its continuations (IDs are
+    allocated only at transmit, §IV-D, so a queued block holds none
+    hostage), a response block the request IDs it answers."""
 
     sbuf_addr: int
     length: int
@@ -358,22 +349,17 @@ class _EndpointBase:
     def _append(self, reserve: int, write: PayloadWriter, method_or_id: int, flags: int,
                 note, words: tuple, trace_ctx) -> int:
         """Put one message into the open block — the one function that
-        does; returns its payload size.
-
-        ``reserve`` bytes are set aside behind an 8-aligned header (and
-        the §IV-E size-extension word from 2^16 on); each of ``words``
-        is a u64 written at their start, then ``write(sbuf, addr)``
-        builds the payload behind them in the send buffer and reports
-        its true size — at most what it reserved (:class:`ProtocolError`).
-        ``note`` is what the role keeps of the message until its block is
-        transmitted.  A block that cannot take the message goes first;
-        one is opened when none is; one that reached ``block_size`` goes
-        too, as far as credits allow.  A writer that raises (a malformed
-        payload fails in the arena decoder), re-enters (the block is
-        busy) or over-reports costs exactly this message: the header is
-        packed and the cursor moved only after it returned, the error
-        re-raised.  A block left holding nothing is given back: sealed
-        empty later, it would take a credit no response can ever return."""
+        does; returns its payload size.  ``reserve`` bytes are set aside
+        behind an 8-aligned header (and the §IV-E size-extension word
+        from 2^16 on); each of ``words`` is a u64 written at their start;
+        ``write(sbuf, addr)`` builds the payload behind them and reports
+        its size, at most what it reserved.  ``note`` is what the role
+        keeps of the message until its block is transmitted.  A block
+        that cannot take it goes first, one is opened when none is, one
+        that reached ``block_size`` goes too, as far as credits allow.  A
+        writer that raises, re-enters or over-reports costs this message
+        alone; a block left holding nothing is given back (sealed empty,
+        it would take a credit no response can ever return)."""
         if words:
             reserve += 8 * len(words)
         writer = self._writer
@@ -541,17 +527,14 @@ class _EndpointBase:
     # -- the receive path ----------------------------------------------------------
 
     def _receive(self, limit: int | None, process) -> int:
-        """One pass's receive path; returns what ``process`` (the role's
-        block handler: ack counter, records) returned, summed.  ``limit``
-        caps the completions absorbed (the engine's poll budget).  The CQ
-        is drained first: each consumed receive WQE reposted, an
-        out-of-band SEND (ADT bootstrap) queued on ``inbound_sends``, a
-        send completion skipped (blocks are recycled by acknowledgment,
-        §IV-B), an error completion ends the connection.  Then each block
-        is opened in one :func:`~repro.core.wire.read_block` and handled
-        before the next: a duplicate delivery is dropped, a sequence gap
-        raises :class:`TransportError` (the mirrored ID pools can never
-        re-align without a reset); sequence 0 (hand-built) is unchecked."""
+        """One pass's receive path; returns the sum of what ``process``
+        (the role's block handler: ack counter, records) returned, over at
+        most ``limit`` completions.  The CQ is drained first — receive
+        WQEs reposted, an out-of-band SEND (ADT bootstrap) queued on
+        ``inbound_sends``, send completions skipped (§IV-B), an error
+        ending the connection — then each block opened in one
+        :func:`~repro.core.wire.read_block` and handled: a duplicate is
+        dropped, a sequence gap raises :class:`TransportError`."""
         qp = self.qp
         if qp.state is _QP_ERROR:
             # Surface the dead connection as the typed transport fault —
@@ -678,17 +661,14 @@ class ClientEndpoint(_EndpointBase):
         deadline: int = 0,
     ) -> None:
         """Queue one request.  ``writer`` constructs the payload in place
-        inside the outgoing block (this is where the offloaded
-        deserializer writes the C++ object).  ``continuation`` fires when
-        the response arrives (§III-D).  ``trace_ctx`` carries an upper
-        layer's trace context through to the wire stages (repro.obs); a
-        fresh one is created here when tracing is on and none was given.
-        ``deadline`` is a packed overload word
-        (:func:`repro.runtime.overload.pack_deadline`): non-zero spends 8
-        bytes ahead of the payload so every downstream stage can drop the
-        request once its absolute deadline passes (docs/OVERLOAD.md).
-        A request beyond the concurrency window waits in the backlog;
-        :meth:`_drain_backlog` admits it through here again, in order."""
+        inside the outgoing block (where the offloaded deserializer builds
+        the C++ object); ``continuation`` fires with the response
+        (§III-D).  ``trace_ctx`` carries an upper layer's trace context to
+        the wire stages (repro.obs).  A non-zero ``deadline`` (a packed
+        overload word) spends 8 bytes ahead of the payload so every stage
+        can drop the request once it passed (docs/OVERLOAD.md).  A request
+        beyond the concurrency window waits in the backlog, which
+        :meth:`_drain_backlog` admits through here again, in order."""
         if max_payload > self.config.max_message_size:
             raise MessageTooLarge(
                 f"payload of {max_payload} exceeds max_message_size "
@@ -729,14 +709,6 @@ class ClientEndpoint(_EndpointBase):
                      trace_ctx)
         self.stats.requests_sent += 1
 
-    def _flush_pending_acks(self) -> int:
-        """§IV-D step 1: free the request IDs answered by every response
-        block we are about to acknowledge; returns the ack count."""
-        ack_blocks = len(self._unacked_response_ids)
-        while self._unacked_response_ids:
-            self.id_pool.free_many(self._unacked_response_ids.popleft())
-        return ack_blocks
-
     def _on_transmit(self, out: _OutBlock) -> int:
         """Send-time bookkeeping, mirrored verbatim by the server on
         receipt: flush acks, then allocate this block's request IDs and
@@ -745,7 +717,7 @@ class ClientEndpoint(_EndpointBase):
         Returns the ack count the block's preamble carries."""
         unacked = self._unacked_response_ids
         ack_blocks = len(unacked)
-        while unacked:  # as _flush_pending_acks
+        while unacked:  # §IV-D step 1: free the IDs the acked blocks answered
             self.id_pool.free_many(unacked.popleft())
         ids = self.id_pool.allocate_many(out.message_count)
         seq = next(self._block_seq)
@@ -789,7 +761,11 @@ class ClientEndpoint(_EndpointBase):
             addr = self._alloc_block(self.config.block_alignment)
         except AllocationError:
             return  # SBuf exhausted; retry next pass
-        self._post_block(addr, PREAMBLE_SIZE, 0, self._flush_pending_acks())
+        unacked = self._unacked_response_ids
+        ack_blocks = len(unacked)
+        while unacked:  # as _on_transmit
+            self.id_pool.free_many(unacked.popleft())
+        self._post_block(addr, PREAMBLE_SIZE, 0, ack_blocks)
         self._spent_acks.append(addr)
 
     # -- event loop -----------------------------------------------------------------

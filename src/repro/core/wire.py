@@ -187,21 +187,14 @@ class MessageHeader:
 
 class BlockWriter:
     """One block being built in place inside a send buffer: its span,
-    cursor and message count.
-
-    The endpoint's ``_append`` puts messages in — it reserves payload
-    space, has the caller's writer build the payload directly at the
-    reserved address (this is what lets the arena deserializer construct
-    the C++ object *inside* the outgoing block with no further copies)
-    and packs the header, in one step that happens or leaves the block
-    untouched; it is the one way a message enters a block.
-
-    ``[base_addr, base_addr + capacity)`` is bounds-checked once, here;
-    every header and the preamble are then packed straight into the
-    region's buffer (``_mem``, first byte at ``_origin``) at offsets
-    inside that span (``space`` may be the region itself — an endpoint
-    hands in the send buffer it owns).
-    """
+    cursor and message count.  The endpoint's ``_append`` puts messages
+    in, each in one step that happens or leaves the block untouched —
+    the caller's writer builds the payload at its reserved address (so
+    the arena deserializer constructs the C++ object *inside* the
+    outgoing block).  ``[base_addr, base_addr + capacity)`` is
+    bounds-checked once, here; headers and the preamble are then packed
+    straight into the region's buffer ``_mem`` (first byte at
+    ``_origin``; ``space`` may be the region itself)."""
 
     #: header address of the message being written (class-level
     #: default: opening a block stores nothing)
@@ -245,12 +238,10 @@ def read_block(region, base_addr: int, last_seq, verify: bool):
     """Open the block at ``base_addr`` in ``region`` (the receive buffer
     it landed in) in one call: ``(preamble, records)``, a record being
     ``(method_or_id, flags, payload_addr, payload_size)``.  Checked in
-    order: the preamble inside the region, a length that fits it; the
-    sequence — neither 0 (unsequenced) nor ``last_seq + 1`` (``last_seq``
-    None: any) returns records None, the body unread, for the caller to
-    tell a duplicate from a gap; with ``verify``, the body CRC (flight
-    corruption is a :class:`ChecksumError`, not a wrong object); every
-    header and payload inside the block."""
+    order: the preamble inside the region, a length that fits it; a
+    sequence neither 0 nor ``last_seq + 1`` (None: any) returns records
+    None, the body unread; with ``verify``, the body CRC
+    (:class:`ChecksumError`); every header and payload inside the block."""
     mem, origin = region.buf, region.base
     offset = base_addr - origin
     room = region.size - offset

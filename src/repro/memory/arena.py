@@ -25,11 +25,10 @@ class Arena:
 
     The arena does not own memory; it hands out addresses within a span the
     caller has already mapped (typically a block payload inside a send
-    buffer).  Writes go through the provided address space, or — the
-    generated arena decoders — straight into ``mem``, the buffer of the
-    region holding the whole span, whose first byte is at ``origin``:
-    resolved on first use, or by the DPU engine, which builds an arena
-    per request over the send buffer by storing its fields.
+    buffer).  Writes go through the provided address space, or straight
+    into ``mem``, the buffer of the region holding the whole span (its
+    first byte at ``origin``; resolved on first use, or stored by the DPU
+    engine, which builds an arena per request over its send buffer).
     """
 
     __slots__ = ("space", "base", "size", "top", "mem", "origin")
@@ -41,7 +40,7 @@ class Arena:
         self.base = base
         self.size = size
         self.top = base  # the next free address
-        self.mem = self.origin = None  # the span is resolved on first use
+        self.mem = self.origin = None
 
     @property
     def used(self) -> int:

@@ -11,21 +11,15 @@ the host, every internal pointer the deserializer writes is valid on the
 host without adjustment (§III-B).
 
 It is driven entirely by the :class:`~repro.offload.adt.Adt` — no message
-descriptors, no protoc output — which is what lets one DPU binary serve
-any protobuf schema (§V-B).  Two tiers decode the tag wire: ``generated``
-(the default) compiles one straight-line decoder per ADT entry on first
-use (:mod:`repro.offload.arena_gen`); ``interpretive`` is the
-field-by-field loop in this module, the oracle the generated tier is
-tested against.  The oracle reads a kind's facts (wire type, width,
-member codec) from :mod:`repro.proto.kinds` and turns raw varints into
-values with the hand-written
-:func:`~repro.proto.deserializer.decode_varint_value` — never with the
-table's expressions, which are what it checks.
-
-The deserializer also keeps an operation census (:class:`DeserializeStats`)
-— varints decoded, bytes copied, UTF-8 bytes validated, messages recursed —
-which the calibrated cost model converts into CPU/DPU time for the paper's
-figures.
+descriptors — which lets one DPU binary serve any protobuf schema
+(§V-B).  Two tiers decode the tag wire: ``generated`` (the default;
+:mod:`repro.offload.arena_gen`) and ``interpretive``, the field-by-field
+loop here, the oracle the generated tier is tested against: it turns raw
+varints into values with the hand-written
+:func:`~repro.proto.deserializer.decode_varint_value`, never with the
+:mod:`repro.proto.kinds` expressions it checks.  Both keep the operation
+census (:class:`DeserializeStats`) the calibrated cost model converts
+into CPU/DPU time.
 """
 
 from __future__ import annotations
@@ -140,17 +134,13 @@ class ArenaDeserializer:
 
     def deserialize(self, root_index: int, wire, arena: Arena, space=None, addr=None) -> int:
         """Parse ``wire`` as the message class at ``root_index``; build the
-        object in ``arena``; returns the object's virtual address.
-
-        Bound with its first three arguments it is a block payload writer
-        (``DpuEngine.call``): ``write(space, addr)`` places the arena —
-        sized to the span the block reserved, its buffer the send
-        buffer's — at ``addr``, builds the object there and returns the
-        bytes it took.  Dispatches on the deserializer's current ``mode``:
-        the generated straight-line decoders (the default; the root's is
-        looked up here, as ``ArenaGenCache.decoder`` does), which store
-        through the arena's resolved span, or the interpretive oracle.
-        """
+        object in ``arena``; returns the object's virtual address.  Bound
+        over its first three arguments it is a payload writer
+        (``DpuEngine.call``): ``write(space, addr)`` places the arena at
+        ``addr`` and returns the bytes the object took.  Dispatches on
+        the current ``mode``: the generated decoders (the default; the
+        root's is looked up here, as ``ArenaGenCache.decoder`` does) or
+        the interpretive oracle."""
         if addr is not None:
             arena.base = arena.top = addr
         mode = self.mode
@@ -171,11 +161,8 @@ class ArenaDeserializer:
             obj = self._parse_message(root_index, buf, 0, len(buf), arena, depth=1)
         else:
             raise ValueError(f"unknown arena decode mode {mode!r}")
-        if addr is None:
-            return obj
-        if obj != addr:
-            raise AdtError("root object must sit at the payload start")
-        return arena.top - addr
+        # (the root is the arena's first object: at addr, 8-aligned)
+        return obj if addr is None else arena.top - addr
 
     def deserialize_by_name(self, full_name: str, wire, arena: Arena) -> int:
         return self.deserialize(self.adt.index_of(full_name), wire, arena)
@@ -240,12 +227,11 @@ class ArenaDeserializer:
                 total += _align8(v + 1) + 8
         return total + 64
 
-    def deserialize_fixed(self, root_index: int, wire, arena: Arena, space=None,
-                          addr=None) -> int:
+    def deserialize_fixed(self, root_index: int, wire, arena: Arena, space=None, addr=None) -> int:
         """Decode a WIRE_FIXED payload into an arena object: one struct
         unpack and bounds walk (:meth:`FixedLayout.spans`), then
         straight-line application of the proven spans — no tags, no
-        varints, no per-byte branches.  A payload writer bound as
+        varints, no per-byte branches.  A payload writer as
         :meth:`deserialize` is."""
         if addr is not None:
             arena.base = arena.top = addr
@@ -282,11 +268,7 @@ class ArenaDeserializer:
             else:  # array
                 stats.fixed_fields += v
                 self._materialize_repeated(f, obj, [tail], arena)
-        if addr is None:
-            return obj
-        if obj != addr:
-            raise AdtError("root object must sit at the payload start")
-        return arena.top - addr
+        return obj if addr is None else arena.top - addr
 
     # ------------------------------------------------------- size estimation
 
@@ -409,8 +391,7 @@ class ArenaDeserializer:
         offset in it.  The caller then stores at ``mem[o + offset]`` for
         the ADT offsets :meth:`check_entry_layout` proved inside the
         object.  The interpretive and fixed-wire tiers place here; a
-        generated decoder places its own object with the same lines
-        (:mod:`repro.offload.arena_gen`), nesting checked by its parent."""
+        generated decoder bump-places its own (:mod:`repro.offload.arena_gen`)."""
         if depth > MAX_NESTING_DEPTH:
             raise DeserializeError(f"messages nest deeper than {MAX_NESTING_DEPTH}")
         sizeof = entry.sizeof

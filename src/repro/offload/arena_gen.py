@@ -1,51 +1,35 @@
 """Generated per-ADT-entry decoders for the offloaded arena deserializer.
 
 The arena back end of the one tag-loop generator in
-:mod:`repro.proto.gen_codec`: the frame, the three wire reads, the cold
-path and the compile step are that module's; the raw → value expressions
-are the :mod:`repro.proto.kinds` table's.  What is written here is what an
+:mod:`repro.proto.gen_codec`: the frame, the wire reads, the cold path
+and the compile step are that module's; the raw → value expressions are
+the :mod:`repro.proto.kinds` table's.  What is written here is what an
 arena object does with a value.  Everything the interpretive
 :class:`ArenaDeserializer` resolves per field — the ``field_by_number``
 probe, the kind ladder, the has-bit word arithmetic — is resolved once
-per :class:`~repro.offload.adt.AdtEntry` at compile time and burned into
-the source as literals:
+per :class:`~repro.offload.adt.AdtEntry` and burned into the source as
+literals: member offsets and ``struct`` packers (a fixed-width scalar's
+wire bytes *are* its in-object bytes), has-bit bytes and masks, oneof
+sibling restores, ``std::string`` forms, child entry indices.
 
-* member offsets and precompiled ``struct.Struct`` packers for varint
-  scalars (fixed-width scalars memcpy their wire bytes verbatim — the
-  in-object representation *is* the little-endian wire representation);
-* the has-bit byte offset and mask as plain ints;
-* oneof sibling restore recipes (default-instance slot slices + has-bit
-  clear masks) as straight-line stores;
-* the child entry index for message fields.
+An object's memory is checked once, then stored to: the arena's span
+was resolved once into its region's buffer ``mem`` (with the send
+buffer, on the DPU's datapath); the decoder bump-places its object there
+(or takes the one a first occurrence built) and stores at
+``mem[o + LITERAL ...]``, every literal proven inside the object
+(``check_entry_layout``) and every slice store the exact width of its
+slot — a wrong-length one raises only after nothing was stored.
 
-An object's memory is checked once, then stored to: the arena's whole
-span was resolved once — with the send buffer, on the DPU's datapath —
-into the region's buffer ``mem``; the decoder bump-places its object
-inside the span (or takes the one a first occurrence built) and keeps
-its offset ``o`` in ``mem``; every in-object store is
-``mem[o + LITERAL ...]`` with the literal proven ``< sizeof`` at compile
-time (``check_entry_layout``) and every slice store the exact width of
-its slot — a wrong-length slice store raises on both stores a region
-has (``IndexError`` on its ``mmap``, ``ValueError`` on a shared-memory
-view) after nothing was stored, so it must be impossible by
-construction.
-
-Decoders are compiled lazily per entry and cached on the
-:class:`ArenaGenCache` owned by the deserializer, keyed by ADT index;
-cache traffic feeds the shared
-:data:`repro.proto.gen_codec.PLAN_METRICS`.
-
-The generated path preserves the interpretive path's
+The decoder charges the interpretive path's
 :class:`~repro.offload.arena_deserializer.DeserializeStats` census
-exactly — the calibrated cost model converts that census into CPU/DPU
-time, so both paths must charge identical operation counts for the same
-wire bytes.  The counts and the has-bit bytes live in locals and are
-stored once per object, however the decode ends.  Strings and repeated
-scalars are stored in place (a ``std::string`` through its layout's
-``SSO_FORM`` / ``LONG_FORM``, an element array in one arena span);
-repeated messages and strings, and a repeated scalar merged into a
-second occurrence of its message, go to the deserializer's composite
-writer, which lays them out as the oracle does.
+exactly (the cost model converts it into CPU/DPU time), counting in
+locals that are stored once per object however the decode ends, as the
+has-bit bytes are.  Strings and repeated scalars are stored in place;
+repeated messages and strings, and a repeated scalar merging into
+elements already there, go to the deserializer's composite writer.
+Decoders are compiled lazily per entry and cached on the
+:class:`ArenaGenCache`; cache traffic feeds
+:data:`repro.proto.gen_codec.PLAN_METRICS`.
 """
 
 from __future__ import annotations
@@ -77,17 +61,21 @@ __all__ = ["ArenaGenCache"]
 _CENSUS = {"nv": "varints_decoded", "vb": "varint_bytes", "nf": "fixed_fields",
            "ns": "string_bytes_copied", "nu": "utf8_bytes_validated"}
 
+
+def _bump(addr: str, size, align: int) -> list[str]:
+    """Source placing ``size`` bytes at the arena's top, as ``Arena.allocate``
+    does (which raises, naming the span, when they do not fit)."""
+    return [f"{addr} = (arena.top + {align - 1}) & -{align}",
+            f"if {addr} + {size} > arena.base + arena.size:",
+            f"    arena.allocate({size}, {align})",
+            f"arena.top = {addr} + {size}"]
+
+
 class ArenaGenCache:
     """Per-deserializer store of generated decoders, keyed by ADT entry
-    index.
-
-    Each entry's decoder is one compiled straight-line function that
-    places its object and decodes into it — the interpretive
-    ``_parse_message`` / ``_parse_into`` in one; a message field calls
-    its child's.  Charges the exact
-    :class:`~repro.offload.arena_deserializer.DeserializeStats` census the
-    interpretive path charges.
-    """
+    index: each one compiled straight-line function that places its
+    object and decodes into it (the interpretive ``_parse_message`` /
+    ``_parse_into`` in one); a message field calls its child's."""
 
     def __init__(self, deser) -> None:
         self.deser = deser
@@ -115,12 +103,10 @@ class ArenaGenCache:
     def _field_branches(self, entry: AdtEntry, ns: dict, census: set,
                         has_bytes: set) -> list[tuple[int, str, list[str]]]:
         """Per-field branches — a shared read, then what an arena object
-        does with the value: a store at a literal offset plus its has-bit
-        in the local ``h<byte>`` (singular, after restoring any oneof
-        siblings and clearing their bits), a ``std::string`` stored in
-        place, or a chunk kept in ``pending`` (repeated).  The
-        ``DeserializeStats`` counts go to locals; ``census`` and
-        ``has_bytes`` collect the ones used, for the setup and the flush."""
+        does with the value: a store at a literal offset (a ``std::string``
+        in place) plus its has-bit in the local ``h<byte>``, after any
+        oneof siblings are restored, or a chunk kept in ``pending``
+        (repeated).  ``census`` and ``has_bytes`` collect the locals used."""
         layout = self.deser.string_layout
         ns.update(_sso=struct.Struct(layout.SSO_FORM[0]).pack_into,
                   _long=struct.Struct(layout.LONG_FORM[0]).pack_into)
@@ -140,9 +126,7 @@ class ArenaGenCache:
                     if other.oneof_group != f.oneof_group or other.number == number:
                         continue
                     size = self.deser._slot_size(other)
-                    ns[f"_def{i}_{k}"] = entry.default_bytes[
-                        other.offset : other.offset + size
-                    ]
+                    ns[f"_def{i}_{k}"] = entry.default_bytes[other.offset:other.offset + size]
                     has_bytes.add(other.has_bit // 8)
                     clear += [
                         f"mem[o + {other.offset}:o + {other.offset + size}] = _def{i}_{k}",
@@ -181,10 +165,7 @@ class ArenaGenCache:
                         f"    _sso(mem, o + {offset}, "
                         f"{layout.SSO_FORM[1].format(addr=f'obj + {offset}')})",
                         "else:",
-                        "    d = (arena.top + 7) & -8",
-                        "    if d + n + 1 > arena.base + arena.size:",
-                        "        arena.allocate(n + 1, 8)  # raises, naming the span",
-                        "    arena.top = d + n + 1",
+                        *(f"    {line}" for line in _bump("d", "n + 1", 8)),
                         "    od = d - arena.origin",
                         "    mem[od:od + n] = raw",
                         "    mem[od + n] = 0",
@@ -242,9 +223,8 @@ class ArenaGenCache:
 
     @staticmethod
     def _element_store(f) -> list[str]:
-        """A repeated scalar's element storage, built from its chunks
-        ``values`` in one arena span; a merge into elements already there
-        is left to ``_materialize_repeated``, which copies them first."""
+        """A repeated scalar's chunks ``values`` stored as its element
+        array, in one arena span (a merge goes to the composite writer)."""
         at, size = f.offset, f.elem_size
         return [
             f"if _rh(mem, o + {at})[1]:",
@@ -253,10 +233,7 @@ class ArenaGenCache:
             "data = b''.join(values)",
             f"count = len(data) // {size}",
             "stats.array_elements += count",
-            "e = (arena.top + 7) & -8",
-            "if e + len(data) > arena.base + arena.size:",
-            "    arena.allocate(len(data), 8)  # raises, naming the span",
-            "arena.top = e + len(data)",
+            *_bump("e", "len(data)", 8),
             "oe = e - arena.origin",
             "mem[oe:oe + len(data)] = data",
             "stats.bytes_memcpy += len(data)",
@@ -266,12 +243,11 @@ class ArenaGenCache:
 
     def entry_source(self, index: int) -> tuple[str, dict]:
         """Build one entry's decode-function source and exec namespace:
-        the object placed through the arena's resolved span (``obj`` 0;
-        any other ``obj`` is the one a first occurrence built, merged
-        into), then the shared loop with the arena back end's branches,
-        the census and has-bits flushed once, repeated fields stored; it
-        returns the object's address.  Unknown fields are dropped — a C++
-        object has no unknown set."""
+        the object placed (``obj`` 0; any other ``obj`` is the one a first
+        occurrence built, merged into), the shared loop with this back
+        end's branches, the flush, the repeated fields stored; it returns
+        the object's address.  Unknown fields are dropped — a C++ object
+        has no unknown set."""
         entry = self.deser.adt.entry(index)
         full_name, sizeof, align = entry.full_name, entry.sizeof, entry.alignof
         # repeated fields collect in ``pending`` and are stored at the end
@@ -310,10 +286,7 @@ class ArenaGenCache:
                 "if obj:",
                 "    o = obj - arena.origin",
                 "else:",
-                f"    obj = (arena.top + {align - 1}) & -{align}",
-                f"    if obj + {sizeof} > arena.base + arena.size:",
-                f"        arena.allocate({sizeof}, {align})  # raises, naming the span",
-                f"    arena.top = obj + {sizeof}",
+                *(f"    {line}" for line in _bump("obj", sizeof, align)),
                 "    o = obj - arena.origin",
                 f"    mem[o:o + {sizeof}] = _default",
                 f"    stats.bytes_memcpy += {sizeof}",

@@ -1,26 +1,19 @@
 """The offload engines: DPU-side and host-side halves of Figure 1's
 host/DPU connection.
 
-``HostEngine`` (host):
+``HostEngine`` (host) owns the :class:`~repro.offload.adt.TypeUniverse`
+(vtables + default instances in host globals memory), builds the ADT,
+and runs business-logic callbacks on each request as a zero-copy
+:class:`~repro.offload.materialize.CppMessageView` of the object the DPU
+built — no deserialization here; it serializes every response, as the
+paper's prototype does (§III-A).
 
-* owns the :class:`~repro.offload.adt.TypeUniverse` (vtables + default
-  instances in host globals memory) and builds/encodes the ADT;
-* registers business-logic callbacks that receive the request as a
-  zero-copy :class:`~repro.offload.materialize.CppMessageView` — the
-  object was fully constructed by the DPU, no deserialization happens
-  here;
-* serializes every response on the host, as the paper's prototype does
-  (§III-A): responses cross the PCIe as wire bytes the DPU only reframes.
-
-``DpuEngine`` (DPU):
-
-* receives the bootstrap blob (ADT + method table + ABI note) once at
-  startup (§V-B), checks every index in it, and instantiates the
-  :class:`~repro.offload.arena_deserializer.ArenaDeserializer` from it;
-* for each xRPC request, deserializes the protobuf payload **directly
-  into the outgoing protocol block** (the arena *is* the payload) and
-  enqueues it, so the host receives a ready C++ object at a shared
-  virtual address.
+``DpuEngine`` (DPU) receives the bootstrap blob (ADT + method table)
+once (§V-B), checks every index in it and builds the
+:class:`~repro.offload.arena_deserializer.ArenaDeserializer`; for each
+xRPC request it deserializes the payload **directly into the outgoing
+protocol block** (the arena *is* the payload), so the host receives a
+ready C++ object at a shared virtual address.
 
 ``create_offload_pair`` wires both over one RPC-over-RDMA channel and
 performs the startup handshake: binary-compatibility check (§V-A), ADT
@@ -183,23 +176,20 @@ class HostEngine:
         def handler(request: IncomingRequest) -> Response:
             degraded = request.flags & Flags.WIRE_PAYLOAD
             if degraded:
-                # Failover path: the DPU engine is down, the payload is
-                # raw protobuf (or, with FIXED_PAYLOAD, the negotiated
-                # fixed layout).  Deserialize here — a field reads the same
-                # on the parsed Message as on the view, so the business
-                # callback runs unchanged.  (What the parser
-                # rejects, the endpoint's boundary answers ERROR | MALFORMED.)
+                # Failover: the DPU engine is down, the payload is wire
+                # bytes (or the fixed layout).  Parsed here, a field reads
+                # as on the view; what the parser rejects, the endpoint
+                # answers ERROR | MALFORMED.
                 self.host_deserialized += 1
                 if request.flags & Flags.FIXED_PAYLOAD:
                     view = parse_fixed(input_cls, request.payload_bytes())
                 else:
                     view = parse(input_cls, request.payload_bytes())
             else:
-                # The object is loaded where the block landed: its region
-                # (the receive buffer, resolved once) is the request's
-                # space, the payload proven inside it.  A view whose vptr
-                # is the one its class proved is built right here; any
-                # other (the first, a short payload) is checked in full.
+                # Loaded where the block landed: the request's space is
+                # the receive buffer's region, the payload proven in it.
+                # The first view of a class, or a short payload, is
+                # checked in full; later ones by their vptr alone.
                 region, addr = request.space, request.payload_addr
                 offset = addr - region.base
                 if (request.payload_size >= sizeof
@@ -216,10 +206,8 @@ class HostEngine:
                 trace.event(request.trace, "callback", ts=t0, dur=trace.now() - t0,
                             method=method_id, degraded=bool(degraded))
             if isinstance(result, Message):
-                # Host-side response serialization, but zero-copy: the
-                # encoder sizes the message, the endpoint reserves
-                # that space in the response block, and the wire bytes
-                # are emitted there directly (no intermediate bytes).
+                # serialized on the host, sized here and emitted in place
+                # in the response block
                 size, writer = emit_writer(result)
                 return tuple.__new__(Response, (size, writer, None, Flags.NONE))
             if isinstance(result, Response):
@@ -272,8 +260,7 @@ class DpuEngine:
         self.method_table: dict[int, int] = {}
         self.method_names: dict[int, str] = {}
         self.deserializer: ArenaDeserializer | None = None
-        #: the send buffer every request's arena lies in, resolved once
-        sbuf = channel.client.sbuf
+        sbuf = channel.client.sbuf  # every request's arena lies in it
         self._sbuf_span = (sbuf, sbuf.buf, sbuf.base)
         self.stats = DeserializeStats()
         #: crash simulation (docs/FAULTS.md): while set, :meth:`call`
@@ -390,8 +377,7 @@ class DpuEngine:
             root = self.method_table[method_id]
         except KeyError:
             raise AdtError(f"method {method_id} not in the offload table") from None
-        # The request's arena: its span is the block's reservation, placed
-        # by the payload writer; its buffer is the send buffer's.
+        # the request's arena: sized here, placed by its payload writer
         arena = _new(Arena)
         arena.space, arena.mem, arena.origin = self._sbuf_span
         fixed = wire_mode == WIRE_FIXED
@@ -410,8 +396,8 @@ class DpuEngine:
                                     trace_ctx, deadline)
 
     def _traced(self, write, trace_ctx, nbytes: int, fixed: bool, space, addr: int) -> int:
-        """A traced request's payload writer: the offloaded stage — wire
-        bytes -> in-block C++ object — as a ``deserialize`` event."""
+        """A traced request's payload writer: the offloaded stage as a
+        ``deserialize`` event."""
         trace = self.trace  # (a recorder may be detached meanwhile)
         t0 = trace.now() if trace is not None else 0
         used = write(space, addr)

@@ -57,12 +57,10 @@ class CppMessageView:
     message.
 
     The object is *loaded, not parsed*: its region is resolved once, at
-    construction, with one bounds check for ``[addr, addr + sizeof)``, and
-    every in-object read (vptr, has-bits, string and repeated headers) is
-    served from that region — a singular scalar is one ``unpack_from`` on
-    its buffer at the member's literal offset.  Only a pointer that leaves
-    the object — an element array, out-of-line string data, a child —
-    pays a further check, and each pays exactly one for its whole span.
+    construction (the host engine's handler hands in its block's), with
+    one bounds check for ``[addr, addr + sizeof)``; every in-object read
+    is served from that region, a scalar one ``unpack_from``.  A pointer
+    that leaves the object pays one further check for its whole span.
     """
 
     __slots__ = ("_addr", "_region", "_buf", "_offset")

@@ -1,61 +1,42 @@
 """Generated per-type codecs — the compiled tier: straight-line source,
 nothing selected at run time.
 
-The reference serializer/deserializer in :mod:`repro.proto.serializer` /
-:mod:`repro.proto.deserializer` is fully interpretive: every field pays a
-``field_by_number`` dict lookup, a wire-type comparison chain over
-:class:`~repro.proto.descriptor.FieldType` and the generic attribute
-protocol of :class:`~repro.proto.message.Message`.  That is exactly the
-per-field overhead the paper's custom deserializer eliminates by resolving
-the schema *once* (§V-B: the ADT is built per class, not per instance).
-This module is that one-time resolution, in the protoc/nanopb idiom of
-burning the schema into code.  For each
+The reference serializer/deserializer (:mod:`repro.proto.serializer`,
+:mod:`repro.proto.deserializer`) is interpretive: every field pays a
+``field_by_number`` lookup, a wire-type comparison chain and the generic
+attribute protocol of :class:`~repro.proto.message.Message` — the
+per-field overhead the paper's custom deserializer removes by resolving
+the schema *once* (§V-B).  This module is that resolution, in the
+protoc/nanopb idiom: for each
 :class:`~repro.proto.descriptor.MessageDescriptor` it emits one
-specialized straight-line Python decode function and one encode function
-(field names, tag integers, ``struct.Struct`` unpackers, oneof sibling
-pops and proto3 defaults all appearing as source constants), compiles
-them with :func:`compile`/``exec`` and caches the result on the owning
+straight-line decode function and one encode function (tags, unpackers,
+oneof sibling pops and proto3 defaults as source constants), compiles
+them and caches them on the owning
 :class:`~repro.proto.message.MessageFactory`.
 
-Decoding a message is a single ``while`` loop whose tag dispatch is an
-``if/elif`` chain over integer literals, storing straight into
-``Message._values``; there is no per-field closure call and no dict
-probe.  Length-delimited payloads are sliced through :class:`memoryview`
-and copied exactly once; packed varint runs route through the one
-``np.add.reduceat`` kernel,
-:func:`~repro.proto.wire_format.decode_packed_varints`; packed
-fixed-width runs through ``numpy.frombuffer``.
-
-Encoding is the protoc scheme: one *size* pass that computes every
-submessage length exactly once (results parked in a per-call memo, the
-Python analog of C++'s cached-size fields), then one *emit* pass that
-writes wire bytes left-to-right into a caller-provided buffer — so the
-datapath can reserve exactly ``size`` bytes in a block or frame
-(:meth:`GeneratedEncoder.measure` → :meth:`SizedMessage.emit_into`) and
-have the wire bytes written there, with no intermediate full-payload
-``bytes``.  Each such emission bumps
-``ENCODE_PLAN_METRICS.copies_avoided``.
+Decoding is one ``while`` loop whose tag dispatch is an ``if/elif``
+chain over integer literals; a varint of up to five bytes is read inline
+(:func:`read_varint` is the cold path), a length-delimited payload is
+copied once, packed runs go through one NumPy kernel.  Encoding is the
+protoc scheme: a *size* pass that parks every submessage length in a
+memo, then an *emit* pass into a caller-provided buffer — so the
+datapath reserves exactly ``size`` bytes in a block or frame and has the
+wire bytes written there (each such emission bumps
+``ENCODE_PLAN_METRICS.copies_avoided``).
 
 Both generated paths are behaviorally identical to the interpretive
-reference — same values, same preserved unknown bytes, same error classes
-— which the differential suites (``tests/proto/test_codec_fuzz.py``,
-``test_decode_plan.py``, ``test_encode_plan.py``) enforce.  ``generated``
-is the default of every ``mode=`` / ``decode_mode=`` / ``encode_mode=``
-argument; ``"interpretive"`` selects the oracle.
-
-Cache traffic, compile cost and codec volume are observable through
-:data:`PLAN_METRICS` and :data:`ENCODE_PLAN_METRICS`, whose ``collect``
-a :class:`~repro.metrics.registry.MetricsRegistry` reads at scrape time.
+reference — same values, unknown bytes and error classes — which the
+differential suites enforce; ``generated`` is the default of every
+``mode=`` argument, ``"interpretive"`` selects the oracle.  Cache
+traffic, compile cost and codec volume are :data:`PLAN_METRICS` and
+:data:`ENCODE_PLAN_METRICS`, read by a registry at scrape time.
 
 The tag-wire decoder is said once, in the "tag loop" section below: the
-frame, the three wire reads a branch is built from, the cold path for a
-tag no branch matched and the compile step.  This module's
-:func:`decode_source` is its ``Message`` back end;
-:mod:`repro.offload.arena_gen` is its arena back end.  Everything that
-depends on a scalar's kind comes from the :mod:`repro.proto.kinds` table.
-The encoder is composed the same way, from two fragments (a
-length-delimited element, a tagged scalar) that repeated fields loop
-around.  See ``docs/DECODER.md``.
+frame, the wire reads a branch is built from, the cold path for a tag no
+branch matched and the compile step.  :func:`decode_source` is its
+``Message`` back end, :mod:`repro.offload.arena_gen` its arena back end;
+everything that depends on a scalar's kind comes from
+:mod:`repro.proto.kinds`.  See ``docs/DECODER.md``.
 """
 
 from __future__ import annotations
@@ -96,7 +77,6 @@ __all__ = [
     "get_gen_decoder",
     "get_gen_encoder",
     "READ_VARINT",
-    "inline_varint",
     "read_length",
     "read_fixed",
     "tag_loop",
@@ -210,9 +190,8 @@ class _SourceBuilder:
 
 def inline_varint(var: str, past_end: str) -> list[str]:
     """One varint into ``var``, read inline while five bytes remain
-    before ``end`` (a ``uint32``, a tag, a length); :func:`read_varint`
-    is the cold path for a longer one and near ``end``, where it reads
-    exactly as before.  ``past_end`` is the line run at ``end``."""
+    before ``end``; :func:`read_varint` reads a longer one and one near
+    ``end``.  ``past_end`` is the line run at ``end``."""
     lines = ["if pos >= end:", f"    {past_end}", "elif (b := buf[pos]) < 0x80:",
              f"    {var} = b", "    pos += 1", "elif pos + 5 <= end:"]
     value, kw = "b - 0x80", "if"
@@ -347,16 +326,11 @@ _compile_depth = 0
 def compile_codec(generate, filename: str, metrics, cache: dict | None = None):
     """The one place generated codec source becomes code: ``generate()``
     gives ``(source, namespace)``, the source is compiled and executed in
-    the namespace, and the compile is accounted in ``metrics``
-    (``gen_compile_ns`` for the outermost compile only — a nested child's
-    is inside its parent's span).  Returns ``(source, namespace)``.
-
-    ``cache`` is the dict the caller put the in-flight codec into *before*
-    calling, so that a recursive message type resolves to the codec being
-    built.  Whatever goes wrong — an interrupt included — empties it, or
-    later lookups would return a codec with no code: the in-flight one,
-    or one compiled inside this call that refers to it (mutual
-    recursion).  The cache refills on demand."""
+    the namespace and accounted in ``metrics`` (``gen_compile_ns`` for the
+    outermost compile only); returns ``(source, namespace)``.  ``cache``
+    holds the in-flight codec (a recursive type resolves to it); whatever
+    goes wrong, an interrupt included, empties it — else later lookups
+    would find a codec with no code — and it refills on demand."""
     global _compile_depth
     t0 = time.perf_counter_ns()
     _compile_depth += 1

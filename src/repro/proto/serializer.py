@@ -237,14 +237,12 @@ def prepare_emit(msg: Message, mode: str | None = None):
 
 
 def emit_writer(msg: Message, mode: str | None = None):
-    """``(size, writer)`` for the block datapath: ``writer(region, addr)``
-    emits ``msg``'s wire bytes directly into the registered send region
-    and returns the payload size — the shape ``core.endpoint`` expects
-    from ``Response.writer`` / ``enqueue``, where ``region`` is the send
-    buffer the endpoint holds and ``size`` bytes at ``addr`` are already
-    reserved in its open block.  The size pass runs here; the writer
-    calls the generated ``_emit`` once, straight into the region's
-    buffer, which writes exactly the ``size`` bytes it measured."""
+    """``(size, writer)`` for the block datapath: the size pass runs
+    here; ``writer(region, addr)`` — the shape ``core.endpoint`` expects
+    of ``Response.writer`` / ``enqueue``, ``region`` the send buffer it
+    holds, ``size`` bytes at ``addr`` reserved — calls the generated
+    ``_emit`` once, straight into the region's buffer, and returns
+    ``size``."""
     encoder = (mode is None and type(msg)._ENCODER) or _encoder_for(msg, mode)
     if encoder is None:  # the interpretive oracle: materialized, then copied
         data = _serialize_bytes(msg)

@@ -1,23 +1,18 @@
 """The DPU front end and the host compatibility layer (paper §III-A, §V-D).
 
 ``OffloadedXrpcServer`` is the xRPC server that now runs *on the DPU*: it
-terminates client connections, and for every unary request looks up the
-procedure ID and hands the serialized payload to the
-:class:`~repro.offload.engine.DpuEngine`, which deserializes it into the
-outgoing protocol block.  When the host's response comes back (already
-serialized — response serialization stays on the host, as in the paper's
-prototype), the front end wraps it in an xRPC response frame and forwards it to the
-client.  Clients cannot tell the difference; they only changed the server
-address.
+terminates client connections and hands each unary request's payload to
+the :class:`~repro.offload.engine.DpuEngine`, which deserializes it into
+the outgoing protocol block; the host's response comes back serialized
+(as in the paper's prototype) and is reframed for the client, who only
+changed the server address.
 
 ``register_offloaded_servicer`` is the host-side compatibility layer: an
-application servicer written for the normal xRPC server runs unmodified —
-its methods receive the request object (here the zero-copy
-:class:`~repro.offload.materialize.CppMessageView`, whose generated class
-reads every field as a parsed message does — same values and defaults,
-``AttributeError`` for a name that is not a field — but is read-only and
-has none of the message's protobuf methods) and a ``None`` context ("we
-use a null pointer for simplicity"), and return a response Message.
+application servicer written for the normal xRPC server runs unmodified
+on the zero-copy :class:`~repro.offload.materialize.CppMessageView`
+(every field reads as on a parsed message — same values and defaults,
+``AttributeError`` for a name that is not a field — but read-only) and a
+``None`` context ("we use a null pointer for simplicity").
 """
 
 from __future__ import annotations
@@ -103,11 +98,9 @@ class OffloadedXrpcServer(Ingress):
 
     def _reply(self, conn: _Connection, call_id: int, ctx, view: memoryview,
                flags: int) -> None:
-        """A request's continuation, bound over the request by ``_serve``:
-        the host's response is already serialized protobuf; the DPU only
-        reframes it for the xRPC client (§III-A).  The payload is copied
-        exactly once — from the protocol block straight into the
-        outgoing frame, with no intermediate bytes object."""
+        """A request's continuation, bound by ``_serve``: the host's
+        response is already serialized protobuf, which the DPU only
+        reframes (§III-A), copied once from the block into the frame."""
         self.responses_returned += 1
         status = StatusCode.OK
         if flags & Flags.ERROR:

@@ -5,8 +5,8 @@ half (§III-A: clients only change the server address), so everything a
 client can observe before its request is served is written here once:
 accept, deframe, two priority lanes, the expired-on-arrival drop and
 the admission shed (docs/OVERLOAD.md), the WIRE_FIXED SETUP answer
-(docs/PROTOCOL.md) — and the one place a served request's failure is
-answered (docs/FAULTS.md §3).  A subclass states the four things that differ: its
+(docs/PROTOCOL.md) — and the one answer to a served request that
+failed (docs/FAULTS.md §3).  A subclass states the four things that differ: its
 stage names, the engine behind the door (:attr:`Ingress.dpu`), the types
 it negotiates over, and what happens to an admitted request.
 """
@@ -122,17 +122,14 @@ class Ingress:
     # -- event loop -----------------------------------------------------------
 
     def progress(self, budget: int | None = None) -> int:
-        """One event-loop pass: accept, deframe, serve the lanes, then
-        advance the engine behind the door (responses fire continuations
-        that write back to the right client socket).  Returns the work
-        done: requests served plus the responses the engine behind the
-        door delivered, so a process that parks when a pass did nothing
-        sees both.  Registerable with a
-        :class:`~repro.runtime.engine.ProgressEngine`; ``budget`` caps
-        the requests *served* in one pass (overload drops and sheds are
-        cheap and never charged against it) — unserved requests wait in
-        their priority lane, and count into the depth admission control
-        judges (docs/OVERLOAD.md)."""
+        """One event-loop pass: accept, deframe, serve each request in one
+        ``_serve`` call (in place, or from the lanes), then advance the
+        engine behind the door, whose responses fire continuations.
+        Returns the requests served plus the responses delivered, so a
+        process that parks when a pass did nothing sees both.  ``budget``
+        caps the requests *served* (drops and sheds are never charged);
+        unserved ones wait in their lane and count into the depth
+        admission control judges (docs/OVERLOAD.md)."""
         while self.listener is not None and (sock := self.listener.accept()) is not None:
             self.adopt(sock)
         lanes = self._lanes
@@ -242,11 +239,9 @@ class Ingress:
 
     def _contain(self, conn: _Connection, call_id: int, mark: int,
                  exc: BaseException) -> None:
-        """A request that fails costs itself (docs/FAULTS.md §3): what
-        ``_serve`` raised — :meth:`progress` serves each request in one
-        call, and catches there — is answered here.  No half-built frame
-        leaves (the output goes back to ``mark``), *that* call gets the
-        outcome table's answer, and the pass goes on."""
+        """A request that fails costs itself (docs/FAULTS.md §3): what its
+        ``_serve`` call raised is answered here, no half-built frame left
+        (the output goes back to ``mark``), by the outcome table."""
         del conn.out[mark:]
         if not isinstance(exc, Exception):
             raise exc
