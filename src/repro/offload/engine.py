@@ -368,11 +368,11 @@ class DpuEngine:
         the outgoing block and enqueue it.  ``wire_mode`` = WIRE_FIXED
         routes the payload through the branchless fixed-layout arena
         decoder instead of the tag-dispatch one."""
-        if self.crashed:
-            raise EngineCrashedError(f"dpu engine crashed: {self.crash_reason}")
-        deserializer = self.deserializer
-        if deserializer is None:
+        if not self.ready:  # crashed, or no bootstrap yet
+            if self.crashed:
+                raise EngineCrashedError(f"dpu engine crashed: {self.crash_reason}")
             raise AdtError("bootstrap not received yet")
+        deserializer = self.deserializer
         try:
             root = self.method_table[method_id]
         except KeyError:
