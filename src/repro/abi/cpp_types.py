@@ -207,11 +207,11 @@ class LibstdcxxString(StringLayout):
         n = len(data)
         if n <= self.sso_capacity:
             # data -> own inline buffer, size, NUL-padded characters
-            space.write(addr, struct.pack("<QQ16s", addr + self._SSO_OFF, n, bytes(data)))
+            space.write(addr, struct.pack(self.SSO_FORM[0], addr + self._SSO_OFF, n, bytes(data)))
         else:
             self._write_long(space, data_addr, data)
             # data, size, capacity == size, unused union tail
-            space.write(addr, struct.pack("<4Q", data_addr, n, n, 0))
+            space.write(addr, struct.pack(self.LONG_FORM[0], data_addr, n, n, 0))
 
     def is_sso(self, space, addr: int) -> bool:
         return space.read_u64(addr) == addr + self._SSO_OFF
@@ -241,11 +241,11 @@ class LibcxxString(StringLayout):
     def write(self, space, addr: int, data: bytes, data_addr: int | None) -> None:
         n = len(data)
         if n <= self.sso_capacity:
-            space.write(addr, struct.pack("<B23s", n << 1, bytes(data)))
+            space.write(addr, struct.pack(self.SSO_FORM[0], n << 1, bytes(data)))
         else:
             self._write_long(space, data_addr, data)
             cap = (n + 1) | 1  # stored capacity with long-form flag
-            space.write(addr, struct.pack("<3Q", cap, n, data_addr))
+            space.write(addr, struct.pack(self.LONG_FORM[0], cap, n, data_addr))
 
     def is_sso(self, space, addr: int) -> bool:
         return (space.read(addr, 1)[0] & 1) == 0

@@ -384,9 +384,7 @@ class _EndpointBase:
             self._writer = writer
         if writer._open is not None:
             raise BlockFormatError("block busy: a message is being written")
-        # the room check above holds the 8-aligned header, the extension
-        # word and the alignment (at most 7 + 8 + 8 < 32 bytes)
-        header_addr = (writer.cursor + 7) & -8
+        header_addr = (writer.cursor + 7) & -8  # room checked above: 7 + 8 + 8 < 32
         large = reserve >= 1 << 16
         payload_addr = header_addr + (16 if large else 8)
         mem, origin = writer._mem, writer._origin
@@ -407,7 +405,8 @@ class _EndpointBase:
         finally:
             writer._open = None
         if large:  # §IV-E: overflow marker in the size field, true size behind it
-            HEADER.pack_into(mem, header_addr - origin, 0xFFFF, method_or_id, flags | Flags.LARGE, 0)
+            HEADER.pack_into(mem, header_addr - origin, 0xFFFF, method_or_id,
+                             flags | Flags.LARGE, 0)
             SIZE_EXT.pack_into(mem, header_addr - origin + HEADER_SIZE, actual)
         else:
             HEADER.pack_into(mem, header_addr - origin, actual, method_or_id, flags, 0)
