@@ -136,8 +136,8 @@ class ArenaDeserializer:
         """Parse ``wire`` as the message class at ``root_index``; build the
         object in ``arena``; returns the object's virtual address.  Bound
         over its first three arguments it is a payload writer
-        (``DpuEngine.call``): ``write(space, addr)`` places the arena at
-        ``addr`` and returns the bytes the object took.  Dispatches on
+        (``DpuEngine.call``): ``write(space, addr)`` places the arena (which
+        holds ``space`` already) at ``addr``, returns the bytes used.  Per
         the current ``mode``: the generated decoders (the default; the
         root's is looked up here, as ``ArenaGenCache.decoder`` does) or
         the interpretive oracle."""
