@@ -406,9 +406,6 @@ class DpuEngine:
                         object=used, mode="fixed" if fixed else self.deserializer.mode)
         return used
 
-    def progress(self, budget: int | None = None) -> int:
-        return self.channel.client.progress(budget)
-
 
 # ---------------------------------------------------------------------------
 # Pair factory

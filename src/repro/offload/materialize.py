@@ -3,8 +3,9 @@
 The host receives a block whose payload *is* a live C++ object.  Real host
 code would simply cast the payload pointer to ``const Msg*``; the Python
 analog is :class:`CppMessageView`, which reads fields lazily through the
-layout — pointer dereferences resolve through the host address space, so a
-view access touches exactly the bytes a C++ field access would.
+layout from the region holding its object — a view access touches exactly
+the bytes a C++ field access would, and only a pointer that leaves that
+region resolves through the host address space.
 
 :func:`read_message` eagerly converts an object back into a dynamic
 :class:`~repro.proto.message.Message`, which lets tests assert that the
@@ -13,6 +14,7 @@ offloaded path and the reference deserializer agree on every input.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Iterator
 
 from repro.abi import PRIMITIVES, REPEATED_HEADER, AbiError, MessageLayout, member_primitive
@@ -24,6 +26,9 @@ from .adt import TypeUniverse
 __all__ = ["CppMessageView", "read_message", "verify_object", "view_class"]
 
 _POINTER = PRIMITIVES["pointer"].codec
+_HEADER = REPEATED_HEADER.codec.unpack_from  # (elements, size, capacity)
+#: element arrays are cast in place where the host is little-endian, as the ABI
+_NATIVE_LE = sys.byteorder == "little"
 
 
 def verify_object(
@@ -59,8 +64,10 @@ class CppMessageView:
     The object is *loaded, not parsed*: its region is resolved once, at
     construction (the host engine's handler hands in its block's), with
     one bounds check for ``[addr, addr + sizeof)``; every in-object read
-    is served from that region, a scalar one ``unpack_from``.  A pointer
-    that leaves the object pays one further check for its whole span.
+    is served from that region, a scalar one ``unpack_from``.  So is a
+    child object or element array lying in it — an element array in one
+    C call, ``memoryview.cast(fmt).tolist()`` — nothing there is resolved
+    again; a span outside it pays one checked resolution in the space.
     """
 
     __slots__ = ("_addr", "_region", "_buf", "_offset")
@@ -74,12 +81,16 @@ class CppMessageView:
     def __new__(cls, universe: TypeUniverse, layout: MessageLayout, addr: int):
         if cls is CppMessageView:  # the generic entry: the layout's class
             cls = view_class(universe, layout)
-        region = universe.space.region_of(addr, layout.sizeof)
+        return cls._load(universe.space.region_of(addr, layout.sizeof), addr)
+
+    @classmethod
+    def _load(cls, region, addr: int) -> "CppMessageView":
+        """The view of the object at ``addr``; ``region`` holds all of it."""
         offset = addr - region.base
         # The vptr check of :func:`verify_object`, on the span just proven.
-        vptr = _POINTER.unpack_from(region.buf, offset + layout.VPTR_OFFSET)[0]
+        vptr = _POINTER.unpack_from(region.buf, offset + cls._layout.VPTR_OFFSET)[0]
         if vptr != cls._vtable:
-            verify_object(universe, layout, addr, region)  # raises, naming both
+            verify_object(cls._universe, cls._layout, addr, region)  # raises, naming both
             cls._vtable = vptr  # proven: later objects compare to it alone
         self = object.__new__(cls)
         self._addr, self._region, self._buf, self._offset = addr, region, region.buf, offset
@@ -100,15 +111,24 @@ class CppMessageView:
         slot = self._layout.slot(name)
         return self._layout.get_has_bit(self._region, self._addr, slot.has_bit)
 
-    def _read_child(self, fd, addr: int) -> "CppMessageView":
-        ptr = self._region.read_u64(addr)
+    def _view_at(self, cls, addr: int) -> "CppMessageView":
+        """The ``cls`` view of the object at ``addr``: loaded from the held
+        region when the object lies in it, else resolved through the space."""
+        region = self._region
+        if region.base <= addr <= region.base + region.size - cls._layout.sizeof:
+            return cls._load(region, addr)
+        return cls(cls._universe, cls._layout, addr)
+
+    def _read_child(self, fd, at: int) -> "CppMessageView":
+        """The submessage whose pointer member is at offset ``at``."""
+        ptr = _POINTER.unpack_from(self._buf, self._offset + at)[0]
         if ptr == 0:
             # C++ semantics: accessing an unset submessage returns the
             # (immutable) global default instance, never null — the
             # same view a parsed Message gives via auto-vivification.
             ptr = self._universe.default_instance(fd.message_type)
-        layout = self._universe.layouts.layout(fd.message_type)
-        return view_class(self._universe, layout)(self._universe, layout, ptr)
+        universe = self._universe
+        return self._view_at(view_class(universe, universe.layouts.layout(fd.message_type)), ptr)
 
     def _read_string(self, holder, addr: int, text: bool):
         """The ``std::string`` at ``addr`` inside ``holder``, the already
@@ -125,26 +145,32 @@ class CppMessageView:
         span = (holder if inside else self._space).view(data_addr, n)
         return str(span, "utf-8") if text else bytes(span)
 
-    def _read_repeated(self, fd, addr: int) -> list:
-        elems, count, _cap = REPEATED_HEADER.read(self._region, addr)
+    def _read_array(self, at: int, fmt: str, size: int) -> list:
+        """The elements of the repeated field whose header is at offset
+        ``at``: scalars, or the pointers of message elements.  The array
+        is one span: inside the held region it is cast in place and listed
+        in one C call; anywhere else one checked read through the space."""
+        elems, count, _cap = _HEADER(self._buf, self._offset + at)
+        region = self._region
+        start = elems - region.base
+        end = start + count * size
+        if 0 <= start and end <= region.size and _NATIVE_LE:
+            return memoryview(self._buf)[start:end].cast(fmt).tolist()
+        return list(self._space.read_array(elems, fmt, count)) if count else []
+
+    def _read_messages(self, fd, at: int) -> list:
+        cls = view_class(self._universe, self._universe.layouts.layout(fd.message_type))
+        return [self._view_at(cls, ptr) for ptr in self._read_array(at, "Q", 8)]
+
+    def _read_strings(self, at: int, text: bool) -> list:
+        elems, count, _cap = _HEADER(self._buf, self._offset + at)
         if count == 0:
             return []
-        space = self._space
-        if fd.type is FieldType.MESSAGE:
-            universe = self._universe
-            layout = universe.layouts.layout(fd.message_type)
-            cls = view_class(universe, layout)
-            return [cls(universe, layout, ptr) for ptr in space.read_array(elems, "Q", count)]
-        if fd.type in (FieldType.STRING, FieldType.BYTES):
-            size = self._layout.string_layout.size
-            holder = space.region_of(elems, size * count)
-            text = fd.type is FieldType.STRING
-            return [
-                self._read_string(holder, elems + size * i, text) for i in range(count)
-            ]
-        # Scalars: the element array is one span — one bounds check for
-        # [elems, elems + count * size), one reinterpretation.
-        return list(space.read_array(elems, member_primitive(fd).fmt, count))
+        size = self._layout.string_layout.size
+        holder = self._region
+        if not holder.base <= elems <= holder.base + holder.size - size * count:
+            holder = self._space.region_of(elems, size * count)
+        return [self._read_string(holder, elems + size * i, text) for i in range(count)]
 
     def fields(self) -> Iterator[str]:
         for slot in self._layout.slots:
@@ -165,17 +191,23 @@ def view_class(universe: TypeUniverse, layout: MessageLayout) -> type[CppMessage
         return cls
     ns, lines = {}, []
     for i, slot in enumerate(layout.slots):
-        fd, at = slot.field, f"self._addr + {slot.offset}"
+        fd, at = slot.field, slot.offset
         ns[f"f{i}"] = fd
+        text = fd.type is FieldType.STRING
         if slot.kind == "scalar":
             ns[f"u{i}"] = member_primitive(fd).codec.unpack_from
-            read = f"u{i}(self._buf, self._offset + {slot.offset})[0]"
+            read = f"u{i}(self._buf, self._offset + {at})[0]"
         elif slot.kind == "string":
-            read = f"self._read_string(self._region, {at}, {fd.type is FieldType.STRING})"
-        elif slot.kind == "repeated":
-            read = f"self._read_repeated(f{i}, {at})"
-        else:
+            read = f"self._read_string(self._region, self._addr + {at}, {text})"
+        elif slot.kind == "message":
             read = f"self._read_child(f{i}, {at})"
+        elif fd.type is FieldType.MESSAGE:
+            read = f"self._read_messages(f{i}, {at})"
+        elif fd.type in (FieldType.STRING, FieldType.BYTES):
+            read = f"self._read_strings({at}, {text})"
+        else:
+            prim = member_primitive(fd)
+            read = f"self._read_array({at}, {prim.fmt!r}, {prim.size})"
         lines.append(f"def g{i}(self):\n    return {read}")
     exec("\n".join(lines), ns)
     namespace = {"__slots__": (), "_universe": universe, "_layout": layout,

@@ -286,49 +286,50 @@ def decode_packed_varints(data, count_hint: int | None = None) -> np.ndarray:
     """Decode a packed varint run into a ``uint64`` NumPy array.
 
     The vectorized analog of the per-element decode loop, in one pass
-    regardless of the longest varint in the run: varint boundaries come
-    from the continuation bits, every payload byte is shifted into place
-    by 7x its distance from its varint's first byte, and each varint's
-    bytes are summed with one segmented reduction (``np.add.reduceat``).
+    regardless of the longest varint in the run: the bytes with the
+    continuation bit clear end the varints; a running maximum of each
+    varint's first index gives every byte its distance from that first
+    byte; each payload byte is shifted by 7x its distance, and the
+    difference of one running sum at consecutive ends is each value.
+    Every step is a ufunc or an ``ndarray`` method over the whole run (no
+    per-varint loop inside NumPy, no Python-level call, no cast), on
+    ``data`` where it lies (``bytes``, ``bytearray`` or a ``memoryview``
+    slice): the shifts are the index type, int64 (a 10th byte's bit 63
+    lands in the sign bit), and the sums a ``uint64`` view of the same
+    memory, whose wrap-around leaves each difference exact.
     Results — and malformed-input rejections — are identical to repeated
     :func:`read_varint`.
     """
-    raw = np.frombuffer(bytes(data), dtype=np.uint8)
-    if raw.size == 0:
+    if not data:
         values = np.empty(0, dtype=np.uint64)
-    elif raw[-1] & 0x80:
+    elif data[-1] & 0x80:
         raise TruncatedMessageError("packed varint run ends mid-varint")
     else:
-        # Positions where a varint ends (continuation bit clear).
-        ends = np.flatnonzero(raw < 0x80)
-        if ends.size == raw.size:
+        raw = np.frombuffer(data, dtype=np.uint8)
+        ends = (raw < 0x80).nonzero()[0]
+        if len(ends) == len(raw):
             values = raw.astype(np.uint64)  # all single-byte
         else:
-            values = _assemble_varints(raw, ends)
+            firsts = ends[:-1] + 1  # the first byte of every varint but the first
+            shift = np.zeros(len(raw), dtype=ends.dtype)
+            shift[firsts] = firsts
+            np.maximum.accumulate(shift, out=shift)
+            np.subtract(np.arange(len(raw)), shift, out=shift)
+            longest = np.maximum.reduce(shift)  # the longest varint's length - 1
+            if longest >= MAX_VARINT_LEN:
+                raise WireFormatError("varint longer than 10 bytes")
+            # A 10-byte varint's last byte may only carry bit 63, exactly
+            # as the scalar read_varint enforces.
+            if longest == MAX_VARINT_LEN - 1 and (raw[shift == longest] > 1).any():
+                raise WireFormatError("varint exceeds 64 bits")
+            shift *= 7
+            np.left_shift(raw & 0x7F, shift, out=shift)
+            sums = shift.view(np.uint64)
+            np.add.accumulate(sums, out=sums)
+            values = sums[ends]
+            values[1:] -= sums[ends[:-1]]
     if count_hint is not None and len(values) != count_hint:
         raise WireFormatError(
             f"expected {count_hint} packed elements, decoded {len(values)}"
         )
     return values
-
-
-def _assemble_varints(raw: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    np.add(ends[:-1], 1, out=starts[1:])
-    lengths = ends - starts + 1
-    longest = int(lengths.max())
-    if longest > MAX_VARINT_LEN:
-        raise WireFormatError("varint longer than 10 bytes")
-    # 10-byte varints may only contribute one bit from their final byte,
-    # exactly as the scalar read_varint enforces.
-    if longest == MAX_VARINT_LEN and np.any(raw[ends[lengths == MAX_VARINT_LEN]] > 1):
-        raise WireFormatError("varint exceeds 64 bits")
-    # Byte k of each varint shifts by 7k; k for every byte is its distance
-    # from the owning varint's start.
-    shift = np.arange(raw.size, dtype=np.uint64)
-    shift -= np.repeat(starts, lengths).astype(np.uint64)
-    shift *= np.uint64(7)
-    payload = (raw & 0x7F).astype(np.uint64)
-    payload <<= shift
-    return np.add.reduceat(payload, starts)

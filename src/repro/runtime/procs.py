@@ -348,8 +348,8 @@ class _ChildSide:
         self.engine.register(fabric, name="fabric")
         if side == "server":
             # The DPU child's client endpoint is polled by its front door
-            # instead (``Ingress.progress`` -> ``dpu.progress``): once a
-            # pass, as in one process.
+            # instead (``Ingress.progress`` calls the endpoint's own
+            # ``progress``): once a pass, as in one process.
             self.engine.register(self.endpoint, name=side)
             self.channel = Channel(fabric, None, self.endpoint, None, space, self.engine)
         else:

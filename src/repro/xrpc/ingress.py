@@ -184,7 +184,7 @@ class Ingress:
                     self._serve(conn, frame, lane)
                 except BaseException as exc:
                     self._contain(conn, frame.call_id, mark, exc)
-        delivered = self.dpu.progress(budget) if self.dpu is not None else 0
+        delivered = self.dpu.channel.client.progress(budget) if self.dpu is not None else 0
         for conn in self._connections:
             if conn.out:
                 # The pass's response frames for it leave in one send.  A

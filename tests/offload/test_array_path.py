@@ -4,7 +4,9 @@ scalar kind the object read back through the views must equal the
 reference parse — for a single packed run, for packed and unpacked
 occurrences of the same field interleaved, and for a merge-append onto an
 array the object already carries — identically in both arena tiers,
-with an identical :class:`DeserializeStats` census."""
+with an identical :class:`DeserializeStats` census; and the host view
+reads it alike from the region it holds and, for an array placed in
+another region, through the address space."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.abi import REPEATED_HEADER, member_primitive
 from repro.memory import AddressSpace, Arena, MemoryRegion
 from repro.offload import ArenaDeserializer, CppMessageView, TypeUniverse
 from repro.offload.view import AdtMessageView
@@ -22,6 +25,7 @@ from repro.proto.wire_format import WireType, encode_varint, make_tag
 
 ARENA_BASE = 0x6000_0000
 ARENA_SIZE = 1 << 20
+ELSEWHERE = ARENA_BASE + 2 * ARENA_SIZE  # a second region, not the arena's
 MODES = ("interpretive", "generated")
 
 _FIELDS = """
@@ -79,6 +83,7 @@ def env():
     schema = compile_schema(SRC)
     space = AddressSpace("host")
     space.map(MemoryRegion(ARENA_BASE, ARENA_SIZE, "arena"))
+    space.map(MemoryRegion(ELSEWHERE, ARENA_SIZE, "elsewhere"))
     universe = TypeUniverse(space)
     adt = universe.build_adt(
         [schema.pool.message("arr.Arr"), schema.pool.message("arr.Holder")]
@@ -178,6 +183,30 @@ class TestArrayPathParity:
         got, _ = arena_read(env, "arr.Holder", wire, read)
         assert got == list(getattr(parse(schema["arr.Holder"], wire).arr, name))
         assert len(got) == sum(len(v) for chunks in occurrences for _, v in chunks)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_held_region_and_space_read_alike(self, env, name, data):
+        # The view reads the array from the region it holds; moved to
+        # another region (the old span zeroed, the header repointed), the
+        # same view reads it through the space.
+        schema, space, universe, adt = env
+        cls = schema["arr.Arr"]
+        wire = serialize(cls(**{name: data.draw(st.lists(ELEMENTS[name], max_size=100))}))
+        expected = list(getattr(parse(cls, wire), name))
+        layout = universe.layouts.layout(cls.DESCRIPTOR)
+        addr = ArenaDeserializer(adt).deserialize_by_name(
+            "arr.Arr", wire, Arena(space, ARENA_BASE, ARENA_SIZE))
+        view = CppMessageView(universe, layout, addr)
+        assert getattr(view, name) == expected
+        header = addr + layout.slot(name).offset
+        elems, count, _cap = REPEATED_HEADER.read(space, header)
+        size = count * member_primitive(cls.DESCRIPTOR.field_by_name(name)).size
+        if count:
+            space.write(ELSEWHERE, space.read(elems, size))
+            space.write(elems, bytes(size))
+        REPEATED_HEADER.write(space, header, ELSEWHERE, count)
+        assert getattr(view, name) == expected
 
 
 def test_unpacked_schema_really_is_unpacked(env):

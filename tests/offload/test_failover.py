@@ -86,7 +86,7 @@ class TestEngineCrash:
             lambda view, flags: out.append(bytes(view)),
         )
         for _ in range(50):
-            dpu.progress()
+            dpu.channel.client.progress()
             host.progress()
         assert len(out) == 1
         assert host.host_deserialized == 1

@@ -8,7 +8,9 @@ block's memory once and then store through the region's buffer.
   store) leave byte-identical arena images, on a ``bytearray`` region and
   on a shared-memory one, and never resize the backing store;
 * counts — ``AddressSpace.region_of`` calls per request and wire reads of
-  the size bound are exact, so they are asserted exactly (no timing).
+  the size bound are exact, so they are asserted exactly (no timing):
+  no request of the offloaded stack resolves an address, and a view
+  reading a whole tree that one region holds resolves it once.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from repro.offload import (
 from repro.offload.engine import DpuEngine, HostEngine
 from repro.proto import compile_schema, get_fixed_layout, serialize
 from repro.proto.wire_format import WireType, encode_varint, make_tag
-from repro.workloads import WORKLOAD_PROTO, WorkloadFactory
+from repro.workloads import WORKLOAD_PROTO, WorkloadFactory, deeply_nested
+from repro.workloads.traces import NESTED_PROTO
 from repro.xrpc import Network, OffloadedXrpcServer, register_offloaded_servicer
 from repro.xrpc.framing import FrameDecoder, encode_request
 from tests.conftest import KITCHEN_SINK_PROTO
@@ -173,6 +176,7 @@ SERVICE_PROTO = WORKLOAD_PROTO + """
 service Bench {
   rpc Ping (Small) returns (Empty);
   rpc Count (CharArray) returns (Empty);
+  rpc Sum (IntArray) returns (Empty);
 }
 """
 
@@ -191,6 +195,10 @@ def offloaded_stack():
 
         def Count(self, request, context):
             assert len(request.data) >= 0
+            return Empty()
+
+        def Sum(self, request, context):
+            assert sum(request.values) >= 0
             return Empty()
 
     rdma = create_channel()
@@ -229,30 +237,65 @@ def round_trips(socket, drive, frames, depth):
     raise AssertionError(f"only {len(statuses)} of {len(frames)} answered")
 
 
+def count_region_of(monkeypatch) -> list[int]:
+    """From now on every ``AddressSpace.region_of`` call adds one to the
+    returned list's only item."""
+    calls = [0]
+    original = AddressSpace.region_of
+
+    def counted(self, addr, length=1):
+        calls[0] += 1
+        return original(self, addr, length)
+
+    monkeypatch.setattr(AddressSpace, "region_of", counted)
+    return calls
+
+
 class TestCounts:
-    @pytest.mark.parametrize("depth, msgs_per_block, ceiling", [(16, 16.0, 6), (1, 1.0, 12)])
-    def test_region_of_calls_per_small_request(self, monkeypatch, depth,
-                                               msgs_per_block, ceiling):
+    # Held at the count: blocks, the arena and the host's view load
+    # through regions resolved once per connection or view class.
+    @pytest.mark.parametrize("method, depth, msgs_per_block", [
+        ("Ping", 16, 16.0), ("Ping", 1, 1.0), ("Sum", 16, None)])
+    def test_no_request_resolves_an_address(self, monkeypatch, method, depth, msgs_per_block):
         schema, rdma, socket, drive = offloaded_stack()
         factory = WorkloadFactory(seed=7, schema=schema)
-        frames = [encode_request(i, "/bench.Bench/Ping", serialize(factory.small()))
+        make = factory.small if method == "Ping" else lambda: factory.int_array(512)
+        frames = [encode_request(i, f"/bench.Bench/{method}", serialize(make()))
                   for i in range(128)]
         assert round_trips(socket, drive, frames[:64], depth) == [0] * 64  # warm
-        calls = 0
-        original = AddressSpace.region_of
-
-        def counted(self, addr, length=1):
-            nonlocal calls
-            calls += 1
-            return original(self, addr, length)
-
-        monkeypatch.setattr(AddressSpace, "region_of", counted)
+        calls = count_region_of(monkeypatch)
         before = (rdma.client.stats.requests_sent, rdma.client.stats.blocks_sent)
         assert round_trips(socket, drive, frames[64:], depth) == [0] * 64
         requests = rdma.client.stats.requests_sent - before[0]
         blocks = rdma.client.stats.blocks_sent - before[1]
-        assert requests == 64 and requests / blocks == msgs_per_block
-        assert calls / 64 <= ceiling
+        assert requests == 64
+        if msgs_per_block is not None:
+            assert requests / blocks == msgs_per_block
+        assert calls == [0]
+
+    def test_a_nested_tree_is_resolved_once_per_block(self, monkeypatch):
+        # A depth-3 tree of 13 nodes (children, strings, weights) in one
+        # arena: the view resolves the root's region and reads every
+        # child object, pointer array, element array and string from it.
+        region = MemoryRegion(ARENA_BASE, ARENA_SIZE, "block")
+        schema, _, universe, adt, root = _env(NESTED_PROTO, "nested.Node", region)
+        tree = deeply_nested(depth=3, fanout=3, schema=schema)
+        addr = ArenaDeserializer(adt).deserialize(root, serialize(tree), Arena(
+            region, ARENA_BASE, ARENA_SIZE))
+        layout = universe.layouts.layout(schema.pool.message("nested.Node"))
+
+        def read(node):
+            return (node.id, node.label, node.weights, node.score, node.active,
+                    [read(child) for child in node.children])
+
+        def expected(node):
+            return (node.id, node.label, list(node.weights), node.score, node.active,
+                    [expected(child) for child in node.children])
+
+        CppMessageView(universe, layout, addr)  # the view class compiled and proven
+        calls = count_region_of(monkeypatch)
+        assert read(CppMessageView(universe, layout, addr)) == expected(tree)
+        assert calls == [1]
 
     def test_flat_type_bound_is_constant_and_matches_the_scan(self, monkeypatch):
         schema = compile_schema(WORKLOAD_PROTO)

@@ -228,6 +228,35 @@ class TestPackedVarints:
         for bad in (b"\x96", b"\x80" * 10 + b"\x01", ten + b"\x02"):
             assert isinstance(self._scalar(prefix + bad), WireFormatError)
 
+    @given(run=st.one_of(st.binary(max_size=64),
+                         st.lists(U64, max_size=40).map(encode_packed_varints),
+                         st.sampled_from([b"\x80" * 10 + b"\x01", b"\xff" * 9 + b"\x02",
+                                          b"\xff" * 9 + b"\x01", b"\x96"])),
+           before=st.binary(max_size=8), after=st.binary(max_size=8))
+    def test_bytes_bytearray_and_memoryview_slices_decode_alike(self, run, before, after):
+        # The kernel reads a run where it lies: one answer — the values,
+        # or one exception class and message — whatever buffer holds it,
+        # and the answer does not alias the caller's buffer.
+        whole = bytearray(before + run + after)
+        at = slice(len(before), len(before) + len(run))
+        outcomes, out = [], None
+        for form in (bytes(run), bytearray(run), memoryview(bytes(whole))[at],
+                     memoryview(whole)[at]):
+            try:
+                out = decode_packed_varints(form)
+                outcomes.append((out.dtype, out.tolist()))
+            except WireFormatError as exc:
+                outcomes.append((type(exc), str(exc)))
+        del form
+        assert outcomes == [outcomes[0]] * 4
+        if out is None:
+            assert isinstance(self._scalar(run), WireFormatError)
+            return
+        assert out.dtype == np.uint64 and outcomes[0][1] == self._scalar(run)
+        whole[at] = bytes(len(run))
+        whole += b"\x00"  # resizable: the last answer holds no export of it
+        assert out.tolist() == outcomes[0][1]
+
 
 _LENGTH_CLASS_EDGES = (
     [0, 1]

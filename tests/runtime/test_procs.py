@@ -198,9 +198,10 @@ def test_cross_process_fault_injection(calc_schema, monkeypatch):
 
 def test_the_dpu_child_polls_its_endpoint_once_per_pass(calc_schema, monkeypatch):
     """The DPU child's client endpoint is polled by its front door
-    (``Ingress.progress`` -> ``dpu.progress``) and by nothing else in
-    the same engine pass.  An anonymous shared mapping made before the
-    fork carries what the child counted back to the test."""
+    (``Ingress.progress`` -> ``dpu.channel.client.progress``) and by
+    nothing else in the same engine pass.  An anonymous shared mapping
+    made before the fork carries what the child counted back to the
+    test."""
     # [most polls in one pass, polls inside passes]
     counts = memoryview(mmap.mmap(-1, 16)).cast("q")
     polls = [0]  # this process's count for the pass under way
