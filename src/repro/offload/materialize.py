@@ -111,13 +111,13 @@ class CppMessageView:
         slot = self._layout.slot(name)
         return self._layout.get_has_bit(self._region, self._addr, slot.has_bit)
 
-    def _view_at(self, cls, addr: int) -> "CppMessageView":
-        """The ``cls`` view of the object at ``addr``: loaded from the held
-        region when the object lies in it, else resolved through the space."""
+    def _holder(self, addr: int, length: int):
+        """The region holding ``[addr, addr + length)``: the view's own when
+        the span lies in it, else one checked resolution in the space."""
         region = self._region
-        if region.base <= addr <= region.base + region.size - cls._layout.sizeof:
-            return cls._load(region, addr)
-        return cls(cls._universe, cls._layout, addr)
+        if region.base <= addr <= region.base + region.size - length:
+            return region
+        return self._space.region_of(addr, length)
 
     def _read_child(self, fd, at: int) -> "CppMessageView":
         """The submessage whose pointer member is at offset ``at``."""
@@ -127,8 +127,8 @@ class CppMessageView:
             # (immutable) global default instance, never null — the
             # same view a parsed Message gives via auto-vivification.
             ptr = self._universe.default_instance(fd.message_type)
-        universe = self._universe
-        return self._view_at(view_class(universe, universe.layouts.layout(fd.message_type)), ptr)
+        cls = view_class(self._universe, self._universe.layouts.layout(fd.message_type))
+        return cls._load(self._holder(ptr, cls._layout.sizeof), ptr)
 
     def _read_string(self, holder, addr: int, text: bool):
         """The ``std::string`` at ``addr`` inside ``holder``, the already
@@ -160,16 +160,15 @@ class CppMessageView:
 
     def _read_messages(self, fd, at: int) -> list:
         cls = view_class(self._universe, self._universe.layouts.layout(fd.message_type))
-        return [self._view_at(cls, ptr) for ptr in self._read_array(at, "Q", 8)]
+        sizeof = cls._layout.sizeof
+        return [cls._load(self._holder(ptr, sizeof), ptr) for ptr in self._read_array(at, "Q", 8)]
 
     def _read_strings(self, at: int, text: bool) -> list:
         elems, count, _cap = _HEADER(self._buf, self._offset + at)
         if count == 0:
             return []
         size = self._layout.string_layout.size
-        holder = self._region
-        if not holder.base <= elems <= holder.base + holder.size - size * count:
-            holder = self._space.region_of(elems, size * count)
+        holder = self._holder(elems, size * count)
         return [self._read_string(holder, elems + size * i, text) for i in range(count)]
 
     def fields(self) -> Iterator[str]:
